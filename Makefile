@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race race bench experiments experiments-full examples soak-compare trace-demo fsck-demo overload-demo cache-demo cluster-demo fleet-obs-demo ec-demo cache-bench vet fmt clean
+.PHONY: all build test test-race race bench experiments experiments-full examples soak-compare trace-demo fsck-demo overload-demo cache-demo cluster-demo fleet-obs-demo ec-demo cache-bench fuzz bench-smoke vet fmt clean
 
 all: build test
 
@@ -120,6 +120,21 @@ cache-demo:
 # grows with core count; a single-core machine shows parity.
 cache-bench:
 	$(GO) test -run '^$$' -bench 'GetParallel|InsertParallel' -cpu 8 ./internal/cachengine/
+
+# Decoder fuzz smoke: ten seconds of coverage-guided input on each wire
+# fuzz target, starting from the checked-in corpus of one frame per
+# message type. Any panic, hang or frame that does not re-encode to
+# itself fails.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeMessage -fuzztime 10s ./internal/past/
+
+# The benchmark is its own module, so `go build ./...` never compiles
+# it: vet and test it, then run every workload once on tiny fleets, so
+# an internal API change cannot silently break bench/.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+	bash bench/run.sh --smoke --seconds 1
 
 examples:
 	$(GO) run ./examples/quickstart

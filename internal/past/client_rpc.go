@@ -2,11 +2,9 @@ package past
 
 import (
 	"context"
-	"encoding/gob"
 
 	"past/internal/id"
 	"past/internal/obs"
-	"past/internal/pastry"
 	"past/internal/store"
 )
 
@@ -169,60 +167,4 @@ func (n *Node) handleClientRPC(tc obs.TraceContext, msg any) (any, error) {
 		return &ClientObsReportReply{Node: n.ID(), Snapshot: n.StatsSnapshot()}, nil
 	}
 	return nil, nil
-}
-
-// RegisterWire registers every PAST and Pastry message type with the
-// gob codec used by the TCP transport.
-func RegisterWire() {
-	pastry.RegisterWire()
-	gob.Register(&InsertMsg{})
-	gob.Register(&InsertReply{})
-	gob.Register(&LookupMsg{})
-	gob.Register(&LookupReply{})
-	gob.Register(&ReclaimMsg{})
-	gob.Register(&ReclaimReply{})
-	gob.Register(&storeReplicaMsg{})
-	gob.Register(&storeReplicaReply{})
-	gob.Register(&divertStoreMsg{})
-	gob.Register(&divertStoreReply{})
-	gob.Register(&freeSpaceMsg{})
-	gob.Register(&freeSpaceReply{})
-	gob.Register(&installPointerMsg{})
-	gob.Register(&discardMsg{})
-	gob.Register(&discardReply{})
-	gob.Register(&fetchMsg{})
-	gob.Register(&fetchReply{})
-	gob.Register(&acquireMsg{})
-	gob.Register(&acquireReply{})
-	gob.Register(&locateSpaceMsg{})
-	gob.Register(&locateSpaceReply{})
-	gob.Register(&convertToDivertedMsg{})
-	gob.Register(&pointerCheckMsg{})
-	gob.Register(&pointerCheckReply{})
-	gob.Register(&replicaSetQuery{})
-	gob.Register(&replicaSetReply{})
-	gob.Register(&divertedHolderLeaving{})
-	gob.Register(&storeFragMsg{})
-	gob.Register(&storeFragReply{})
-	gob.Register(&fetchFragMsg{})
-	gob.Register(&fetchFragReply{})
-	gob.Register(&checkFragMsg{})
-	gob.Register(&checkFragReply{})
-	gob.Register(&dropFragMsg{})
-	gob.Register(&mapUpdateMsg{})
-	gob.Register(&ackMsg{})
-	gob.Register(&ClientInsert{})
-	gob.Register(&ClientInsertReply{})
-	gob.Register(&ClientLookup{})
-	gob.Register(&ClientLookupReply{})
-	gob.Register(&ClientReclaim{})
-	gob.Register(&ClientReclaimReply{})
-	gob.Register(&ClientReplicaReport{})
-	gob.Register(&ClientReplicaReportReply{})
-	gob.Register(&ClientStatus{})
-	gob.Register(&ClientStatusReply{})
-	gob.Register(&ClientStats{})
-	gob.Register(&ClientStatsReply{})
-	gob.Register(&ClientObsReport{})
-	gob.Register(&ClientObsReportReply{})
 }

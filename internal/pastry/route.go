@@ -237,7 +237,7 @@ func (n *Node) routeStep(ctx context.Context, req *RouteRequest) (*RouteReply, e
 	if req.CollectPath {
 		req.Path = append(req.Path, n.self)
 	}
-	join, isJoin := req.Payload.(joinPayload)
+	join, isJoin := req.Payload.(*joinPayload)
 	if isJoin {
 		n.collectJoinRows(req, join.Joiner)
 	} else {

@@ -71,7 +71,7 @@ func echoEP() netsim.Endpoint {
 // TestInvokeAddrStaleConnAcrossRestart: a pooled InvokeAddr connection
 // to a node that was killed and restarted at the same address must be
 // detected stale and redialed — the caller sees a clean reply, not a
-// spurious gob decode error.
+// spurious decode error.
 func TestInvokeAddrStaleConnAcrossRestart(t *testing.T) {
 	register()
 	rng := rand.New(rand.NewSource(71))
@@ -92,7 +92,7 @@ func TestInvokeAddrStaleConnAcrossRestart(t *testing.T) {
 		t.Fatalf("first InvokeAddr: %v", err)
 	}
 	ct.mu.Lock()
-	pooled := len(ct.idleAddr[srv.addr])
+	pooled := len(ct.idle[srv.addr])
 	ct.mu.Unlock()
 	if pooled != 1 {
 		t.Fatalf("pooled %d addr connections; want 1", pooled)
@@ -111,7 +111,7 @@ func TestInvokeAddrStaleConnAcrossRestart(t *testing.T) {
 		t.Fatalf("unexpected reply %T", reply)
 	}
 	ct.mu.Lock()
-	pooled = len(ct.idleAddr[srv.addr])
+	pooled = len(ct.idle[srv.addr])
 	ct.mu.Unlock()
 	if pooled != 1 {
 		t.Fatalf("pool holds %d addr connections after retry; want only the fresh one", pooled)
@@ -120,8 +120,8 @@ func TestInvokeAddrStaleConnAcrossRestart(t *testing.T) {
 
 // TestSentinelsSurviveRestart: ErrOverloaded and ErrTimeout returned by
 // the NEW life of a restarted node must still classify under errors.Is
-// when the request rode the stale-conn retry path — the sentinel
-// rehydration has to happen on the retried exchange too.
+// when the request rode the stale-conn retry path — the response's
+// error code has to be honoured on the retried exchange too.
 func TestSentinelsSurviveRestart(t *testing.T) {
 	register()
 	rng := rand.New(rand.NewSource(72))
@@ -138,8 +138,8 @@ func TestSentinelsSurviveRestart(t *testing.T) {
 	}
 	defer ct.Close()
 
-	// Warm both pools: the addr pool via InvokeAddr, the id pool via
-	// Invoke (after teaching the directory the server's address).
+	// Warm the pool through both entry points: InvokeAddr, then Invoke
+	// (after teaching the directory the server's address).
 	if _, err := ct.InvokeAddr(srv.addr, &pastry.Ping{}); err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestSentinelsSurviveRestart(t *testing.T) {
 	if !errors.Is(err, netsim.ErrOverloaded) {
 		t.Fatalf("InvokeAddr across restart: got %v, want ErrOverloaded", err)
 	}
-	if err != nil && strings.Contains(err.Error(), "gob") {
+	if err != nil && strings.Contains(err.Error(), "wire:") {
 		t.Fatalf("spurious decode error leaked through: %v", err)
 	}
 	_, err = ct.Invoke(context.Background(), cid, sid, &pastry.Ping{})

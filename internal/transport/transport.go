@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
@@ -53,9 +52,6 @@ func deliver(ep netsim.Endpoint, req *wire.Request) (any, error) {
 // dialed is reported down, which is how Pastry detects failures.
 const DefaultDialTimeout = 2 * time.Second
 
-// DialTimeout is the historical name of the package default.
-const DialTimeout = DefaultDialTimeout
-
 // TCP is a transport endpoint: client side (netsim.Net) plus server.
 type TCP struct {
 	self id.Node
@@ -64,8 +60,7 @@ type TCP struct {
 	mu          sync.Mutex
 	dialTimeout time.Duration
 	dir         map[id.Node]wire.DirEntry
-	idle        map[id.Node][]*conn
-	idleAddr    map[string][]*conn
+	idle        map[string][]*conn // pooled client connections by peer address
 	serving     map[net.Conn]struct{}
 	ep          netsim.Endpoint
 	ln          net.Listener
@@ -94,8 +89,7 @@ func New(self id.Node, addr string, pos topology.Point) (*TCP, error) {
 		addr:        ln.Addr().String(),
 		dialTimeout: DefaultDialTimeout,
 		dir:         make(map[id.Node]wire.DirEntry),
-		idle:        make(map[id.Node][]*conn),
-		idleAddr:    make(map[string][]*conn),
+		idle:        make(map[string][]*conn),
 		serving:     make(map[net.Conn]struct{}),
 		ln:          ln,
 		done:        make(chan struct{}),
@@ -145,13 +139,7 @@ func (t *TCP) Close() error {
 			c.c.Close()
 		}
 	}
-	t.idle = make(map[id.Node][]*conn)
-	for _, cs := range t.idleAddr {
-		for _, c := range cs {
-			c.c.Close()
-		}
-	}
-	t.idleAddr = make(map[string][]*conn)
+	t.idle = make(map[string][]*conn)
 	for c := range t.serving {
 		c.Close()
 	}
@@ -215,13 +203,54 @@ func (t *TCP) dispatch(req *wire.Request) *wire.Response {
 	ep := t.ep
 	t.mu.Unlock()
 	if ep == nil {
-		return &wire.Response{Err: "transport: no endpoint installed"}
+		return &wire.Response{Code: wire.CodeApp, Err: "transport: no endpoint installed"}
 	}
 	reply, err := deliver(ep, req)
 	if err != nil {
-		return &wire.Response{Err: err.Error()}
+		return &wire.Response{Code: errCode(err), Err: err.Error()}
 	}
 	return &wire.Response{Msg: reply}
+}
+
+// sentinels pairs each netsim sentinel with the code it crosses the
+// wire as, in classification order.
+var sentinels = []struct {
+	code wire.ErrCode
+	err  error
+}{
+	{wire.CodeNodeDown, netsim.ErrNodeDown},
+	{wire.CodeUnknownNode, netsim.ErrUnknownNode},
+	{wire.CodeTimeout, netsim.ErrTimeout},
+	{wire.CodeOverloaded, netsim.ErrOverloaded},
+}
+
+// errCode classifies a handler error for the response's code byte: the
+// sentinel it wraps, exactly as errors.Is sees it in-process, or
+// CodeApp. The text of the error plays no part, so an application error
+// that merely quotes a sentinel's message stays an application error.
+func errCode(err error) wire.ErrCode {
+	for _, s := range sentinels {
+		if errors.Is(err, s.err) {
+			return s.code
+		}
+	}
+	return wire.CodeApp
+}
+
+// replyOf unpacks a response: the reply message, or the remote
+// handler's error with its sentinel restored from the code byte, so
+// errors.Is classification (and therefore retry decisions) work
+// identically over sockets and in-process.
+func replyOf(resp *wire.Response) (any, error) {
+	if resp.Code == wire.CodeNone {
+		return resp.Msg, nil
+	}
+	for _, s := range sentinels {
+		if resp.Code == s.code {
+			return nil, fmt.Errorf("%w: remote: %s", s.err, resp.Err)
+		}
+	}
+	return nil, errors.New(resp.Err)
 }
 
 // AddEntry records (or updates) a directory entry.
@@ -283,7 +312,7 @@ func (t *TCP) Invoke(ctx context.Context, src, dst id.Node, msg any) (any, error
 		}
 		return deliver(ep, req)
 	}
-	resp, err := t.call(ctx, dst, e.Addr, req)
+	resp, err := t.call(ctx, e.Addr, req)
 	if err != nil {
 		if ctxErr := netsim.CtxErr(ctx); ctxErr != nil {
 			return nil, ctxErr
@@ -293,10 +322,7 @@ func (t *TCP) Invoke(ctx context.Context, src, dst id.Node, msg any) (any, error
 		}
 		return nil, fmt.Errorf("%w: %s: %v", netsim.ErrNodeDown, dst.Short(), err)
 	}
-	if resp.Err != "" {
-		return nil, rehydrateErr(resp.Err)
-	}
-	return resp.Msg, nil
+	return replyOf(resp)
 }
 
 // isTimeout reports whether a socket-level failure was a deadline
@@ -304,19 +330,6 @@ func (t *TCP) Invoke(ctx context.Context, src, dst id.Node, msg any) (any, error
 func isTimeout(err error) bool {
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// rehydrateErr maps an error string received over the wire back onto
-// the sentinel taxonomy, so errors.Is classification (and therefore
-// retry decisions) work identically over sockets and in-process. Any
-// unrecognized string stays an opaque application error.
-func rehydrateErr(s string) error {
-	for _, sentinel := range []error{netsim.ErrNodeDown, netsim.ErrUnknownNode, netsim.ErrTimeout, netsim.ErrOverloaded} {
-		if strings.Contains(s, sentinel.Error()) {
-			return fmt.Errorf("%w: remote: %s", sentinel, s)
-		}
-	}
-	return errors.New(s)
 }
 
 // InvokeAddr sends msg directly to a known address (used before the
@@ -328,8 +341,8 @@ func rehydrateErr(s string) error {
 // first exchange fails at the socket layer; the request is then retried
 // exactly once on a fresh dial, so a killed-then-restarted node is
 // redialed transparently instead of surfacing a spurious decode error.
-// Remote errors are rehydrated onto the sentinel taxonomy, so callers
-// can classify ErrOverloaded and friends across restarts too.
+// Remote errors carry their sentinel's code, so callers can classify
+// ErrOverloaded and friends across restarts too.
 func (t *TCP) InvokeAddr(addr string, msg any) (any, error) {
 	return t.InvokeAddrContext(context.Background(), addr, msg)
 }
@@ -343,54 +356,11 @@ func (t *TCP) InvokeAddrContext(ctx context.Context, addr string, msg any) (any,
 	if tc, ok := obs.TraceFromContext(ctx); ok {
 		req.TC = tc
 	}
-	c, pooled, err := t.getAddrConn(ctx, addr)
+	resp, err := t.call(ctx, addr, req)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := roundTrip(ctx, c, req)
-	if err != nil {
-		c.c.Close()
-		if !pooled {
-			return nil, err
-		}
-		if c, err = t.dial(ctx, addr); err != nil {
-			return nil, err
-		}
-		if resp, err = roundTrip(ctx, c, req); err != nil {
-			c.c.Close()
-			return nil, err
-		}
-	}
-	t.putAddrConn(addr, c)
-	if resp.Err != "" {
-		return nil, rehydrateErr(resp.Err)
-	}
-	return resp.Msg, nil
-}
-
-// getAddrConn returns an idle pooled connection to addr if one exists
-// (pooled = true), else a fresh dial.
-func (t *TCP) getAddrConn(ctx context.Context, addr string) (*conn, bool, error) {
-	t.mu.Lock()
-	if cs := t.idleAddr[addr]; len(cs) > 0 {
-		c := cs[len(cs)-1]
-		t.idleAddr[addr] = cs[:len(cs)-1]
-		t.mu.Unlock()
-		return c, true, nil
-	}
-	t.mu.Unlock()
-	c, err := t.dial(ctx, addr)
-	return c, false, err
-}
-
-func (t *TCP) putAddrConn(addr string, c *conn) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.idleAddr[addr]) >= 2 {
-		c.c.Close()
-		return
-	}
-	t.idleAddr[addr] = append(t.idleAddr[addr], c)
+	return replyOf(resp)
 }
 
 // call performs one request/response on a pooled connection; a busy
@@ -401,8 +371,8 @@ func (t *TCP) putAddrConn(addr string, c *conn) {
 // while idle (peer restart, half-closed socket), so the request is
 // retried once on a fresh dial before the destination is declared
 // dead — a fresh-dial failure is authoritative.
-func (t *TCP) call(ctx context.Context, dst id.Node, addr string, req *wire.Request) (*wire.Response, error) {
-	c, pooled, err := t.getConn(ctx, dst, addr)
+func (t *TCP) call(ctx context.Context, addr string, req *wire.Request) (*wire.Response, error) {
+	c, pooled, err := t.getConn(ctx, addr)
 	if err != nil {
 		return nil, err
 	}
@@ -420,7 +390,7 @@ func (t *TCP) call(ctx context.Context, dst id.Node, addr string, req *wire.Requ
 			return nil, err
 		}
 	}
-	t.putConn(dst, c)
+	t.putConn(addr, c)
 	return resp, nil
 }
 
@@ -451,11 +421,11 @@ func roundTrip(ctx context.Context, c *conn, req *wire.Request) (*wire.Response,
 
 // getConn returns an idle pooled connection if one exists (pooled =
 // true), else a fresh dial.
-func (t *TCP) getConn(ctx context.Context, dst id.Node, addr string) (*conn, bool, error) {
+func (t *TCP) getConn(ctx context.Context, addr string) (*conn, bool, error) {
 	t.mu.Lock()
-	if cs := t.idle[dst]; len(cs) > 0 {
+	if cs := t.idle[addr]; len(cs) > 0 {
 		c := cs[len(cs)-1]
-		t.idle[dst] = cs[:len(cs)-1]
+		t.idle[addr] = cs[:len(cs)-1]
 		t.mu.Unlock()
 		return c, true, nil
 	}
@@ -473,14 +443,14 @@ func (t *TCP) dial(ctx context.Context, addr string) (*conn, error) {
 	return &conn{c: c, codec: wire.NewCodec(c)}, nil
 }
 
-func (t *TCP) putConn(dst id.Node, c *conn) {
+func (t *TCP) putConn(addr string, c *conn) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.idle[dst]) >= 2 {
+	if len(t.idle[addr]) >= 2 {
 		c.c.Close()
 		return
 	}
-	t.idle[dst] = append(t.idle[dst], c)
+	t.idle[addr] = append(t.idle[addr], c)
 }
 
 // Alive reports whether dst is reachable right now, by probing the

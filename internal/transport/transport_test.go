@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -358,9 +359,7 @@ func TestConnectionPoolReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	a.t.mu.Lock()
-	pooled := len(a.t.idle[b.node.ID()])
-	a.t.mu.Unlock()
+	pooled := pooledTo(a.t, b.node.ID())
 	if pooled == 0 || pooled > 2 {
 		t.Fatalf("pool size %d; want 1..2", pooled)
 	}
@@ -393,16 +392,22 @@ func TestServerRejectsAfterClose(t *testing.T) {
 // faultyServer is a raw TCP server whose per-connection behavior is
 // scripted: each accepted connection consumes the next script entry.
 // "echo" answers every request on the connection correctly; "half"
-// reads one request, writes a truncated (half-written) response, and
-// slams the connection shut; "echo-then-half" echoes the first request
-// and half-writes the second (poisoning a connection only after the
-// client has pooled it).
+// reads one request, writes a truncated (half-written) response frame,
+// and slams the connection shut; "echo-then-half" echoes the first
+// request and half-writes the second (poisoning a connection only after
+// the client has pooled it). cut is how many bytes of the response
+// frame a half-write delivers: 3 stops inside the 6-byte header, 7
+// inside the 2-byte body of an echoed Ping.
 type faultyServer struct {
 	ln      net.Listener
 	accepts atomic.Int32
 }
 
-func newFaultyServer(t *testing.T, script []string) *faultyServer {
+// halfWriteCuts are the truncation points every half-written-response
+// test runs at: mid-header and mid-body.
+var halfWriteCuts = map[string]int{"mid-header": 3, "mid-body": 7}
+
+func newFaultyServer(t *testing.T, cut int, script []string) *faultyServer {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -430,9 +435,11 @@ func newFaultyServer(t *testing.T, script []string) *faultyServer {
 						return
 					}
 					if mode == "half" || (mode == "echo-then-half" && n > 0) {
-						// A prefix of a valid gob stream: enough bytes to
-						// look like the start of a response, then EOF.
-						c.Write([]byte{0x1f, 0xff, 0x83})
+						// A prefix of the frame a healthy server would
+						// have sent, then EOF.
+						var frame bytes.Buffer
+						wire.NewCodec(&frame).WriteResponse(&wire.Response{Msg: req.Msg})
+						c.Write(frame.Bytes()[:cut])
 						return
 					}
 					if err := codec.WriteResponse(&wire.Response{Msg: req.Msg}); err != nil {
@@ -465,10 +472,26 @@ func dialFaulty(t *testing.T, s *faultyServer) (*TCP, id.Node) {
 	return ct, sid
 }
 
-func TestStalePooledConnRetriesOnFreshDial(t *testing.T) {
+// pooledTo counts the idle connections ct holds to the node sid.
+func pooledTo(ct *TCP, sid id.Node) int {
+	ct.mu.Lock()
+	defer ct.mu.Unlock()
+	return len(ct.idle[ct.dir[sid].Addr])
+}
+
+// eachCut runs a half-written-response test at every truncation point.
+func eachCut(t *testing.T, test func(t *testing.T, cut int)) {
+	for name, cut := range halfWriteCuts {
+		t.Run(name, func(t *testing.T) { test(t, cut) })
+	}
+}
+
+func TestStalePooledConnRetriesOnFreshDial(t *testing.T) { eachCut(t, testStalePooledConnRetries) }
+
+func testStalePooledConnRetries(t *testing.T, cut int) {
 	// Connection 1 succeeds and is pooled, then serves a half-written
 	// response on reuse; the retry's fresh connection behaves.
-	s := newFaultyServer(t, []string{"echo-then-half", "echo"})
+	s := newFaultyServer(t, cut, []string{"echo-then-half", "echo"})
 	ct, sid := dialFaulty(t, s)
 
 	// Hand the pool a healthy-looking connection whose server side will
@@ -476,9 +499,7 @@ func TestStalePooledConnRetriesOnFreshDial(t *testing.T) {
 	if _, err := ct.Invoke(context.Background(), ct.self, sid, &pastry.Ping{}); err != nil {
 		t.Fatalf("first invoke: %v", err)
 	}
-	ct.mu.Lock()
-	pooled := len(ct.idle[sid])
-	ct.mu.Unlock()
+	pooled := pooledTo(ct, sid)
 	if pooled != 1 {
 		t.Fatalf("pooled %d connections; want 1", pooled)
 	}
@@ -491,18 +512,18 @@ func TestStalePooledConnRetriesOnFreshDial(t *testing.T) {
 	}
 	// The poisoned connection must not have been re-pooled; only the
 	// fresh one may remain.
-	ct.mu.Lock()
-	pooled = len(ct.idle[sid])
-	ct.mu.Unlock()
+	pooled = pooledTo(ct, sid)
 	if pooled != 1 {
 		t.Fatalf("pool holds %d connections after retry; want 1", pooled)
 	}
 }
 
-func TestHalfWrittenResponseOnFreshConnFails(t *testing.T) {
+func TestHalfWrittenResponseOnFreshConnFails(t *testing.T) { eachCut(t, testHalfWrittenFreshConn) }
+
+func testHalfWrittenFreshConn(t *testing.T, cut int) {
 	// A half-written response on a FRESH connection is authoritative:
 	// exactly one attempt, error surfaced, nothing pooled.
-	s := newFaultyServer(t, []string{"half"})
+	s := newFaultyServer(t, cut, []string{"half"})
 	ct, sid := dialFaulty(t, s)
 
 	if _, err := ct.Invoke(context.Background(), ct.self, sid, &pastry.Ping{}); err == nil {
@@ -511,19 +532,19 @@ func TestHalfWrittenResponseOnFreshConnFails(t *testing.T) {
 	if got := s.accepts.Load(); got != 1 {
 		t.Fatalf("server saw %d connections; want 1 (no retry for fresh conns)", got)
 	}
-	ct.mu.Lock()
-	pooled := len(ct.idle[sid])
-	ct.mu.Unlock()
+	pooled := pooledTo(ct, sid)
 	if pooled != 0 {
 		t.Fatalf("broken connection was pooled (%d)", pooled)
 	}
 }
 
-func TestStaleConnRetryAlsoFailingSurfacesError(t *testing.T) {
+func TestStaleConnRetryAlsoFailingSurfacesError(t *testing.T) { eachCut(t, testStaleRetryAlsoFails) }
+
+func testStaleRetryAlsoFails(t *testing.T, cut int) {
 	// Pooled conn goes stale AND the retry's fresh conn half-writes:
 	// the error surfaces after exactly one retry, and neither broken
 	// connection lands back in the pool.
-	s := newFaultyServer(t, []string{"echo-then-half", "half"})
+	s := newFaultyServer(t, cut, []string{"echo-then-half", "half"})
 	ct, sid := dialFaulty(t, s)
 
 	if _, err := ct.Invoke(context.Background(), ct.self, sid, &pastry.Ping{}); err != nil {
@@ -535,9 +556,7 @@ func TestStaleConnRetryAlsoFailingSurfacesError(t *testing.T) {
 	if got := s.accepts.Load(); got != 2 {
 		t.Fatalf("server saw %d connections; want 2 (pooled + exactly one retry)", got)
 	}
-	ct.mu.Lock()
-	pooled := len(ct.idle[sid])
-	ct.mu.Unlock()
+	pooled := pooledTo(ct, sid)
 	if pooled != 0 {
 		t.Fatalf("broken connection was pooled (%d)", pooled)
 	}
@@ -590,7 +609,7 @@ func admitTCPPair(t *testing.T, retry *past.RetryPolicy, ac admit.Config) (clien
 
 func TestTCPOverloadedRoundTripsWire(t *testing.T) {
 	// A gated node sheds a routed lookup; the shed must cross the real
-	// socket as a string and rehydrate into netsim.ErrOverloaded at the
+	// socket as an error code and come back as netsim.ErrOverloaded at the
 	// sender, where errors.Is classification drives rerouting/retry.
 	client, gated, f := admitTCPPair(t, nil, admit.Config{Rate: 1, Burst: 2, Depth: 1})
 	var overloaded error
@@ -603,7 +622,7 @@ func TestTCPOverloadedRoundTripsWire(t *testing.T) {
 		t.Fatal("frozen token bucket never shed over TCP")
 	}
 	if !errors.Is(overloaded, netsim.ErrOverloaded) {
-		t.Fatalf("remote shed did not rehydrate to ErrOverloaded: %v", overloaded)
+		t.Fatalf("remote shed did not come back as ErrOverloaded: %v", overloaded)
 	}
 	if gated.AdmitController().Shed() == 0 {
 		t.Fatal("gated node recorded no sheds")
@@ -614,7 +633,7 @@ func TestTCPOverloadHonoredByRetryBackoff(t *testing.T) {
 	// Identical runs except for OverloadFactor: same jitter seed, same
 	// shedding server, so the captured backoff sleeps must differ by
 	// exactly the factor — proving the policy classified the remote,
-	// rehydrated error as overload and backed off harder.
+	// wire-coded error as overload and backed off harder.
 	run := func(factor float64) []time.Duration {
 		var sleeps []time.Duration
 		client, _, f := admitTCPPair(t, &past.RetryPolicy{
@@ -712,5 +731,50 @@ func TestTCPConcurrentClientsAdmission(t *testing.T) {
 	ctl := nd.node.AdmitController()
 	if ctl.Admitted()+ctl.Shed() != total {
 		t.Fatalf("controller admitted %d + shed %d != %d", ctl.Admitted(), ctl.Shed(), total)
+	}
+}
+
+// TestErrorClassificationMatchesInProcess: a handler error must
+// classify under errors.Is over a real socket pair exactly as it does
+// when netsim hands it back in-process — a wrapped sentinel stays that
+// sentinel, and an application error whose text merely quotes one
+// (formatted with %v) stays opaque instead of evicting a live peer.
+func TestErrorClassificationMatchesInProcess(t *testing.T) {
+	register()
+	sentinels := []error{netsim.ErrNodeDown, netsim.ErrUnknownNode, netsim.ErrTimeout, netsim.ErrOverloaded}
+	cases := []error{errors.New("disk full")}
+	for _, s := range sentinels {
+		cases = append(cases, s, fmt.Errorf("hop 3: %w", s), fmt.Errorf("upstream said: %v", s))
+	}
+	// The request's Row picks the error the handler returns.
+	ep := epFunc(func(_ id.Node, msg any) (any, error) { return nil, cases[msg.(*pastry.RowRequest).Row] })
+
+	rng := rand.New(rand.NewSource(73))
+	var sid, cid id.Node
+	rng.Read(sid[:])
+	rng.Read(cid[:])
+	srv := startRestartable(t, "127.0.0.1:0", sid, ep)
+	defer srv.kill()
+	ct, err := New(cid, "127.0.0.1:0", topology.Point{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ct.Close()
+	ct.AddEntry(srv.tr.SelfEntry())
+
+	for i, handlerErr := range cases {
+		msg := &pastry.RowRequest{Row: i}
+		_, byID := ct.Invoke(context.Background(), cid, sid, msg)
+		_, byAddr := ct.InvokeAddr(srv.addr, msg)
+		for name, got := range map[string]error{"Invoke": byID, "InvokeAddr": byAddr} {
+			if got == nil || !strings.Contains(got.Error(), handlerErr.Error()) {
+				t.Fatalf("%s lost the handler's error %q: %v", name, handlerErr, got)
+			}
+			for _, s := range sentinels {
+				if want := errors.Is(handlerErr, s); errors.Is(got, s) != want {
+					t.Errorf("%s of %q: errors.Is(%v) = %v over TCP, %v in-process", name, handlerErr, s, !want, want)
+				}
+			}
+		}
 	}
 }
