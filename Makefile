@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race race bench experiments experiments-full examples soak-compare trace-demo fsck-demo overload-demo cache-demo cluster-demo fleet-obs-demo ec-demo cache-bench fuzz bench-smoke vet fmt clean
+.PHONY: all build test test-times test-race race bench experiments experiments-full examples soak-compare trace-demo fsck-demo overload-demo cache-demo cluster-demo fleet-obs-demo ec-demo cache-bench fuzz bench-smoke vet fmt clean
 
 all: build test
 
@@ -12,6 +12,15 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Tier-1 uncached, then each package's wall time, slowest first, so the
+# suite reports where its own time goes. Failing packages are listed
+# after the table and fail the target.
+test-times:
+	@$(GO) test -count=1 ./... > /tmp/past-test-times.txt; status=$$?; \
+	awk '$$1 == "ok" && $$3 ~ /^[0-9.]+s$$/ { print $$3 + 0, $$2 }' /tmp/past-test-times.txt | sort -rn | \
+		awk '{ printf "%8.2fs  %s\n", $$1, $$2; total += $$1 } END { printf "%8.2fs  total\n", total }'; \
+	grep -Ev '^(ok|\?) ' /tmp/past-test-times.txt; exit $$status
 
 # Full race-detector sweep. -short skips the trace-driven experiment
 # runs (minutes each under the race detector); every protocol and

@@ -90,55 +90,79 @@ func (n Node) Short() string { return hex.EncodeToString(n[:4]) }
 // Cmp compares two nodeIds as unsigned big-endian integers, returning
 // -1, 0, or +1.
 func (n Node) Cmp(o Node) int {
-	for i := 0; i < NodeBytes; i++ {
-		switch {
-		case n[i] < o[i]:
-			return -1
-		case n[i] > o[i]:
-			return 1
-		}
+	switch {
+	case n.Less(o):
+		return -1
+	case o.Less(n):
+		return 1
 	}
 	return 0
 }
 
 // Less reports whether n < o as unsigned big-endian integers.
-func (n Node) Less(o Node) bool { return n.Cmp(o) < 0 }
+func (n Node) Less(o Node) bool {
+	nh, nl := n.Halves()
+	oh, ol := o.Halves()
+	return less128(nh, nl, oh, ol)
+}
 
 // IsZero reports whether n is the all-zero identifier.
 func (n Node) IsZero() bool { return n == Node{} }
 
-// sub returns n - o mod 2^128.
-func (n Node) sub(o Node) Node {
-	nh, nl := n.Halves()
-	oh, ol := o.Halves()
-	lo, borrow := bits.Sub64(nl, ol, 0)
-	hi, _ := bits.Sub64(nh, oh, borrow)
-	return NodeFromHalves(hi, lo)
+func less128(ah, al, bh, bl uint64) bool {
+	return ah < bh || ah == bh && al < bl
 }
 
-// CWDist returns the clockwise distance from n to o on the ring, i.e.
-// (o - n) mod 2^128.
-func (n Node) CWDist(o Node) Node { return o.sub(n) }
+// Dist is a distance between two ids, 0 to 2^128-1, as two machine
+// words. CWDist and RingDist pack the same values into a Node; code
+// that computes and compares many distances (the leaf-set walk) uses
+// Dist, which stays in registers.
+type Dist struct{ Hi, Lo uint64 }
 
-// RingDist returns the circular (numerical) distance between n and o:
+// Less reports whether d < o.
+func (d Dist) Less(o Dist) bool { return less128(d.Hi, d.Lo, o.Hi, o.Lo) }
+
+// DistCW returns the clockwise distance from n to o on the ring, i.e.
+// (o - n) mod 2^128.
+func (n Node) DistCW(o Node) Dist {
+	nh, nl := n.Halves()
+	oh, ol := o.Halves()
+	lo, borrow := bits.Sub64(ol, nl, 0)
+	hi, _ := bits.Sub64(oh, nh, borrow)
+	return Dist{hi, lo}
+}
+
+// DistRing returns the circular (numerical) distance between n and o:
 // min((n-o) mod 2^128, (o-n) mod 2^128). This is the metric "numerically
 // closest" refers to throughout the paper.
-func (n Node) RingDist(o Node) Node {
-	d1 := n.sub(o)
-	d2 := o.sub(n)
-	if d1.Less(d2) {
-		return d1
+func (n Node) DistRing(o Node) Dist {
+	d := n.DistCW(o)
+	if d.Hi>>63 != 0 { // past half way (2^127 is its own negation): the other way round is shorter
+		lo, borrow := bits.Sub64(0, d.Lo, 0)
+		hi, _ := bits.Sub64(0, d.Hi, borrow)
+		d = Dist{hi, lo}
 	}
-	return d2
+	return d
+}
+
+// CWDist is DistCW with the result packed into a Node.
+func (n Node) CWDist(o Node) Node {
+	d := n.DistCW(o)
+	return NodeFromHalves(d.Hi, d.Lo)
+}
+
+// RingDist is DistRing with the result packed into a Node.
+func (n Node) RingDist(o Node) Node {
+	d := n.DistRing(o)
+	return NodeFromHalves(d.Hi, d.Lo)
 }
 
 // Closer reports whether a is strictly nearer to n than b is, under ring
 // distance, breaking ties by smaller identifier so that orderings are
 // total and deterministic.
 func (n Node) Closer(a, b Node) bool {
-	da, db := n.RingDist(a), n.RingDist(b)
-	if c := da.Cmp(db); c != 0 {
-		return c < 0
+	if da, db := n.DistRing(a), n.DistRing(b); da != db {
+		return da.Less(db)
 	}
 	return a.Less(b)
 }

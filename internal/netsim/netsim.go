@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -116,7 +117,7 @@ type Network struct {
 
 	messages atomic.Int64
 	bytes    atomic.Int64
-	byType   sync.Map // message type name -> *atomic.Int64
+	byType   sync.Map // reflect.Type of the message -> *atomic.Int64
 }
 
 var _ Net = (*Network)(nil)
@@ -198,20 +199,20 @@ func (n *Network) Invoke(ctx context.Context, src, dst id.Node, msg any) (any, e
 // decomposition (e.g. how many of an insert's messages were free-space
 // queries vs replica stores).
 func (n *Network) countType(msg any) {
-	name := fmt.Sprintf("%T", msg)
-	c, ok := n.byType.Load(name)
+	t := reflect.TypeOf(msg)
+	c, ok := n.byType.Load(t)
 	if !ok {
-		c, _ = n.byType.LoadOrStore(name, new(atomic.Int64))
+		c, _ = n.byType.LoadOrStore(t, new(atomic.Int64))
 	}
 	c.(*atomic.Int64).Add(1)
 }
 
 // MessagesByType returns a snapshot of per-message-type delivery counts,
-// keyed by the concrete Go type name.
+// keyed by the concrete Go type name (as fmt's %T prints it).
 func (n *Network) MessagesByType() map[string]int64 {
 	out := make(map[string]int64)
 	n.byType.Range(func(k, v any) bool {
-		out[k.(string)] = v.(*atomic.Int64).Load()
+		out[fmt.Sprint(k)] += v.(*atomic.Int64).Load()
 		return true
 	})
 	return out

@@ -3,6 +3,7 @@ package netsim
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"past/internal/id"
@@ -165,9 +166,17 @@ func TestMessagesByType(t *testing.T) {
 	if _, err := n.Invoke(context.Background(), a, b, sizedMsg{n: 1}); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := n.Invoke(context.Background(), a, b, &sizedMsg{n: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Invoke(context.Background(), a, b, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Keys are the names fmt's %T gives the message values.
 	counts := n.MessagesByType()
-	if counts["string"] != 2 || counts["netsim.sizedMsg"] != 1 {
-		t.Fatalf("type counts = %v", counts)
+	want := map[string]int64{"string": 2, "netsim.sizedMsg": 1, "*netsim.sizedMsg": 1, "<nil>": 1}
+	if !reflect.DeepEqual(counts, want) {
+		t.Fatalf("type counts = %v; want %v", counts, want)
 	}
 }
 

@@ -390,18 +390,13 @@ func (n *Node) handleStoreReplica(m *storeReplicaMsg) *storeReplicaReply {
 // diverted replica survives the failure of either referrer.
 func (n *Node) divertReplica(m *storeReplicaMsg) *storeReplicaReply {
 	replicaSet := n.overlay.ReplicaSet(m.Key, m.K)
-	inSet := make(map[id.Node]bool, len(replicaSet))
-	for _, r := range replicaSet {
-		inSet[r] = true
-	}
-
 	type candidate struct {
 		node id.Node
 		free int64
 	}
 	var cands []candidate
 	for _, b := range n.overlay.LeafSet() {
-		if inSet[b] || b == n.ID() {
+		if containsNode(replicaSet, b) || b == n.ID() {
 			continue
 		}
 		res, err := n.net.Invoke(context.Background(), n.ID(), b, &freeSpaceMsg{})

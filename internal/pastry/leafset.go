@@ -1,8 +1,6 @@
 package pastry
 
 import (
-	"sort"
-
 	"past/internal/id"
 )
 
@@ -12,14 +10,45 @@ import (
 // leafLo), relative to the present node on the circular namespace. In a
 // network with fewer than l+1 nodes a node may legitimately appear on
 // both sides.
+//
+// Each side is kept closest-first, which makes it a run of distinct ids
+// in ring order: leafHi ascends clockwise from this node, leafLo ascends
+// counter-clockwise. Every "closest to key" query below is a merge over
+// those two runs (leafWalk); nothing is sorted per query.
 
-// cwLess orders a before b by clockwise distance from base.
-func cwLess(base, a, b id.Node) bool {
-	da, db := base.CWDist(a), base.CWDist(b)
-	if c := da.Cmp(db); c != 0 {
-		return c < 0
+// dirDist returns the distance from a to b walking clockwise, or
+// counter-clockwise when ccw is set.
+func dirDist(a, b id.Node, ccw bool) id.Dist {
+	if ccw {
+		return b.DistCW(a)
+	}
+	return a.DistCW(b)
+}
+
+// nearer orders (a at distance da) before (b at distance db): smaller
+// distance first, ties to the smaller id, as id.Node.Closer does.
+func nearer(a id.Node, da id.Dist, b id.Node, db id.Dist) bool {
+	if da != db {
+		return da.Less(db)
 	}
 	return a.Less(b)
+}
+
+// searchSide returns the index of the first member of side at or beyond
+// target, walking from self in the side's direction (len(side) if none).
+// side is ordered closest to self first in that direction.
+func searchSide(side []id.Node, self, target id.Node, ccw bool) int {
+	want := dirDist(self, target, ccw)
+	lo, hi := 0, len(side)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if dirDist(self, side[mid], ccw).Less(want) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // leafInsertLocked adds x to the leaf set if it belongs there, returning
@@ -28,47 +57,24 @@ func (n *Node) leafInsertLocked(x id.Node) bool {
 	if x == n.self || x.IsZero() {
 		return false
 	}
-	changed := false
-	if insertSide(&n.leafHi, x, n.cfg.L/2, func(a, b id.Node) bool {
-		return cwLess(n.self, a, b) // successors: small CWDist(self, x) first
-	}) {
-		changed = true
-	}
-	if insertSide(&n.leafLo, x, n.cfg.L/2, func(a, b id.Node) bool {
-		// predecessors: small CWDist(x, self) first
-		da, db := a.CWDist(n.self), b.CWDist(n.self)
-		if c := da.Cmp(db); c != 0 {
-			return c < 0
-		}
-		return a.Less(b)
-	}) {
-		changed = true
-	}
-	return changed
+	hi := insertSide(&n.leafHi, n.self, x, false, n.cfg.L/2)
+	lo := insertSide(&n.leafLo, n.self, x, true, n.cfg.L/2)
+	return hi || lo
 }
 
-// insertSide inserts x into a side kept sorted by less, capped at max.
-func insertSide(side *[]id.Node, x id.Node, max int, less func(a, b id.Node) bool) bool {
+// insertSide inserts x into a side kept closest to self first, capped at
+// max, and reports whether x was kept.
+func insertSide(side *[]id.Node, self, x id.Node, ccw bool, max int) bool {
 	s := *side
-	for _, m := range s {
-		if m == x {
-			return false
-		}
+	at := searchSide(s, self, x, ccw)
+	if at < len(s) && s[at] == x || at >= max {
+		return false
 	}
-	s = append(s, x)
-	sort.Slice(s, func(i, j int) bool { return less(s[i], s[j]) })
-	if len(s) > max {
-		// x may itself be the trimmed entry; report change only if kept.
-		trimmed := s[max:]
-		s = s[:max]
-		*side = s
-		for _, t := range trimmed {
-			if t == x {
-				return false
-			}
-		}
-		return true
+	if len(s) < max {
+		s = append(s, id.Node{})
 	}
+	copy(s[at+1:], s[at:])
+	s[at] = x
 	*side = s
 	return true
 }
@@ -91,6 +97,142 @@ func (n *Node) leafRemoveLocked(x id.Node) bool {
 	return a || b
 }
 
+// sideWalk yields the members of one leaf-set side nearest to key
+// first. The side is a run of distinct ids in ring order, so as a
+// circular list the members beyond key in the side's own direction lie
+// at increasing index (the fwd cursor) and those before it at
+// decreasing index (the bwd cursor), both wrapping at the ends; each
+// cursor meets its members at increasing directional distance, and the
+// smaller of the two head distances is that member's ring distance (the
+// other way round to it is blocked by the opposite cursor's head, which
+// is farther). One distance is computed per member visited.
+type sideWalk struct {
+	ids      []id.Node
+	key      id.Node
+	ccw      bool    // the side ascends counter-clockwise (leafLo)
+	fwd, bwd int     // next index of each cursor
+	left     int     // members not yet yielded
+	df, db   id.Dist // distance from key to ids[fwd] going the side's way, to ids[bwd] going against it
+	head     id.Node // nearest member not yet yielded, valid while left > 0
+	dist     id.Dist // its ring distance from key
+	fromFwd  bool    // head is ids[fwd], not ids[bwd]
+}
+
+func newSideWalk(side []id.Node, self, key id.Node, ccw bool) sideWalk {
+	w := sideWalk{ids: side, key: key, ccw: ccw, left: len(side)}
+	if w.left == 0 {
+		return w
+	}
+	if w.fwd = searchSide(side, self, key, ccw); w.fwd == len(side) {
+		w.fwd = 0
+	}
+	if w.bwd = w.fwd - 1; w.bwd < 0 {
+		w.bwd = len(side) - 1
+	}
+	w.df = dirDist(key, side[w.fwd], ccw)
+	w.db = dirDist(key, side[w.bwd], !ccw)
+	w.settle()
+	return w
+}
+
+// settle picks the nearer of the two cursor heads.
+func (w *sideWalk) settle() {
+	f, b := w.ids[w.fwd], w.ids[w.bwd]
+	if w.fromFwd = nearer(f, w.df, b, w.db); w.fromFwd {
+		w.head, w.dist = f, w.df
+	} else {
+		w.head, w.dist = b, w.db
+	}
+}
+
+// advance consumes head.
+func (w *sideWalk) advance() {
+	if w.left--; w.left == 0 {
+		return
+	}
+	if w.fromFwd {
+		if w.fwd++; w.fwd == len(w.ids) {
+			w.fwd = 0
+		}
+		w.df = dirDist(w.key, w.ids[w.fwd], w.ccw)
+	} else {
+		if w.bwd--; w.bwd < 0 {
+			w.bwd = len(w.ids) - 1
+		}
+		w.db = dirDist(w.key, w.ids[w.bwd], !w.ccw)
+	}
+	w.settle()
+}
+
+// leafWalk yields the distinct members of the leaf set, and this node
+// if asked, in order of ring distance from key (ties to the smaller id,
+// the order id.Node.Closer defines): a three-way merge of the two sides
+// and self. A member present on both sides heads both at the same step
+// and is yielded once. Locating key costs O(log l), each member yielded
+// O(1); the walk allocates nothing. The leaf set must not change while
+// a walk is in use.
+type leafWalk struct {
+	hi, lo   sideWalk
+	self     id.Node
+	selfDist id.Dist
+	selfLeft bool
+}
+
+// leafWalkLocked starts a walk outward from key. Caller holds n.mu for
+// the life of the walk.
+func (n *Node) leafWalkLocked(key id.Node, withSelf bool) leafWalk {
+	return leafWalk{
+		hi:       newSideWalk(n.leafHi, n.self, key, false),
+		lo:       newSideWalk(n.leafLo, n.self, key, true),
+		self:     n.self,
+		selfDist: key.DistRing(n.self),
+		selfLeft: withSelf,
+	}
+}
+
+// next returns the nearest member not yet yielded; ok is false when the
+// walk is exhausted.
+func (w *leafWalk) next() (m id.Node, ok bool) {
+	side := &w.hi
+	if side.left == 0 || w.lo.left > 0 && nearer(w.lo.head, w.lo.dist, side.head, side.dist) {
+		side = &w.lo
+	}
+	if w.selfLeft && (side.left == 0 || nearer(w.self, w.selfDist, side.head, side.dist)) {
+		w.selfLeft = false
+		return w.self, true
+	}
+	if side.left == 0 {
+		return id.Node{}, false
+	}
+	m = side.head
+	if w.hi.left > 0 && w.hi.head == m {
+		w.hi.advance()
+	}
+	if w.lo.left > 0 && w.lo.head == m {
+		w.lo.advance()
+	}
+	return m, true
+}
+
+// closestLocked returns up to want distinct leaf-set members (and this
+// node, if withSelf) nearest to key, nearest first, in a fresh slice.
+// Caller holds n.mu.
+func (n *Node) closestLocked(key id.Node, want int, withSelf bool) []id.Node {
+	if most := len(n.leafLo) + len(n.leafHi) + 1; want > most {
+		want = most
+	}
+	out := make([]id.Node, 0, want)
+	w := n.leafWalkLocked(key, withSelf)
+	for len(out) < want {
+		m, ok := w.next()
+		if !ok {
+			break
+		}
+		out = append(out, m)
+	}
+	return out
+}
+
 // LeafSet returns the members of the leaf set, deduplicated, ordered by
 // ring distance from this node (closest first).
 func (n *Node) LeafSet() []id.Node {
@@ -100,18 +242,7 @@ func (n *Node) LeafSet() []id.Node {
 }
 
 func (n *Node) leafSetLocked() []id.Node {
-	seen := make(map[id.Node]bool, len(n.leafLo)+len(n.leafHi))
-	out := make([]id.Node, 0, len(n.leafLo)+len(n.leafHi))
-	for _, s := range [][]id.Node{n.leafLo, n.leafHi} {
-		for _, m := range s {
-			if !seen[m] {
-				seen[m] = true
-				out = append(out, m)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return n.self.Closer(out[i], out[j]) })
-	return out
+	return n.closestLocked(n.self, len(n.leafLo)+len(n.leafHi), false)
 }
 
 // LeafSides returns copies of the smaller-side and larger-side leaf
@@ -126,7 +257,10 @@ func (n *Node) LeafSides() (lo, hi []id.Node) {
 // inLeafRangeLocked reports whether key lies within the span of the leaf
 // set (from the farthest counter-clockwise member, through this node, to
 // the farthest clockwise member). When a side is not full the node knows
-// the whole ring on that side, so the answer is true. Caller holds n.mu.
+// the whole ring on that side, so the answer is true; so it is when the
+// sides overlap (the clockwise side reaches the farthest counter-clockwise
+// member or beyond, as in a ring of at most l nodes): together they span
+// the whole ring. Caller holds n.mu.
 func (n *Node) inLeafRangeLocked(key id.Node) bool {
 	loFull := len(n.leafLo) >= n.cfg.L/2
 	hiFull := len(n.leafHi) >= n.cfg.L/2
@@ -135,8 +269,13 @@ func (n *Node) inLeafRangeLocked(key id.Node) bool {
 	}
 	lo := n.leafLo[len(n.leafLo)-1]
 	hi := n.leafHi[len(n.leafHi)-1]
+	span := lo.DistCW(hi)
+	if span.Less(lo.DistCW(n.self)) {
+		// Clockwise from lo, hi comes before this node: the sides overlap.
+		return true
+	}
 	// key in [lo, hi] going clockwise.
-	return lo.CWDist(key).Cmp(lo.CWDist(hi)) <= 0
+	return !span.Less(lo.DistCW(key))
 }
 
 // closestLeafAvoidingLocked returns the member of leaf set + self
@@ -145,18 +284,13 @@ func (n *Node) inLeafRangeLocked(key id.Node) bool {
 // closer member dead, this node takes over as the closest live one.
 // Caller holds n.mu.
 func (n *Node) closestLeafAvoidingLocked(key id.Node, excluded func(id.Node) bool) id.Node {
-	best := n.self
-	for _, s := range [][]id.Node{n.leafLo, n.leafHi} {
-		for _, m := range s {
-			if excluded(m) {
-				continue
-			}
-			if key.Closer(m, best) {
-				best = m
-			}
+	w := n.leafWalkLocked(key, true)
+	for {
+		m, _ := w.next() // self ends the walk before it can run dry
+		if m == n.self || !excluded(m) {
+			return m
 		}
 	}
-	return best
 }
 
 // InLeafRange reports whether key lies within the span of this node's
@@ -180,17 +314,13 @@ func (n *Node) IsAmongKClosest(key id.Node, k int) bool {
 	if !n.inLeafRangeLocked(key) {
 		return false
 	}
-	closer := 0
-	seen := make(map[id.Node]bool, len(n.leafLo)+len(n.leafHi))
-	for _, s := range [][]id.Node{n.leafLo, n.leafHi} {
-		for _, m := range s {
-			if !seen[m] && key.Closer(m, n.self) {
-				seen[m] = true
-				closer++
-			}
+	w := n.leafWalkLocked(key, true)
+	for ; k > 0; k-- {
+		if m, _ := w.next(); m == n.self {
+			return true
 		}
 	}
-	return closer < k
+	return false
 }
 
 // ReplicaSet returns the k nodes (from this node's leaf set plus itself)
@@ -200,12 +330,7 @@ func (n *Node) IsAmongKClosest(key id.Node, k int) bool {
 func (n *Node) ReplicaSet(key id.Node, k int) []id.Node {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	cands := append(n.leafSetLocked(), n.self)
-	sort.Slice(cands, func(i, j int) bool { return key.Closer(cands[i], cands[j]) })
-	if len(cands) > k {
-		cands = cands[:k]
-	}
-	return cands
+	return n.closestLocked(key, k, true)
 }
 
 // FragmentTargets returns up to want distinct nodes for erasure-coded
@@ -216,10 +341,5 @@ func (n *Node) ReplicaSet(key id.Node, k int) []id.Node {
 func (n *Node) FragmentTargets(key id.Node, want int) []id.Node {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	cands := append(n.leafSetLocked(), n.self)
-	sort.Slice(cands, func(i, j int) bool { return key.Closer(cands[i], cands[j]) })
-	if len(cands) > want {
-		cands = cands[:want]
-	}
-	return cands
+	return n.closestLocked(key, want, true)
 }

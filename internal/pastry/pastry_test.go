@@ -206,6 +206,41 @@ func short(ids []id.Node) []string {
 	return out
 }
 
+// TestSmallRingRoutes covers rings around the leaf-set size, where the
+// two sides of a leaf set overlap (N <= l) or just stop overlapping: a
+// node whose sides overlap knows the whole ring, so every route must
+// end at the numerically closest node and IsAmongKClosest must agree
+// with a global count.
+func TestSmallRingRoutes(t *testing.T) {
+	for _, size := range []int{9, 10, 12, 16, 17, 20} {
+		for seed := int64(1); seed <= 10; seed++ {
+			c := buildCluster(t, size, Config{B: 4, L: 16}, seed)
+			for i := 0; i < 200; i++ {
+				key := randKey(c.rng)
+				_, _, path, err := c.randomAliveNode().RouteTraced(key, nil)
+				if err != nil {
+					t.Fatalf("N=%d seed %d: route: %v", size, seed, err)
+				}
+				if got, want := path[len(path)-1], c.globalClosest(key); got != want {
+					t.Errorf("N=%d seed %d: route for key %s ended at %s; want %s", size, seed, key.Short(), got.Short(), want.Short())
+				}
+				node := c.randomAliveNode()
+				closer := 0
+				for nid := range c.nodes {
+					if key.Closer(nid, node.ID()) {
+						closer++
+					}
+				}
+				for _, k := range []int{1, 3, 5} {
+					if got, want := node.IsAmongKClosest(key, k), closer < k; got != want {
+						t.Errorf("N=%d seed %d: %s.IsAmongKClosest(%s, %d) = %v; %d nodes are closer", size, seed, node.ID().Short(), key.Short(), k, got, closer)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestReplicaSetMatchesBruteForce(t *testing.T) {
 	c := buildCluster(t, 50, Config{B: 4, L: 16}, 4)
 	all := c.net.Nodes()
@@ -527,6 +562,47 @@ func BenchmarkRoute(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := src.Route(keys[i%len(keys)], nil); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// leafBenchNode returns one node of a 100-node, l=32 network with keys
+// that fall inside its leaf-set span, where a coordinator's queries do.
+func leafBenchNode(b *testing.B) (*Node, []id.Node) {
+	c := buildCluster(b, 100, Config{B: 4, L: 32}, 15)
+	n := c.randomAliveNode()
+	near := append(n.LeafSet(), n.ID())
+	keys := make([]id.Node, 512)
+	for i := range keys {
+		keys[i] = near[c.rng.Intn(len(near))]
+		c.rng.Read(keys[i][8:])
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	return n, keys
+}
+
+var leafBenchSink int
+
+func BenchmarkReplicaSet(b *testing.B) {
+	n, keys := leafBenchNode(b)
+	for i := 0; i < b.N; i++ {
+		leafBenchSink += len(n.ReplicaSet(keys[i%len(keys)], 5))
+	}
+}
+
+func BenchmarkLeafSet(b *testing.B) {
+	n, _ := leafBenchNode(b)
+	for i := 0; i < b.N; i++ {
+		leafBenchSink += len(n.LeafSet())
+	}
+}
+
+func BenchmarkIsAmongKClosest(b *testing.B) {
+	n, keys := leafBenchNode(b)
+	for i := 0; i < b.N; i++ {
+		if n.IsAmongKClosest(keys[i%len(keys)], 5) {
+			leafBenchSink++
 		}
 	}
 }
