@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-times test-race race bench experiments experiments-full examples soak-compare trace-demo fsck-demo overload-demo cache-demo cluster-demo fleet-obs-demo ec-demo cache-bench fuzz bench-smoke vet fmt clean
+.PHONY: all build test test-times test-race race bench experiments experiments-full examples soak-compare trace-demo fsck-demo overload-demo cache-demo cluster-demo fleet-obs-demo ec-demo cache-bench fuzz no-gob bench-smoke vet fmt clean
 
 all: build test
 
@@ -130,13 +130,23 @@ cache-demo:
 cache-bench:
 	$(GO) test -run '^$$' -bench 'GetParallel|InsertParallel' -cpu 8 ./internal/cachengine/
 
-# Decoder fuzz smoke: ten seconds of coverage-guided input on each wire
-# fuzz target, starting from the checked-in corpus of one frame per
-# message type. Any panic, hang or frame that does not re-encode to
-# itself fails.
+# Decoder fuzz smoke: ten seconds of coverage-guided input on each
+# fuzz target — the wire frames, and the logstore record that both the
+# WAL and the checkpoint are made of — starting from the checked-in
+# corpus of one frame per message type and one record per record type.
+# Any panic, hang or input that does not re-encode to itself fails.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeMessage -fuzztime 10s ./internal/past/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeWALRecord -fuzztime 10s ./internal/logstore/
+
+# encoding/gob left the binary with the gob wire and the gob
+# checkpoint; every byte that crosses a socket or a disk goes through
+# internal/wire's bounds-checked Reader. Fail if gob comes back as a
+# dependency of any package.
+no-gob:
+	@if $(GO) list -deps ./... | grep -x encoding/gob; then \
+		echo "encoding/gob is a dependency again"; exit 1; fi
 
 # The benchmark is its own module, so `go build ./...` never compiles
 # it: vet and test it, then run every workload once on tiny fleets, so

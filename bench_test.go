@@ -9,16 +9,12 @@ package past_bench
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"past/internal/cache"
 	"past/internal/experiments"
-	"past/internal/id"
-	"past/internal/logstore"
 	"past/internal/rs"
 	"past/internal/stats"
-	"past/internal/store"
 )
 
 const benchSeed = 1
@@ -265,180 +261,4 @@ func BenchmarkReplicationVsRS(b *testing.B) {
 
 func benchName(prefix string, v int) string {
 	return fmt.Sprintf("%s=%d", prefix, v)
-}
-
-// --- Durable storage engine benchmarks (issue 4) ---
-//
-// The log-structured store batches every mutation into one WAL append
-// (plus one segment append when content is present), where DiskStore
-// re-snapshots its entire metadata table per mutation. These benches
-// quantify the gap at 10k resident objects, and the recovery bench
-// measures checkpoint+replay time for the same population.
-
-const benchObjSize = 1024
-
-func benchFid(n uint64) id.File { return id.NewFile("bench", nil, n) }
-
-func benchContent(n uint64) []byte {
-	r := rand.New(rand.NewSource(int64(n)))
-	b := make([]byte, benchObjSize)
-	r.Read(b)
-	return b
-}
-
-// seedBackend fills a backend with resident objects so the per-op cost
-// is measured against a realistic table size. DiskStore is seeded via
-// its bulk-load path: its Add snapshots the whole metadata table per
-// call, which would make n-object seeding O(n^2).
-func seedBackend(b *testing.B, s store.Backend, resident int) {
-	b.Helper()
-	entries := make([]store.Entry, resident)
-	for i := range entries {
-		entries[i] = store.Entry{File: benchFid(uint64(i)), Size: benchObjSize, Content: benchContent(uint64(i))}
-	}
-	if d, ok := s.(*store.DiskStore); ok {
-		if err := d.AddBatch(entries); err != nil {
-			b.Fatal(err)
-		}
-		return
-	}
-	for _, e := range entries {
-		if err := s.Add(e); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchLogstoreOpts(sync logstore.SyncPolicy) logstore.Options {
-	return logstore.Options{Capacity: 1 << 40, Sync: sync, CheckpointBytes: -1, CompactRatio: -1}
-}
-
-// BenchmarkLogstoreAdd measures Add with 10k resident objects under the
-// OS-buffered policy (the apples-to-apples comparison with DiskStore,
-// which never fsyncs), plus a SyncAlways variant to price group commit.
-func BenchmarkLogstoreAdd(b *testing.B) {
-	for _, policy := range []logstore.SyncPolicy{logstore.SyncNever, logstore.SyncAlways} {
-		b.Run("sync="+policy.String(), func(b *testing.B) {
-			s, err := logstore.Open(b.TempDir(), benchLogstoreOpts(policy))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			seedBackend(b, s, 10_000)
-			content := benchContent(1 << 40)
-			b.SetBytes(benchObjSize)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e := store.Entry{File: benchFid(uint64(100_000 + i)), Size: benchObjSize, Content: content}
-				if err := s.Add(e); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer() // keep the deferred Close (checkpoint) out of the measurement
-		})
-	}
-}
-
-// BenchmarkDiskStoreAdd is the baseline: snapshot-per-mutation.
-func BenchmarkDiskStoreAdd(b *testing.B) {
-	d, err := store.OpenDisk(b.TempDir(), 1<<40)
-	if err != nil {
-		b.Fatal(err)
-	}
-	seedBackend(b, d, 10_000)
-	content := benchContent(1 << 40)
-	b.SetBytes(benchObjSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := store.Entry{File: benchFid(uint64(100_000 + i)), Size: benchObjSize, Content: content}
-		if err := d.Add(e); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLogstoreGet reads random resident objects (content CRC
-// verified on every read).
-func BenchmarkLogstoreGet(b *testing.B) {
-	s, err := logstore.Open(b.TempDir(), benchLogstoreOpts(logstore.SyncNever))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	seedBackend(b, s, 10_000)
-	b.SetBytes(benchObjSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e, ok := s.Get(benchFid(uint64(i % 10_000)))
-		if !ok || e.Content == nil {
-			b.Fatal("miss")
-		}
-	}
-	b.StopTimer() // keep the deferred Close (checkpoint) out of the measurement
-}
-
-// BenchmarkDiskStoreGet is the baseline read path (one file per object).
-func BenchmarkDiskStoreGet(b *testing.B) {
-	d, err := store.OpenDisk(b.TempDir(), 1<<40)
-	if err != nil {
-		b.Fatal(err)
-	}
-	seedBackend(b, d, 10_000)
-	b.SetBytes(benchObjSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e, ok := d.Get(benchFid(uint64(i % 10_000)))
-		if !ok || e.Content == nil {
-			b.Fatal("miss")
-		}
-	}
-}
-
-// BenchmarkLogstoreRecovery measures a full open (checkpoint load + WAL
-// replay + segment scan) of a 10k-object store.
-func BenchmarkLogstoreRecovery(b *testing.B) {
-	dir := b.TempDir()
-	s, err := logstore.Open(dir, benchLogstoreOpts(logstore.SyncNever))
-	if err != nil {
-		b.Fatal(err)
-	}
-	seedBackend(b, s, 10_000)
-	if err := s.Sync(); err != nil {
-		b.Fatal(err)
-	}
-	s.Kill() // recovery must replay the whole WAL (no checkpoint)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s2, err := logstore.Open(dir, benchLogstoreOpts(logstore.SyncNever))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if s2.Len() != 10_000 {
-			b.Fatalf("recovered %d objects", s2.Len())
-		}
-		b.StopTimer()
-		s2.Kill()
-		b.StartTimer()
-	}
-}
-
-// BenchmarkDiskStoreRecovery is the baseline restart (gob snapshot
-// load; object files stay on disk).
-func BenchmarkDiskStoreRecovery(b *testing.B) {
-	dir := b.TempDir()
-	d, err := store.OpenDisk(dir, 1<<40)
-	if err != nil {
-		b.Fatal(err)
-	}
-	seedBackend(b, d, 10_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d2, err := store.OpenDisk(dir, 1<<40)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if d2.Len() != 10_000 {
-			b.Fatalf("recovered %d objects", d2.Len())
-		}
-	}
 }

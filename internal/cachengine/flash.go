@@ -20,7 +20,7 @@ type flashTier struct {
 	capacity int64
 
 	mu      sync.RWMutex
-	idx     map[id.File]logstore.FlashLoc
+	idx     map[id.File]logstore.Loc
 	segKeys map[uint32][]id.File // keys appended per segment, for O(drop) reclaim
 
 	spills   atomic.Int64
@@ -37,7 +37,7 @@ func openFlashTier(cfg FlashConfig) (*flashTier, error) {
 	t := &flashTier{
 		fl:       fl,
 		capacity: cfg.Capacity,
-		idx:      make(map[id.File]logstore.FlashLoc, len(recs)),
+		idx:      make(map[id.File]logstore.Loc, len(recs)),
 		segKeys:  make(map[uint32][]id.File),
 	}
 	for _, r := range recs {

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"past/internal/id"
@@ -291,24 +290,4 @@ func crashContent(f id.File, size int) []byte {
 	b := make([]byte, size)
 	r.Read(b)
 	return b
-}
-
-// CrashDirIsTemp reports whether dir is safe to delete after a soak
-// (it only contains logstore files). Used by the CLI's cleanup path.
-func CrashDirIsTemp(dir string) bool {
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, de := range des {
-		name := de.Name()
-		if name == "checkpoint.gob" {
-			continue
-		}
-		if filepath.Ext(name) == ".log" || filepath.Ext(name) == ".seg" {
-			continue
-		}
-		return false
-	}
-	return true
 }

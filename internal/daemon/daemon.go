@@ -66,7 +66,7 @@ func Run(args []string) int {
 	var (
 		addr      = fs.String("addr", "127.0.0.1:7001", "listen address (host:port; must be reachable by peers)")
 		capacity  = fs.String("capacity", "64MB", "advertised storage capacity (e.g. 512KB, 64MB, 2GB)")
-		dataDir   = fs.String("data", "", "data directory for persistent storage (empty: in-memory)")
+		dataDir   = fs.String("data", "", "data directory for the log-structured store (empty: in-memory)")
 		join      = fs.String("join", "", "address of an existing node to join via (empty: bootstrap a new network)")
 		x         = fs.Float64("x", math.NaN(), "proximity-plane x coordinate (default random)")
 		y         = fs.Float64("y", math.NaN(), "proximity-plane y coordinate (default random)")
@@ -79,7 +79,7 @@ func Run(args []string) int {
 		joinRetries = fs.Int("join-retries", 10, "bounded retries when the -join bootstrap node is not up yet (0: single attempt)")
 		joinBackoff = fs.Duration("join-backoff", 100*time.Millisecond, "initial backoff between join attempts (doubles, capped at 2s)")
 
-		storeKind  = fs.String("store", "", "storage backend: mem, disk, or log (empty: disk when -data is set, else mem)")
+		storeKind  = fs.String("store", "", "storage backend: mem or log (empty: log when -data is set, else mem)")
 		syncPolicy = fs.String("sync", "always", "log store durability: always (group commit), interval, or never")
 		syncEvery  = fs.Duration("sync-every", 100*time.Millisecond, "log store: fsync period for -sync=interval")
 		segBytes   = fs.String("segment-bytes", "64MB", "log store: target segment size before rotation")
@@ -227,7 +227,7 @@ func Run(args []string) int {
 	kind := *storeKind
 	if kind == "" {
 		if *dataDir != "" {
-			kind = "disk"
+			kind = "log"
 		} else {
 			kind = "mem"
 		}
@@ -236,17 +236,6 @@ func Run(args []string) int {
 	switch kind {
 	case "mem":
 		backend = store.New(capBytes)
-	case "disk":
-		if *dataDir == "" {
-			log.Printf("pastd: -store=disk requires -data")
-			return 1
-		}
-		backend, err = store.OpenDisk(*dataDir, capBytes)
-		if err != nil {
-			log.Printf("pastd: %v", err)
-			return 1
-		}
-		log.Printf("pastd: persistent storage at %s (%d replicas on disk)", *dataDir, backend.Len())
 	case "log":
 		if *dataDir == "" {
 			log.Printf("pastd: -store=log requires -data")
@@ -289,7 +278,7 @@ func Run(args []string) int {
 			time.Duration(st.RecoveryNanos.Load()), st.TornTruncations.Load(), policy)
 		backend = ls
 	default:
-		log.Printf("pastd: unknown -store %q (want mem, disk, or log)", kind)
+		log.Printf("pastd: unknown -store %q (want mem or log)", kind)
 		return 1
 	}
 	node, err := past.NewWithStoreEngine(nid, tr, cfg, backend, int64(nid[0])<<8|int64(nid[1]))

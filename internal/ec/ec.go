@@ -132,9 +132,9 @@ func IsMap(raw []byte) bool {
 }
 
 // MaxMapSize bounds Encode's output over all valid parameters (255
-// holders). Content-on-demand store engines list metadata-only entries;
-// this lets the maintenance scan rule out large replicas without
-// loading their bytes just to test IsMap.
+// holders). Store scans list metadata-only entries; this lets the
+// maintenance scan rule out large replicas without loading their bytes
+// just to test IsMap.
 var MaxMapSize = int64(len(mapMagic) + len(id.File{}) + 28 + 255*(len(id.Node{})+4))
 
 // DecodeMap parses an encoded fragment map.

@@ -1,34 +1,11 @@
 package logstore
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
-
-	"past/internal/store"
 )
-
-// checkpointData is the gob-encoded metadata snapshot. WALSeq names the
-// first WAL file recovery must replay: everything in lower-numbered
-// files is already folded into the snapshot.
-type checkpointData struct {
-	Capacity int64
-	WALSeq   uint64
-	Entries  []checkpointEntry
-	Pointers []store.Pointer
-}
-
-// checkpointEntry is one index entry with its content location.
-type checkpointEntry struct {
-	Entry      store.Entry // Content always nil
-	HasContent bool
-	Seg        uint32
-	Off        int64
-	Len        uint32
-	CRC        uint32
-}
 
 // Checkpoint snapshots the metadata index, rotates the WAL, and deletes
 // the superseded WAL files. Concurrent calls return immediately
@@ -78,21 +55,26 @@ func (s *Store) checkpoint() error {
 	}
 	s.stats.Fsyncs.Add(1)
 
-	data := checkpointData{Capacity: s.opts.Capacity, WALSeq: s.log.walSeq + 1}
+	// The snapshot is the WAL that would rebuild the index from empty:
+	// a header naming the first WAL file recovery must still replay
+	// (everything in lower-numbered files is folded in here), then one
+	// add or set-pointer record per live entry.
+	hdr := ckptHeader{capacity: s.opts.Capacity, walSeq: s.log.walSeq + 1, entries: uint64(s.count.Load())}
+	for i := range s.shards {
+		hdr.pointers += uint64(len(s.shards[i].pointers))
+	}
+	snap := appendWALRecord([]byte(ckptMagic), walRecord{typ: recCheckpoint, ckpt: hdr})
 	for i := range s.shards {
 		sh := &s.shards[i]
-		for _, r := range sh.entries {
-			data.Entries = append(data.Entries, checkpointEntry{
-				Entry: r.meta, HasContent: r.hasContent,
-				Seg: r.loc.Seg, Off: r.loc.Off, Len: r.loc.Len, CRC: r.loc.CRC,
-			})
+		for f, r := range sh.entries {
+			snap = appendWALRecord(snap, walRecord{typ: recAdd, file: f, entry: r.meta, hasContent: r.hasContent, loc: r.loc})
 		}
-		for _, p := range sh.pointers {
-			data.Pointers = append(data.Pointers, p)
+		for f, p := range sh.pointers {
+			snap = appendWALRecord(snap, walRecord{typ: recSetPointer, file: f, ptr: p})
 		}
 	}
 
-	newWAL, err := createLogFile(walPath(s.dir, data.WALSeq), walMagic)
+	newWAL, err := createLogFile(walPath(s.dir, hdr.walSeq), walMagic)
 	if err != nil {
 		s.log.Unlock()
 		s.syncMu.Unlock()
@@ -103,7 +85,7 @@ func (s *Store) checkpoint() error {
 	syncDir(s.dir)
 	oldWAL, oldSeq := s.log.wal, s.log.walSeq
 	s.log.wal = newWAL
-	s.log.walSeq = data.WALSeq
+	s.log.walSeq = hdr.walSeq
 	s.log.walOff = fileHeaderSize
 	s.log.walSince = 0
 	durable := s.lsn.Load()
@@ -120,10 +102,10 @@ func (s *Store) checkpoint() error {
 	oldWAL.Close()
 	s.syncMu.Unlock()
 
-	if err := writeCheckpointFile(s.dir, &data); err != nil {
+	if err := writeCheckpointFile(s.dir, snap); err != nil {
 		return err
 	}
-	// The snapshot is durable; WAL files below WALSeq are dead weight.
+	// The snapshot is durable; WAL files below its walSeq are dead weight.
 	for seq := oldSeq; seq > 0; seq-- {
 		p := walPath(s.dir, seq)
 		if err := os.Remove(p); err != nil {
@@ -139,15 +121,15 @@ func (s *Store) checkpoint() error {
 
 // writeCheckpointFile writes the snapshot via temp-file + fsync +
 // rename, so a crash leaves either the old or the new checkpoint.
-func writeCheckpointFile(dir string, data *checkpointData) error {
+func writeCheckpointFile(dir string, snap []byte) error {
 	tmp, err := os.CreateTemp(dir, "checkpoint-*")
 	if err != nil {
 		return fmt.Errorf("logstore: checkpoint: %w", err)
 	}
-	if err := gob.NewEncoder(tmp).Encode(data); err != nil {
+	if _, err := tmp.Write(snap); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return fmt.Errorf("logstore: checkpoint encode: %w", err)
+		return fmt.Errorf("logstore: checkpoint write: %w", err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
@@ -166,20 +148,54 @@ func writeCheckpointFile(dir string, data *checkpointData) error {
 	return nil
 }
 
-// loadCheckpointFile reads and decodes the checkpoint, if present.
-// A missing file returns (nil, nil).
-func loadCheckpointFile(dir string) (*checkpointData, error) {
-	raw, err := os.Open(checkpointPath(dir))
+// loadCheckpoint feeds the checkpoint's records to apply and returns
+// the first WAL sequence number recovery must replay. A missing file is
+// an empty checkpoint (present=false, firstSeq=1). The file is written
+// whole before its rename, so unlike a WAL it has no legitimate torn
+// state: any byte that is not part of a valid record, and any record
+// count that disagrees with the header, is an error.
+func loadCheckpoint(dir string, apply func(walRecord)) (firstSeq uint64, present bool, err error) {
+	path := checkpointPath(dir)
+	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
+		return 1, false, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("logstore: open checkpoint: %w", err)
+		return 0, false, fmt.Errorf("logstore: read checkpoint: %w", err)
 	}
-	defer raw.Close()
-	var data checkpointData
-	if err := gob.NewDecoder(raw).Decode(&data); err != nil {
-		return nil, fmt.Errorf("logstore: corrupt checkpoint in %s: %w", dir, err)
+	if len(data) < fileHeaderSize || string(data[:fileHeaderSize]) != ckptMagic {
+		return 0, true, fmt.Errorf("logstore: %s: bad checkpoint header", path)
 	}
-	return &data, nil
+	var hdr ckptHeader
+	var adds, ptrs uint64
+	first := true
+	_, off, err := scanRecords(data, func(r walRecord) error {
+		if (r.typ == recCheckpoint) != first {
+			return fmt.Errorf("logstore: %s record out of place in checkpoint", r.typ)
+		}
+		first = false
+		switch r.typ {
+		case recCheckpoint:
+			hdr = r.ckpt
+			return nil
+		case recAdd:
+			adds++
+		case recSetPointer:
+			ptrs++
+		default:
+			return fmt.Errorf("logstore: %s record in checkpoint", r.typ)
+		}
+		apply(r)
+		return nil
+	})
+	switch {
+	case err != nil:
+		return 0, true, fmt.Errorf("logstore: %s: %w", path, err)
+	case off != int64(len(data)):
+		return 0, true, fmt.Errorf("logstore: %s: damaged record at offset %d", path, off)
+	case first || adds != hdr.entries || ptrs != hdr.pointers:
+		return 0, true, fmt.Errorf("logstore: %s: truncated: %d entries and %d pointers where the header counts %d and %d",
+			path, adds, ptrs, hdr.entries, hdr.pointers)
+	}
+	return hdr.walSeq, true, nil
 }

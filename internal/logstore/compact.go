@@ -128,7 +128,7 @@ func (s *Store) relocate(f id.File, seg uint32, off int64) error {
 	sh.mu.RLock()
 	r, ok := sh.entries[f]
 	stillHere := ok && r.hasContent && r.loc.Seg == seg && r.loc.Off == off
-	var oldLoc location
+	var oldLoc Loc
 	if stillHere {
 		oldLoc = r.loc
 	}
@@ -152,7 +152,7 @@ func (s *Store) relocate(f id.File, seg uint32, off int64) error {
 	sh.mu.Lock()
 	r.loc = newLoc
 	sh.mu.Unlock()
-	s.log.segLive[seg] -= oldLoc.recordSize()
-	s.log.segLive[newLoc.Seg] += newLoc.recordSize()
+	s.log.segLive[seg] -= oldLoc.RecordSize()
+	s.log.segLive[newLoc.Seg] += newLoc.RecordSize()
 	return nil
 }

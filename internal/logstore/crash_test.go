@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"past/internal/cert"
 	"past/internal/id"
 	"past/internal/store"
 )
@@ -350,5 +351,58 @@ func TestConcurrentOpsUnderGroupCommit(t *testing.T) {
 	}
 	if s.Stats().Fsyncs.Load() == 0 {
 		t.Fatal("SyncAlways ran without fsyncs")
+	}
+}
+
+// TestCheckpointDamageIsDetected: a checkpoint is written whole and
+// renamed into place, so it has no legitimate torn state. Every byte
+// flipped in turn, and every truncation, must make Open and Fsck fail —
+// never produce a store that differs from what was checkpointed.
+func TestCheckpointDamageIsDetected(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "img")
+	s := mustOpen(t, dir, testOpts())
+	populate(t, s, 12)
+	if err := s.Add(store.Entry{File: fid(99), Size: 7, Cert: &cert.FileCertificate{FileID: fid(99), K: 3, Owner: []byte("owner"), Sig: []byte("sig")}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := checkpointPath(dir)
+	pristine, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	refused := func(label string, damaged []byte) {
+		t.Helper()
+		if err := os.WriteFile(path, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if s, err := Open(dir, testOpts()); err == nil {
+			s.Kill()
+			t.Fatalf("%s: Open accepted the checkpoint", label)
+		}
+		if r, err := Fsck(dir); err == nil && r.OK() {
+			t.Fatalf("%s: fsck passed the checkpoint:\n%s", label, r)
+		}
+	}
+	for i := range pristine {
+		damaged := append([]byte(nil), pristine...)
+		damaged[i] ^= 0xa5
+		refused(fmt.Sprintf("byte %d of %d flipped", i, len(pristine)), damaged)
+	}
+	for n := range pristine {
+		refused(fmt.Sprintf("cut at %d of %d", n, len(pristine)), pristine[:n])
+	}
+
+	if err := os.WriteFile(path, pristine, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s = mustOpen(t, dir, testOpts())
+	defer s.Kill()
+	checkPopulated(t, s, 12)
+	if e, ok := s.Get(fid(99)); !ok || e.Cert == nil || string(e.Cert.Owner) != "owner" || s.Len() != 13 {
+		t.Fatalf("pristine checkpoint no longer opens to what was stored: %+v %v len=%d", e, ok, s.Len())
 	}
 }

@@ -32,23 +32,12 @@ import (
 // segMagic so an fsck of a store directory can never confuse the two.
 const flashMagic = "PASTFLC1"
 
-// FlashLoc addresses one record inside a flash segment.
-type FlashLoc struct {
-	Seg uint32 // segment id
-	Off int64  // byte offset of the record header within the segment
-	Len uint32 // content length
-	CRC uint32 // CRC32C of the content
-}
-
-// RecordSize returns the bytes the record occupies in its segment.
-func (l FlashLoc) RecordSize() int64 { return segRecHeaderSize + int64(l.Len) }
-
 // FlashRecord is one recovered record, reported by OpenFlash in
 // (segment, offset) order so later duplicates win when the caller
 // rebuilds its index.
 type FlashRecord struct {
 	File id.File
-	Loc  FlashLoc
+	Loc  Loc
 }
 
 // Flash is the on-disk half of the flash tier. Append serializes on an
@@ -159,7 +148,7 @@ func scanFlashSegment(path string) (recs []FlashRecord, valid int64, ok bool) {
 		}
 		recs = append(recs, FlashRecord{
 			File: f,
-			Loc:  FlashLoc{Seg: sid, Off: off, Len: clen, CRC: crc},
+			Loc:  Loc{Seg: sid, Off: off, Len: clen, CRC: crc},
 		})
 		off += segRecHeaderSize + int64(clen)
 	}
@@ -178,13 +167,13 @@ func flashSegIDFromPath(path string) uint32 {
 
 // Append writes one record to the active segment, rotating first when
 // the active segment has reached its target size.
-func (fl *Flash) Append(f id.File, content []byte) (FlashLoc, error) {
+func (fl *Flash) Append(f id.File, content []byte) (Loc, error) {
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
 	seg := fl.segs[fl.segID]
 	if seg == nil || seg.off >= fl.segTarget {
 		if err := fl.rotateLocked(); err != nil {
-			return FlashLoc{}, err
+			return Loc{}, err
 		}
 		seg = fl.segs[fl.segID]
 	}
@@ -193,9 +182,9 @@ func (fl *Flash) Append(f id.File, content []byte) (FlashLoc, error) {
 	fl.fds.RUnlock()
 	buf, crc := encodeSegRecord(f, content)
 	if _, err := fd.WriteAt(buf, seg.off); err != nil {
-		return FlashLoc{}, fmt.Errorf("logstore: flash append: %w", err)
+		return Loc{}, fmt.Errorf("logstore: flash append: %w", err)
 	}
-	loc := FlashLoc{Seg: fl.segID, Off: seg.off, Len: uint32(len(content)), CRC: crc}
+	loc := Loc{Seg: fl.segID, Off: seg.off, Len: uint32(len(content)), CRC: crc}
 	seg.off += int64(len(buf))
 	seg.bytes += int64(len(buf))
 	fl.bytes += int64(len(buf))
@@ -220,7 +209,7 @@ func (fl *Flash) rotateLocked() error {
 // Read returns the content at loc, CRC-verified. A failed read — the
 // segment was dropped, the location is stale, or the bytes are corrupt
 // — reports a miss, never bad data.
-func (fl *Flash) Read(f id.File, loc FlashLoc) ([]byte, bool) {
+func (fl *Flash) Read(f id.File, loc Loc) ([]byte, bool) {
 	fl.fds.RLock()
 	fd := fl.fds.m[loc.Seg]
 	if fd == nil {

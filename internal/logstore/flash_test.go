@@ -27,7 +27,7 @@ func TestFlashAppendReadRoundTrip(t *testing.T) {
 	if len(recs) != 0 {
 		t.Fatalf("fresh dir recovered %d records", len(recs))
 	}
-	locs := make(map[uint64]FlashLoc)
+	locs := make(map[uint64]Loc)
 	for n := uint64(0); n < 50; n++ {
 		loc, err := fl.Append(flashFid(n), flashPayload(n, 100+int(n)))
 		if err != nil {
@@ -85,7 +85,7 @@ func TestFlashRecoveryTruncatesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lastLoc FlashLoc
+	var lastLoc Loc
 	for n := uint64(0); n < 20; n++ {
 		lastLoc, err = fl.Append(flashFid(n), flashPayload(n, 300))
 		if err != nil {
@@ -140,7 +140,7 @@ func TestFlashRecoveryDiscardsCorruptRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var locs []FlashLoc
+	var locs []Loc
 	for n := uint64(0); n < 10; n++ {
 		loc, err := fl.Append(flashFid(n), flashPayload(n, 100))
 		if err != nil {

@@ -1,27 +1,25 @@
 // Package logstore implements a log-structured, concurrent-safe
 // store.Backend: replica contents live in append-only segment files,
 // metadata mutations append compact records to a write-ahead log, and
-// periodic checkpoints bound recovery time. This replaces the
-// snapshot-per-mutation DiskStore for durable deployments — an Add is
-// one segment append plus one WAL append instead of an O(n) metadata
-// rewrite.
+// periodic checkpoints bound recovery time. An Add is one segment append
+// plus one WAL append.
 //
 // On-disk layout under the store directory (see DESIGN.md §10 for the
 // full format diagram and recovery algorithm):
 //
-//	checkpoint.gob      gob snapshot of the metadata index + WAL seq
+//	checkpoint.ckp      the live index as a compacted WAL: a header
+//	                    record, then one add / set-pointer record each
 //	wal-<seq>.log       metadata write-ahead log (rotated at checkpoint)
 //	seg-<id>.seg        append-only content segments
 //
-// Every WAL and segment record carries a CRC32C checksum and explicit
-// length, so recovery can detect and truncate a torn tail, and reads
-// never surface corrupt content.
+// Every checkpoint, WAL and segment record carries a CRC32C checksum
+// and explicit length, so recovery can detect and truncate a torn WAL
+// tail, refuse a damaged checkpoint, and never surface corrupt content.
 package logstore
 
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"sort"
@@ -29,19 +27,21 @@ import (
 	"past/internal/cert"
 	"past/internal/id"
 	"past/internal/store"
+	"past/internal/wire"
 )
 
 // File-format constants. The magics version the format: readers reject
 // files whose first 8 bytes differ.
 const (
-	walMagic = "PASTWAL1"
-	segMagic = "PASTSEG1"
+	walMagic  = "PASTWAL2"
+	ckptMagic = "PASTCKP1"
+	segMagic  = "PASTSEG1"
 
-	// fileHeaderSize is the length of the magic prefix on both file kinds.
+	// fileHeaderSize is the length of the magic prefix on every file kind.
 	fileHeaderSize = 8
 
-	// recHeaderSize frames every WAL record: u32 payload length + u32
-	// CRC32C of the payload, little-endian.
+	// recHeaderSize frames every WAL and checkpoint record: u32 payload
+	// length + u32 CRC32C of the payload, little-endian.
 	recHeaderSize = 8
 
 	// segRecHeaderSize frames every segment record: u32 content length +
@@ -57,7 +57,7 @@ const (
 // amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// recType enumerates the WAL record types.
+// recType enumerates the record types of the WAL and the checkpoint.
 type recType byte
 
 const (
@@ -65,7 +65,8 @@ const (
 	recRemove
 	recSetPointer
 	recRemovePointer
-	recRelocate // compaction moved a content record to a new location
+	recRelocate   // compaction moved a content record to a new location
+	recCheckpoint // first record of a checkpoint file; never in a WAL
 )
 
 func (t recType) String() string {
@@ -80,153 +81,145 @@ func (t recType) String() string {
 		return "remove-pointer"
 	case recRelocate:
 		return "relocate"
+	case recCheckpoint:
+		return "checkpoint"
 	default:
 		return fmt.Sprintf("recType(%d)", byte(t))
 	}
 }
 
-// location addresses one content record inside a segment file.
-type location struct {
+// Loc addresses one content record inside a segment file, of the store
+// or of the flash tier.
+type Loc struct {
 	Seg uint32 // segment id
 	Off int64  // byte offset of the record header within the segment
 	Len uint32 // content length
 	CRC uint32 // CRC32C of the content
 }
 
-// recordSize returns the bytes the record occupies in its segment.
-func (l location) recordSize() int64 { return segRecHeaderSize + int64(l.Len) }
+// RecordSize returns the bytes the record occupies in its segment.
+func (l Loc) RecordSize() int64 { return segRecHeaderSize + int64(l.Len) }
 
-// walRecord is one decoded WAL record.
+// ckptHeader is the payload of a recCheckpoint record. The counts let a
+// reader tell a whole checkpoint from one cut at a record boundary.
+type ckptHeader struct {
+	capacity int64
+	walSeq   uint64 // first WAL file recovery must replay
+	entries  uint64 // recAdd records that follow
+	pointers uint64 // recSetPointer records that follow
+}
+
+// walRecord is one decoded WAL or checkpoint record.
 type walRecord struct {
 	typ  recType
-	file id.File
+	file id.File // every type but recCheckpoint
 
 	// recAdd fields.
 	entry      store.Entry // metadata only; Content always nil
 	hasContent bool
 
 	// recAdd (when hasContent) and recRelocate.
-	loc location
+	loc Loc
 
 	// recSetPointer fields.
 	ptr store.Pointer
+
+	// recCheckpoint fields.
+	ckpt ckptHeader
 }
 
-// Add-record flag bits.
-const (
-	flagContent = 1 << 0
-	flagCert    = 1 << 1
-)
-
-// encodeWALPayload renders a record's payload (everything after the
-// length+CRC frame).
-func encodeWALPayload(r walRecord) ([]byte, error) {
-	buf := make([]byte, 0, 64)
+// appendWALRecord appends r to buf as one framed record: [len][crc]
+// then the payload, in the wire package's primitives.
+func appendWALRecord(buf []byte, r walRecord) []byte {
+	start := len(buf)
+	buf = append(buf, make([]byte, recHeaderSize)...)
 	buf = append(buf, byte(r.typ))
-	buf = append(buf, r.file[:]...)
+	if r.typ != recCheckpoint {
+		buf = append(buf, r.file[:]...)
+	}
 	switch r.typ {
 	case recAdd:
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.entry.Size))
+		buf = wire.AppendInt(buf, r.entry.Size)
 		buf = append(buf, byte(r.entry.Kind))
 		buf = append(buf, r.entry.Owner[:]...)
-		flags := byte(0)
-		if r.hasContent {
-			flags |= flagContent
+		if buf = wire.AppendBool(buf, r.hasContent); r.hasContent {
+			buf = appendLoc(buf, r.loc)
 		}
-		var certBytes []byte
-		if r.entry.Cert != nil {
-			var cb bytes.Buffer
-			if err := gob.NewEncoder(&cb).Encode(r.entry.Cert); err != nil {
-				return nil, fmt.Errorf("logstore: encode cert: %w", err)
-			}
-			certBytes = cb.Bytes()
-			flags |= flagCert
-		}
-		buf = append(buf, flags)
-		if r.hasContent {
-			buf = appendLocation(buf, r.loc)
-		}
-		if certBytes != nil {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(certBytes)))
-			buf = append(buf, certBytes...)
-		}
+		buf = wire.AppendPtr(buf, r.entry.Cert)
 	case recRemove, recRemovePointer:
 		// fileId only.
 	case recSetPointer:
 		buf = append(buf, r.ptr.Target[:]...)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.ptr.Size))
+		buf = wire.AppendInt(buf, r.ptr.Size)
 		buf = append(buf, byte(r.ptr.Role))
 	case recRelocate:
-		buf = appendLocation(buf, r.loc)
+		buf = appendLoc(buf, r.loc)
+	case recCheckpoint:
+		buf = wire.AppendInt(buf, r.ckpt.capacity)
+		buf = wire.AppendUvarint(buf, r.ckpt.walSeq)
+		buf = wire.AppendUvarint(buf, r.ckpt.entries)
+		buf = wire.AppendUvarint(buf, r.ckpt.pointers)
 	default:
-		return nil, fmt.Errorf("logstore: encode unknown record type %d", r.typ)
+		panic(fmt.Sprintf("logstore: encode unknown record type %d", r.typ))
 	}
-	return buf, nil
-}
-
-func appendLocation(buf []byte, l location) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, l.Seg)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(l.Off))
-	buf = binary.LittleEndian.AppendUint32(buf, l.Len)
-	buf = binary.LittleEndian.AppendUint32(buf, l.CRC)
+	payload := buf[start+recHeaderSize:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, castagnoli))
 	return buf
 }
 
-// decodeWALPayload parses one payload back into a walRecord.
+func appendLoc(buf []byte, l Loc) []byte {
+	buf = wire.AppendUvarint(buf, uint64(l.Seg))
+	buf = wire.AppendInt(buf, l.Off)
+	buf = wire.AppendUvarint(buf, uint64(l.Len))
+	return wire.AppendUvarint(buf, uint64(l.CRC))
+}
+
+func readLoc(rd *wire.Reader) Loc {
+	return Loc{Seg: rd.Uint32(), Off: rd.Int64(), Len: rd.Uint32(), CRC: rd.Uint32()}
+}
+
+// decodeWALPayload parses one CRC-verified payload back into a
+// walRecord. It is the only reader of on-disk metadata: WAL files and
+// the checkpoint both go through it.
 func decodeWALPayload(p []byte) (walRecord, error) {
 	var r walRecord
-	d := decoder{buf: p}
-	r.typ = recType(d.u8())
-	d.bytes(r.file[:])
+	rd := wire.NewReader(p)
+	r.typ = recType(rd.Byte())
+	if r.typ != recCheckpoint {
+		r.file = rd.File()
+	}
 	switch r.typ {
 	case recAdd:
 		r.entry.File = r.file
-		r.entry.Size = int64(d.u64())
-		r.entry.Kind = store.Kind(d.u8())
-		d.bytes(r.entry.Owner[:])
-		flags := d.u8()
-		if flags&flagContent != 0 {
-			r.hasContent = true
-			r.loc = d.location()
+		r.entry.Size = rd.Int64()
+		r.entry.Kind = store.Kind(rd.Byte())
+		r.entry.Owner = rd.Node()
+		if r.hasContent = rd.Bool(); r.hasContent {
+			r.loc = readLoc(rd)
 		}
-		if flags&flagCert != 0 {
-			n := d.u32()
-			if int64(n) > int64(len(d.buf))-int64(d.off) {
-				return r, fmt.Errorf("logstore: cert length %d overruns record", n)
-			}
-			cb := make([]byte, n)
-			d.bytes(cb)
-			var fc cert.FileCertificate
-			if err := gob.NewDecoder(bytes.NewReader(cb)).Decode(&fc); err != nil {
-				return r, fmt.Errorf("logstore: decode cert: %w", err)
-			}
-			r.entry.Cert = &fc
-		}
+		r.entry.Cert = wire.ReadPtr[cert.FileCertificate](rd)
 	case recRemove, recRemovePointer:
 		// fileId only.
 	case recSetPointer:
 		r.ptr.File = r.file
-		d.bytes(r.ptr.Target[:])
-		r.ptr.Size = int64(d.u64())
-		r.ptr.Role = store.PtrRole(d.u8())
+		r.ptr.Target = rd.Node()
+		r.ptr.Size = rd.Int64()
+		r.ptr.Role = store.PtrRole(rd.Byte())
 	case recRelocate:
-		r.loc = d.location()
+		r.loc = readLoc(rd)
+	case recCheckpoint:
+		r.ckpt = ckptHeader{capacity: rd.Int64(), walSeq: rd.Uvarint(), entries: rd.Uvarint(), pointers: rd.Uvarint()}
 	default:
 		return r, fmt.Errorf("logstore: unknown record type %d", byte(r.typ))
 	}
-	if d.err != nil {
-		return r, fmt.Errorf("logstore: short %s record: %w", r.typ, d.err)
+	if err := rd.Err(); err != nil {
+		return r, fmt.Errorf("logstore: bad %s record: %w", r.typ, err)
+	}
+	if r.entry.Size < 0 || r.loc.Off < 0 {
+		return r, fmt.Errorf("logstore: negative size or offset in %s record", r.typ)
 	}
 	return r, nil
-}
-
-// frameWALRecord wraps a payload in the [len][crc] frame.
-func frameWALRecord(payload []byte) []byte {
-	buf := make([]byte, recHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(payload, castagnoli))
-	copy(buf[recHeaderSize:], payload)
-	return buf
 }
 
 // encodeSegRecord renders one content record: frame + fileId + content.
@@ -240,23 +233,6 @@ func encodeSegRecord(f id.File, content []byte) ([]byte, uint32) {
 	return buf, crc
 }
 
-// parseSegRecord splits a full segment record buffer (header included)
-// into its fields. It validates only framing; the caller compares the
-// CRC against the content.
-func parseSegRecord(buf []byte) (clen, crc uint32, f id.File, content []byte, err error) {
-	if len(buf) < segRecHeaderSize {
-		return 0, 0, f, nil, fmt.Errorf("logstore: segment record shorter than header (%d bytes)", len(buf))
-	}
-	clen = binary.LittleEndian.Uint32(buf[0:])
-	crc = binary.LittleEndian.Uint32(buf[4:])
-	copy(f[:], buf[8:segRecHeaderSize])
-	if int64(len(buf)-segRecHeaderSize) < int64(clen) {
-		return clen, crc, f, nil, fmt.Errorf("logstore: segment record content truncated (want %d, have %d)", clen, len(buf)-segRecHeaderSize)
-	}
-	content = buf[segRecHeaderSize : segRecHeaderSize+int(clen)]
-	return clen, crc, f, content, nil
-}
-
 // parseSegHeader decodes just the fixed header of a segment record,
 // for scans that only need lengths and file ids (compaction).
 func parseSegHeader(buf []byte) (clen, crc uint32, f id.File, err error) {
@@ -267,6 +243,19 @@ func parseSegHeader(buf []byte) (clen, crc uint32, f id.File, err error) {
 	crc = binary.LittleEndian.Uint32(buf[4:])
 	copy(f[:], buf[8:segRecHeaderSize])
 	return clen, crc, f, nil
+}
+
+// parseSegRecord splits a full segment record buffer (header included)
+// into its fields. It validates only framing; the caller compares the
+// CRC against the content.
+func parseSegRecord(buf []byte) (clen, crc uint32, f id.File, content []byte, err error) {
+	if clen, crc, f, err = parseSegHeader(buf); err != nil {
+		return 0, 0, f, nil, err
+	}
+	if int64(len(buf)-segRecHeaderSize) < int64(clen) {
+		return clen, crc, f, nil, fmt.Errorf("logstore: segment record content truncated (want %d, have %d)", clen, len(buf)-segRecHeaderSize)
+	}
+	return clen, crc, f, buf[segRecHeaderSize : segRecHeaderSize+int(clen)], nil
 }
 
 func crc32Checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
@@ -284,66 +273,4 @@ func sortPointers(out []store.Pointer) {
 	sort.Slice(out, func(i, j int) bool {
 		return bytes.Compare(out[i].File[:], out[j].File[:]) < 0
 	})
-}
-
-// decoder is a bounds-checked little-endian reader. After a short read
-// err is set and subsequent reads return zeros, so callers can decode
-// straight-line and check err once.
-type decoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *decoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if d.off+n > len(d.buf) {
-		d.err = fmt.Errorf("need %d bytes at offset %d, have %d", n, d.off, len(d.buf)-d.off)
-		return nil
-	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *decoder) u8() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *decoder) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *decoder) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (d *decoder) bytes(dst []byte) {
-	b := d.take(len(dst))
-	if b != nil {
-		copy(dst, b)
-	}
-}
-
-func (d *decoder) location() location {
-	return location{
-		Seg: d.u32(),
-		Off: int64(d.u64()),
-		Len: d.u32(),
-		CRC: d.u32(),
-	}
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-
-	"past/internal/id"
 )
 
 // FsckReport is the result of an offline verification pass over a
@@ -83,106 +81,50 @@ func Fsck(dir string) (*FsckReport, error) {
 	}
 	r := &FsckReport{Dir: dir}
 
-	// Rebuild the index exactly as recovery would, but read-only.
-	type idxEntry struct {
-		size       int64
-		hasContent bool
-		loc        location
-	}
-	entries := make(map[id.File]idxEntry)
-	pointers := make(map[id.File]struct{})
-
-	ckpt, err := loadCheckpointFile(dir)
-	if err != nil {
+	// Rebuild the index exactly as recovery would, through the same
+	// readers and the same apply switch, into a store that opens no file.
+	idx := newStore(dir, Options{})
+	if err := refuseOldFormat(dir); err != nil {
 		r.errf("%v", err)
 	}
-	firstSeq := uint64(1)
-	if ckpt != nil {
-		r.HasCheckpoint = true
-		firstSeq = ckpt.WALSeq
-		for _, ce := range ckpt.Entries {
-			entries[ce.Entry.File] = idxEntry{
-				size: ce.Entry.Size, hasContent: ce.HasContent,
-				loc: location{Seg: ce.Seg, Off: ce.Off, Len: ce.Len, CRC: ce.CRC},
-			}
-		}
-		for _, p := range ckpt.Pointers {
-			pointers[p.File] = struct{}{}
-		}
+	firstSeq, present, err := loadCheckpoint(dir, idx.applyRecord)
+	if err != nil {
+		r.errf("%v", err)
+		firstSeq = 1
 	}
+	r.HasCheckpoint = present
 
 	seqs, err := listNumbered(dir, "wal-", ".log")
 	if err != nil {
 		return nil, err
 	}
-	var replay []uint64
-	for _, seq := range seqs {
-		if seq >= firstSeq {
-			replay = append(replay, seq)
-		}
+	for len(seqs) > 0 && seqs[0] < firstSeq {
+		seqs = seqs[1:]
 	}
-	if len(replay) == 0 && ckpt == nil {
+	if len(seqs) == 0 && !present {
 		r.warnf("no checkpoint and no WAL: empty or foreign directory")
 	}
-	for i, seq := range replay {
-		isLast := i == len(replay)-1
+	for i, seq := range seqs {
+		isLast := i == len(seqs)-1
 		r.WALFiles++
 		path := walPath(dir, seq)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			r.errf("read %s: %v", path, err)
-			continue
-		}
-		if len(data) < fileHeaderSize || string(data[:fileHeaderSize]) != walMagic {
-			if isLast {
-				r.TornWALFiles++
-				r.TornWALBytes += int64(len(data))
-				r.warnf("%s: torn header (crash during WAL creation)", path)
-			} else {
-				r.errf("%s: bad WAL header", path)
-			}
-			continue
-		}
-		off := int64(fileHeaderSize)
-		for {
-			rec, n, ok, derr := nextWALRecord(data, off)
-			if derr != nil {
-				r.errf("%s at offset %d: %v", path, off, derr)
-				break
-			}
-			if !ok {
-				if tail := int64(len(data)) - off; tail > 0 {
-					if isLast {
-						r.TornWALFiles++
-						r.TornWALBytes += tail
-						r.warnf("%s: torn tail, %d bytes after offset %d", path, tail, off)
-					} else {
-						r.errf("%s: invalid record at offset %d in non-final WAL", path, off)
-					}
-				}
-				break
-			}
-			r.WALRecords++
-			switch rec.typ {
-			case recAdd:
-				entries[rec.file] = idxEntry{size: rec.entry.Size, hasContent: rec.hasContent, loc: rec.loc}
-			case recRemove:
-				delete(entries, rec.file)
-			case recSetPointer:
-				pointers[rec.file] = struct{}{}
-			case recRemovePointer:
-				delete(pointers, rec.file)
-			case recRelocate:
-				if e, ok := entries[rec.file]; ok && e.hasContent {
-					e.loc = rec.loc
-					entries[rec.file] = e
-				}
-			}
-			off += n
+		w, err := readWALFile(path, idx.applyRecord)
+		r.WALRecords += w.records
+		switch {
+		case err != nil:
+			r.errf("%v", err)
+		case w.torn() && !isLast:
+			r.errf("%s: invalid record at offset %d in non-final WAL", path, w.validLen)
+		case w.torn():
+			r.TornWALFiles++
+			r.TornWALBytes += w.size - w.validLen
+			r.warnf("%s: torn tail, %d bytes after offset %d", path, w.size-w.validLen, w.validLen)
 		}
 	}
-	r.Entries = len(entries)
-	r.Pointers = len(pointers)
+	r.Entries = idx.Len()
+	for i := range idx.shards {
+		r.Pointers += len(idx.shards[i].pointers)
+	}
 
 	// Scan segments: structure and checksums of every record, and which
 	// records the index references.
@@ -244,44 +186,38 @@ func Fsck(dir string) (*FsckReport, error) {
 	// at its recorded location. An absent record or short segment is a
 	// crash artifact (the engine serves metadata only); a present record
 	// whose checksum fails is corruption.
-	for f, e := range entries {
-		if !e.hasContent {
-			continue
-		}
-		recs, haveSeg := segRecords[e.loc.Seg]
-		if !haveSeg {
-			r.MissingContent++
-			r.warnf("entry %s: segment %d missing (content lost to crash)", shortFile(f), e.loc.Seg)
-			continue
-		}
-		okCRC, haveRec := recs[e.loc.Off]
-		if !haveRec {
-			r.MissingContent++
-			r.warnf("entry %s: no record at seg %d offset %d (content lost to crash)", shortFile(f), e.loc.Seg, e.loc.Off)
-			continue
-		}
-		if !okCRC {
-			r.errf("entry %s: checksum mismatch at seg %d offset %d", shortFile(f), e.loc.Seg, e.loc.Off)
+	refs := make(map[uint32]int) // seg -> records an entry references
+	for i := range idx.shards {
+		for f, e := range idx.shards[i].entries {
+			if !e.hasContent {
+				continue
+			}
+			recs, haveSeg := segRecords[e.loc.Seg]
+			if !haveSeg {
+				r.MissingContent++
+				r.warnf("entry %s: segment %d missing (content lost to crash)", f.Short(), e.loc.Seg)
+				continue
+			}
+			okCRC, haveRec := recs[e.loc.Off]
+			if !haveRec {
+				r.MissingContent++
+				r.warnf("entry %s: no record at seg %d offset %d (content lost to crash)", f.Short(), e.loc.Seg, e.loc.Off)
+				continue
+			}
+			refs[e.loc.Seg]++
+			if !okCRC {
+				r.errf("entry %s: checksum mismatch at seg %d offset %d", f.Short(), e.loc.Seg, e.loc.Off)
+			}
 		}
 	}
 
 	// Dead records and orphan segments.
 	for sid, recs := range segRecords {
-		refs := 0
-		for _, e := range entries {
-			if e.hasContent && e.loc.Seg == sid {
-				if _, ok := recs[e.loc.Off]; ok {
-					refs++
-				}
-			}
-		}
-		r.DeadRecords += len(recs) - refs
-		if refs == 0 && sid != active {
+		r.DeadRecords += len(recs) - refs[sid]
+		if refs[sid] == 0 && sid != active {
 			r.OrphanSegments++
 			r.warnf("seg %d: no referenced records (compaction leftover)", sid)
 		}
 	}
 	return r, nil
 }
-
-func shortFile(f id.File) string { return f.Short() }

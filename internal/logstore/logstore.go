@@ -24,7 +24,7 @@ const (
 	// at most the last interval.
 	SyncInterval
 	// SyncNever leaves flushing to the OS (still fsynced at checkpoint
-	// and clean Close). Matches DiskStore's durability, minus its cost.
+	// and clean Close).
 	SyncNever
 )
 
@@ -105,7 +105,7 @@ const nShards = 16
 type entryRec struct {
 	meta       store.Entry // Content always nil
 	hasContent bool
-	loc        location
+	loc        Loc
 }
 
 type shard struct {
@@ -115,8 +115,8 @@ type shard struct {
 }
 
 // Store is the log-structured storage engine. It implements
-// store.Backend and, unlike the in-memory Store and DiskStore, is safe
-// for concurrent use: reads take only a shard read-lock and a segment
+// store.Backend and, unlike the in-memory Store, is safe for
+// concurrent use: reads take only a shard read-lock and a segment
 // pread; mutations serialize on the log mutex but fsync outside it, so
 // a slow group commit never blocks readers.
 type Store struct {
@@ -135,6 +135,7 @@ type Store struct {
 		sync.Mutex
 		failed   error // sticky write-path failure; all mutations refuse
 		wal      *os.File
+		walBuf   []byte // appendWALLocked's encoding scratch
 		walSeq   uint64
 		walOff   int64
 		walSince int64 // WAL bytes since the last checkpoint
@@ -230,21 +231,9 @@ func (s *Store) Utilization() float64 {
 	return float64(s.used.Load()) / float64(s.opts.Capacity)
 }
 
-// CanAccept applies the SD/FN acceptance policy (same rules as the
-// in-memory store).
-func (s *Store) CanAccept(size int64, t float64) bool {
-	if size == 0 {
-		return true
-	}
-	if size < 0 {
-		return false
-	}
-	free := s.Free()
-	if free <= 0 {
-		return false
-	}
-	return float64(size)/float64(free) <= t
-}
+// CanAccept applies the SD/FN acceptance policy to this store's free
+// space.
+func (s *Store) CanAccept(size int64, t float64) bool { return store.Accepts(size, s.Free(), t) }
 
 // Add stores a replica: content appended to the active segment, one
 // WAL record, index insert, then (under SyncAlways) a group commit.
@@ -300,7 +289,7 @@ func (s *Store) Add(e store.Entry) error {
 	s.used.Add(e.Size)
 	s.count.Add(1)
 	if rec.hasContent {
-		s.log.segLive[rec.loc.Seg] += rec.loc.recordSize()
+		s.log.segLive[rec.loc.Seg] += rec.loc.RecordSize()
 	}
 	ckpt := s.checkpointDueLocked()
 	s.log.Unlock()
@@ -355,14 +344,14 @@ func (s *Store) Get(f id.File) (store.Entry, bool) {
 // readContent preads one content record and verifies frame and CRC.
 // The segFDs read lock is held across the pread so compaction cannot
 // delete the file underneath it.
-func (s *Store) readContent(f id.File, loc location) ([]byte, bool) {
+func (s *Store) readContent(f id.File, loc Loc) ([]byte, bool) {
 	s.segFDs.RLock()
 	fd := s.segFDs.m[loc.Seg]
 	if fd == nil {
 		s.segFDs.RUnlock()
 		return nil, false
 	}
-	buf := make([]byte, loc.recordSize())
+	buf := make([]byte, loc.RecordSize())
 	_, err := fd.ReadAt(buf, loc.Off)
 	s.segFDs.RUnlock()
 	if err != nil {
@@ -405,7 +394,7 @@ func (s *Store) Remove(f id.File) (store.Entry, bool) {
 	s.used.Add(-r.meta.Size)
 	s.count.Add(-1)
 	if r.hasContent {
-		s.log.segLive[r.loc.Seg] -= r.loc.recordSize()
+		s.log.segLive[r.loc.Seg] -= r.loc.RecordSize()
 	}
 	s.log.Unlock()
 	_ = s.waitDurable(lsn)
@@ -474,7 +463,7 @@ func (s *Store) RemovePointer(f id.File) (store.Pointer, bool) {
 }
 
 // Entries returns all replica entries ordered by fileId (metadata only;
-// use Get for content, as with DiskStore).
+// use Get for content).
 func (s *Store) Entries() []store.Entry {
 	var out []store.Entry
 	for i := range s.shards {
@@ -506,18 +495,18 @@ func (s *Store) Pointers() []store.Pointer {
 
 // appendSegmentLocked appends one content record to the active segment,
 // rotating first if the target size is exceeded. Caller holds s.log.
-func (s *Store) appendSegmentLocked(f id.File, content []byte) (location, error) {
+func (s *Store) appendSegmentLocked(f id.File, content []byte) (Loc, error) {
 	if s.log.seg == nil || s.log.segOff >= s.opts.SegmentTarget {
 		if err := s.rotateSegmentLocked(); err != nil {
-			return location{}, err
+			return Loc{}, err
 		}
 	}
 	buf, crc := encodeSegRecord(f, content)
 	if _, err := s.log.seg.WriteAt(buf, s.log.segOff); err != nil {
 		s.log.failed = fmt.Errorf("logstore: segment append: %w", err)
-		return location{}, s.log.failed
+		return Loc{}, s.log.failed
 	}
-	loc := location{Seg: s.log.segID, Off: s.log.segOff, Len: uint32(len(content)), CRC: crc}
+	loc := Loc{Seg: s.log.segID, Off: s.log.segOff, Len: uint32(len(content)), CRC: crc}
 	s.log.segOff += int64(len(buf))
 	s.log.segTotal[s.log.segID] += int64(len(buf))
 	return loc, nil
@@ -562,11 +551,8 @@ func (s *Store) rotateSegmentLocked() error {
 // A partial write is rolled back by truncation; if even that fails the
 // store is marked failed (the log tail would be garbage).
 func (s *Store) appendWALLocked(r walRecord) (uint64, error) {
-	payload, err := encodeWALPayload(r)
-	if err != nil {
-		return 0, err
-	}
-	buf := frameWALRecord(payload)
+	buf := appendWALRecord(s.log.walBuf[:0], r)
+	s.log.walBuf = buf
 	if _, err := s.log.wal.WriteAt(buf, s.log.walOff); err != nil {
 		if terr := s.log.wal.Truncate(s.log.walOff); terr != nil {
 			s.log.failed = fmt.Errorf("logstore: WAL append failed and truncate failed (%v): %w", terr, err)
@@ -789,7 +775,7 @@ func segPath(dir string, seg uint32) string {
 	return filepath.Join(dir, fmt.Sprintf("seg-%08d.seg", seg))
 }
 
-func checkpointPath(dir string) string { return filepath.Join(dir, "checkpoint.gob") }
+func checkpointPath(dir string) string { return filepath.Join(dir, "checkpoint.ckp") }
 
 // createLogFile creates a fresh file with the given magic header.
 func createLogFile(path, magic string) (*os.File, error) {

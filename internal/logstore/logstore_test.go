@@ -34,60 +34,6 @@ func contentFor(n uint64, size int) []byte {
 	return b
 }
 
-func TestAddGetRemove(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), testOpts())
-	defer s.Close()
-
-	content := contentFor(1, 512)
-	if err := s.Add(store.Entry{File: fid(1), Size: 512, Kind: store.Primary, Content: content}); err != nil {
-		t.Fatal(err)
-	}
-	e, ok := s.Get(fid(1))
-	if !ok || !bytes.Equal(e.Content, content) || e.Size != 512 {
-		t.Fatalf("get: ok=%v %+v", ok, e)
-	}
-	if s.Used() != 512 || s.Len() != 1 {
-		t.Fatalf("accounting: used=%d len=%d", s.Used(), s.Len())
-	}
-	if err := s.Add(store.Entry{File: fid(1), Size: 1}); err == nil {
-		t.Fatal("duplicate add succeeded")
-	}
-	if err := s.Add(store.Entry{File: fid(2), Size: -1}); err == nil {
-		t.Fatal("negative size accepted")
-	}
-	if _, ok := s.Remove(fid(1)); !ok {
-		t.Fatal("remove failed")
-	}
-	if _, ok := s.Get(fid(1)); ok {
-		t.Fatal("entry survived removal")
-	}
-	if s.Used() != 0 || s.Len() != 0 {
-		t.Fatalf("accounting after remove: used=%d len=%d", s.Used(), s.Len())
-	}
-}
-
-func TestCapacityEnforced(t *testing.T) {
-	opts := testOpts()
-	opts.Capacity = 100
-	s := mustOpen(t, t.TempDir(), opts)
-	defer s.Close()
-	if err := s.Add(store.Entry{File: fid(1), Size: 80}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(store.Entry{File: fid(2), Size: 30}); err == nil {
-		t.Fatal("over-capacity add succeeded")
-	}
-	if !s.CanAccept(0, 0.1) {
-		t.Fatal("zero-size must always be accepted")
-	}
-	if s.CanAccept(19, 0.5) {
-		t.Fatal("19/20 above threshold 0.5 accepted")
-	}
-	if !s.CanAccept(10, 0.5) {
-		t.Fatal("10/20 at threshold 0.5 rejected")
-	}
-}
-
 // populate adds n entries (content on the even ones) and a pointer per
 // multiple of 5, returning the expected state.
 func populate(t *testing.T, s *Store, n int) {
@@ -301,30 +247,6 @@ func TestCompaction(t *testing.T) {
 	}
 	if !r.OK() {
 		t.Fatalf("fsck after compaction:\n%s", r)
-	}
-}
-
-func TestEntriesSortedAndMatchBackendSemantics(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), testOpts())
-	defer s.Close()
-	ref := store.New(1 << 30)
-	for i := 1; i <= 20; i++ {
-		e := store.Entry{File: fid(uint64(i)), Size: int64(i)}
-		if err := s.Add(e); err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.Add(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, want := s.Entries(), ref.Entries()
-	if len(got) != len(want) {
-		t.Fatalf("len %d vs %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].File != want[i].File || got[i].Size != want[i].Size {
-			t.Fatalf("order mismatch at %d: %v vs %v", i, got[i].File.Short(), want[i].File.Short())
-		}
 	}
 }
 

@@ -1,9 +1,11 @@
 package logstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -13,6 +15,20 @@ import (
 	"past/internal/id"
 	"past/internal/store"
 )
+
+// newStore allocates a Store with an empty index and no files open.
+func newStore(dir string, opts Options) *Store {
+	s := &Store{dir: dir, opts: opts, stop: make(chan struct{})}
+	for i := range s.shards {
+		s.shards[i].entries = make(map[id.File]*entryRec)
+		s.shards[i].pointers = make(map[id.File]store.Pointer)
+	}
+	s.segFDs.m = make(map[uint32]*os.File)
+	s.log.segLive = make(map[uint32]int64)
+	s.log.segTotal = make(map[uint32]int64)
+	s.commit.cond = sync.NewCond(&s.commit.Mutex)
+	return s
+}
 
 // Open opens (or creates) a log store at dir: load the last checkpoint,
 // replay the WAL over it, truncate torn tails, rebuild the segment
@@ -27,15 +43,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("logstore: open %s: %w", dir, err)
 	}
-	s := &Store{dir: dir, opts: opts, stop: make(chan struct{})}
-	for i := range s.shards {
-		s.shards[i].entries = make(map[id.File]*entryRec)
-		s.shards[i].pointers = make(map[id.File]store.Pointer)
-	}
-	s.segFDs.m = make(map[uint32]*os.File)
-	s.log.segLive = make(map[uint32]int64)
-	s.log.segTotal = make(map[uint32]int64)
-	s.commit.cond = sync.NewCond(&s.commit.Mutex)
+	s := newStore(dir, opts)
 
 	start := time.Now()
 	if err := s.recover(); err != nil {
@@ -49,43 +57,45 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
+// refuseOldFormat reports a directory written by a build whose formats
+// this one has no reader for, so it is never mistaken for an empty one.
+func refuseOldFormat(dir string) error {
+	for _, old := range []struct{ name, what string }{
+		{"checkpoint.gob", "a gob checkpoint (PASTWAL1-era logstore)"},
+		{"meta.gob", "a DiskStore metadata snapshot"},
+		{"objects", "a DiskStore object tree"},
+	} {
+		if _, err := os.Stat(filepath.Join(dir, old.name)); err == nil {
+			return fmt.Errorf("logstore: %s holds %s (%s), a format this build cannot read: start from an empty directory", dir, old.what, old.name)
+		}
+	}
+	return nil
+}
+
 // recover rebuilds the in-memory state from disk. Runs single-threaded
 // before the store is visible, so it mutates the index without locks.
 func (s *Store) recover() error {
-	ckpt, err := loadCheckpointFile(s.dir)
-	if err != nil {
+	if err := refuseOldFormat(s.dir); err != nil {
 		return err
 	}
-	firstSeq := uint64(1)
-	if ckpt != nil {
-		firstSeq = ckpt.WALSeq
-		for _, ce := range ckpt.Entries {
-			e := ce.Entry
-			e.Content = nil
-			s.applyAdd(e, ce.HasContent, location{Seg: ce.Seg, Off: ce.Off, Len: ce.Len, CRC: ce.CRC})
-		}
-		for _, p := range ckpt.Pointers {
-			s.shardOf(p.File).pointers[p.File] = p
-		}
+	firstSeq, _, err := loadCheckpoint(s.dir, s.applyRecord)
+	if err != nil {
+		return err
 	}
 
 	seqs, err := listNumbered(s.dir, "wal-", ".log")
 	if err != nil {
 		return err
 	}
-	var replaySeqs []uint64
-	for _, seq := range seqs {
-		if seq < firstSeq {
-			// Superseded by the checkpoint; a crash interrupted cleanup.
-			os.Remove(walPath(s.dir, seq))
-			continue
-		}
-		replaySeqs = append(replaySeqs, seq)
+	for len(seqs) > 0 && seqs[0] < firstSeq {
+		// Superseded by the checkpoint; a crash interrupted cleanup.
+		os.Remove(walPath(s.dir, seqs[0]))
+		seqs = seqs[1:]
 	}
 
 	lastOff := int64(fileHeaderSize)
 	lastSeq := firstSeq
-	if len(replaySeqs) == 0 {
+	if len(seqs) == 0 {
 		wal, err := createLogFile(walPath(s.dir, firstSeq), walMagic)
 		if err != nil {
 			return fmt.Errorf("logstore: create WAL: %w", err)
@@ -93,18 +103,10 @@ func (s *Store) recover() error {
 		syncDir(s.dir) // dir entry durable before records are acknowledged
 		s.log.wal = wal
 	} else {
-		for i, seq := range replaySeqs {
-			isLast := i == len(replaySeqs)-1
-			n, validLen, torn, err := s.replayWALFile(walPath(s.dir, seq), isLast)
-			if err != nil {
+		for i, seq := range seqs {
+			lastSeq = seq
+			if lastOff, err = s.replayWALFile(walPath(s.dir, seq), i == len(seqs)-1); err != nil {
 				return err
-			}
-			s.stats.RecoveredRecords.Add(int64(n))
-			if torn {
-				s.stats.TornTruncations.Add(1)
-			}
-			if isLast {
-				lastSeq, lastOff = seq, validLen
 			}
 		}
 		wal, err := os.OpenFile(walPath(s.dir, lastSeq), os.O_RDWR, 0o644)
@@ -120,26 +122,20 @@ func (s *Store) recover() error {
 	return s.recoverSegments()
 }
 
-// applyAdd inserts an entry during recovery, replacing any previous
-// version (replay is idempotent that way) and keeping the accounting
-// consistent.
-func (s *Store) applyAdd(e store.Entry, hasContent bool, loc location) {
-	sh := s.shardOf(e.File)
-	if old, ok := sh.entries[e.File]; ok {
-		s.used.Add(-old.meta.Size)
-		s.count.Add(-1)
-	}
-	sh.entries[e.File] = &entryRec{meta: e, hasContent: hasContent, loc: loc}
-	s.used.Add(e.Size)
-	s.count.Add(1)
-}
-
-// applyRecord folds one replayed WAL record into the index.
+// applyRecord folds one checkpoint or WAL record into the index, and
+// the accounting with it.
 func (s *Store) applyRecord(r walRecord) {
 	sh := s.shardOf(r.file)
 	switch r.typ {
 	case recAdd:
-		s.applyAdd(r.entry, r.hasContent, r.loc)
+		// Replaces any previous version, so replay is idempotent.
+		if old, ok := sh.entries[r.file]; ok {
+			s.used.Add(-old.meta.Size)
+			s.count.Add(-1)
+		}
+		sh.entries[r.file] = &entryRec{meta: r.entry, hasContent: r.hasContent, loc: r.loc}
+		s.used.Add(r.entry.Size)
+		s.count.Add(1)
 	case recRemove:
 		if old, ok := sh.entries[r.file]; ok {
 			delete(sh.entries, r.file)
@@ -157,45 +153,94 @@ func (s *Store) applyRecord(r walRecord) {
 	}
 }
 
-// replayWALFile replays one WAL file. On the last file a torn tail —
-// short header, short payload, impossible length, or CRC mismatch — is
-// truncated away; anywhere else it is corruption and recovery fails.
-func (s *Store) replayWALFile(path string, isLast bool) (records int, validLen int64, torn bool, err error) {
-	data, err := os.ReadFile(path)
+// replayWALFile replays one WAL file into the index and returns its
+// valid length. On the last file a torn tail — short header, short
+// payload, impossible length, or CRC mismatch — is truncated away;
+// anywhere else it is corruption and recovery fails.
+func (s *Store) replayWALFile(path string, isLast bool) (validLen int64, err error) {
+	w, err := readWALFile(path, s.applyRecord)
+	s.stats.RecoveredRecords.Add(int64(w.records))
 	if err != nil {
-		return 0, 0, false, fmt.Errorf("logstore: read WAL: %w", err)
+		return 0, err
 	}
-	if len(data) < fileHeaderSize || string(data[:fileHeaderSize]) != walMagic {
-		if !isLast {
-			return 0, 0, false, fmt.Errorf("logstore: %s: bad WAL header", path)
-		}
+	if !w.torn() {
+		return w.validLen, nil
+	}
+	if !isLast {
+		return 0, fmt.Errorf("logstore: %s: invalid record at offset %d in non-final WAL", path, w.validLen)
+	}
+	if w.validLen < fileHeaderSize {
 		// The file creation itself was torn; reset it.
 		f, cerr := createLogFile(path, walMagic)
 		if cerr != nil {
-			return 0, 0, false, fmt.Errorf("logstore: reset torn WAL: %w", cerr)
+			return 0, fmt.Errorf("logstore: reset torn WAL: %w", cerr)
 		}
 		f.Close()
-		return 0, fileHeaderSize, true, nil
+		w.validLen = fileHeaderSize
+	} else if terr := os.Truncate(path, w.validLen); terr != nil {
+		return 0, fmt.Errorf("logstore: truncate torn WAL tail: %w", terr)
 	}
-	off := int64(fileHeaderSize)
+	s.stats.TornTruncations.Add(1)
+	return w.validLen, nil
+}
+
+// walScan is what reading one WAL file found.
+type walScan struct {
+	records  int
+	validLen int64 // length of the prefix that parsed; 0 when the magic is missing or wrong
+	size     int64 // length of the file
+}
+
+// torn reports whether the file ends in bytes that are not a valid
+// record: a torn tail if it is the last WAL file, corruption otherwise.
+func (w walScan) torn() bool { return w.validLen < fileHeaderSize || w.validLen < w.size }
+
+// readWALFile reads one WAL file and feeds its records to apply,
+// without modifying the file; the caller knows whether a torn result
+// is tolerable. A record that passes its CRC and still does not decode
+// is an error on any file.
+func readWALFile(path string, apply func(walRecord)) (walScan, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return walScan{}, fmt.Errorf("logstore: read WAL: %w", err)
+	}
+	w := walScan{size: int64(len(data))}
+	if bytes.HasPrefix(data, []byte("PASTWAL1")) {
+		return w, fmt.Errorf("logstore: %s is a PASTWAL1 log, a format this build cannot read (it writes %s): start from an empty directory", path, walMagic)
+	}
+	if !bytes.HasPrefix(data, []byte(walMagic)) {
+		return w, nil
+	}
+	w.records, w.validLen, err = scanRecords(data, func(r walRecord) error {
+		if r.typ == recCheckpoint {
+			return fmt.Errorf("logstore: checkpoint header record in a WAL")
+		}
+		apply(r)
+		return nil
+	})
+	if err != nil {
+		err = fmt.Errorf("logstore: %s: %w", path, err)
+	}
+	return w, err
+}
+
+// scanRecords parses the framed records that follow the 8-byte magic in
+// data, handing each to apply, and returns how many it applied and the
+// offset of the first byte that does not begin a valid record
+// (len(data) when every byte is accounted for).
+func scanRecords(data []byte, apply func(walRecord) error) (records int, off int64, err error) {
+	off = fileHeaderSize
 	for {
-		rec, n, ok, derr := nextWALRecord(data, off)
-		if derr != nil {
-			return records, off, false, fmt.Errorf("logstore: %s at offset %d: %w", path, off, derr)
+		rec, n, ok, err := nextWALRecord(data, off)
+		if err == nil && ok {
+			err = apply(rec)
+		}
+		if err != nil {
+			return records, off, fmt.Errorf("offset %d: %w", off, err)
 		}
 		if !ok {
-			tail := int64(len(data)) > off
-			if tail {
-				if !isLast {
-					return records, off, false, fmt.Errorf("logstore: %s: invalid record at offset %d in non-final WAL", path, off)
-				}
-				if terr := os.Truncate(path, off); terr != nil {
-					return records, off, false, fmt.Errorf("logstore: truncate torn WAL tail: %w", terr)
-				}
-			}
-			return records, off, tail, nil
+			return records, off, nil
 		}
-		s.applyRecord(rec)
 		records++
 		off += n
 	}
@@ -263,8 +308,8 @@ func (s *Store) recoverSegments() error {
 			if !r.hasContent {
 				continue
 			}
-			s.log.segLive[r.loc.Seg] += r.loc.recordSize()
-			if end := r.loc.Off + r.loc.recordSize(); end > maxEnd[r.loc.Seg] {
+			s.log.segLive[r.loc.Seg] += r.loc.RecordSize()
+			if end := r.loc.Off + r.loc.RecordSize(); end > maxEnd[r.loc.Seg] {
 				maxEnd[r.loc.Seg] = end
 			}
 		}

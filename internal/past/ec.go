@@ -401,16 +401,14 @@ func (n *Node) ecMaintain() {
 	entries := n.store.Entries()
 	n.mu.Unlock()
 	for _, e := range entries {
-		// Content-on-demand engines (logstore) list metadata-only
-		// entries; a fragment map is small, so re-read plausible
-		// candidates before testing the magic.
-		if e.Content == nil && e.Size > 0 && e.Size <= ec.MaxMapSize {
-			n.mu.Lock()
-			if full, ok := n.store.Get(e.File); ok {
-				e = full
-			}
-			n.mu.Unlock()
+		// Entries lists metadata only; a fragment map is small, so
+		// read just the plausible candidates before testing the magic.
+		if e.Size == 0 || e.Size > ec.MaxMapSize {
+			continue
 		}
+		n.mu.Lock()
+		e, _ = n.store.Get(e.File)
+		n.mu.Unlock()
 		if !ec.IsMap(e.Content) {
 			continue
 		}

@@ -243,7 +243,7 @@ func New(nid id.Node, net netsim.Net, cfg Config, capacity int64, seed int64) *N
 }
 
 // NewWithStore creates a PAST node over an explicit storage backend —
-// a store.DiskStore for a persistent daemon, the in-memory store for
+// a logstore.Store for a persistent daemon, the in-memory store for
 // emulation. It panics if the cache engine cannot start, which is only
 // possible with a misconfigured flash tier — callers that enable flash
 // should use NewWithStoreEngine and handle the error.

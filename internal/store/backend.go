@@ -3,11 +3,11 @@ package store
 import "past/internal/id"
 
 // Backend is the storage interface a PAST node drives. The in-memory
-// Store is the default (and what the trace experiments use); DiskStore
-// persists replica contents and file-table metadata under a directory
-// so a node's disk survives process restarts, which is what the paper's
-// recovery path assumes ("a recovering node ... whose disk contents
-// were lost" being the exceptional case).
+// Store is the default (and what the trace experiments use);
+// logstore.Store persists replica contents and file-table metadata
+// under a directory so a node's disk survives process restarts, which
+// is what the paper's recovery path assumes ("a recovering node ...
+// whose disk contents were lost" being the exceptional case).
 type Backend interface {
 	// Capacity returns the advertised capacity in bytes.
 	Capacity() int64
@@ -25,7 +25,8 @@ type Backend interface {
 	Add(e Entry) error
 	// Get returns the replica entry for f, with content if stored.
 	Get(f id.File) (Entry, bool)
-	// Remove discards the replica of f.
+	// Remove discards the replica of f and returns its metadata
+	// (Content nil, as in Entries).
 	Remove(f id.File) (Entry, bool)
 	// SetPointer records a diverted-replica reference.
 	SetPointer(p Pointer)
@@ -33,7 +34,9 @@ type Backend interface {
 	GetPointer(f id.File) (Pointer, bool)
 	// RemovePointer deletes the pointer entry for f.
 	RemovePointer(f id.File) (Pointer, bool)
-	// Entries returns all replica entries ordered by fileId.
+	// Entries returns the metadata of all replica entries ordered by
+	// fileId. Content is nil on every backend, so a scan never reads or
+	// pins payloads; Get returns one entry's content.
 	Entries() []Entry
 	// Pointers returns all pointer entries ordered by fileId.
 	Pointers() []Pointer

@@ -126,22 +126,23 @@ func (s *Store) Free() int64 { return s.capacity - s.used }
 // Len returns the number of replicas held.
 func (s *Store) Len() int { return len(s.entries) }
 
-// CanAccept applies the paper's acceptance policy: reject file D when
+// Accepts is the paper's acceptance policy (section 3.3.1) for a file
+// of the given size on a node with free bytes left: reject file D when
 // SD/FN > t. Zero-sized files are always accepted; a full node rejects
-// everything else.
-func (s *Store) CanAccept(size int64, t float64) bool {
+// everything else. Every Backend's CanAccept is this test on its own
+// free space.
+func Accepts(size, free int64, t float64) bool {
 	if size == 0 {
 		return true
 	}
-	if size < 0 {
-		return false
-	}
-	free := s.Free()
-	if free <= 0 {
+	if size < 0 || free <= 0 {
 		return false
 	}
 	return float64(size)/float64(free) <= t
 }
+
+// CanAccept applies the acceptance policy to this store's free space.
+func (s *Store) CanAccept(size int64, t float64) bool { return Accepts(size, s.Free(), t) }
 
 // Add stores a replica. It fails if the file is already held or space is
 // insufficient; policy checks (CanAccept) are the caller's duty, since
@@ -171,7 +172,7 @@ func (s *Store) Get(f id.File) (Entry, bool) {
 	return *e, true
 }
 
-// Remove discards the replica of f and returns its entry.
+// Remove discards the replica of f and returns its metadata.
 func (s *Store) Remove(f id.File) (Entry, bool) {
 	e, ok := s.entries[f]
 	if !ok {
@@ -179,7 +180,9 @@ func (s *Store) Remove(f id.File) (Entry, bool) {
 	}
 	delete(s.entries, f)
 	s.used -= e.Size
-	return *e, true
+	meta := *e
+	meta.Content = nil
+	return meta, true
 }
 
 // SetPointer records a diverted-replica reference. A file has at most
@@ -209,11 +212,13 @@ func (s *Store) RemovePointer(f id.File) (Pointer, bool) {
 }
 
 // Entries returns all replica entries ordered by fileId, for
-// deterministic maintenance scans.
+// deterministic maintenance scans. Content is nil; Get returns it.
 func (s *Store) Entries() []Entry {
 	out := make([]Entry, 0, len(s.entries))
 	for _, e := range s.entries {
-		out = append(out, *e)
+		meta := *e
+		meta.Content = nil
+		out = append(out, meta)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		return string(out[i].File[:]) < string(out[j].File[:])

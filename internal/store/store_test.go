@@ -1,61 +1,12 @@
 package store
 
 import (
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"past/internal/id"
 )
 
 func fid(n uint64) id.File { return id.NewFile("f", nil, n) }
-
-func TestAddGetRemove(t *testing.T) {
-	s := New(1000)
-	if err := s.Add(Entry{File: fid(1), Size: 300, Kind: Primary}); err != nil {
-		t.Fatal(err)
-	}
-	if s.Used() != 300 || s.Free() != 700 || s.Len() != 1 {
-		t.Fatalf("used=%d free=%d len=%d", s.Used(), s.Free(), s.Len())
-	}
-	e, ok := s.Get(fid(1))
-	if !ok || e.Size != 300 || e.Kind != Primary {
-		t.Fatalf("get = %+v, %v", e, ok)
-	}
-	if _, ok := s.Get(fid(2)); ok {
-		t.Fatal("phantom entry")
-	}
-	e, ok = s.Remove(fid(1))
-	if !ok || e.Size != 300 {
-		t.Fatal("remove failed")
-	}
-	if s.Used() != 0 || s.Len() != 0 {
-		t.Fatal("accounting after remove wrong")
-	}
-	if _, ok := s.Remove(fid(1)); ok {
-		t.Fatal("double remove must fail")
-	}
-}
-
-func TestAddDuplicateFails(t *testing.T) {
-	s := New(1000)
-	if err := s.Add(Entry{File: fid(1), Size: 10}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(Entry{File: fid(1), Size: 10}); err == nil {
-		t.Fatal("duplicate add must fail")
-	}
-}
-
-func TestAddOverCapacityFails(t *testing.T) {
-	s := New(100)
-	if err := s.Add(Entry{File: fid(1), Size: 101}); err == nil {
-		t.Fatal("oversize add must fail")
-	}
-	if err := s.Add(Entry{File: fid(2), Size: -1}); err == nil {
-		t.Fatal("negative size must fail")
-	}
-}
 
 func TestCanAcceptPolicy(t *testing.T) {
 	s := New(1000)
@@ -108,77 +59,6 @@ func TestTpriBaselineDisablesDiversion(t *testing.T) {
 	}
 }
 
-func TestPointers(t *testing.T) {
-	s := New(100)
-	b := id.NodeFromUint64(7)
-	s.SetPointer(Pointer{File: fid(1), Target: b, Size: 50, Role: DivertedOut})
-	p, ok := s.GetPointer(fid(1))
-	if !ok || p.Target != b || p.Role != DivertedOut {
-		t.Fatalf("pointer = %+v, %v", p, ok)
-	}
-	// Pointers consume no storage.
-	if s.Used() != 0 {
-		t.Fatal("pointers must not consume space")
-	}
-	// Overwrite updates.
-	c := id.NodeFromUint64(9)
-	s.SetPointer(Pointer{File: fid(1), Target: c, Size: 50, Role: Backup})
-	p, _ = s.GetPointer(fid(1))
-	if p.Target != c || p.Role != Backup {
-		t.Fatal("pointer overwrite failed")
-	}
-	if _, ok := s.RemovePointer(fid(1)); !ok {
-		t.Fatal("remove pointer failed")
-	}
-	if _, ok := s.GetPointer(fid(1)); ok {
-		t.Fatal("pointer survived removal")
-	}
-	if _, ok := s.RemovePointer(fid(1)); ok {
-		t.Fatal("double pointer removal must fail")
-	}
-}
-
-func TestEntriesSorted(t *testing.T) {
-	s := New(1000)
-	for i := 0; i < 20; i++ {
-		if err := s.Add(Entry{File: fid(uint64(i)), Size: 1}); err != nil {
-			t.Fatal(err)
-		}
-		s.SetPointer(Pointer{File: fid(uint64(100 + i)), Target: id.NodeFromUint64(1)})
-	}
-	es := s.Entries()
-	for i := 1; i < len(es); i++ {
-		if string(es[i-1].File[:]) >= string(es[i].File[:]) {
-			t.Fatal("entries not sorted")
-		}
-	}
-	ps := s.Pointers()
-	if len(ps) != 20 {
-		t.Fatalf("pointers = %d", len(ps))
-	}
-	for i := 1; i < len(ps); i++ {
-		if string(ps[i-1].File[:]) >= string(ps[i].File[:]) {
-			t.Fatal("pointers not sorted")
-		}
-	}
-}
-
-func TestUtilization(t *testing.T) {
-	s := New(200)
-	if s.Utilization() != 0 {
-		t.Fatal("empty utilization must be 0")
-	}
-	if err := s.Add(Entry{File: fid(1), Size: 50}); err != nil {
-		t.Fatal(err)
-	}
-	if s.Utilization() != 0.25 {
-		t.Fatalf("utilization = %g; want 0.25", s.Utilization())
-	}
-	if New(0).Utilization() != 0 {
-		t.Fatal("zero-capacity utilization must be 0")
-	}
-}
-
 func TestNegativeCapacityPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -186,38 +66,6 @@ func TestNegativeCapacityPanics(t *testing.T) {
 		}
 	}()
 	New(-1)
-}
-
-// TestAccountingInvariant property-checks that used+free == capacity and
-// used >= 0 across random add/remove sequences.
-func TestAccountingInvariant(t *testing.T) {
-	f := func(ops []int16, capSeed uint16) bool {
-		capacity := int64(capSeed)%10000 + 100
-		s := New(capacity)
-		held := map[uint64]bool{}
-		r := rand.New(rand.NewSource(int64(capSeed)))
-		for _, op := range ops {
-			k := uint64(op) % 32
-			if held[k] {
-				if _, ok := s.Remove(fid(k)); !ok {
-					return false
-				}
-				delete(held, k)
-			} else {
-				size := int64(r.Intn(int(capacity / 4)))
-				if err := s.Add(Entry{File: fid(k), Size: size}); err == nil {
-					held[k] = true
-				}
-			}
-			if s.Used() < 0 || s.Used()+s.Free() != s.Capacity() || s.Used() > s.Capacity() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func BenchmarkAddRemove(b *testing.B) {

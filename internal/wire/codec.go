@@ -217,6 +217,10 @@ type Reader struct {
 	depth int
 }
 
+// NewReader returns a Reader over body, for decoding bytes that did not
+// arrive in a frame (the storage engine's on-disk records).
+func NewReader(body []byte) *Reader { return &Reader{buf: body} }
+
 // Err returns the first decoding failure, or nil.
 func (r *Reader) Err() error { return r.err }
 
