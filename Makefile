@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-times test-race race bench experiments experiments-full examples soak-compare trace-demo fsck-demo overload-demo cache-demo cluster-demo fleet-obs-demo ec-demo cache-bench fuzz no-gob bench-smoke vet fmt clean
+.PHONY: all build test test-times test-race race bench experiments experiments-full examples soak-compare trace-demo fsck-demo overload-demo cache-demo cluster-demo fleet-obs-demo ec-demo cache-bench fuzz alloc-guard no-gob bench-smoke vet fmt clean
 
 all: build test
 
@@ -131,14 +131,24 @@ cache-bench:
 	$(GO) test -run '^$$' -bench 'GetParallel|InsertParallel' -cpu 8 ./internal/cachengine/
 
 # Decoder fuzz smoke: ten seconds of coverage-guided input on each
-# fuzz target — the wire frames, and the logstore record that both the
-# WAL and the checkpoint are made of — starting from the checked-in
-# corpus of one frame per message type and one record per record type.
+# fuzz target — the wire frames, the logstore record that both the
+# WAL and the checkpoint are made of, and the EC fragment map —
+# starting from the checked-in corpus of one frame per message type,
+# one record per record type and one map per parameter set.
 # Any panic, hang or input that does not re-encode to itself fails.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeMessage -fuzztime 10s ./internal/past/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWALRecord -fuzztime 10s ./internal/logstore/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeMap -fuzztime 10s ./internal/ec/
+
+# Allocation budgets of the one-copy payload path: a durable insert
+# makes one allocation, a fragment map encodes in one, and on netsim a
+# coded insert allocates its parity plus the coordinator's own fragment
+# and a lookup its payload — nothing copies a payload a second time. The same tests run in tier-1; this
+# target runs exactly them, uncached.
+alloc-guard:
+	$(GO) test -count=1 -run 'TestAllocBudget|TestECEncoderIsShared' ./internal/logstore/ ./internal/ec/ ./internal/past/
 
 # encoding/gob left the binary with the gob wire and the gob
 # checkpoint; every byte that crosses a socket or a disk goes through

@@ -18,7 +18,6 @@
 package ec
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -100,7 +99,14 @@ type Map struct {
 	CRCs      []uint32  // CRCs[i] is fragment i's CRC32-C
 }
 
-const mapMagic = "PASTECM1"
+// The encoded map is the magic, the fileId, a fixed 28-byte header
+// (size i64, data, parity and shard size i32, version u32, holder count
+// i32), then one (nodeId, CRC u32) pair per holder, all big-endian.
+const (
+	mapMagic      = "PASTECM1"
+	mapFixedSize  = len(mapMagic) + id.FileBytes + 28
+	mapHolderSize = id.NodeBytes + 4
+)
 
 // Params returns the map's coding parameters.
 func (m *Map) Params() Params { return Params{Data: m.Data, Parity: m.Parity} }
@@ -108,20 +114,20 @@ func (m *Map) Params() Params { return Params{Data: m.Data, Parity: m.Parity} }
 // Encode serializes the map; the result is the content of the
 // k-replicated root object.
 func (m *Map) Encode() []byte {
-	var b bytes.Buffer
-	b.WriteString(mapMagic)
-	b.Write(m.File[:])
-	binary.Write(&b, binary.BigEndian, m.Size)
-	binary.Write(&b, binary.BigEndian, int32(m.Data))
-	binary.Write(&b, binary.BigEndian, int32(m.Parity))
-	binary.Write(&b, binary.BigEndian, int32(m.ShardSize))
-	binary.Write(&b, binary.BigEndian, m.Version)
-	binary.Write(&b, binary.BigEndian, int32(len(m.Holders)))
+	b := make([]byte, 0, mapFixedSize+len(m.Holders)*mapHolderSize)
+	b = append(b, mapMagic...)
+	b = append(b, m.File[:]...)
+	b = binary.BigEndian.AppendUint64(b, uint64(m.Size))
+	b = binary.BigEndian.AppendUint32(b, uint32(m.Data))
+	b = binary.BigEndian.AppendUint32(b, uint32(m.Parity))
+	b = binary.BigEndian.AppendUint32(b, uint32(m.ShardSize))
+	b = binary.BigEndian.AppendUint32(b, m.Version)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(m.Holders)))
 	for i := range m.Holders {
-		b.Write(m.Holders[i][:])
-		binary.Write(&b, binary.BigEndian, m.CRCs[i])
+		b = append(b, m.Holders[i][:]...)
+		b = binary.BigEndian.AppendUint32(b, m.CRCs[i])
 	}
-	return b.Bytes()
+	return b
 }
 
 // IsMap reports whether raw looks like an encoded fragment map — the
@@ -135,40 +141,43 @@ func IsMap(raw []byte) bool {
 // holders). Store scans list metadata-only entries; this lets the
 // maintenance scan rule out large replicas without loading their bytes
 // just to test IsMap.
-var MaxMapSize = int64(len(mapMagic) + len(id.File{}) + 28 + 255*(len(id.Node{})+4))
+var MaxMapSize = int64(mapFixedSize + 255*mapHolderSize)
 
-// DecodeMap parses an encoded fragment map.
+// DecodeMap parses an encoded fragment map. Every count is checked
+// against the input's length before anything is allocated, and bytes
+// after the last holder are an error.
 func DecodeMap(raw []byte) (*Map, error) {
 	if !IsMap(raw) {
 		return nil, fmt.Errorf("ec: not a fragment map")
 	}
-	r := bytes.NewReader(raw[len(mapMagic):])
-	var m Map
-	if _, err := r.Read(m.File[:]); err != nil {
+	if len(raw) < mapFixedSize {
 		return nil, fmt.Errorf("ec: truncated map")
 	}
-	var data, parity, shard, holders int32
-	for _, dst := range []any{&m.Size, &data, &parity, &shard, &m.Version, &holders} {
-		if err := binary.Read(r, binary.BigEndian, dst); err != nil {
-			return nil, fmt.Errorf("ec: truncated map")
-		}
-	}
-	m.Data, m.Parity, m.ShardSize = int(data), int(parity), int(shard)
+	var m Map
+	b := raw[len(mapMagic):]
+	b = b[copy(m.File[:], b):]
+	m.Size = int64(binary.BigEndian.Uint64(b))
+	m.Data = int(int32(binary.BigEndian.Uint32(b[8:])))
+	m.Parity = int(int32(binary.BigEndian.Uint32(b[12:])))
+	m.ShardSize = int(int32(binary.BigEndian.Uint32(b[16:])))
+	m.Version = binary.BigEndian.Uint32(b[20:])
+	holders := int(int32(binary.BigEndian.Uint32(b[24:])))
+	b = b[28:]
 	if err := m.Params().Validate(); err != nil {
 		return nil, err
 	}
-	if int(holders) != m.Params().Total() || m.ShardSize <= 0 || m.Size <= 0 {
+	if holders != m.Params().Total() || m.ShardSize <= 0 || m.Size <= 0 {
 		return nil, fmt.Errorf("ec: malformed map")
+	}
+	if len(b) != holders*mapHolderSize {
+		return nil, fmt.Errorf("ec: map is %d bytes, rs(%d,%d) needs %d", len(raw), m.Data, m.Parity, mapFixedSize+holders*mapHolderSize)
 	}
 	m.Holders = make([]id.Node, holders)
 	m.CRCs = make([]uint32, holders)
 	for i := range m.Holders {
-		if _, err := r.Read(m.Holders[i][:]); err != nil {
-			return nil, fmt.Errorf("ec: truncated map")
-		}
-		if err := binary.Read(r, binary.BigEndian, &m.CRCs[i]); err != nil {
-			return nil, fmt.Errorf("ec: truncated map")
-		}
+		b = b[copy(m.Holders[i][:], b):]
+		m.CRCs[i] = binary.BigEndian.Uint32(b)
+		b = b[4:]
 	}
 	return &m, nil
 }
@@ -197,7 +206,11 @@ func NewFragStore() *FragStore {
 	return &FragStore{frags: make(map[fragKey]*Fragment)}
 }
 
-// Put stores (or replaces) a fragment.
+// Put stores (or replaces) a fragment and takes ownership of f.Data: the
+// slice is kept, not copied, the way the replica store keeps
+// Entry.Content. It may be a received frame, or part of the inserting
+// client's own buffer, so neither the caller nor the store may write to
+// it afterwards — inserted content is immutable.
 func (s *FragStore) Put(f Fragment) {
 	k := fragKey{f.File, f.Index}
 	s.mu.Lock()
@@ -205,10 +218,8 @@ func (s *FragStore) Put(f Fragment) {
 	if old, ok := s.frags[k]; ok {
 		s.bytes -= int64(len(old.Data))
 	}
-	cp := f
-	cp.Data = append([]byte(nil), f.Data...)
-	s.frags[k] = &cp
-	s.bytes += int64(len(cp.Data))
+	s.frags[k] = &f
+	s.bytes += int64(len(f.Data))
 }
 
 // Get returns the fragment, CRC-verified. A checksum mismatch deletes
@@ -290,7 +301,9 @@ func (s *FragStore) Indices(file id.File) []int {
 }
 
 // CorruptForTest flips a bit in a stored fragment's payload without
-// touching its CRC — the fault injection hook for corruption tests.
+// touching its CRC — the fault injection hook for corruption tests. The
+// payload is shared (see Put), so the fragment gets a corrupted copy
+// and every other holder of the bytes keeps the original.
 func (s *FragStore) CorruptForTest(file id.File, idx int) bool {
 	k := fragKey{file, idx}
 	s.mu.Lock()
@@ -299,6 +312,7 @@ func (s *FragStore) CorruptForTest(file id.File, idx int) bool {
 	if !ok || len(f.Data) == 0 {
 		return false
 	}
+	f.Data = append([]byte(nil), f.Data...)
 	f.Data[0] ^= 0x01
 	return true
 }

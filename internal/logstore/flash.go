@@ -49,6 +49,7 @@ type Flash struct {
 	segTarget int64
 
 	mu    sync.Mutex // guards the append path and segment lifecycle
+	buf   []byte     // Append's framing scratch
 	segs  map[uint32]*flashSeg
 	segID uint32 // active (highest) segment id
 	bytes int64  // record bytes across all segments
@@ -180,7 +181,8 @@ func (fl *Flash) Append(f id.File, content []byte) (Loc, error) {
 	fl.fds.RLock()
 	fd := fl.fds.m[fl.segID]
 	fl.fds.RUnlock()
-	buf, crc := encodeSegRecord(f, content)
+	buf, crc := encodeSegRecord(fl.buf, f, content)
+	fl.buf = keepSegScratch(buf)
 	if _, err := fd.WriteAt(buf, seg.off); err != nil {
 		return Loc{}, fmt.Errorf("logstore: flash append: %w", err)
 	}

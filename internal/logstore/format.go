@@ -222,15 +222,31 @@ func decodeWALPayload(p []byte) (walRecord, error) {
 	return r, nil
 }
 
-// encodeSegRecord renders one content record: frame + fileId + content.
-func encodeSegRecord(f id.File, content []byte) ([]byte, uint32) {
+// maxSegScratch is the largest framing buffer a store or flash tier
+// keeps between appends; one huge file must not pin its size in memory
+// for good (the bound wire's encode buffers use).
+const maxSegScratch = 1 << 20
+
+// encodeSegRecord renders one content record — frame + fileId + content
+// — into buf's storage and returns it with the content's CRC. buf is
+// the scratch of whoever holds the append lock; the caller writes the
+// record out and hands the buffer to keepSegScratch, so the write is the
+// only copy an append makes that outlives it.
+func encodeSegRecord(buf []byte, f id.File, content []byte) ([]byte, uint32) {
 	crc := crc32.Checksum(content, castagnoli)
-	buf := make([]byte, segRecHeaderSize+len(content))
-	binary.LittleEndian.PutUint32(buf[0:], uint32(len(content)))
-	binary.LittleEndian.PutUint32(buf[4:], crc)
-	copy(buf[8:], f[:])
-	copy(buf[segRecHeaderSize:], content)
-	return buf, crc
+	buf = binary.LittleEndian.AppendUint32(buf[:0], uint32(len(content)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc)
+	buf = append(buf, f[:]...)
+	return append(buf, content...), crc
+}
+
+// keepSegScratch returns what to retain of a framing buffer after its
+// record is written: the buffer itself, or nothing above maxSegScratch.
+func keepSegScratch(buf []byte) []byte {
+	if cap(buf) > maxSegScratch {
+		return nil
+	}
+	return buf
 }
 
 // parseSegHeader decodes just the fixed header of a segment record,

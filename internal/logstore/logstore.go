@@ -136,6 +136,7 @@ type Store struct {
 		failed   error // sticky write-path failure; all mutations refuse
 		wal      *os.File
 		walBuf   []byte // appendWALLocked's encoding scratch
+		segBuf   []byte // appendSegmentLocked's framing scratch
 		walSeq   uint64
 		walOff   int64
 		walSince int64 // WAL bytes since the last checkpoint
@@ -501,7 +502,8 @@ func (s *Store) appendSegmentLocked(f id.File, content []byte) (Loc, error) {
 			return Loc{}, err
 		}
 	}
-	buf, crc := encodeSegRecord(f, content)
+	buf, crc := encodeSegRecord(s.log.segBuf, f, content)
+	s.log.segBuf = keepSegScratch(buf)
 	if _, err := s.log.seg.WriteAt(buf, s.log.segOff); err != nil {
 		s.log.failed = fmt.Errorf("logstore: segment append: %w", err)
 		return Loc{}, s.log.failed

@@ -1,8 +1,10 @@
 package past
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"sync"
 
 	"past/internal/ec"
 	"past/internal/id"
@@ -82,11 +84,32 @@ type mapUpdateMsg struct {
 	Raw []byte
 }
 
-// ecEncoder returns a coder for the given parameters. Matrix
-// construction is cheap relative to one fragment placement, so no cache
-// is kept.
+// ecEncoders memoises one coder per parameter set: building one inverts
+// the coding matrix (25 allocations for rs(4,2)), every coded insert
+// and lookup needs one, and an rs.Encoder is immutable and safe for
+// concurrent use, so all nodes of a process share it. Parameters come
+// from a node's configuration but also from stored fragment maps, which
+// any client can write, so the table stops growing at maxECEncoders and
+// sets beyond that are built per call.
+var ecEncoders = struct {
+	sync.Mutex
+	m map[ec.Params]*rs.Encoder
+}{m: make(map[ec.Params]*rs.Encoder)}
+
+const maxECEncoders = 64
+
+// ecEncoder returns the shared coder for the given parameters.
 func ecEncoder(p ec.Params) (*rs.Encoder, error) {
-	return rs.New(p.Data, p.Parity)
+	ecEncoders.Lock()
+	defer ecEncoders.Unlock()
+	if enc := ecEncoders.m[p]; enc != nil {
+		return enc, nil
+	}
+	enc, err := rs.New(p.Data, p.Parity)
+	if err == nil && len(ecEncoders.m) < maxECEncoders {
+		ecEncoders.m[p] = enc
+	}
+	return enc, err
 }
 
 // fragAccept applies the tdiv acceptance policy to a fragment: the
@@ -110,7 +133,9 @@ func (n *Node) syncFragSpaceLocked() {
 	n.cache.SetLimit(n.store.Free() - n.frags.Bytes())
 }
 
-// handleStoreFrag stores one fragment at this node.
+// handleStoreFrag stores one fragment at this node. The fragment table
+// keeps m.Data itself — the received frame over TCP, a slice of the
+// client's buffer on netsim — so no copy is made here.
 func (n *Node) handleStoreFrag(m *storeFragMsg) *storeFragReply {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -178,7 +203,9 @@ func (n *Node) handleMapUpdate(m *mapUpdateMsg) any {
 // fragments over the leaf set, then k-replicate the fragment map
 // through the ordinary replication path. Any placement shortfall aborts
 // the attempt (dropping placed fragments), and the client's file
-// diversion re-salts into a different leaf set.
+// diversion re-salts into a different leaf set. The data fragments are
+// slices of m.Content (rs.Split aliases it), so the parity and this
+// node's own fragment are the only payload a coded insert allocates.
 func (n *Node) coordinateECInsert(key id.Node, m *InsertMsg) *InsertReply {
 	p := *n.cfg.ECMode
 	enc, err := ecEncoder(p)
@@ -214,8 +241,14 @@ func (n *Node) coordinateECInsert(key id.Node, m *InsertMsg) *InsertReply {
 		for !ok && next < len(cands) {
 			target := cands[next]
 			next++
+			data := shards[idx]
+			if target == n.ID() {
+				// Kept as a slice, this node's own fragment would pin the
+				// whole insert message (over TCP, its frame) for 1/m of it.
+				data = bytes.Clone(data)
+			}
 			if n.ecStoreFragAt(target, &storeFragMsg{
-				File: m.File, Index: idx, Version: 1, Data: shards[idx], CRC: crcs[idx],
+				File: m.File, Index: idx, Version: 1, Data: data, CRC: crcs[idx],
 			}) {
 				holders[idx] = target
 				placed = append(placed, idx)

@@ -11,12 +11,15 @@ import (
 	"past/internal/id"
 )
 
-func newECCluster(t *testing.T, n int, p ec.Params, budget int64) *Cluster {
+func newECCluster(t *testing.T, n int, p ec.Params, budget int64, mods ...func(*Config)) *Cluster {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.K = 3
 	cfg.ECMode = &p
 	cfg.ECRepairBudget = budget
+	for _, mod := range mods {
+		mod(&cfg)
+	}
 	c, err := NewCluster(ClusterSpec{
 		N:        n,
 		Cfg:      cfg,

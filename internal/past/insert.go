@@ -28,7 +28,9 @@ type InsertSpec struct {
 	// ignored and len(Content) is used.
 	Size int64
 	// Content is the file payload; nil runs size-only accounting (the
-	// trace experiments).
+	// trace experiments). Nodes reached without a network copy (netsim,
+	// the inserting node itself) store this slice, or fragments cut from
+	// it, by reference: it must not be modified once Insert is called.
 	Content []byte
 	// K overrides the configured replication factor when positive.
 	K int

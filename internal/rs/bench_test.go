@@ -67,3 +67,26 @@ func BenchmarkReconstruct(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSplitEncode is the insert coordinator's whole coding step on
+// one 64 KiB object under rs(4,2), the benchmark's tcp-ec configuration.
+func BenchmarkSplitEncode(b *testing.B) {
+	enc, err := New(4, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := make([]byte, 64<<10)
+	rand.New(rand.NewSource(1)).Read(data)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		shards, err := enc.Split(data)
+		if err == nil {
+			err = enc.Encode(shards)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}

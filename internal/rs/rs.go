@@ -11,6 +11,7 @@
 package rs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -21,10 +22,9 @@ import (
 var (
 	expTable [512]byte
 	logTable [256]byte
-	// mulTable[a][b] = a*b over GF(2^8). The row mulTable[coef] turns
-	// the coder's inner loops into a single table lookup per byte —
-	// no zero tests, no log/exp index arithmetic — which is where all
-	// the encode and reconstruct time goes.
+	// mulTable[a][b] = a*b over GF(2^8). mulRow's inner loop indexes the
+	// rows mulTable[coef] of up to four coefficients at once: no zero
+	// tests, no log/exp index arithmetic.
 	mulTable [256][256]byte
 )
 
@@ -91,7 +91,9 @@ var (
 )
 
 // Encoder encodes data into dataShards+parityShards shards and
-// reconstructs missing shards from any dataShards survivors.
+// reconstructs missing shards from any dataShards survivors. It is
+// immutable once New returns, so one Encoder is safe for concurrent use
+// by any number of goroutines (each call working on its own shards).
 type Encoder struct {
 	dataShards   int
 	parityShards int
@@ -144,24 +146,70 @@ func (e *Encoder) StorageOverhead() float64 {
 	return float64(e.TotalShards()) / float64(e.dataShards)
 }
 
-// Split pads data and splits it into dataShards equal shards, leaving
-// room so Encode can be called on the returned slice (parity shards are
-// allocated zeroed).
+// mulRow sets out[i] = coefs[0]*srcs[0][i] ^ coefs[1]*srcs[1][i] ^ ...
+// over GF(2^8): one row of a coding or decoding matrix applied to its
+// source shards. Each pass folds up to four sources into out, so out is
+// written once per four sources instead of once per source, and the
+// first pass stores rather than accumulating, so out needs no clearing.
+// A pass short of four sources is padded with coefficient 0, whose
+// table row is all zeros. Every source must be at least len(out) long.
+func mulRow(out, coefs []byte, srcs [][]byte) {
+	for j := 0; j < len(coefs); j += 4 {
+		var t [4]*[256]byte
+		var s [4][]byte
+		for k := range t {
+			t[k], s[k] = &mulTable[0], srcs[j]
+			if j+k < len(coefs) {
+				t[k], s[k] = &mulTable[coefs[j+k]], srcs[j+k]
+			}
+		}
+		mulAdd4(out, j > 0, &t, &s)
+	}
+}
+
+// mulAdd4 is the coder's only inner loop: out[i] (^)= t0[s0[i]] ^
+// t1[s1[i]] ^ t2[s2[i]] ^ t3[s3[i]], accumulating into out when acc is
+// set and overwriting it otherwise. It is kept out of line so that its
+// eleven live values stay in registers; inlined into mulRow the loop
+// counter spills to the stack.
+//
+//go:noinline
+func mulAdd4(out []byte, acc bool, t *[4]*[256]byte, s *[4][]byte) {
+	t0, t1, t2, t3 := t[0], t[1], t[2], t[3]
+	// Reslicing to len(out) lets the compiler drop the bounds checks.
+	s0, s1, s2, s3 := s[0][:len(out)], s[1][:len(out)], s[2][:len(out)], s[3][:len(out)]
+	if acc {
+		for i := range out {
+			out[i] ^= t0[s0[i]] ^ t1[s1[i]] ^ t2[s2[i]] ^ t3[s3[i]]
+		}
+		return
+	}
+	for i := range out {
+		out[i] = t0[s0[i]] ^ t1[s1[i]] ^ t2[s2[i]] ^ t3[s3[i]]
+	}
+}
+
+// Split cuts data into dataShards equal shards and leaves room for the
+// parity, so Encode can be called on the returned slice. The data
+// shards that data fills completely ALIAS it (capacity clipped, so an
+// append cannot run into the next shard); only the parity shards and
+// the zero-padded tail of the data are allocated, as one slab. data
+// must therefore not be modified for as long as the shards are in use —
+// the rule inserted content lives under anyway.
 func (e *Encoder) Split(data []byte) ([][]byte, error) {
 	if len(data) == 0 {
 		return nil, ErrShardSize
 	}
 	per := (len(data) + e.dataShards - 1) / e.dataShards
+	full := len(data) / per // data shards that need no padding
 	shards := make([][]byte, e.TotalShards())
-	for i := 0; i < e.dataShards; i++ {
-		shards[i] = make([]byte, per)
-		lo := i * per
-		if lo < len(data) {
-			copy(shards[i], data[lo:min(len(data), lo+per)])
-		}
+	for i := 0; i < full; i++ {
+		shards[i] = data[i*per : (i+1)*per : (i+1)*per]
 	}
-	for i := e.dataShards; i < e.TotalShards(); i++ {
-		shards[i] = make([]byte, per)
+	slab := make([]byte, (len(shards)-full)*per)
+	copy(slab, data[full*per:])
+	for i := full; i < len(shards); i++ {
+		shards[i], slab = slab[:per:per], slab[per:]
 	}
 	return shards, nil
 }
@@ -171,41 +219,32 @@ func (e *Encoder) Join(shards [][]byte, size int) ([]byte, error) {
 	if len(shards) < e.dataShards {
 		return nil, ErrTooFewShards
 	}
-	var out []byte
+	have := 0
 	for i := 0; i < e.dataShards; i++ {
 		if shards[i] == nil {
 			return nil, fmt.Errorf("%w: data shard %d missing (reconstruct first)", ErrTooFewShards, i)
 		}
-		out = append(out, shards[i]...)
+		have += len(shards[i])
 	}
-	if size > len(out) {
-		return nil, fmt.Errorf("rs: join size %d exceeds shard data %d", size, len(out))
+	if size < 0 || size > have {
+		return nil, fmt.Errorf("rs: join size %d outside shard data [0, %d]", size, have)
 	}
-	return out[:size], nil
+	out := make([]byte, 0, size)
+	for i := 0; i < e.dataShards && len(out) < size; i++ {
+		out = append(out, shards[i][:min(len(shards[i]), size-len(out))]...)
+	}
+	return out, nil
 }
 
-// Encode computes the parity shards from the data shards in place.
+// Encode computes the parity shards from the data shards. It writes the
+// parity shards only; a data shard may alias memory the caller does not
+// own (see Split).
 func (e *Encoder) Encode(shards [][]byte) error {
 	if err := e.checkShards(shards, false); err != nil {
 		return err
 	}
-	for p := 0; p < e.parityShards; p++ {
-		row := e.m[e.dataShards+p]
-		out := shards[e.dataShards+p]
-		for i := range out {
-			out[i] = 0
-		}
-		for d := 0; d < e.dataShards; d++ {
-			coef := row[d]
-			if coef == 0 {
-				continue
-			}
-			mul := &mulTable[coef]
-			src := shards[d]
-			for i := range out {
-				out[i] ^= mul[src[i]]
-			}
-		}
+	for p := e.dataShards; p < len(shards); p++ {
+		mulRow(shards[p], e.m[p], shards[:e.dataShards])
 	}
 	return nil
 }
@@ -215,31 +254,35 @@ func (e *Encoder) Verify(shards [][]byte) (bool, error) {
 	if err := e.checkShards(shards, false); err != nil {
 		return false, err
 	}
-	per := len(shards[0])
-	tmp := make([]byte, per)
-	for p := 0; p < e.parityShards; p++ {
-		row := e.m[e.dataShards+p]
-		for i := range tmp {
-			tmp[i] = 0
-		}
-		for d := 0; d < e.dataShards; d++ {
-			coef := row[d]
-			if coef == 0 {
-				continue
-			}
-			mul := &mulTable[coef]
-			src := shards[d]
-			for i := range tmp {
-				tmp[i] ^= mul[src[i]]
-			}
-		}
-		for i := range tmp {
-			if tmp[i] != shards[e.dataShards+p][i] {
-				return false, nil
-			}
+	tmp := make([]byte, len(shards[0]))
+	for p := e.dataShards; p < len(shards); p++ {
+		mulRow(tmp, e.m[p], shards[:e.dataShards])
+		if !bytes.Equal(tmp, shards[p]) {
+			return false, nil
 		}
 	}
 	return true, nil
+}
+
+// survivors picks the first dataShards present shards, skipping index
+// skip (-1 for none), and returns them with the inverse of their rows
+// of the coding matrix: data = dec * survivors.
+func (e *Encoder) survivors(shards [][]byte, skip int) (dec, sub [][]byte, err error) {
+	rows := make([][]byte, 0, e.dataShards)
+	sub = make([][]byte, 0, e.dataShards)
+	for i := 0; i < len(shards) && len(sub) < e.dataShards; i++ {
+		if i != skip && shards[i] != nil {
+			rows = append(rows, append([]byte(nil), e.m[i]...))
+			sub = append(sub, shards[i])
+		}
+	}
+	if len(sub) < e.dataShards {
+		return nil, nil, fmt.Errorf("%w: %d usable of %d, need %d", ErrTooFewShards, len(sub), len(shards), e.dataShards)
+	}
+	if dec, err = invert(rows); err != nil {
+		return nil, nil, fmt.Errorf("rs: reconstruct: %w", err)
+	}
+	return dec, sub, nil
 }
 
 // Reconstruct rebuilds missing shards (nil entries) in place. It needs
@@ -248,74 +291,33 @@ func (e *Encoder) Reconstruct(shards [][]byte) error {
 	if err := e.checkShards(shards, true); err != nil {
 		return err
 	}
-	present := 0
-	per := 0
+	missing := 0
 	for _, s := range shards {
-		if s != nil {
-			present++
-			per = len(s)
+		if s == nil {
+			missing++
 		}
 	}
-	if present == e.TotalShards() {
+	if missing == 0 {
 		return nil
 	}
-	if present < e.dataShards {
-		return fmt.Errorf("%w: %d of %d present, need %d", ErrTooFewShards, present, e.TotalShards(), e.dataShards)
-	}
-
-	// Pick dataShards surviving rows and invert that submatrix.
-	subM := make([][]byte, 0, e.dataShards)
-	subShards := make([][]byte, 0, e.dataShards)
-	for i := 0; i < e.TotalShards() && len(subM) < e.dataShards; i++ {
-		if shards[i] != nil {
-			subM = append(subM, append([]byte(nil), e.m[i]...))
-			subShards = append(subShards, shards[i])
-		}
-	}
-	dec, err := invert(subM)
+	dec, sub, err := e.survivors(shards, -1)
 	if err != nil {
-		return fmt.Errorf("rs: reconstruct: %w", err)
+		return err
 	}
-
-	// Rebuild missing data shards: data = dec * survivors.
-	for d := 0; d < e.dataShards; d++ {
-		if shards[d] != nil {
+	per := len(sub[0])
+	slab := make([]byte, missing*per)
+	for i := range shards {
+		if shards[i] != nil {
 			continue
 		}
-		out := make([]byte, per)
-		for c := 0; c < e.dataShards; c++ {
-			coef := dec[d][c]
-			if coef == 0 {
-				continue
-			}
-			mul := &mulTable[coef]
-			src := subShards[c]
-			for i := range out {
-				out[i] ^= mul[src[i]]
-			}
+		var out []byte
+		out, slab = slab[:per:per], slab[per:]
+		if i < e.dataShards {
+			mulRow(out, dec[i], sub) // a row of the decoder over the survivors
+		} else {
+			mulRow(out, e.m[i], shards[:e.dataShards]) // data is complete by now
 		}
-		shards[d] = out
-	}
-	// Rebuild missing parity shards from the (now complete) data.
-	for p := 0; p < e.parityShards; p++ {
-		idx := e.dataShards + p
-		if shards[idx] != nil {
-			continue
-		}
-		out := make([]byte, per)
-		row := e.m[idx]
-		for d := 0; d < e.dataShards; d++ {
-			coef := row[d]
-			if coef == 0 {
-				continue
-			}
-			mul := &mulTable[coef]
-			src := shards[d]
-			for i := range out {
-				out[i] ^= mul[src[i]]
-			}
-		}
-		shards[idx] = out
+		shards[i] = out
 	}
 	return nil
 }
@@ -334,58 +336,23 @@ func (e *Encoder) ReconstructInto(shards [][]byte, idx int, dst []byte) error {
 	if idx < 0 || idx >= e.TotalShards() {
 		return fmt.Errorf("%w: shard index %d of %d", ErrInvalidShards, idx, e.TotalShards())
 	}
-	// Pick dataShards surviving rows (never the target itself) and
-	// invert that submatrix.
-	subM := make([][]byte, 0, e.dataShards)
-	subShards := make([][]byte, 0, e.dataShards)
-	per := -1
-	for i := 0; i < e.TotalShards() && len(subM) < e.dataShards; i++ {
-		if i == idx || shards[i] == nil {
-			continue
-		}
-		subM = append(subM, append([]byte(nil), e.m[i]...))
-		subShards = append(subShards, shards[i])
-		per = len(shards[i])
-	}
-	if len(subM) < e.dataShards {
-		return fmt.Errorf("%w: need %d survivors besides shard %d", ErrTooFewShards, e.dataShards, idx)
-	}
-	if len(dst) != per {
-		return fmt.Errorf("%w: dst is %d bytes, shards are %d", ErrShardSize, len(dst), per)
-	}
-	dec, err := invert(subM)
+	dec, sub, err := e.survivors(shards, idx)
 	if err != nil {
-		return fmt.Errorf("rs: reconstruct-into: %w", err)
+		return err
+	}
+	if len(dst) != len(sub[0]) {
+		return fmt.Errorf("%w: dst is %d bytes, shards are %d", ErrShardSize, len(dst), len(sub[0]))
 	}
 	// Coefficient row of the target shard over the survivors: for a data
 	// shard it is a row of the decoder; for a parity shard, the parity's
 	// coding row composed with the decoder.
-	coefs := make([]byte, e.dataShards)
+	var coefs []byte
 	if idx < e.dataShards {
-		copy(coefs, dec[idx])
+		coefs = dec[idx]
 	} else {
-		row := e.m[idx]
-		for c := 0; c < e.dataShards; c++ {
-			var acc byte
-			for k := 0; k < e.dataShards; k++ {
-				acc ^= gfMul(row[k], dec[k][c])
-			}
-			coefs[c] = acc
-		}
+		coefs = matMul(e.m[idx:idx+1], dec)[0]
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	for c, coef := range coefs {
-		if coef == 0 {
-			continue
-		}
-		mul := &mulTable[coef]
-		src := subShards[c]
-		for i := range dst {
-			dst[i] ^= mul[src[i]]
-		}
-	}
+	mulRow(dst, coefs, sub)
 	return nil
 }
 
@@ -525,11 +492,4 @@ func invert(m [][]byte) ([][]byte, error) {
 		}
 	}
 	return inv, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
