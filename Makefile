@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-times test-race race bench experiments experiments-full examples soak-compare trace-demo fsck-demo overload-demo cache-demo cluster-demo fleet-obs-demo ec-demo cache-bench fuzz alloc-guard no-gob bench-smoke vet fmt clean
+.PHONY: all build test test-times loc test-race race bench experiments experiments-full examples soak-compare trace-demo fsck-demo overload-demo cache-demo cluster-demo fleet-obs-demo ec-demo cache-bench fuzz alloc-guard no-gob bench-smoke vet fmt clean
 
 all: build test
 
@@ -21,6 +21,15 @@ test-times:
 	awk '$$1 == "ok" && $$3 ~ /^[0-9.]+s$$/ { print $$3 + 0, $$2 }' /tmp/past-test-times.txt | sort -rn | \
 		awk '{ printf "%8.2fs  %s\n", $$1, $$2; total += $$1 } END { printf "%8.2fs  total\n", total }'; \
 	grep -Ev '^(ok|\?) ' /tmp/past-test-times.txt; exit $$status
+
+# The five size figures ROADMAP aim 2 tracks, regenerated from the tree
+# (informational: no thresholds, the re-anchor reads the trend).
+loc:
+	@printf '%6d  non-test Go lines outside bench/\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.*' -print0 | xargs -0 cat | wc -l)"
+	@printf '%6d  internal/ packages\n' "$$($(GO) list ./internal/... | wc -l)"
+	@printf '%6d  cmd/ binaries\n' "$$($(GO) list ./cmd/... | wc -l)"
+	@printf '%6d  pastd flags\n' "$$($(GO) run ./cmd/pastd -h 2>&1 | grep -c '^  -')"
+	@printf '%6d  past.Config fields\n' "$$(awk '/^type Config struct \{/ { f = 1; next } f && /^\}/ { exit } f && /^\t[A-Z][A-Za-z0-9]*[ ,]/ { n++ } END { print n }' internal/past/node.go)"
 
 # Full race-detector sweep. -short skips the trace-driven experiment
 # runs (minutes each under the race detector); every protocol and

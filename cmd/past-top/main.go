@@ -1,7 +1,7 @@
 // Command past-top is the live fleet dashboard: it polls every listed
-// pastd's observability registry (ClientObsReport RPC, /metrics HTTP
-// fallback) through the fleetobs aggregation plane and renders
-// fleet-level rates plus a per-node table in place, top-style.
+// pastd's observability registry (ClientObsReport RPC) through the
+// fleetobs aggregation plane and renders fleet-level rates plus a
+// per-node table in place, top-style.
 //
 //	past-top -nodes 127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003
 //
@@ -35,7 +35,6 @@ import (
 func main() {
 	var (
 		nodes    = flag.String("nodes", "", "comma-separated pastd client addresses (host:port,...)")
-		debug    = flag.String("debug", "", "comma-separated debug addresses, parallel to -nodes (optional; enables the /metrics scrape fallback)")
 		interval = flag.Duration("interval", 2*time.Second, "poll period")
 		frames   = flag.Int("frames", 0, "number of frames to render before exiting (0: run until interrupted)")
 		plain    = flag.Bool("plain", false, "append frames instead of redrawing in place (for logs and pipes)")
@@ -43,7 +42,7 @@ func main() {
 	)
 	flag.Parse()
 	if *nodes == "" {
-		fmt.Fprintln(os.Stderr, "usage: past-top -nodes host:port[,host:port...] [-debug host:port,...] [-interval 2s] [-frames N] [-plain] [-serve addr]")
+		fmt.Fprintln(os.Stderr, "usage: past-top -nodes host:port[,host:port...] [-interval 2s] [-frames N] [-plain] [-serve addr]")
 		os.Exit(2)
 	}
 
@@ -59,9 +58,10 @@ func main() {
 	}
 	defer tr.Close()
 
-	targets, err := parseTargets(*nodes, *debug)
-	if err != nil {
-		log.Fatalf("past-top: %v", err)
+	addrs := strings.Split(*nodes, ",")
+	targets := make([]fleetobs.Target, len(addrs))
+	for i, a := range addrs {
+		targets[i] = fleetobs.Target{Name: fmt.Sprintf("node%02d", i), Addr: strings.TrimSpace(a)}
 	}
 	scraper := fleetobs.NewScraper(tr, targets)
 
@@ -88,27 +88,6 @@ func main() {
 		fmt.Print(out)
 		prev, prevWhen = sample, time.Now()
 	}
-}
-
-// parseTargets pairs the node addresses with their optional debug
-// addresses into the scraper's target set.
-func parseTargets(nodes, debug string) ([]fleetobs.Target, error) {
-	addrs := strings.Split(nodes, ",")
-	var dbg []string
-	if debug != "" {
-		dbg = strings.Split(debug, ",")
-		if len(dbg) != len(addrs) {
-			return nil, fmt.Errorf("-debug lists %d addresses for %d nodes", len(dbg), len(addrs))
-		}
-	}
-	targets := make([]fleetobs.Target, len(addrs))
-	for i, a := range addrs {
-		targets[i] = fleetobs.Target{Name: fmt.Sprintf("node%02d", i), Addr: strings.TrimSpace(a)}
-		if dbg != nil {
-			targets[i].DebugAddr = strings.TrimSpace(dbg[i])
-		}
-	}
-	return targets, nil
 }
 
 // render draws one frame: fleet totals and rates, then the node table
@@ -155,8 +134,8 @@ func render(s, prev *fleetobs.Sample, elapsed time.Duration) string {
 		median = p99s[len(p99s)/2]
 	}
 
-	fmt.Fprintf(&b, "%-8s %-10s %-5s %10s %9s %9s %10s %9s\n",
-		"node", "id", "src", "lookups", "inserts", "store", "win-p99", "flags")
+	fmt.Fprintf(&b, "%-8s %-10s %10s %9s %9s %10s %9s\n",
+		"node", "id", "lookups", "inserts", "store", "win-p99", "flags")
 	for i := range s.Nodes {
 		ns := &s.Nodes[i]
 		if !ns.Live() {
@@ -171,8 +150,8 @@ func render(s, prev *fleetobs.Sample, elapsed time.Duration) string {
 		if median > 0 && p99 >= 4*median {
 			flags = append(flags, "SLOW")
 		}
-		fmt.Fprintf(&b, "%-8s %-10s %-5s %10d %9d %8dB %10v %9s\n",
-			ns.Target.Name, ns.Node.Short(), ns.Source,
+		fmt.Fprintf(&b, "%-8s %-10s %10d %9d %8dB %10v %9s\n",
+			ns.Target.Name, ns.Node.Short(),
 			ns.Snap.Get(obs.CtrLookups), ns.Snap.Get(obs.CtrInserts),
 			ns.Snap.Get(obs.CtrStoreBytes), p99.Round(time.Microsecond), strings.Join(flags, ","))
 	}

@@ -151,11 +151,15 @@ func runCommand(tr *transport.TCP, node string, k int, args []string) error {
 		return nil
 
 	case "stats":
-		reply, err := tr.InvokeAddr(node, &past.ClientStats{})
+		reply, err := tr.InvokeAddr(node, &past.ClientObsReport{})
 		if err != nil {
 			return err
 		}
-		s := reply.(*past.ClientStatsReply).Stats
+		rep, ok := reply.(*past.ClientObsReportReply)
+		if !ok {
+			return fmt.Errorf("stats: unexpected reply %T", reply)
+		}
+		s := rep.Snapshot
 		for _, name := range s.Names() {
 			fmt.Printf("%-32s %d\n", name, s.Counters[name])
 		}

@@ -208,11 +208,14 @@ func TestSigtermCleanCloseSigkillRecovery(t *testing.T) {
 	// The graceful node checkpointed at close: its new life replays
 	// nothing. (The SIGKILLed node's replay count is workload-dependent,
 	// so only the clean-close side is pinned.)
-	replayed, err := c.Procs[3].Metric(obs.CtrRecoveredRecords)
+	_, snap, err := c.ObsReport(3)
 	if err != nil {
-		t.Fatalf("recovered-records metric: %v", err)
+		t.Fatalf("obs report: %v", err)
 	}
-	if replayed != 0 {
+	if _, ok := snap.Counters[obs.CtrRecoveredRecords]; !ok {
+		t.Fatalf("snapshot carries no %s", obs.CtrRecoveredRecords)
+	}
+	if replayed := snap.Get(obs.CtrRecoveredRecords); replayed != 0 {
 		t.Fatalf("SIGTERM node replayed %d WAL records; clean close must checkpoint", replayed)
 	}
 

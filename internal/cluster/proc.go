@@ -1,12 +1,10 @@
 package cluster
 
 import (
-	"bufio"
 	"fmt"
 	"net/http"
 	"os"
 	"os/exec"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -129,44 +127,4 @@ func (p *Proc) waitReady(timeout time.Duration) error {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-}
-
-// Metric fetches one counter/gauge from the node's /metrics endpoint by
-// its obs name (without the "past_" prefix), e.g.
-// "logstore_recovered_records_total".
-func (p *Proc) Metric(name string) (int64, error) {
-	client := &http.Client{Timeout: 2 * time.Second}
-	resp, err := client.Get("http://" + p.DebugAddr + "/metrics")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	want := "past_" + name
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, want) {
-			continue
-		}
-		rest := line[len(want):]
-		// Exact metric only: the next byte is a label brace or a space,
-		// not more name characters.
-		if rest == "" || (rest[0] != '{' && rest[0] != ' ') {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			continue
-		}
-		v, err := strconv.ParseInt(fields[len(fields)-1], 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("cluster: metric %s: %w", name, err)
-		}
-		return v, nil
-	}
-	if err := sc.Err(); err != nil {
-		return 0, err
-	}
-	return 0, fmt.Errorf("cluster: metric %s not found on node %d", name, p.Index)
 }

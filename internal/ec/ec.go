@@ -274,18 +274,6 @@ func (s *FragStore) Delete(file id.File, idx int) {
 	}
 }
 
-// DeleteFile removes every fragment of a file (reclaim).
-func (s *FragStore) DeleteFile(file id.File) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for k, f := range s.frags {
-		if k.file == file {
-			s.bytes -= int64(len(f.Data))
-			delete(s.frags, k)
-		}
-	}
-}
-
 // Indices returns the sorted fragment indices held for a file.
 func (s *FragStore) Indices(file id.File) []int {
 	s.mu.Lock()

@@ -102,10 +102,6 @@ func TestFragStoreIndices(t *testing.T) {
 	if got := s.Indices(f); !reflect.DeepEqual(got, []int{1, 3, 5}) {
 		t.Fatalf("Indices = %v", got)
 	}
-	s.DeleteFile(f)
-	if s.Len() != 0 || s.Bytes() != 0 {
-		t.Fatal("DeleteFile left fragments behind")
-	}
 }
 
 func TestRepairQueueDedup(t *testing.T) {

@@ -11,7 +11,6 @@ import (
 	"past/internal/cache"
 	"past/internal/chaos"
 	"past/internal/id"
-	"past/internal/metrics"
 	"past/internal/netsim"
 	"past/internal/obs"
 	"past/internal/past"
@@ -287,14 +286,13 @@ type SoakResult struct {
 
 	// FaultPhase and HealPhase are the per-phase registry deltas: the
 	// fault phase covers the ticks the schedule is active, the heal
-	// phase covers the heal rounds plus the post-heal lookups.
-	FaultPhase, HealPhase PhaseStats
+	// phase covers the heal rounds plus the post-heal lookups. Totals is
+	// the whole run, seeding included, read off the same registries.
+	FaultPhase, HealPhase, Totals PhaseStats
 
 	// Tracer holds the run's sampled route traces when Config.TraceEvery
 	// is set (nil otherwise).
 	Tracer *obs.Tracer
-
-	Collector *metrics.Collector
 
 	// Cluster is the final cluster, for post-mortem inspection.
 	Cluster *past.Cluster
@@ -319,15 +317,6 @@ func (r *SoakResult) FaultLookupRate() float64 {
 	return float64(r.FaultLookupsOK) / float64(r.FaultLookups)
 }
 
-// FaultInsertRate returns the fraction of fault-phase inserts that
-// succeeded (1 when none were issued).
-func (r *SoakResult) FaultInsertRate() float64 {
-	if r.FaultInserts == 0 {
-		return 1
-	}
-	return float64(r.FaultInsertsOK) / float64(r.FaultInserts)
-}
-
 // RunSoak builds a cluster over the fault injector, inserts a
 // population of files, executes the fault schedule with one maintenance
 // round per tick, heals, and checks the invariants: durability at every
@@ -341,14 +330,12 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	// Capacity is generous: the soak isolates fault dynamics from the
 	// storage-pressure dynamics the other experiments cover.
 	capacity := int64(1) << 26
-	col := metrics.NewCollector(int64(cfg.Nodes)*capacity, cfg.Files/10+1)
 	elog := cfg.Events
 	core.OnFault = func(kind string) {
-		col.RecordFault(kind)
 		elog.Emit(obs.Event{Kind: "fault", Tick: core.Tick(), Op: kind})
 	}
 
-	pcfg := pastConfig(cfg.B, cfg.L, cfg.K, 0.1, 0.05, 4, cache.None, col)
+	pcfg := pastConfig(cfg.B, cfg.L, cfg.K, 0.1, 0.05, 4, cache.None, nil)
 	// Admission under the soak must stay deterministic: unless the
 	// caller supplied a clock, pin the controllers to virtual time — one
 	// second per tick — so token refill never depends on the wall clock.
@@ -403,9 +390,8 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		return nil, fmt.Errorf("experiments: soak cluster: %w", err)
 	}
 
-	res := &SoakResult{Config: cfg, Schedule: sched, Collector: col, Cluster: cluster, Tracer: tracer}
+	res := &SoakResult{Config: cfg, Schedule: sched, Cluster: cluster, Tracer: tracer}
 	checker := &chaos.Checker{K: cfg.K, OnViolation: func(v chaos.Violation) {
-		col.RecordViolation(string(v.Kind))
 		res.Violations = append(res.Violations, v)
 		elog.Emit(obs.Event{Kind: "violation", Tick: core.Tick(), Op: string(v.Kind), Detail: v.String()})
 	}}
@@ -550,9 +536,7 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		admitTick = finalEpoch + i
 		client := cluster.RandomAliveNode()
 		lr, err := client.Lookup(f)
-		found := err == nil && lr.Found
-		col.RecordLookup(col.Utilization(), hopsOf(lr), found, lr != nil && lr.FromCache)
-		if found {
+		if err == nil && lr.Found {
 			res.LookupsOK++
 			res.hopSum += lr.Hops
 			res.hopN++
@@ -562,6 +546,9 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	res.HealPhase = phaseDelta(faultEnd, healEnd)
 	res.HealPhase.Lookups = len(files)
 	res.HealPhase.LookupsOK = res.LookupsOK
+	res.Totals = phaseDelta(soakMarkT{}, healEnd)
+	res.Totals.Lookups = res.FaultLookups + len(files)
+	res.Totals.LookupsOK = res.FaultLookupsOK + res.LookupsOK
 
 	res.Fingerprint = core.Fingerprint()
 	res.EventCount = core.EventCount()
@@ -672,14 +659,6 @@ func soakNoteOverload(res *SoakResult, tick int, op string, err error) {
 	res.Config.Events.Emit(obs.Event{Kind: "overload", Tick: tick, Op: op, Detail: err.Error()})
 }
 
-// hopsOf reads a lookup's hop count, tolerating failed lookups.
-func hopsOf(lr *past.LookupResult) int {
-	if lr == nil {
-		return 0
-	}
-	return lr.Hops
-}
-
 // soakShedTotal sums hop-level admission rejections across the cluster.
 func soakShedTotal(cluster *past.Cluster) int64 {
 	var total int64
@@ -768,8 +747,8 @@ func RenderSoak(r *SoakResult) string {
 	}
 	if r.Config.Resilience {
 		fmt.Fprintf(&b, "  resilience: retries=%d hedges=%d (won %d) reroutes=%d partial-inserts=%d\n",
-			r.Collector.Retries(), r.Collector.Hedges(), r.Collector.HedgeWins(),
-			r.Collector.Reroutes(), r.Collector.PartialInserts())
+			r.Totals.Retries, r.Totals.Hedges, r.Totals.HedgeWins,
+			r.Totals.Reroutes, r.Totals.PartialInserts)
 	}
 	fmt.Fprintf(&b, "  fault phase: %s\n", r.FaultPhase)
 	fmt.Fprintf(&b, "  heal phase:  %s\n", r.HealPhase)
@@ -808,8 +787,8 @@ func RenderSoakComparison(c *SoakComparison) string {
 	row("off", c.Off)
 	row("on", c.On)
 	fmt.Fprintf(&b, "  layer activity (on): retries=%d hedges=%d (won %d) reroutes=%d partial-inserts=%d\n",
-		c.On.Collector.Retries(), c.On.Collector.Hedges(), c.On.Collector.HedgeWins(),
-		c.On.Collector.Reroutes(), c.On.Collector.PartialInserts())
+		c.On.Totals.Retries, c.On.Totals.Hedges, c.On.Totals.HedgeWins,
+		c.On.Totals.Reroutes, c.On.Totals.PartialInserts)
 	delta := c.On.FaultLookupRate() - c.Off.FaultLookupRate()
 	fmt.Fprintf(&b, "  fault-phase lookup success: %.1f%% -> %.1f%% (%+.1f points)\n",
 		100*c.Off.FaultLookupRate(), 100*c.On.FaultLookupRate(), 100*delta)

@@ -29,17 +29,41 @@ func TestSoakZeroViolations(t *testing.T) {
 	if !r.OK() {
 		t.Fatal("OK() must be true on a clean run")
 	}
-	// The metrics wiring must have observed the same faults the core
-	// counted.
-	var metered int64
-	for _, v := range r.Collector.Faults() {
-		metered += v
+	if len(r.Faults) == 0 {
+		t.Fatal("result carries no per-kind fault counts")
 	}
-	if metered == 0 {
-		t.Fatal("collector saw no faults")
+	checkTotalsFromRegistry(t, r)
+}
+
+// checkTotalsFromRegistry: the whole-run totals a report prints are the
+// final aggregate of the node registries and the chaos core's event
+// count — there is no second tally to drift from them.
+func checkTotalsFromRegistry(t *testing.T, r *SoakResult) {
+	t.Helper()
+	snaps := make([]obs.Snapshot, 0, len(r.Cluster.Nodes))
+	for _, n := range r.Cluster.Nodes {
+		snaps = append(snaps, n.StatsSnapshot())
 	}
-	if r.Collector.TotalViolations() != 0 {
-		t.Fatalf("collector violations = %v", r.Collector.Violations())
+	agg := obs.Aggregate(snaps...)
+	for _, c := range []struct {
+		ctr  string
+		have int64
+	}{
+		{obs.CtrRetries, r.Totals.Retries},
+		{obs.CtrHedges, r.Totals.Hedges},
+		{obs.CtrHedgeWins, r.Totals.HedgeWins},
+		{obs.CtrReroutes, r.Totals.Reroutes},
+		{obs.CtrPartialInserts, r.Totals.PartialInserts},
+	} {
+		if got := agg.Get(c.ctr); got != c.have {
+			t.Errorf("registry %s = %d, Totals says %d", c.ctr, got, c.have)
+		}
+	}
+	if r.Totals.Faults != r.EventCount {
+		t.Errorf("Totals.Faults = %d, core counted %d events", r.Totals.Faults, r.EventCount)
+	}
+	if fh := r.FaultPhase.Retries + r.HealPhase.Retries; r.Totals.Retries < fh {
+		t.Errorf("whole-run retries %d < fault+heal retries %d", r.Totals.Retries, fh)
 	}
 }
 
@@ -95,12 +119,14 @@ func TestSoakResilienceImproves(t *testing.T) {
 	}
 	// The improvement must come from the layer actually working, and the
 	// baseline must not have used it.
-	if c.On.Collector.Retries()+c.On.Collector.Hedges()+c.On.Collector.Reroutes() == 0 {
+	if c.On.Totals.Retries+c.On.Totals.Hedges+c.On.Totals.Reroutes == 0 {
 		t.Fatal("resilience run reported no layer activity")
 	}
-	if c.Off.Collector.Retries()+c.Off.Collector.Hedges() != 0 {
+	if c.Off.Totals.Retries+c.Off.Totals.Hedges != 0 {
 		t.Fatal("baseline run must not retry or hedge")
 	}
+	checkTotalsFromRegistry(t, c.Off)
+	checkTotalsFromRegistry(t, c.On)
 }
 
 // TestSoakResilienceReproducible asserts determinism with the layer on:
@@ -123,8 +149,7 @@ func TestSoakResilienceReproducible(t *testing.T) {
 		a.EventCount != b.EventCount || a.LookupsOK != b.LookupsOK {
 		t.Fatalf("resilience-on runs produced different outcomes: %+v vs %+v", a, b)
 	}
-	if a.Collector.Retries() != b.Collector.Retries() || a.Collector.Hedges() != b.Collector.Hedges() ||
-		a.Collector.Reroutes() != b.Collector.Reroutes() {
+	if a.Totals != b.Totals {
 		t.Fatal("resilience-on runs recorded different layer activity")
 	}
 }
@@ -237,10 +262,6 @@ func TestSoakPhaseStats(t *testing.T) {
 	}
 	if hp.LookupsOK > 0 && hp.MeanHops <= 0 {
 		t.Fatal("heal phase mean hops not accumulated")
-	}
-	// The collector and the registry deltas observe the same retries.
-	if got, want := fp.Retries+hp.Retries, r.Collector.Retries(); got != want {
-		t.Fatalf("registry retries %d != collector retries %d", got, want)
 	}
 	out := RenderSoakComparison(&SoakComparison{Off: r, On: r})
 	if !strings.Contains(out, "per-phase registry deltas") || !strings.Contains(out, "mean-hops") {

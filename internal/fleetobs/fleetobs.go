@@ -1,10 +1,10 @@
 // Package fleetobs is the fleet-wide observability plane: it collects
 // per-node obs.Snapshot registries from every member of a live cluster
-// (over the batch ClientObsReport RPC, falling back to scraping the
-// node's /metrics debug endpoint), merges them into fleet-level series
-// with obs.Aggregate, tracks restart-aware counter deltas so rates stay
-// correct across crash/rejoin cycles, and evaluates declarative SLOs as
-// windowed burn rates over the aggregated stream. The past-top live
+// (over the batch ClientObsReport RPC), merges them into fleet-level
+// series with obs.Aggregate, tracks restart-aware counter deltas so
+// rates stay correct across crash/rejoin cycles, and evaluates
+// declarative SLOs as windowed burn rates over the aggregated stream.
+// The past-top live
 // dashboard, the aggregator's combined /metrics endpoint, and the
 // cluster scenario driver's per-round SLO reporting all sit on top of
 // this package.
@@ -12,7 +12,6 @@ package fleetobs
 
 import (
 	"fmt"
-	"net/http"
 	"strings"
 	"sync"
 	"time"
@@ -27,12 +26,9 @@ type Target struct {
 	// Name is the display name ("node03"); it becomes the series' node
 	// label on the combined /metrics endpoint.
 	Name string
-	// Addr is the node's client RPC address — the primary collection
-	// path (one ClientObsReport round trip).
+	// Addr is the node's client RPC address — the collection path (one
+	// ClientObsReport round trip).
 	Addr string
-	// DebugAddr is the node's debug HTTP address; when set, a failed RPC
-	// falls back to GET /metrics there. Optional.
-	DebugAddr string
 }
 
 // RPC abstracts the client transport the scraper invokes nodes through;
@@ -95,7 +91,7 @@ func restarted(prev, cur obs.Snapshot) bool {
 type NodeSample struct {
 	Target Target
 	// Node is the responder's overlay identity (zero when the scrape
-	// failed or the HTTP fallback served it, which carries no identity).
+	// failed).
 	Node id.Node
 	// Snap is the node's current cumulative snapshot.
 	Snap obs.Snapshot
@@ -103,9 +99,7 @@ type NodeSample struct {
 	Window obs.Snapshot
 	// Restarted reports that the node's registry reset since last poll.
 	Restarted bool
-	// Source is how the snapshot was obtained: "rpc" or "http".
-	Source string
-	// Err is the scrape failure, if both paths failed.
+	// Err is the scrape failure, if any.
 	Err string
 }
 
@@ -157,8 +151,7 @@ func (s *Sample) Merged() obs.Snapshot {
 // Poll is synchronous and serialized; the aggregator's HTTP endpoints
 // trigger one poll per request (scrape-on-request, no background loop).
 type Scraper struct {
-	rpc   RPC
-	httpc *http.Client
+	rpc RPC
 
 	mu      sync.Mutex
 	targets []Target
@@ -172,7 +165,6 @@ type Scraper struct {
 func NewScraper(rpc RPC, targets []Target) *Scraper {
 	return &Scraper{
 		rpc:     rpc,
-		httpc:   &http.Client{Timeout: 3 * time.Second},
 		targets: append([]Target(nil), targets...),
 		tracker: NewTracker(),
 		totals:  obs.Snapshot{Counters: make(map[string]int64), RPCLat: make([]int64, obs.LatencyBucketCount)},
@@ -194,8 +186,8 @@ func (s *Scraper) Last() *Sample {
 }
 
 // Poll scrapes every target once and returns the fleet sample. A target
-// that fails both collection paths is recorded with its error and
-// excluded from the aggregates; the poll itself never fails.
+// whose RPC fails is recorded with the error and excluded from the
+// aggregates; the poll itself never fails.
 func (s *Scraper) Poll() *Sample {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -222,38 +214,19 @@ func (s *Scraper) Poll() *Sample {
 	return sample
 }
 
-// scrape fills one node's sample: RPC first, HTTP /metrics fallback.
+// scrape fills one node's sample from one ClientObsReport round trip.
 func (s *Scraper) scrape(ns *NodeSample) {
 	reply, err := s.rpc.InvokeAddr(ns.Target.Addr, &past.ClientObsReport{})
-	if err == nil {
-		rep, ok := reply.(*past.ClientObsReportReply)
-		if !ok {
-			ns.Err = fmt.Sprintf("unexpected reply %T", reply)
-			return
-		}
-		ns.Node, ns.Snap, ns.Source = rep.Node, rep.Snapshot, "rpc"
+	if err != nil {
+		ns.Err = err.Error()
 		return
 	}
-	rpcErr := err
-	if ns.Target.DebugAddr != "" {
-		if snap, herr := s.scrapeHTTP(ns.Target.DebugAddr); herr == nil {
-			ns.Snap, ns.Source = snap, "http"
-			return
-		}
+	rep, ok := reply.(*past.ClientObsReportReply)
+	if !ok {
+		ns.Err = fmt.Sprintf("unexpected reply %T", reply)
+		return
 	}
-	ns.Err = rpcErr.Error()
-}
-
-func (s *Scraper) scrapeHTTP(debugAddr string) (obs.Snapshot, error) {
-	resp, err := s.httpc.Get("http://" + debugAddr + "/metrics")
-	if err != nil {
-		return obs.Snapshot{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return obs.Snapshot{}, fmt.Errorf("metrics endpoint: %s", resp.Status)
-	}
-	return obs.ParseProm(resp.Body)
+	ns.Node, ns.Snap = rep.Node, rep.Snapshot
 }
 
 // accumulate folds one node's window delta into the monotonic fleet

@@ -213,7 +213,7 @@ func TestScraperPoll(t *testing.T) {
 	if p1.Nodes[2].Live() || p1.Nodes[2].Err == "" {
 		t.Fatalf("down target recorded live: %+v", p1.Nodes[2])
 	}
-	if p1.Nodes[0].Source != "rpc" || p1.Nodes[0].Node[0] != 1 {
+	if p1.Nodes[0].Node[0] != 1 {
 		t.Fatalf("rpc scrape: %+v", p1.Nodes[0])
 	}
 	// Fleet sums current snapshots of the live nodes (gauges included);
@@ -252,28 +252,38 @@ func TestScraperPoll(t *testing.T) {
 	}
 }
 
-func TestScraperHTTPFallback(t *testing.T) {
-	// A node whose RPC path is down but whose debug endpoint serves
-	// /metrics is still collected, marked source "http".
-	var st obs.NodeStats
-	st.Lookups.Add(5)
-	st.MsgsIn.Add(9)
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/metrics" {
-			http.NotFound(w, r)
-			return
-		}
-		obs.WriteProm(w, st.Snapshot(), nil)
-	}))
-	defer backend.Close()
+// TestScraperRPCFailureIsDown: a target whose RPC fails is DOWN with
+// the RPC error and contributes to none of the aggregates, while what
+// it counted before it went away stays in the monotonic totals.
+func TestScraperRPCFailureIsDown(t *testing.T) {
+	rpc := &fakeRPC{
+		replies: map[string]*past.ClientObsReportReply{
+			"a:1": fakeReply(1, obs.CtrLookups, 4, obs.CtrStoreBytes, 100),
+			"b:1": fakeReply(2, obs.CtrLookups, 6, obs.CtrStoreBytes, 50),
+		},
+		down: map[string]bool{},
+	}
+	s := NewScraper(rpc, []Target{{Name: "node00", Addr: "a:1"}, {Name: "node01", Addr: "b:1"}})
+	s.Poll()
 
-	rpc := &fakeRPC{down: map[string]bool{"x:1": true}}
-	s := NewScraper(rpc, []Target{{Name: "node00", Addr: "x:1", DebugAddr: strings.TrimPrefix(backend.URL, "http://")}})
+	rpc.down["b:1"] = true
+	rpc.replies["a:1"] = fakeReply(1, obs.CtrLookups, 5, obs.CtrStoreBytes, 100)
 	p := s.Poll()
-	ns := p.Nodes[0]
-	if !ns.Live() || ns.Source != "http" || ns.Snap.Get(obs.CtrLookups) != 5 {
-		t.Fatalf("http fallback: live=%v source=%q lookups=%d err=%q",
-			ns.Live(), ns.Source, ns.Snap.Get(obs.CtrLookups), ns.Err)
+	ns := p.Nodes[1]
+	if ns.Live() || ns.Err != "connection refused" || !ns.Node.IsZero() {
+		t.Fatalf("down target: live=%v err=%q node=%v", ns.Live(), ns.Err, ns.Node)
+	}
+	if p.Live != 1 {
+		t.Fatalf("live = %d, want 1", p.Live)
+	}
+	if got := p.Fleet.Get(obs.CtrStoreBytes); got != 100 {
+		t.Errorf("fleet store bytes = %d, want 100 (the down node's 50 excluded)", got)
+	}
+	if got := p.Window.Get(obs.CtrLookups); got != 1 {
+		t.Errorf("window lookups = %d, want 1 (node00's delta only)", got)
+	}
+	if got := p.Totals.Get(obs.CtrLookups); got != 11 {
+		t.Errorf("totals lookups = %d, want 11 (10 before the outage + 1)", got)
 	}
 }
 

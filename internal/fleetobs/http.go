@@ -56,8 +56,8 @@ func NewHandler(s *Scraper) http.Handler {
 			if ns.Restarted {
 				restarted = " RESTARTED"
 			}
-			fmt.Fprintf(w, "%-8s %-21s %-4s id=%s lookups=%d inserts=%d store=%dB cache=%d%s\n",
-				ns.Target.Name, ns.Target.Addr, ns.Source, ns.Node.Short(),
+			fmt.Fprintf(w, "%-8s %-21s id=%s lookups=%d inserts=%d store=%dB cache=%d%s\n",
+				ns.Target.Name, ns.Target.Addr, ns.Node.Short(),
 				ns.Snap.Get(obs.CtrLookups), ns.Snap.Get(obs.CtrInserts),
 				ns.Snap.Get(obs.CtrStoreBytes), ns.Snap.Get(obs.CtrCacheEntries), restarted)
 		}

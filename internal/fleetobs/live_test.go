@@ -73,7 +73,7 @@ func TestFleetObsLive(t *testing.T) {
 	defer tr.Close()
 	targets := make([]fleetobs.Target, len(c.Procs))
 	for i, p := range c.Procs {
-		targets[i] = fleetobs.Target{Name: fmt.Sprintf("node%02d", i), Addr: p.Addr, DebugAddr: p.DebugAddr}
+		targets[i] = fleetobs.Target{Name: fmt.Sprintf("node%02d", i), Addr: p.Addr}
 	}
 	scraper := fleetobs.NewScraper(tr, targets)
 	srv := httptest.NewServer(fleetobs.NewHandler(scraper))

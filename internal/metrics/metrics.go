@@ -8,10 +8,8 @@ package metrics
 
 import (
 	"math"
-	"sync/atomic"
 
 	"past/internal/id"
-	"past/internal/stats"
 )
 
 // InsertSample records one client-level insert operation.
@@ -57,38 +55,10 @@ type Collector struct {
 	Inserts []InsertSample
 	Lookups []LookupSample
 
-	// Latencies accumulates client-operation latencies in nanoseconds
-	// into a log-bucketed histogram (fed by RecordLatency; the load
-	// generator records from intended send time).
-	Latencies stats.LogHist
-
-	// Per-sample downsampling state (SetSampleCap). A stride of n keeps
-	// every nth offered sample, counted from the first; zero or one keeps
-	// everything.
-	sampleCap    int
-	insertSeen   int64
-	insertStride int64
-	lookupSeen   int64
-	lookupStride int64
-
 	// DivertedSeries is sampled after every insert.
 	DivertedSeries []DivertedPoint
 	sampleEvery    int
 	sinceSample    int
-
-	// Fault-injection accounting (the chaos soak wires Core.OnFault and
-	// Checker.OnViolation into these).
-	faults     map[string]int64
-	violations map[string]int64
-
-	// Resilience-layer counters. Atomic, unlike the rest of the
-	// collector: hedged attempts run on their own goroutines, so these
-	// are the only fields touched off the driver thread.
-	retries        atomic.Int64
-	hedges         atomic.Int64
-	hedgeWins      atomic.Int64
-	reroutes       atomic.Int64
-	partialInserts atomic.Int64
 }
 
 // NewCollector creates a collector for a system with the given total
@@ -136,54 +106,12 @@ func (c *Collector) DivertedRatio() float64 {
 	return float64(c.divertedStored) / float64(c.replicasStored)
 }
 
-// SetSampleCap bounds the retained Inserts and Lookups sample slices,
-// which otherwise grow without limit over a long-running soak (one
-// sample per client operation, forever). When the retained count for a
-// series reaches max, the series is compacted to every 2nd sample and
-// the retention stride doubles: from then on only every stride-th
-// offered sample is appended. The scheme is purely counter-based —
-// deterministic, no RNG — and the retained set is always "every
-// stride-th operation from the first", so utilization-axis series keep
-// their shape. Derived figures then describe the retained subsample.
-// max <= 0 (the default) disables capping and retains everything.
-func (c *Collector) SetSampleCap(max int) {
-	c.sampleCap = max
-}
-
-// keepSample reports whether the n-th offered sample (1-based) survives
-// the current stride.
-func keepSample(n, stride int64) bool {
-	if stride <= 1 {
-		return true
-	}
-	return (n-1)%stride == 0
-}
-
-// halve keeps every 2nd element of s, in place, starting with the first.
-func halve[T any](s []T) []T {
-	out := s[:0]
-	for i := 0; i < len(s); i += 2 {
-		out = append(out, s[i])
-	}
-	return out
-}
-
 // RecordInsert adds a client-side insert sample. util should be sampled
 // before the insert executed.
 func (c *Collector) RecordInsert(util float64, size int64, attempts int, ok bool, diverted int) {
-	c.insertSeen++
-	if c.sampleCap > 0 && c.insertStride == 0 {
-		c.insertStride = 1
-	}
-	if keepSample(c.insertSeen, c.insertStride) {
-		c.Inserts = append(c.Inserts, InsertSample{
-			Util: util, Size: size, Attempts: attempts, OK: ok, DivertedReplicas: diverted,
-		})
-		if c.sampleCap > 0 && len(c.Inserts) >= c.sampleCap {
-			c.Inserts = halve(c.Inserts)
-			c.insertStride *= 2
-		}
-	}
+	c.Inserts = append(c.Inserts, InsertSample{
+		Util: util, Size: size, Attempts: attempts, OK: ok, DivertedReplicas: diverted,
+	})
 	c.sinceSample++
 	if c.sinceSample >= c.sampleEvery {
 		c.sinceSample = 0
@@ -193,163 +121,9 @@ func (c *Collector) RecordInsert(util float64, size int64, attempts int, ok bool
 	}
 }
 
-// InsertsSeen returns how many insert samples were offered (recorded
-// operations, not retained samples).
-func (c *Collector) InsertsSeen() int64 { return c.insertSeen }
-
-// LookupsSeen returns how many lookup samples were offered.
-func (c *Collector) LookupsSeen() int64 { return c.lookupSeen }
-
-// RecordFault counts one injected fault of the given kind (message
-// drop, duplication, partition, churn, ...).
-func (c *Collector) RecordFault(kind string) {
-	if c.faults == nil {
-		c.faults = make(map[string]int64)
-	}
-	c.faults[kind]++
-}
-
-// Faults returns a snapshot of per-kind injected-fault counts.
-func (c *Collector) Faults() map[string]int64 { return copyCounts(c.faults) }
-
-// RecordViolation counts one invariant violation of the given kind.
-func (c *Collector) RecordViolation(kind string) {
-	if c.violations == nil {
-		c.violations = make(map[string]int64)
-	}
-	c.violations[kind]++
-}
-
-// Violations returns a snapshot of per-kind invariant-violation counts.
-func (c *Collector) Violations() map[string]int64 { return copyCounts(c.violations) }
-
-// TotalViolations returns the number of invariant violations recorded.
-func (c *Collector) TotalViolations() int64 {
-	var n int64
-	for _, v := range c.violations {
-		n += v
-	}
-	return n
-}
-
-func copyCounts(m map[string]int64) map[string]int64 {
-	out := make(map[string]int64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-// RecordRetry implements past.ResilienceMonitor: one backed-off
-// re-attempt of a client operation.
-func (c *Collector) RecordRetry() { c.retries.Add(1) }
-
-// RecordHedge implements past.ResilienceMonitor: one hedged attempt
-// launched; won reports whether the hedge (not the primary) supplied
-// the result.
-func (c *Collector) RecordHedge(won bool) {
-	c.hedges.Add(1)
-	if won {
-		c.hedgeWins.Add(1)
-	}
-}
-
-// RecordReroute implements past.ResilienceMonitor: one next hop
-// presumed failed and routed around.
-func (c *Collector) RecordReroute() { c.reroutes.Add(1) }
-
-// RecordPartialInsert implements past.ResilienceMonitor: one insert
-// that stored at least one but fewer than k replicas, leaving a repair
-// debt for maintenance.
-func (c *Collector) RecordPartialInsert() { c.partialInserts.Add(1) }
-
-// Retries returns the number of client-operation retries recorded.
-func (c *Collector) Retries() int64 { return c.retries.Load() }
-
-// Hedges returns the number of hedged attempts launched.
-func (c *Collector) Hedges() int64 { return c.hedges.Load() }
-
-// HedgeWins returns how many hedged attempts supplied the result.
-func (c *Collector) HedgeWins() int64 { return c.hedgeWins.Load() }
-
-// Reroutes returns the number of per-hop reroutes recorded.
-func (c *Collector) Reroutes() int64 { return c.reroutes.Load() }
-
-// PartialInserts returns the number of partial-success inserts.
-func (c *Collector) PartialInserts() int64 { return c.partialInserts.Load() }
-
-// RecordLatency adds one client-operation latency observation in
-// nanoseconds.
-func (c *Collector) RecordLatency(nanos int64) {
-	c.Latencies.Record(nanos)
-}
-
-// LatencyQuantile returns the p-th percentile (0-100) of recorded
-// latencies in nanoseconds. The summary interpolates linearly between
-// the edges of the histogram bucket the rank lands in — not
-// nearest-rank, which would snap every report to a bucket boundary and
-// make p999 jump in ~3% steps as samples arrive.
-func (c *Collector) LatencyQuantile(p float64) float64 {
-	return c.Latencies.Quantile(p)
-}
-
-// LatencySummary returns the p50, p99, and p999 latencies in
-// nanoseconds.
-func (c *Collector) LatencySummary() (p50, p99, p999 float64) {
-	return c.Latencies.Quantile(50), c.Latencies.Quantile(99), c.Latencies.Quantile(99.9)
-}
-
-// LookupHopPercentile returns the interpolated p-th percentile of
-// routing hops over found lookups.
-func (c *Collector) LookupHopPercentile(p float64) float64 {
-	var hops []int64
-	for _, s := range c.Lookups {
-		if s.Found {
-			hops = append(hops, int64(s.Hops))
-		}
-	}
-	if len(hops) == 0 {
-		return 0
-	}
-	sortInt64(hops)
-	return stats.PercentileInterp(hops, p)
-}
-
-func sortInt64(xs []int64) {
-	// Insertion-free path for the tiny hop-count domain: counting sort.
-	var max int64
-	for _, x := range xs {
-		if x > max {
-			max = x
-		}
-	}
-	counts := make([]int64, max+1)
-	for _, x := range xs {
-		counts[x]++
-	}
-	i := 0
-	for v, n := range counts {
-		for ; n > 0; n-- {
-			xs[i] = int64(v)
-			i++
-		}
-	}
-}
-
 // RecordLookup adds a client-side lookup sample.
 func (c *Collector) RecordLookup(util float64, hops int, found, fromCache bool) {
-	c.lookupSeen++
-	if c.sampleCap > 0 && c.lookupStride == 0 {
-		c.lookupStride = 1
-	}
-	if !keepSample(c.lookupSeen, c.lookupStride) {
-		return
-	}
 	c.Lookups = append(c.Lookups, LookupSample{Util: util, Hops: hops, Found: found, FromCache: fromCache})
-	if c.sampleCap > 0 && len(c.Lookups) >= c.sampleCap {
-		c.Lookups = halve(c.Lookups)
-		c.lookupStride *= 2
-	}
 }
 
 // InsertTotals summarizes insert outcomes.

@@ -143,93 +143,14 @@ func TestGlobalLookupStatsEmpty(t *testing.T) {
 	}
 }
 
-func TestFaultAndViolationCounters(t *testing.T) {
-	c := NewCollector(1, 1)
-	if len(c.Faults()) != 0 || len(c.Violations()) != 0 || c.TotalViolations() != 0 {
-		t.Fatal("fresh collector must report empty fault/violation counts")
-	}
-	c.RecordFault("drop-request")
-	c.RecordFault("drop-request")
-	c.RecordFault("partition")
-	c.RecordViolation("lost")
-	c.RecordViolation("stray-replica")
-	c.RecordViolation("stray-replica")
-	f := c.Faults()
-	if f["drop-request"] != 2 || f["partition"] != 1 {
-		t.Fatalf("faults = %v", f)
-	}
-	v := c.Violations()
-	if v["lost"] != 1 || v["stray-replica"] != 2 || c.TotalViolations() != 3 {
-		t.Fatalf("violations = %v (total %d)", v, c.TotalViolations())
-	}
-	// Snapshots must not alias internal state.
-	f["drop-request"] = 99
-	if c.Faults()["drop-request"] != 2 {
-		t.Fatal("Faults() must return a copy")
-	}
-}
-
-func TestSampleCapDownsampling(t *testing.T) {
-	c := NewCollector(1000, 1)
-	c.SetSampleCap(64)
-	for i := 0; i < 1000; i++ {
-		c.RecordLookup(float64(i)/1000, 3, true, false)
-		c.RecordInsert(float64(i)/1000, 10, 1, true, 0)
-	}
-	if c.LookupsSeen() != 1000 || c.InsertsSeen() != 1000 {
-		t.Fatalf("seen = %d/%d; want 1000/1000", c.LookupsSeen(), c.InsertsSeen())
-	}
-	if len(c.Lookups) >= 64 || len(c.Lookups) < 16 {
-		t.Fatalf("retained %d lookup samples; want in [16, 64)", len(c.Lookups))
-	}
-	if len(c.Inserts) >= 64 || len(c.Inserts) < 16 {
-		t.Fatalf("retained %d insert samples; want in [16, 64)", len(c.Inserts))
-	}
-	// The retained set is every stride-th offered sample from the first,
-	// so the utilizations must be evenly strided starting at 0.
-	stride := c.Lookups[1].Util - c.Lookups[0].Util
-	for i := 1; i < len(c.Lookups); i++ {
-		got := c.Lookups[i].Util - c.Lookups[i-1].Util
-		if math.Abs(got-stride) > 1e-9 {
-			t.Fatalf("sample %d: stride %g != %g (not evenly downsampled)", i, got, stride)
-		}
-	}
-	if c.Lookups[0].Util != 0 {
-		t.Fatalf("first retained sample must be the first offered, got util %g", c.Lookups[0].Util)
-	}
-	// DivertedSeries sampling counts offered inserts, not retained ones.
-	if len(c.DivertedSeries) != 1000 {
-		t.Fatalf("DivertedSeries has %d points; want 1000 (one per offered insert)", len(c.DivertedSeries))
-	}
-}
-
-func TestSampleCapDeterministic(t *testing.T) {
-	run := func() []LookupSample {
-		c := NewCollector(1000, 1)
-		c.SetSampleCap(32)
-		for i := 0; i < 500; i++ {
-			c.RecordLookup(float64(i)/500, i%7, i%3 != 0, i%5 == 0)
-		}
-		return c.Lookups
-	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("runs retained %d vs %d samples", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("sample %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-}
-
+// Every offered sample is retained: the series are never downsampled.
 func TestSampleCapDefaultOff(t *testing.T) {
 	c := NewCollector(1000, 1)
 	for i := 0; i < 500; i++ {
 		c.RecordLookup(0.5, 3, true, false)
 	}
 	if len(c.Lookups) != 500 {
-		t.Fatalf("without a cap all %d samples must be retained, got %d", 500, len(c.Lookups))
+		t.Fatalf("all %d samples must be retained, got %d", 500, len(c.Lookups))
 	}
 }
 
@@ -253,65 +174,5 @@ func TestLookupsByUtilNaNAndNegative(t *testing.T) {
 	}
 	if total != 2 {
 		t.Fatalf("total bucketed samples = %d; want 2", total)
-	}
-}
-
-func TestLatencyQuantileInterpolatesBetweenBucketEdges(t *testing.T) {
-	// Regression pin for the percentile-summary fix: quantiles must
-	// interpolate between log-histogram bucket edges, not snap to a
-	// boundary (nearest-rank). All samples sit inside one wide bucket —
-	// a nearest-rank summary would report the same edge for every p.
-	c := NewCollector(0, 1)
-	for i := 0; i < 500; i++ {
-		c.RecordLatency(1 << 20)       // bucket [1048576, 1081344)
-		c.RecordLatency(1<<20 + 30000) // same bucket
-	}
-	q25, q75 := c.LatencyQuantile(25), c.LatencyQuantile(75)
-	if !(q25 > 1<<20 && q75 > q25 && q75 < float64(1<<20+30000)) {
-		t.Fatalf("not interpolating within bucket: q25=%g q75=%g", q25, q75)
-	}
-}
-
-func TestLatencySummaryP999Consistency(t *testing.T) {
-	// p999 reported by the collector must agree with the underlying
-	// histogram's interpolated quantile exactly, and must be within one
-	// sub-bucket (~3%) of the exact order-statistic percentile.
-	c := NewCollector(0, 1)
-	exact := make([]int64, 0, 10000)
-	for i := 1; i <= 10000; i++ {
-		v := int64(i) * 1000 // 1µs .. 10ms in 1µs steps, in ns
-		exact = append(exact, v)
-		c.RecordLatency(v)
-	}
-	_, _, p999 := c.LatencySummary()
-	if got := c.Latencies.Quantile(99.9); got != p999 {
-		t.Fatalf("summary p999 %g != histogram quantile %g", p999, got)
-	}
-	want := float64(9_990_000) // exact p999 of the uniform grid (~)
-	if math.Abs(p999-want)/want > 0.04 {
-		t.Fatalf("p999 = %g; want within 4%% of %g", p999, want)
-	}
-	p50, p99, _ := c.LatencySummary()
-	if !(p50 < p99 && p99 < p999) {
-		t.Fatalf("quantiles not monotone: p50=%g p99=%g p999=%g", p50, p99, p999)
-	}
-}
-
-func TestLookupHopPercentile(t *testing.T) {
-	c := NewCollector(0, 1)
-	if c.LookupHopPercentile(99) != 0 {
-		t.Fatal("empty collector must report 0")
-	}
-	hops := []int{3, 1, 4, 1, 5, 9, 2, 6}
-	for _, h := range hops {
-		c.RecordLookup(0.1, h, true, false)
-	}
-	c.RecordLookup(0.1, 100, false, false) // not found: excluded
-	// sorted found hops: 1 1 2 3 4 5 6 9; p50 = 3.5 interpolated
-	if got := c.LookupHopPercentile(50); math.Abs(got-3.5) > 1e-9 {
-		t.Fatalf("p50 hops = %g; want 3.5", got)
-	}
-	if got := c.LookupHopPercentile(100); got != 9 {
-		t.Fatalf("p100 hops = %g; want 9", got)
 	}
 }

@@ -281,9 +281,3 @@ func (n *Network) Messages() int64 { return n.messages.Load() }
 
 // Bytes returns the total payload bytes of Sized messages delivered.
 func (n *Network) Bytes() int64 { return n.bytes.Load() }
-
-// ResetCounters zeroes the traffic counters.
-func (n *Network) ResetCounters() {
-	n.messages.Store(0)
-	n.bytes.Store(0)
-}

@@ -2,7 +2,8 @@ package obs
 
 import (
 	"bytes"
-	"reflect"
+	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -121,10 +122,12 @@ func TestPromLabelEscaping(t *testing.T) {
 	}
 }
 
-// TestParsePromRoundTrip: a node's exposition parses back into the
-// snapshot that produced it — counters, gauges, and the de-accumulated
-// latency buckets. This is the fleet scraper's HTTP fallback path.
-func TestParsePromRoundTrip(t *testing.T) {
+// TestWritePromRegistrySnapshot renders a real registry snapshot (every
+// counter family the node exports, not the golden's hand-picked four)
+// and checks what a scraper relies on: each family typed exactly once
+// and carrying its value, the histogram buckets cumulative, complete,
+// ending in +Inf, and _count equal to that last bucket.
+func TestWritePromRegistrySnapshot(t *testing.T) {
 	var st NodeStats
 	st.Lookups.Add(7)
 	st.MsgsIn.Add(100)
@@ -135,21 +138,40 @@ func TestParsePromRoundTrip(t *testing.T) {
 	snap.Set(CtrStoreBytes, 12345)
 
 	var b bytes.Buffer
-	if err := WriteProm(&b, snap, map[string]string{"node": "roundtrip"}); err != nil {
+	if err := WriteProm(&b, snap, map[string]string{"node": "n"}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseProm(&b)
-	if err != nil {
-		t.Fatal(err)
+	text := b.String()
+	for _, name := range snap.Names() {
+		if c := strings.Count(text, "# TYPE past_"+name+" "); c != 1 {
+			t.Errorf("%s typed %d times, want 1", name, c)
+		}
+		if want := fmt.Sprintf("past_%s{node=\"n\"} %d\n", name, snap.Get(name)); !strings.Contains(text, want) {
+			t.Errorf("missing series %q", want)
+		}
 	}
-	if !reflect.DeepEqual(got.Counters, snap.Counters) {
-		t.Errorf("counters round-trip:\n got %v\nwant %v", got.Counters, snap.Counters)
+	var buckets []string
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "past_rpc_latency_seconds_bucket{") {
+			buckets = append(buckets, line)
+		}
 	}
-	if !reflect.DeepEqual(got.RPCLat, snap.RPCLat) {
-		t.Errorf("buckets round-trip:\n got %v\nwant %v", got.RPCLat, snap.RPCLat)
+	if len(buckets) != LatencyBucketCount {
+		t.Fatalf("%d bucket lines, want %d", len(buckets), LatencyBucketCount)
 	}
-	if got.TotalRPCs() != 3 {
-		t.Errorf("TotalRPCs = %d, want 3", got.TotalRPCs())
+	var prev int64
+	for _, line := range buckets {
+		v, err := strconv.ParseInt(line[strings.LastIndexByte(line, ' ')+1:], 10, 64)
+		if err != nil || v < prev {
+			t.Fatalf("bucket %q after %d: not cumulative (%v)", line, prev, err)
+		}
+		prev = v
+	}
+	if last := buckets[len(buckets)-1]; !strings.Contains(last, `le="+Inf"`) || prev != snap.TotalRPCs() {
+		t.Errorf("last bucket %q, want le=\"+Inf\" holding all %d RPCs", last, snap.TotalRPCs())
+	}
+	if want := fmt.Sprintf("past_rpc_latency_seconds_count{node=\"n\"} %d\n", prev); !strings.Contains(text, want) {
+		t.Errorf("missing %q", want)
 	}
 }
 

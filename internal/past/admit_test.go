@@ -10,6 +10,7 @@ import (
 	"past/internal/admit"
 	"past/internal/id"
 	"past/internal/netsim"
+	"past/internal/obs"
 )
 
 // admitCluster builds a cluster where every node runs admission control
@@ -120,7 +121,7 @@ func TestRetryLoopOverloadExtraBackoff(t *testing.T) {
 	// ErrOverloaded isolate the overload factor exactly.
 	sleeps := func(factor float64, fail error) []time.Duration {
 		var out []time.Duration
-		n := &Node{cfg: Config{Retry: &RetryPolicy{
+		n := &Node{stats: &obs.NodeStats{}, cfg: Config{Retry: &RetryPolicy{
 			MaxAttempts:    4,
 			BaseDelay:      10 * time.Millisecond,
 			JitterSeed:     99,
@@ -152,7 +153,7 @@ func TestRetryLoopOverloadExtraBackoff(t *testing.T) {
 }
 
 func TestRetryLoopStillRetriesOverload(t *testing.T) {
-	n := &Node{cfg: Config{Retry: &RetryPolicy{MaxAttempts: 2}}}
+	n := &Node{stats: &obs.NodeStats{}, cfg: Config{Retry: &RetryPolicy{MaxAttempts: 2}}}
 	attempts := 0
 	_, err := n.retryLoop(context.Background(), nil, func(context.Context) (any, error) {
 		attempts++

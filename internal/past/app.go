@@ -110,9 +110,9 @@ func (n *Node) DeliverTraced(tc obs.TraceContext, from id.Node, msg any) (any, e
 }
 
 func (n *Node) deliver(tc obs.TraceContext, from id.Node, msg any) (any, error) {
-	n.st().MsgsIn.Add(1)
+	n.stats.MsgsIn.Add(1)
 	if s, ok := msg.(netsim.Sized); ok {
-		n.st().BytesIn.Add(int64(s.WireSize()))
+		n.stats.BytesIn.Add(int64(s.WireSize()))
 	}
 	switch m := msg.(type) {
 	case *storeReplicaMsg:
@@ -161,7 +161,7 @@ func (n *Node) deliver(tc obs.TraceContext, from id.Node, msg any) (any, error) 
 			}
 		}
 		return n.handleClientRPC(tc, msg)
-	case *ClientStatus, *ClientStats, *ClientReplicaReport, *ClientObsReport:
+	case *ClientStatus, *ClientReplicaReport, *ClientObsReport:
 		// Introspection stays ungated: an operator must be able to read
 		// load stats from an overloaded node, the live-fleet checker
 		// must be able to audit one mid-fault, and the fleet scraper

@@ -161,8 +161,6 @@ func (n *Node) handleClientRPC(tc obs.TraceContext, msg any) (any, error) {
 		return reply, nil
 	case *ClientStatus:
 		return &ClientStatusReply{Status: n.Status()}, nil
-	case *ClientStats:
-		return &ClientStatsReply{Stats: n.StatsSnapshot()}, nil
 	case *ClientObsReport:
 		return &ClientObsReportReply{Node: n.ID(), Snapshot: n.StatsSnapshot()}, nil
 	}

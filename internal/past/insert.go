@@ -109,7 +109,7 @@ func (n *Node) InsertContext(ctx context.Context, spec InsertSpec) (*InsertResul
 		salt = n.rng.Uint64()
 		n.mu.Unlock()
 	}
-	n.st().Inserts.Add(1)
+	n.stats.Inserts.Add(1)
 	traced := n.cfg.Tracer.ShouldSample()
 	finishTrace := func(res *InsertResult, err error) {
 		if !traced {
@@ -135,7 +135,7 @@ func (n *Node) InsertContext(ctx context.Context, spec InsertSpec) (*InsertResul
 	for attempt := 0; attempt <= n.cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
 			// A re-salted retry is a file diversion (section 3.4).
-			n.st().FileDiversions.Add(1)
+			n.stats.FileDiversions.Add(1)
 		}
 		res.Attempts = attempt + 1
 		var fid id.File
@@ -198,7 +198,7 @@ func (n *Node) InsertContext(ctx context.Context, spec InsertSpec) (*InsertResul
 			res.Receipts = ir.Receipts
 			res.Partial = ir.Stored < k
 			if res.Partial {
-				n.recordPartialInsert()
+				n.stats.PartialInserts.Add(1)
 			}
 			if n.cfg.VerifyCerts && n.cfg.NodeKeys != nil {
 				// Confirm the requested number of copies was created:

@@ -52,7 +52,7 @@ func (n *Node) Lookup(f id.File) (*LookupResult, error) {
 // exist but the route was cut short), and hedged attempts through a
 // different first hop when the policy enables them.
 func (n *Node) LookupContext(ctx context.Context, f id.File) (*LookupResult, error) {
-	n.st().Lookups.Add(1)
+	n.stats.Lookups.Add(1)
 	// A recent full lookup already came back not-found: answer locally
 	// without routing. Any insert evidence for f invalidates the entry,
 	// so a false negative lasts only until the file is next sighted.
@@ -69,7 +69,7 @@ func (n *Node) LookupContext(ctx context.Context, f id.File) (*LookupResult, err
 // bypassed — a trace that never left the access point would show no
 // route. `pastctl trace` reaches this through the ClientLookup RPC.
 func (n *Node) LookupTraced(ctx context.Context, f id.File, tc obs.TraceContext) (*LookupResult, error) {
-	n.st().Lookups.Add(1)
+	n.stats.Lookups.Add(1)
 	ctx = obs.ContextWithTrace(ctx, tc)
 	return n.lookupTraced(ctx, f, true)
 }

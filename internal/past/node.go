@@ -299,11 +299,6 @@ func NewWithStoreEngine(nid id.Node, net netsim.Net, cfg Config, backend store.B
 	n.net = obs.InstrumentNet(net, n.stats)
 	n.overlay = pastry.New(nid, n.net, cfg.Pastry, (*app)(n), seed^0x5eed)
 	n.overlay.OnLeafSetChange = n.maintainReplicas
-	n.overlay.OnReroute = func(id.Node) {
-		if rm := n.resMon(); rm != nil {
-			rm.RecordReroute()
-		}
-	}
 	if cfg.Admit != nil {
 		n.admitCtl = admit.New(*cfg.Admit)
 		n.overlay.LoadFunc = n.admitCtl.LoadHint
@@ -391,9 +386,9 @@ func (n *Node) addReplicaLocked(e store.Entry) error {
 	n.cache.Remove(e.File)
 	n.cache.Invalidate(e.File)
 	n.cache.SetLimit(n.store.Free())
-	n.st().ReplicasStored.Add(1)
+	n.stats.ReplicasStored.Add(1)
 	if e.Kind == store.DivertedIn {
-		n.st().DivertedIn.Add(1)
+		n.stats.DivertedIn.Add(1)
 	}
 	if n.cfg.Monitor != nil {
 		n.cfg.Monitor.ReplicaStored(e.File, e.Size, e.Kind == store.DivertedIn)
@@ -409,7 +404,7 @@ func (n *Node) removeReplicaLocked(f id.File) (store.Entry, bool) {
 		return store.Entry{}, false
 	}
 	n.cache.SetLimit(n.store.Free())
-	n.st().ReplicasDropped.Add(1)
+	n.stats.ReplicasDropped.Add(1)
 	if n.cfg.Monitor != nil {
 		n.cfg.Monitor.ReplicaDiscarded(e.File, e.Size, e.Kind == store.DivertedIn)
 	}
@@ -418,26 +413,14 @@ func (n *Node) removeReplicaLocked(f id.File) (store.Entry, bool) {
 
 // Stats returns the node's live counter registry. It is always present;
 // counting cannot be disabled (single atomic adds on the hot paths).
-func (n *Node) Stats() *obs.NodeStats { return n.st() }
-
-// discardStats absorbs counts from Nodes constructed without
-// NewWithStore (struct literals in tests).
-var discardStats obs.NodeStats
-
-// st returns the node's registry, nil-safely.
-func (n *Node) st() *obs.NodeStats {
-	if n.stats == nil {
-		return &discardStats
-	}
-	return n.stats
-}
+func (n *Node) Stats() *obs.NodeStats { return n.stats }
 
 // StatsSnapshot returns the full observability snapshot for this node:
 // the registry's counters plus the gauges owned by the store, cache, and
 // overlay. This is what the metrics endpoint, the stats RPC, and the
 // experiment drivers consume.
 func (n *Node) StatsSnapshot() obs.Snapshot {
-	snap := n.st().Snapshot()
+	snap := n.stats.Snapshot()
 	n.mu.Lock()
 	snap.Set(obs.CtrStoreBytes, n.store.Used())
 	snap.Set(obs.CtrStoreCapacity, n.store.Capacity())

@@ -137,17 +137,18 @@ func TestStatsRegistryAndSnapshot(t *testing.T) {
 		t.Fatalf("cluster-wide replicas_stored = %d, want >= k=%d", stored, smallCfg().K)
 	}
 
-	// The ClientStats RPC handler serves the same snapshot shape.
-	reply, err := client.handleClientRPC(obs.TraceContext{}, &ClientStats{})
+	// The ClientObsReport RPC handler serves the same snapshot shape.
+	reply, err := client.handleClientRPC(obs.TraceContext{}, &ClientObsReport{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, ok := reply.(*ClientStatsReply)
+	or, ok := reply.(*ClientObsReportReply)
 	if !ok {
-		t.Fatalf("ClientStats reply type %T", reply)
+		t.Fatalf("ClientObsReport reply type %T", reply)
 	}
-	if sr.Stats.Get(obs.CtrInserts) != 1 {
-		t.Fatalf("RPC snapshot inserts = %d, want 1", sr.Stats.Get(obs.CtrInserts))
+	if or.Node != client.ID() || or.Snapshot.Get(obs.CtrInserts) != 1 {
+		t.Fatalf("RPC snapshot from %s: inserts = %d, want 1 from %s",
+			or.Node.Short(), or.Snapshot.Get(obs.CtrInserts), client.ID().Short())
 	}
 }
 

@@ -39,7 +39,7 @@ func (n *Node) Reclaim(f id.File, owner *cert.Smartcard) (*ReclaimResult, error)
 // is idempotent: a replica already discarded by an earlier attempt
 // simply reports not-held on the next).
 func (n *Node) ReclaimContext(ctx context.Context, f id.File, owner *cert.Smartcard) (*ReclaimResult, error) {
-	n.st().Reclaims.Add(1)
+	n.stats.Reclaims.Add(1)
 	var rc *cert.ReclaimCertificate
 	if owner != nil {
 		rc = owner.IssueReclaimCert(f)

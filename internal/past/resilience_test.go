@@ -3,51 +3,17 @@ package past
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
 	"past/internal/id"
 	"past/internal/netsim"
+	"past/internal/obs"
 )
 
-// recMon records resilience events, implementing both Monitor and
-// ResilienceMonitor.
-type recMon struct {
-	mu             sync.Mutex
-	retries        int
-	hedges         []bool
-	reroutes       int
-	partialInserts int
-}
-
-func (m *recMon) ReplicaStored(id.File, int64, bool)    {}
-func (m *recMon) ReplicaDiscarded(id.File, int64, bool) {}
-func (m *recMon) RecordRetry() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.retries++
-}
-func (m *recMon) RecordHedge(won bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.hedges = append(m.hedges, won)
-}
-func (m *recMon) RecordReroute() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.reroutes++
-}
-func (m *recMon) RecordPartialInsert() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.partialInserts++
-}
-
-func (m *recMon) hedgeLog() []bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]bool(nil), m.hedges...)
+// hedgeCounts reads the hedge counters off a node's registry.
+func hedgeCounts(n *Node) (hedges, wins int64) {
+	return n.stats.Hedges.Load(), n.stats.HedgeWins.Load()
 }
 
 func lookupFound(r any) bool {
@@ -60,8 +26,7 @@ func lookupFound(r any) bool {
 // supply the result (exactly one winner), and the losing primary's
 // context must be cancelled.
 func TestHedgeConcurrentHedgeWins(t *testing.T) {
-	mon := &recMon{}
-	n := &Node{cfg: Config{Monitor: mon}}
+	n := &Node{stats: &obs.NodeStats{}}
 	pol := RetryPolicy{Hedge: true, HedgeDelay: time.Millisecond}.withDefaults()
 
 	primaryCancelled := make(chan error, 1)
@@ -89,8 +54,8 @@ func TestHedgeConcurrentHedgeWins(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("losing primary was never cancelled")
 	}
-	if got := mon.hedgeLog(); len(got) != 1 || !got[0] {
-		t.Fatalf("hedge log = %v; want exactly one winning hedge", got)
+	if h, w := hedgeCounts(n); h != 1 || w != 1 {
+		t.Fatalf("hedges=%d wins=%d; want exactly one winning hedge", h, w)
 	}
 }
 
@@ -98,8 +63,7 @@ func TestHedgeConcurrentHedgeWins(t *testing.T) {
 // primary outlasts the hedge delay, a hedge launches and hangs, the
 // primary's result wins, and the losing hedge is cancelled.
 func TestHedgeConcurrentPrimaryWins(t *testing.T) {
-	mon := &recMon{}
-	n := &Node{cfg: Config{Monitor: mon}}
+	n := &Node{stats: &obs.NodeStats{}}
 	pol := RetryPolicy{Hedge: true, HedgeDelay: time.Millisecond}.withDefaults()
 
 	hedgeLaunched := make(chan struct{})
@@ -130,8 +94,35 @@ func TestHedgeConcurrentPrimaryWins(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("losing hedge was never cancelled")
 	}
-	if got := mon.hedgeLog(); len(got) != 1 || got[0] {
-		t.Fatalf("hedge log = %v; want exactly one losing hedge", got)
+	if h, w := hedgeCounts(n); h != 1 || w != 0 {
+		t.Fatalf("hedges=%d wins=%d; want exactly one losing hedge", h, w)
+	}
+}
+
+// TestHedgeConcurrentCountsHedgeOnContextExpiry: a hedge that was
+// launched is counted even when the caller's context expires while both
+// attempts are still in flight — "once per hedged attempt launched".
+func TestHedgeConcurrentCountsHedgeOnContextExpiry(t *testing.T) {
+	n := &Node{stats: &obs.NodeStats{}}
+	pol := RetryPolicy{Hedge: true, HedgeDelay: time.Millisecond}.withDefaults()
+
+	// Both attempts block past the caller's cancellation, so the race
+	// loop can only leave through its ctx.Done arm.
+	ctx, cancel := context.WithCancel(context.Background())
+	release := make(chan struct{})
+	defer close(release)
+	route := func(_ context.Context, avoid id.Node) (any, error) {
+		if !avoid.IsZero() { // the hedge is up: the caller gives up
+			cancel()
+		}
+		<-release
+		return nil, netsim.ErrTimeout
+	}
+	if _, err := n.hedgeConcurrent(ctx, pol, id.NodeFromUint64(1), route, lookupFound); err == nil {
+		t.Fatal("cancelled hedged attempt returned no error")
+	}
+	if h, w := hedgeCounts(n); h != 1 || w != 0 {
+		t.Fatalf("hedges=%d wins=%d; want the launched hedge counted once, no win", h, w)
 	}
 }
 
@@ -213,13 +204,11 @@ func TestFileDiversionsAccounting(t *testing.T) {
 
 // TestPartialInsert verifies the degradation accounting: with
 // PartialInsert set and one replica-set member dead, an insert succeeds
-// with Stored < k and Partial set, the monitor records the debt, and
-// replica maintenance settles it once the member recovers.
+// with Stored < k and Partial set, the client's registry records the
+// debt, and replica maintenance settles it once the member recovers.
 func TestPartialInsert(t *testing.T) {
-	mon := &recMon{}
 	cfg := smallCfg()
 	cfg.PartialInsert = true
-	cfg.Monitor = mon
 	c := testCluster(t, 30, cfg, 1<<20, 35)
 
 	// Pick a fileId and kill one of its replica set (not the coordinator,
@@ -237,8 +226,8 @@ func TestPartialInsert(t *testing.T) {
 	if !res.OK || !res.Partial || res.Stored != 2 {
 		t.Fatalf("insert with dead member: %+v; want OK partial with 2 replicas", res)
 	}
-	if mon.partialInserts != 1 {
-		t.Fatalf("monitor recorded %d partial inserts; want 1", mon.partialInserts)
+	if got := client.StatsSnapshot().Get(obs.CtrPartialInserts); got != 1 {
+		t.Fatalf("registry recorded %d partial inserts; want 1", got)
 	}
 
 	// Recovery + maintenance must settle the repair debt.

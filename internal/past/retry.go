@@ -99,53 +99,12 @@ func (p RetryPolicy) sleep(d time.Duration) {
 	time.Sleep(d)
 }
 
-// ResilienceMonitor is the optional extension of Monitor that observes
-// resilience-layer events; metrics.Collector implements it. A Monitor
-// that does not is simply not called.
-type ResilienceMonitor interface {
-	// RecordRetry fires on every backed-off re-attempt of a client
-	// operation.
-	RecordRetry()
-	// RecordHedge fires once per hedged attempt launched; won reports
-	// whether the hedge, not the primary, supplied the result.
-	RecordHedge(won bool)
-	// RecordReroute fires when routing presumes a next hop failed and
-	// moves to an alternate.
-	RecordReroute()
-	// RecordPartialInsert fires when an insert returns with fewer than
-	// k replicas stored, leaving a repair debt for maintenance.
-	RecordPartialInsert()
-}
-
-// resMon returns the monitor's resilience extension, if it has one.
-func (n *Node) resMon() ResilienceMonitor {
-	if rm, ok := n.cfg.Monitor.(ResilienceMonitor); ok {
-		return rm
-	}
-	return nil
-}
-
-func (n *Node) recordRetry() {
-	n.st().Retries.Add(1)
-	if rm := n.resMon(); rm != nil {
-		rm.RecordRetry()
-	}
-}
-
+// recordHedge fires once per hedged attempt launched; won reports
+// whether the hedge, not the primary, supplied the result.
 func (n *Node) recordHedge(won bool) {
-	n.st().Hedges.Add(1)
+	n.stats.Hedges.Add(1)
 	if won {
-		n.st().HedgeWins.Add(1)
-	}
-	if rm := n.resMon(); rm != nil {
-		rm.RecordHedge(won)
-	}
-}
-
-func (n *Node) recordPartialInsert() {
-	n.st().PartialInserts.Add(1)
-	if rm := n.resMon(); rm != nil {
-		rm.RecordPartialInsert()
+		n.stats.HedgeWins.Add(1)
 	}
 }
 
@@ -182,7 +141,7 @@ func (n *Node) retryLoop(ctx context.Context, unsatisfied func(any) bool, fn fun
 	var lastErr error
 	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			n.recordRetry()
+			n.stats.Retries.Add(1)
 			d := n.retryJitter(pol, attempt)
 			if lastErr != nil && errors.Is(lastErr, netsim.ErrOverloaded) {
 				// Retryable-with-extra-backoff: give the shedding node's
@@ -243,7 +202,7 @@ func (n *Node) hedged(ctx context.Context, pol RetryPolicy, key id.Node,
 		// hint: swap the roles so the *primary* attempt enters through
 		// an alternate first hop and the loaded one is only tried as
 		// the fallback. No RNG draws — deterministic under fixed seeds.
-		n.st().LoadSteers.Add(1)
+		n.stats.LoadSteers.Add(1)
 		inner := route
 		route = func(ctx context.Context, avoid id.Node) (any, error) {
 			if avoid.IsZero() {
@@ -388,6 +347,7 @@ func (n *Node) hedgeConcurrent(ctx context.Context, pol RetryPolicy, primaryHop 
 				return out.res, nil
 			}
 		case <-ctx.Done():
+			n.recordHedge(false) // launched, and the caller gave up on both
 			return nil, netsim.CtxErr(ctx)
 		}
 	}

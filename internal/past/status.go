@@ -2,7 +2,6 @@ package past
 
 import (
 	"past/internal/id"
-	"past/internal/obs"
 	"past/internal/store"
 )
 
@@ -71,13 +70,4 @@ type ClientStatus struct{}
 // ClientStatusReply carries it back.
 type ClientStatusReply struct {
 	Status Status
-}
-
-// ClientStats requests a node's full observability snapshot (pastctl
-// stats): every registry counter plus the store/cache/overlay gauges.
-type ClientStats struct{}
-
-// ClientStatsReply carries it back.
-type ClientStatsReply struct {
-	Stats obs.Snapshot
 }

@@ -58,8 +58,8 @@ func RegisterWire() {
 	wire.Register[ClientReplicaReportReply](75)
 	wire.Register[ClientStatus](76)
 	wire.Register[ClientStatusReply](77)
-	wire.Register[ClientStats](78)
-	wire.Register[ClientStatsReply](79)
+	// 78 and 79 were the ClientStats request and reply, folded into
+	// ClientObsReport; retired tags must not be reused.
 	wire.Register[ClientObsReport](80)
 	wire.Register[ClientObsReportReply](81)
 }
@@ -514,15 +514,6 @@ func (m *ClientStatusReply) DecodeWire(r *wire.Reader) error {
 	s.Replicas, s.DivertedIn, s.PointersOut, s.BackupPtrs = r.Int(), r.Int(), r.Int(), r.Int()
 	s.CacheBytes, s.CacheEntries, s.CacheHits, s.CacheMisses = r.Int64(), r.Int(), r.Int64(), r.Int64()
 	s.LeafSetSize, s.TableEntries, s.BelowKEvents = r.Int(), r.Int(), r.Int64()
-	return r.Err()
-}
-
-func (*ClientStats) AppendWire(b []byte) []byte    { return b }
-func (*ClientStats) DecodeWire(*wire.Reader) error { return nil }
-
-func (m *ClientStatsReply) AppendWire(b []byte) []byte { return wire.AppendSnapshot(b, m.Stats) }
-func (m *ClientStatsReply) DecodeWire(r *wire.Reader) error {
-	m.Stats = r.Snapshot()
 	return r.Err()
 }
 

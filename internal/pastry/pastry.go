@@ -136,12 +136,6 @@ type Node struct {
 	// the k-replica invariant.
 	OnLeafSetChange func()
 
-	// OnReroute, if set, observes every next hop presumed failed during
-	// routing (after the hop was evicted and the route moved to an
-	// alternate). The metrics layer counts these. Called without the
-	// node lock held.
-	OnReroute func(dead id.Node)
-
 	// LoadFunc, if set, reports this node's current admission-control
 	// load (0 idle .. 255 saturated). Replies to routed requests this
 	// node relayed or consumed are stamped with it, so upstream nodes

@@ -212,9 +212,6 @@ func (n *Node) noteHopFailure(dead id.Node) {
 	}
 	n.repairTableEntry(dead)
 	n.reroutes.Add(1)
-	if cb := n.OnReroute; cb != nil {
-		cb(dead)
-	}
 }
 
 // routeStep processes a routed message at this node: consume it here

@@ -14,7 +14,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 )
 
 // Arithmetic over GF(2^8) with the AES polynomial x^8+x^4+x^3+x+1 (0x11b
@@ -354,51 +353,6 @@ func (e *Encoder) ReconstructInto(shards [][]byte, idx int, dst []byte) error {
 	}
 	mulRow(dst, coefs, sub)
 	return nil
-}
-
-// StreamEncode reads src in groups of dataShards x shardSize bytes,
-// encodes each group, and hands the complete shard set (dataShards
-// data + parityShards parity, each shardSize long; the final group is
-// zero-padded) to emit. The shard buffers are reused between groups —
-// emit must copy anything it keeps. This is the insert path's coder:
-// an object streams through in fragment-sized groups without the whole
-// file and its parity ever being resident at once.
-func (e *Encoder) StreamEncode(src io.Reader, shardSize int, emit func(group int, shards [][]byte) error) error {
-	if shardSize <= 0 {
-		return fmt.Errorf("%w: shard size %d", ErrShardSize, shardSize)
-	}
-	shards := make([][]byte, e.TotalShards())
-	for i := range shards {
-		shards[i] = make([]byte, shardSize)
-	}
-	buf := make([]byte, e.dataShards*shardSize)
-	for group := 0; ; group++ {
-		n, err := io.ReadFull(src, buf)
-		if n == 0 {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return nil
-			}
-			return err
-		}
-		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-			return err
-		}
-		for i := n; i < len(buf); i++ {
-			buf[i] = 0
-		}
-		for d := 0; d < e.dataShards; d++ {
-			copy(shards[d], buf[d*shardSize:(d+1)*shardSize])
-		}
-		if eerr := e.Encode(shards); eerr != nil {
-			return eerr
-		}
-		if eerr := emit(group, shards); eerr != nil {
-			return eerr
-		}
-		if n < len(buf) {
-			return nil
-		}
-	}
 }
 
 // checkShards validates shard count and sizes. allowNil permits missing

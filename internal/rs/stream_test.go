@@ -53,52 +53,6 @@ func TestReconstructIntoTooFew(t *testing.T) {
 	}
 }
 
-func TestStreamEncodeMatchesSplitEncode(t *testing.T) {
-	enc, err := New(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	// 2.5 groups at shardSize 64: exercises the padded tail.
-	data := make([]byte, 4*64*2+130)
-	rng.Read(data)
-
-	var groups [][][]byte
-	err = enc.StreamEncode(bytes.NewReader(data), 64, func(g int, shards [][]byte) error {
-		cp := make([][]byte, len(shards))
-		for i, s := range shards {
-			cp[i] = append([]byte(nil), s...)
-		}
-		groups = append(groups, cp)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 3 {
-		t.Fatalf("got %d groups, want 3", len(groups))
-	}
-	// Every group must verify and reassemble the original bytes.
-	var out []byte
-	for g, shards := range groups {
-		ok, err := enc.Verify(shards)
-		if err != nil || !ok {
-			t.Fatalf("group %d does not verify: %v", g, err)
-		}
-		for d := 0; d < 4; d++ {
-			out = append(out, shards[d]...)
-		}
-	}
-	if !bytes.Equal(out[:len(data)], data) {
-		t.Fatal("streamed groups do not reassemble the input")
-	}
-	for _, b := range out[len(data):] {
-		if b != 0 {
-			t.Fatal("tail padding is not zeroed")
-		}
-	}
-}
-
 func TestMulTableMatchesGfMul(t *testing.T) {
 	for a := 0; a < 256; a++ {
 		for b := 0; b < 256; b++ {

@@ -324,24 +324,6 @@ func (h *LogHist) Mean() float64 {
 	return float64(h.sum) / float64(h.n)
 }
 
-// Merge adds all of o's observations into h.
-func (h *LogHist) Merge(o *LogHist) {
-	if o == nil || o.n == 0 {
-		return
-	}
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	if h.n == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	h.n += o.n
-	h.sum += o.sum
-}
-
 // Quantile returns the p-th percentile (0-100), interpolating linearly
 // between the edges of the bucket the target rank lands in rather than
 // snapping to a bucket boundary (nearest-rank), and clamping to the
@@ -379,51 +361,4 @@ func (h *LogHist) Quantile(p float64) float64 {
 		}
 	}
 	return float64(h.max)
-}
-
-// Histogram counts observations in fixed-width buckets over [Lo, Hi).
-// Observations outside the range land in the first or last bucket, so no
-// sample is silently dropped.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int64
-	N      int64
-}
-
-// NewHistogram creates a histogram with nbuckets buckets over [lo, hi).
-func NewHistogram(lo, hi float64, nbuckets int) *Histogram {
-	if nbuckets <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, nbuckets)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(v float64) {
-	i := int((v - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-	h.N++
-}
-
-// Bucket returns the index of the bucket v falls in.
-func (h *Histogram) Bucket(v float64) int {
-	i := int((v - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	return i
-}
-
-// BucketLo returns the lower bound of bucket i.
-func (h *Histogram) BucketLo(i int) float64 {
-	return h.Lo + (h.Hi-h.Lo)*float64(i)/float64(len(h.Counts))
 }

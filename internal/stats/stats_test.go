@@ -355,30 +355,21 @@ func TestLogHistQuantileAccuracy(t *testing.T) {
 	}
 }
 
-func TestLogHistMergeAndMoments(t *testing.T) {
-	var a, b LogHist
-	for i := int64(1); i <= 100; i++ {
+func TestLogHistMoments(t *testing.T) {
+	var a LogHist
+	for i := int64(1); i <= 200; i++ {
 		a.Record(i)
 	}
-	for i := int64(101); i <= 200; i++ {
-		b.Record(i)
-	}
-	a.Merge(&b)
 	if a.Count() != 200 || a.Min() != 1 || a.Max() != 200 {
-		t.Fatalf("merged moments: n=%d min=%d max=%d", a.Count(), a.Min(), a.Max())
+		t.Fatalf("moments: n=%d min=%d max=%d", a.Count(), a.Min(), a.Max())
 	}
 	if a.Sum() != 200*201/2 {
-		t.Fatalf("merged sum = %d", a.Sum())
+		t.Fatalf("sum = %d", a.Sum())
 	}
 	if m := a.Mean(); math.Abs(m-100.5) > 1e-9 {
-		t.Fatalf("merged mean = %g", m)
+		t.Fatalf("mean = %g", m)
 	}
 	var empty LogHist
-	a.Merge(&empty)
-	a.Merge(nil)
-	if a.Count() != 200 {
-		t.Fatal("merging empty changed the histogram")
-	}
 	if empty.Quantile(50) != 0 || empty.Mean() != 0 {
 		t.Fatal("empty histogram must report zeros")
 	}
@@ -390,36 +381,6 @@ func TestLogHistNegativeClamps(t *testing.T) {
 	if h.Count() != 1 || h.Min() != 0 || h.Max() != 0 {
 		t.Fatalf("negative record not clamped: %+v", h)
 	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 100, 10)
-	h.Add(5)
-	h.Add(15)
-	h.Add(15)
-	h.Add(-3)  // clamps to first bucket
-	h.Add(250) // clamps to last bucket
-	if h.Counts[0] != 2 || h.Counts[1] != 2 || h.Counts[9] != 1 {
-		t.Fatalf("counts = %v", h.Counts)
-	}
-	if h.N != 5 {
-		t.Fatalf("N = %d", h.N)
-	}
-	if h.Bucket(15) != 1 {
-		t.Fatalf("Bucket(15) = %d", h.Bucket(15))
-	}
-	if h.BucketLo(1) != 10 {
-		t.Fatalf("BucketLo(1) = %g", h.BucketLo(1))
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic")
-		}
-	}()
-	NewHistogram(10, 0, 5)
 }
 
 func TestDeterminism(t *testing.T) {

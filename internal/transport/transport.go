@@ -47,9 +47,9 @@ func deliver(ep netsim.Endpoint, req *wire.Request) (any, error) {
 	return ep.Deliver(req.Src, req.Msg)
 }
 
-// DefaultDialTimeout bounds connection establishment unless the
-// instance overrides it with SetDialTimeout; a node that cannot be
-// dialed is reported down, which is how Pastry detects failures.
+// DefaultDialTimeout bounds connection establishment; a node that
+// cannot be dialed is reported down, which is how Pastry detects
+// failures.
 const DefaultDialTimeout = 2 * time.Second
 
 // TCP is a transport endpoint: client side (netsim.Net) plus server.
@@ -57,16 +57,15 @@ type TCP struct {
 	self id.Node
 	addr string // listen address, rewritten to the bound address
 
-	mu          sync.Mutex
-	dialTimeout time.Duration
-	dir         map[id.Node]wire.DirEntry
-	idle        map[string][]*conn // pooled client connections by peer address
-	serving     map[net.Conn]struct{}
-	ep          netsim.Endpoint
-	ln          net.Listener
-	wg          sync.WaitGroup
-	done        chan struct{}
-	once        sync.Once
+	mu      sync.Mutex
+	dir     map[id.Node]wire.DirEntry
+	idle    map[string][]*conn // pooled client connections by peer address
+	serving map[net.Conn]struct{}
+	ep      netsim.Endpoint
+	ln      net.Listener
+	wg      sync.WaitGroup
+	done    chan struct{}
+	once    sync.Once
 }
 
 var _ netsim.Net = (*TCP)(nil)
@@ -85,14 +84,13 @@ func New(self id.Node, addr string, pos topology.Point) (*TCP, error) {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
 	t := &TCP{
-		self:        self,
-		addr:        ln.Addr().String(),
-		dialTimeout: DefaultDialTimeout,
-		dir:         make(map[id.Node]wire.DirEntry),
-		idle:        make(map[string][]*conn),
-		serving:     make(map[net.Conn]struct{}),
-		ln:          ln,
-		done:        make(chan struct{}),
+		self:    self,
+		addr:    ln.Addr().String(),
+		dir:     make(map[id.Node]wire.DirEntry),
+		idle:    make(map[string][]*conn),
+		serving: make(map[net.Conn]struct{}),
+		ln:      ln,
+		done:    make(chan struct{}),
 	}
 	t.dir[self] = wire.DirEntry{ID: self, Addr: t.addr, X: pos.X, Y: pos.Y}
 	return t, nil
@@ -100,25 +98,6 @@ func New(self id.Node, addr string, pos topology.Point) (*TCP, error) {
 
 // Addr returns the bound listen address.
 func (t *TCP) Addr() string { return t.addr }
-
-// SetDialTimeout overrides this instance's connection-establishment
-// bound (the failure-detection horizon). It applies to future dials;
-// zero or negative restores the package default.
-func (t *TCP) SetDialTimeout(d time.Duration) {
-	if d <= 0 {
-		d = DefaultDialTimeout
-	}
-	t.mu.Lock()
-	t.dialTimeout = d
-	t.mu.Unlock()
-}
-
-// dialTimeoutNow returns the instance's current dial timeout.
-func (t *TCP) dialTimeoutNow() time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dialTimeout
-}
 
 // Serve installs the local endpoint and starts accepting connections.
 func (t *TCP) Serve(ep netsim.Endpoint) {
@@ -435,7 +414,7 @@ func (t *TCP) getConn(ctx context.Context, addr string) (*conn, bool, error) {
 }
 
 func (t *TCP) dial(ctx context.Context, addr string) (*conn, error) {
-	d := net.Dialer{Timeout: t.dialTimeoutNow()}
+	d := net.Dialer{Timeout: DefaultDialTimeout}
 	c, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, err
@@ -465,7 +444,7 @@ func (t *TCP) Alive(dst id.Node) bool {
 	if !ok {
 		return false
 	}
-	c, err := net.DialTimeout("tcp", e.Addr, t.dialTimeoutNow())
+	c, err := net.DialTimeout("tcp", e.Addr, DefaultDialTimeout)
 	if err != nil {
 		return false
 	}
