@@ -154,10 +154,13 @@ fuzz:
 # Allocation budgets of the one-copy payload path: a durable insert
 # makes one allocation, a fragment map encodes in one, and on netsim a
 # coded insert allocates its parity plus the coordinator's own fragment
-# and a lookup its payload — nothing copies a payload a second time. The same tests run in tier-1; this
-# target runs exactly them, uncached.
+# and a lookup its payload — nothing copies a payload a second time.
+# And of the emulator's insert path: the in-memory file table allocates
+# nothing per replica, and a routed size-only netsim insert, diverting
+# or not, stays within its allocation count. The same tests run in
+# tier-1; this target runs exactly them, uncached.
 alloc-guard:
-	$(GO) test -count=1 -run 'TestAllocBudget|TestECEncoderIsShared' ./internal/logstore/ ./internal/ec/ ./internal/past/
+	$(GO) test -count=1 -run 'TestAllocBudget|TestECEncoderIsShared' ./internal/store/ ./internal/logstore/ ./internal/ec/ ./internal/past/
 
 # encoding/gob left the binary with the gob wire and the gob
 # checkpoint; every byte that crosses a socket or a disk goes through

@@ -3,8 +3,8 @@
 // JVM, communication reduced to local invocation; netsim is the same
 // idea: a registry of endpoints keyed by nodeId, message delivery by
 // direct call, plus the bookkeeping a real network would make observable
-// (message counts, payload bytes, per-node liveness, and the proximity
-// metric between any two nodes).
+// (message counts, per-node liveness, and the proximity metric between
+// any two nodes).
 //
 // The routing layer (internal/pastry) and the storage layer
 // (internal/past) talk to the network only through the small Net
@@ -77,17 +77,36 @@ func CtxErr(ctx context.Context) error {
 	}
 }
 
+// ErrBadReply reports a peer's reply of a type the caller did not ask
+// for — over TCP, a mistyped or empty response frame decodes to any
+// registered type, or to nil. Callers treat it like any other failed
+// exchange with that peer; it is not retryable, since asking the same
+// peer again would get the same answer.
+var ErrBadReply = errors.New("netsim: unexpected reply")
+
+// ReplyAs takes the result of an Invoke and returns the reply as a *T,
+// or an error: Invoke's own, or ErrBadReply naming the type the peer
+// sent and the type the caller wanted. Node code reads a peer's reply
+// through it rather than asserting the type, so a bad reply is a failed
+// exchange, never a panic.
+//
+//	sr, err := netsim.ReplyAs[storeReplicaReply](net.Invoke(ctx, src, dst, msg))
+func ReplyAs[T any](reply any, err error) (*T, error) {
+	if err != nil {
+		return nil, err
+	}
+	r, ok := reply.(*T)
+	if !ok || r == nil {
+		return nil, fmt.Errorf("%w: got %T, want %T", ErrBadReply, reply, r)
+	}
+	return r, nil
+}
+
 // Endpoint is the receiving side of a node: it handles one message and
 // returns a reply. Implementations must be safe for concurrent use if
 // the network is driven from multiple goroutines.
 type Endpoint interface {
 	Deliver(from id.Node, msg any) (any, error)
-}
-
-// Sized is implemented by messages that can report their encoded size;
-// the network adds it to the traffic counters.
-type Sized interface {
-	WireSize() int
 }
 
 // Net is the communication interface node code depends on. Both the
@@ -116,7 +135,6 @@ type Network struct {
 	nodes map[id.Node]*entry
 
 	messages atomic.Int64
-	bytes    atomic.Int64
 	byType   sync.Map // reflect.Type of the message -> *atomic.Int64
 }
 
@@ -189,9 +207,6 @@ func (n *Network) Invoke(ctx context.Context, src, dst id.Node, msg any) (any, e
 	}
 	n.messages.Add(1)
 	n.countType(msg)
-	if s, ok := msg.(Sized); ok {
-		n.bytes.Add(int64(s.WireSize()))
-	}
 	return e.ep.Deliver(src, msg)
 }
 
@@ -278,6 +293,3 @@ func (n *Network) Len() int {
 
 // Messages returns the total number of messages delivered.
 func (n *Network) Messages() int64 { return n.messages.Load() }
-
-// Bytes returns the total payload bytes of Sized messages delivered.
-func (n *Network) Bytes() int64 { return n.bytes.Load() }

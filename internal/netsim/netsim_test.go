@@ -3,7 +3,9 @@ package netsim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"past/internal/id"
@@ -17,9 +19,7 @@ func (e *echo) Deliver(from id.Node, msg any) (any, error) {
 	return msg, nil
 }
 
-type sizedMsg struct{ n int }
-
-func (s sizedMsg) WireSize() int { return s.n }
+type probe struct{ n int }
 
 func TestInvoke(t *testing.T) {
 	n := New()
@@ -113,25 +113,6 @@ func TestNodesSortedAndAlive(t *testing.T) {
 	}
 }
 
-func TestByteAccounting(t *testing.T) {
-	n := New()
-	a, b := id.NodeFromUint64(1), id.NodeFromUint64(2)
-	n.Register(a, topology.Point{}, &echo{})
-	n.Register(b, topology.Point{}, &echo{})
-	if _, err := n.Invoke(context.Background(), a, b, sizedMsg{n: 100}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.Invoke(context.Background(), a, b, "unsized"); err != nil {
-		t.Fatal(err)
-	}
-	if n.Bytes() != 100 {
-		t.Fatalf("bytes = %d; want 100", n.Bytes())
-	}
-	if n.Messages() != 2 {
-		t.Fatalf("messages = %d; want 2", n.Messages())
-	}
-}
-
 func TestReRegisterReplaces(t *testing.T) {
 	n := New()
 	a, b := id.NodeFromUint64(1), id.NodeFromUint64(2)
@@ -159,10 +140,10 @@ func TestMessagesByType(t *testing.T) {
 	if _, err := n.Invoke(context.Background(), a, b, "str2"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.Invoke(context.Background(), a, b, sizedMsg{n: 1}); err != nil {
+	if _, err := n.Invoke(context.Background(), a, b, probe{n: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.Invoke(context.Background(), a, b, &sizedMsg{n: 1}); err != nil {
+	if _, err := n.Invoke(context.Background(), a, b, &probe{n: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := n.Invoke(context.Background(), a, b, nil); err != nil {
@@ -170,7 +151,7 @@ func TestMessagesByType(t *testing.T) {
 	}
 	// Keys are the names fmt's %T gives the message values.
 	counts := n.MessagesByType()
-	want := map[string]int64{"string": 2, "netsim.sizedMsg": 1, "*netsim.sizedMsg": 1, "<nil>": 1}
+	want := map[string]int64{"string": 2, "netsim.probe": 1, "*netsim.probe": 1, "<nil>": 1}
 	if !reflect.DeepEqual(counts, want) {
 		t.Fatalf("type counts = %v; want %v", counts, want)
 	}
@@ -256,5 +237,27 @@ func TestDoubleFailAndRecoverIdempotent(t *testing.T) {
 	n.Fail(b)
 	if got := n.Len(); got != 1 {
 		t.Fatalf("Len() = %d after fail-of-removed; want 1", got)
+	}
+}
+
+func TestReplyAs(t *testing.T) {
+	want := &probe{n: 7}
+	if got, err := ReplyAs[probe](want, nil); err != nil || got != want {
+		t.Fatalf("ReplyAs(*probe) = %v, %v; want the reply itself", got, err)
+	}
+	if _, err := ReplyAs[probe](nil, ErrNodeDown); !errors.Is(err, ErrNodeDown) {
+		t.Fatalf("Invoke's error must pass through, got %v", err)
+	}
+	// A reply of another type, an untyped nil (what an empty TCP frame
+	// decodes to) and a typed nil all fail without panicking, naming
+	// what came and what was wanted.
+	for _, bad := range []any{"str", probe{n: 1}, nil, (*probe)(nil)} {
+		got, err := ReplyAs[probe](bad, nil)
+		if got != nil || !errors.Is(err, ErrBadReply) || Retryable(err) {
+			t.Fatalf("ReplyAs(%T) = %v, %v; want nil and a non-retryable ErrBadReply", bad, got, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("got %T", bad)) || !strings.Contains(msg, "want *netsim.probe") {
+			t.Fatalf("error %q must name both types", msg)
+		}
 	}
 }

@@ -262,7 +262,7 @@ func TestConcurrentRegistryAndTracer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				s.MsgsOut.Add(1)
-				s.BytesOut.Add(64)
+				s.RPCErrors.Add(1)
 				s.ObserveRPC(time.Duration(i) * time.Microsecond)
 				if tr.ShouldSample() {
 					tr.Add(&Trace{Op: "lookup", OK: true})

@@ -29,8 +29,7 @@ func LatencyBucketBound(i int) time.Duration {
 // here.
 type NodeStats struct {
 	// Traffic, counted at this node's network boundary.
-	MsgsIn, MsgsOut   atomic.Int64
-	BytesIn, BytesOut atomic.Int64
+	MsgsIn, MsgsOut atomic.Int64
 	// RPCErrors counts outgoing invokes that failed (timeouts, dead
 	// peers, application errors alike).
 	RPCErrors atomic.Int64
@@ -53,7 +52,8 @@ type NodeStats struct {
 	LoadSteers atomic.Int64
 
 	// RPC latency histogram for outgoing invokes (wall clock; reported,
-	// never replayed).
+	// never replayed). Only a network with real latency fills it: on the
+	// emulator it stays empty (see InstrumentNet).
 	RPCTimeNanos atomic.Int64
 	rpcLat       [LatencyBucketCount]atomic.Int64
 }
@@ -74,8 +74,6 @@ func (s *NodeStats) ObserveRPC(d time.Duration) {
 const (
 	CtrMsgsIn          = "msgs_in_total"
 	CtrMsgsOut         = "msgs_out_total"
-	CtrBytesIn         = "bytes_in_total"
-	CtrBytesOut        = "bytes_out_total"
 	CtrRPCErrors       = "rpc_errors_total"
 	CtrRPCTimeNanos    = "rpc_time_nanos_total"
 	CtrReplicasStored  = "replicas_stored_total"
@@ -185,8 +183,6 @@ func (s *NodeStats) Snapshot() Snapshot {
 		Counters: map[string]int64{
 			CtrMsgsIn:          s.MsgsIn.Load(),
 			CtrMsgsOut:         s.MsgsOut.Load(),
-			CtrBytesIn:         s.BytesIn.Load(),
-			CtrBytesOut:        s.BytesOut.Load(),
 			CtrRPCErrors:       s.RPCErrors.Load(),
 			CtrRPCTimeNanos:    s.RPCTimeNanos.Load(),
 			CtrReplicasStored:  s.ReplicasStored.Load(),

@@ -111,9 +111,6 @@ func (n *Node) DeliverTraced(tc obs.TraceContext, from id.Node, msg any) (any, e
 
 func (n *Node) deliver(tc obs.TraceContext, from id.Node, msg any) (any, error) {
 	n.stats.MsgsIn.Add(1)
-	if s, ok := msg.(netsim.Sized); ok {
-		n.stats.BytesIn.Add(int64(s.WireSize()))
-	}
 	switch m := msg.(type) {
 	case *storeReplicaMsg:
 		return n.handleStoreReplica(m), nil
@@ -213,9 +210,9 @@ func (n *Node) localLookup(f id.File) *LookupReply {
 	p, hasPtr := n.store.GetPointer(f)
 	n.mu.Unlock()
 	if hasPtr {
-		res, err := n.net.Invoke(context.Background(), n.ID(), p.Target, &fetchMsg{File: f})
+		fr, err := netsim.ReplyAs[fetchReply](n.net.Invoke(context.Background(), n.ID(), p.Target, &fetchMsg{File: f}))
 		if err == nil {
-			if fr := res.(*fetchReply); fr.Found {
+			if fr.Found {
 				if ec.IsMap(fr.Content) {
 					// The pointer led to a diverted fragment-map replica:
 					// reconstruct the object rather than serving raw map

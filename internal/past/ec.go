@@ -8,6 +8,7 @@ import (
 
 	"past/internal/ec"
 	"past/internal/id"
+	"past/internal/netsim"
 	"past/internal/rs"
 	"past/internal/store"
 )
@@ -285,8 +286,8 @@ func (n *Node) ecStoreFragAt(target id.Node, m *storeFragMsg) bool {
 	if target == n.ID() {
 		return n.handleStoreFrag(m).OK
 	}
-	res, err := n.net.Invoke(context.Background(), n.ID(), target, m)
-	return err == nil && res.(*storeFragReply).OK
+	sr, err := netsim.ReplyAs[storeFragReply](n.net.Invoke(context.Background(), n.ID(), target, m))
+	return err == nil && sr.OK
 }
 
 func (n *Node) ecDropFragAt(target id.Node, f id.File, idx int) {
@@ -305,11 +306,11 @@ func (n *Node) ecFetchFragAt(target id.Node, f id.File, idx int, wantCRC uint32)
 	if target == n.ID() {
 		fr = n.handleFetchFrag(&fetchFragMsg{File: f, Index: idx})
 	} else {
-		res, err := n.net.Invoke(context.Background(), n.ID(), target, &fetchFragMsg{File: f, Index: idx})
+		var err error
+		fr, err = netsim.ReplyAs[fetchFragReply](n.net.Invoke(context.Background(), n.ID(), target, &fetchFragMsg{File: f, Index: idx}))
 		if err != nil {
 			return nil, 0
 		}
-		fr = res.(*fetchFragReply)
 	}
 	if !fr.Found || ec.Checksum(fr.Data) != wantCRC {
 		return nil, 0
@@ -454,8 +455,8 @@ func (n *Node) ecMaintain() {
 			if holder == n.ID() {
 				_, have = n.frags.Has(e.File, idx)
 			} else if n.net.Alive(holder) {
-				res, err := n.net.Invoke(context.Background(), n.ID(), holder, &checkFragMsg{File: e.File, Index: idx})
-				have = err == nil && res.(*checkFragReply).Have
+				cr, err := netsim.ReplyAs[checkFragReply](n.net.Invoke(context.Background(), n.ID(), holder, &checkFragMsg{File: e.File, Index: idx}))
+				have = err == nil && cr.Have
 			}
 			if have {
 				n.repairq.Drop(e.File, idx) // reappeared (e.g. transient partition)

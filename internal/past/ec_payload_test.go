@@ -104,11 +104,11 @@ func TestECCorruptionDoesNotBleedThroughSharedBuffers(t *testing.T) {
 	}
 }
 
-// allocatedPerOp returns the heap bytes op allocates per call, as the
-// smallest of three batches so that a stray background allocation
-// cannot fail a budget.
-func allocatedPerOp(n int, op func(i int)) uint64 {
-	best := ^uint64(0)
+// allocatedPerOp returns the heap bytes and the number of allocations
+// op makes per call, each the smallest of three batches so that a stray
+// background allocation cannot fail a budget.
+func allocatedPerOp(n int, op func(i int)) (bytes, count uint64) {
+	bytes, count = ^uint64(0), ^uint64(0)
 	var a, b runtime.MemStats
 	for batch := 0; batch < 3; batch++ {
 		runtime.ReadMemStats(&a)
@@ -116,9 +116,10 @@ func allocatedPerOp(n int, op func(i int)) uint64 {
 			op(batch*n + i)
 		}
 		runtime.ReadMemStats(&b)
-		best = min(best, (b.TotalAlloc-a.TotalAlloc)/uint64(n))
+		bytes = min(bytes, (b.TotalAlloc-a.TotalAlloc)/uint64(n))
+		count = min(count, (b.Mallocs-a.Mallocs)/uint64(n))
 	}
-	return best
+	return bytes, count
 }
 
 // TestAllocBudgetECInsertLookup: with no socket in the way, a coded
@@ -136,7 +137,7 @@ func TestAllocBudgetECInsertLookup(t *testing.T) {
 	files := make([]id.File, len(contents))
 	node := c.RandomAliveNode()
 
-	perInsert := allocatedPerOp(ops, func(i int) {
+	perInsert, _ := allocatedPerOp(ops, func(i int) {
 		res, err := node.Insert(InsertSpec{Name: fmt.Sprintf("budget-%d", i), Content: contents[i]})
 		if err != nil || !res.OK {
 			t.Fatalf("insert %d: %+v, %v", i, res, err)
@@ -148,7 +149,7 @@ func TestAllocBudgetECInsertLookup(t *testing.T) {
 	}
 
 	var lr *LookupResult
-	perLookup := allocatedPerOp(ops, func(i int) {
+	perLookup, _ := allocatedPerOp(ops, func(i int) {
 		var err error
 		if lr, err = node.Lookup(files[i]); err != nil || !lr.Found {
 			t.Fatalf("lookup %d: %+v, %v", i, lr, err)

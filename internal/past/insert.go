@@ -1,9 +1,10 @@
 package past
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"past/internal/cert"
 	"past/internal/ec"
@@ -288,7 +289,7 @@ func (n *Node) coordinateInsert(key id.Node, m *InsertMsg) *InsertReply {
 func (n *Node) replicateInsert(key id.Node, m *InsertMsg) *InsertReply {
 	members := n.overlay.ReplicaSet(key, m.K)
 	rep := &InsertReply{}
-	var stored []id.Node
+	stored := make([]id.Node, 0, len(members))
 	abort := func(reason string) *InsertReply {
 		for _, s := range stored {
 			if s == n.ID() {
@@ -310,7 +311,8 @@ func (n *Node) replicateInsert(key id.Node, m *InsertMsg) *InsertReply {
 		if member == n.ID() {
 			sr = n.handleStoreReplica(sm)
 		} else {
-			res, err := n.net.Invoke(context.Background(), n.ID(), member, sm)
+			var err error
+			sr, err = netsim.ReplyAs[storeReplicaReply](n.net.Invoke(context.Background(), n.ID(), member, sm))
 			if err != nil {
 				if n.cfg.PartialInsert && netsim.Retryable(err) {
 					// Degraded mode: skip the unreachable member and
@@ -319,12 +321,11 @@ func (n *Node) replicateInsert(key id.Node, m *InsertMsg) *InsertReply {
 					skipped++
 					continue
 				}
-				// A replica-set member died mid-insert; the client will
-				// re-salt (and maintenance will have repaired the leaf
-				// set by then).
+				// A replica-set member died mid-insert (or sent a reply
+				// of the wrong type); the client will re-salt (and
+				// maintenance will have repaired the leaf set by then).
 				return abort(fmt.Sprintf("replica node %s unreachable", member.Short()))
 			}
-			sr = res.(*storeReplicaReply)
 		}
 		switch sr.Status {
 		case storeOK:
@@ -391,21 +392,18 @@ func (n *Node) handleStoreReplica(m *storeReplicaMsg) *storeReplicaReply {
 // this node's file table and at the k+1-th closest node C, so the
 // diverted replica survives the failure of either referrer.
 func (n *Node) divertReplica(m *storeReplicaMsg) *storeReplicaReply {
-	replicaSet := n.overlay.ReplicaSet(m.Key, m.K)
 	type candidate struct {
 		node id.Node
 		free int64
 	}
-	var cands []candidate
-	for _, b := range n.overlay.LeafSet() {
-		if containsNode(replicaSet, b) || b == n.ID() {
-			continue
-		}
-		res, err := n.net.Invoke(context.Background(), n.ID(), b, &freeSpaceMsg{})
+	eligible := n.overlay.LeafSetBeyond(m.Key, m.K)
+	cands := make([]candidate, 0, len(eligible))
+	for _, b := range eligible {
+		fr, err := netsim.ReplyAs[freeSpaceReply](n.net.Invoke(context.Background(), n.ID(), b, &freeSpaceMsg{}))
 		if err != nil {
 			continue
 		}
-		cands = append(cands, candidate{node: b, free: res.(*freeSpaceReply).Free})
+		cands = append(cands, candidate{node: b, free: fr.Free})
 	}
 	if n.cfg.RandomDivert {
 		// Ablation mode: ignore free space when picking the target.
@@ -413,21 +411,21 @@ func (n *Node) divertReplica(m *storeReplicaMsg) *storeReplicaReply {
 		n.rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
 		n.mu.Unlock()
 	} else {
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].free != cands[j].free {
-				return cands[i].free > cands[j].free
+		// Most free space first; ids are unique, so the order is total.
+		slices.SortFunc(cands, func(a, b candidate) int {
+			if c := cmp.Compare(b.free, a.free); c != 0 {
+				return c
 			}
-			return cands[i].node.Less(cands[j].node)
+			return a.node.Cmp(b.node)
 		})
 	}
 
 	dm := &divertStoreMsg{File: m.File, Size: m.Size, Content: m.Content, Cert: m.Cert, Owner: n.ID()}
 	for _, c := range cands {
-		res, err := n.net.Invoke(context.Background(), n.ID(), c.node, dm)
+		dr, err := netsim.ReplyAs[divertStoreReply](n.net.Invoke(context.Background(), n.ID(), c.node, dm))
 		if err != nil {
 			continue // dead candidate; try the next
 		}
-		dr := res.(*divertStoreReply)
 		switch dr.Status {
 		case divertOK:
 			n.mu.Lock()

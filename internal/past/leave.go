@@ -2,7 +2,9 @@ package past
 
 import (
 	"context"
+
 	"past/internal/id"
+	"past/internal/netsim"
 	"past/internal/store"
 )
 
@@ -67,14 +69,14 @@ func (n *Node) Leave() *LeaveResult {
 				if r == n.ID() {
 					continue
 				}
-				reply, err := n.net.Invoke(context.Background(), n.ID(), r, &acquireMsg{
+				ar, err := netsim.ReplyAs[acquireReply](n.net.Invoke(context.Background(), n.ID(), r, &acquireMsg{
 					File: e.File, Key: key, Size: e.Size, K: k,
 					Holder: n.ID(), HolderLeaving: false, // force a real copy
-				})
+				}))
 				if err != nil {
 					continue
 				}
-				switch reply.(*acquireReply).Status {
+				switch ar.Status {
 				case acquireAlreadyHave, acquireStored:
 					placed = true
 				}

@@ -2,8 +2,10 @@ package past
 
 import (
 	"context"
+
 	"past/internal/cert"
 	"past/internal/id"
+	"past/internal/netsim"
 	"past/internal/store"
 )
 
@@ -74,8 +76,8 @@ func (n *Node) maintainOnce() {
 			// migrate or discard it. A dead or unreachable owner is never
 			// treated as a denial: it may recover with its pointer intact.
 			if e.Kind == store.DivertedIn && n.net.Alive(e.Owner) {
-				res, err := n.net.Invoke(context.Background(), n.ID(), e.Owner, &pointerCheckMsg{File: e.File, Holder: n.ID()})
-				if err == nil && !res.(*pointerCheckReply).Valid {
+				pc, err := netsim.ReplyAs[pointerCheckReply](n.net.Invoke(context.Background(), n.ID(), e.Owner, &pointerCheckMsg{File: e.File, Holder: n.ID()}))
+				if err == nil && !pc.Valid {
 					n.mu.Lock()
 					if cur, ok := n.store.Get(e.File); ok && cur.Kind == store.DivertedIn {
 						n.removeReplicaLocked(e.File)
@@ -109,14 +111,14 @@ func (n *Node) maintainOnce() {
 			if r == n.ID() {
 				continue
 			}
-			res, err := n.net.Invoke(context.Background(), n.ID(), r, &acquireMsg{
+			ar, err := netsim.ReplyAs[acquireReply](n.net.Invoke(context.Background(), n.ID(), r, &acquireMsg{
 				File: e.File, Key: key, Size: e.Size, K: k,
 				Holder: n.ID(), HolderLeaving: !selfIn,
-			})
+			}))
 			if err != nil {
 				continue // dead member; its failure will trigger repair
 			}
-			switch res.(*acquireReply).Status {
+			switch ar.Status {
 			case acquireAlreadyHave, acquireStored:
 				covered++
 			case acquireFailed:
@@ -218,12 +220,8 @@ func (n *Node) fetchFrom(holder id.Node, f id.File) (content []byte, fc *cert.Fi
 		}
 		return e.Content, e.Cert, e.Size, true
 	}
-	res, err := n.net.Invoke(context.Background(), n.ID(), holder, &fetchMsg{File: f})
-	if err != nil {
-		return nil, nil, 0, false
-	}
-	fr := res.(*fetchReply)
-	if !fr.Found {
+	fr, err := netsim.ReplyAs[fetchReply](n.net.Invoke(context.Background(), n.ID(), holder, &fetchMsg{File: f}))
+	if err != nil || !fr.Found {
 		return nil, nil, 0, false
 	}
 	return fr.Content, fr.Cert, fr.Size, true
@@ -301,20 +299,16 @@ func (n *Node) handleAcquire(m *acquireMsg) *acquireReply {
 		distant = append(distant, hi[len(hi)-1])
 	}
 	for _, far := range distant {
-		res, err := n.net.Invoke(context.Background(), n.ID(), far, &locateSpaceMsg{File: m.File, Size: size})
+		ls, err := netsim.ReplyAs[locateSpaceReply](n.net.Invoke(context.Background(), n.ID(), far, &locateSpaceMsg{File: m.File, Size: size}))
+		if err != nil || !ls.OK {
+			continue
+		}
+		dr, err := netsim.ReplyAs[divertStoreReply](n.net.Invoke(context.Background(), n.ID(), ls.Candidate,
+			&divertStoreMsg{File: m.File, Size: size, Content: content, Cert: fc, Owner: n.ID()}))
 		if err != nil {
 			continue
 		}
-		ls := res.(*locateSpaceReply)
-		if !ls.OK {
-			continue
-		}
-		dres, err := n.net.Invoke(context.Background(), n.ID(), ls.Candidate,
-			&divertStoreMsg{File: m.File, Size: size, Content: content, Cert: fc, Owner: n.ID()})
-		if err != nil {
-			continue
-		}
-		if dres.(*divertStoreReply).Status == divertOK {
+		if dr.Status == divertOK {
 			n.mu.Lock()
 			n.store.SetPointer(store.Pointer{File: m.File, Target: ls.Candidate, Size: size, Role: store.DivertedOut})
 			n.mu.Unlock()
@@ -352,11 +346,11 @@ func (n *Node) handleLocateSpace(m *locateSpaceMsg) *locateSpaceReply {
 	n.mu.Unlock()
 
 	for _, member := range n.overlay.LeafSet() {
-		res, err := n.net.Invoke(context.Background(), n.ID(), member, &freeSpaceMsg{})
+		fr, err := netsim.ReplyAs[freeSpaceReply](n.net.Invoke(context.Background(), n.ID(), member, &freeSpaceMsg{}))
 		if err != nil {
 			continue
 		}
-		free := res.(*freeSpaceReply).Free
+		free := fr.Free
 		if free <= bestFree || free <= 0 {
 			continue
 		}

@@ -8,6 +8,9 @@ import (
 	"past/internal/id"
 	"past/internal/metrics"
 	"past/internal/obs"
+	"past/internal/topology"
+	"past/internal/transport"
+	"past/internal/wire"
 )
 
 // TestTracedLookupMatchesCollectorHops pins the agreement between the
@@ -124,8 +127,9 @@ func TestStatsRegistryAndSnapshot(t *testing.T) {
 	if snap.Get(obs.CtrLeafSetSize) == 0 || snap.Get(obs.CtrTableEntries) == 0 {
 		t.Fatal("snapshot must carry overlay gauges")
 	}
-	if snap.TotalRPCs() == 0 {
-		t.Fatal("snapshot latency histogram is empty after RPCs")
+	// Emulated RPCs are function calls: counted, never timed.
+	if got := snap.TotalRPCs(); got != 0 || snap.Get(obs.CtrRPCTimeNanos) != 0 {
+		t.Fatalf("emulated RPCs filled the latency histogram with %d samples", got)
 	}
 
 	// Replicas must be accounted somewhere in the cluster.
@@ -178,5 +182,39 @@ func TestTracerSamplesEveryNth(t *testing.T) {
 	trs := tracer.Traces()
 	if trs[0].Op != "insert" || trs[1].Op != "lookup" || trs[2].Op != "lookup" {
 		t.Fatalf("sampled ops %q %q %q, want insert, lookup, lookup", trs[0].Op, trs[1].Op, trs[2].Op)
+	}
+}
+
+// TestRPCLatencyOverTCP: where a call takes real time the node times
+// it — every RPC a node sends over transport.TCP lands in the latency
+// histogram (TestStatsRegistryAndSnapshot holds the emulator's side).
+func TestRPCLatencyOverTCP(t *testing.T) {
+	wire.RegisterWire()
+	RegisterWire()
+	start := func(seed uint64) (*Node, *transport.TCP) {
+		nid := id.NodeFromUint64(seed)
+		tr, err := transport.New(nid, "127.0.0.1:0", topology.Point{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { tr.Close() })
+		n := New(nid, tr, smallCfg(), 1<<20, int64(seed))
+		tr.Serve(n)
+		return n, tr
+	}
+	a, aTr := start(1)
+	a.Overlay().Bootstrap()
+	b, bTr := start(2)
+	boot, err := bTr.Bootstrap(aTr.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Overlay().Join(boot); err != nil {
+		t.Fatal(err)
+	}
+	snap := b.StatsSnapshot()
+	if out := snap.Get(obs.CtrMsgsOut); out == 0 || snap.TotalRPCs() != out || snap.Get(obs.CtrRPCTimeNanos) <= 0 {
+		t.Fatalf("TCP node: msgs_out=%d, latency samples=%d, rpc time %dns; want every RPC timed",
+			out, snap.TotalRPCs(), snap.Get(obs.CtrRPCTimeNanos))
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"past/internal/cert"
 	"past/internal/ec"
 	"past/internal/id"
+	"past/internal/netsim"
 	"past/internal/store"
 )
 
@@ -106,20 +107,14 @@ func (n *Node) coordinateReclaim(key id.Node, m *ReclaimMsg) *ReclaimReply {
 	// k+1 to reach the backup-pointer node C as well.
 	for _, member := range n.overlay.ReplicaSet(key, n.cfg.K+1) {
 		var dr *discardReply
+		var err error
 		if member == n.ID() {
-			var err error
-			var res any
-			res, err = n.handleDiscard(&discardMsg{File: m.File, Cert: m.Cert})
-			if err != nil {
-				continue
-			}
-			dr = res.(*discardReply)
+			dr, err = netsim.ReplyAs[discardReply](n.handleDiscard(&discardMsg{File: m.File, Cert: m.Cert}))
 		} else {
-			res, err := n.net.Invoke(context.Background(), n.ID(), member, &discardMsg{File: m.File, Cert: m.Cert})
-			if err != nil {
-				continue
-			}
-			dr = res.(*discardReply)
+			dr, err = netsim.ReplyAs[discardReply](n.net.Invoke(context.Background(), n.ID(), member, &discardMsg{File: m.File, Cert: m.Cert}))
+		}
+		if err != nil {
+			continue
 		}
 		if dr.Had {
 			rep.Found = true
@@ -164,11 +159,10 @@ func (n *Node) handleDiscard(m *discardMsg) (any, error) {
 
 	if hadPtr && ptr.Role == store.DivertedOut {
 		// Chase the pointer so the diverted replica is discarded too.
-		if res, err := n.net.Invoke(context.Background(), n.ID(), ptr.Target, &discardMsg{File: m.File, Cert: m.Cert, Abort: m.Abort}); err == nil {
-			if dr := res.(*discardReply); dr.Had {
-				rep.Had = true
-				rep.Size += dr.Size
-			}
+		dr, err := netsim.ReplyAs[discardReply](n.net.Invoke(context.Background(), n.ID(), ptr.Target, &discardMsg{File: m.File, Cert: m.Cert, Abort: m.Abort}))
+		if err == nil && dr.Had {
+			rep.Had = true
+			rep.Size += dr.Size
 		}
 	}
 	if rep.Had && n.card != nil {

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"past/internal/id"
+	"past/internal/netsim"
 )
 
 // Node arrival (section 2.1, "Node addition and failure"): an arriving
@@ -37,19 +38,17 @@ func (n *Node) Join(bootstrap id.Node) error {
 	}
 	// Obtain the bootstrap node's neighborhood set: A is proximally
 	// nearby, so A's neighbors are good candidates for ours.
-	res, err := n.net.Invoke(context.Background(), n.self, bootstrap, &StateRequest{})
+	st, err := netsim.ReplyAs[StateReply](n.net.Invoke(context.Background(), n.self, bootstrap, &StateRequest{}))
 	if err != nil {
 		return fmt.Errorf("pastry: join via %s: %w", bootstrap.Short(), err)
 	}
-	st := res.(*StateReply)
 
 	// Ask A to route the join message to Z.
 	req := &RouteRequest{Key: n.self, Payload: &joinPayload{Joiner: n.self}, JoinCollect: true}
-	res, err = n.net.Invoke(context.Background(), n.self, bootstrap, req)
+	rr, err := netsim.ReplyAs[RouteReply](n.net.Invoke(context.Background(), n.self, bootstrap, req))
 	if err != nil {
 		return fmt.Errorf("pastry: join route via %s: %w", bootstrap.Short(), err)
 	}
-	rr := res.(*RouteReply)
 	if rr.Terminal == n.self {
 		return ErrIDCollision
 	}
@@ -128,12 +127,11 @@ func (n *Node) Depart() {
 func (n *Node) Rejoin(lastLeaf []id.Node) error {
 	reached := 0
 	for _, m := range lastLeaf {
-		res, err := n.net.Invoke(context.Background(), n.self, m, &StateRequest{})
+		st, err := netsim.ReplyAs[StateReply](n.net.Invoke(context.Background(), n.self, m, &StateRequest{}))
 		if err != nil {
 			continue
 		}
 		reached++
-		st := res.(*StateReply)
 		n.consider(st.ID)
 		for _, c := range st.Leaf {
 			n.consider(c)

@@ -1,6 +1,8 @@
 package pastry
 
 import (
+	"slices"
+
 	"past/internal/id"
 )
 
@@ -331,6 +333,26 @@ func (n *Node) ReplicaSet(key id.Node, k int) []id.Node {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.closestLocked(key, k, true)
+}
+
+// LeafSetBeyond returns the members of LeafSet, in its order, that are
+// not in ReplicaSet(key, k): PAST's replica-diversion candidates for
+// key, built without a copy of the replica set.
+func (n *Node) LeafSetBeyond(key id.Node, k int) []id.Node {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	out := n.leafSetLocked()
+	w := n.leafWalkLocked(key, true)
+	for ; k > 0; k-- {
+		m, ok := w.next()
+		if !ok {
+			break
+		}
+		if i := slices.Index(out, m); i >= 0 {
+			out = slices.Delete(out, i, i+1)
+		}
+	}
+	return out
 }
 
 // FragmentTargets returns up to want distinct nodes for erasure-coded

@@ -3,6 +3,7 @@ package pastry
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -193,11 +194,21 @@ func checkLeafQueries(t *testing.T, r *rand.Rand, n *Node, extra []id.Node, stat
 			}
 		}
 		for k := 1; k <= n.cfg.L/2+1; k++ {
-			n.mu.Unlock() // IsAmongKClosest takes the lock itself
-			got := n.IsAmongKClosest(key, k)
+			n.mu.Unlock() // IsAmongKClosest and LeafSetBeyond take the lock themselves
+			got, beyond := n.IsAmongKClosest(key, k), n.LeafSetBeyond(key, k)
 			n.mu.Lock()
 			if want := refIsAmongKClosest(n, key, k); got != want {
 				t.Fatalf("%s: IsAmongKClosest(%s, %d) = %v; want %v", state, key.Short(), k, got, want)
+			}
+			rs := refClosest(n, key, k)
+			var want []id.Node
+			for _, m := range refLeafSet(n) {
+				if !slices.Contains(rs, m) {
+					want = append(want, m)
+				}
+			}
+			if !sameNodes(beyond, want) {
+				t.Fatalf("%s: LeafSetBeyond(%s, %d) = %v; want %v", state, key.Short(), k, short(beyond), short(want))
 			}
 		}
 		dead := make(map[id.Node]bool)
@@ -305,6 +316,7 @@ func TestLeafQueriesUnderChurn(t *testing.T) {
 				closestFirst(key, n.ReplicaSet(key, 5))
 				closestFirst(key, n.FragmentTargets(key, 17))
 				closestFirst(n.self, n.LeafSet())
+				closestFirst(n.self, n.LeafSetBeyond(key, 5))
 				n.IsAmongKClosest(key, 5)
 				n.InLeafRange(key)
 			}

@@ -2,7 +2,9 @@ package pastry
 
 import (
 	"context"
+
 	"past/internal/id"
+	"past/internal/netsim"
 )
 
 // Failure handling (section 2.1): neighboring nodes in the nodeId space
@@ -42,12 +44,12 @@ func (n *Node) repairTableEntry(dead id.Node) {
 		if asked >= 3 {
 			break
 		}
-		res, err := n.net.Invoke(context.Background(), n.self, p, &RowRequest{Row: row})
+		rr, err := netsim.ReplyAs[RowReply](n.net.Invoke(context.Background(), n.self, p, &RowRequest{Row: row}))
 		if err != nil {
 			continue
 		}
 		asked++
-		for _, e := range res.(*RowReply).Entries {
+		for _, e := range rr.Entries {
 			if e == dead || e == n.self || !n.net.Alive(e) {
 				continue
 			}
@@ -105,14 +107,13 @@ func (n *Node) repairLeafSet() bool {
 	lo, hi := n.LeafSides()
 	for _, side := range [][]id.Node{lo, hi} {
 		for i := len(side) - 1; i >= 0; i-- { // farthest live member first
-			res, err := n.net.Invoke(context.Background(), n.self, side[i], &StateRequest{})
+			st, err := netsim.ReplyAs[StateReply](n.net.Invoke(context.Background(), n.self, side[i], &StateRequest{}))
 			if err != nil {
 				if n.forget(side[i]) {
 					changed = true
 				}
 				continue
 			}
-			st := res.(*StateReply)
 			for _, c := range st.Leaf {
 				if alive := n.net.Alive(c); alive {
 					if n.consider(c) {

@@ -145,9 +145,9 @@ func (n *Node) routeAvoiding(ctx context.Context, key id.Node, payload any, trac
 		if err != nil {
 			return nil, 0, req.Trace, err
 		}
-		rr, ok := res.(*RouteReply)
-		if !ok {
-			return nil, 0, req.Trace, fmt.Errorf("pastry: unexpected route reply %T from %s", res, next.Short())
+		rr, err := netsim.ReplyAs[RouteReply](res, nil)
+		if err != nil {
+			return nil, 0, req.Trace, fmt.Errorf("pastry: route reply from %s: %w", next.Short(), err)
 		}
 		if recorded && mark < len(rr.Trace) {
 			rr.Trace[mark].RPCNanos = time.Since(hopStart).Nanoseconds()
@@ -315,9 +315,9 @@ func (n *Node) routeStep(ctx context.Context, req *RouteRequest) (*RouteReply, e
 		if err != nil {
 			return nil, err
 		}
-		rr, ok := res.(*RouteReply)
-		if !ok {
-			return nil, fmt.Errorf("pastry: unexpected route reply %T from %s", res, next.Short())
+		rr, err := netsim.ReplyAs[RouteReply](res, nil)
+		if err != nil {
+			return nil, fmt.Errorf("pastry: route reply from %s: %w", next.Short(), err)
 		}
 		if recorded && mark < len(rr.Trace) {
 			// Fill in this hop's RPC latency on the reply's copy of the

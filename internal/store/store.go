@@ -13,8 +13,9 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 
 	"past/internal/cert"
 	"past/internal/id"
@@ -93,11 +94,33 @@ type Pointer struct {
 
 // Store is a node's local disk. It is not safe for concurrent use; the
 // owning PAST node serializes access.
+//
+// The file table is split by what the garbage collector has to look at.
+// Every replica's metadata lives in entries, whose keys and values hold
+// no pointers, so the GC never scans it however many replicas a node
+// holds; Content and Cert, the only pointer fields of an Entry, live in
+// payloads and only for the entries that carry either. An emulated
+// insert (size-only, no certificate) therefore allocates nothing here
+// beyond map growth.
 type Store struct {
 	capacity int64
 	used     int64
-	entries  map[id.File]*Entry
-	pointers map[id.File]*Pointer
+	entries  map[id.File]meta
+	payloads map[id.File]payload
+	pointers map[id.File]Pointer
+}
+
+// meta is the pointer-free part of an Entry.
+type meta struct {
+	size  int64
+	owner id.Node
+	kind  Kind
+}
+
+// payload is the part of an Entry that holds pointers.
+type payload struct {
+	content []byte
+	cert    *cert.FileCertificate
 }
 
 // New creates a store advertising the given capacity in bytes.
@@ -107,8 +130,9 @@ func New(capacity int64) *Store {
 	}
 	return &Store{
 		capacity: capacity,
-		entries:  make(map[id.File]*Entry),
-		pointers: make(map[id.File]*Pointer),
+		entries:  make(map[id.File]meta),
+		payloads: make(map[id.File]payload),
+		pointers: make(map[id.File]Pointer),
 	}
 }
 
@@ -157,72 +181,72 @@ func (s *Store) Add(e Entry) error {
 	if e.Size > s.Free() {
 		return fmt.Errorf("store: %s needs %d bytes, only %d free", e.File.Short(), e.Size, s.Free())
 	}
-	cp := e
-	s.entries[e.File] = &cp
+	s.entries[e.File] = meta{size: e.Size, owner: e.Owner, kind: e.Kind}
+	if e.Content != nil || e.Cert != nil {
+		s.payloads[e.File] = payload{content: e.Content, cert: e.Cert}
+	}
 	s.used += e.Size
 	return nil
 }
 
+// entry reassembles the Entry for f from its metadata and payload.
+func (s *Store) entry(f id.File, m meta) Entry {
+	p := s.payloads[f]
+	return Entry{File: f, Size: m.size, Kind: m.kind, Owner: m.owner, Content: p.content, Cert: p.cert}
+}
+
 // Get returns the replica entry for f, if held.
 func (s *Store) Get(f id.File) (Entry, bool) {
-	e, ok := s.entries[f]
+	m, ok := s.entries[f]
 	if !ok {
 		return Entry{}, false
 	}
-	return *e, true
+	return s.entry(f, m), true
 }
 
 // Remove discards the replica of f and returns its metadata.
 func (s *Store) Remove(f id.File) (Entry, bool) {
-	e, ok := s.entries[f]
+	m, ok := s.entries[f]
 	if !ok {
 		return Entry{}, false
 	}
+	e := s.entry(f, m)
+	e.Content = nil
 	delete(s.entries, f)
-	s.used -= e.Size
-	meta := *e
-	meta.Content = nil
-	return meta, true
+	delete(s.payloads, f)
+	s.used -= m.size
+	return e, true
 }
 
 // SetPointer records a diverted-replica reference. A file has at most
 // one pointer per node; overwriting updates it.
-func (s *Store) SetPointer(p Pointer) {
-	cp := p
-	s.pointers[p.File] = &cp
-}
+func (s *Store) SetPointer(p Pointer) { s.pointers[p.File] = p }
 
 // GetPointer returns the pointer entry for f, if any.
 func (s *Store) GetPointer(f id.File) (Pointer, bool) {
 	p, ok := s.pointers[f]
-	if !ok {
-		return Pointer{}, false
-	}
-	return *p, true
+	return p, ok
 }
 
 // RemovePointer deletes the pointer entry for f.
 func (s *Store) RemovePointer(f id.File) (Pointer, bool) {
 	p, ok := s.pointers[f]
-	if !ok {
-		return Pointer{}, false
+	if ok {
+		delete(s.pointers, f)
 	}
-	delete(s.pointers, f)
-	return *p, true
+	return p, ok
 }
 
 // Entries returns all replica entries ordered by fileId, for
 // deterministic maintenance scans. Content is nil; Get returns it.
 func (s *Store) Entries() []Entry {
 	out := make([]Entry, 0, len(s.entries))
-	for _, e := range s.entries {
-		meta := *e
-		meta.Content = nil
-		out = append(out, meta)
+	for f, m := range s.entries {
+		e := s.entry(f, m)
+		e.Content = nil
+		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return string(out[i].File[:]) < string(out[j].File[:])
-	})
+	slices.SortFunc(out, func(a, b Entry) int { return bytes.Compare(a.File[:], b.File[:]) })
 	return out
 }
 
@@ -230,11 +254,9 @@ func (s *Store) Entries() []Entry {
 func (s *Store) Pointers() []Pointer {
 	out := make([]Pointer, 0, len(s.pointers))
 	for _, p := range s.pointers {
-		out = append(out, *p)
+		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return string(out[i].File[:]) < string(out[j].File[:])
-	})
+	slices.SortFunc(out, func(a, b Pointer) int { return bytes.Compare(a.File[:], b.File[:]) })
 	return out
 }
 

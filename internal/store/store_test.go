@@ -3,6 +3,7 @@ package store
 import (
 	"testing"
 
+	"past/internal/cert"
 	"past/internal/id"
 )
 
@@ -78,6 +79,64 @@ func BenchmarkAddRemove(b *testing.B) {
 		}
 		if _, ok := s.Remove(f); !ok {
 			b.Fatal("remove failed")
+		}
+	}
+}
+
+// TestAllocBudgetStore: the file table holds no per-entry heap object.
+// A size-only replica (every emulated insert) and a pointer cost no
+// allocation at all once the maps have room, and an entry with content
+// and a certificate keeps the caller's slice and certificate, so it
+// costs nothing more either.
+func TestAllocBudgetStore(t *testing.T) {
+	s := New(1 << 40)
+	for i := uint64(0); i < 64; i++ { // a settled table, as on a node mid-replay
+		if err := s.Add(Entry{File: fid(1000 + i), Size: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := fid(1)
+	content := []byte("replica payload")
+	fc := &cert.FileCertificate{FileID: f, K: 3}
+	cases := []struct {
+		name string
+		op   func()
+	}{
+		{"size-only Add/Get/Remove", func() {
+			if err := s.Add(Entry{File: f, Size: 4096, Kind: DivertedIn, Owner: id.NodeFromUint64(7)}); err != nil {
+				t.Fatal(err)
+			}
+			if e, ok := s.Get(f); !ok || e.Size != 4096 || e.Owner != id.NodeFromUint64(7) {
+				t.Fatalf("get = %+v, %v", e, ok)
+			}
+			if _, ok := s.Remove(f); !ok {
+				t.Fatal("remove failed")
+			}
+		}},
+		{"SetPointer/GetPointer/RemovePointer", func() {
+			s.SetPointer(Pointer{File: f, Target: id.NodeFromUint64(9), Size: 4096, Role: Backup})
+			if p, ok := s.GetPointer(f); !ok || p.Role != Backup {
+				t.Fatalf("pointer = %+v, %v", p, ok)
+			}
+			if _, ok := s.RemovePointer(f); !ok {
+				t.Fatal("remove pointer failed")
+			}
+		}},
+		{"content and cert Add/Get/Remove", func() {
+			if err := s.Add(Entry{File: f, Size: int64(len(content)), Content: content, Cert: fc}); err != nil {
+				t.Fatal(err)
+			}
+			if e, ok := s.Get(f); !ok || &e.Content[0] != &content[0] || e.Cert != fc {
+				t.Fatalf("get = %+v, %v: content and cert must be the caller's", e, ok)
+			}
+			if e, ok := s.Remove(f); !ok || e.Content != nil || e.Cert != fc {
+				t.Fatalf("remove = %+v, %v: metadata and cert, no content", e, ok)
+			}
+		}},
+	}
+	for _, c := range cases {
+		if got := testing.AllocsPerRun(100, c.op); got != 0 {
+			t.Errorf("%s: %.1f allocations per run, want 0", c.name, got)
 		}
 	}
 }
