@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-times loc test-race race bench experiments experiments-full examples soak-compare trace-demo fsck-demo overload-demo cache-demo cluster-demo fleet-obs-demo ec-demo cache-bench fuzz alloc-guard no-gob bench-smoke vet fmt clean
+.PHONY: all build test test-times loc test-race race bench experiments experiments-full examples soak-compare trace-demo fsck-demo overload-demo cache-demo cluster-demo fleet-obs-demo ec-demo cache-bench fuzz alloc-guard no-gob one-coder bench-smoke vet fmt clean
 
 all: build test
 
@@ -169,6 +169,13 @@ alloc-guard:
 no-gob:
 	@if $(GO) list -deps ./... | grep -x encoding/gob; then \
 		echo "encoding/gob is a dependency again"; exit 1; fi
+
+# One erasure code: internal/past's EC mode is the only coder (paper
+# section 3.6; internal/frag only stripes, section 3.4). Fail if any
+# non-test package but internal/past imports the Reed-Solomon codec.
+one-coder:
+	@bad=$$($(GO) list -f '{{range .Imports}}{{if eq . "past/internal/rs"}}{{$$.ImportPath}}{{"\n"}}{{end}}{{end}}' ./... | grep -vx past/internal/past); \
+	if [ -n "$$bad" ]; then echo "past/internal/rs imported outside past/internal/past by:" $$bad; exit 1; fi
 
 # The benchmark is its own module, so `go build ./...` never compiles
 # it: vet and test it, then run every workload once on tiny fleets, so

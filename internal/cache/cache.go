@@ -234,12 +234,6 @@ func (ca *Cache) refresh(it *item, size int64, content []byte) bool {
 	return still
 }
 
-// Access looks up f, updating recency state and hit/miss counters.
-func (ca *Cache) Access(f id.File) bool {
-	_, _, ok := ca.Get(f)
-	return ok
-}
-
 // Get looks up f, returning its size and content on a hit. Recency state
 // and the hit/miss counters are updated.
 func (ca *Cache) Get(f id.File) (size int64, content []byte, ok bool) {

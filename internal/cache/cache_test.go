@@ -11,13 +11,19 @@ import (
 
 func fid(n uint64) id.File { return id.NewFile("f", nil, n) }
 
+// hit looks f up through Get, reporting whether it was cached.
+func hit(c *Cache, f id.File) bool {
+	_, _, ok := c.Get(f)
+	return ok
+}
+
 func TestNonePolicyNeverCaches(t *testing.T) {
 	c := New(None, 1)
 	c.SetLimit(1000)
 	if c.Insert(fid(1), 10, nil) {
 		t.Fatal("None policy must not cache")
 	}
-	if c.Access(fid(1)) {
+	if hit(c, fid(1)) {
 		t.Fatal("None policy must miss")
 	}
 }
@@ -28,10 +34,10 @@ func TestInsertAndAccess(t *testing.T) {
 	if !c.Insert(fid(1), 100, nil) {
 		t.Fatal("insert failed")
 	}
-	if !c.Access(fid(1)) {
+	if !hit(c, fid(1)) {
 		t.Fatal("want hit")
 	}
-	if c.Access(fid(2)) {
+	if hit(c, fid(2)) {
 		t.Fatal("want miss")
 	}
 	h, m, _ := c.Stats()
@@ -61,7 +67,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 	c.Insert(fid(1), 100, nil)
 	c.Insert(fid(2), 100, nil)
 	c.Insert(fid(3), 100, nil)
-	c.Access(fid(1)) // 1 is now most recent; 2 is LRU
+	hit(c, fid(1)) // 1 is now most recent; 2 is LRU
 	c.Insert(fid(4), 100, nil)
 	if c.Contains(fid(2)) {
 		t.Fatal("LRU victim should have been 2")
@@ -77,7 +83,7 @@ func TestFIFOIgnoresHits(t *testing.T) {
 	c.Insert(fid(1), 100, nil)
 	c.Insert(fid(2), 100, nil)
 	c.Insert(fid(3), 100, nil)
-	c.Access(fid(1)) // must NOT rescue 1 under FIFO
+	hit(c, fid(1)) // must NOT rescue 1 under FIFO
 	c.Insert(fid(4), 100, nil)
 	if c.Contains(fid(1)) {
 		t.Fatal("FIFO victim should have been 1 despite the hit")
@@ -120,7 +126,7 @@ func TestGDSAgingEvictsColdFiles(t *testing.T) {
 	c2.SetLimit(200)
 	c2.Insert(fid(1), 20, nil)
 	for i := 0; i < 50; i++ {
-		c2.Access(fid(1))
+		hit(c2, fid(1))
 		c2.Insert(fid(uint64(10+i)), 100, nil)
 	}
 	if !c2.Contains(fid(1)) {
@@ -193,7 +199,7 @@ func TestZeroSizeFiles(t *testing.T) {
 	if !c.Insert(fid(1), 0, nil) {
 		t.Fatal("zero-size file should cache")
 	}
-	if !c.Access(fid(1)) {
+	if !hit(c, fid(1)) {
 		t.Fatal("zero-size hit")
 	}
 }
@@ -243,7 +249,7 @@ func TestCacheInvariant(t *testing.T) {
 						resident[k] = size
 					}
 				case 2:
-					c.Access(fid(k))
+					hit(c, fid(k))
 				case 3:
 					c.Remove(fid(k))
 				}
@@ -287,7 +293,7 @@ func TestGDSBeatsLRUOnZipfMixedSizes(t *testing.T) {
 		for i := 0; i < 60000; i++ {
 			k := uint64(z.Rank(r))
 			total++
-			if c.Access(fid(k)) {
+			if hit(c, fid(k)) {
 				hits++
 			} else {
 				c.Insert(fid(k), sizes[k], nil)
@@ -322,6 +328,6 @@ func BenchmarkLRUAccess(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Access(fid(uint64(i % 1000)))
+		hit(c, fid(uint64(i%1000)))
 	}
 }

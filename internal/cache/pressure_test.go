@@ -71,7 +71,7 @@ func TestGDSHeapConsistentUnderInsertPressure(t *testing.T) {
 		i := z.Rank(r)
 		switch op % 3 {
 		case 0: // hot lookup: heap.Fix path
-			ca.Access(fid(uint64(i)))
+			hit(ca, fid(uint64(i)))
 		case 1: // hot insert: eviction + push path
 			ca.Insert(fid(uint64(i)), sizeOf(i), nil)
 		default: // cold insert: unique key, guaranteed pressure
@@ -140,7 +140,7 @@ func BenchmarkHit(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if !ca.Access(fid(uint64(i) % 200)) {
+				if !hit(ca, fid(uint64(i)%200)) {
 					b.Fatal("unexpected miss")
 				}
 			}

@@ -42,7 +42,7 @@ func (s *singleLockCache) Insert(f id.File, size int64, content []byte) bool {
 // engine under GOMAXPROCS-way parallelism (run with -cpu 8 for the
 // acceptance number).
 func BenchmarkEngineGetParallel(b *testing.B) {
-	e := MustNew(Config{Policy: cache.GDS, Shards: 64})
+	e := mustNew(b, Config{Policy: cache.GDS, Shards: 64})
 	e.SetLimit(1 << 30)
 	keys := benchKeys(e.Insert, 4096)
 
@@ -78,7 +78,7 @@ func BenchmarkSingleLockGetParallel(b *testing.B) {
 // BenchmarkEngineInsertParallel exercises the write path: refreshing
 // inserts over a fixed key set.
 func BenchmarkEngineInsertParallel(b *testing.B) {
-	e := MustNew(Config{Policy: cache.GDS, Shards: 64})
+	e := mustNew(b, Config{Policy: cache.GDS, Shards: 64})
 	e.SetLimit(1 << 30)
 	keys := benchKeys(e.Insert, 4096)
 

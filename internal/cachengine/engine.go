@@ -168,15 +168,6 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// MustNew is New for configurations that cannot fail (no flash tier).
-func MustNew(cfg Config) *Engine {
-	e, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 // Config returns the engine's effective (defaulted) configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
@@ -207,12 +198,6 @@ func (e *Engine) Get(f id.File) (size int64, content []byte, ok bool) {
 	}
 	e.misses.Add(1)
 	return 0, nil, false
-}
-
-// Access looks up f for its side effects, reporting a hit.
-func (e *Engine) Access(f id.File) bool {
-	_, _, ok := e.Get(f)
-	return ok
 }
 
 // Insert offers a file to the cache. The doorkeeper (when enabled)

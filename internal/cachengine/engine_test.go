@@ -12,6 +12,16 @@ import (
 
 func efid(n uint64) id.File { return id.NewFile("f", nil, n) }
 
+// mustNew builds an engine whose configuration cannot fail.
+func mustNew(tb testing.TB, cfg Config) *Engine {
+	tb.Helper()
+	e, err := New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return e
+}
+
 func epayload(f id.File, size int) []byte {
 	b := make([]byte, size)
 	for i := range b {
@@ -26,7 +36,7 @@ func epayload(f id.File, size int) []byte {
 // fingerprints stable.
 func TestLegacyEquivalence(t *testing.T) {
 	for _, pol := range []cache.Policy{cache.GDS, cache.LRU, cache.FIFO} {
-		eng := MustNew(Config{Policy: pol})
+		eng := mustNew(t, Config{Policy: pol})
 		ref := cache.New(pol, 1)
 		eng.SetLimit(4096)
 		ref.SetLimit(4096)
@@ -70,7 +80,7 @@ func TestLegacyEquivalence(t *testing.T) {
 }
 
 func TestDoorkeeperAdmitsOnSecondOffer(t *testing.T) {
-	e := MustNew(Config{Policy: cache.GDS, Shards: 2, Doorkeeper: true})
+	e := mustNew(t, Config{Policy: cache.GDS, Shards: 2, Doorkeeper: true})
 	e.SetLimit(1 << 20)
 
 	f := efid(1)
@@ -112,7 +122,7 @@ func TestDoorkeeperResets(t *testing.T) {
 }
 
 func TestNegativeCache(t *testing.T) {
-	e := MustNew(Config{Policy: cache.GDS, Shards: 4, NegativeEntries: 8})
+	e := mustNew(t, Config{Policy: cache.GDS, Shards: 4, NegativeEntries: 8})
 	e.SetLimit(1 << 20)
 
 	f := efid(42)
@@ -147,7 +157,7 @@ func TestNegativeCache(t *testing.T) {
 }
 
 func TestNegativeCacheDisabled(t *testing.T) {
-	e := MustNew(Config{Policy: cache.GDS})
+	e := mustNew(t, Config{Policy: cache.GDS})
 	e.NoteMiss(efid(1))
 	e.Invalidate(efid(1))
 	if e.NegativeHit(efid(1)) {
@@ -270,7 +280,7 @@ func TestRemoveDropsBothTiers(t *testing.T) {
 }
 
 func TestRAMBytesClampsGrant(t *testing.T) {
-	e := MustNew(Config{Policy: cache.GDS, Shards: 4, RAMBytes: 1000})
+	e := mustNew(t, Config{Policy: cache.GDS, Shards: 4, RAMBytes: 1000})
 	e.SetLimit(100000)
 	if e.Limit() != 100000 {
 		t.Fatalf("Limit() reports the owner grant, got %d", e.Limit())
@@ -283,7 +293,7 @@ func TestRAMBytesClampsGrant(t *testing.T) {
 		t.Fatalf("shard limits sum to %d, want RAMBytes clamp 1000", share)
 	}
 	// Remainder distribution: an uneven grant is spread base+1/base.
-	e2 := MustNew(Config{Policy: cache.GDS, Shards: 4})
+	e2 := mustNew(t, Config{Policy: cache.GDS, Shards: 4})
 	e2.SetLimit(10)
 	var total int64
 	for _, sh := range e2.shard {

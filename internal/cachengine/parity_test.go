@@ -23,7 +23,7 @@ type evictRec struct {
 func TestShardedParity(t *testing.T) {
 	const nShards = 4
 	for _, pol := range []cache.Policy{cache.GDS, cache.LRU, cache.FIFO} {
-		eng := MustNew(Config{Policy: pol, Shards: nShards})
+		eng := mustNew(t, Config{Policy: pol, Shards: nShards})
 
 		ref := make([]*cache.Cache, nShards)
 		engEv := make([][]evictRec, nShards)

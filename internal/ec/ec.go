@@ -1,6 +1,7 @@
 // Package ec makes erasure coding a first-class storage mode: the
-// node-level subsystem the paper sketches as future work in section 3.6
-// and internal/frag only emulates client-side. An object inserted in EC
+// file encoding the paper sketches as future work in section 3.6, and
+// the tree's only one (internal/frag stripes large files, section 3.4,
+// and leaves their coding to this mode). An object inserted in EC
 // mode is RS(m, n)-coded by the root node into m data + n parity
 // fragments placed on distinct leaf-set members; a fragment map —
 // fileId, object size, coding parameters, per-fragment checksums, and
@@ -288,20 +289,22 @@ func (s *FragStore) Indices(file id.File) []int {
 	return out
 }
 
-// CorruptForTest flips a bit in a stored fragment's payload without
-// touching its CRC — the fault injection hook for corruption tests. The
-// payload is shared (see Put), so the fragment gets a corrupted copy
-// and every other holder of the bytes keeps the original.
-func (s *FragStore) CorruptForTest(file id.File, idx int) bool {
+// CorruptForTest flips bit `bit` (bit%8 of byte bit/8) of a stored
+// fragment's payload without touching its CRC — the fault injection
+// hook for corruption tests. The payload is shared (see Put), so the
+// fragment gets a corrupted copy and every other holder of the bytes
+// keeps the original. It reports false if there is no such fragment or
+// bit.
+func (s *FragStore) CorruptForTest(file id.File, idx, bit int) bool {
 	k := fragKey{file, idx}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	f, ok := s.frags[k]
-	if !ok || len(f.Data) == 0 {
+	if !ok || bit < 0 || bit >= 8*len(f.Data) {
 		return false
 	}
 	f.Data = append([]byte(nil), f.Data...)
-	f.Data[0] ^= 0x01
+	f.Data[bit/8] ^= 1 << (bit % 8)
 	return true
 }
 

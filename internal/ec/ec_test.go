@@ -78,7 +78,10 @@ func TestFragStoreCRC(t *testing.T) {
 		t.Fatal("Get lost the fragment")
 	}
 	// Corrupt in place: the next read must detect, drop, and count it.
-	if !s.CorruptForTest(f, 2) {
+	if s.CorruptForTest(f, 2, 8*len(data)) || s.CorruptForTest(f, 3, 0) {
+		t.Fatal("CorruptForTest flipped a bit that does not exist")
+	}
+	if !s.CorruptForTest(f, 2, 8*len(data)-1) {
 		t.Fatal("CorruptForTest missed")
 	}
 	if _, ok := s.Get(f, 2); ok {

@@ -15,18 +15,18 @@ func TestFragmentationExperiment(t *testing.T) {
 		t.Fatalf("fill reached only %.1f%% utilization", 100*r.Utilization)
 	}
 	// The section 3.4/3.6 claims: fragmentation stores large files that
-	// whole-file insertion rejects, and RS fragments cost less storage.
-	if r.FragOK <= r.WholeOK {
-		t.Fatalf("fragmented %d <= whole %d successes", r.FragOK, r.WholeOK)
+	// whole-file insertion rejects, and coded stripes cost less storage.
+	if r.FragOK <= r.WholeOK || r.CodedOK <= r.WholeOK {
+		t.Fatalf("fragmented %d, coded %d <= whole %d successes", r.FragOK, r.CodedOK, r.WholeOK)
 	}
-	if r.FetchOKFrag != r.FragOK || r.FetchOKRS != r.RSOK {
+	if r.FetchOKFrag != r.FragOK || r.FetchOKCoded != r.CodedOK {
 		t.Fatal("stored objects not retrievable")
 	}
-	if r.RSOK > 0 && r.FragOK > 0 {
-		perRS := float64(r.RSBytes) / float64(r.RSOK)
+	if r.CodedOK > 0 && r.FragOK > 0 {
+		perCoded := float64(r.CodedBytes) / float64(r.CodedOK)
 		perFrag := float64(r.FragBytes) / float64(r.FragOK)
-		if perRS >= perFrag {
-			t.Fatalf("RS per-object bytes %.0f not below replicated %.0f", perRS, perFrag)
+		if perCoded >= perFrag {
+			t.Fatalf("coded per-object bytes %.0f not below replicated %.0f", perCoded, perFrag)
 		}
 	}
 }

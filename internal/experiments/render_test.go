@@ -74,9 +74,9 @@ func TestRenderOverheadAndFragmentation(t *testing.T) {
 	if out := RenderOverhead(or); !strings.Contains(out, "msgs/insert") {
 		t.Fatal("overhead render")
 	}
-	fr := &FragmentationResult{Utilization: 0.76, Files: 20, FragOK: 20, RSOK: 20,
-		FragBytes: 416_000_000, RSBytes: 125_000_000, FetchOKFrag: 20, FetchOKRS: 20}
-	if out := RenderFragmentation(fr); !strings.Contains(out, "RS(8,4)") {
+	fr := &FragmentationResult{Utilization: 0.76, Files: 20, FragOK: 20, CodedOK: 20,
+		FragBytes: 416_000_000, CodedBytes: 125_000_000, FetchOKFrag: 20, FetchOKCoded: 20}
+	if out := RenderFragmentation(fr); !strings.Contains(out, "rs(8,4) stripes") {
 		t.Fatal("fragmentation render")
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -107,8 +108,9 @@ func RunRouting(sc Scale, seed int64) (*RoutingResult, error) {
 		}
 		// Which node actually served it? Trace the route: with caching
 		// off, the serving node is the first holder on the path (or a
-		// pointer chase, which we skip by requiring a direct holder).
-		reply, hopsTaken, path, err := client.Overlay().RouteTraced(p.fid.Key(), &past.LookupMsg{File: p.fid})
+		// pointer chase, which we skip by requiring a direct holder) —
+		// the To of the route's last hop record, the consumer's own.
+		reply, hopsTaken, hopTrace, err := client.Overlay().RouteTracedContext(context.Background(), p.fid.Key(), &past.LookupMsg{File: p.fid})
 		if err != nil {
 			return nil, err
 		}
@@ -124,7 +126,7 @@ func RunRouting(sc Scale, seed int64) (*RoutingResult, error) {
 		if rr.MaxHops < hopsTaken {
 			rr.MaxHops = hopsTaken
 		}
-		server := path[len(path)-1]
+		server := hopTrace[len(hopTrace)-1].To
 		if len(hds) > 0 && server == hds[0].n.ID() {
 			nearest++
 			nearest2++

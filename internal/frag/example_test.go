@@ -6,17 +6,21 @@ import (
 	"log"
 	"math/rand"
 
+	"past/internal/ec"
 	"past/internal/frag"
 	"past/internal/past"
 	"past/internal/pastry"
 )
 
-// Example stores a large file as Reed-Solomon coded fragments and
-// reassembles it, surviving the loss of parity-many fragments.
+// Example stripes a large file over a cluster that stores files
+// erasure-coded: every stripe becomes an rs(4,2) object, so the file
+// costs ~1.5x its size and each stripe survives the loss of any two of
+// its six fragments.
 func Example() {
 	cfg := past.DefaultConfig()
 	cfg.Pastry = pastry.Config{B: 4, L: 16}
 	cfg.K = 3
+	cfg.ECMode = &ec.Params{Data: 4, Parity: 2}
 	cluster, err := past.NewCluster(past.ClusterSpec{
 		N:        30,
 		Cfg:      cfg,
@@ -27,12 +31,7 @@ func Example() {
 		log.Fatal(err)
 	}
 
-	store, err := frag.NewStore(cluster.Nodes[0], frag.Options{
-		Mode:         frag.ReedSolomon,
-		DataShards:   4,
-		ParityShards: 2,
-		FragmentSize: 16 << 10,
-	})
+	store, err := frag.NewStore(cluster.Nodes[0], frag.Options{FragmentSize: 4 * (16 << 10)})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,8 +42,9 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("fragments stored:", res.Fragments)
-	fmt.Printf("storage overhead: %.2fx\n", float64(res.StoredBytes)/float64(len(content)))
+	stored := cluster.StoredBytes() + cluster.FragBytes()
+	fmt.Println("stripes stored:", res.Fragments)
+	fmt.Printf("storage overhead: %.2fx\n", float64(stored)/float64(len(content)))
 
 	got, err := store.Fetch(res.ManifestID)
 	if err != nil {
@@ -53,7 +53,7 @@ func Example() {
 	fmt.Println("intact:", bytes.Equal(got, content))
 
 	// Output:
-	// fragments stored: 12
-	// storage overhead: 1.51x
+	// stripes stored: 2
+	// storage overhead: 1.52x
 	// intact: true
 }

@@ -1,26 +1,25 @@
-// Package frag layers file fragmentation and erasure coding on top of
-// PAST — the recourse the paper prescribes for failed inserts ("an
-// application may choose to retry the operation with a smaller file
-// size, e.g. by fragmenting the file, and/or a smaller number of
-// replicas", section 3.4) and the file-encoding direction it leaves as
-// future work (section 3.6).
+// Package frag stripes large files over PAST — the recourse the paper
+// prescribes for failed inserts ("an application may choose to retry
+// the operation with a smaller file size, e.g. by fragmenting the file,
+// and/or a smaller number of replicas", section 3.4).
 //
 // A large file is split into fragments, each inserted as an independent
-// PAST file; a manifest recording the fragment fileIds is inserted last
-// and its fileId identifies the whole object. Two redundancy modes:
-//
-//   - Replicated: each fragment carries PAST's usual k replicas; all
-//     fragments are needed to reassemble.
-//   - ReedSolomon: fragments are RS(n, m) coded and inserted with k=1;
-//     any n of the n+m fragments reassemble the file. Storage overhead
-//     falls from k to (n+m)/n at equivalent loss tolerance, exactly the
-//     trade-off section 3.6 sketches.
+// PAST file; a manifest recording the fragment fileIds and the SHA-1 of
+// the whole object is inserted last and its fileId identifies the
+// object. All fragments are needed to reassemble it.
 //
 // Because each fragment has its own fileId, fragments scatter uniformly
 // over the nodeId space, so a file too large for any single node's
 // acceptance policy can still be stored at high global utilization, and
 // retrieval parallelizes across nodes (the striping benefit the paper
 // notes).
+//
+// This package does no coding of its own. A fragment is an ordinary
+// PAST file, so it carries whatever redundancy the cluster stores files
+// with: k replicas, or — on a cluster running Config.ECMode, the
+// section 3.6 file encoding (internal/ec) — m data plus n parity
+// fragments, each with a CRC32-C in a versioned fragment map and
+// re-created by lazy repair when lost.
 package frag
 
 import (
@@ -32,26 +31,7 @@ import (
 
 	"past/internal/id"
 	"past/internal/past"
-	"past/internal/rs"
 )
-
-// Mode selects the redundancy scheme.
-type Mode uint8
-
-// Redundancy modes.
-const (
-	// Replicated stores each fragment with PAST's k replicas.
-	Replicated Mode = iota
-	// ReedSolomon stores RS-coded fragments with a single replica each.
-	ReedSolomon
-)
-
-func (m Mode) String() string {
-	if m == ReedSolomon {
-		return "reed-solomon"
-	}
-	return "replicated"
-}
 
 // Errors returned by the fragment store.
 var (
@@ -65,81 +45,42 @@ var (
 type Options struct {
 	// FragmentSize is the maximum fragment payload (default 64 KiB).
 	FragmentSize int
-	// Mode selects replication or RS coding.
-	Mode Mode
-	// DataShards/ParityShards configure RS(n, m) (defaults 8 and 4,
-	// tolerating 4 losses at 1.5x storage).
-	DataShards, ParityShards int
-	// K overrides the replication factor for Replicated fragments and
-	// the manifest (0: node default).
+	// K overrides the replication factor for fragments and the manifest
+	// (0: node default).
 	K int
-}
-
-func (o Options) withDefaults() Options {
-	if o.FragmentSize == 0 {
-		o.FragmentSize = 64 << 10
-	}
-	if o.DataShards == 0 {
-		o.DataShards = 8
-	}
-	if o.ParityShards == 0 {
-		o.ParityShards = 4
-	}
-	return o
 }
 
 // Store fragments and reassembles files through a PAST access point.
 type Store struct {
 	node *past.Node
 	opt  Options
-	enc  *rs.Encoder
 }
 
 // NewStore creates a fragment store over the given access point.
 func NewStore(node *past.Node, opt Options) (*Store, error) {
-	opt = opt.withDefaults()
+	if opt.FragmentSize == 0 {
+		opt.FragmentSize = 64 << 10
+	}
 	if opt.FragmentSize < 1 {
 		return nil, fmt.Errorf("%w: fragment size %d", ErrBadOptions, opt.FragmentSize)
 	}
-	s := &Store{node: node, opt: opt}
-	if opt.Mode == ReedSolomon {
-		enc, err := rs.New(opt.DataShards, opt.ParityShards)
-		if err != nil {
-			return nil, err
-		}
-		s.enc = enc
-	}
-	return s, nil
+	return &Store{node: node, opt: opt}, nil
 }
 
 // manifest is the metadata object stored in PAST under the object's
-// name; its fileId identifies the whole fragmented object. In RS mode
-// the file is coded in groups of Data x GroupUnit bytes, each group
-// yielding Data+Parity fragments (FragIDs is group-major), so every
-// group independently tolerates Parity losses while fragments stay
-// near the configured fragment size.
+// name; its fileId identifies the whole fragmented object.
 type manifest struct {
-	Mode      Mode
-	Size      int64 // original file size
-	Data      int32 // RS data shards per group
-	Parity    int32 // RS parity shards per group
-	Groups    int32 // RS groups (1 in Replicated mode)
-	GroupUnit int32 // RS shard payload unit (the configured FragmentSize)
-	Sum       [20]byte
-	FragIDs   []id.File
+	Size    int64 // original file size
+	Sum     [20]byte
+	FragIDs []id.File
 }
 
-const manifestMagic = "PASTFRAG2"
+const manifestMagic = "PASTFRAG3"
 
 func (m *manifest) encode() []byte {
 	var b bytes.Buffer
 	b.WriteString(manifestMagic)
-	b.WriteByte(byte(m.Mode))
 	binary.Write(&b, binary.BigEndian, m.Size)
-	binary.Write(&b, binary.BigEndian, m.Data)
-	binary.Write(&b, binary.BigEndian, m.Parity)
-	binary.Write(&b, binary.BigEndian, m.Groups)
-	binary.Write(&b, binary.BigEndian, m.GroupUnit)
 	b.Write(m.Sum[:])
 	binary.Write(&b, binary.BigEndian, int32(len(m.FragIDs)))
 	for _, f := range m.FragIDs {
@@ -155,15 +96,8 @@ func decodeManifest(raw []byte) (*manifest, error) {
 		return nil, ErrManifest
 	}
 	var m manifest
-	mode, err := r.ReadByte()
-	if err != nil {
+	if err := binary.Read(r, binary.BigEndian, &m.Size); err != nil {
 		return nil, ErrManifest
-	}
-	m.Mode = Mode(mode)
-	for _, dst := range []any{&m.Size, &m.Data, &m.Parity, &m.Groups, &m.GroupUnit} {
-		if err := binary.Read(r, binary.BigEndian, dst); err != nil {
-			return nil, ErrManifest
-		}
 	}
 	if _, err := r.Read(m.Sum[:]); err != nil {
 		return nil, ErrManifest
@@ -187,9 +121,6 @@ type Result struct {
 	ManifestID id.File
 	// Fragments is the number of fragment files inserted.
 	Fragments int
-	// StoredBytes is the total replica bytes consumed (fragments x
-	// replication), for overhead comparisons.
-	StoredBytes int64
 }
 
 // Insert fragments content and stores it under name. The returned
@@ -198,68 +129,21 @@ func (s *Store) Insert(name string, content []byte) (*Result, error) {
 	if len(content) == 0 {
 		return nil, fmt.Errorf("%w: empty content", ErrBadOptions)
 	}
-	m := &manifest{
-		Mode: s.opt.Mode,
-		Size: int64(len(content)),
-		Sum:  sha1.Sum(content),
-	}
-
-	var frags [][]byte
-	fragK := s.opt.K
-	switch s.opt.Mode {
-	case Replicated:
-		for off := 0; off < len(content); off += s.opt.FragmentSize {
-			end := off + s.opt.FragmentSize
-			if end > len(content) {
-				end = len(content)
-			}
-			frags = append(frags, content[off:end])
-		}
-		m.Groups = 1
-	case ReedSolomon:
-		// Code the file in groups of DataShards x FragmentSize so
-		// fragments stay near the configured size regardless of the
-		// file size; each group independently tolerates ParityShards
-		// losses.
-		groupBytes := s.opt.DataShards * s.opt.FragmentSize
-		for off := 0; off < len(content); off += groupBytes {
-			end := off + groupBytes
-			if end > len(content) {
-				end = len(content)
-			}
-			shards, err := s.enc.Split(content[off:end])
-			if err != nil {
-				return nil, err
-			}
-			if err := s.enc.Encode(shards); err != nil {
-				return nil, err
-			}
-			frags = append(frags, shards...)
-			m.Groups++
-		}
-		m.Data = int32(s.opt.DataShards)
-		m.Parity = int32(s.opt.ParityShards)
-		m.GroupUnit = int32(s.opt.FragmentSize)
-		fragK = 1 // redundancy comes from parity shards, not replicas
-	default:
-		return nil, fmt.Errorf("%w: mode %d", ErrBadOptions, s.opt.Mode)
-	}
-
-	res := &Result{Fragments: len(frags)}
-	for i, f := range frags {
+	m := &manifest{Size: int64(len(content)), Sum: sha1.Sum(content)}
+	for off, i := 0, 0; off < len(content); off, i = off+s.opt.FragmentSize, i+1 {
+		f := content[off:min(off+s.opt.FragmentSize, len(content))]
 		ins, err := s.node.Insert(past.InsertSpec{
 			Name:    fmt.Sprintf("%s#frag%d", name, i),
 			Content: f,
-			K:       fragK,
+			K:       s.opt.K,
 		})
 		if err != nil {
 			return nil, err
 		}
 		if !ins.OK {
-			return nil, fmt.Errorf("%w: fragment %d of %d: %s", ErrInsert, i, len(frags), ins.Reason)
+			return nil, fmt.Errorf("%w: fragment %d: %s", ErrInsert, i, ins.Reason)
 		}
 		m.FragIDs = append(m.FragIDs, ins.FileID)
-		res.StoredBytes += int64(len(f)) * int64(ins.Stored)
 	}
 
 	man, err := s.node.Insert(past.InsertSpec{Name: name, Content: m.encode(), K: s.opt.K})
@@ -269,91 +153,30 @@ func (s *Store) Insert(name string, content []byte) (*Result, error) {
 	if !man.OK {
 		return nil, fmt.Errorf("%w: manifest: %s", ErrInsert, man.Reason)
 	}
-	res.ManifestID = man.FileID
-	res.StoredBytes += int64(len(m.encode())) * int64(man.Stored)
-	return res, nil
+	return &Result{ManifestID: man.FileID, Fragments: len(m.FragIDs)}, nil
 }
 
-// Fetch retrieves and reassembles the object behind a manifest id. In
-// ReedSolomon mode it succeeds as long as any DataShards fragments
-// survive; missing shards are reconstructed.
+// Fetch retrieves and reassembles the object behind a manifest id,
+// checking the whole object against the manifest's SHA-1.
 func (s *Store) Fetch(manifestID id.File) ([]byte, error) {
-	lk, err := s.node.Lookup(manifestID)
+	m, err := s.manifest(manifestID)
 	if err != nil {
 		return nil, err
 	}
-	if !lk.Found {
-		return nil, fmt.Errorf("%w: manifest %s not found", ErrManifest, manifestID.Short())
-	}
-	m, err := decodeManifest(lk.Content)
-	if err != nil {
-		return nil, err
-	}
-
-	switch m.Mode {
-	case Replicated:
-		var out []byte
-		for i, fid := range m.FragIDs {
-			fr, err := s.node.Lookup(fid)
-			if err != nil {
-				return nil, err
-			}
-			if !fr.Found {
-				return nil, fmt.Errorf("%w: fragment %d (%s)", ErrFragment, i, fid.Short())
-			}
-			out = append(out, fr.Content...)
-		}
-		return s.verify(m, out)
-	case ReedSolomon:
-		enc, err := rs.New(int(m.Data), int(m.Parity))
+	out := make([]byte, 0, m.Size)
+	for i, fid := range m.FragIDs {
+		fr, err := s.node.Lookup(fid)
 		if err != nil {
 			return nil, err
 		}
-		perGroup := int(m.Data) + int(m.Parity)
-		if int(m.Groups)*perGroup != len(m.FragIDs) || m.Groups < 1 || m.GroupUnit < 1 {
-			return nil, ErrManifest
+		if !fr.Found {
+			return nil, fmt.Errorf("%w: fragment %d (%s)", ErrFragment, i, fid.Short())
 		}
-		groupBytes := int(m.Data) * int(m.GroupUnit)
-		var out []byte
-		for g := 0; g < int(m.Groups); g++ {
-			shards := make([][]byte, perGroup)
-			present := 0
-			for i := 0; i < perGroup; i++ {
-				fid := m.FragIDs[g*perGroup+i]
-				fr, err := s.node.Lookup(fid)
-				if err != nil || !fr.Found {
-					continue // erasure; RS absorbs up to Parity per group
-				}
-				shards[i] = fr.Content
-				present++
-			}
-			if present < int(m.Data) {
-				return nil, fmt.Errorf("%w: group %d has %d of %d fragments, need %d",
-					ErrFragment, g, present, perGroup, m.Data)
-			}
-			if err := enc.Reconstruct(shards); err != nil {
-				return nil, err
-			}
-			glen := groupBytes
-			if g == int(m.Groups)-1 {
-				glen = int(m.Size) - g*groupBytes
-			}
-			block, err := enc.Join(shards, glen)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, block...)
-		}
-		return s.verify(m, out)
+		out = append(out, fr.Content...)
 	}
-	return nil, ErrManifest
-}
-
-func (s *Store) verify(m *manifest, out []byte) ([]byte, error) {
-	if int64(len(out)) < m.Size {
+	if int64(len(out)) != m.Size {
 		return nil, fmt.Errorf("%w: reassembled %d of %d bytes", ErrFragment, len(out), m.Size)
 	}
-	out = out[:m.Size]
 	if sha1.Sum(out) != m.Sum {
 		return nil, fmt.Errorf("%w: content hash mismatch", ErrFragment)
 	}
@@ -362,14 +185,7 @@ func (s *Store) verify(m *manifest, out []byte) ([]byte, error) {
 
 // Reclaim releases the manifest and all fragments.
 func (s *Store) Reclaim(manifestID id.File) error {
-	lk, err := s.node.Lookup(manifestID)
-	if err != nil {
-		return err
-	}
-	if !lk.Found {
-		return fmt.Errorf("%w: manifest %s not found", ErrManifest, manifestID.Short())
-	}
-	m, err := decodeManifest(lk.Content)
+	m, err := s.manifest(manifestID)
 	if err != nil {
 		return err
 	}
@@ -380,4 +196,16 @@ func (s *Store) Reclaim(manifestID id.File) error {
 	}
 	_, err = s.node.Reclaim(manifestID, nil)
 	return err
+}
+
+// manifest looks up and decodes the manifest behind manifestID.
+func (s *Store) manifest(manifestID id.File) (*manifest, error) {
+	lk, err := s.node.Lookup(manifestID)
+	if err != nil {
+		return nil, err
+	}
+	if !lk.Found {
+		return nil, fmt.Errorf("%w: manifest %s not found", ErrManifest, manifestID.Short())
+	}
+	return decodeManifest(lk.Content)
 }

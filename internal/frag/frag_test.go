@@ -7,16 +7,21 @@ import (
 	"testing"
 
 	"past/internal/cache"
+	"past/internal/ec"
+	"past/internal/id"
 	"past/internal/past"
 	"past/internal/pastry"
 )
 
-func testCluster(t *testing.T, n int, capacity int64, seed int64) *past.Cluster {
+func testCluster(t *testing.T, n int, capacity int64, seed int64, mods ...func(*past.Config)) *past.Cluster {
 	t.Helper()
 	cfg := past.DefaultConfig()
 	cfg.Pastry = pastry.Config{B: 4, L: 16}
 	cfg.K = 3
 	cfg.CachePolicy = cache.None
+	for _, mod := range mods {
+		mod(&cfg)
+	}
 	c, err := past.NewCluster(past.ClusterSpec{
 		N:        n,
 		Cfg:      cfg,
@@ -29,14 +34,71 @@ func testCluster(t *testing.T, n int, capacity int64, seed int64) *past.Cluster 
 	return c
 }
 
+// rs84 is the coding the coded tests stripe over: every fragment frag
+// inserts is rs(8,4)-coded by its root into 12 node-level fragments,
+// and lazy repair runs uncapped (budget 0).
+var rs84 = ec.Params{Data: 8, Parity: 4}
+
+func codedCluster(t *testing.T, n int, capacity int64, seed int64) *past.Cluster {
+	t.Helper()
+	return testCluster(t, n, capacity, seed, func(cfg *past.Config) { cfg.ECMode = &rs84 })
+}
+
+func randomContent(size int, seed int64) []byte {
+	b := make([]byte, size)
+	rand.New(rand.NewSource(seed)).Read(b)
+	return b
+}
+
+// manifestOf reads the manifest behind an inserted object.
+func manifestOf(t *testing.T, s *Store, manifestID id.File) *manifest {
+	t.Helper()
+	m, err := s.manifest(manifestID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// failHolders fails count live nodes holding a fragment of stripe and
+// nothing else the test stores — not the access point, no replica (the
+// fragment maps and the manifest live in replicas), no fragment of the
+// other files — so each failure costs stripe exactly one fragment.
+func failHolders(t *testing.T, c *past.Cluster, s *Store, stripe id.File, others []id.File, count int) {
+	t.Helper()
+	holders := c.FragmentHolders(stripe)
+	for idx := 0; idx < rs84.Total() && count > 0; idx++ {
+	next:
+		for _, nid := range holders[idx] {
+			n := c.ByID[nid]
+			if n == s.node || n.StoredBytes() > 0 {
+				continue
+			}
+			for _, o := range others {
+				if o != stripe && len(n.FragIndices(o)) > 0 {
+					continue next
+				}
+			}
+			c.Fail(nid)
+			count--
+			break
+		}
+	}
+	if count > 0 {
+		t.Fatalf("%d more holders of %s to fail, none eligible", count, stripe.Short())
+	}
+}
+
+// liveIndices counts the fragment indices of f held on live nodes.
+func liveIndices(c *past.Cluster, f id.File) int { return len(c.FragmentHolders(f)) }
+
 func TestReplicatedRoundTrip(t *testing.T) {
 	c := testCluster(t, 40, 1<<22, 1)
 	s, err := NewStore(c.Nodes[0], Options{FragmentSize: 8 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	content := make([]byte, 100_000) // 13 fragments
-	rand.New(rand.NewSource(1)).Read(content)
+	content := randomContent(100_000, 1) // 13 fragments
 
 	res, err := s.Insert("big.bin", content)
 	if err != nil {
@@ -57,23 +119,33 @@ func TestReplicatedRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReedSolomonRoundTrip stripes an object over a coded cluster: each
+// stripe is stored as an rs(8,4) object and the whole reassembles
+// through another access point.
 func TestReedSolomonRoundTrip(t *testing.T) {
-	c := testCluster(t, 40, 1<<22, 2)
-	s, err := NewStore(c.Nodes[0], Options{Mode: ReedSolomon, DataShards: 6, ParityShards: 3})
+	c := codedCluster(t, 40, 1<<22, 2)
+	s, err := NewStore(c.Nodes[0], Options{FragmentSize: 32 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	content := make([]byte, 77_777)
-	rand.New(rand.NewSource(2)).Read(content)
-
+	content := randomContent(77_777, 2)
 	res, err := s.Insert("coded.bin", content)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Fragments != 9 {
-		t.Fatalf("fragments = %d; want 9", res.Fragments)
+	if res.Fragments != 3 {
+		t.Fatalf("stripes = %d; want 3", res.Fragments)
 	}
-	got, err := s.Fetch(res.ManifestID)
+	for _, stripe := range manifestOf(t, s, res.ManifestID).FragIDs {
+		if data, total, ok := c.ECFile(stripe); !ok || data != 8 || total != 12 {
+			t.Fatalf("stripe %s coded as (%d, %d, %v); want rs(8,4)", stripe.Short(), data, total, ok)
+		}
+		if got := liveIndices(c, stripe); got != 12 {
+			t.Fatalf("stripe %s has %d fragment indices live; want 12", stripe.Short(), got)
+		}
+	}
+	s2, _ := NewStore(c.Nodes[30], Options{})
+	got, err := s2.Fetch(res.ManifestID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,82 +154,138 @@ func TestReedSolomonRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReedSolomonSurvivesFragmentLoss: a coded stripe reassembles with
+// parity-many of its fragments gone, and not with one more.
 func TestReedSolomonSurvivesFragmentLoss(t *testing.T) {
-	c := testCluster(t, 40, 1<<22, 3)
-	s, err := NewStore(c.Nodes[0], Options{Mode: ReedSolomon, DataShards: 4, ParityShards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	content := make([]byte, 50_000)
-	rand.New(rand.NewSource(3)).Read(content)
+	c := codedCluster(t, 60, 1<<22, 3)
+	s, _ := NewStore(c.Nodes[0], Options{})
+	content := randomContent(50_000, 3)
 	res, err := s.Insert("lossy.bin", content)
 	if err != nil {
 		t.Fatal(err)
 	}
+	stripe := manifestOf(t, s, res.ManifestID).FragIDs[0]
+	others := []id.File{res.ManifestID}
 
-	// Destroy two fragments outright (reclaim them): with RS(4,2) the
-	// object must still reassemble.
-	lk, err := s.node.Lookup(res.ManifestID)
-	if err != nil || !lk.Found {
-		t.Fatal("manifest lookup failed")
+	failHolders(t, c, s, stripe, others, rs84.Parity)
+	if got := liveIndices(c, stripe); got != rs84.Data {
+		t.Fatalf("%d fragments live after losing parity-many; want %d", got, rs84.Data)
 	}
-	m, err := decodeManifest(lk.Content)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, fid := range m.FragIDs[:2] {
-		if _, err := s.node.Reclaim(fid, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	got, err := s.Fetch(res.ManifestID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, content) {
-		t.Fatal("content mismatch after losing 2 of 6 fragments")
+		t.Fatal("content mismatch after losing 4 of 12 fragments")
 	}
 
-	// A third loss exceeds the parity budget.
-	if _, err := s.node.Reclaim(m.FragIDs[2], nil); err != nil {
-		t.Fatal(err)
-	}
+	// A fifth loss exceeds the parity budget.
+	failHolders(t, c, s, stripe, others, 1)
 	if _, err := s.Fetch(res.ManifestID); err == nil {
 		t.Fatal("fetch must fail with more losses than parity")
 	}
 }
 
+// TestReedSolomonMultiGroup: every stripe is coded on its own, so each
+// absorbs its own parity-many losses even when the object as a whole
+// has lost more fragments than one stripe's parity.
+func TestReedSolomonMultiGroup(t *testing.T) {
+	c := codedCluster(t, 80, 1<<23, 11)
+	s, _ := NewStore(c.Nodes[0], Options{FragmentSize: 16 << 10})
+	content := randomContent(70_000, 11) // 5 stripes
+	res, err := s.Insert("multi.bin", content)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := manifestOf(t, s, res.ManifestID)
+	if len(m.FragIDs) != 5 {
+		t.Fatalf("stripes = %d; want 5", len(m.FragIDs))
+	}
+	others := append([]id.File{res.ManifestID}, m.FragIDs...)
+	first, last := m.FragIDs[0], m.FragIDs[4]
+
+	failHolders(t, c, s, first, others, rs84.Parity)
+	failHolders(t, c, s, last, others, rs84.Parity)
+	got, err := s.Fetch(res.ManifestID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, content) {
+		t.Fatal("multi-stripe content mismatch after per-stripe losses")
+	}
+
+	// A fifth loss in one stripe exceeds its parity budget.
+	failHolders(t, c, s, first, others, 1)
+	if _, err := s.Fetch(res.ManifestID); err == nil {
+		t.Fatal("fetch must fail when one stripe exceeds its parity budget")
+	}
+}
+
+// TestCodedStripeSurvivesTwoWavesWithRepair loses parity-many fragments
+// of one stripe, lets maintenance repair them, then loses parity-many
+// more. Eight losses exceed what an rs(8,4) stripe tolerates at once;
+// the object survives because node-level fragments are re-created
+// between the waves.
+func TestCodedStripeSurvivesTwoWavesWithRepair(t *testing.T) {
+	c := codedCluster(t, 60, 1<<22, 12)
+	s, _ := NewStore(c.Nodes[0], Options{FragmentSize: 32 << 10})
+	content := randomContent(70_000, 12)
+	res, err := s.Insert("waves.bin", content)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := manifestOf(t, s, res.ManifestID)
+	others := append([]id.File{res.ManifestID}, m.FragIDs...)
+	stripe := m.FragIDs[0]
+
+	failHolders(t, c, s, stripe, others, rs84.Parity)
+	for i := 0; i < 3; i++ {
+		c.MaintainAll()
+	}
+	if got := liveIndices(c, stripe); got != rs84.Total() {
+		t.Fatalf("%d of %d fragments live after repair", got, rs84.Total())
+	}
+
+	failHolders(t, c, s, stripe, others, rs84.Parity)
+	if got := liveIndices(c, stripe); got != rs84.Data {
+		t.Fatalf("%d fragments live after the second wave; want %d", got, rs84.Data)
+	}
+	got, err := s.Fetch(res.ManifestID)
+	if err != nil {
+		t.Fatalf("fetch after two waves of parity-many losses: %v", err)
+	}
+	if !bytes.Equal(got, content) {
+		t.Fatal("content mismatch after two waves")
+	}
+}
+
+// TestRSStorageOverheadBelowReplication: the same object striped over a
+// k=3 replicated cluster and over an rs(8,4) coded one, measured as the
+// change in replica plus fragment bytes.
 func TestRSStorageOverheadBelowReplication(t *testing.T) {
-	c := testCluster(t, 40, 1<<22, 4)
-	content := make([]byte, 64_000)
-	rand.New(rand.NewSource(4)).Read(content)
+	content := randomContent(64_000, 4)
+	stored := func(c *past.Cluster, fragmentSize int) int64 {
+		t.Helper()
+		s, err := NewStore(c.Nodes[0], Options{FragmentSize: fragmentSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := c.StoredBytes() + c.FragBytes()
+		if _, err := s.Insert("obj.bin", content); err != nil {
+			t.Fatal(err)
+		}
+		return c.StoredBytes() + c.FragBytes() - before
+	}
+	rep := stored(testCluster(t, 40, 1<<22, 4), 8<<10)
+	coded := stored(codedCluster(t, 40, 1<<22, 4), 8*(8<<10))
 
-	rep, err := NewStore(c.Nodes[0], Options{Mode: Replicated, FragmentSize: 8 << 10})
-	if err != nil {
-		t.Fatal(err)
+	// Section 3.6: replication stores ~k x size (k=3 here); rs(8,4)
+	// stores ~1.5 x size (plus the small maps and manifest) — a 2x saving.
+	if 10*coded >= 6*rep {
+		t.Fatalf("coded overhead %d not well below replication %d", coded, rep)
 	}
-	r1, err := rep.Insert("rep.bin", content)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rsStore, err := NewStore(c.Nodes[0], Options{Mode: ReedSolomon, DataShards: 8, ParityShards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := rsStore.Insert("rs.bin", content)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Section 3.6: replication stores ~k x size (k=3 here); RS(8,4)
-	// stores ~1.5 x size (plus the tiny manifest) — a 2x saving.
-	if 10*r2.StoredBytes >= 6*r1.StoredBytes {
-		t.Fatalf("RS overhead %d not well below replication %d", r2.StoredBytes, r1.StoredBytes)
-	}
-	if ratio := float64(r2.StoredBytes) / float64(len(content)); ratio > 1.6 {
-		t.Fatalf("RS stored %.2fx the file size; want ~1.5x", ratio)
+	if ratio := float64(coded) / float64(len(content)); ratio > 1.6 {
+		t.Fatalf("coded stripes stored %.2fx the file size; want ~1.5x", ratio)
 	}
 }
 
@@ -167,8 +295,7 @@ func TestOversizedFileSucceedsFragmented(t *testing.T) {
 	cap := int64(200_000)
 	c := testCluster(t, 30, cap, 5)
 	node := c.Nodes[0]
-	content := make([]byte, 60_000) // 60k > tpri(0.1) * 200k = 20k
-	rand.New(rand.NewSource(5)).Read(content)
+	content := randomContent(60_000, 5) // 60k > tpri(0.1) * 200k = 20k
 
 	whole, err := node.Insert(past.InsertSpec{Name: "huge.bin", Content: content})
 	if err != nil {
@@ -198,9 +325,7 @@ func TestReclaimFreesEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	content := make([]byte, 20_000)
-	rand.New(rand.NewSource(6)).Read(content)
-	res, err := s.Insert("gone.bin", content)
+	res, err := s.Insert("gone.bin", randomContent(20_000, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,26 +345,17 @@ func TestReclaimFreesEverything(t *testing.T) {
 }
 
 func TestManifestCodec(t *testing.T) {
-	m := &manifest{
-		Mode:      ReedSolomon,
-		Size:      123456,
-		Data:      8,
-		Parity:    4,
-		Groups:    1,
-		GroupUnit: 999,
-	}
+	m := &manifest{Size: 123456, Sum: [20]byte{1, 2, 3}}
 	for i := 0; i < 12; i++ {
 		var f [20]byte
 		f[0] = byte(i)
 		m.FragIDs = append(m.FragIDs, f)
 	}
-	m.Sum = [20]byte{1, 2, 3}
 	got, err := decodeManifest(m.encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Mode != m.Mode || got.Size != m.Size || got.Data != m.Data ||
-		got.Parity != m.Parity || got.Groups != m.Groups || got.GroupUnit != m.GroupUnit || got.Sum != m.Sum {
+	if got.Size != m.Size || got.Sum != m.Sum {
 		t.Fatalf("round trip: %+v vs %+v", got, m)
 	}
 	if len(got.FragIDs) != 12 || got.FragIDs[5] != m.FragIDs[5] {
@@ -271,9 +387,6 @@ func TestOptionValidation(t *testing.T) {
 	c := testCluster(t, 10, 1<<20, 7)
 	if _, err := NewStore(c.Nodes[0], Options{FragmentSize: -1}); err == nil {
 		t.Fatal("negative fragment size accepted")
-	}
-	if _, err := NewStore(c.Nodes[0], Options{Mode: ReedSolomon, DataShards: 300, ParityShards: 300}); err == nil {
-		t.Fatal("oversized RS geometry accepted")
 	}
 	s, _ := NewStore(c.Nodes[0], Options{})
 	if _, err := s.Insert("empty", nil); err == nil {
@@ -328,51 +441,5 @@ func TestManyObjects(t *testing.T) {
 		if err != nil || !bytes.Equal(got, o.content) {
 			t.Fatalf("object %d corrupted: %v", i, err)
 		}
-	}
-}
-
-func TestReedSolomonMultiGroup(t *testing.T) {
-	c := testCluster(t, 40, 1<<23, 11)
-	// 4 KiB shards, 4 data shards -> 16 KiB groups; 70 KiB spans 5 groups.
-	s, err := NewStore(c.Nodes[0], Options{Mode: ReedSolomon, DataShards: 4, ParityShards: 2, FragmentSize: 4 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	content := make([]byte, 70_000)
-	rand.New(rand.NewSource(11)).Read(content)
-	res, err := s.Insert("multi.bin", content)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Fragments != 5*6 {
-		t.Fatalf("fragments = %d; want 30 (5 groups x 6 shards)", res.Fragments)
-	}
-
-	// Lose two fragments in the FIRST group and two in the LAST: each
-	// group absorbs its own losses independently.
-	lk, _ := s.node.Lookup(res.ManifestID)
-	m, err := decodeManifest(lk.Content)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, idx := range []int{0, 1, 24, 25} {
-		if _, err := s.node.Reclaim(m.FragIDs[idx], nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := s.Fetch(res.ManifestID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, content) {
-		t.Fatal("multi-group content mismatch after per-group losses")
-	}
-
-	// Three losses in one group exceed its parity.
-	if _, err := s.node.Reclaim(m.FragIDs[2], nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Fetch(res.ManifestID); err == nil {
-		t.Fatal("fetch must fail when one group exceeds its parity budget")
 	}
 }

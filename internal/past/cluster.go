@@ -137,6 +137,16 @@ func (c *Cluster) StoredBytes() int64 {
 	return sum
 }
 
+// FragBytes returns the aggregate erasure-coded fragment bytes
+// (ec_fragment_bytes) across all nodes.
+func (c *Cluster) FragBytes() int64 {
+	var sum int64
+	for _, n := range c.Nodes {
+		sum += n.FragBytes()
+	}
+	return sum
+}
+
 // Utilization returns global storage utilization in [0, 1].
 func (c *Cluster) Utilization() float64 {
 	tc := c.TotalCapacity()

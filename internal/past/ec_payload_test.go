@@ -72,7 +72,7 @@ func TestECCorruptionDoesNotBleedThroughSharedBuffers(t *testing.T) {
 	if holder == nil || len(others) != 5 {
 		t.Fatalf("found holder=%v and %d other fragments, want 1 and 5", holder != nil, len(others))
 	}
-	if !holder.frags.CorruptForTest(f, victim) {
+	if !holder.frags.CorruptForTest(f, victim, 0) {
 		t.Fatal("corruption injection failed")
 	}
 

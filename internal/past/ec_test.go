@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"past/internal/cache"
 	"past/internal/chaos"
 	"past/internal/ec"
 	"past/internal/id"
+	"past/internal/obs"
 )
 
 func newECCluster(t *testing.T, n int, p ec.Params, budget int64, mods ...func(*Config)) *Cluster {
@@ -178,7 +181,7 @@ func TestECRepairCorruptFragment(t *testing.T) {
 
 	holder := fragHolderNode(c, f)
 	idx := holder.FragIndices(f)[0]
-	if !holder.frags.CorruptForTest(f, idx) {
+	if !holder.frags.CorruptForTest(f, idx, 0) {
 		t.Fatal("corruption injection failed")
 	}
 	for i := 0; i < 3; i++ {
@@ -253,5 +256,90 @@ func TestECReclaimDropsFragments(t *testing.T) {
 	}
 	if got := len(c.FragmentHolders(f)); got != 0 {
 		t.Fatalf("%d fragment indices survive reclaim", got)
+	}
+}
+
+// TestECPropertyOnTheNode checks internal/rs's coding properties end to
+// end, through lookups on an rs(4,2) cluster: with any two of the six
+// fragments deleted — all 15 choices — the lookup returns the content
+// bit-identically; with one bit flipped in any one fragment, the lookup
+// catches it by its CRC, drops it, counts exactly one CRC failure, and
+// still returns the content.
+func TestECPropertyOnTheNode(t *testing.T) {
+	p := ec.Params{Data: 4, Parity: 2}
+	// k = m+n puts a map replica on every fragment holder, so a lookup
+	// started at a holder reconstructs there, local fragment first.
+	c := newECCluster(t, 12, p, 0, func(cfg *Config) {
+		cfg.K = p.Total()
+		cfg.CachePolicy = cache.None
+	})
+	rng := rand.New(rand.NewSource(11))
+	content := make([]byte, 40<<10+123) // not shard-aligned
+	rng.Read(content)
+	res, err := c.RandomAliveNode().Insert(InsertSpec{Name: "property", Content: content})
+	if err != nil || !res.OK {
+		t.Fatalf("insert: %+v, %v", res, err)
+	}
+	f := res.FileID
+
+	holder := make([]*Node, p.Total())
+	saved := make([]ec.Fragment, p.Total())
+	for _, n := range c.Nodes {
+		for _, idx := range n.FragIndices(f) {
+			holder[idx] = n
+			saved[idx], _ = n.frags.Get(f, idx)
+		}
+	}
+	for idx, h := range holder {
+		if h == nil || !h.HasReplica(f) {
+			t.Fatalf("fragment %d has no holder that also holds the map", idx)
+		}
+	}
+	restore := func() {
+		for idx, h := range holder {
+			h.frags.Put(saved[idx])
+		}
+	}
+	lookup := func(at *Node, what string) {
+		t.Helper()
+		lr, err := at.Lookup(f)
+		if err != nil || !lr.Found || !bytes.Equal(lr.Content, content) {
+			t.Fatalf("%s: lookup did not return the content (%v)", what, err)
+		}
+	}
+
+	subsets := 0
+	for a := 0; a < p.Total(); a++ {
+		for b := a + 1; b < p.Total(); b++ {
+			holder[a].frags.Delete(f, a)
+			holder[b].frags.Delete(f, b)
+			lookup(c.RandomAliveNode(), fmt.Sprintf("fragments %d and %d deleted", a, b))
+			restore()
+			subsets++
+		}
+	}
+	if subsets != 15 {
+		t.Fatalf("tried %d four-holder subsets, want 15", subsets)
+	}
+
+	crcFailures := func() (sum int64) {
+		for _, n := range c.Nodes {
+			sum += n.StatsSnapshot().Get(obs.CtrECCRCFailures)
+		}
+		return sum
+	}
+	for idx, h := range holder {
+		before := crcFailures()
+		if !h.frags.CorruptForTest(f, idx, rng.Intn(8*len(saved[idx].Data))) {
+			t.Fatalf("fragment %d: corruption injection failed", idx)
+		}
+		lookup(h, fmt.Sprintf("fragment %d bit-flipped", idx))
+		if got := crcFailures() - before; got != 1 {
+			t.Fatalf("fragment %d bit-flipped: %d CRC failures counted, want 1", idx, got)
+		}
+		if slices.Contains(h.FragIndices(f), idx) {
+			t.Fatalf("fragment %d bit-flipped: the corrupt copy was not dropped", idx)
+		}
+		restore()
 	}
 }

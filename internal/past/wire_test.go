@@ -195,13 +195,13 @@ func TestWireZeroValues(t *testing.T) {
 			t.Errorf("zero %T decoded as %+v", m, got.Msg)
 		}
 	}
-	in := &pastry.RouteRequest{Path: []id.Node{}, Payload: &InsertMsg{Content: []byte{}}}
+	in := &pastry.RouteRequest{Rows: []id.Node{}, Payload: &InsertMsg{Content: []byte{}}}
 	got, err := decodeRequest(requestFrame(t, &wire.Request{Msg: in}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rr := got.Msg.(*pastry.RouteRequest)
-	if rr.Path != nil || rr.Payload.(*InsertMsg).Content != nil {
+	if rr.Rows != nil || rr.Payload.(*InsertMsg).Content != nil {
 		t.Fatalf("empty slices decoded as non-nil: %+v", rr)
 	}
 }

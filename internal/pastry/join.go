@@ -44,7 +44,7 @@ func (n *Node) Join(bootstrap id.Node) error {
 	}
 
 	// Ask A to route the join message to Z.
-	req := &RouteRequest{Key: n.self, Payload: &joinPayload{Joiner: n.self}, JoinCollect: true}
+	req := &RouteRequest{Key: n.self, Payload: &joinPayload{Joiner: n.self}}
 	rr, err := netsim.ReplyAs[RouteReply](n.net.Invoke(context.Background(), n.self, bootstrap, req))
 	if err != nil {
 		return fmt.Errorf("pastry: join route via %s: %w", bootstrap.Short(), err)

@@ -29,7 +29,7 @@ type evilEndpoint struct{ inner *Node }
 
 func (e *evilEndpoint) Deliver(from id.Node, msg any) (any, error) {
 	if req, ok := msg.(*RouteRequest); ok {
-		return &RouteReply{Hops: req.Hops, Path: req.Path}, nil
+		return &RouteReply{Hops: req.Hops}, nil
 	}
 	return e.inner.Deliver(from, msg)
 }
@@ -52,7 +52,7 @@ func plantEvil(t *testing.T, c *cluster) (client *Node, key id.Node, evil id.Nod
 	for try := 0; try < 200; try++ {
 		key = randKey(c.rng)
 		client = c.randomAliveNode()
-		_, _, path, err := client.RouteTraced(key, nil)
+		_, path, err := routePath(client, key)
 		if err != nil {
 			t.Fatal(err)
 		}

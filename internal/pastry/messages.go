@@ -21,10 +21,6 @@ type RouteRequest struct {
 	Payload any
 	Hops    int
 
-	// CollectPath asks every hop to append itself to Path.
-	CollectPath bool
-	Path        []id.Node
-
 	// Traced asks every hop to append its routing decision to Trace —
 	// one record per decision, including failed attempts that forced a
 	// reroute. The consuming node copies the accumulated records into
@@ -39,10 +35,9 @@ type RouteRequest struct {
 	// recording only, never the route itself.
 	TC obs.TraceContext
 
-	// JoinCollect asks every hop to contribute routing-table candidates
-	// for a joining node; used only by the join protocol.
-	JoinCollect bool
-	Rows        []id.Node
+	// Rows collects routing-table candidates for a joining node: every
+	// hop of a join route (a *joinPayload) contributes its rows.
+	Rows []id.Node
 }
 
 // RouteReply is the response to a RouteRequest, produced by the node
@@ -50,7 +45,6 @@ type RouteRequest struct {
 type RouteReply struct {
 	Payload any
 	Hops    int
-	Path    []id.Node
 	Trace   []obs.HopRecord
 
 	// Load is the admission-control load hint (0 idle .. 255 saturated)

@@ -1,6 +1,7 @@
 package pastry
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -63,6 +64,21 @@ func (c *cluster) closestExisting(pos topology.Point) id.Node {
 	return best
 }
 
+// routePath routes a nil payload from src toward key and returns the hop
+// count and the nodes the message visited, origin first and consumer
+// last, read off the route's hop records: every visited node leaves
+// exactly one record that is not a failed attempt — its forward, or the
+// consumer's local record.
+func routePath(src *Node, key id.Node) (hops int, path []id.Node, err error) {
+	_, hops, trace, err := src.RouteTracedContext(context.Background(), key, nil)
+	for _, h := range trace {
+		if !h.Failed {
+			path = append(path, h.From)
+		}
+	}
+	return hops, path, err
+}
+
 // globalClosest returns the live node numerically closest to key, by
 // brute force.
 func (c *cluster) globalClosest(key id.Node) id.Node {
@@ -95,7 +111,7 @@ func TestRouteReachesNumericallyClosest(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		key := randKey(c.rng)
 		src := c.randomAliveNode()
-		_, hops, path, err := src.RouteTraced(key, nil)
+		hops, path, err := routePath(src, key)
 		if err != nil {
 			t.Fatalf("route: %v", err)
 		}
@@ -217,7 +233,7 @@ func TestSmallRingRoutes(t *testing.T) {
 			c := buildCluster(t, size, Config{B: 4, L: 16}, seed)
 			for i := 0; i < 200; i++ {
 				key := randKey(c.rng)
-				_, _, path, err := c.randomAliveNode().RouteTraced(key, nil)
+				_, path, err := routePath(c.randomAliveNode(), key)
 				if err != nil {
 					t.Fatalf("N=%d seed %d: route: %v", size, seed, err)
 				}
@@ -292,7 +308,7 @@ func TestNodeFailureRepair(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		key := randKey(c.rng)
 		src := c.randomAliveNode()
-		_, _, path, err := src.RouteTraced(key, nil)
+		_, path, err := routePath(src, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +330,7 @@ func TestRouteAroundFreshFailure(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		key := randKey(c.rng)
 		src := c.randomAliveNode()
-		_, _, path, err := src.RouteTraced(key, nil)
+		_, path, err := routePath(src, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,7 +370,7 @@ func TestRejoinAfterRecovery(t *testing.T) {
 	if want != victim {
 		t.Fatal("sanity: recovered node should be closest to its own id")
 	}
-	_, _, path, err := c.randomAliveNode().RouteTraced(victim, nil)
+	_, path, err := routePath(c.randomAliveNode(), victim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +398,7 @@ func TestRandomizedRoutingStillCorrect(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		key := randKey(c.rng)
 		src := c.randomAliveNode()
-		_, _, path, err := src.RouteTraced(key, nil)
+		_, path, err := routePath(src, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -403,7 +419,7 @@ func TestRandomizedRoutingDiversifiesPaths(t *testing.T) {
 		src := c.randomAliveNode()
 		paths := make(map[string]bool)
 		for i := 0; i < 30; i++ {
-			_, _, path, err := src.RouteTraced(key, nil)
+			_, path, err := routePath(src, key)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -526,7 +542,7 @@ func TestLocalityOfRoutes(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		key := randKey(c.rng)
 		src := c.randomAliveNode()
-		_, _, path, err := src.RouteTraced(key, nil)
+		_, path, err := routePath(src, key)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -111,7 +111,7 @@ func TestDepartRemovesFromAllState(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		key := randKey(c.rng)
 		src := c.randomAliveNode()
-		_, _, path, err := src.RouteTraced(key, nil)
+		_, path, err := routePath(src, key)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,7 +25,7 @@ func TestRouteCompletesViaAlternate(t *testing.T) {
 		}
 		c.net.Fail(hop)
 		before := src.Reroutes()
-		_, _, path, err := src.RouteTraced(key, nil)
+		_, path, err := routePath(src, key)
 		if err != nil {
 			t.Fatalf("route with dead first hop %s: %v", hop.Short(), err)
 		}

@@ -41,17 +41,6 @@ func (n *Node) RouteContext(ctx context.Context, key id.Node, payload any) (repl
 	return rr.Payload, rr.Hops, nil
 }
 
-// RouteTraced is Route with per-hop path collection, for experiments and
-// diagnostics.
-func (n *Node) RouteTraced(key id.Node, payload any) (reply any, hops int, path []id.Node, err error) {
-	req := &RouteRequest{Key: key, Payload: payload, CollectPath: true}
-	rr, err := n.routeStep(context.Background(), req)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	return rr.Payload, rr.Hops, rr.Path, nil
-}
-
 // RouteTracedContext is RouteContext with per-hop decision recording:
 // every node on the route appends an obs.HopRecord describing which
 // routing rule chose the hop, the prefix depth, proximity, and RPC
@@ -231,9 +220,6 @@ func (n *Node) routeStep(ctx context.Context, req *RouteRequest) (*RouteReply, e
 		return nil, fmt.Errorf("%w: key %s at node %s after %d hops",
 			ErrHopLimit, req.Key.Short(), n.self.Short(), req.Hops)
 	}
-	if req.CollectPath {
-		req.Path = append(req.Path, n.self)
-	}
 	join, isJoin := req.Payload.(*joinPayload)
 	if isJoin {
 		n.collectJoinRows(req, join.Joiner)
@@ -246,7 +232,7 @@ func (n *Node) routeStep(ctx context.Context, req *RouteRequest) (*RouteReply, e
 			if req.Traced && req.TC.HasRoom(len(req.Trace)) {
 				req.Trace = append(req.Trace, n.localRecord(req.Key))
 			}
-			return &RouteReply{Payload: reply, Hops: req.Hops, Path: req.Path, Trace: req.Trace}, nil
+			return &RouteReply{Payload: reply, Hops: req.Hops, Trace: req.Trace}, nil
 		}
 	}
 
@@ -262,7 +248,7 @@ func (n *Node) routeStep(ctx context.Context, req *RouteRequest) (*RouteReply, e
 			if isJoin {
 				st := n.stateReply()
 				return &RouteReply{
-					Hops: req.Hops, Path: req.Path, Trace: req.Trace,
+					Hops: req.Hops, Trace: req.Trace,
 					Terminal: n.self, Leaf: st.Leaf, Rows: req.Rows,
 				}, nil
 			}
@@ -270,7 +256,7 @@ func (n *Node) routeStep(ctx context.Context, req *RouteRequest) (*RouteReply, e
 			if err != nil {
 				return nil, err
 			}
-			return &RouteReply{Payload: reply, Hops: req.Hops, Path: req.Path, Trace: req.Trace}, nil
+			return &RouteReply{Payload: reply, Hops: req.Hops, Trace: req.Trace}, nil
 		}
 		if len(tried) > 0 {
 			// The best candidate was excluded by an earlier failure on

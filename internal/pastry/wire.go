@@ -24,30 +24,27 @@ func RegisterWire() {
 func (m *RouteRequest) AppendWire(b []byte) []byte {
 	b = wire.AppendMessage(append(b, m.Key[:]...), m.Payload)
 	b = wire.AppendInt(b, int64(m.Hops))
-	b = wire.AppendNodes(wire.AppendBool(b, m.CollectPath), m.Path)
 	b = wire.AppendHops(wire.AppendBool(b, m.Traced), m.Trace)
 	b = wire.AppendTraceContext(b, m.TC)
-	return wire.AppendNodes(wire.AppendBool(b, m.JoinCollect), m.Rows)
+	return wire.AppendNodes(b, m.Rows)
 }
 
 func (m *RouteRequest) DecodeWire(r *wire.Reader) error {
 	m.Key, m.Payload, m.Hops = r.Node(), r.Message(), r.Int()
-	m.CollectPath, m.Path = r.Bool(), r.Nodes()
 	m.Traced, m.Trace = r.Bool(), r.Hops()
-	m.TC = r.TraceContext()
-	m.JoinCollect, m.Rows = r.Bool(), r.Nodes()
+	m.TC, m.Rows = r.TraceContext(), r.Nodes()
 	return r.Err()
 }
 
 func (m *RouteReply) AppendWire(b []byte) []byte {
 	b = wire.AppendInt(wire.AppendMessage(b, m.Payload), int64(m.Hops))
-	b = wire.AppendHops(wire.AppendNodes(b, m.Path), m.Trace)
+	b = wire.AppendHops(b, m.Trace)
 	b = append(append(b, m.Load), m.Terminal[:]...)
 	return wire.AppendNodes(wire.AppendNodes(b, m.Leaf), m.Rows)
 }
 
 func (m *RouteReply) DecodeWire(r *wire.Reader) error {
-	m.Payload, m.Hops, m.Path, m.Trace = r.Message(), r.Int(), r.Nodes(), r.Hops()
+	m.Payload, m.Hops, m.Trace = r.Message(), r.Int(), r.Hops()
 	m.Load, m.Terminal, m.Leaf, m.Rows = r.Byte(), r.Node(), r.Nodes(), r.Nodes()
 	return r.Err()
 }

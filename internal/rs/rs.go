@@ -11,7 +11,6 @@
 package rs
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 )
@@ -246,21 +245,6 @@ func (e *Encoder) Encode(shards [][]byte) error {
 		mulRow(shards[p], e.m[p], shards[:e.dataShards])
 	}
 	return nil
-}
-
-// Verify recomputes the parity and reports whether it matches.
-func (e *Encoder) Verify(shards [][]byte) (bool, error) {
-	if err := e.checkShards(shards, false); err != nil {
-		return false, err
-	}
-	tmp := make([]byte, len(shards[0]))
-	for p := e.dataShards; p < len(shards); p++ {
-		mulRow(tmp, e.m[p], shards[:e.dataShards])
-		if !bytes.Equal(tmp, shards[p]) {
-			return false, nil
-		}
-	}
-	return true, nil
 }
 
 // survivors picks the first dataShards present shards, skipping index

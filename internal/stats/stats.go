@@ -204,31 +204,6 @@ func Percentile(sorted []int64, p float64) int64 {
 	return sorted[idx]
 }
 
-// PercentileInterp returns the p-th percentile (0-100) of an
-// ascending-sorted sample with linear interpolation between adjacent
-// order statistics (the "C = 1" variant spreadsheet software uses).
-// Unlike nearest-rank Percentile it is continuous in p, which matters
-// when reporting tail quantiles like p999 from modest sample counts.
-func PercentileInterp(sorted []int64, p float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return float64(sorted[0])
-	}
-	if p >= 100 {
-		return float64(sorted[n-1])
-	}
-	rank := p / 100 * float64(n-1)
-	lo := int(math.Floor(rank))
-	frac := rank - float64(lo)
-	if lo+1 >= n {
-		return float64(sorted[n-1])
-	}
-	return float64(sorted[lo]) + frac*float64(sorted[lo+1]-sorted[lo])
-}
-
 // logHistSub is the number of sub-buckets per power-of-two octave in a
 // LogHist. 32 sub-buckets bound the relative quantization error of any
 // recorded value by 1/32 ≈ 3%, at 5 significant bits of precision —

@@ -250,31 +250,6 @@ func TestExponentialPanicsOnBadRate(t *testing.T) {
 	Exponential{Rate: 0}.Sample(NewRand(1))
 }
 
-func TestPercentileInterp(t *testing.T) {
-	sorted := []int64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
-	cases := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 10}, {100, 100},
-		{50, 55},   // midpoint of the 5th and 6th order statistics
-		{25, 32.5}, // rank 2.25 -> 30 + 0.25*10
-		{90, 91},   // rank 8.1 -> 90 + 0.1*10
-		{99, 99.1}, // rank 8.91 -> 90 + 0.91*10
-	}
-	for _, c := range cases {
-		if g := PercentileInterp(sorted, c.p); math.Abs(g-c.want) > 1e-9 {
-			t.Fatalf("P%g = %g; want %g", c.p, g, c.want)
-		}
-	}
-	if PercentileInterp(nil, 50) != 0 {
-		t.Fatal("empty percentile must be 0")
-	}
-	if PercentileInterp([]int64{42}, 73) != 42 {
-		t.Fatal("single sample must be its own percentile")
-	}
-}
-
 func TestLogBucketRoundTrip(t *testing.T) {
 	// Every value must land in a bucket whose [lo, hi) range contains it,
 	// and bucket bounds must tile the axis with no gaps or overlaps.
@@ -336,7 +311,7 @@ func TestLogHistQuantileInterpolates(t *testing.T) {
 
 func TestLogHistQuantileAccuracy(t *testing.T) {
 	// Against a known sample, every reported quantile must be within one
-	// sub-bucket (~3%) of the exact interpolated percentile.
+	// sub-bucket (~3%) of the exact nearest-rank percentile.
 	var h LogHist
 	r := NewRand(13)
 	xs := make([]int64, 0, 20000)
@@ -347,7 +322,7 @@ func TestLogHistQuantileAccuracy(t *testing.T) {
 	}
 	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
 	for _, p := range []float64{1, 25, 50, 90, 99, 99.9} {
-		exact := PercentileInterp(xs, p)
+		exact := float64(Percentile(xs, p))
 		got := h.Quantile(p)
 		if math.Abs(got-exact)/exact > 2.0/logHistSub {
 			t.Fatalf("P%g = %g; exact %g (rel err %g)", p, got, exact, math.Abs(got-exact)/exact)

@@ -122,7 +122,7 @@ const (
 	// Version is the frame format version. A peer that speaks another
 	// one is refused at the first frame: all members of a fleet must be
 	// the same build.
-	Version = 1
+	Version = 2
 
 	// MaxFrame caps the length a frame may claim.
 	MaxFrame = 1 << 30
