@@ -75,7 +75,7 @@ fsck-demo:
 	rm -rf /tmp/past-fsck-demo
 	$(GO) run ./cmd/past-chaos -crash -crash-lives 4 -crash-ops 300 \
 		-crash-dir /tmp/past-fsck-demo -keep
-	$(GO) run ./cmd/past-state fsck /tmp/past-fsck-demo
+	$(GO) run ./cmd/pastctl fsck /tmp/past-fsck-demo
 
 # Overload-protection demo: a deterministic virtual-time offered-rate
 # sweep that asserts shedding strictly beats the unbounded queue at 2x
@@ -155,10 +155,12 @@ fuzz:
 # makes one allocation, a fragment map encodes in one, and on netsim a
 # coded insert allocates its parity plus the coordinator's own fragment
 # and a lookup its payload — nothing copies a payload a second time.
-# And of the emulator's insert path: the in-memory file table allocates
-# nothing per replica, and a routed size-only netsim insert, diverting
-# or not, stays within its allocation count. The same tests run in
-# tier-1; this target runs exactly them, uncached.
+# And of the emulator's insert and lookup paths: the in-memory file
+# table allocates nothing per replica, a routed size-only netsim insert,
+# diverting or not, stays within its allocation count, and an untraced
+# routed lookup, hedged or not, pays nothing for trace intent riding
+# the context. The same tests run in tier-1; this target runs exactly
+# them, uncached.
 alloc-guard:
 	$(GO) test -count=1 -run 'TestAllocBudget|TestECEncoderIsShared' ./internal/store/ ./internal/logstore/ ./internal/ec/ ./internal/past/
 

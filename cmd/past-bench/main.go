@@ -7,8 +7,10 @@
 //	past-bench -exp all -scale tiny
 //	past-bench -exp fig8 -scale full     # paper scale: 2250 nodes, ~1.8M files
 //
-// Experiments: table1, baseline, table2, table3 (with fig2), table4
-// (with fig3), fig4, fig5, fig6, fig7, fig8, routing, overload, all.
+// Experiments: fig1, table1, baseline, table2, table3 (with fig2),
+// table4 (with fig3), fig4, fig5, fig6, fig7, fig8, routing, frag,
+// overhead, overload, all. Figure 1 (one node's routing state in a
+// 64-node b=2, l=8 network) ignores -scale.
 package main
 
 import (
@@ -23,7 +25,7 @@ import (
 
 func main() {
 	var (
-		exp    = flag.String("exp", "all", "experiment id: table1|baseline|table2|table3|table4|fig4|fig5|fig6|fig7|fig8|routing|frag|overhead|overload|all")
+		exp    = flag.String("exp", "all", "experiment id: fig1|table1|baseline|table2|table3|table4|fig4|fig5|fig6|fig7|fig8|routing|frag|overhead|overload|all")
 		scale  = flag.String("scale", "bench", "scale preset: tiny|bench|full")
 		seed   = flag.Int64("seed", 1, "random seed")
 		seeds  = flag.Int("seeds", 1, "repeat the table experiments over N seeds and report mean±sd")
@@ -116,7 +118,7 @@ func runMulti(exp string, sc experiments.Scale, seed0 int64, n int, elog *obs.Ev
 func run(exp string, sc experiments.Scale, seed int64, elog *obs.EventLog) error {
 	ids := []string{exp}
 	if exp == "all" {
-		ids = []string{"table1", "baseline", "table2", "table3", "table4",
+		ids = []string{"fig1", "table1", "baseline", "table2", "table3", "table4",
 			"fig4", "fig5", "fig6", "fig7", "fig8", "routing", "frag", "overhead", "overload"}
 	}
 	// The standard run feeds fig4, fig5, and fig6; cache it.
@@ -134,6 +136,11 @@ func run(exp string, sc experiments.Scale, seed int64, elog *obs.EventLog) error
 		start := time.Now()
 		var out string
 		switch id {
+		case "fig1":
+			var err error
+			if out, err = experiments.RenderFig1(seed); err != nil {
+				return err
+			}
 		case "table1":
 			out = experiments.RenderTable1(experiments.RunTable1(2250, seed))
 		case "baseline":

@@ -7,10 +7,10 @@ import (
 )
 
 func TestRunSingleExperiments(t *testing.T) {
-	// table1 and routing are cheap enough for CI; the heavyweight
+	// fig1, table1 and routing are cheap enough for CI; the heavyweight
 	// experiments are covered by internal/experiments tests and the
 	// root benchmarks.
-	for _, exp := range []string{"table1", "routing", "overload"} {
+	for _, exp := range []string{"fig1", "table1", "routing", "overload"} {
 		if err := run(exp, experiments.ScaleTiny, 1, nil); err != nil {
 			t.Fatalf("%s: %v", exp, err)
 		}

@@ -36,7 +36,7 @@ func runCrashSoak(w *os.File, seed int64, lives, ops int, dir string, keep bool)
 	fmt.Fprintf(w, "  final fsck           ok\n")
 	fmt.Fprintf(w, "  fingerprint          %s\n", rep.Fingerprint)
 	if keep {
-		fmt.Fprintf(w, "store kept at %s (inspect with: past-state fsck %s)\n", dir, dir)
+		fmt.Fprintf(w, "store kept at %s (inspect with: pastctl fsck %s)\n", dir, dir)
 	}
 	fmt.Fprintln(w, "CRASH SOAK: ok — every recovery matched the durable prefix")
 	return 0, nil

@@ -70,7 +70,7 @@ func main() {
 		crashLives = flag.Int("crash-lives", 5, "crash soak: kill/recover cycles")
 		crashOps   = flag.Int("crash-ops", 200, "crash soak: mutations per life")
 		crashDir   = flag.String("crash-dir", "", "crash soak: logstore directory (empty: a fresh temp dir)")
-		keep       = flag.Bool("keep", false, "crash soak: keep the store directory for inspection (e.g. past-state fsck)")
+		keep       = flag.Bool("keep", false, "crash soak: keep the store directory for inspection (e.g. pastctl fsck)")
 	)
 	flag.Parse()
 

@@ -20,6 +20,7 @@
 //	past-cluster -nodes 5 -rounds 2 -check -events-out run.jsonl
 //	past-cluster -duration 45s -check              # stop scheduling new rounds after 45s
 //	past-cluster -data /tmp/fleet -keep -v         # keep per-node logs and stores
+//	past-cluster top -nodes 127.0.0.1:7001,...     # live dashboard of a running fleet (see top.go)
 //
 // The pass/fail summary line is seed-stable: two passing runs with the
 // same flags print byte-identical summaries (wall-clock details print
@@ -41,6 +42,9 @@ import (
 
 func main() {
 	cluster.MaybeRunDaemon(daemon.Run)
+	if len(os.Args) > 1 && os.Args[1] == "top" {
+		os.Exit(runTop(os.Args[2:]))
+	}
 	os.Exit(run())
 }
 

@@ -20,7 +20,6 @@
 package main
 
 import (
-	"crypto/rand"
 	"flag"
 	"fmt"
 	"log"
@@ -28,14 +27,10 @@ import (
 	"time"
 
 	"past/internal/admit"
+	"past/internal/daemon"
 	"past/internal/ec"
 	"past/internal/experiments"
-	"past/internal/id"
 	"past/internal/loadgen"
-	"past/internal/past"
-	"past/internal/topology"
-	"past/internal/transport"
-	"past/internal/wire"
 )
 
 func main() {
@@ -172,13 +167,7 @@ func main() {
 			fmt.Printf("VERIFY: ok — rerun reproduced fingerprint %s\n", res.Fingerprint)
 		}
 	case *addr != "":
-		wire.RegisterWire()
-		past.RegisterWire()
-		var cid id.Node
-		if _, err := rand.Read(cid[:]); err != nil {
-			log.Fatalf("past-load: %v", err)
-		}
-		tr, err := transport.New(cid, "127.0.0.1:0", topology.Point{})
+		tr, err := daemon.NewClient()
 		if err != nil {
 			log.Fatalf("past-load: %v", err)
 		}

@@ -8,23 +8,30 @@
 //	pastctl -node 127.0.0.1:7001 trace <fileId-hex>
 //	pastctl -node 127.0.0.1:7001 status
 //	pastctl -node 127.0.0.1:7001 stats
+//
+// It also carries the offline storage inspector, which needs no node:
+//
+//	pastctl fsck [-q] <dir>
+//
+// verifies a log-structured store directory (WAL framing and checksums,
+// segment record checksums, checkpoint consistency, orphaned segments)
+// and exits 1 if it finds corruption, 2 on a usage or I/O error.
 package main
 
 import (
 	"context"
-	"crypto/rand"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
 
+	"past/internal/daemon"
 	"past/internal/id"
+	"past/internal/netsim"
 	"past/internal/obs"
 	"past/internal/past"
-	"past/internal/topology"
 	"past/internal/transport"
-	"past/internal/wire"
 )
 
 func main() {
@@ -34,18 +41,14 @@ func main() {
 	)
 	flag.Parse()
 	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: pastctl [-node addr] insert <name> | lookup <fileId> | reclaim <fileId> | exists <fileId> | trace <fileId> | status | stats")
+		fmt.Fprintln(os.Stderr, "usage: pastctl [-node addr] insert <name> | lookup <fileId> | reclaim <fileId> | exists <fileId> | trace <fileId> | status | stats | fsck [-q] <dir>")
 		os.Exit(2)
 	}
-
-	wire.RegisterWire()
-	past.RegisterWire()
-
-	var cid id.Node
-	if _, err := rand.Read(cid[:]); err != nil {
-		log.Fatalf("pastctl: %v", err)
+	if flag.Arg(0) == "fsck" {
+		os.Exit(runFsck(flag.Args()[1:]))
 	}
-	tr, err := transport.New(cid, "127.0.0.1:0", topology.Point{})
+
+	tr, err := daemon.NewClient()
 	if err != nil {
 		log.Fatalf("pastctl: %v", err)
 	}
@@ -66,11 +69,10 @@ func runCommand(tr *transport.TCP, node string, k int, args []string) error {
 		if err != nil {
 			return fmt.Errorf("read stdin: %w", err)
 		}
-		reply, err := tr.InvokeAddr(node, &past.ClientInsert{Name: args[1], Content: content, K: k})
+		ir, err := netsim.ReplyAs[past.ClientInsertReply](tr.InvokeAddr(node, &past.ClientInsert{Name: args[1], Content: content, K: k}))
 		if err != nil {
 			return err
 		}
-		ir := reply.(*past.ClientInsertReply)
 		if !ir.OK {
 			return fmt.Errorf("insert rejected after %d attempts: %s", ir.Attempts, ir.Reason)
 		}
@@ -86,11 +88,10 @@ func runCommand(tr *transport.TCP, node string, k int, args []string) error {
 		if err != nil {
 			return err
 		}
-		reply, err := tr.InvokeAddr(node, &past.ClientLookup{File: f})
+		lr, err := netsim.ReplyAs[past.ClientLookupReply](tr.InvokeAddr(node, &past.ClientLookup{File: f}))
 		if err != nil {
 			return err
 		}
-		lr := reply.(*past.ClientLookupReply)
 		if !lr.Found {
 			return fmt.Errorf("file %s not found", f.Short())
 		}
@@ -118,11 +119,10 @@ func runCommand(tr *transport.TCP, node string, k int, args []string) error {
 		// comes back on the reply.
 		tc := obs.TraceContext{ID: obs.NewTraceID(), Sampled: true, Budget: obs.DefaultTraceBudget}
 		ctx := obs.ContextWithTrace(context.Background(), tc)
-		reply, err := tr.InvokeAddrContext(ctx, node, &past.ClientLookup{File: f})
+		lr, err := netsim.ReplyAs[past.ClientLookupReply](tr.InvokeAddrContext(ctx, node, &past.ClientLookup{File: f}))
 		if err != nil {
 			return err
 		}
-		lr := reply.(*past.ClientLookupReply)
 		trace := &obs.Trace{Op: "lookup", Key: f.Key(), Hops: lr.Trace, RouteHops: lr.Hops, OK: lr.Found}
 		nodes := make(map[string]bool)
 		for _, h := range lr.Trace {
@@ -135,11 +135,11 @@ func runCommand(tr *transport.TCP, node string, k int, args []string) error {
 		return nil
 
 	case "status":
-		reply, err := tr.InvokeAddr(node, &past.ClientStatus{})
+		sr, err := netsim.ReplyAs[past.ClientStatusReply](tr.InvokeAddr(node, &past.ClientStatus{}))
 		if err != nil {
 			return err
 		}
-		s := reply.(*past.ClientStatusReply).Status
+		s := sr.Status
 		fmt.Printf("node %s  joined=%v\n", s.ID, s.Joined)
 		fmt.Printf("storage: %d / %d bytes used (%.1f%%), %d replicas (%d diverted-in)\n",
 			s.Used, s.Capacity, 100*float64(s.Used)/float64(max(1, s.Capacity)), s.Replicas, s.DivertedIn)
@@ -151,13 +151,9 @@ func runCommand(tr *transport.TCP, node string, k int, args []string) error {
 		return nil
 
 	case "stats":
-		reply, err := tr.InvokeAddr(node, &past.ClientObsReport{})
+		rep, err := netsim.ReplyAs[past.ClientObsReportReply](tr.InvokeAddr(node, &past.ClientObsReport{}))
 		if err != nil {
 			return err
-		}
-		rep, ok := reply.(*past.ClientObsReportReply)
-		if !ok {
-			return fmt.Errorf("stats: unexpected reply %T", reply)
 		}
 		s := rep.Snapshot
 		for _, name := range s.Names() {
@@ -188,11 +184,10 @@ func runCommand(tr *transport.TCP, node string, k int, args []string) error {
 		if err != nil {
 			return err
 		}
-		reply, err := tr.InvokeAddr(node, &past.ClientReclaim{File: f})
+		rr, err := netsim.ReplyAs[past.ClientReclaimReply](tr.InvokeAddr(node, &past.ClientReclaim{File: f}))
 		if err != nil {
 			return err
 		}
-		rr := reply.(*past.ClientReclaimReply)
 		if !rr.Found {
 			return fmt.Errorf("file %s not found", f.Short())
 		}

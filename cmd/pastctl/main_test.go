@@ -1,15 +1,20 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"past/internal/id"
+	"past/internal/logstore"
+	"past/internal/netsim"
 	"past/internal/past"
 	"past/internal/pastry"
+	"past/internal/store"
 	"past/internal/topology"
 	"past/internal/transport"
 	"past/internal/wire"
@@ -152,5 +157,84 @@ func TestRunCommandStats(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Fatalf("stats output missing %q:\n%s", want, s)
 		}
+	}
+}
+
+// stubAccessPoint answers every RPC with the same reply, whatever was
+// asked: a stand-in for a confused or hostile node.
+type stubAccessPoint struct{ reply any }
+
+func (s stubAccessPoint) Deliver(id.Node, any) (any, error) { return s.reply, nil }
+
+// TestRunCommandRejectsBadReplies: an access point that answers with a
+// reply of the wrong type, or with none, fails the command with
+// netsim.ErrBadReply instead of panicking the client.
+func TestRunCommandRejectsBadReplies(t *testing.T) {
+	stdin, err := os.Open(os.DevNull)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stdin.Close()
+	oldStdin := os.Stdin
+	os.Stdin = stdin
+	defer func() { os.Stdin = oldStdin }()
+
+	fid := id.NewFile("stub", nil, 1).String()
+	for _, reply := range []any{&past.ClientStatusReply{}, nil} {
+		wire.RegisterWire()
+		past.RegisterWire()
+		srv, err := transport.New(id.NodeFromUint64(3), "127.0.0.1:0", topology.Point{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Serve(stubAccessPoint{reply})
+		ct := newClientTransport(t)
+		cmds := [][]string{{"insert", "stub"}, {"lookup", fid}, {"exists", fid}, {"trace", fid}, {"reclaim", fid}, {"stats"}}
+		if reply == nil {
+			cmds = append(cmds, []string{"status"})
+		}
+		for _, args := range cmds {
+			if err := runCommand(ct, srv.Addr(), 0, args); !errors.Is(err, netsim.ErrBadReply) {
+				t.Errorf("%v answered with %T: got %v, want ErrBadReply", args, reply, err)
+			}
+		}
+		srv.Close()
+	}
+}
+
+// TestFsckExitCodes: 0 on a clean store, 1 once a checkpoint byte is
+// flipped, 2 on a usage error or a missing directory.
+func TestFsckExitCodes(t *testing.T) {
+	dir := t.TempDir()
+	s, err := logstore.Open(dir, logstore.Options{Capacity: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Add(store.Entry{File: id.NewFile("fsck", nil, 1), Size: 5, Content: []byte("hello")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if code := runFsck([]string{"-q", dir}); code != 0 {
+		t.Fatalf("clean store: exit %d, want 0", code)
+	}
+	ckp := filepath.Join(dir, "checkpoint.ckp")
+	b, err := os.ReadFile(ckp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)-1] ^= 0xff
+	if err := os.WriteFile(ckp, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := runFsck([]string{"-q", dir}); code != 1 {
+		t.Fatalf("damaged checkpoint: exit %d, want 1", code)
+	}
+	if code := runFsck(nil); code != 2 {
+		t.Fatalf("no directory: exit %d, want 2", code)
+	}
+	if code := runFsck([]string{filepath.Join(dir, "missing")}); code != 2 {
+		t.Fatalf("missing directory: exit %d, want 2", code)
 	}
 }

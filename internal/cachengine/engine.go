@@ -60,9 +60,6 @@ type FlashConfig struct {
 type Config struct {
 	// Policy is the per-shard replacement policy.
 	Policy cache.Policy
-	// Frac is the insertion-policy fraction c, applied by each shard to
-	// its own capacity. Default 1 (the paper's value).
-	Frac float64
 	// Shards is the RAM-tier shard count, rounded up to a power of two.
 	// Default 1.
 	Shards int
@@ -84,9 +81,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Frac == 0 {
-		c.Frac = 1
-	}
 	if c.Shards <= 0 {
 		c.Shards = 1
 	}
@@ -156,7 +150,9 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.shard = make([]*shard, cfg.Shards)
 	for i := range e.shard {
-		s := &shard{c: cache.New(cfg.Policy, cfg.Frac)}
+		// The insertion fraction is the paper's c = 1, applied by each
+		// shard to its own capacity.
+		s := &shard{c: cache.New(cfg.Policy, 1)}
 		if cfg.Doorkeeper {
 			s.dk = newDoorkeeper(cfg.DoorkeeperBits)
 		}

@@ -283,9 +283,6 @@ type Quota struct {
 	used  int64
 }
 
-// NewQuota creates a ledger with the given byte limit.
-func NewQuota(limit int64) *Quota { return &Quota{limit: limit} }
-
 // Debit reserves n bytes, failing with ErrQuotaExceeded if the limit
 // would be crossed.
 func (q *Quota) Debit(n int64) error {

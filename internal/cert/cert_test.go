@@ -101,7 +101,7 @@ func TestQuotaDebitOnIssue(t *testing.T) {
 }
 
 func TestQuotaNegativeDebit(t *testing.T) {
-	q := NewQuota(10)
+	q := &Quota{limit: 10}
 	if err := q.Debit(-1); err == nil {
 		t.Fatal("negative debit must fail")
 	}

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"crypto/rand"
 	"fmt"
 	"io"
 	"net"
@@ -17,9 +16,7 @@ import (
 	"past/internal/logstore"
 	"past/internal/obs"
 	"past/internal/past"
-	"past/internal/topology"
 	"past/internal/transport"
-	"past/internal/wire"
 )
 
 // Config shapes a fleet.
@@ -137,13 +134,7 @@ func Start(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 
-	wire.RegisterWire()
-	past.RegisterWire()
-	var cid id.Node
-	if _, err := rand.Read(cid[:]); err != nil {
-		return nil, err
-	}
-	client, err := transport.New(cid, "127.0.0.1:0", topology.Point{})
+	client, err := daemon.NewClient()
 	if err != nil {
 		return nil, err
 	}

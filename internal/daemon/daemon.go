@@ -470,6 +470,21 @@ func NodeIDFromSeed(seed int64) id.Node {
 	return nid
 }
 
+// NewClient opens the transport a client of running daemons speaks
+// through: wire types registered, a random client identity, an
+// ephemeral loopback port. pastctl, past-cluster (and its top
+// dashboard) and past-load's live mode reach the daemons' client RPCs
+// through it.
+func NewClient() (*transport.TCP, error) {
+	wire.RegisterWire()
+	past.RegisterWire()
+	var cid id.Node
+	if _, err := rand.Read(cid[:]); err != nil {
+		return nil, err
+	}
+	return transport.New(cid, "127.0.0.1:0", topology.Point{})
+}
+
 // parseSize parses sizes like "512", "64KB", "2MB", "1GB".
 func parseSize(s string) (int64, error) {
 	u := strings.ToUpper(strings.TrimSpace(s))

@@ -27,8 +27,6 @@ type CachingConfig struct {
 	Requests       int
 	Clients, Sites int
 	Policy         cache.Policy
-	// CacheFrac is the insertion-policy parameter c (paper: 1).
-	CacheFrac float64
 
 	Dist      CapDist
 	Overshoot float64
@@ -66,9 +64,6 @@ func (c CachingConfig) withDefaults() CachingConfig {
 	}
 	if c.Sites == 0 {
 		c.Sites = 8
-	}
-	if c.CacheFrac == 0 {
-		c.CacheFrac = 1
 	}
 	if c.B == 0 {
 		c.B = 4
@@ -118,7 +113,6 @@ func RunCaching(cfg CachingConfig) (*CachingResult, error) {
 
 	col := metrics.NewCollector(totalCap, cfg.UniqueFiles/500+1)
 	pcfg := pastConfig(cfg.B, cfg.L, cfg.K, cfg.TPri, cfg.TDiv, cfg.MaxRetries, cfg.Policy, col)
-	pcfg.CacheFrac = cfg.CacheFrac
 	cluster, err := past.NewCluster(past.ClusterSpec{
 		N:        cfg.Nodes,
 		Cfg:      pcfg,

@@ -40,16 +40,6 @@ var (
 // AllDists lists the Table 1 distributions in order.
 var AllDists = []CapDist{D1, D2, D3, D4}
 
-// DistByName returns the capacity distribution with the given name.
-func DistByName(name string) (CapDist, error) {
-	for _, d := range AllDists {
-		if d.Name == name {
-			return d, nil
-		}
-	}
-	return CapDist{}, fmt.Errorf("experiments: unknown capacity distribution %q", name)
-}
-
 // Sample draws n capacities (bytes) with the distribution's shape,
 // scaled by factor s (1 reproduces the paper's MB values).
 func (d CapDist) Sample(r *rand.Rand, n int, s float64) []int64 {

@@ -75,7 +75,7 @@ func TestCachingConfigDefaults(t *testing.T) {
 	if cfg.UniqueFiles == 0 || cfg.Requests != cfg.UniqueFiles*215/100 {
 		t.Fatalf("caching defaults: %+v", cfg)
 	}
-	if cfg.Clients != 775 || cfg.Sites != 8 || cfg.CacheFrac != 1 {
+	if cfg.Clients != 775 || cfg.Sites != 8 {
 		t.Fatalf("caching client defaults: %+v", cfg)
 	}
 }

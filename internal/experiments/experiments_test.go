@@ -268,10 +268,4 @@ func TestScaleAndDistLookup(t *testing.T) {
 	if _, err := ScaleByName("nope"); err == nil {
 		t.Fatal("want error")
 	}
-	if _, err := DistByName("d3"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DistByName("d9"); err == nil {
-		t.Fatal("want error")
-	}
 }

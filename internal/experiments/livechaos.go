@@ -195,13 +195,3 @@ func RenderLiveChaos(r *LiveChaosResult) string {
 	}
 	return b.String()
 }
-
-// StableLiveChaos returns only the seed-stable portion of the render —
-// what the CLI prints for summary comparison across runs.
-func StableLiveChaos(r *LiveChaosResult) string {
-	full := RenderLiveChaos(r)
-	if i := strings.Index(full, "---\n"); i >= 0 {
-		return full[:i]
-	}
-	return full
-}

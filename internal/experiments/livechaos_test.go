@@ -44,20 +44,27 @@ func synthLiveChaos(t *testing.T, nodes, rounds int, killRate float64, seed int6
 	return r
 }
 
+// stableLiveChaos returns the seed-stable portion of the render: what
+// sits above the "---" rule.
+func stableLiveChaos(r *LiveChaosResult) string {
+	stable, _, _ := strings.Cut(RenderLiveChaos(r), "---\n")
+	return stable
+}
+
 func TestLiveChaosStableRender(t *testing.T) {
 	a := synthLiveChaos(t, 10, 6, 0.1, 1)
 	b := synthLiveChaos(t, 10, 6, 0.1, 1)
-	if sa, sb := StableLiveChaos(a), StableLiveChaos(b); sa != sb {
+	if sa, sb := stableLiveChaos(a), stableLiveChaos(b); sa != sb {
 		t.Fatalf("same seed renders differently:\n%s\nvs\n%s", sa, sb)
 	}
 	c := synthLiveChaos(t, 10, 6, 0.1, 2)
-	if StableLiveChaos(a) == StableLiveChaos(c) {
+	if stableLiveChaos(a) == stableLiveChaos(c) {
 		t.Fatal("different seeds render identically")
 	}
 	if !a.Scenario.Passed() {
 		t.Fatal("synthetic passing run does not pass")
 	}
-	stable := StableLiveChaos(a)
+	stable := stableLiveChaos(a)
 	if !strings.Contains(stable, "verdict=PASS") {
 		t.Fatalf("stable render missing verdict:\n%s", stable)
 	}

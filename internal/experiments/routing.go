@@ -9,6 +9,7 @@ import (
 
 	"past/internal/cache"
 	"past/internal/id"
+	"past/internal/obs"
 	"past/internal/past"
 	"past/internal/trace"
 )
@@ -82,6 +83,8 @@ func RunRouting(sc Scale, seed int64) (*RoutingResult, error) {
 	}
 	hopHist := make([]int, 64)
 	var hops, nearest, nearest2 int
+	// A sampled trace context makes every route hop-recorded.
+	traced := obs.ContextWithTrace(context.Background(), obs.TraceContext{Sampled: true})
 	lookups := 0
 	for trial := 0; trial < 4*len(inserted); trial++ {
 		p := inserted[rng.Intn(len(inserted))]
@@ -110,7 +113,7 @@ func RunRouting(sc Scale, seed int64) (*RoutingResult, error) {
 		// off, the serving node is the first holder on the path (or a
 		// pointer chase, which we skip by requiring a direct holder) —
 		// the To of the route's last hop record, the consumer's own.
-		reply, hopsTaken, hopTrace, err := client.Overlay().RouteTracedContext(context.Background(), p.fid.Key(), &past.LookupMsg{File: p.fid})
+		reply, hopsTaken, hopTrace, err := client.Overlay().RouteContext(traced, p.fid.Key(), &past.LookupMsg{File: p.fid})
 		if err != nil {
 			return nil, err
 		}

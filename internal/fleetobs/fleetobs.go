@@ -4,10 +4,9 @@
 // series with obs.Aggregate, tracks restart-aware counter deltas so
 // rates stay correct across crash/rejoin cycles, and evaluates
 // declarative SLOs as windowed burn rates over the aggregated stream.
-// The past-top live
-// dashboard, the aggregator's combined /metrics endpoint, and the
-// cluster scenario driver's per-round SLO reporting all sit on top of
-// this package.
+// The past-cluster top live dashboard, the aggregator's combined
+// /metrics endpoint, and the cluster scenario driver's per-round SLO
+// reporting all sit on top of this package.
 package fleetobs
 
 import (

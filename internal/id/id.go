@@ -67,20 +67,6 @@ func (n Node) Halves() (hi, lo uint64) {
 	return binary.BigEndian.Uint64(n[:8]), binary.BigEndian.Uint64(n[8:])
 }
 
-// ParseNode parses a 32-hex-digit nodeId.
-func ParseNode(s string) (Node, error) {
-	var n Node
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return n, fmt.Errorf("id: parse node %q: %w", s, err)
-	}
-	if len(b) != NodeBytes {
-		return n, fmt.Errorf("id: parse node %q: want %d bytes, got %d", s, NodeBytes, len(b))
-	}
-	copy(n[:], b)
-	return n, nil
-}
-
 // String renders the nodeId as 32 lowercase hex digits.
 func (n Node) String() string { return hex.EncodeToString(n[:]) }
 
@@ -247,15 +233,22 @@ func NewFile(name string, ownerPub []byte, salt uint64) File {
 // ParseFile parses a 40-hex-digit fileId.
 func ParseFile(s string) (File, error) {
 	var f File
+	err := parseHex("file", s, f[:])
+	return f, err
+}
+
+// parseHex decodes s, which must be exactly 2*len(dst) hex digits, into
+// dst; what names the id kind in errors. dst is untouched on error.
+func parseHex(what, s string, dst []byte) error {
 	b, err := hex.DecodeString(s)
 	if err != nil {
-		return f, fmt.Errorf("id: parse file %q: %w", s, err)
+		return fmt.Errorf("id: parse %s %q: %w", what, s, err)
 	}
-	if len(b) != FileBytes {
-		return f, fmt.Errorf("id: parse file %q: want %d bytes, got %d", s, FileBytes, len(b))
+	if len(b) != len(dst) {
+		return fmt.Errorf("id: parse %s %q: want %d bytes, got %d", what, s, len(dst), len(b))
 	}
-	copy(f[:], b)
-	return f, nil
+	copy(dst, b)
+	return nil
 }
 
 // String renders the fileId as 40 lowercase hex digits.

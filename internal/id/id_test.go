@@ -180,11 +180,19 @@ func TestSharedPrefixSelf(t *testing.T) {
 	}
 }
 
+// parseNode parses a 32-hex-digit nodeId with the decoder ParseFile
+// uses: nodeIds are never parsed outside tests.
+func parseNode(s string) (Node, error) {
+	var n Node
+	err := parseHex("node", s, n[:])
+	return n, err
+}
+
 func TestParseNodeRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 50; i++ {
 		n := randNode(r)
-		got, err := ParseNode(n.String())
+		got, err := parseNode(n.String())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,10 +203,10 @@ func TestParseNodeRoundTrip(t *testing.T) {
 }
 
 func TestParseNodeErrors(t *testing.T) {
-	if _, err := ParseNode("zz"); err == nil {
+	if _, err := parseNode("zz"); err == nil {
 		t.Fatal("want error for bad hex")
 	}
-	if _, err := ParseNode("abcd"); err == nil {
+	if _, err := parseNode("abcd"); err == nil {
 		t.Fatal("want error for short input")
 	}
 }

@@ -128,7 +128,7 @@ func TestRetryLoopOverloadExtraBackoff(t *testing.T) {
 			OverloadFactor: factor,
 			Sleep:          func(d time.Duration) { out = append(out, d) },
 		}}}
-		n.retryLoop(context.Background(), nil, func(context.Context) (any, error) {
+		retryLoop(n, context.Background(), nil, func(context.Context) (*LookupResult, error) {
 			return nil, fail
 		})
 		return out
@@ -155,7 +155,7 @@ func TestRetryLoopOverloadExtraBackoff(t *testing.T) {
 func TestRetryLoopStillRetriesOverload(t *testing.T) {
 	n := &Node{stats: &obs.NodeStats{}, cfg: Config{Retry: &RetryPolicy{MaxAttempts: 2}}}
 	attempts := 0
-	_, err := n.retryLoop(context.Background(), nil, func(context.Context) (any, error) {
+	_, err := retryLoop(n, context.Background(), nil, func(context.Context) (*LookupResult, error) {
 		attempts++
 		return nil, netsim.ErrOverloaded
 	})

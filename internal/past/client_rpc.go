@@ -117,13 +117,11 @@ func (n *Node) handleClientRPC(tc obs.TraceContext, msg any) (any, error) {
 		}
 		return &ClientInsertReply{OK: res.OK, FileID: res.FileID, Attempts: res.Attempts, Reason: res.Reason}, nil
 	case *ClientLookup:
-		var res *LookupResult
-		var err error
+		ctx := context.Background()
 		if tc.Active() {
-			res, err = n.LookupTraced(context.Background(), m.File, tc)
-		} else {
-			res, err = n.Lookup(m.File)
+			ctx = obs.ContextWithTrace(ctx, tc)
 		}
+		res, err := n.LookupContext(ctx, m.File)
 		if err != nil {
 			return nil, err
 		}

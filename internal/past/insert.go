@@ -74,7 +74,8 @@ type InsertResult struct {
 	// Reason describes the failure, if any.
 	Reason string
 	// Trace holds the per-hop route records of the final attempt, when
-	// the operation was sampled by Config.Tracer.
+	// the operation was traced: sampled by Config.Tracer, or run under a
+	// sampled obs.TraceContext.
 	Trace []obs.HopRecord
 }
 
@@ -111,7 +112,7 @@ func (n *Node) InsertContext(ctx context.Context, spec InsertSpec) (*InsertResul
 		n.mu.Unlock()
 	}
 	n.stats.Inserts.Add(1)
-	traced := n.cfg.Tracer.ShouldSample()
+	ctx, traced := n.traceIntent(ctx)
 	finishTrace := func(res *InsertResult, err error) {
 		if !traced {
 			return
@@ -156,41 +157,19 @@ func (n *Node) InsertContext(ctx context.Context, spec InsertSpec) (*InsertResul
 		res.FileID = fid
 
 		msg := &InsertMsg{File: fid, Size: size, Content: spec.Content, Cert: fc, K: k}
-		type routed struct {
-			reply any
-			hops  int
-			trace []obs.HopRecord
-		}
-		out, err := n.retryLoop(ctx, nil, func(actx context.Context) (any, error) {
-			var (
-				reply any
-				hops  int
-				trace []obs.HopRecord
-				rerr  error
-			)
-			if traced {
-				reply, hops, trace, rerr = n.overlay.RouteTracedContext(actx, fid.Key(), msg)
-			} else {
-				reply, hops, rerr = n.overlay.RouteContext(actx, fid.Key(), msg)
+		ir, err := retryLoop(n, ctx, nil, func(actx context.Context) (*InsertReply, error) {
+			reply, hops, trace, err := n.overlay.RouteContext(actx, fid.Key(), msg)
+			if err != nil {
+				return nil, err
 			}
-			if rerr != nil {
-				return nil, rerr
-			}
-			return routed{reply, hops, trace}, nil
+			res.Hops, res.Trace = hops, trace
+			return netsim.ReplyAs[InsertReply](reply, nil)
 		})
 		if err != nil {
 			err = fmt.Errorf("past: insert %q: route: %w", spec.Name, err)
 			finishTrace(res, err)
 			return nil, err
 		}
-		ir, ok := out.(routed).reply.(*InsertReply)
-		if !ok {
-			err = fmt.Errorf("past: insert %q: unexpected reply %T", spec.Name, out.(routed).reply)
-			finishTrace(res, err)
-			return nil, err
-		}
-		res.Hops = out.(routed).hops
-		res.Trace = out.(routed).trace
 		if ir.OK {
 			res.OK = true
 			res.FileDiversions = attempt

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"past/internal/id"
+	"past/internal/netsim"
 	"past/internal/obs"
 	"past/internal/store"
 )
@@ -32,7 +33,8 @@ type LookupResult struct {
 	// engine's negative cache is enabled.
 	Negative bool
 	// Trace holds the per-hop route records of the attempt that produced
-	// this result, when the operation was sampled by Config.Tracer.
+	// this result, when the operation was traced: sampled by
+	// Config.Tracer, or run under a sampled obs.TraceContext.
 	Trace []obs.HopRecord
 }
 
@@ -51,61 +53,39 @@ func (n *Node) Lookup(f id.File) (*LookupResult, error) {
 // not-found results (a miss under faults may be spurious — the replicas
 // exist but the route was cut short), and hedged attempts through a
 // different first hop when the policy enables them.
+//
+// A ctx carrying an active obs.TraceContext (how `pastctl trace` arrives
+// through the ClientLookup RPC) hop-records the route regardless of the
+// sampling tracer, propagates the trace id to relays in other processes,
+// and bypasses the negative cache — a trace that never left the access
+// point would show no route.
 func (n *Node) LookupContext(ctx context.Context, f id.File) (*LookupResult, error) {
 	n.stats.Lookups.Add(1)
 	// A recent full lookup already came back not-found: answer locally
 	// without routing. Any insert evidence for f invalidates the entry,
 	// so a false negative lasts only until the file is next sighted.
-	if n.cache.NegativeHit(f) {
+	if tc, _ := obs.TraceFromContext(ctx); !tc.Active() && n.cache.NegativeHit(f) {
 		return &LookupResult{Found: false, Negative: true}, nil
 	}
-	return n.lookupTraced(ctx, f, n.cfg.Tracer.ShouldSample())
-}
-
-// LookupTraced is LookupContext under an explicit trace context: the
-// route is always hop-recorded (regardless of the sampling tracer), the
-// trace context propagates across process boundaries so remote relays
-// keep recording under the same trace id, and the negative cache is
-// bypassed — a trace that never left the access point would show no
-// route. `pastctl trace` reaches this through the ClientLookup RPC.
-func (n *Node) LookupTraced(ctx context.Context, f id.File, tc obs.TraceContext) (*LookupResult, error) {
-	n.stats.Lookups.Add(1)
-	ctx = obs.ContextWithTrace(ctx, tc)
-	return n.lookupTraced(ctx, f, true)
-}
-
-// lookupTraced runs the routed lookup under the resilience layer (when
-// configured), optionally hop-recording the route.
-func (n *Node) lookupTraced(ctx context.Context, f id.File, traced bool) (*LookupResult, error) {
+	ctx, traced := n.traceIntent(ctx)
 	pol, hasPol := n.policy()
-	attempt := func(actx context.Context) (any, error) {
+	attempt := func(actx context.Context) (*LookupResult, error) {
 		if !hasPol {
-			return n.lookupOnce(actx, f, id.Node{}, traced)
+			return n.lookupOnce(actx, f)
 		}
-		out, err := n.hedged(actx, pol, f.Key(),
-			func(rctx context.Context, avoid id.Node) (any, error) {
-				return n.lookupOnce(rctx, f, avoid, traced)
+		return hedged(n, actx, pol, f.Key(),
+			func(rctx context.Context, avoid ...id.Node) (*LookupResult, error) {
+				return n.lookupOnce(rctx, f, avoid...)
 			},
-			func(res any) bool {
-				lr, ok := res.(*LookupResult)
-				return ok && lr.Found
-			})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
+			func(lr *LookupResult) bool { return lr.Found })
 	}
-	out, err := n.retryLoop(ctx, func(res any) bool {
-		lr, ok := res.(*LookupResult)
-		return !ok || !lr.Found
-	}, attempt)
+	res, err := retryLoop(n, ctx, func(lr *LookupResult) bool { return lr == nil || !lr.Found }, attempt)
 	if err != nil {
 		if traced {
 			n.cfg.Tracer.Add(&obs.Trace{Op: "lookup", Key: f.Key(), Err: err.Error()})
 		}
 		return nil, err
 	}
-	res, _ := out.(*LookupResult)
 	if res == nil {
 		res = &LookupResult{Found: false}
 	}
@@ -128,34 +108,32 @@ func (n *Node) lookupTraced(ctx context.Context, f id.File, traced bool) (*Looku
 	return res, nil
 }
 
-// lookupOnce performs a single routed lookup attempt. A non-zero avoid
-// is excluded as the first hop (a hedge steering around the primary's
-// entry point). With traced set, the attempt records its per-hop route
-// into the result.
-func (n *Node) lookupOnce(ctx context.Context, f id.File, avoid id.Node, traced bool) (*LookupResult, error) {
-	var (
-		reply any
-		hops  int
-		trace []obs.HopRecord
-		err   error
-	)
-	msg := &LookupMsg{File: f}
-	switch {
-	case traced && avoid.IsZero():
-		reply, hops, trace, err = n.overlay.RouteTracedContext(ctx, f.Key(), msg)
-	case traced:
-		reply, hops, trace, err = n.overlay.RouteAvoidingTraced(ctx, f.Key(), msg, avoid)
-	case avoid.IsZero():
-		reply, hops, err = n.overlay.RouteContext(ctx, f.Key(), msg)
-	default:
-		reply, hops, err = n.overlay.RouteAvoiding(ctx, f.Key(), msg, avoid)
+// traceIntent decides whether one client operation is hop-recorded and
+// returns the context its routes run under. A sampled trace context
+// already on ctx wins; otherwise a Config.Tracer sample attaches an
+// inert one ({Sampled: true}, id 0): it makes RouteContext record hops
+// without naming a cross-process trace.
+func (n *Node) traceIntent(ctx context.Context) (context.Context, bool) {
+	if tc, ok := obs.TraceFromContext(ctx); ok && tc.Sampled {
+		return ctx, true
 	}
+	if !n.cfg.Tracer.ShouldSample() {
+		return ctx, false
+	}
+	return obs.ContextWithTrace(ctx, obs.TraceContext{Sampled: true}), true
+}
+
+// lookupOnce performs a single routed lookup attempt. A non-empty avoid
+// is excluded as the first hop (a hedge steering around the primary's
+// entry point).
+func (n *Node) lookupOnce(ctx context.Context, f id.File, avoid ...id.Node) (*LookupResult, error) {
+	reply, hops, trace, err := n.overlay.RouteContext(ctx, f.Key(), &LookupMsg{File: f}, avoid...)
 	if err != nil {
 		return nil, fmt.Errorf("past: lookup %s: %w", f.Short(), err)
 	}
-	lr, ok := reply.(*LookupReply)
-	if !ok {
-		return nil, fmt.Errorf("past: lookup %s: unexpected reply %T", f.Short(), reply)
+	lr, err := netsim.ReplyAs[LookupReply](reply, nil)
+	if err != nil {
+		return nil, fmt.Errorf("past: lookup %s: %w", f.Short(), err)
 	}
 	if !lr.Found {
 		return &LookupResult{Found: false, Hops: hops, Trace: trace}, nil
@@ -174,17 +152,6 @@ func (n *Node) lookupOnce(ctx context.Context, f id.File, avoid id.Node, traced 
 		Indirect:  lr.ExtraHops > 0,
 		Trace:     trace,
 	}, nil
-}
-
-// Exists reports whether a lookup for f would succeed, without caching
-// side effects on this node. (Intermediate nodes still observe the
-// routed request.)
-func (n *Node) Exists(f id.File) (bool, error) {
-	res, err := n.Lookup(f)
-	if err != nil {
-		return false, err
-	}
-	return res.Found, nil
 }
 
 // HasReplica reports whether this node itself holds a replica of f
@@ -212,12 +179,4 @@ func (n *Node) ReplicaKind(f id.File) (store.Kind, bool) {
 	defer n.mu.Unlock()
 	e, ok := n.store.Get(f)
 	return e.Kind, ok
-}
-
-// CacheContains reports whether f is cached on this node, without
-// touching recency state.
-func (n *Node) CacheContains(f id.File) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.cache.Contains(f)
 }

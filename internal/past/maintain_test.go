@@ -222,20 +222,14 @@ func TestAccessors(t *testing.T) {
 	if c.Utilization() <= 0 {
 		t.Fatal("utilization did not rise")
 	}
-	ok, err := n.Exists(res.FileID)
-	if err != nil || !ok {
-		t.Fatal("Exists")
+	if lr, err := n.Lookup(res.FileID); err != nil || !lr.Found {
+		t.Fatalf("lookup: %+v, %v", lr, err)
 	}
-	if _, err := n.Lookup(res.FileID); err != nil {
-		t.Fatal(err)
-	}
-	// The lookup cached nothing on the holder itself; CacheContains and
 	// CacheStats simply must be callable and consistent.
 	h, m, _ := n.CacheStats()
 	if h < 0 || m < 0 {
 		t.Fatal("cache stats")
 	}
-	_ = n.CacheContains(res.FileID)
 }
 
 func TestStatusSnapshot(t *testing.T) {

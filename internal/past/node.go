@@ -55,14 +55,11 @@ type Config struct {
 	MaxRetries int
 	// CachePolicy selects the cache replacement policy (default GD-S).
 	CachePolicy cache.Policy
-	// CacheFrac is the insertion-policy fraction c: cache a file only if
-	// its size is below c times the current cache capacity. Paper: 1.
-	CacheFrac float64
 	// CacheEngine, when non-nil, tunes the node's cache engine beyond
 	// the paper's single policy structure: RAM-tier sharding, the
 	// admission doorkeeper, the negative cache, and the flash tier
-	// (see internal/cachengine). Policy and Frac are taken from
-	// CachePolicy/CacheFrac unless explicitly overridden here. Nil runs
+	// (see internal/cachengine). Policy is taken from CachePolicy
+	// unless explicitly overridden here. Nil runs
 	// the engine in its legacy-equivalent configuration — one shard,
 	// no extras — which is operation-for-operation identical to the
 	// original cache.Cache, keeping the trace-driven experiments'
@@ -136,7 +133,6 @@ func DefaultConfig() Config {
 		TDiv:        0.05,
 		MaxRetries:  3,
 		CachePolicy: cache.GDS,
-		CacheFrac:   1,
 	}
 }
 
@@ -148,9 +144,6 @@ func (c Config) withDefaults() Config {
 	if c.K == 0 {
 		c.K = 5
 	}
-	if c.CacheFrac == 0 {
-		c.CacheFrac = 1
-	}
 	return c
 }
 
@@ -160,32 +153,6 @@ func (c Config) withDefaults() Config {
 // them (the emulation uses an in-memory registry).
 type NodeKeyDirectory interface {
 	NodeKey(n id.Node) (ed25519.PublicKey, bool)
-}
-
-// KeyRegistry is an in-memory NodeKeyDirectory.
-type KeyRegistry struct {
-	mu   sync.RWMutex
-	keys map[id.Node]ed25519.PublicKey
-}
-
-// NewKeyRegistry creates an empty registry.
-func NewKeyRegistry() *KeyRegistry {
-	return &KeyRegistry{keys: make(map[id.Node]ed25519.PublicKey)}
-}
-
-// Add records a node's public key.
-func (k *KeyRegistry) Add(n id.Node, pub ed25519.PublicKey) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.keys[n] = pub
-}
-
-// NodeKey implements NodeKeyDirectory.
-func (k *KeyRegistry) NodeKey(n id.Node) (ed25519.PublicKey, bool) {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	pub, ok := k.keys[n]
-	return pub, ok
 }
 
 // Monitor observes storage events; the experiment harness uses it to
@@ -256,8 +223,8 @@ func NewWithStore(nid id.Node, net netsim.Net, cfg Config, backend store.Backend
 }
 
 // cacheEngineConfig resolves the node's effective cachengine.Config:
-// the optional CacheEngine tuning with Policy/Frac inherited from the
-// paper-level knobs unless explicitly overridden.
+// the optional CacheEngine tuning with Policy inherited from
+// CachePolicy unless explicitly overridden.
 func (c Config) cacheEngineConfig() cachengine.Config {
 	var ec cachengine.Config
 	if c.CacheEngine != nil {
@@ -265,9 +232,6 @@ func (c Config) cacheEngineConfig() cachengine.Config {
 	}
 	if ec.Policy == cache.None {
 		ec.Policy = c.CachePolicy
-	}
-	if ec.Frac == 0 {
-		ec.Frac = c.CacheFrac
 	}
 	return ec
 }

@@ -47,19 +47,12 @@ func (n *Node) ReclaimContext(ctx context.Context, f id.File, owner *cert.Smartc
 	} else if n.cfg.VerifyCerts {
 		return nil, fmt.Errorf("past: reclaim %s: certificate verification requires an owner card", f.Short())
 	}
-	reply, err := n.retryLoop(ctx, nil, func(actx context.Context) (any, error) {
-		rep, _, rerr := n.overlay.RouteContext(actx, f.Key(), &ReclaimMsg{File: f, Cert: rc})
-		if rerr != nil {
-			return nil, rerr
-		}
-		return rep, nil
+	rr, err := retryLoop(n, ctx, nil, func(actx context.Context) (*ReclaimReply, error) {
+		reply, _, _, err := n.overlay.RouteContext(actx, f.Key(), &ReclaimMsg{File: f, Cert: rc})
+		return netsim.ReplyAs[ReclaimReply](reply, err)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("past: reclaim %s: %w", f.Short(), err)
-	}
-	rr, ok := reply.(*ReclaimReply)
-	if !ok {
-		return nil, fmt.Errorf("past: reclaim %s: unexpected reply %T", f.Short(), reply)
 	}
 	res := &ReclaimResult{Found: rr.Found, Freed: rr.Freed, Receipts: rr.Receipts}
 	if owner != nil && rr.Found {

@@ -16,10 +16,7 @@ func hedgeCounts(n *Node) (hedges, wins int64) {
 	return n.stats.Hedges.Load(), n.stats.HedgeWins.Load()
 }
 
-func lookupFound(r any) bool {
-	lr, ok := r.(*LookupResult)
-	return ok && lr.Found
-}
+func lookupFound(lr *LookupResult) bool { return lr.Found }
 
 // TestHedgeConcurrentHedgeWins drives the concurrent hedge with a
 // primary that never answers: the hedge must fire after HedgeDelay,
@@ -30,21 +27,20 @@ func TestHedgeConcurrentHedgeWins(t *testing.T) {
 	pol := RetryPolicy{Hedge: true, HedgeDelay: time.Millisecond}.withDefaults()
 
 	primaryCancelled := make(chan error, 1)
-	route := func(ctx context.Context, avoid id.Node) (any, error) {
-		if avoid.IsZero() { // the primary: hang until cancelled
+	route := func(ctx context.Context, avoid ...id.Node) (*LookupResult, error) {
+		if len(avoid) == 0 { // the primary: hang until cancelled
 			<-ctx.Done()
 			primaryCancelled <- ctx.Err()
 			return nil, netsim.CtxErr(ctx)
 		}
 		return &LookupResult{Found: true, Size: 7}, nil
 	}
-	res, err := n.hedgeConcurrent(context.Background(), pol, id.NodeFromUint64(1), route, lookupFound)
+	res, err := hedgeConcurrent(n, context.Background(), pol, id.NodeFromUint64(1), route, lookupFound)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lr := res.(*LookupResult)
-	if !lr.Found || lr.Size != 7 {
-		t.Fatalf("winner must be the hedge's result, got %+v", lr)
+	if !res.Found || res.Size != 7 {
+		t.Fatalf("winner must be the hedge's result, got %+v", res)
 	}
 	select {
 	case cerr := <-primaryCancelled:
@@ -68,8 +64,8 @@ func TestHedgeConcurrentPrimaryWins(t *testing.T) {
 
 	hedgeLaunched := make(chan struct{})
 	hedgeCancelled := make(chan error, 1)
-	route := func(ctx context.Context, avoid id.Node) (any, error) {
-		if avoid.IsZero() { // the primary: answer after the hedge is up
+	route := func(ctx context.Context, avoid ...id.Node) (*LookupResult, error) {
+		if len(avoid) == 0 { // the primary: answer after the hedge is up
 			<-hedgeLaunched
 			return &LookupResult{Found: true, Size: 3}, nil
 		}
@@ -78,13 +74,12 @@ func TestHedgeConcurrentPrimaryWins(t *testing.T) {
 		hedgeCancelled <- ctx.Err()
 		return nil, netsim.CtxErr(ctx)
 	}
-	res, err := n.hedgeConcurrent(context.Background(), pol, id.NodeFromUint64(1), route, lookupFound)
+	res, err := hedgeConcurrent(n, context.Background(), pol, id.NodeFromUint64(1), route, lookupFound)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lr := res.(*LookupResult)
-	if !lr.Found || lr.Size != 3 {
-		t.Fatalf("winner must be the primary's result, got %+v", lr)
+	if !res.Found || res.Size != 3 {
+		t.Fatalf("winner must be the primary's result, got %+v", res)
 	}
 	select {
 	case cerr := <-hedgeCancelled:
@@ -111,14 +106,14 @@ func TestHedgeConcurrentCountsHedgeOnContextExpiry(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	release := make(chan struct{})
 	defer close(release)
-	route := func(_ context.Context, avoid id.Node) (any, error) {
-		if !avoid.IsZero() { // the hedge is up: the caller gives up
+	route := func(_ context.Context, avoid ...id.Node) (*LookupResult, error) {
+		if len(avoid) > 0 { // the hedge is up: the caller gives up
 			cancel()
 		}
 		<-release
 		return nil, netsim.ErrTimeout
 	}
-	if _, err := n.hedgeConcurrent(ctx, pol, id.NodeFromUint64(1), route, lookupFound); err == nil {
+	if _, err := hedgeConcurrent(n, ctx, pol, id.NodeFromUint64(1), route, lookupFound); err == nil {
 		t.Fatal("cancelled hedged attempt returned no error")
 	}
 	if h, w := hedgeCounts(n); h != 1 || w != 0 {

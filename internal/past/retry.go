@@ -132,12 +132,12 @@ func (n *Node) retryJitter(pol RetryPolicy, attempt int) time.Duration {
 // came back not-found under faults may be a spurious miss worth another
 // attempt. Fatal errors, context expiry, and budget exhaustion return
 // the last outcome.
-func (n *Node) retryLoop(ctx context.Context, unsatisfied func(any) bool, fn func(context.Context) (any, error)) (any, error) {
+func retryLoop[R any](n *Node, ctx context.Context, unsatisfied func(*R) bool, fn func(context.Context) (*R, error)) (*R, error) {
 	pol, ok := n.policy()
 	if !ok {
 		return fn(ctx)
 	}
-	var last any
+	var last *R
 	var lastErr error
 	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
 		if attempt > 0 {
@@ -186,15 +186,15 @@ func (n *Node) policy() (RetryPolicy, bool) {
 }
 
 // hedged runs one lookup-style attempt with hedging per the policy.
-// route performs the attempt; avoid, when non-zero, is excluded as the
+// route performs the attempt; avoid, when given, is excluded as the
 // first hop (the hedge's entry-point diversity). ok classifies a
 // returned reply as a success worth winning with.
-func (n *Node) hedged(ctx context.Context, pol RetryPolicy, key id.Node,
-	route func(ctx context.Context, avoid id.Node) (any, error),
-	ok func(any) bool) (any, error) {
+func hedged[R any](n *Node, ctx context.Context, pol RetryPolicy, key id.Node,
+	route func(ctx context.Context, avoid ...id.Node) (*R, error),
+	ok func(*R) bool) (*R, error) {
 
 	if !pol.Hedge {
-		return route(ctx, id.Node{})
+		return route(ctx)
 	}
 	primaryHop := n.overlay.FirstHop(key)
 	if !primaryHop.IsZero() && n.steerAroundLoad(primaryHop) {
@@ -204,17 +204,17 @@ func (n *Node) hedged(ctx context.Context, pol RetryPolicy, key id.Node,
 		// the fallback. No RNG draws — deterministic under fixed seeds.
 		n.stats.LoadSteers.Add(1)
 		inner := route
-		route = func(ctx context.Context, avoid id.Node) (any, error) {
-			if avoid.IsZero() {
+		route = func(ctx context.Context, avoid ...id.Node) (*R, error) {
+			if len(avoid) == 0 {
 				return inner(ctx, primaryHop)
 			}
-			return inner(ctx, id.Node{})
+			return inner(ctx)
 		}
 	}
 	if pol.HedgeDelay <= 0 {
-		return n.hedgeSequential(ctx, primaryHop, route, ok)
+		return hedgeSequential(n, ctx, primaryHop, route, ok)
 	}
-	return n.hedgeConcurrent(ctx, pol, primaryHop, route, ok)
+	return hedgeConcurrent(n, ctx, pol, primaryHop, route, ok)
 }
 
 // loadSteerThreshold is the hint level (out of 255) above which hedged
@@ -244,11 +244,11 @@ func (n *Node) steerAroundLoad(hop id.Node) bool {
 // before the primary resolved — sequential failover is the limit case,
 // and it consumes no RNG draws from racing goroutines, preserving
 // bit-reproducible chaos fingerprints.
-func (n *Node) hedgeSequential(ctx context.Context, primaryHop id.Node,
-	route func(ctx context.Context, avoid id.Node) (any, error),
-	ok func(any) bool) (any, error) {
+func hedgeSequential[R any](n *Node, ctx context.Context, primaryHop id.Node,
+	route func(ctx context.Context, avoid ...id.Node) (*R, error),
+	ok func(*R) bool) (*R, error) {
 
-	res, err := route(ctx, id.Node{})
+	res, err := route(ctx)
 	if err == nil && ok(res) {
 		return res, nil
 	}
@@ -266,12 +266,6 @@ func (n *Node) hedgeSequential(ctx context.Context, primaryHop id.Node,
 	n.recordHedge(false)
 	// Prefer the primary's outcome: it is the attempt a policy-less
 	// client would have made.
-	if err != nil || hres == nil {
-		return res, err
-	}
-	if herr == nil && res == nil {
-		return hres, herr
-	}
 	return res, err
 }
 
@@ -280,19 +274,19 @@ func (n *Node) hedgeSequential(ctx context.Context, primaryHop id.Node,
 // attempt races it through a different first hop. The first success
 // wins and the loser's context is cancelled. Exactly one of the two
 // supplies the returned result.
-func (n *Node) hedgeConcurrent(ctx context.Context, pol RetryPolicy, primaryHop id.Node,
-	route func(ctx context.Context, avoid id.Node) (any, error),
-	ok func(any) bool) (any, error) {
+func hedgeConcurrent[R any](n *Node, ctx context.Context, pol RetryPolicy, primaryHop id.Node,
+	route func(ctx context.Context, avoid ...id.Node) (*R, error),
+	ok func(*R) bool) (*R, error) {
 
 	type outcome struct {
-		res any
+		res *R
 		err error
 	}
 	pctx, pcancel := context.WithCancel(ctx)
 	defer pcancel()
 	prim := make(chan outcome, 1)
 	go func() {
-		res, err := route(pctx, id.Node{})
+		res, err := route(pctx)
 		prim <- outcome{res, err}
 	}()
 

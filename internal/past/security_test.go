@@ -1,24 +1,34 @@
 package past
 
 import (
+	"crypto/ed25519"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"past/internal/cert"
+	"past/internal/id"
 	"past/internal/pastry"
 )
 
+// keyRegistry is an in-memory NodeKeyDirectory.
+type keyRegistry map[id.Node]ed25519.PublicKey
+
+func (k keyRegistry) NodeKey(n id.Node) (ed25519.PublicKey, bool) {
+	pub, ok := k[n]
+	return pub, ok
+}
+
 // secureCluster builds a cluster with certificate verification enabled,
 // smartcards on every node, and a key registry for receipt checks.
-func secureCluster(t *testing.T, n int, seed int64) (*Cluster, *cert.Issuer, *KeyRegistry) {
+func secureCluster(t *testing.T, n int, seed int64) (*Cluster, *cert.Issuer, keyRegistry) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	issuer, err := cert.NewIssuer(rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewKeyRegistry()
+	reg := keyRegistry{}
 	cfg := DefaultConfig()
 	cfg.Pastry = pastry.Config{B: 4, L: 16}
 	cfg.K = 3
@@ -45,7 +55,7 @@ func secureCluster(t *testing.T, n int, seed int64) (*Cluster, *cert.Issuer, *Ke
 		// nodeId IS the hash of the card key); the emulation assigns
 		// overlay ids independently, so the registry indexes the
 		// card-derived id the receipts actually carry.
-		reg.Add(card.NodeID(), card.PublicKey())
+		reg[card.NodeID()] = card.PublicKey()
 	}
 	return c, issuer, reg
 }
@@ -184,7 +194,7 @@ func TestReceiptVerificationCatchesUnknownNode(t *testing.T) {
 	c, issuer, reg := secureCluster(t, 20, 60)
 	owner := newOwnerCard(t, issuer, 1<<20, 61)
 	// Wipe the registry.
-	*reg = *NewKeyRegistry()
+	clear(reg)
 	if _, err := c.Nodes[0].Insert(InsertSpec{Name: "x", Content: []byte("y"), Owner: owner}); err == nil {
 		t.Fatal("insert with unverifiable receipts must error")
 	}

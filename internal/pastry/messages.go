@@ -133,7 +133,7 @@ func (n *Node) Deliver(from id.Node, msg any) (any, error) {
 		// A relayed message runs under a fresh context: the originator's
 		// deadline bounds its own Invoke of the first hop, and each relay
 		// bounds its onward RPCs with cfg.HopTimeout.
-		rr, err := n.routeStep(context.Background(), m)
+		rr, err := n.routeStep(context.Background(), m, nil)
 		if err == nil {
 			// Stamp this node's load on the reply as it passes back, so
 			// the upstream hop learns how loaded we are. Only nodes the

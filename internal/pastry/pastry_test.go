@@ -10,6 +10,7 @@ import (
 
 	"past/internal/id"
 	"past/internal/netsim"
+	"past/internal/obs"
 	"past/internal/topology"
 )
 
@@ -64,13 +65,17 @@ func (c *cluster) closestExisting(pos topology.Point) id.Node {
 	return best
 }
 
+// tracedCtx asks RouteContext for hop records: a sampled trace context
+// without an id records on every hop but names no cross-process trace.
+var tracedCtx = obs.ContextWithTrace(context.Background(), obs.TraceContext{Sampled: true})
+
 // routePath routes a nil payload from src toward key and returns the hop
 // count and the nodes the message visited, origin first and consumer
 // last, read off the route's hop records: every visited node leaves
 // exactly one record that is not a failed attempt — its forward, or the
 // consumer's local record.
 func routePath(src *Node, key id.Node) (hops int, path []id.Node, err error) {
-	_, hops, trace, err := src.RouteTracedContext(context.Background(), key, nil)
+	_, hops, trace, err := src.RouteContext(tracedCtx, key, nil)
 	for _, h := range trace {
 		if !h.Failed {
 			path = append(path, h.From)

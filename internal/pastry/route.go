@@ -26,33 +26,39 @@ var ErrNoRoute = errors.New("pastry: no route")
 // message itself). It carries no deadline; use RouteContext to bound the
 // request.
 func (n *Node) Route(key id.Node, payload any) (reply any, hops int, err error) {
-	return n.RouteContext(context.Background(), key, payload)
+	reply, hops, _, err = n.RouteContext(context.Background(), key, payload)
+	return reply, hops, err
 }
 
 // RouteContext is Route bounded by a context: the deadline covers the
 // whole route (every hop and reroute), and cancellation aborts it
 // between hops. Expiry surfaces as netsim.ErrTimeout.
-func (n *Node) RouteContext(ctx context.Context, key id.Node, payload any) (reply any, hops int, err error) {
+//
+// When ctx carries a sampled obs.TraceContext, every node on the route
+// appends an obs.HopRecord describing which routing rule chose the hop,
+// the prefix depth, proximity, and RPC latency; failed hop attempts stay
+// in the record with Failed set, and on error the records accumulated so
+// far are still returned. An active context (non-zero ID) also rides the
+// request, so relays in other processes record under the same trace id.
+// Recording is out-of-band: it draws no randomness and alters no routing
+// decision.
+//
+// A non-empty avoid set makes this the hedged-request primitive: none of
+// the avoid nodes is used as the first hop, so a second attempt enters
+// the overlay somewhere else and a fault on the primary's path is not
+// simply replayed. If no admissible first hop exists the route fails
+// fast with ErrNoRoute (duplicating the primary's exact path would add
+// load without adding diversity), and the origin's Forward upcall is
+// skipped — the primary attempt already ran it locally.
+func (n *Node) RouteContext(ctx context.Context, key id.Node, payload any, avoid ...id.Node) (reply any, hops int, trace []obs.HopRecord, err error) {
 	req := &RouteRequest{Key: key, Payload: payload}
-	rr, err := n.routeStep(ctx, req)
-	if err != nil {
-		return nil, 0, err
+	if tc, ok := obs.TraceFromContext(ctx); ok && tc.Sampled {
+		req.Traced = true
+		if tc.Active() {
+			req.TC = tc
+		}
 	}
-	return rr.Payload, rr.Hops, nil
-}
-
-// RouteTracedContext is RouteContext with per-hop decision recording:
-// every node on the route appends an obs.HopRecord describing which
-// routing rule chose the hop, the prefix depth, proximity, and RPC
-// latency; failed hop attempts stay in the record with Failed set. On
-// error the records accumulated so far are still returned. Recording is
-// out-of-band: it draws no randomness and alters no routing decision.
-func (n *Node) RouteTracedContext(ctx context.Context, key id.Node, payload any) (reply any, hops int, trace []obs.HopRecord, err error) {
-	req := &RouteRequest{Key: key, Payload: payload, Traced: true}
-	if tc, ok := obs.TraceFromContext(ctx); ok {
-		req.TC = tc
-	}
-	rr, err := n.routeStep(ctx, req)
+	rr, err := n.routeStep(ctx, req, avoid)
 	if err != nil {
 		return nil, 0, req.Trace, err
 	}
@@ -64,88 +70,6 @@ func (n *Node) RouteTracedContext(ctx context.Context, key id.Node, payload any)
 // requests use it to steer a second attempt around the primary's entry
 // point.
 func (n *Node) FirstHop(key id.Node) id.Node { return n.nextHop(key) }
-
-// RouteAvoiding routes payload toward key like RouteContext, but never
-// uses any of the avoid nodes as the first hop. It is the hedged-request
-// primitive: a second attempt that enters the overlay somewhere else, so
-// a fault on the primary's path is not simply replayed. If no admissible
-// first hop exists it fails fast with ErrNoRoute (duplicating the
-// primary's exact path would add load without adding diversity). The
-// origin's Forward upcall is skipped — the primary attempt already ran
-// it locally.
-func (n *Node) RouteAvoiding(ctx context.Context, key id.Node, payload any, avoid ...id.Node) (reply any, hops int, err error) {
-	reply, hops, _, err = n.routeAvoiding(ctx, key, payload, false, avoid)
-	return reply, hops, err
-}
-
-// RouteAvoidingTraced is RouteAvoiding with per-hop decision recording
-// (see RouteTracedContext).
-func (n *Node) RouteAvoidingTraced(ctx context.Context, key id.Node, payload any, avoid ...id.Node) (reply any, hops int, trace []obs.HopRecord, err error) {
-	return n.routeAvoiding(ctx, key, payload, true, avoid)
-}
-
-func (n *Node) routeAvoiding(ctx context.Context, key id.Node, payload any, traced bool, avoid []id.Node) (reply any, hops int, trace []obs.HopRecord, err error) {
-	tried := make(map[id.Node]bool, len(avoid))
-	for _, a := range avoid {
-		if !a.IsZero() {
-			tried[a] = true
-		}
-	}
-	req := &RouteRequest{Key: key, Payload: payload, Traced: traced}
-	if traced {
-		if tc, ok := obs.TraceFromContext(ctx); ok {
-			req.TC = tc
-		}
-	}
-	for {
-		if err := netsim.CtxErr(ctx); err != nil {
-			return nil, 0, req.Trace, err
-		}
-		next, choice := n.nextHopChoose(key, tried)
-		if next.IsZero() {
-			return nil, 0, req.Trace, fmt.Errorf("%w: key %s: no first hop outside %d avoided at %s",
-				ErrNoRoute, key.Short(), len(tried), n.self.Short())
-		}
-		if len(tried) > 0 {
-			// The preferred entry point was excluded — by the hedge's
-			// avoid set or by an earlier failure on this route.
-			choice = obs.ChoiceReroute
-		}
-		req.Hops = 1
-		var mark int
-		var hopStart time.Time
-		recorded := traced && req.TC.HasRoom(len(req.Trace))
-		if recorded {
-			mark = len(req.Trace)
-			req.Trace = append(req.Trace, n.hopRecord(key, next, choice))
-			hopStart = time.Now()
-		}
-		res, err := n.invokeHop(ctx, next, req)
-		if err != nil && netsim.Retryable(err) && netsim.CtxErr(ctx) == nil && !n.cfg.FailFast {
-			if recorded {
-				req.Trace = req.Trace[:mark+1]
-				req.Trace[mark].Failed = true
-				req.Trace[mark].RPCNanos = time.Since(hopStart).Nanoseconds()
-			}
-			tried[next] = true
-			n.noteHopRejection(next, err)
-			continue
-		}
-		if err != nil {
-			return nil, 0, req.Trace, err
-		}
-		rr, err := netsim.ReplyAs[RouteReply](res, nil)
-		if err != nil {
-			return nil, 0, req.Trace, fmt.Errorf("pastry: route reply from %s: %w", next.Short(), err)
-		}
-		if recorded && mark < len(rr.Trace) {
-			rr.Trace[mark].RPCNanos = time.Since(hopStart).Nanoseconds()
-		}
-		n.noteLoadHint(next, rr.Load)
-		n.app.Backward(key, payload, rr.Payload)
-		return rr.Payload, rr.Hops, rr.Trace, nil
-	}
-}
 
 // invokeHop sends one routed message to the next hop, applying the
 // per-hop timeout (if configured) on top of the request context. An
@@ -212,7 +136,11 @@ func (n *Node) noteHopFailure(dead id.Node) {
 // neighbors, per section 2.1's repair semantics); only when every
 // alternate is exhausted does the node consume the message itself as
 // the numerically closest live node it knows of.
-func (n *Node) routeStep(ctx context.Context, req *RouteRequest) (*RouteReply, error) {
+//
+// A non-empty avoid set (only ever at the origin: see RouteContext)
+// seeds the exclusion set, skips the Forward upcall, and turns "no
+// admissible next hop" into ErrNoRoute instead of local delivery.
+func (n *Node) routeStep(ctx context.Context, req *RouteRequest, avoid []id.Node) (*RouteReply, error) {
 	if err := netsim.CtxErr(ctx); err != nil {
 		return nil, err
 	}
@@ -220,10 +148,20 @@ func (n *Node) routeStep(ctx context.Context, req *RouteRequest) (*RouteReply, e
 		return nil, fmt.Errorf("%w: key %s at node %s after %d hops",
 			ErrHopLimit, req.Key.Short(), n.self.Short(), req.Hops)
 	}
+	hedge := len(avoid) > 0
+	var tried map[id.Node]bool
 	join, isJoin := req.Payload.(*joinPayload)
-	if isJoin {
+	switch {
+	case isJoin:
 		n.collectJoinRows(req, join.Joiner)
-	} else {
+	case hedge:
+		tried = make(map[id.Node]bool, len(avoid))
+		for _, a := range avoid {
+			if !a.IsZero() {
+				tried[a] = true
+			}
+		}
+	default:
 		handled, reply, err := n.app.Forward(req.Key, req.Payload)
 		if err != nil {
 			return nil, err
@@ -236,10 +174,13 @@ func (n *Node) routeStep(ctx context.Context, req *RouteRequest) (*RouteReply, e
 		}
 	}
 
-	var tried map[id.Node]bool
 	for {
 		next, choice := n.nextHopChoose(req.Key, tried)
 		if next.IsZero() {
+			if hedge {
+				return nil, fmt.Errorf("%w: key %s: no first hop outside %d avoided at %s",
+					ErrNoRoute, req.Key.Short(), len(tried), n.self.Short())
+			}
 			// This node is the numerically closest live node it knows of:
 			// consume the message.
 			if req.Traced && req.TC.HasRoom(len(req.Trace)) {
@@ -259,8 +200,9 @@ func (n *Node) routeStep(ctx context.Context, req *RouteRequest) (*RouteReply, e
 			return &RouteReply{Payload: reply, Hops: req.Hops, Trace: req.Trace}, nil
 		}
 		if len(tried) > 0 {
-			// The best candidate was excluded by an earlier failure on
-			// this route: this hop is the repair alternate.
+			// The best candidate was excluded — by an earlier failure on
+			// this route or by the hedge's avoid set: this hop is the
+			// alternate.
 			choice = obs.ChoiceReroute
 		}
 

@@ -1,7 +1,6 @@
 package pastry
 
 import (
-	"context"
 	"testing"
 
 	"past/internal/obs"
@@ -16,7 +15,7 @@ func TestTracedRouteHopRecords(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		key := randKey(c.rng)
 		src := c.randomAliveNode()
-		_, hops, trace, err := src.RouteTracedContext(context.Background(), key, nil)
+		_, hops, trace, err := src.RouteContext(tracedCtx, key, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +66,7 @@ func TestTracedRerouteOrdering(t *testing.T) {
 			continue
 		}
 		c.net.Fail(hop)
-		_, hops, trace, err := src.RouteTracedContext(context.Background(), key, nil)
+		_, hops, trace, err := src.RouteContext(tracedCtx, key, nil)
 		if err != nil {
 			t.Fatalf("route with dead first hop %s: %v", hop.Short(), err)
 		}

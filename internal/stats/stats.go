@@ -155,36 +155,6 @@ func (s SizeDist) Sample(r *rand.Rand) int64 {
 	return v
 }
 
-// Summary holds descriptive statistics of an int64 sample.
-type Summary struct {
-	Count  int
-	Sum    int64
-	Mean   float64
-	Median int64
-	Min    int64
-	Max    int64
-}
-
-// Summarize computes count, sum, mean, median, min, and max. It does not
-// modify xs.
-func Summarize(xs []int64) Summary {
-	var s Summary
-	s.Count = len(xs)
-	if s.Count == 0 {
-		return s
-	}
-	sorted := append([]int64(nil), xs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for _, x := range sorted {
-		s.Sum += x
-	}
-	s.Mean = float64(s.Sum) / float64(s.Count)
-	s.Median = Percentile(sorted, 50)
-	s.Min = sorted[0]
-	s.Max = sorted[len(sorted)-1]
-	return s
-}
-
 // Percentile returns the p-th percentile (0-100) of an ascending-sorted
 // sample using nearest-rank.
 func Percentile(sorted []int64, p float64) int64 {

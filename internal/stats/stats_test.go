@@ -151,27 +151,6 @@ func TestSizeDistClampsAndZeroes(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]int64{5, 1, 9, 3, 7})
-	if s.Count != 5 || s.Min != 1 || s.Max != 9 || s.Median != 5 || s.Sum != 25 {
-		t.Fatalf("bad summary: %+v", s)
-	}
-	if s.Mean != 5 {
-		t.Fatalf("mean = %g", s.Mean)
-	}
-	if z := Summarize(nil); z.Count != 0 {
-		t.Fatal("empty summary must be zero")
-	}
-}
-
-func TestSummarizeDoesNotMutate(t *testing.T) {
-	xs := []int64{3, 1, 2}
-	Summarize(xs)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatal("Summarize mutated its input")
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	sorted := []int64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
 	cases := []struct {
