@@ -22,13 +22,19 @@ test-times:
 		awk '{ printf "%8.2fs  %s\n", $$1, $$2; total += $$1 } END { printf "%8.2fs  total\n", total }'; \
 	grep -Ev '^(ok|\?) ' /tmp/past-test-times.txt; exit $$status
 
-# The five size figures ROADMAP aim 2 tracks, regenerated from the tree
-# (informational: no thresholds, the re-anchor reads the trend).
+# The size figures ROADMAP aim 2 tracks, regenerated from the tree
+# (informational: no thresholds, the re-anchor reads the trend): lines,
+# packages, binaries, the flags of every binary (read off its -h) and
+# their total, and past.Config fields.
 loc:
 	@printf '%6d  non-test Go lines outside bench/\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.*' -print0 | xargs -0 cat | wc -l)"
 	@printf '%6d  internal/ packages\n' "$$($(GO) list ./internal/... | wc -l)"
 	@printf '%6d  cmd/ binaries\n' "$$($(GO) list ./cmd/... | wc -l)"
-	@printf '%6d  pastd flags\n' "$$($(GO) run ./cmd/pastd -h 2>&1 | grep -c '^  -')"
+	@bin=$$(mktemp -d) && $(GO) build -o $$bin/ ./cmd/... && total=0 && \
+	for b in pastd past-chaos past-load past-cluster 'past-cluster top' past-bench pastctl; do \
+		n=$$($$bin/$$b -h 2>&1 | grep -c '^  -'); total=$$((total + n)); \
+		printf '%6d  %s flags\n' "$$n" "$$b"; \
+	done; printf '%6d  flags in all\n' "$$total"; rm -rf $$bin
 	@printf '%6d  past.Config fields\n' "$$(awk '/^type Config struct \{/ { f = 1; next } f && /^\}/ { exit } f && /^\t[A-Z][A-Za-z0-9]*[ ,]/ { n++ } END { print n }' internal/past/node.go)"
 
 # Full race-detector sweep. -short skips the trace-driven experiment

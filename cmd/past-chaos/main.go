@@ -2,19 +2,22 @@
 // driven through a seeded schedule of message loss, duplication,
 // latency, a network partition, and node crash/recovery, with the
 // storage invariants checked every virtual tick and full convergence
-// asserted after the faults lift.
+// asserted after the faults lift. Only the loss rate is a flag; the
+// rest of the schedule (k=3, 5% duplication, 5 ms latency, a crash
+// every 3 ticks for 2 ticks, a 20% partition over ticks 4-6, 4 heal
+// rounds) is fixed in internal/experiments/soak.go.
 //
 // Usage:
 //
 //	past-chaos                          # default soak, seed 1
 //	past-chaos -seed 7 -ticks 30        # longer run, different timeline
-//	past-chaos -nodes 50 -files 100 -drop 0.1 -part-frac 0.3
+//	past-chaos -nodes 50 -files 100 -drop 0.1
 //	past-chaos -seed 7 -verify          # run twice, assert identical fingerprints
 //	past-chaos -resilience              # soak with the client resilience layer on
 //	past-chaos -compare                 # same schedule, layer off vs on, side by side
 //	past-chaos -trace 4 -events-out run.jsonl   # trace every 4th op, stream JSONL events
 //	past-chaos -admit-rate 5 -events-out run.jsonl   # soak behind admission control; sheds stream as "overload" events
-//	past-chaos -check-events run.jsonl  # validate and summarize an event stream
+//	past-chaos -check-events run.jsonl  # validate and summarize an event stream (the fault log among them)
 //	past-chaos -ec-durability           # erasure-coding repair-vs-durability sweep, coded vs replicated
 //	past-chaos -crash                   # storage crash soak: kill a logstore mid-commit, recover, verify
 //	past-chaos -crash -crash-lives 10 -crash-ops 500 -crash-dir /tmp/ls -keep
@@ -36,32 +39,24 @@ import (
 	"past/internal/obs"
 )
 
+// The soak's admission controller, when -admit-rate turns it on.
+const admitBurst, admitDepth = 4, 8
+
 func main() {
 	var (
-		nodes    = flag.Int("nodes", 0, "cluster size (default 30)")
-		files    = flag.Int("files", 0, "files to insert before the faults start (default 40)")
-		k        = flag.Int("k", 0, "replication factor (default 3)")
-		seed     = flag.Int64("seed", 1, "schedule seed")
-		ticks    = flag.Int("ticks", 0, "fault-phase length in virtual ticks (default 12)")
-		drop     = flag.Float64("drop", 0, "per-message drop probability (default 0.05)")
-		dup      = flag.Float64("dup", 0, "per-message duplication probability (default 0.05)")
-		delay    = flag.Int("delay", 0, "per-message virtual latency in ms (default 5)")
-		churn    = flag.Int("churn-every", 0, "ticks between crash events (default 3)")
-		downFor  = flag.Int("down-for", 0, "ticks a crashed node stays down (default 2)")
-		partFrom = flag.Int("part-from", 0, "partition start tick (default 4; negative disables)")
-		partFor  = flag.Int("part-for", 0, "partition duration in ticks (default 3)")
-		partFrac = flag.Float64("part-frac", 0, "fraction of nodes isolated by the partition (default 0.2)")
-		events   = flag.Bool("events", false, "print the retained fault event log")
-		verify   = flag.Bool("verify", false, "run the soak twice and require identical fingerprints")
-		resil    = flag.Bool("resilience", false, "enable the client resilience layer (retries, hedged lookups, partial inserts)")
-		compare  = flag.Bool("compare", false, "run the schedule with the resilience layer off and on and compare")
-		trace    = flag.Int("trace", 0, "sample every Nth client operation for a per-hop route trace (0: off)")
-		evOut    = flag.String("events-out", "", "write the structured JSONL event stream to this file")
-		evCheck  = flag.String("check-events", "", "validate a JSONL event stream and print a summary (no soak runs)")
+		nodes   = flag.Int("nodes", 0, "cluster size (default 30)")
+		files   = flag.Int("files", 0, "files to insert before the faults start (default 40)")
+		seed    = flag.Int64("seed", 1, "schedule seed")
+		ticks   = flag.Int("ticks", 0, "fault-phase length in virtual ticks (default 12)")
+		drop    = flag.Float64("drop", 0, "per-message drop probability (default 0.05)")
+		verify  = flag.Bool("verify", false, "run the soak twice and require identical fingerprints")
+		resil   = flag.Bool("resilience", false, "enable the client resilience layer (retries, hedged lookups, partial inserts)")
+		compare = flag.Bool("compare", false, "run the schedule with the resilience layer off and on and compare")
+		trace   = flag.Int("trace", 0, "sample every Nth client operation for a per-hop route trace (0: off)")
+		evOut   = flag.String("events-out", "", "write the structured JSONL event stream to this file")
+		evCheck = flag.String("check-events", "", "validate a JSONL event stream and print a summary (no soak runs)")
 
-		admitRate   = flag.Float64("admit-rate", 0, "put every node behind admission control at this rate in req/s; rejections become \"overload\" events (0: off)")
-		admitBurst  = flag.Int("admit-burst", 4, "admission control: token-bucket burst")
-		admitDepth  = flag.Int("admit-depth", 8, "admission control: bounded queue depth before shedding")
+		admitRate   = flag.Float64("admit-rate", 0, "put every node behind admission control at this rate in req/s (burst 4, queue depth 8); rejections become \"overload\" events (0: off)")
 		admitPolicy = flag.String("admit-policy", "droptail", "admission control: shed policy — droptail, dropfront, or lifo")
 
 		ecDur = flag.Bool("ec-durability", false, "run the erasure-coding repair-vs-durability sweep instead of the network soak")
@@ -102,10 +97,7 @@ func main() {
 	}
 
 	cfg := experiments.SoakConfig{
-		Nodes: *nodes, Files: *files, K: *k, Seed: *seed, Ticks: *ticks,
-		Drop: *drop, Dup: *dup, DelayMS: *delay,
-		ChurnEvery: *churn, DownFor: *downFor,
-		PartitionFrom: *partFrom, PartitionFor: *partFor, PartitionFrac: *partFrac,
+		Nodes: *nodes, Files: *files, Seed: *seed, Ticks: *ticks, Drop: *drop,
 		Resilience: *resil, TraceEvery: *trace,
 	}
 	if *admitRate > 0 {
@@ -115,7 +107,7 @@ func main() {
 			os.Exit(2)
 		}
 		cfg.Admit = &admit.Config{
-			Rate: *admitRate, Burst: *admitBurst, Depth: *admitDepth, Policy: pol,
+			Rate: *admitRate, Burst: admitBurst, Depth: admitDepth, Policy: pol,
 		}
 	}
 	var evFile *os.File
@@ -133,7 +125,7 @@ func main() {
 	if *compare {
 		code, err = runCompare(os.Stdout, cfg)
 	} else {
-		code, err = run(os.Stdout, cfg, *events, *verify)
+		code, err = run(os.Stdout, cfg, *verify)
 	}
 	if evFile != nil {
 		if cerr := cfg.Events.Close(); cerr != nil && err == nil {
@@ -211,18 +203,12 @@ func checkEvents(w *os.File, path string) (int, error) {
 
 // run executes the soak (twice under verify), writes the report, and
 // returns the process exit code.
-func run(w *os.File, cfg experiments.SoakConfig, events, verify bool) (int, error) {
+func run(w *os.File, cfg experiments.SoakConfig, verify bool) (int, error) {
 	r, err := experiments.RunSoak(cfg)
 	if err != nil {
 		return 0, err
 	}
 	fmt.Fprint(w, experiments.RenderSoak(r))
-	if events {
-		fmt.Fprintf(w, "event log (%d of %d retained):\n", len(r.Events), r.EventCount)
-		for _, e := range r.Events {
-			fmt.Fprintf(w, "  %s\n", e)
-		}
-	}
 	if verify {
 		r2, err := experiments.RunSoak(cfg)
 		if err != nil {

@@ -15,7 +15,7 @@ func TestRunDefaultSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer null.Close()
-	code, err := run(null, experiments.SoakConfig{Seed: 1, Nodes: 25, Files: 25, Ticks: 8}, true, false)
+	code, err := run(null, experiments.SoakConfig{Seed: 1, Nodes: 25, Files: 25, Ticks: 8}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestRunVerifyMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer null.Close()
-	code, err := run(null, experiments.SoakConfig{Seed: 2, Nodes: 25, Files: 25, Ticks: 8}, false, true)
+	code, err := run(null, experiments.SoakConfig{Seed: 2, Nodes: 25, Files: 25, Ticks: 8}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestCheckEvents(t *testing.T) {
 	}
 	elog := obs.NewEventLog(f)
 	cfg := experiments.SoakConfig{Seed: 9, Nodes: 25, Files: 25, Ticks: 6, TraceEvery: 2, Events: elog}
-	if code, err := run(null, cfg, false, false); err != nil || code != 0 {
+	if code, err := run(null, cfg, false); err != nil || code != 0 {
 		t.Fatalf("soak run: code %d, err %v", code, err)
 	}
 	if err := elog.Close(); err != nil {

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"time"
 
 	"past/internal/cluster"
 	"past/internal/daemon"
@@ -51,16 +52,14 @@ func main() {
 func run() int {
 	var (
 		nodes    = flag.Int("nodes", 10, "fleet size (real processes)")
-		k        = flag.Int("k", 3, "replication factor")
 		seed     = flag.Int64("seed", 1, "seed: node identities, fault schedule, traffic")
 		scenario = flag.String("scenario", "mixed", "fault mix: mixed, kill, graceful, or rolling")
 		rounds   = flag.Int("rounds", 6, "fault rounds")
 		killRate = flag.Float64("kill-rate", 0.1, "fraction of the fleet disturbed per round (min one node)")
-		duration = flag.Duration("duration", 0, "wall-clock budget; rounds not started by then are skipped (0: run the full plan)")
+		duration = flag.Duration("duration", 0, "wall-clock budget, fleet boot included; rounds not started by then are skipped (0: run the full plan)")
 		check    = flag.Bool("check", false, "audit live replica invariants and verify every acked write after each round")
 		ecMode   = flag.String("ec", "", "erasure-coded storage mode \"m,n\" (e.g. 3,2); empty: k-way replication")
 		ecBudget = flag.String("ec-repair-budget", "", "per-daemon repair bandwidth cap per maintenance pass (e.g. 256KB); empty: uncapped")
-		files    = flag.Int("files-per-round", 6, "inserts per round")
 		events   = flag.String("events-out", "", "stream JSONL events (faults, violations, ticks, summary) to this file")
 		pastd    = flag.String("pastd", "", "supervise this pastd binary instead of self-executing")
 		dataDir  = flag.String("data", "", "base directory for node stores and logs (default: temp, removed on success)")
@@ -69,20 +68,21 @@ func run() int {
 	)
 	flag.Parse()
 
-	cfg := experiments.LiveChaosConfig{
+	cfg := cluster.Config{
 		Nodes:          *nodes,
-		K:              *k,
 		Seed:           *seed,
-		Scenario:       *scenario,
-		Rounds:         *rounds,
-		KillRate:       *killRate,
-		FilesPerRound:  *files,
-		Duration:       *duration,
-		Check:          *check,
 		EC:             *ecMode,
 		ECRepairBudget: *ecBudget,
 		Dir:            *dataDir,
-		Keep:           *keep,
+	}
+	scfg := cluster.ScenarioConfig{
+		Scenario: *scenario,
+		Rounds:   *rounds,
+		KillRate: *killRate,
+		NoCheck:  !*check,
+	}
+	if *duration > 0 {
+		scfg.Deadline = time.Now().Add(*duration)
 	}
 	if *pastd != "" {
 		cfg.Command = cluster.Command{Path: *pastd}
@@ -106,7 +106,7 @@ func run() int {
 		}()
 	}
 
-	res, err := experiments.RunLiveChaos(cfg)
+	res, err := experiments.RunLiveChaos(cfg, scfg, *keep)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "past-cluster: %v\n", err)
 		return 1

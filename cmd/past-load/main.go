@@ -6,7 +6,7 @@
 // Two targets:
 //
 //	past-load -sim -nodes 25 -rate 300              # virtual-time emulated cluster
-//	past-load -addr 127.0.0.1:7001 -rate 300        # a real pastd node over TCP
+//	past-load -node 127.0.0.1:7001 -rate 300        # a real pastd node over TCP
 //
 // The sim is deterministic: a fixed seed yields a bit-identical result
 // fingerprint, so runs are comparable across machines and commits.
@@ -36,7 +36,7 @@ import (
 func main() {
 	var (
 		sim  = flag.Bool("sim", false, "drive the virtual-time emulated cluster instead of a live node")
-		addr = flag.String("node", "", "address of a live PAST node to drive over TCP (alias -addr)")
+		addr = flag.String("node", "", "address of a live PAST node to drive over TCP")
 
 		rate     = flag.Float64("rate", 200, "offered request rate in req/s")
 		arrivals = flag.String("arrivals", "constant", "arrival process: constant, poisson, or square")
@@ -70,8 +70,6 @@ func main() {
 		cacheShard = flag.Int("cache-shards", 4, "cache sweep: engine RAM-tier shard count")
 		cacheDoor  = flag.Bool("cache-doorkeeper", false, "cache sweep: enable the admission doorkeeper in the engine runs")
 	)
-	flag.CommandLine.Float64Var(rate, "r", 200, "alias for -rate")
-	flag.CommandLine.StringVar(addr, "addr", "", "alias for -node")
 	flag.Parse()
 
 	pol, err := admit.ParsePolicy(*policy)

@@ -19,6 +19,17 @@ import (
 	"past/internal/transport"
 )
 
+// Fixed daemon settings of every fleet. Failure detection is the churn
+// clock, so fleets keep alive and maintain far more often than pastd's
+// production defaults (5s, off).
+const (
+	nodeCapacity = "64MB"                 // each daemon's -capacity
+	keepalive    = 500 * time.Millisecond // each daemon's -keepalive
+	maintain     = time.Second            // each daemon's -maintain
+	readyTimeout = 30 * time.Second       // bound on one node's boot-to-healthy wait
+	exitTimeout  = 20 * time.Second       // bound on a graceful leave
+)
+
 // Config shapes a fleet.
 type Config struct {
 	// Nodes is the fleet size. Required.
@@ -28,25 +39,11 @@ type Config struct {
 	Seed int64
 	// K is the replication factor (default 3).
 	K int
-	// Capacity is each node's advertised capacity (default "64MB").
-	Capacity string
-	// Store is the storage backend (default "log"; fsck support needs log).
-	Store string
 	// Dir is the base directory for per-node data dirs and captured
 	// logs. Empty: a fresh temp directory (see Dir()).
 	Dir string
 	// Command launches the daemon (default SelfCommand()).
 	Command Command
-	// Keepalive is the daemons' leaf-set keep-alive period (default
-	// 500ms — failure detection is the churn clock, so fleets converge
-	// faster than the 5s production default).
-	Keepalive time.Duration
-	// Maintain is the daemons' periodic anti-entropy period (default 1s).
-	Maintain time.Duration
-	// ReadyTimeout bounds each node's boot-to-healthy wait (default 30s).
-	ReadyTimeout time.Duration
-	// ExitTimeout bounds graceful-leave waits (default 20s).
-	ExitTimeout time.Duration
 	// EC, when non-empty ("m,n"), runs the fleet in erasure-coded
 	// storage mode: every daemon gets -ec, inserts fragment over the
 	// leaf set, and lost fragments are re-created by lazy repair.
@@ -54,8 +51,6 @@ type Config struct {
 	// ECRepairBudget caps each daemon's per-maintenance-pass repair
 	// bytes (passed as -ec-repair-budget; empty: uncapped).
 	ECRepairBudget string
-	// ExtraArgs are appended to every daemon's argv.
-	ExtraArgs []string
 	// Out receives orchestrator narration (nil: discarded).
 	Out io.Writer
 	// Events receives the structured JSONL event stream (nil: none).
@@ -68,24 +63,6 @@ func (c *Config) withDefaults() error {
 	}
 	if c.K <= 0 {
 		c.K = 3
-	}
-	if c.Capacity == "" {
-		c.Capacity = "64MB"
-	}
-	if c.Store == "" {
-		c.Store = "log"
-	}
-	if c.Keepalive <= 0 {
-		c.Keepalive = 500 * time.Millisecond
-	}
-	if c.Maintain <= 0 {
-		c.Maintain = time.Second
-	}
-	if c.ReadyTimeout <= 0 {
-		c.ReadyTimeout = 30 * time.Second
-	}
-	if c.ExitTimeout <= 0 {
-		c.ExitTimeout = 20 * time.Second
 	}
 	if c.Out == nil {
 		c.Out = io.Discard
@@ -166,7 +143,7 @@ func Start(cfg Config) (*Cluster, error) {
 			c.Close()
 			return nil, err
 		}
-		if err := p.waitReady(cfg.ReadyTimeout); err != nil {
+		if err := p.waitReady(readyTimeout); err != nil {
 			c.Close()
 			return nil, err
 		}
@@ -183,12 +160,11 @@ func (c *Cluster) daemonArgs(p *Proc, joinAddr string) []string {
 		"-addr", p.Addr,
 		"-debug-addr", p.DebugAddr,
 		"-data", p.DataDir,
-		"-store", c.cfg.Store,
-		"-capacity", c.cfg.Capacity,
+		"-capacity", nodeCapacity,
 		"-k", strconv.Itoa(c.cfg.K),
 		"-seed", strconv.FormatInt(p.Seed, 10),
-		"-keepalive", c.cfg.Keepalive.String(),
-		"-maintain", c.cfg.Maintain.String(),
+		"-keepalive", keepalive.String(),
+		"-maintain", maintain.String(),
 		"-retries", "3",
 		"-x", strconv.FormatFloat(float64(10+20*(p.Index%8)), 'f', -1, 64),
 		"-y", strconv.FormatFloat(float64(10+20*(p.Index/8)), 'f', -1, 64),
@@ -200,13 +176,9 @@ func (c *Cluster) daemonArgs(p *Proc, joinAddr string) []string {
 		}
 	}
 	if joinAddr != "" {
-		args = append(args,
-			"-join", joinAddr,
-			"-join-retries", "20",
-			"-join-backoff", "100ms",
-		)
+		args = append(args, "-join", joinAddr)
 	}
-	return append(args, c.cfg.ExtraArgs...)
+	return args
 }
 
 // Dir returns the fleet's base directory (data dirs under node##/,
@@ -247,18 +219,18 @@ func (c *Cluster) Kill(i int) error {
 
 // Terminate delivers SIGTERM to node i — the graceful leave: the node
 // offloads replicas and closes its store clean — and waits for exit.
-// A leave that outlives ExitTimeout is escalated to SIGKILL and
+// A leave that outlives exitTimeout is escalated to SIGKILL and
 // reported as an error.
 func (c *Cluster) Terminate(i int) error {
 	p := c.Procs[i]
 	if err := p.signal(syscall.SIGTERM); err != nil {
 		return err
 	}
-	exitErr, ok := p.waitExit(c.cfg.ExitTimeout)
+	exitErr, ok := p.waitExit(exitTimeout)
 	if !ok {
 		p.signal(syscall.SIGKILL)
 		p.waitExit(10 * time.Second)
-		return fmt.Errorf("cluster: node %d graceful leave exceeded %v; killed", i, c.cfg.ExitTimeout)
+		return fmt.Errorf("cluster: node %d graceful leave exceeded %v; killed", i, exitTimeout)
 	}
 	if exitErr != nil {
 		return fmt.Errorf("cluster: node %d graceful leave exited dirty: %v; log: %s", i, exitErr, p.LogPath)
@@ -295,7 +267,7 @@ func (c *Cluster) Restart(i int) error {
 			lastErr = err
 			continue
 		}
-		if err := p.waitReady(c.cfg.ReadyTimeout); err != nil {
+		if err := p.waitReady(readyTimeout); err != nil {
 			lastErr = err
 			if p.alive() {
 				p.signal(syscall.SIGKILL)
@@ -311,14 +283,11 @@ func (c *Cluster) Restart(i int) error {
 }
 
 // Fsck runs the offline store checker on node i's data directory. The
-// process must be down; the store must be the log backend.
+// process must be down.
 func (c *Cluster) Fsck(i int) error {
 	p := c.Procs[i]
 	if p.alive() {
 		return fmt.Errorf("cluster: node %d is running; fsck needs the store closed", i)
-	}
-	if c.cfg.Store != "log" {
-		return fmt.Errorf("cluster: fsck supports -store=log only (have %q)", c.cfg.Store)
 	}
 	rep, err := logstore.Fsck(p.DataDir)
 	if err != nil {
@@ -442,7 +411,7 @@ func (c *Cluster) Close() error {
 		if p.exited == nil {
 			continue
 		}
-		if _, ok := p.waitExit(c.cfg.ExitTimeout); !ok {
+		if _, ok := p.waitExit(exitTimeout); !ok {
 			p.signal(syscall.SIGKILL)
 			p.waitExit(10 * time.Second)
 			if firstErr == nil {

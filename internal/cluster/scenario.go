@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"strings"
@@ -91,6 +90,9 @@ func PlanFingerprint(plan []Fault) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
+// payloadBytes caps the size of a scenario's deterministic payloads.
+const payloadBytes = 2048
+
 // ScenarioConfig shapes a live-chaos run against a started Cluster.
 type ScenarioConfig struct {
 	// Scenario picks the fault mix (default ScenarioMixed).
@@ -103,8 +105,6 @@ type ScenarioConfig struct {
 	// FilesPerRound inserts this many new files before each round, and
 	// once more before round 0 (default 6).
 	FilesPerRound int
-	// PayloadBytes caps the deterministic payload size (default 2048).
-	PayloadBytes int
 	// Seed drives the schedule, victims, payloads, and access-point
 	// choice. Defaults to the cluster's seed.
 	Seed int64
@@ -118,11 +118,6 @@ type ScenarioConfig struct {
 	// verification: the fleet is churned but not judged (the CLI
 	// without -check). Fsck after every life still runs.
 	NoCheck bool
-	// SLOs are the objectives evaluated per round against the fleet's
-	// aggregated metric window (nil: fleetobs.DefaultScenarioSLOs).
-	SLOs []fleetobs.Objective
-	// Out receives narration (nil: the cluster's writer).
-	Out io.Writer
 }
 
 func (s *ScenarioConfig) withDefaults(c *Cluster) {
@@ -138,20 +133,11 @@ func (s *ScenarioConfig) withDefaults(c *Cluster) {
 	if s.FilesPerRound <= 0 {
 		s.FilesPerRound = 6
 	}
-	if s.PayloadBytes <= 0 {
-		s.PayloadBytes = 2048
-	}
 	if s.Seed == 0 {
 		s.Seed = c.cfg.Seed
 	}
 	if s.ConvergeTimeout <= 0 {
 		s.ConvergeTimeout = 45 * time.Second
-	}
-	if s.SLOs == nil {
-		s.SLOs = fleetobs.DefaultScenarioSLOs()
-	}
-	if s.Out == nil {
-		s.Out = c.cfg.Out
 	}
 }
 
@@ -273,7 +259,7 @@ func RunScenario(c *Cluster, cfg ScenarioConfig) (*ScenarioResult, error) {
 	insertBatch := func(round int) error {
 		for j := 0; j < cfg.FilesPerRound; j++ {
 			name := fmt.Sprintf("s%d-r%d-f%d", cfg.Seed, round, j)
-			size := 64 + trafficRng.Intn(cfg.PayloadBytes-63)
+			size := 64 + trafficRng.Intn(payloadBytes-63)
 			content := make([]byte, size)
 			trafficRng.Read(content)
 			res.Inserted++
@@ -297,7 +283,7 @@ func RunScenario(c *Cluster, cfg ScenarioConfig) (*ScenarioResult, error) {
 			}
 			if !okInsert {
 				// Not acked: no durability obligation, but note it.
-				fmt.Fprintf(cfg.Out, "cluster: insert %s never acked: %v\n", name, lastErr)
+				fmt.Fprintf(c.cfg.Out, "cluster: insert %s never acked: %v\n", name, lastErr)
 			}
 		}
 		return nil
@@ -379,8 +365,12 @@ func RunScenario(c *Cluster, cfg ScenarioConfig) (*ScenarioResult, error) {
 	// the SLOs against the window. The window also rides the event
 	// stream as a "stats" event, leaving a queryable metrics timeline
 	// next to the fault/violation/tick events.
+	slos := fleetobs.DefaultScenarioSLOs()
+	if c.cfg.EC != "" {
+		slos = fleetobs.ECScenarioSLOs()
+	}
 	tracker := fleetobs.NewTracker()
-	eval := fleetobs.NewEvaluator(cfg.SLOs)
+	eval := fleetobs.NewEvaluator(slos)
 	var prevAcked, prevLost, prevCorrupt, prevViolations int
 	scrapeRound := func(round int) {
 		var deltas []obs.Snapshot
@@ -409,16 +399,16 @@ func RunScenario(c *Cluster, cfg ScenarioConfig) (*ScenarioResult, error) {
 
 	for r := 0; r < cfg.Rounds; r++ {
 		if !cfg.Deadline.IsZero() && time.Now().After(cfg.Deadline) {
-			fmt.Fprintf(cfg.Out, "cluster: duration budget spent after %d round(s)\n", r)
+			fmt.Fprintf(c.cfg.Out, "cluster: duration budget spent after %d round(s)\n", r)
 			break
 		}
-		fmt.Fprintf(cfg.Out, "cluster: round %d: inserting %d files\n", r, cfg.FilesPerRound)
+		fmt.Fprintf(c.cfg.Out, "cluster: round %d: inserting %d files\n", r, cfg.FilesPerRound)
 		if err := insertBatch(r); err != nil {
 			return res, err
 		}
 		for _, f := range byRound[r] {
 			p := c.Procs[f.Node]
-			fmt.Fprintf(cfg.Out, "cluster: round %d: %s node %d (%s)\n", r, f.Kind, f.Node, p.ID.Short())
+			fmt.Fprintf(c.cfg.Out, "cluster: round %d: %s node %d (%s)\n", r, f.Kind, f.Node, p.ID.Short())
 			switch f.Kind {
 			case FaultKill:
 				if err := c.Kill(f.Node); err != nil {
@@ -455,7 +445,7 @@ func RunScenario(c *Cluster, cfg ScenarioConfig) (*ScenarioResult, error) {
 	}
 	res.SLO = eval.Burns()
 	for _, burn := range res.SLO {
-		fmt.Fprintf(cfg.Out, "cluster: %s\n", burn.Line())
+		fmt.Fprintf(c.cfg.Out, "cluster: %s\n", burn.Line())
 	}
 
 	c.event(obs.Event{Kind: "summary", Detail: res.Summary(), OK: res.Passed()})

@@ -14,6 +14,11 @@
 //
 //	pastd -addr 127.0.0.1:7002 -capacity 64MB -join 127.0.0.1:7001
 //
+// Give it a directory to keep a log-structured store there, recovered
+// on restart (without -data the store is in memory):
+//
+//	pastd -addr 127.0.0.1:7003 -capacity 64MB -join 127.0.0.1:7001 -data /var/lib/past
+//
 // The node then accepts overlay traffic from peers and client requests
 // from pastctl. The proximity metric is an emulated 2-D coordinate
 // (-x/-y); a deployment would substitute network measurements.
@@ -58,6 +63,20 @@ import (
 	"past/internal/wire"
 )
 
+// Fixed daemon settings. Each was a flag that no deployment set to
+// anything but this value. The log store's sync period, segment size,
+// checkpoint interval and compaction ratio, and the flash tier's segment
+// size, are the defaults of logstore.Options and cachengine.FlashConfig.
+const (
+	joinRetries  = 20                     // join attempts after the first while the -join node is not up yet
+	joinBackoff  = 100 * time.Millisecond // first wait between join attempts; doubles, capped at 2s
+	hopTimeout   = 2 * time.Second        // per-hop routing RPC bound before trying an alternate
+	traceKeep    = 64                     // sampled route traces /traces keeps
+	admitBurst   = 8                      // admission token-bucket burst
+	admitDepth   = 16                     // admission queue depth before shedding
+	compactEvery = time.Minute            // log store background compaction scan period
+)
+
 // Run executes the daemon with the given command-line arguments
 // (excluding the program name) and returns the process exit code. It
 // blocks until the node leaves (SIGINT/SIGTERM) or setup fails.
@@ -71,34 +90,20 @@ func Run(args []string) int {
 		x         = fs.Float64("x", math.NaN(), "proximity-plane x coordinate (default random)")
 		y         = fs.Float64("y", math.NaN(), "proximity-plane y coordinate (default random)")
 		k         = fs.Int("k", 5, "replication factor")
-		leafSet   = fs.Int("l", 32, "Pastry leaf set size")
 		keepalive = fs.Duration("keepalive", 5*time.Second, "leaf-set keep-alive period")
 		maintain  = fs.Duration("maintain", 0, "periodic replica-maintenance (anti-entropy) period (0: leaf-set-change-triggered only)")
 		seed      = fs.Int64("seed", 0, "node id seed (0: cryptographically random)")
 
-		joinRetries = fs.Int("join-retries", 10, "bounded retries when the -join bootstrap node is not up yet (0: single attempt)")
-		joinBackoff = fs.Duration("join-backoff", 100*time.Millisecond, "initial backoff between join attempts (doubles, capped at 2s)")
-
-		storeKind  = fs.String("store", "", "storage backend: mem or log (empty: log when -data is set, else mem)")
 		syncPolicy = fs.String("sync", "always", "log store durability: always (group commit), interval, or never")
-		syncEvery  = fs.Duration("sync-every", 100*time.Millisecond, "log store: fsync period for -sync=interval")
-		segBytes   = fs.String("segment-bytes", "64MB", "log store: target segment size before rotation")
-		ckptBytes  = fs.String("checkpoint-bytes", "4MB", "log store: WAL bytes between automatic checkpoints (0: disable)")
-		compactR   = fs.Float64("compact-ratio", 0.5, "log store: compact a sealed segment when its live fraction falls below this (negative: disable)")
-		compactEv  = fs.Duration("compact-every", time.Minute, "log store: background compaction scan period (0: disable)")
 
-		retries    = fs.Int("retries", 0, "resilience layer: attempts per client operation, with backoff (0: single attempt, no retry layer)")
-		hedge      = fs.Duration("hedge", 0, "hedged lookups: delay before a second attempt races the first through a different first hop (0: off; needs -retries)")
-		hopTimeout = fs.Duration("hop-timeout", 2*time.Second, "per-hop routing RPC timeout before trying an alternate (0: unbounded)")
-		partial    = fs.Bool("partial-insert", false, "accept inserts that stored at least one but fewer than k replicas; maintenance repairs the shortfall")
-		debugAddr  = fs.String("debug-addr", "", "serve /metrics, /healthz, /traces, and /debug/pprof/ on this address (empty: off)")
+		retries   = fs.Int("retries", 0, "resilience layer: attempts per client operation, with backoff (0: single attempt, no retry layer)")
+		hedge     = fs.Duration("hedge", 0, "hedged lookups: delay before a second attempt races the first through a different first hop (0: off; needs -retries)")
+		partial   = fs.Bool("partial-insert", false, "accept inserts that stored at least one but fewer than k replicas; maintenance repairs the shortfall")
+		debugAddr = fs.String("debug-addr", "", "serve /metrics, /healthz, /traces, and /debug/pprof/ on this address (empty: off)")
 
 		traceEvery = fs.Int("trace-every", 0, "route tracing: sample every Nth client operation into the trace ring (0: off; explicit pastctl trace requests always record)")
-		traceKeep  = fs.Int("trace-keep", 64, "route tracing: ring capacity served at /traces")
 
 		admitRate   = fs.Float64("admit-rate", 0, "admission control: sustained request rate in req/s; excess load is shed with an overload error (0: off)")
-		admitBurst  = fs.Int("admit-burst", 8, "admission control: token-bucket burst")
-		admitDepth  = fs.Int("admit-depth", 16, "admission control: bounded queue depth before shedding")
 		admitPolicy = fs.String("admit-policy", "droptail", "admission control: shed policy — droptail, dropfront, or lifo")
 
 		cacheShards = fs.Int("cache-shards", 8, "cache engine: RAM-tier shard count (rounded up to a power of two; 1 = legacy single structure)")
@@ -106,10 +111,9 @@ func Run(args []string) int {
 		cacheDoor   = fs.Bool("cache-doorkeeper", false, "cache engine: admit a file only on its second offer within a window (one-hit-wonder filter)")
 		cacheNeg    = fs.Int("cache-negative", 0, "cache engine: negative-cache entries — repeated lookups for absent files answer locally (0: off)")
 		cacheFlash  = fs.String("cache-flash", "0", "cache engine: flash-tier capacity (e.g. 256MB); spills RAM evictions into segments under <data>/flashcache (0: off; needs -data)")
-		cacheFlSeg  = fs.String("cache-flash-segment", "4MB", "cache engine: flash segment rotation target")
 
 		ecMode   = fs.String("ec", "", "erasure-coded storage mode: m,n (e.g. 4,2) RS-codes inserts into m data + n parity fragments spread over the leaf set, k-replicating only the fragment map (empty: plain k-way replication)")
-		ecBudget = fs.String("ec-repair-budget", "0", "erasure coding: per-maintenance-pass byte cap on lazy fragment repair (e.g. 256KB); 0: uncapped")
+		ecBudget = fs.String("ec-repair-budget", "0", "erasure coding: per-maintenance-pass byte cap on lazy fragment repair (e.g. 256KB); 0: uncapped; needs -ec")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -118,6 +122,20 @@ func Run(args []string) int {
 	capBytes, err := parseSize(*capacity)
 	if err != nil {
 		log.Printf("pastd: %v", err)
+		return 1
+	}
+	ecBudgetBytes, err := parseSize(*ecBudget)
+	if err != nil {
+		log.Printf("pastd: -ec-repair-budget: %v", err)
+		return 1
+	}
+	// A flag whose mechanism is off would be ignored without a word.
+	switch {
+	case *hedge > 0 && *retries <= 0:
+		log.Printf("pastd: -hedge requires -retries")
+		return 1
+	case ecBudgetBytes > 0 && *ecMode == "":
+		log.Printf("pastd: -ec-repair-budget requires -ec")
 		return 1
 	}
 
@@ -146,8 +164,7 @@ func Run(args []string) int {
 	}
 	cfg := past.DefaultConfig()
 	cfg.K = *k
-	cfg.Pastry.L = *leafSet
-	cfg.Pastry.HopTimeout = *hopTimeout
+	cfg.Pastry.HopTimeout = hopTimeout
 	cfg.PartialInsert = *partial
 	if *ecMode != "" {
 		p, err := ec.ParseParams(*ecMode)
@@ -156,16 +173,11 @@ func Run(args []string) int {
 			return 1
 		}
 		cfg.ECMode = &p
-		budget, err := parseSize(*ecBudget)
-		if err != nil {
-			log.Printf("pastd: -ec-repair-budget: %v", err)
-			return 1
-		}
-		cfg.ECRepairBudget = budget
+		cfg.ECRepairBudget = ecBudgetBytes
 	}
 	var tracer *obs.Tracer
 	if *traceEvery > 0 {
-		tracer = obs.NewTracer(*traceEvery, *traceKeep)
+		tracer = obs.NewTracer(*traceEvery, traceKeep)
 		cfg.Tracer = tracer
 	}
 	if *retries > 0 {
@@ -186,8 +198,8 @@ func Run(args []string) int {
 		}
 		cfg.Admit = &admit.Config{
 			Rate:   *admitRate,
-			Burst:  *admitBurst,
-			Depth:  *admitDepth,
+			Burst:  admitBurst,
+			Depth:  admitDepth,
 			Policy: pol,
 		}
 	}
@@ -212,61 +224,28 @@ func Run(args []string) int {
 			log.Printf("pastd: -cache-flash requires -data")
 			return 1
 		}
-		flashSeg, err := parseSize(*cacheFlSeg)
-		if err != nil {
-			log.Printf("pastd: -cache-flash-segment: %v", err)
-			return 1
-		}
 		cfg.CacheEngine.Flash = &cachengine.FlashConfig{
-			Dir:          filepath.Join(*dataDir, "flashcache"),
-			Capacity:     cacheFlashBytes,
-			SegmentBytes: flashSeg,
+			Dir:      filepath.Join(*dataDir, "flashcache"),
+			Capacity: cacheFlashBytes,
 		}
 	}
 
-	kind := *storeKind
-	if kind == "" {
-		if *dataDir != "" {
-			kind = "log"
-		} else {
-			kind = "mem"
-		}
-	}
+	// -data picks the backend: a log-structured store in that directory,
+	// or an in-memory one that nothing survives.
 	var backend store.Backend
-	switch kind {
-	case "mem":
+	if *dataDir == "" {
 		backend = store.New(capBytes)
-	case "log":
-		if *dataDir == "" {
-			log.Printf("pastd: -store=log requires -data")
-			return 1
-		}
+		log.Printf("pastd: in-memory storage (no -data; nothing survives exit)")
+	} else {
 		policy, err := logstore.ParseSyncPolicy(*syncPolicy)
 		if err != nil {
 			log.Printf("pastd: %v", err)
 			return 1
 		}
-		segTarget, err := parseSize(*segBytes)
-		if err != nil {
-			log.Printf("pastd: -segment-bytes: %v", err)
-			return 1
-		}
-		ckpt, err := parseSize(*ckptBytes)
-		if err != nil {
-			log.Printf("pastd: -checkpoint-bytes: %v", err)
-			return 1
-		}
-		if ckpt == 0 {
-			ckpt = -1
-		}
 		ls, err := logstore.Open(*dataDir, logstore.Options{
-			Capacity:        capBytes,
-			Sync:            policy,
-			SyncEvery:       *syncEvery,
-			SegmentTarget:   segTarget,
-			CheckpointBytes: ckpt,
-			CompactRatio:    *compactR,
-			CompactEvery:    *compactEv,
+			Capacity:     capBytes,
+			Sync:         policy,
+			CompactEvery: compactEvery,
 		})
 		if err != nil {
 			log.Printf("pastd: %v", err)
@@ -277,9 +256,6 @@ func Run(args []string) int {
 			*dataDir, ls.Len(), st.RecoveredRecords.Load(),
 			time.Duration(st.RecoveryNanos.Load()), st.TornTruncations.Load(), policy)
 		backend = ls
-	default:
-		log.Printf("pastd: unknown -store %q (want mem or log)", kind)
-		return 1
 	}
 	node, err := past.NewWithStoreEngine(nid, tr, cfg, backend, int64(nid[0])<<8|int64(nid[1]))
 	if err != nil {
@@ -318,7 +294,7 @@ func Run(args []string) int {
 		log.Printf("pastd: bootstrapped network; node %s listening on %s (capacity %d bytes)",
 			nid.Short(), tr.Addr(), capBytes)
 	} else {
-		if err := joinWithRetry(tr, node, *join, *joinRetries, *joinBackoff); err != nil {
+		if err := joinWithRetry(tr, node, *join, joinRetries, joinBackoff); err != nil {
 			log.Printf("pastd: %v", err)
 			return 1
 		}
@@ -378,12 +354,6 @@ func Run(args []string) int {
 // number of attempts *after* the first; the error after the budget is
 // spent names the address and the attempt count.
 func joinWithRetry(tr *transport.TCP, node *past.Node, joinAddr string, retries int, backoff time.Duration) error {
-	if retries < 0 {
-		retries = 0
-	}
-	if backoff <= 0 {
-		backoff = 100 * time.Millisecond
-	}
 	const backoffCap = 2 * time.Second
 	var lastErr error
 	for attempt := 0; attempt <= retries; attempt++ {
@@ -485,7 +455,8 @@ func NewClient() (*transport.TCP, error) {
 	return transport.New(cid, "127.0.0.1:0", topology.Point{})
 }
 
-// parseSize parses sizes like "512", "64KB", "2MB", "1GB".
+// parseSize parses sizes like "512", "64KB", "2MB", "1GB". A size that
+// does not fit in an int64 is an error, not a wrapped value.
 func parseSize(s string) (int64, error) {
 	u := strings.ToUpper(strings.TrimSpace(s))
 	mult := int64(1)
@@ -500,7 +471,7 @@ func parseSize(s string) (int64, error) {
 		u = strings.TrimSuffix(u, "B")
 	}
 	n, err := strconv.ParseInt(strings.TrimSpace(u), 10, 64)
-	if err != nil || n < 0 {
+	if err != nil || n < 0 || n > math.MaxInt64/mult {
 		return 0, fmt.Errorf("invalid size %q", s)
 	}
 	return n * mult, nil

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"io"
+	"math"
 	mrand "math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -34,6 +35,13 @@ func TestParseSize(t *testing.T) {
 		{"abc", 0, false},
 		{"-5MB", 0, false},
 		{"12TB", 0, false}, // unsupported suffix -> parse failure
+		// The product must fit in an int64, not wrap.
+		{"9223372036854775807", math.MaxInt64, true},
+		{"8589934591GB", 8589934591 << 30, true},
+		{"8589934592GB", 0, false},  // 2^63: would wrap to MinInt64
+		{"17179869184GB", 0, false}, // 2^64: would wrap to 0
+		{"9000000000GB", 0, false},  // would wrap negative
+		{"8796093022208MB", 0, false},
 	}
 	for _, c := range cases {
 		got, err := parseSize(c.in)

@@ -53,21 +53,44 @@ func runPastd(t *testing.T, until string, args ...string) (logged string, code i
 	return out.String(), cmd.ProcessState.ExitCode()
 }
 
-func TestStoreDiskIsGone(t *testing.T) {
-	logged, code := runPastd(t, "", "-store", "disk", "-data", t.TempDir())
-	if code == 0 || !strings.Contains(logged, `unknown -store "disk"`) || !strings.Contains(logged, "log") {
-		t.Fatalf("-store=disk: exit %d, logged:\n%s", code, logged)
-	}
-}
-
+// TestDataDirAloneMeansLogStore pins both sides of the backend
+// derivation: -data opens a log store there, no -data an in-memory one.
 func TestDataDirAloneMeansLogStore(t *testing.T) {
 	dir := t.TempDir()
 	logged, _ := runPastd(t, "bootstrapped network", "-data", dir)
 	if !strings.Contains(logged, "log-structured storage at "+dir+" (0 replicas, 0 WAL records replayed") {
-		t.Fatalf("-data without -store did not open a log store:\n%s", logged)
+		t.Fatalf("-data did not open a log store:\n%s", logged)
 	}
 	if wals, _ := filepath.Glob(filepath.Join(dir, "wal-*.log")); len(wals) != 1 {
 		t.Fatalf("no WAL in %s after the daemon ran: %v", dir, wals)
+	}
+
+	logged, _ = runPastd(t, "bootstrapped network")
+	if !strings.Contains(logged, "in-memory storage") || strings.Contains(logged, "log-structured") {
+		t.Fatalf("no -data did not keep the store in memory:\n%s", logged)
+	}
+}
+
+// TestFlagWithoutItsMechanismRefused: a flag that only matters when
+// another mechanism is on stops the daemon instead of being ignored.
+func TestFlagWithoutItsMechanismRefused(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-hedge", "30ms"}, "-hedge requires -retries"},
+		{[]string{"-ec-repair-budget", "256KB"}, "-ec-repair-budget requires -ec"},
+		{[]string{"-ec-repair-budget", "banana"}, `-ec-repair-budget: invalid size "banana"`},
+		{[]string{"-ec", "3,2", "-ec-repair-budget", "banana"}, `-ec-repair-budget: invalid size "banana"`},
+	} {
+		logged, code := runPastd(t, "bootstrapped network", c.args...)
+		if code != 1 || !strings.Contains(logged, c.want) {
+			t.Errorf("pastd %v: exit %d, want 1 with %q; logged:\n%s", c.args, code, c.want, logged)
+		}
+	}
+	// With its mechanism on, the same flag starts the node.
+	if logged, _ := runPastd(t, "bootstrapped network", "-retries", "3", "-hedge", "30ms"); !strings.Contains(logged, "bootstrapped network") {
+		t.Fatalf("-retries 3 -hedge 30ms did not start:\n%s", logged)
 	}
 }
 

@@ -80,12 +80,3 @@ func TestLiveChaosStableRender(t *testing.T) {
 		t.Fatalf("full render missing variable section:\n%s", full)
 	}
 }
-
-func TestLiveChaosDefaults(t *testing.T) {
-	cfg := LiveChaosConfig{}.withDefaults()
-	if cfg.Nodes != 10 || cfg.K != 3 || cfg.Seed != 1 ||
-		cfg.Scenario != cluster.ScenarioMixed || cfg.Rounds != 6 ||
-		cfg.KillRate != 0.1 || cfg.FilesPerRound != 6 {
-		t.Fatalf("unexpected defaults: %+v", cfg)
-	}
-}

@@ -25,39 +25,42 @@ import (
 // through a seeded fault schedule, runs the maintenance protocol each
 // virtual tick, and asserts the invariants with an omniscient checker.
 
+// The soak's fixed shape: everything but what SoakConfig sets (sizes,
+// fault-phase length, loss rate, seed and the observation switches).
+const (
+	soakB, soakL, soakK = 4, 16, 3 // overlay digit bits, leaf set, replicas
+
+	soakDup     = 0.05 // per-message duplication probability on every link
+	soakDelayMS = 5    // per-message virtual latency
+
+	// Every soakChurnEvery ticks one majority node crashes; it recovers
+	// and rejoins soakDownFor ticks later.
+	soakChurnEvery, soakDownFor = 3, 2
+
+	// A symmetric partition isolates a minority of soakPartitionFrac of
+	// the nodes for ticks [soakPartitionFrom, soakPartitionFrom+soakPartitionFor).
+	soakPartitionFrom, soakPartitionFor = 4, 3
+	soakPartitionFrac                   = 0.2
+
+	// soakHealRounds maintenance rounds run after all faults lift,
+	// before convergence is asserted.
+	soakHealRounds = 4
+)
+
 // SoakConfig parameterizes one fault-injection soak run. Zero values
 // take defaults chosen so the run finishes in test time with zero
 // violations.
 type SoakConfig struct {
 	Nodes int
 	Files int
-
-	B, L, K int
-	Seed    int64
+	Seed  int64
 
 	// Ticks is the length of the fault phase in virtual ticks; one
 	// maintenance round runs per tick.
 	Ticks int
 
-	// Drop and Dup are per-message probabilities on every link; DelayMS
-	// is per-message virtual latency.
-	Drop, Dup float64
-	DelayMS   int
-
-	// Every ChurnEvery ticks, FailPer nodes crash; each recovers and
-	// rejoins DownFor ticks later.
-	ChurnEvery, FailPer, DownFor int
-
-	// A symmetric partition isolates a minority of PartitionFrac of the
-	// nodes for ticks [PartitionFrom, PartitionFrom+PartitionFor).
-	// PartitionFor = 0 disables it (set PartitionFrom < 0 to disable
-	// while keeping the default duration).
-	PartitionFrom, PartitionFor int
-	PartitionFrac               float64
-
-	// HealRounds is the number of maintenance rounds after all faults
-	// lift, before convergence is asserted.
-	HealRounds int
+	// Drop is the per-message loss probability on every link.
+	Drop float64
 
 	// Resilience enables the client-side resilience layer on every
 	// node: a deterministic retry policy (budgeted retries, sequential
@@ -101,49 +104,11 @@ func (c SoakConfig) withDefaults() SoakConfig {
 	if c.Files == 0 {
 		c.Files = 40
 	}
-	if c.B == 0 {
-		c.B = 4
-	}
-	if c.L == 0 {
-		c.L = 16
-	}
-	if c.K == 0 {
-		c.K = 3
-	}
 	if c.Ticks == 0 {
 		c.Ticks = 12
 	}
 	if c.Drop == 0 {
 		c.Drop = 0.05
-	}
-	if c.Dup == 0 {
-		c.Dup = 0.05
-	}
-	if c.DelayMS == 0 {
-		c.DelayMS = 5
-	}
-	if c.ChurnEvery == 0 {
-		c.ChurnEvery = 3
-	}
-	if c.FailPer == 0 {
-		c.FailPer = 1
-	}
-	if c.DownFor == 0 {
-		c.DownFor = 2
-	}
-	if c.PartitionFor == 0 {
-		c.PartitionFor = 3
-	}
-	if c.PartitionFrom == 0 {
-		c.PartitionFrom = 4
-	} else if c.PartitionFrom < 0 {
-		c.PartitionFor = 0
-	}
-	if c.PartitionFrac == 0 {
-		c.PartitionFrac = 0.2
-	}
-	if c.HealRounds == 0 {
-		c.HealRounds = 4
 	}
 	if c.FaultOps == 0 {
 		c.FaultOps = 8
@@ -154,12 +119,12 @@ func (c SoakConfig) withDefaults() SoakConfig {
 }
 
 // minoritySize returns the size of the partitioned minority: at least
-// K (so the minority can keep repairing internally), at most a third of
+// k (so the minority can keep repairing internally), at most a third of
 // the cluster.
 func (c SoakConfig) minoritySize() int {
-	m := int(c.PartitionFrac * float64(c.Nodes))
-	if m < c.K {
-		m = c.K
+	m := int(soakPartitionFrac * float64(c.Nodes))
+	if m < soakK {
+		m = soakK
 	}
 	if max := c.Nodes / 3; m > max {
 		m = max
@@ -178,41 +143,36 @@ func BuildSoakSchedule(cfg SoakConfig) chaos.Schedule {
 	sched.Links = []chaos.LinkRule{{
 		Window:  chaos.Window{From: 0, Until: cfg.Ticks},
 		Drop:    cfg.Drop,
-		Dup:     cfg.Dup,
-		DelayMS: cfg.DelayMS,
+		Dup:     soakDup,
+		DelayMS: soakDelayMS,
 	}}
 	m := cfg.minoritySize()
-	if cfg.PartitionFor > 0 {
-		minority := make([]int, m)
-		majority := make([]int, 0, cfg.Nodes-m)
-		for i := 0; i < cfg.Nodes; i++ {
-			if i < m {
-				minority[i] = i
-			} else {
-				majority = append(majority, i)
-			}
+	minority := make([]int, m)
+	majority := make([]int, 0, cfg.Nodes-m)
+	for i := 0; i < cfg.Nodes; i++ {
+		if i < m {
+			minority[i] = i
+		} else {
+			majority = append(majority, i)
 		}
-		sched.Partitions = []chaos.PartitionRule{{
-			Window:    chaos.Window{From: cfg.PartitionFrom, Until: cfg.PartitionFrom + cfg.PartitionFor},
-			A:         minority,
-			B:         majority,
-			Symmetric: true,
-		}}
 	}
+	sched.Partitions = []chaos.PartitionRule{{
+		Window:    chaos.Window{From: soakPartitionFrom, Until: soakPartitionFrom + soakPartitionFor},
+		A:         minority,
+		B:         majority,
+		Symmetric: true,
+	}}
 	// Churn victims come from the majority side only: a minority node
 	// crashing inside the partition window could not rejoin (its whole
 	// last leaf set may be unreachable), which would stall the script.
 	rng := stats.NewRand(cfg.Seed ^ 0x50AC)
 	next := m
-	for t := cfg.ChurnEvery; t < cfg.Ticks; t += cfg.ChurnEvery {
-		ev := chaos.ChurnEvent{At: t}
-		for i := 0; i < cfg.FailPer; i++ {
-			ev.Fail = append(ev.Fail, m+(next-m+rng.Intn(3))%(cfg.Nodes-m))
-			next = m + (next-m+1)%(cfg.Nodes-m)
-		}
-		sched.Churn = append(sched.Churn, ev)
-		rec := chaos.ChurnEvent{At: t + cfg.DownFor, Recover: ev.Fail}
-		sched.Churn = append(sched.Churn, rec)
+	for t := soakChurnEvery; t < cfg.Ticks; t += soakChurnEvery {
+		victim := []int{m + (next-m+rng.Intn(3))%(cfg.Nodes-m)}
+		next = m + (next-m+1)%(cfg.Nodes-m)
+		sched.Churn = append(sched.Churn,
+			chaos.ChurnEvent{At: t, Fail: victim},
+			chaos.ChurnEvent{At: t + soakDownFor, Recover: victim})
 	}
 	return sched
 }
@@ -263,9 +223,6 @@ type SoakResult struct {
 	Fingerprint string
 	EventCount  int64
 	Faults      map[string]int64
-	// Events is the retained prefix of the fault log (the fingerprint
-	// covers all EventCount events).
-	Events []chaos.Event
 
 	// Violations is every invariant violation found, in discovery order.
 	Violations []chaos.Violation
@@ -335,7 +292,7 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		elog.Emit(obs.Event{Kind: "fault", Tick: core.Tick(), Op: kind})
 	}
 
-	pcfg := pastConfig(cfg.B, cfg.L, cfg.K, 0.1, 0.05, 4, cache.None, nil)
+	pcfg := pastConfig(soakB, soakL, soakK, 0.1, 0.05, 4, cache.None, nil)
 	// Admission under the soak must stay deterministic: unless the
 	// caller supplied a clock, pin the controllers to virtual time — one
 	// second per tick — so token refill never depends on the wall clock.
@@ -391,7 +348,7 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	}
 
 	res := &SoakResult{Config: cfg, Schedule: sched, Cluster: cluster, Tracer: tracer}
-	checker := &chaos.Checker{K: cfg.K, OnViolation: func(v chaos.Violation) {
+	checker := &chaos.Checker{K: soakK, OnViolation: func(v chaos.Violation) {
 		res.Violations = append(res.Violations, v)
 		elog.Emit(obs.Event{Kind: "violation", Tick: core.Tick(), Op: string(v.Kind), Detail: v.String()})
 	}}
@@ -482,7 +439,7 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	if e := sched.End(); e > healTick {
 		healTick = e
 	}
-	elog.Emit(obs.Event{Kind: "phase", Tick: healTick, Detail: "heal", N: int64(cfg.HealRounds)})
+	elog.Emit(obs.Event{Kind: "phase", Tick: healTick, Detail: "heal", N: soakHealRounds})
 	core.SetTick(healTick)
 	for i := 0; i < core.Len(); i++ {
 		if nid, ok := core.NodeAt(i); ok && !cluster.Alive(nid) {
@@ -495,37 +452,34 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	if len(pendingRejoin) > 0 {
 		return nil, fmt.Errorf("experiments: soak: %d nodes failed to rejoin on a clean network", len(pendingRejoin))
 	}
-	if cfg.PartitionFor > 0 {
-		m := cfg.minoritySize()
-		roster := cluster.Net.AliveNodes()
-		for i := 0; i < m; i++ {
-			nid, ok := core.NodeAt(i)
-			if !ok || !cluster.Alive(nid) {
-				continue
-			}
-			// Pull state from the full membership: each side of the split
-			// has forgotten the other, so a bridge node alone leaves both
-			// sides' leaf sets incomplete; the resulting wrong replica
-			// sets would strand extra copies.
-			seeds := make([]id.Node, 0, len(roster)-1)
-			for _, x := range roster {
-				if x != nid {
-					seeds = append(seeds, x)
-				}
-			}
-			if err := cluster.ByID[nid].Overlay().Rejoin(seeds); err != nil {
-				return nil, fmt.Errorf("experiments: soak: partition re-merge: %w", err)
+	roster := cluster.Net.AliveNodes()
+	for i := 0; i < cfg.minoritySize(); i++ {
+		nid, ok := core.NodeAt(i)
+		if !ok || !cluster.Alive(nid) {
+			continue
+		}
+		// Pull state from the full membership: each side of the split
+		// has forgotten the other, so a bridge node alone leaves both
+		// sides' leaf sets incomplete; the resulting wrong replica
+		// sets would strand extra copies.
+		seeds := make([]id.Node, 0, len(roster)-1)
+		for _, x := range roster {
+			if x != nid {
+				seeds = append(seeds, x)
 			}
 		}
+		if err := cluster.ByID[nid].Overlay().Rejoin(seeds); err != nil {
+			return nil, fmt.Errorf("experiments: soak: partition re-merge: %w", err)
+		}
 	}
-	for r := 0; r < cfg.HealRounds; r++ {
+	for r := 0; r < soakHealRounds; r++ {
 		core.SetTick(healTick + r)
 		admitTick = healTick + r
 		cluster.MaintainAll()
 	}
 
 	// Final invariants: durability plus full convergence.
-	finalEpoch := healTick + cfg.HealRounds
+	finalEpoch := healTick + soakHealRounds
 	checker.CheckDurability(cluster, files, finalEpoch)
 	checker.CheckConverged(cluster, files, finalEpoch)
 
@@ -553,7 +507,6 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	res.Fingerprint = core.Fingerprint()
 	res.EventCount = core.EventCount()
 	res.Faults = core.Counters()
-	res.Events = core.Events()
 	elog.Emit(obs.Event{
 		Kind: "summary", Tick: finalEpoch, N: res.EventCount, OK: res.OK(),
 		Detail: fmt.Sprintf("fingerprint=%s violations=%d post-heal=%d/%d",
@@ -731,7 +684,7 @@ func rejoin(cluster *past.Cluster, lastLeaf map[id.Node][]id.Node, pending []id.
 func RenderSoak(r *SoakResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Chaos soak: %d nodes, k=%d, %d files, %d ticks (seed %d)\n",
-		r.Config.Nodes, r.Config.K, r.Inserted, r.Config.Ticks, r.Config.Seed)
+		r.Config.Nodes, soakK, r.Inserted, r.Config.Ticks, r.Config.Seed)
 	fmt.Fprintf(&b, "  faults injected: %d\n", r.EventCount)
 	for _, kv := range chaos.SortedCounters(r.Faults) {
 		fmt.Fprintf(&b, "    %s\n", kv)
@@ -778,7 +731,7 @@ func RenderSoakComparison(c *SoakComparison) string {
 	var b strings.Builder
 	cfg := c.Off.Config
 	fmt.Fprintf(&b, "Resilience comparison: %d nodes, k=%d, %d files, %d ticks, drop=%.2f (seed %d)\n",
-		cfg.Nodes, cfg.K, cfg.Files, cfg.Ticks, cfg.Drop, cfg.Seed)
+		cfg.Nodes, soakK, cfg.Files, cfg.Ticks, cfg.Drop, cfg.Seed)
 	row := func(name string, r *SoakResult) {
 		fmt.Fprintf(&b, "  %-3s  fault lookups %3d/%3d (%5.1f%%)  fault inserts %2d/%2d  post-heal %d/%d  violations %d\n",
 			name, r.FaultLookupsOK, r.FaultLookups, 100*r.FaultLookupRate(),
