@@ -177,6 +177,10 @@ func (e *Engine) shardOf(f id.File) *shard {
 // promotes the object back into the RAM tier. Recency state and the
 // tier hit/miss counters are updated.
 func (e *Engine) Get(f id.File) (size int64, content []byte, ok bool) {
+	if e.cfg.Policy == cache.None {
+		e.misses.Add(1)
+		return 0, nil, false
+	}
 	sh := e.shardOf(f)
 	if size, content, ok := sh.get(f); ok {
 		e.ramHits.Add(1)
@@ -212,18 +216,12 @@ func (e *Engine) Insert(f id.File, size int64, content []byte) bool {
 	return cached
 }
 
-// Contains reports whether f is resident in RAM or flash, without
-// touching recency or counters.
-func (e *Engine) Contains(f id.File) bool {
-	if e.shardOf(f).contains(f) {
-		return true
-	}
-	return e.flash != nil && e.flash.contains(f)
-}
-
 // Remove drops f from both tiers — the owner calls it when the file
 // becomes a local replica, which must not be double-served from cache.
 func (e *Engine) Remove(f id.File) bool {
+	if e.cfg.Policy == cache.None {
+		return false
+	}
 	removed := e.shardOf(f).remove(f)
 	if e.flash != nil && e.flash.remove(f) {
 		removed = true
@@ -236,9 +234,10 @@ func (e *Engine) Remove(f id.File) bool {
 // needed. The owning node calls this as replica storage grows and
 // shrinks, exactly as it did with the single cache.
 func (e *Engine) SetLimit(n int64) {
-	if n < 0 {
-		n = 0
+	if e.cfg.Policy == cache.None {
+		return // a cacheless engine takes no grant
 	}
+	n = max(n, 0)
 	e.limit.Store(n)
 	if e.cfg.RAMBytes > 0 && n > e.cfg.RAMBytes {
 		n = e.cfg.RAMBytes

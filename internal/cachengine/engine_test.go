@@ -22,6 +22,12 @@ func mustNew(tb testing.TB, cfg Config) *Engine {
 	return e
 }
 
+// contains reports whether f is resident in RAM or flash, without
+// touching recency or counters.
+func contains(e *Engine, f id.File) bool {
+	return e.shardOf(f).contains(f) || e.flash != nil && e.flash.contains(f)
+}
+
 func epayload(f id.File, size int) []byte {
 	b := make([]byte, size)
 	for i := range b {
@@ -87,13 +93,13 @@ func TestDoorkeeperAdmitsOnSecondOffer(t *testing.T) {
 	if e.Insert(f, 100, nil) {
 		t.Fatal("first offer should be rejected by the doorkeeper")
 	}
-	if e.Contains(f) {
+	if contains(e, f) {
 		t.Fatal("rejected file must not be resident")
 	}
 	if !e.Insert(f, 100, nil) {
 		t.Fatal("second offer should be admitted")
 	}
-	if !e.Contains(f) {
+	if !contains(e, f) {
 		t.Fatal("admitted file must be resident")
 	}
 	// A resident file's refresh skips the doorkeeper.
@@ -265,13 +271,13 @@ func TestRemoveDropsBothTiers(t *testing.T) {
 	a, b := efid(1), efid(2)
 	e.Insert(a, 400, epayload(a, 400))
 	e.Insert(b, 400, epayload(b, 400)) // evicts a → flash
-	if !e.Contains(a) {
+	if !contains(e, a) {
 		t.Fatal("a should be in flash")
 	}
 	if !e.Remove(a) {
 		t.Fatal("Remove(a) should report true")
 	}
-	if e.Contains(a) {
+	if contains(e, a) {
 		t.Fatal("removed file must be gone from both tiers")
 	}
 	if _, _, ok := e.Get(a); ok {
@@ -305,6 +311,31 @@ func TestRAMBytesClampsGrant(t *testing.T) {
 	}
 	if total != 10 {
 		t.Fatalf("shares sum to %d, want 10", total)
+	}
+}
+
+// TestCachelessEngineSkipsShards: with Policy None, Get, Remove and
+// SetLimit leave the shards untouched and Get still counts its miss.
+func TestCachelessEngineSkipsShards(t *testing.T) {
+	e := mustNew(t, Config{Policy: cache.None, Shards: 4})
+	e.SetLimit(4096)
+	f := efid(1)
+	if e.Insert(f, 10, nil) || e.Remove(f) {
+		t.Fatal("a cacheless engine cached or removed a file")
+	}
+	if _, _, ok := e.Get(f); ok {
+		t.Fatal("a cacheless engine hit")
+	}
+	if e.Limit() != 0 {
+		t.Fatalf("Limit() = %d; a cacheless engine takes no grant", e.Limit())
+	}
+	for i, sh := range e.shard {
+		if sh.c.Limit() != 0 {
+			t.Fatalf("shard %d limit %d; SetLimit did shard work", i, sh.c.Limit())
+		}
+	}
+	if st := e.Stats(); st.Misses != 1 || st.Hits() != 0 {
+		t.Fatalf("stats hits %d misses %d; want 0 and 1", st.Hits(), st.Misses)
 	}
 }
 

@@ -58,7 +58,7 @@ func TestEngineStress(t *testing.T) {
 					e.NegativeHit(f)
 					e.Invalidate(f)
 				case 4:
-					e.Contains(f)
+					contains(e, f)
 					e.Used()
 					e.Len()
 					e.Stats()

@@ -88,7 +88,7 @@ func drive(t *testing.T, b store.Backend, seed int64, steps int) []observation {
 	out := []observation{observe(t, b, observation{step: "open"})}
 	for i := 0; i < steps; i++ {
 		var o observation
-		switch op := r.Intn(10); {
+		switch op := r.Intn(11); {
 		case op < 4:
 			e := store.Entry{File: file(), Size: int64(r.Intn(400)) - 5, Kind: store.Kind(r.Intn(2))}
 			if e.Kind == store.DivertedIn {
@@ -106,15 +106,28 @@ func drive(t *testing.T, b store.Backend, seed int64, steps int) []observation {
 			f := file()
 			o.step = fmt.Sprintf("%d: get %s", i, f.Short())
 			o.entry, o.found = b.Get(f)
+			// Stat is Get without the content.
+			want := o.entry
+			want.Content = nil
+			if meta, ok := b.Stat(f); ok != o.found || !reflect.DeepEqual(meta, want) {
+				t.Fatalf("%s: Stat = %+v, %v; want %+v, %v", o.step, meta, ok, want, o.found)
+			}
 		case op < 7:
+			f := file()
+			o.step = fmt.Sprintf("%d: stat %s", i, f.Short())
+			o.entry, o.found = b.Stat(f)
+			if o.entry.Content != nil {
+				t.Fatalf("%s: Stat returned %d content bytes", o.step, len(o.entry.Content))
+			}
+		case op < 8:
 			f := file()
 			o.step = fmt.Sprintf("%d: remove %s", i, f.Short())
 			o.entry, o.found = b.Remove(f)
-		case op < 8:
+		case op < 9:
 			p := store.Pointer{File: file(), Target: id.NodeFromUint64(uint64(r.Intn(8))), Size: int64(r.Intn(400)), Role: store.PtrRole(r.Intn(2))}
 			o.step = fmt.Sprintf("%d: set pointer %s", i, p.File.Short())
 			b.SetPointer(p)
-		case op < 9:
+		case op < 10:
 			f := file()
 			o.step = fmt.Sprintf("%d: get pointer %s", i, f.Short())
 			o.pointer, o.found = b.GetPointer(f)

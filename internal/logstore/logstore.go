@@ -342,6 +342,18 @@ func (s *Store) Get(f id.File) (store.Entry, bool) {
 	return e, true // content lost or corrupt; metadata survives
 }
 
+// Stat returns the replica entry for f without its content: an index
+// lookup, no segment read.
+func (s *Store) Stat(f id.File) (store.Entry, bool) {
+	sh := s.shardOf(f)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if r, ok := sh.entries[f]; ok {
+		return r.meta, true
+	}
+	return store.Entry{}, false
+}
+
 // readContent preads one content record and verifies frame and CRC.
 // The segFDs read lock is held across the pread so compaction cannot
 // delete the file underneath it.

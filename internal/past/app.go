@@ -88,7 +88,7 @@ func (a *app) Backward(key id.Node, msg, reply any) {
 func (n *Node) cacheFile(f id.File, size int64, content []byte) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if _, held := n.store.Get(f); held {
+	if _, held := n.store.Stat(f); held {
 		return
 	}
 	n.cache.Insert(f, size, content)

@@ -1,10 +1,8 @@
 package past
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
 
 	"past/internal/cert"
 	"past/internal/ec"
@@ -340,7 +338,7 @@ func (n *Node) handleStoreReplica(m *storeReplicaMsg) *storeReplicaReply {
 		n.mu.Unlock()
 		return &storeReplicaReply{Status: storeFailed}
 	}
-	if _, dup := n.store.Get(m.File); dup {
+	if _, dup := n.store.Stat(m.File); dup {
 		n.mu.Unlock()
 		return &storeReplicaReply{Status: storeAlreadyHeld}
 	}
@@ -369,75 +367,71 @@ func (n *Node) handleStoreReplica(m *storeReplicaMsg) *storeReplicaReply {
 // (b) do not already hold a diverted replica of the file; ask it to
 // store the replica under the tdiv policy; on success enter pointers in
 // this node's file table and at the k+1-th closest node C, so the
-// diverted replica survives the failure of either referrer.
+// diverted replica survives the failure of either referrer. Candidates
+// are polled in LeafSet order, which the RandomDivert shuffle sees.
 func (n *Node) divertReplica(m *storeReplicaMsg) *storeReplicaReply {
-	type candidate struct {
-		node id.Node
-		free int64
-	}
-	eligible := n.overlay.LeafSetBeyond(m.Key, m.K)
-	cands := make([]candidate, 0, len(eligible))
+	eligible, backup := n.overlay.DivertCandidates(m.Key, m.K, make([]id.Node, 0, 32))
+	cands := make([]divertCandidate, 0, 32)
 	for _, b := range eligible {
 		fr, err := netsim.ReplyAs[freeSpaceReply](n.net.Invoke(context.Background(), n.ID(), b, &freeSpaceMsg{}))
 		if err != nil {
 			continue
 		}
-		cands = append(cands, candidate{node: b, free: fr.Free})
+		cands = append(cands, divertCandidate{node: b, free: fr.Free})
 	}
 	if n.cfg.RandomDivert {
 		// Ablation mode: ignore free space when picking the target.
 		n.mu.Lock()
 		n.rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
 		n.mu.Unlock()
-	} else {
-		// Most free space first; ids are unique, so the order is total.
-		slices.SortFunc(cands, func(a, b candidate) int {
-			if c := cmp.Compare(b.free, a.free); c != 0 {
-				return c
-			}
-			return a.node.Cmp(b.node)
-		})
 	}
 
 	dm := &divertStoreMsg{File: m.File, Size: m.Size, Content: m.Content, Cert: m.Cert, Owner: n.ID()}
-	for _, c := range cands {
-		dr, err := netsim.ReplyAs[divertStoreReply](n.net.Invoke(context.Background(), n.ID(), c.node, dm))
-		if err != nil {
-			continue // dead candidate; try the next
-		}
-		switch dr.Status {
-		case divertOK:
-			n.mu.Lock()
-			n.store.SetPointer(store.Pointer{File: m.File, Target: c.node, Size: m.Size, Role: store.DivertedOut})
-			n.mu.Unlock()
-			n.installBackupPointer(m, c.node)
-			return &storeReplicaReply{Status: storeOKDiverted, Receipt: n.issueStoreReceipt(m.File)}
-		case divertAlreadyHolds:
-			// Another replica-set member already diverted to this node;
-			// it is ineligible (criterion b), move to the next candidate.
-			continue
-		case divertNoSpace:
-			// The chosen node declined: per the paper's policy the whole
-			// file is diverted to another part of the nodeId space.
-			return &storeReplicaReply{Status: storeFailed}
-		}
+	target, ok := chooseDivertTarget(cands, !n.cfg.RandomDivert, func(b id.Node) (*divertStoreReply, error) {
+		return netsim.ReplyAs[divertStoreReply](n.net.Invoke(context.Background(), n.ID(), b, dm))
+	})
+	if !ok {
+		return &storeReplicaReply{Status: storeFailed}
 	}
-	return &storeReplicaReply{Status: storeFailed}
+	n.mu.Lock()
+	n.store.SetPointer(store.Pointer{File: m.File, Target: target, Size: m.Size, Role: store.DivertedOut})
+	n.mu.Unlock()
+	if !backup.IsZero() && backup != n.ID() && backup != target {
+		_, _ = n.net.Invoke(context.Background(), n.ID(), backup, &installPointerMsg{File: m.File, Target: target, Size: m.Size, Role: store.Backup})
+	}
+	return &storeReplicaReply{Status: storeOKDiverted, Receipt: n.issueStoreReceipt(m.File)}
 }
 
-// installBackupPointer enters the pointer to the diverted replica into
-// the file table of node C, the k+1-th closest node to the fileId, so
-// the failure of this node does not orphan the replica on B.
-func (n *Node) installBackupPointer(m *storeReplicaMsg, b id.Node) {
-	ext := n.overlay.ReplicaSet(m.Key, m.K+1)
-	if len(ext) <= m.K {
-		return // network smaller than k+1 nodes
+// divertCandidate is a polled diversion candidate and its free space.
+type divertCandidate struct {
+	node id.Node
+	free int64
+}
+
+// chooseDivertTarget asks candidates via try, in order or (mostFree)
+// most free space first, ties to the smaller id, until one accepts. A
+// dead candidate or one already holding the file (criterion b) is passed
+// over; a lack of space ends the search. cands is reordered.
+func chooseDivertTarget(cands []divertCandidate, mostFree bool, try func(id.Node) (*divertStoreReply, error)) (id.Node, bool) {
+	for ; len(cands) > 0; cands = cands[1:] {
+		if mostFree {
+			best := 0
+			for i, c := range cands[1:] {
+				if b := cands[best]; c.free > b.free || c.free == b.free && c.node.Less(b.node) {
+					best = i + 1
+				}
+			}
+			cands[0], cands[best] = cands[best], cands[0]
+		}
+		switch r, err := try(cands[0].node); {
+		case err != nil: // dead candidate; try the next
+		case r.Status == divertOK:
+			return cands[0].node, true
+		case r.Status == divertNoSpace:
+			return id.Node{}, false
+		}
 	}
-	c := ext[m.K]
-	if c == n.ID() || c == b {
-		return
-	}
-	_, _ = n.net.Invoke(context.Background(), n.ID(), c, &installPointerMsg{File: m.File, Target: b, Size: m.Size, Role: store.Backup})
+	return id.Node{}, false
 }
 
 // handleDivertStore stores a diverted replica on behalf of Owner, under
@@ -448,7 +442,7 @@ func (n *Node) handleDivertStore(m *divertStoreMsg) *divertStoreReply {
 	if n.leaving {
 		return &divertStoreReply{Status: divertNoSpace}
 	}
-	if _, dup := n.store.Get(m.File); dup {
+	if _, dup := n.store.Stat(m.File); dup {
 		return &divertStoreReply{Status: divertAlreadyHolds}
 	}
 	if !n.store.CanAccept(m.Size, n.cfg.TDiv) {

@@ -3,12 +3,15 @@ package past
 import (
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
+	"past/internal/ec"
 	"past/internal/id"
 	"past/internal/logstore"
 	"past/internal/netsim"
 	"past/internal/obs"
+	"past/internal/store"
 	"past/internal/topology"
 )
 
@@ -18,29 +21,33 @@ func logstoreTestOpts(capacity int64) logstore.Options {
 	return logstore.Options{Capacity: capacity, Sync: logstore.SyncNever, CheckpointBytes: -1, CompactRatio: -1}
 }
 
-// buildLogstoreCluster is testCluster with one node (index 0) running
-// on a log-structured backend rooted at dir.
-func buildLogstoreCluster(t *testing.T, n int, dir string, seed int64) (*Cluster, *Node, *logstore.Store) {
+// buildLogstoreCluster is testCluster with node i < len(dirs) running
+// on a log-structured backend rooted at dirs[i], seen through wrap when
+// it is set.
+func buildLogstoreCluster(t *testing.T, n int, dirs []string, seed int64, wrap func(store.Backend) store.Backend) (*Cluster, []*logstore.Store) {
 	t.Helper()
 	cfg := smallCfg()
 	rng := rand.New(rand.NewSource(seed))
 	c := &Cluster{Net: netsim.New(), ByID: make(map[id.Node]*Node, n), rng: rng}
 	plane := topology.DefaultPlane
 	positions := plane.Uniform(rng, n)
-	var subject *Node
-	var ls *logstore.Store
+	var stores []*logstore.Store
 	for i := 0; i < n; i++ {
 		var nid id.Node
 		rng.Read(nid[:])
 		var node *Node
-		if i == 0 {
-			s, err := logstore.Open(dir, logstoreTestOpts(1<<20))
+		if i < len(dirs) {
+			s, err := logstore.Open(dirs[i], logstoreTestOpts(1<<20))
 			if err != nil {
 				t.Fatal(err)
 			}
-			ls = s
-			node = NewWithStore(nid, c.Net, cfg, s, rng.Int63())
-			subject = node
+			t.Cleanup(func() { s.Close() })
+			stores = append(stores, s)
+			var b store.Backend = s
+			if wrap != nil {
+				b = wrap(s)
+			}
+			node = NewWithStore(nid, c.Net, cfg, b, rng.Int63())
 		} else {
 			node = New(nid, c.Net, cfg, 1<<20, rng.Int63())
 		}
@@ -55,7 +62,59 @@ func buildLogstoreCluster(t *testing.T, n int, dir string, seed int64) (*Cluster
 		c.Nodes = append(c.Nodes, node)
 		c.ByID[nid] = node
 	}
-	return c, subject, ls
+	return c, stores
+}
+
+// contentReads counts the Gets of a backend that return content: on a
+// logstore, each one is a segment pread and a CRC check.
+type contentReads struct {
+	store.Backend
+	n *atomic.Int64
+}
+
+func (c contentReads) Get(f id.File) (store.Entry, bool) {
+	e, ok := c.Backend.Get(f)
+	if e.Content != nil {
+		c.n.Add(1)
+	}
+	return e, ok
+}
+
+// TestSteadyMaintenanceReadsNoContent: a maintenance pass over a settled
+// cluster only checks that each replica-set member holds its files, so
+// on durable nodes it must not read a single replica's content back
+// from disk. (Answering the acquire probes with Get read every held
+// replica k-1 times per pass: 180 reads here.) The files are larger
+// than any fragment map, which the pass does read to recognise one.
+func TestSteadyMaintenanceReadsNoContent(t *testing.T) {
+	const nodes = 12
+	dirs := make([]string, nodes)
+	for i := range dirs {
+		dirs[i] = t.TempDir()
+	}
+	var reads atomic.Int64
+	c, _ := buildLogstoreCluster(t, nodes, dirs, 3, func(b store.Backend) store.Backend {
+		return contentReads{Backend: b, n: &reads}
+	})
+	client := c.Nodes[nodes-1]
+	for i := 0; i < 30; i++ {
+		content := make([]byte, ec.MaxMapSize+1)
+		c.rng.Read(content)
+		if res, err := client.Insert(InsertSpec{Name: "file", Salt: uint64(i + 1), Content: content}); err != nil || !res.OK {
+			t.Fatalf("insert %d: %v %+v", i, err, res)
+		}
+	}
+	c.MaintainAll() // settle
+	probes := func() int64 { return c.Net.MessagesByType()["*past.acquireMsg"] }
+	reads.Store(0)
+	before := probes()
+	c.MaintainAll()
+	if probes() == before {
+		t.Fatal("the maintenance pass sent no acquire probes; the test checks nothing")
+	}
+	if got := reads.Load(); got != 0 {
+		t.Fatalf("a steady maintenance pass read replica content %d times; want 0", got)
+	}
 }
 
 // TestNodeOnLogstoreRestartRoundTrip drives inserts through a cluster
@@ -64,7 +123,8 @@ func buildLogstoreCluster(t *testing.T, n int, dir string, seed int64) (*Cluster
 // identical Entries and Pointers lists.
 func TestNodeOnLogstoreRestartRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	c, subject, ls := buildLogstoreCluster(t, 20, dir, 7)
+	c, stores := buildLogstoreCluster(t, 20, []string{dir}, 7, nil)
+	subject, ls := c.Nodes[0], stores[0]
 
 	client := c.Nodes[len(c.Nodes)-1]
 	for i := 0; i < 30; i++ {

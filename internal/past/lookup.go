@@ -159,7 +159,7 @@ func (n *Node) lookupOnce(ctx context.Context, f id.File, avoid ...id.Node) (*Lo
 func (n *Node) HasReplica(f id.File) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	_, ok := n.store.Get(f)
+	_, ok := n.store.Stat(f)
 	return ok
 }
 
@@ -177,6 +177,6 @@ func (n *Node) HasPointer(f id.File) (id.Node, bool) {
 func (n *Node) ReplicaKind(f id.File) (store.Kind, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	e, ok := n.store.Get(f)
+	e, ok := n.store.Stat(f)
 	return e.Kind, ok
 }

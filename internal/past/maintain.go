@@ -133,7 +133,7 @@ func (n *Node) maintainOnce() {
 			// no member could confirm a copy, which would risk dropping
 			// the last replica instead of temporarily exceeding k.
 			n.mu.Lock()
-			if cur, ok := n.store.Get(e.File); ok && cur.Kind == store.Primary {
+			if cur, ok := n.store.Stat(e.File); ok && cur.Kind == store.Primary {
 				n.removeReplicaLocked(e.File)
 			}
 			n.mu.Unlock()
@@ -235,7 +235,7 @@ func (n *Node) handleAcquire(m *acquireMsg) *acquireReply {
 		n.mu.Unlock()
 		return &acquireReply{Status: acquireFailed}
 	}
-	if _, ok := n.store.Get(m.File); ok {
+	if _, ok := n.store.Stat(m.File); ok {
 		n.mu.Unlock()
 		return &acquireReply{Status: acquireAlreadyHave}
 	}
@@ -339,7 +339,7 @@ func (n *Node) handleLocateSpace(m *locateSpaceMsg) *locateSpaceReply {
 
 	n.mu.Lock()
 	if n.store.CanAccept(m.Size, n.cfg.TDiv) {
-		if _, held := n.store.Get(m.File); !held {
+		if _, held := n.store.Stat(m.File); !held {
 			best, bestFree = n.ID(), n.store.Free()
 		}
 	}

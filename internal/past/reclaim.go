@@ -133,7 +133,7 @@ func (n *Node) handleDiscard(m *discardMsg) (any, error) {
 			return nil, fmt.Errorf("past: discard %s: missing reclaim certificate", m.File.Short())
 		}
 		var fc *cert.FileCertificate
-		if e, ok := n.store.Get(m.File); ok {
+		if e, ok := n.store.Stat(m.File); ok {
 			fc = e.Cert
 		}
 		if err := m.Cert.Verify(n.cfg.Issuer, fc); err != nil {

@@ -335,24 +335,28 @@ func (n *Node) ReplicaSet(key id.Node, k int) []id.Node {
 	return n.closestLocked(key, k, true)
 }
 
-// LeafSetBeyond returns the members of LeafSet, in its order, that are
-// not in ReplicaSet(key, k): PAST's replica-diversion candidates for
-// key, built without a copy of the replica set.
-func (n *Node) LeafSetBeyond(key id.Node, k int) []id.Node {
+// DivertCandidates appends to buf the members of LeafSet, in its order,
+// not in ReplicaSet(key, k), and returns the k+1-th closest node to key
+// (zero if none), which keeps a diverted replica's backup pointer.
+func (n *Node) DivertCandidates(key id.Node, k int, buf []id.Node) (cands []id.Node, backup id.Node) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := n.leafSetLocked()
+	replicas := make([]id.Node, 0, 16)
 	w := n.leafWalkLocked(key, true)
-	for ; k > 0; k-- {
-		m, ok := w.next()
-		if !ok {
+	for m, ok := w.next(); ok; m, ok = w.next() {
+		if len(replicas) == k {
+			backup = m
 			break
 		}
-		if i := slices.Index(out, m); i >= 0 {
-			out = slices.Delete(out, i, i+1)
+		replicas = append(replicas, m)
+	}
+	w = n.leafWalkLocked(n.self, false)
+	for m, ok := w.next(); ok; m, ok = w.next() {
+		if !slices.Contains(replicas, m) {
+			buf = append(buf, m)
 		}
 	}
-	return out
+	return buf, backup
 }
 
 // FragmentTargets returns up to want distinct nodes for erasure-coded

@@ -194,21 +194,30 @@ func checkLeafQueries(t *testing.T, r *rand.Rand, n *Node, extra []id.Node, stat
 			}
 		}
 		for k := 1; k <= n.cfg.L/2+1; k++ {
-			n.mu.Unlock() // IsAmongKClosest and LeafSetBeyond take the lock themselves
-			got, beyond := n.IsAmongKClosest(key, k), n.LeafSetBeyond(key, k)
+			n.mu.Unlock() // IsAmongKClosest and DivertCandidates take the lock themselves
+			got := n.IsAmongKClosest(key, k)
+			prefix := []id.Node{key}
+			cands, backup := n.DivertCandidates(key, k, prefix)
 			n.mu.Lock()
 			if want := refIsAmongKClosest(n, key, k); got != want {
 				t.Fatalf("%s: IsAmongKClosest(%s, %d) = %v; want %v", state, key.Short(), k, got, want)
 			}
 			rs := refClosest(n, key, k)
-			var want []id.Node
+			want := prefix
 			for _, m := range refLeafSet(n) {
 				if !slices.Contains(rs, m) {
 					want = append(want, m)
 				}
 			}
-			if !sameNodes(beyond, want) {
-				t.Fatalf("%s: LeafSetBeyond(%s, %d) = %v; want %v", state, key.Short(), k, short(beyond), short(want))
+			if !sameNodes(cands, want) {
+				t.Fatalf("%s: DivertCandidates(%s, %d) = %v; want %v", state, key.Short(), k, short(cands), short(want))
+			}
+			var wantBackup id.Node
+			if ext := refClosest(n, key, k+1); len(ext) > k {
+				wantBackup = ext[k]
+			}
+			if backup != wantBackup {
+				t.Fatalf("%s: DivertCandidates(%s, %d) backup = %s; want %s", state, key.Short(), k, backup.Short(), wantBackup.Short())
 			}
 		}
 		dead := make(map[id.Node]bool)
@@ -279,6 +288,32 @@ func TestLeafQueriesMatchSortReference(t *testing.T) {
 	}
 }
 
+// TestLeafQueriesSmallRings checks every leaf-set query, the diversion
+// candidates and backup node among them, on the ring sizes where the
+// leaf set and the replica set meet: N in {1, 2, k, k+1, l/2, l/2+1, l,
+// l+1, 2l}, for the paper's k=5, the bound k=l/2+1, and k=1.
+func TestLeafQueriesSmallRings(t *testing.T) {
+	for _, l := range []int{8, 16, 32} {
+		sizes := map[int]bool{}
+		for _, k := range []int{1, 5, l/2 + 1} {
+			for _, size := range []int{1, 2, k, k + 1, l / 2, l/2 + 1, l, l + 1, 2 * l} {
+				sizes[size] = true
+			}
+		}
+		for size := range sizes {
+			r := rand.New(rand.NewSource(int64(l*1000 + size)))
+			ring, centres := randomRing(r, size)
+			n := New(ring[0], netsim.New(), Config{B: 4, L: l}, nil, 1)
+			n.mu.Lock()
+			for _, x := range ring {
+				n.leafInsertLocked(x)
+			}
+			checkLeafQueries(t, r, n, append(centres, ring...), fmt.Sprintf("l=%d N=%d", l, size))
+			n.mu.Unlock()
+		}
+	}
+}
+
 // TestLeafQueriesUnderChurn runs the query methods from several
 // goroutines while the leaf set is mutated; under -race this checks the
 // walk touches the sides only with the lock held. Every answer must be
@@ -316,7 +351,8 @@ func TestLeafQueriesUnderChurn(t *testing.T) {
 				closestFirst(key, n.ReplicaSet(key, 5))
 				closestFirst(key, n.FragmentTargets(key, 17))
 				closestFirst(n.self, n.LeafSet())
-				closestFirst(n.self, n.LeafSetBeyond(key, 5))
+				cands, _ := n.DivertCandidates(key, 5, nil)
+				closestFirst(n.self, cands)
 				n.IsAmongKClosest(key, 5)
 				n.InLeafRange(key)
 			}

@@ -25,6 +25,9 @@ type Backend interface {
 	Add(e Entry) error
 	// Get returns the replica entry for f, with content if stored.
 	Get(f id.File) (Entry, bool)
+	// Stat returns the replica entry for f without its content (nil, as
+	// in Entries): an existence or metadata check reads no payload.
+	Stat(f id.File) (Entry, bool)
 	// Remove discards the replica of f and returns its metadata
 	// (Content nil, as in Entries).
 	Remove(f id.File) (Entry, bool)

@@ -204,6 +204,13 @@ func (s *Store) Get(f id.File) (Entry, bool) {
 	return s.entry(f, m), true
 }
 
+// Stat returns the replica entry for f without its content, if held.
+func (s *Store) Stat(f id.File) (Entry, bool) {
+	e, ok := s.Get(f)
+	e.Content = nil
+	return e, ok
+}
+
 // Remove discards the replica of f and returns its metadata.
 func (s *Store) Remove(f id.File) (Entry, bool) {
 	m, ok := s.entries[f]
