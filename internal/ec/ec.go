@@ -19,10 +19,11 @@
 package ec
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -183,20 +184,20 @@ func DecodeMap(raw []byte) (*Map, error) {
 	return &m, nil
 }
 
-type fragKey struct {
-	file id.File
-	idx  int
-}
-
 // FragStore is a node's local fragment table. Fragments are bulk data
 // held on behalf of an object rooted elsewhere — deliberately volatile
 // (a crashed node loses them, and lazy repair re-creates them from
 // survivors), unlike the fragment map, which rides the durable replica
 // store. Reads verify the CRC; a corrupt fragment is dropped on read
 // and reported missing, turning silent corruption into a repair.
+//
+// Fragments are indexed by file, each file's in ascending Index order,
+// so every operation costs what that one file's handful of fragments
+// costs, however many files the node holds fragments of.
 type FragStore struct {
 	mu          sync.Mutex
-	frags       map[fragKey]*Fragment
+	files       map[id.File][]Fragment
+	count       int
 	bytes       int64
 	reads       int64
 	crcFailures int64
@@ -204,7 +205,26 @@ type FragStore struct {
 
 // NewFragStore creates an empty fragment table.
 func NewFragStore() *FragStore {
-	return &FragStore{frags: make(map[fragKey]*Fragment)}
+	return &FragStore{files: make(map[id.File][]Fragment)}
+}
+
+// find returns file's fragments and the position of idx among them:
+// where it is, or where it would go. Caller holds mu.
+func (s *FragStore) find(file id.File, idx int) ([]Fragment, int, bool) {
+	fs := s.files[file]
+	i, ok := slices.BinarySearchFunc(fs, idx, func(f Fragment, idx int) int { return cmp.Compare(f.Index, idx) })
+	return fs, i, ok
+}
+
+// removeAt drops fs[i], one of file's fragments. Caller holds mu.
+func (s *FragStore) removeAt(file id.File, fs []Fragment, i int) {
+	s.bytes -= int64(len(fs[i].Data))
+	s.count--
+	if fs = slices.Delete(fs, i, i+1); len(fs) == 0 {
+		delete(s.files, file)
+	} else {
+		s.files[file] = fs
+	}
 }
 
 // Put stores (or replaces) a fragment and takes ownership of f.Data: the
@@ -213,65 +233,66 @@ func NewFragStore() *FragStore {
 // client's own buffer, so neither the caller nor the store may write to
 // it afterwards — inserted content is immutable.
 func (s *FragStore) Put(f Fragment) {
-	k := fragKey{f.File, f.Index}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old, ok := s.frags[k]; ok {
-		s.bytes -= int64(len(old.Data))
+	fs, i, ok := s.find(f.File, f.Index)
+	if ok {
+		s.bytes -= int64(len(fs[i].Data))
+		fs[i] = f
+	} else {
+		s.files[f.File] = slices.Insert(fs, i, f)
+		s.count++
 	}
-	s.frags[k] = &f
 	s.bytes += int64(len(f.Data))
+}
+
+// verify reports whether fs[i], one of file's fragments, passes its CRC;
+// a checksum mismatch deletes it. Caller holds mu.
+func (s *FragStore) verify(file id.File, fs []Fragment, i int) bool {
+	if Checksum(fs[i].Data) == fs[i].CRC {
+		return true
+	}
+	s.crcFailures++
+	s.removeAt(file, fs, i)
+	return false
 }
 
 // Get returns the fragment, CRC-verified. A checksum mismatch deletes
 // the fragment and reports it missing — the caller's repair machinery
 // takes it from there.
 func (s *FragStore) Get(file id.File, idx int) (Fragment, bool) {
-	k := fragKey{file, idx}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f, ok := s.frags[k]
+	fs, i, ok := s.find(file, idx)
 	if !ok {
 		return Fragment{}, false
 	}
 	s.reads++
-	if Checksum(f.Data) != f.CRC {
-		s.crcFailures++
-		s.bytes -= int64(len(f.Data))
-		delete(s.frags, k)
+	if !s.verify(file, fs, i) {
 		return Fragment{}, false
 	}
-	return *f, true
+	return fs[i], true
 }
 
 // Has reports whether the fragment is present with a valid CRC, and its
 // version. Like Get it drops a corrupt fragment, but it does not count
 // as a read.
 func (s *FragStore) Has(file id.File, idx int) (uint32, bool) {
-	k := fragKey{file, idx}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f, ok := s.frags[k]
-	if !ok {
+	fs, i, ok := s.find(file, idx)
+	if !ok || !s.verify(file, fs, i) {
 		return 0, false
 	}
-	if Checksum(f.Data) != f.CRC {
-		s.crcFailures++
-		s.bytes -= int64(len(f.Data))
-		delete(s.frags, k)
-		return 0, false
-	}
-	return f.Version, true
+	return fs[i].Version, true
 }
 
 // Delete removes a fragment.
 func (s *FragStore) Delete(file id.File, idx int) {
-	k := fragKey{file, idx}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if f, ok := s.frags[k]; ok {
-		s.bytes -= int64(len(f.Data))
-		delete(s.frags, k)
+	if fs, i, ok := s.find(file, idx); ok {
+		s.removeAt(file, fs, i)
 	}
 }
 
@@ -279,13 +300,14 @@ func (s *FragStore) Delete(file id.File, idx int) {
 func (s *FragStore) Indices(file id.File) []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []int
-	for k := range s.frags {
-		if k.file == file {
-			out = append(out, k.idx)
-		}
+	fs := s.files[file]
+	if len(fs) == 0 {
+		return nil
 	}
-	sort.Ints(out)
+	out := make([]int, len(fs))
+	for i, f := range fs {
+		out[i] = f.Index
+	}
 	return out
 }
 
@@ -296,13 +318,13 @@ func (s *FragStore) Indices(file id.File) []int {
 // keeps the original. It reports false if there is no such fragment or
 // bit.
 func (s *FragStore) CorruptForTest(file id.File, idx, bit int) bool {
-	k := fragKey{file, idx}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f, ok := s.frags[k]
-	if !ok || bit < 0 || bit >= 8*len(f.Data) {
+	fs, i, ok := s.find(file, idx)
+	if !ok || bit < 0 || bit >= 8*len(fs[i].Data) {
 		return false
 	}
+	f := &fs[i]
 	f.Data = append([]byte(nil), f.Data...)
 	f.Data[bit/8] ^= 1 << (bit % 8)
 	return true
@@ -312,7 +334,7 @@ func (s *FragStore) CorruptForTest(file id.File, idx, bit int) bool {
 func (s *FragStore) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.frags)
+	return s.count
 }
 
 // Bytes returns the fragment payload bytes held.

@@ -105,6 +105,58 @@ func TestFragStoreIndices(t *testing.T) {
 	if got := s.Indices(f); !reflect.DeepEqual(got, []int{1, 3, 5}) {
 		t.Fatalf("Indices = %v", got)
 	}
+	// Another file's fragments, a replaced fragment, a deleted one and one
+	// dropped for a bad CRC all leave the listing exact.
+	other := testFile(4)
+	for idx := 0; idx < 3; idx++ {
+		d := []byte{byte(idx)}
+		s.Put(Fragment{File: other, Index: idx, Data: d, CRC: Checksum(d)})
+	}
+	d := []byte("replacement")
+	s.Put(Fragment{File: f, Index: 3, Data: d, CRC: Checksum(d)})
+	s.Delete(f, 1)
+	if !s.CorruptForTest(f, 5, 0) {
+		t.Fatal("CorruptForTest missed")
+	}
+	if _, ok := s.Has(f, 5); ok {
+		t.Fatal("corrupt fragment reported held")
+	}
+	if got := s.Indices(f); !reflect.DeepEqual(got, []int{3}) {
+		t.Fatalf("Indices after replace/delete/drop = %v, want [3]", got)
+	}
+	if got := s.Indices(other); !reflect.DeepEqual(got, []int{0, 1, 2}) {
+		t.Fatalf("other file's Indices = %v", got)
+	}
+	if s.Len() != 4 || s.Bytes() != int64(len(d)+3) {
+		t.Fatalf("Len/Bytes = %d/%d, want 4/%d", s.Len(), s.Bytes(), len(d)+3)
+	}
+	s.Delete(f, 3)
+	if got := s.Indices(f); got != nil {
+		t.Fatalf("Indices of an emptied file = %v", got)
+	}
+}
+
+// BenchmarkFragStoreIndices lists one file's fragments on a node holding
+// fragments of 10,000 files — the invariant checker's per-file, per-node
+// call.
+func BenchmarkFragStoreIndices(b *testing.B) {
+	s := NewFragStore()
+	const files = 10000
+	d := []byte("x")
+	for i := 0; i < files; i++ {
+		var f id.File
+		f[0], f[1] = byte(i), byte(i>>8)
+		s.Put(Fragment{File: f, Index: i % 6, Data: d, CRC: Checksum(d)})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var f id.File
+		f[0], f[1] = byte(i%files), byte(i%files>>8)
+		if len(s.Indices(f)) != 1 {
+			b.Fatal("fragment missing")
+		}
+	}
 }
 
 func TestRepairQueueDedup(t *testing.T) {

@@ -19,6 +19,12 @@ type RepairItem struct {
 	Cost  int64
 }
 
+// fragKey names one fragment of one file.
+type fragKey struct {
+	file id.File
+	idx  int
+}
+
 // RepairQueue is a node's lazy-repair work queue. Anti-entropy probes
 // enqueue missing fragments (deduplicated by file and index); each
 // maintenance pass drains the queue in a deterministic seeded order

@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
 	"sort"
 	"sync"
@@ -123,52 +124,71 @@ type Net interface {
 	Proximity(a, b id.Node) (float64, bool)
 }
 
+// entry is one registered node. Its endpoint and position are fixed for
+// the entry's life (re-registering makes a new entry); only liveness
+// changes, atomically, so Fail and Recover copy nothing.
 type entry struct {
 	ep    Endpoint
 	pos   topology.Point
-	alive bool
+	alive atomic.Bool
 }
 
 // Network is the in-process emulated network.
+//
+// Delivery takes no lock: Invoke reads the endpoint table and the
+// per-type counter table through atomic pointers to maps that are never
+// written once published. The rare writers — Register, Remove, and the
+// first delivery of a new message type — copy the table under mu and
+// publish the copy. A delivery therefore costs two map reads and one
+// counter increment on top of its handler.
 type Network struct {
-	mu    sync.RWMutex
-	nodes map[id.Node]*entry
-
-	messages atomic.Int64
-	byType   sync.Map // reflect.Type of the message -> *atomic.Int64
+	mu     sync.Mutex // serialises table writers
+	nodes  atomic.Pointer[map[id.Node]*entry]
+	byType atomic.Pointer[map[reflect.Type]*atomic.Int64]
 }
 
 var _ Net = (*Network)(nil)
 
 // New creates an empty emulated network.
 func New() *Network {
-	return &Network{nodes: make(map[id.Node]*entry)}
+	n := &Network{}
+	n.nodes.Store(&map[id.Node]*entry{})
+	n.byType.Store(&map[reflect.Type]*atomic.Int64{})
+	return n
+}
+
+// table returns the current endpoint table; callers must not write it.
+func (n *Network) table() map[id.Node]*entry { return *n.nodes.Load() }
+
+// publish replaces *p with a copy that has edit applied: a reader keeps
+// the map it loaded, which nobody writes again. Callers hold the
+// Network's mu.
+func publish[K comparable, V any](p *atomic.Pointer[map[K]V], edit func(map[K]V)) {
+	next := maps.Clone(*p.Load())
+	edit(next)
+	p.Store(&next)
 }
 
 // Register adds a live node at the given position. Registering an
 // existing id replaces its endpoint and position (a node re-joining
 // after losing its disk does exactly this).
 func (n *Network) Register(nid id.Node, pos topology.Point, ep Endpoint) {
+	e := &entry{ep: ep, pos: pos}
+	e.alive.Store(true)
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.nodes[nid] = &entry{ep: ep, pos: pos, alive: true}
+	publish(&n.nodes, func(t map[id.Node]*entry) { t[nid] = e })
 }
 
 // Fail marks a node unreachable; its state is retained so it can recover.
-func (n *Network) Fail(nid id.Node) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if e, ok := n.nodes[nid]; ok {
-		e.alive = false
-	}
-}
+func (n *Network) Fail(nid id.Node) { n.setAlive(nid, false) }
 
 // Recover marks a previously failed node reachable again.
-func (n *Network) Recover(nid id.Node) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if e, ok := n.nodes[nid]; ok {
-		e.alive = true
+func (n *Network) Recover(nid id.Node) { n.setAlive(nid, true) }
+
+func (n *Network) setAlive(nid id.Node, alive bool) {
+	if e, ok := n.table()[nid]; ok {
+		e.alive.Store(alive)
 	}
 }
 
@@ -176,15 +196,13 @@ func (n *Network) Recover(nid id.Node) {
 func (n *Network) Remove(nid id.Node) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	delete(n.nodes, nid)
+	publish(&n.nodes, func(t map[id.Node]*entry) { delete(t, nid) })
 }
 
 // Alive reports whether nid is registered and not failed.
 func (n *Network) Alive(nid id.Node) bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	e, ok := n.nodes[nid]
-	return ok && e.alive
+	e, ok := n.table()[nid]
+	return ok && e.alive.Load()
 }
 
 // Invoke delivers msg to dst and returns its reply. Messages to unknown
@@ -196,50 +214,58 @@ func (n *Network) Invoke(ctx context.Context, src, dst id.Node, msg any) (any, e
 	if err := CtxErr(ctx); err != nil {
 		return nil, err
 	}
-	n.mu.RLock()
-	e, ok := n.nodes[dst]
-	n.mu.RUnlock()
+	e, ok := n.table()[dst]
 	if !ok {
 		return nil, ErrUnknownNode
 	}
-	if !e.alive {
+	if !e.alive.Load() {
 		return nil, ErrNodeDown
 	}
-	n.messages.Add(1)
 	n.countType(msg)
 	return e.ep.Deliver(src, msg)
 }
 
 // countType attributes the message to its concrete type, for overhead
 // decomposition (e.g. how many of an insert's messages were free-space
-// queries vs replica stores).
+// queries vs replica stores). It is the only count a delivery makes:
+// Messages is the sum of these.
 func (n *Network) countType(msg any) {
 	t := reflect.TypeOf(msg)
-	c, ok := n.byType.Load(t)
+	c, ok := (*n.byType.Load())[t]
 	if !ok {
-		c, _ = n.byType.LoadOrStore(t, new(atomic.Int64))
+		c = n.addType(t)
 	}
-	c.(*atomic.Int64).Add(1)
+	c.Add(1)
+}
+
+// addType returns t's counter, publishing a table that has one.
+func (n *Network) addType(t reflect.Type) *atomic.Int64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if c, ok := (*n.byType.Load())[t]; ok {
+		return c
+	}
+	c := new(atomic.Int64)
+	publish(&n.byType, func(m map[reflect.Type]*atomic.Int64) { m[t] = c })
+	return c
 }
 
 // MessagesByType returns a snapshot of per-message-type delivery counts,
 // keyed by the concrete Go type name (as fmt's %T prints it).
 func (n *Network) MessagesByType() map[string]int64 {
 	out := make(map[string]int64)
-	n.byType.Range(func(k, v any) bool {
-		out[fmt.Sprint(k)] += v.(*atomic.Int64).Load()
-		return true
-	})
+	for t, c := range *n.byType.Load() {
+		out[fmt.Sprint(t)] += c.Load()
+	}
 	return out
 }
 
 // Proximity returns the emulated proximity metric (Euclidean plane
 // distance) between two registered nodes.
 func (n *Network) Proximity(a, b id.Node) (float64, bool) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	ea, oka := n.nodes[a]
-	eb, okb := n.nodes[b]
+	t := n.table()
+	ea, oka := t[a]
+	eb, okb := t[b]
 	if !oka || !okb {
 		return 0, false
 	}
@@ -248,9 +274,7 @@ func (n *Network) Proximity(a, b id.Node) (float64, bool) {
 
 // Position returns a node's plane coordinates.
 func (n *Network) Position(nid id.Node) (topology.Point, bool) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	e, ok := n.nodes[nid]
+	e, ok := n.table()[nid]
 	if !ok {
 		return topology.Point{}, false
 	}
@@ -260,10 +284,9 @@ func (n *Network) Position(nid id.Node) (topology.Point, bool) {
 // Nodes returns all registered nodeIds (live and failed) in ascending
 // order, for deterministic iteration.
 func (n *Network) Nodes() []id.Node {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]id.Node, 0, len(n.nodes))
-	for nid := range n.nodes {
+	t := n.table()
+	out := make([]id.Node, 0, len(t))
+	for nid := range t {
 		out = append(out, nid)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
@@ -272,11 +295,10 @@ func (n *Network) Nodes() []id.Node {
 
 // AliveNodes returns the live nodeIds in ascending order.
 func (n *Network) AliveNodes() []id.Node {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]id.Node, 0, len(n.nodes))
-	for nid, e := range n.nodes {
-		if e.alive {
+	t := n.table()
+	out := make([]id.Node, 0, len(t))
+	for nid, e := range t {
+		if e.alive.Load() {
 			out = append(out, nid)
 		}
 	}
@@ -285,11 +307,14 @@ func (n *Network) AliveNodes() []id.Node {
 }
 
 // Len returns the number of registered nodes.
-func (n *Network) Len() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return len(n.nodes)
-}
+func (n *Network) Len() int { return len(n.table()) }
 
-// Messages returns the total number of messages delivered.
-func (n *Network) Messages() int64 { return n.messages.Load() }
+// Messages returns the total number of messages delivered: the sum of
+// the per-type counts.
+func (n *Network) Messages() int64 {
+	var total int64
+	for _, c := range *n.byType.Load() {
+		total += c.Load()
+	}
+	return total
+}

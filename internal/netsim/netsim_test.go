@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"past/internal/id"
@@ -258,6 +260,96 @@ func TestReplyAs(t *testing.T) {
 		}
 		if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("got %T", bad)) || !strings.Contains(msg, "want *netsim.probe") {
 			t.Fatalf("error %q must name both types", msg)
+		}
+	}
+}
+
+// counter is a concurrency-safe endpoint that counts what it is sent.
+type counter struct{ n atomic.Int64 }
+
+func (c *counter) Deliver(from id.Node, msg any) (any, error) {
+	c.n.Add(1)
+	return msg, nil
+}
+
+// TestInvokeDuringChurn drives deliveries from several goroutines while
+// nodes are registered, failed, recovered and removed under them: run
+// with -race, it checks that lock-free delivery only ever reads a
+// published table. Every delivery that succeeds is counted, once, by
+// both the endpoint and the network.
+func TestInvokeDuringChurn(t *testing.T) {
+	n := New()
+	const stable, churned = 8, 8
+	ep := &counter{}
+	for i := 0; i < stable; i++ {
+		n.Register(id.NodeFromUint64(uint64(i)), topology.Point{X: float64(i)}, ep)
+	}
+	// The churner runs until every sender has made its deliveries.
+	stop, churnDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(churnDone)
+		for round := 0; ; round++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			nid := id.NodeFromUint64(uint64(stable + round%churned))
+			switch round % 4 {
+			case 0:
+				n.Register(nid, topology.Point{Y: float64(round)}, ep)
+			case 1:
+				n.Fail(nid)
+			case 2:
+				n.Recover(nid)
+			case 3:
+				n.Remove(nid)
+			}
+			n.AliveNodes()
+		}
+	}()
+	var delivered atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			msgs := []any{"s", &probe{}, probe{}}
+			for i := 0; i < 5000; i++ {
+				dst := id.NodeFromUint64(uint64((g + i) % (stable + churned)))
+				_, err := n.Invoke(context.Background(), id.NodeFromUint64(0), dst, msgs[i%len(msgs)])
+				switch {
+				case err == nil:
+					delivered.Add(1)
+				case !errors.Is(err, ErrUnknownNode) && !errors.Is(err, ErrNodeDown):
+					t.Errorf("invoke: %v", err)
+					return
+				}
+				n.Alive(dst)
+				n.Proximity(id.NodeFromUint64(0), dst)
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	<-churnDone
+
+	if delivered.Load() == 0 {
+		t.Fatal("no delivery succeeded")
+	}
+	if got := n.Messages(); got != delivered.Load() || ep.n.Load() != got {
+		t.Fatalf("Messages() = %d, endpoint saw %d, senders counted %d", got, ep.n.Load(), delivered.Load())
+	}
+	var byType int64
+	for _, c := range n.MessagesByType() {
+		byType += c
+	}
+	if byType != n.Messages() {
+		t.Fatalf("MessagesByType sums to %d, Messages() = %d", byType, n.Messages())
+	}
+	for i := 0; i < stable; i++ {
+		if !n.Alive(id.NodeFromUint64(uint64(i))) {
+			t.Fatalf("stable node %d lost", i)
 		}
 	}
 }

@@ -109,6 +109,9 @@ func (n *Node) DeliverTraced(tc obs.TraceContext, from id.Node, msg any) (any, e
 	return n.deliver(tc, from, msg)
 }
 
+// deliver dispatches one incoming message. Every emulated message passes
+// through here, so the switch holds no defer: a case that locks unlocks
+// explicitly before it replies.
 func (n *Node) deliver(tc obs.TraceContext, from id.Node, msg any) (any, error) {
 	n.stats.MsgsIn.Add(1)
 	switch m := msg.(type) {
@@ -118,12 +121,13 @@ func (n *Node) deliver(tc obs.TraceContext, from id.Node, msg any) (any, error) 
 		return n.handleDivertStore(m), nil
 	case *freeSpaceMsg:
 		n.mu.Lock()
-		defer n.mu.Unlock()
-		return &freeSpaceReply{Free: n.store.Free()}, nil
+		free := n.store.Free()
+		n.mu.Unlock()
+		return &freeSpaceReply{Free: free}, nil
 	case *installPointerMsg:
 		n.mu.Lock()
-		defer n.mu.Unlock()
 		n.store.SetPointer(store.Pointer{File: m.File, Target: m.Target, Size: m.Size, Role: m.Role})
+		n.mu.Unlock()
 		return &ackMsg{}, nil
 	case *discardMsg:
 		return n.handleDiscard(m)

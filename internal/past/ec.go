@@ -298,10 +298,12 @@ func (n *Node) ecDropFragAt(target id.Node, f id.File, idx int) {
 	_, _ = n.net.Invoke(context.Background(), n.ID(), target, &dropFragMsg{File: f, Index: idx})
 }
 
-// ecFetchFragAt fetches one fragment, verifying it against the map's
-// CRC (fragment content never changes across repairs, so the map CRC is
-// authoritative). Returns the shard and the bytes moved.
-func (n *Node) ecFetchFragAt(target id.Node, f id.File, idx int, wantCRC uint32) ([]byte, int64) {
+// ecFetchFragAt fetches fragment idx of the file fmap describes,
+// verifying it against the map's shard size and CRC (fragment content
+// never changes across repairs, so the map is authoritative). Returns the
+// shard and the bytes moved.
+func (n *Node) ecFetchFragAt(fmap *ec.Map, f id.File, idx int) ([]byte, int64) {
+	target := fmap.Holders[idx]
 	var fr *fetchFragReply
 	if target == n.ID() {
 		fr = n.handleFetchFrag(&fetchFragMsg{File: f, Index: idx})
@@ -312,7 +314,7 @@ func (n *Node) ecFetchFragAt(target id.Node, f id.File, idx int, wantCRC uint32)
 			return nil, 0
 		}
 	}
-	if !fr.Found || ec.Checksum(fr.Data) != wantCRC {
+	if !fr.Found || len(fr.Data) != fmap.ShardSize || ec.Checksum(fr.Data) != fmap.CRCs[idx] {
 		return nil, 0
 	}
 	return fr.Data, int64(len(fr.Data))
@@ -358,7 +360,7 @@ func (n *Node) ecReconstruct(e store.Entry) *LookupReply {
 			next++
 			inflight++
 			go func(idx int) {
-				data, _ := n.ecFetchFragAt(fmap.Holders[idx], e.File, idx, fmap.CRCs[idx])
+				data, _ := n.ecFetchFragAt(fmap, e.File, idx)
 				ch <- fres{idx, data}
 			}(idx)
 			return
@@ -395,9 +397,10 @@ func (n *Node) ecReconstruct(e store.Entry) *LookupReply {
 	if have < fmap.Data {
 		return nil
 	}
+	shardSize := survivorSize(shards)
 	for idx := 0; idx < fmap.Data; idx++ {
 		if shards[idx] == nil {
-			dst := make([]byte, fmap.ShardSize)
+			dst := make([]byte, shardSize)
 			if err := enc.ReconstructInto(shards, idx, dst); err != nil {
 				return nil
 			}
@@ -414,6 +417,19 @@ func (n *Node) ecReconstruct(e store.Entry) *LookupReply {
 	// The fragment fetches stand in for the paper's one-extra-RPC
 	// pointer chase; charge them the same way.
 	return &LookupReply{Found: true, Size: fmap.Size, Content: content, Cert: e.Cert, ExtraHops: 1}
+}
+
+// survivorSize is the length of the fetched shards. A rebuilt shard is
+// sized from them, never from the map alone: a map is only as honest as
+// the last peer that updated it, and its ShardSize is believed only once
+// a fetched fragment has matched it.
+func survivorSize(shards [][]byte) int {
+	for _, s := range shards {
+		if s != nil {
+			return len(s)
+		}
+	}
+	return 0
 }
 
 // ecLeader reports whether this node is the first member of the file's
@@ -501,7 +517,7 @@ func (n *Node) repairFragment(it ec.RepairItem) (int64, bool) {
 		if idx == it.Index {
 			continue
 		}
-		data, b := n.ecFetchFragAt(fmap.Holders[idx], it.File, idx, fmap.CRCs[idx])
+		data, b := n.ecFetchFragAt(fmap, it.File, idx)
 		moved += b
 		if data != nil {
 			shards[idx] = data
@@ -511,7 +527,7 @@ func (n *Node) repairFragment(it ec.RepairItem) (int64, bool) {
 	if have < fmap.Data {
 		return moved, false // object is below m survivors; nothing to rebuild from
 	}
-	dst := make([]byte, fmap.ShardSize)
+	dst := make([]byte, survivorSize(shards))
 	if err := enc.ReconstructInto(shards, it.Index, dst); err != nil {
 		return moved, false
 	}

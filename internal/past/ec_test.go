@@ -2,8 +2,10 @@ package past
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -199,6 +201,80 @@ func TestECRepairCorruptFragment(t *testing.T) {
 	lr, err := c.RandomAliveNode().Lookup(f)
 	if err != nil || !lr.Found || !bytes.Equal(lr.Content, content) {
 		t.Fatalf("lookup after corruption repair: %+v, %v", lr, err)
+	}
+}
+
+// TestECForgedShardSizeAllocatesNothing: map updates are unauthenticated,
+// so any peer can replace a fragment map with a newer version claiming a
+// gigabyte shard. With a data fragment missing, a lookup (and the repair
+// maintenance schedules) must then fail on the fetched fragments' size —
+// not allocate the claimed shard first and fail after.
+func TestECForgedShardSizeAllocatesNothing(t *testing.T) {
+	c := newECCluster(t, 12, ec.Params{Data: 4, Parity: 2}, 0, func(cfg *Config) { cfg.CachePolicy = cache.None })
+	rng := rand.New(rand.NewSource(10))
+	content := make([]byte, 8000)
+	rng.Read(content)
+	res, err := c.RandomAliveNode().Insert(InsertSpec{Name: "forge-me", Content: content})
+	if err != nil || !res.OK {
+		t.Fatalf("insert: %+v, %v", res, err)
+	}
+	f := res.FileID
+
+	heldMap := func(n *Node) (*ec.Map, bool) {
+		n.mu.Lock()
+		e, ok := n.store.Get(f)
+		n.mu.Unlock()
+		if !ok {
+			return nil, false
+		}
+		fmap, err := ec.DecodeMap(e.Content)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmap, true
+	}
+	forger := c.Nodes[0]
+	forged := 0
+	for _, n := range c.Nodes {
+		fmap, ok := heldMap(n)
+		if !ok {
+			continue
+		}
+		fmap.ShardSize = 1 << 30
+		fmap.Version++
+		if _, err := forger.net.Invoke(context.Background(), forger.ID(), n.ID(), &mapUpdateMsg{Raw: fmap.Encode()}); err != nil {
+			t.Fatal(err)
+		}
+		if fmap, _ := heldMap(n); fmap.ShardSize != 1<<30 {
+			t.Fatalf("forged map not installed at %s", n.ID().Short())
+		}
+		forged++
+	}
+	if forged == 0 {
+		t.Fatal("no map holder found")
+	}
+	dropped := false
+	for _, n := range c.Nodes {
+		if slices.Contains(n.FragIndices(f), 0) {
+			n.frags.Delete(f, 0)
+			dropped = true
+		}
+	}
+	if !dropped {
+		t.Fatal("data fragment 0 not found")
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	lr, err := c.RandomAliveNode().Lookup(f)
+	c.MaintainAll()
+	runtime.ReadMemStats(&after)
+	if err == nil && lr.Found {
+		t.Fatalf("lookup through a forged map succeeded: %+v", lr)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<20 {
+		t.Fatalf("lookup and repair through a forged map allocated %d MiB", grew>>20)
 	}
 }
 

@@ -336,15 +336,15 @@ func (n *Node) handleStoreReplica(m *storeReplicaMsg) *storeReplicaReply {
 	n.mu.Lock()
 	if n.leaving {
 		n.mu.Unlock()
-		return &storeReplicaReply{Status: storeFailed}
+		return storeStatusReply(storeFailed, nil)
 	}
 	if _, dup := n.store.Stat(m.File); dup {
 		n.mu.Unlock()
-		return &storeReplicaReply{Status: storeAlreadyHeld}
+		return storeStatusReply(storeAlreadyHeld, nil)
 	}
 	if _, dup := n.store.GetPointer(m.File); dup {
 		n.mu.Unlock()
-		return &storeReplicaReply{Status: storeAlreadyHeld}
+		return storeStatusReply(storeAlreadyHeld, nil)
 	}
 	if n.store.CanAccept(m.Size, n.cfg.TPri) {
 		err := n.addReplicaLocked(store.Entry{
@@ -353,9 +353,9 @@ func (n *Node) handleStoreReplica(m *storeReplicaMsg) *storeReplicaReply {
 		})
 		n.mu.Unlock()
 		if err != nil {
-			return &storeReplicaReply{Status: storeFailed}
+			return storeStatusReply(storeFailed, nil)
 		}
-		return &storeReplicaReply{Status: storeOK, Receipt: n.issueStoreReceipt(m.File)}
+		return storeStatusReply(storeOK, n.issueStoreReceipt(m.File))
 	}
 	n.mu.Unlock()
 	return n.divertReplica(m)
@@ -391,7 +391,7 @@ func (n *Node) divertReplica(m *storeReplicaMsg) *storeReplicaReply {
 		return netsim.ReplyAs[divertStoreReply](n.net.Invoke(context.Background(), n.ID(), b, dm))
 	})
 	if !ok {
-		return &storeReplicaReply{Status: storeFailed}
+		return storeStatusReply(storeFailed, nil)
 	}
 	n.mu.Lock()
 	n.store.SetPointer(store.Pointer{File: m.File, Target: target, Size: m.Size, Role: store.DivertedOut})
@@ -399,7 +399,7 @@ func (n *Node) divertReplica(m *storeReplicaMsg) *storeReplicaReply {
 	if !backup.IsZero() && backup != n.ID() && backup != target {
 		_, _ = n.net.Invoke(context.Background(), n.ID(), backup, &installPointerMsg{File: m.File, Target: target, Size: m.Size, Role: store.Backup})
 	}
-	return &storeReplicaReply{Status: storeOKDiverted, Receipt: n.issueStoreReceipt(m.File)}
+	return storeStatusReply(storeOKDiverted, n.issueStoreReceipt(m.File))
 }
 
 // divertCandidate is a polled diversion candidate and its free space.
@@ -440,19 +440,19 @@ func (n *Node) handleDivertStore(m *divertStoreMsg) *divertStoreReply {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.leaving {
-		return &divertStoreReply{Status: divertNoSpace}
+		return divertStatusReply(divertNoSpace, nil)
 	}
 	if _, dup := n.store.Stat(m.File); dup {
-		return &divertStoreReply{Status: divertAlreadyHolds}
+		return divertStatusReply(divertAlreadyHolds, nil)
 	}
 	if !n.store.CanAccept(m.Size, n.cfg.TDiv) {
-		return &divertStoreReply{Status: divertNoSpace}
+		return divertStatusReply(divertNoSpace, nil)
 	}
 	if err := n.addReplicaLocked(store.Entry{
 		File: m.File, Size: m.Size, Kind: store.DivertedIn,
 		Owner: m.Owner, Content: m.Content, Cert: m.Cert,
 	}); err != nil {
-		return &divertStoreReply{Status: divertNoSpace}
+		return divertStatusReply(divertNoSpace, nil)
 	}
-	return &divertStoreReply{Status: divertOK, Receipt: n.issueStoreReceipt(m.File)}
+	return divertStatusReply(divertOK, n.issueStoreReceipt(m.File))
 }

@@ -88,6 +88,29 @@ type storeReplicaReply struct {
 	Receipt *cert.StoreReceipt
 }
 
+// Replies are immutable once returned (DESIGN.md §15), so a reply that
+// carries only a status is one shared value per status rather than an
+// allocation per message.
+var (
+	storeStatusReplies = [...]storeReplicaReply{
+		storeOK: {Status: storeOK}, storeOKDiverted: {Status: storeOKDiverted},
+		storeAlreadyHeld: {Status: storeAlreadyHeld}, storeFailed: {Status: storeFailed},
+	}
+	divertStatusReplies = [...]divertStoreReply{
+		divertOK: {Status: divertOK}, divertAlreadyHolds: {Status: divertAlreadyHolds},
+		divertNoSpace: {Status: divertNoSpace},
+	}
+)
+
+// storeStatusReply is the reply for status s: the shared value unless a
+// receipt comes with it.
+func storeStatusReply(s storeReplicaStatus, r *cert.StoreReceipt) *storeReplicaReply {
+	if r == nil {
+		return &storeStatusReplies[s]
+	}
+	return &storeReplicaReply{Status: s, Receipt: r}
+}
+
 // divertStoreMsg asks a non-replica-set node B to hold a diverted
 // replica on behalf of Owner.
 type divertStoreMsg struct {
@@ -109,6 +132,14 @@ const (
 type divertStoreReply struct {
 	Status  divertStoreStatus
 	Receipt *cert.StoreReceipt
+}
+
+// divertStatusReply is storeStatusReply's twin for divertStoreReply.
+func divertStatusReply(s divertStoreStatus, r *cert.StoreReceipt) *divertStoreReply {
+	if r == nil {
+		return &divertStatusReplies[s]
+	}
+	return &divertStoreReply{Status: s, Receipt: r}
 }
 
 // freeSpaceMsg queries a node's remaining free space (piggybacked on

@@ -168,6 +168,7 @@ type Monitor interface {
 // Node is a PAST storage node.
 type Node struct {
 	cfg     Config
+	self    id.Node // overlay.ID(), read on every outgoing message
 	overlay *pastry.Node
 	net     netsim.Net
 	stats   *obs.NodeStats
@@ -251,6 +252,7 @@ func NewWithStoreEngine(nid id.Node, net netsim.Net, cfg Config, backend store.B
 	}
 	n := &Node{
 		cfg:     cfg,
+		self:    nid,
 		stats:   &obs.NodeStats{},
 		store:   backend,
 		cache:   eng,
@@ -284,7 +286,7 @@ func NewWithStoreEngine(nid id.Node, net netsim.Net, cfg Config, backend store.B
 func (n *Node) Overlay() *pastry.Node { return n.overlay }
 
 // ID returns the node's identifier.
-func (n *Node) ID() id.Node { return n.overlay.ID() }
+func (n *Node) ID() id.Node { return n.self }
 
 // SetSmartcard installs the node's smartcard, used to issue store and
 // reclaim receipts when certificate verification is enabled.

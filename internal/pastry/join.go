@@ -68,9 +68,7 @@ func (n *Node) Join(bootstrap id.Node) error {
 		n.consider(c)
 	}
 
-	n.mu.Lock()
-	n.joined = true
-	n.mu.Unlock()
+	n.joined.Store(true)
 
 	n.announce()
 	n.notifyLeafChange()
@@ -112,7 +110,7 @@ func dedupSorted(ids []id.Node) []id.Node {
 func (n *Node) Depart() {
 	n.mu.Lock()
 	targets := dedupSorted(n.candidatesLocked())
-	n.joined = false
+	n.joined.Store(false)
 	n.mu.Unlock()
 	for _, t := range targets {
 		_, _ = n.net.Invoke(context.Background(), n.self, t, &Depart{Node: n.self})
@@ -143,9 +141,7 @@ func (n *Node) Rejoin(lastLeaf []id.Node) error {
 	if reached == 0 {
 		return fmt.Errorf("pastry: rejoin of %s: no node of the last leaf set is reachable", n.self.Short())
 	}
-	n.mu.Lock()
-	n.joined = true
-	n.mu.Unlock()
+	n.joined.Store(true)
 	n.announce()
 	n.notifyLeafChange()
 	return nil

@@ -125,7 +125,9 @@ type Node struct {
 	leafHi []id.Node   // clockwise (numerically larger), closest first
 	nbrs   []id.Node   // neighborhood set, proximally closest first
 	rng    *rand.Rand
-	joined bool
+	// joined is read on every message the node receives, so it takes
+	// no lock.
+	joined atomic.Bool
 
 	reroutes     atomic.Int64
 	leafRepairs  atomic.Int64
@@ -183,18 +185,10 @@ func (n *Node) Config() Config { return n.cfg }
 func (n *Node) SetApplication(app Application) { n.app = app }
 
 // Joined reports whether the node has completed Bootstrap or Join.
-func (n *Node) Joined() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.joined
-}
+func (n *Node) Joined() bool { return n.joined.Load() }
 
 // Bootstrap initializes the very first node of a network.
-func (n *Node) Bootstrap() {
-	n.mu.Lock()
-	n.joined = true
-	n.mu.Unlock()
-}
+func (n *Node) Bootstrap() { n.joined.Store(true) }
 
 // Reroutes returns how many next hops this node has presumed failed and
 // routed around since creation.
