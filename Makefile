@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-times loc test-race race bench experiments experiments-full examples soak-compare trace-demo fsck-demo overload-demo cache-demo cluster-demo fleet-obs-demo ec-demo cache-bench fuzz alloc-guard no-gob one-coder bench-smoke vet fmt clean
+.PHONY: all build test test-times loc test-race race bench experiments experiments-full soak-compare trace-demo fsck-demo overload-demo cache-demo cluster-demo fleet-obs-demo ec-demo cache-bench fuzz alloc-guard no-gob one-coder bench-smoke vet fmt clean
 
 all: build test
 
@@ -46,11 +46,12 @@ test-race:
 race:
 	$(GO) test -race ./internal/transport/ ./internal/netsim/ ./internal/pastry/ ./internal/past/
 
-# One benchmark per paper table/figure plus the ablations (tiny scale).
+# The ablations of DESIGN.md section 5 (leaf-set size, diverted-replica
+# target, cache policy) at tiny scale. About ten seconds.
 bench:
-	$(GO) test -bench=. -benchmem -run '^$$' .
+	$(GO) run ./cmd/past-bench -exp ablation -scale tiny
 
-# Regenerate every table and figure at the default 300-node scale.
+# Regenerate every table, figure and ablation at the default 300-node scale.
 experiments:
 	$(GO) run ./cmd/past-bench -exp all -scale bench | tee results_bench.txt
 
@@ -191,13 +192,6 @@ one-coder:
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 	bash bench/run.sh --smoke --seconds 1
-
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/archival
-	$(GO) run ./examples/cdn
-	$(GO) run ./examples/churn
-	$(GO) run ./examples/squidreplay
 
 vet:
 	$(GO) vet ./...

@@ -35,7 +35,7 @@ func startTestNode(t *testing.T) (*transport.TCP, *past.Node) {
 	cfg := past.DefaultConfig()
 	cfg.Pastry = pastry.Config{B: 4, L: 8}
 	cfg.K = 1
-	n := past.New(nid, tr, cfg, 1<<20, 1)
+	n := past.NewWithStore(nid, tr, cfg, store.New(1<<20), 1)
 	tr.Serve(n)
 	n.Overlay().Bootstrap()
 	t.Cleanup(func() { tr.Close() })

@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
 	"os"
@@ -42,12 +43,19 @@ func main() {
 		}
 		fmt.Printf("no log given; generated %d synthetic squid records\n", len(records))
 	}
-
-	w, err := trace.FromSquid(records, 8, 0)
-	if err != nil {
+	if err := replay(os.Stdout, records); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("workload: %d events, %d unique URLs, %d clients, %.1f MB content\n",
+}
+
+// replay turns the records into a workload and drives a 20-node cluster
+// with it, writing the workload's shape and the replay's results to out.
+func replay(out io.Writer, records []trace.SquidRecord) error {
+	w, err := trace.FromSquid(records, 8, 0)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "workload: %d events, %d unique URLs, %d clients, %.1f MB content\n",
 		len(w.Events), w.Files, w.Clients, float64(w.TotalBytes)/(1<<20))
 
 	cfg := past.DefaultConfig()
@@ -63,7 +71,7 @@ func main() {
 		ProximityClusters: w.Sites,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Map trace clients onto nodes round-robin by site.
@@ -82,7 +90,7 @@ func main() {
 				Name: trace.FileName(ev.File), Size: ev.Size, Salt: uint64(ev.File) + 1,
 			})
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			if res.OK {
 				fileIDs[ev.File] = res.FileID
@@ -96,7 +104,7 @@ func main() {
 			}
 			res, err := node.Lookup(fid)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			if res.Found {
 				lookups++
@@ -107,12 +115,13 @@ func main() {
 			}
 		}
 	}
-	fmt.Printf("replay done: utilization %.1f%%, %d failed inserts\n",
+	fmt.Fprintf(out, "replay done: utilization %.1f%%, %d failed inserts\n",
 		100*cluster.Utilization(), failed)
 	if lookups > 0 {
-		fmt.Printf("lookups: %d, cache hit rate %.1f%%, mean fetch distance %.2f hops\n",
+		fmt.Fprintf(out, "lookups: %d, cache hit rate %.1f%%, mean fetch distance %.2f hops\n",
 			lookups, 100*float64(hits)/float64(lookups), float64(hops)/float64(lookups))
 	}
+	return nil
 }
 
 // syntheticLog fabricates a squid-format access log with Zipf-popular
@@ -121,7 +130,7 @@ func syntheticLog() string {
 	r := stats.NewRand(7)
 	z := stats.NewZipf(2000, 0.8)
 	sizes := make([]int64, 2000)
-	// Modest sizes keep the toy 40-node network in the regime where
+	// Modest sizes keep the toy 20-node network in the regime where
 	// most files fit (the paper ran 2250 nodes at 1000x the capacity).
 	ln := stats.LogNormalFromMedianMean(300, 2400)
 	for i := range sizes {

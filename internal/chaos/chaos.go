@@ -14,11 +14,6 @@ import (
 	"past/internal/stats"
 )
 
-// maxEventLog bounds the retained event list; the running fingerprint
-// hash still covers every event, so determinism checks stay exact even
-// when the list truncates.
-const maxEventLog = 4096
-
 // Fault kinds, as they appear in counters, events, and metrics.
 const (
 	FaultDropRequest = "drop-request"
@@ -30,8 +25,8 @@ const (
 	FaultRecover     = "recover"
 )
 
-// Event is one injected fault, recorded for the event log and folded
-// into the run fingerprint.
+// Event is one injected fault, counted and folded into the run
+// fingerprint.
 type Event struct {
 	Tick     int
 	Kind     string
@@ -47,9 +42,9 @@ func (e Event) String() string {
 // Core holds the shared state of one fault-injection run: the schedule,
 // the seeded RNG every probabilistic decision draws from, the virtual
 // clock, the roster mapping schedule indices to nodeIds, and the fault
-// log. Nodes talk through per-node views created with Bind, so the
-// partition rules can be asymmetric and Alive can answer from the
-// caller's side of a partition.
+// counters and digest. Nodes talk through per-node views created with
+// Bind, so the partition rules can be asymmetric and Alive can answer
+// from the caller's side of a partition.
 //
 // Probabilistic decisions are serialized under one mutex; runs driven by
 // a single goroutine (like every experiment in this repository) are
@@ -58,7 +53,7 @@ type Core struct {
 	sched Schedule
 
 	// OnFault, if set, observes every injected fault by kind — the hook
-	// the metrics.Collector counters attach to. Called without locks.
+	// the soak's JSONL event log attaches to. Called without locks.
 	OnFault func(kind string)
 
 	mu       sync.Mutex
@@ -69,7 +64,6 @@ type Core struct {
 	active   bool
 	counters map[string]int64
 	delayMS  int64
-	events   []Event
 	nevents  int64
 	digest   hash.Hash
 }
@@ -171,14 +165,6 @@ func (c *Core) VirtualDelayMS() int64 {
 	return c.delayMS
 }
 
-// Events returns the retained fault log (the first maxEventLog events;
-// EventCount reports how many occurred in total).
-func (c *Core) Events() []Event {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]Event(nil), c.events...)
-}
-
 // EventCount returns the total number of faults injected.
 func (c *Core) EventCount() int64 {
 	c.mu.Lock()
@@ -201,16 +187,13 @@ func (c *Core) Fingerprint() string {
 	return hex.EncodeToString(sum.Sum(nil))
 }
 
-// recordLocked appends an event to the log and the running digest.
+// recordLocked counts an event and folds it into the running digest.
 // Caller holds c.mu.
 func (c *Core) recordLocked(e Event) {
 	c.counters[e.Kind]++
 	c.nevents++
 	c.digest.Write([]byte(e.String()))
 	c.digest.Write([]byte{'\n'})
-	if len(c.events) < maxEventLog {
-		c.events = append(c.events, e)
-	}
 }
 
 func (c *Core) notify(kind string) {

@@ -215,7 +215,9 @@ func TestFaultsCompose(t *testing.T) {
 
 func TestDeterministicFingerprint(t *testing.T) {
 	sched := Schedule{Seed: 42, Links: []LinkRule{{Drop: 0.3, Dup: 0.2, DelayMS: 5}}}
-	run := func() (string, []Event) {
+	// The fingerprint digests every event in order, so equal
+	// fingerprints and counts mean equal fault timelines.
+	run := func() (string, int64) {
 		r := newRig(t, 3, sched)
 		for i := 0; i < 300; i++ {
 			src, dst := i%3, (i+1)%3
@@ -224,20 +226,15 @@ func TestDeterministicFingerprint(t *testing.T) {
 		}
 		r.core.RecordChurn(FaultFail, r.nodes[1])
 		r.core.RecordChurn(FaultRecover, r.nodes[1])
-		return r.core.Fingerprint(), r.core.Events()
+		return r.core.Fingerprint(), r.core.EventCount()
 	}
-	fp1, ev1 := run()
-	fp2, ev2 := run()
+	fp1, n1 := run()
+	fp2, n2 := run()
 	if fp1 != fp2 {
 		t.Fatalf("same schedule+seed produced different fingerprints:\n%s\n%s", fp1, fp2)
 	}
-	if len(ev1) != len(ev2) {
-		t.Fatalf("event logs differ in length: %d vs %d", len(ev1), len(ev2))
-	}
-	for i := range ev1 {
-		if ev1[i] != ev2[i] {
-			t.Fatalf("event %d differs: %v vs %v", i, ev1[i], ev2[i])
-		}
+	if n1 != n2 || n1 < 2 {
+		t.Fatalf("event counts %d vs %d", n1, n2)
 	}
 	// A different seed must change the timeline.
 	sched2 := sched

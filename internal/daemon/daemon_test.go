@@ -13,6 +13,7 @@ import (
 	"past/internal/id"
 	"past/internal/obs"
 	"past/internal/past"
+	"past/internal/store"
 	"past/internal/topology"
 	"past/internal/transport"
 	"past/internal/wire"
@@ -87,7 +88,7 @@ func TestDebugMux(t *testing.T) {
 	cfg.K = 1
 	tracer := obs.NewTracer(1, 8)
 	cfg.Tracer = tracer
-	node := past.New(nid, tr, cfg, 1<<20, 1)
+	node := past.NewWithStore(nid, tr, cfg, store.New(1<<20), 1)
 	tr.Serve(node)
 
 	var ready atomic.Bool

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"past/internal/past"
+	"past/internal/store"
 	"past/internal/topology"
 	"past/internal/transport"
 	"past/internal/wire"
@@ -24,7 +25,7 @@ func newTestNode(t *testing.T, seed int64) (*past.Node, *transport.TCP) {
 	t.Cleanup(func() { tr.Close() })
 	cfg := past.DefaultConfig()
 	cfg.K = 1
-	node := past.New(nid, tr, cfg, 1<<20, seed)
+	node := past.NewWithStore(nid, tr, cfg, store.New(1<<20), seed)
 	tr.Serve(node)
 	return node, tr
 }
@@ -79,7 +80,7 @@ func TestJoinWithRetryBootstrapComesUpLate(t *testing.T) {
 		}
 		cfg := past.DefaultConfig()
 		cfg.K = 1
-		boot := past.New(nid, tr, cfg, 1<<20, 103)
+		boot := past.NewWithStore(nid, tr, cfg, store.New(1<<20), 103)
 		tr.Serve(boot)
 		boot.Overlay().Bootstrap()
 	}()

@@ -2,7 +2,8 @@
 // evaluation (section 5): the no-diversion baseline, Tables 1-4, Figures
 // 2-8, plus the Pastry routing-property measurements of section 2.1.
 // Each experiment has a Run function returning structured results and a
-// Render function producing the paper-style text table or series.
+// Render function producing the paper-style text table or series;
+// Registry lists them, with the ablations, in past-bench's order.
 package experiments
 
 import (
@@ -104,9 +105,8 @@ type Scale struct {
 	Clients, Sites int
 }
 
-// Predefined scales. Tiny keeps unit tests tolerable; Bench is the
-// default for `go test -bench` and the past-bench tool; Full is the
-// paper's.
+// Predefined scales. Tiny keeps unit tests tolerable; Bench is
+// past-bench's default; Full is the paper's.
 var (
 	ScaleTiny = Scale{Name: "tiny", Nodes: 60,
 		CacheNodes: 60, Clients: 96, Sites: 8}

@@ -6,9 +6,8 @@ import (
 )
 
 // These tests validate the qualitative shapes the paper reports, at a
-// scale small enough for CI. The bench harness (bench_test.go at the
-// repository root and cmd/past-bench) runs the same experiments at
-// paper-like scale.
+// scale small enough for CI. cmd/past-bench runs the same experiments
+// at paper-like scale.
 
 func TestTable1Render(t *testing.T) {
 	rows := RunTable1(2250, 1)

@@ -56,10 +56,26 @@ var storageColumns = []struct {
 	{"Util%", func(r *StorageResult) float64 { return 100 * r.FinalUtil }},
 }
 
-// RenderStorageMulti aggregates repeated runs of the same configuration
-// list: runs[s][i] is configuration i at seed s. labels names the
-// configurations (one per i).
-func RenderStorageMulti(title string, labels []string, runs [][]*StorageResult) string {
+// sweep gives a storage experiment its multi-seed form: run once per
+// seed, then rendered by renderStorageMulti.
+func sweep(title string, run func(Scale, int64) ([]*StorageResult, error), label func(*StorageResult) string) func(Scale, []int64) (string, error) {
+	return func(sc Scale, seeds []int64) (string, error) {
+		var runs [][]*StorageResult
+		for _, s := range seeds {
+			rows, err := run(sc, s)
+			if err != nil {
+				return "", err
+			}
+			runs = append(runs, rows)
+		}
+		return renderStorageMulti(title, runs, label), nil
+	}
+}
+
+// renderStorageMulti aggregates repeated runs of the same configuration
+// list: runs[s][i] is configuration i at seed s, and label names
+// configuration i from its first run.
+func renderStorageMulti(title string, runs [][]*StorageResult, label func(*StorageResult) string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s  (%d seeds, mean±sd)\n", title, len(runs))
 	fmt.Fprintf(&b, "%-12s", "config")
@@ -67,8 +83,8 @@ func RenderStorageMulti(title string, labels []string, runs [][]*StorageResult) 
 		fmt.Fprintf(&b, " %14s", c.name)
 	}
 	fmt.Fprintln(&b)
-	for i, label := range labels {
-		fmt.Fprintf(&b, "%-12s", label)
+	for i, first := range runs[0] {
+		fmt.Fprintf(&b, "%-12s", label(first))
 		for _, c := range storageColumns {
 			var vals []float64
 			for s := range runs {
@@ -81,26 +97,4 @@ func RenderStorageMulti(title string, labels []string, runs [][]*StorageResult) 
 		fmt.Fprintln(&b)
 	}
 	return b.String()
-}
-
-// MultiSeed runs a storage-sweep experiment once per seed.
-func MultiSeed(seeds []int64, run func(seed int64) ([]*StorageResult, error)) ([][]*StorageResult, error) {
-	var out [][]*StorageResult
-	for _, s := range seeds {
-		rows, err := run(s)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rows)
-	}
-	return out, nil
-}
-
-// StorageLabels derives row labels from a single sweep's configurations.
-func StorageLabels(rows []*StorageResult, f func(*StorageResult) string) []string {
-	labels := make([]string, len(rows))
-	for i, r := range rows {
-		labels[i] = f(r)
-	}
-	return labels
 }

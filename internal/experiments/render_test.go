@@ -114,10 +114,9 @@ func TestRenderStorageMulti(t *testing.T) {
 		{fabricateResult(0.1, 0.05), fabricateResult(0.5, 0.05)},
 		{fabricateResult(0.1, 0.05), fabricateResult(0.5, 0.05)},
 	}
-	labels := StorageLabels(runs[0], func(r *StorageResult) string {
+	out := renderStorageMulti("test sweep", runs, func(r *StorageResult) string {
 		return "tpri=" + r.Config.Dist.Name
 	})
-	out := RenderStorageMulti("test sweep", labels, runs)
 	if !strings.Contains(out, "2 seeds") || !strings.Contains(out, "Util%") {
 		t.Fatalf("multi render:\n%s", out)
 	}

@@ -10,6 +10,7 @@ import (
 	"past/internal/id"
 	"past/internal/past"
 	"past/internal/pastry"
+	"past/internal/store"
 	"past/internal/topology"
 	"past/internal/transport"
 	"past/internal/wire"
@@ -34,7 +35,7 @@ func startTCPCluster(t *testing.T, n int, seed int64, cfg past.Config) []*transp
 		if err != nil {
 			t.Fatal(err)
 		}
-		node := past.New(nid, tr, cfg, 1<<26, rng.Int63())
+		node := past.NewWithStore(nid, tr, cfg, store.New(1<<26), rng.Int63())
 		tr.Serve(node)
 		if i == 0 {
 			node.Overlay().Bootstrap()

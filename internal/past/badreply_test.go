@@ -11,6 +11,7 @@ import (
 	"past/internal/id"
 	"past/internal/netsim"
 	"past/internal/pastry"
+	"past/internal/store"
 	"past/internal/topology"
 )
 
@@ -72,7 +73,7 @@ func TestBadReplyFailsCleanly(t *testing.T) {
 			joiner := id.NodeFromUint64(42)
 			net := &badReplyNet{Net: c.Net, armed: true, reply: reply,
 				bad: func(msg any) bool { _, ok := msg.(*pastry.StateRequest); return ok }}
-			n := New(joiner, net, smallCfg(), 1<<20, 42)
+			n := NewWithStore(joiner, net, smallCfg(), store.New(1<<20), 42)
 			c.Net.Register(joiner, topology.Point{}, n)
 			if err := n.Overlay().Join(c.Nodes[0].ID()); !errors.Is(err, netsim.ErrBadReply) {
 				t.Fatalf("join through a bootstrap sending %s: %v; want ErrBadReply", name, err)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"past/internal/id"
+	"past/internal/store"
 	"past/internal/topology"
 )
 
@@ -128,7 +129,7 @@ func TestJoinTriggersReplicaMigration(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		var nid id.Node
 		rng.Read(nid[:])
-		node := New(nid, c.Net, cfg, 1<<20, rng.Int63())
+		node := NewWithStore(nid, c.Net, cfg, store.New(1<<20), rng.Int63())
 		pos := randomPos(rng)
 		c.Net.Register(nid, pos, node)
 		if err := node.Overlay().Join(c.closestExisting(pos)); err != nil {

@@ -88,7 +88,7 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 		if spec.PerNode != nil {
 			ncfg = spec.PerNode(i, ncfg)
 		}
-		node := New(nid, nnet, ncfg, spec.Capacity(i, c.rng), c.rng.Int63())
+		node := NewWithStore(nid, nnet, ncfg, store.New(spec.Capacity(i, c.rng)), c.rng.Int63())
 		c.Net.Register(nid, positions[i], node)
 		if i == 0 {
 			node.Overlay().Bootstrap()

@@ -49,7 +49,7 @@ func buildLogstoreCluster(t *testing.T, n int, dirs []string, seed int64, wrap f
 			}
 			node = NewWithStore(nid, c.Net, cfg, b, rng.Int63())
 		} else {
-			node = New(nid, c.Net, cfg, 1<<20, rng.Int63())
+			node = NewWithStore(nid, c.Net, cfg, store.New(1<<20), rng.Int63())
 		}
 		c.Net.Register(nid, positions[i], node)
 		if i == 0 {

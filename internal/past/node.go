@@ -202,19 +202,13 @@ type Node struct {
 	belowK          int64 // replicas that could not be re-created anywhere
 }
 
-// New creates a PAST node with the given storage capacity in bytes,
-// backed by the in-memory store. The caller must register the node as
-// the netsim endpoint for nid and then call Bootstrap or Join on the
-// overlay (via the Overlay accessor).
-func New(nid id.Node, net netsim.Net, cfg Config, capacity int64, seed int64) *Node {
-	return NewWithStore(nid, net, cfg, store.New(capacity), seed)
-}
-
-// NewWithStore creates a PAST node over an explicit storage backend —
-// a logstore.Store for a persistent daemon, the in-memory store for
-// emulation. It panics if the cache engine cannot start, which is only
-// possible with a misconfigured flash tier — callers that enable flash
-// should use NewWithStoreEngine and handle the error.
+// NewWithStore creates a PAST node over a storage backend — a
+// logstore.Store for a persistent daemon, the in-memory store.New for
+// emulation. The caller must register the node as the network endpoint
+// for nid and then call Bootstrap or Join on the overlay (via the
+// Overlay accessor). It panics if the cache engine cannot start, which
+// is only possible with a misconfigured flash tier — callers that
+// enable flash should use NewWithStoreEngine and handle the error.
 func NewWithStore(nid id.Node, net netsim.Net, cfg Config, backend store.Backend, seed int64) *Node {
 	n, err := NewWithStoreEngine(nid, net, cfg, backend, seed)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"past/internal/id"
 	"past/internal/metrics"
 	"past/internal/obs"
+	"past/internal/store"
 	"past/internal/topology"
 	"past/internal/transport"
 	"past/internal/wire"
@@ -198,7 +199,7 @@ func TestRPCLatencyOverTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { tr.Close() })
-		n := New(nid, tr, smallCfg(), 1<<20, int64(seed))
+		n := NewWithStore(nid, tr, smallCfg(), store.New(1<<20), int64(seed))
 		tr.Serve(n)
 		return n, tr
 	}

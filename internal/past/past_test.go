@@ -11,6 +11,7 @@ import (
 	"past/internal/cert"
 	"past/internal/id"
 	"past/internal/pastry"
+	"past/internal/store"
 )
 
 // testCluster builds a small PAST network with uniform capacities.
@@ -385,7 +386,7 @@ func TestKExceedingLeafSetPanics(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Pastry = pastry.Config{B: 4, L: 4}
 	cfg.K = 5
-	New(id.NodeFromUint64(1), nil, cfg, 1000, 1)
+	NewWithStore(id.NodeFromUint64(1), nil, cfg, store.New(1000), 1)
 }
 
 // TestStatisticalFileBalance verifies the section 2 premise: uniformly

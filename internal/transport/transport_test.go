@@ -20,6 +20,7 @@ import (
 	"past/internal/netsim"
 	"past/internal/past"
 	"past/internal/pastry"
+	"past/internal/store"
 	"past/internal/topology"
 	"past/internal/wire"
 )
@@ -48,7 +49,7 @@ func startNode(t *testing.T, rng *rand.Rand, cfg past.Config, capacity int64) *t
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := past.New(nid, tr, cfg, capacity, rng.Int63())
+	n := past.NewWithStore(nid, tr, cfg, store.New(capacity), rng.Int63())
 	tr.Serve(n)
 	return &tcpNode{t: tr, node: n}
 }
