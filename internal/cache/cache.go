@@ -15,7 +15,6 @@
 package cache
 
 import (
-	"container/heap"
 	"fmt"
 
 	"past/internal/id"
@@ -69,24 +68,101 @@ func ParsePolicy(s string) (Policy, error) {
 type item struct {
 	file    id.File
 	size    int64
-	content []byte  // nil when the owner runs size-only accounting
-	pri     float64 // eviction priority: smallest evicted first
-	idx     int     // heap index
+	content []byte // nil when the owner runs size-only accounting
+	idx     int    // heap index
 }
 
-type itemHeap []*item
+// slot is one heap entry. The eviction priority sits in the slot, not
+// the item, so comparing two entries reads the heap's own array and
+// never dereferences an item.
+type slot struct {
+	pri float64 // smallest evicted first
+	it  *item
+}
 
-func (h itemHeap) Len() int           { return len(h) }
-func (h itemHeap) Less(i, j int) bool { return h[i].pri < h[j].pri }
-func (h itemHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].idx = i; h[j].idx = j }
-func (h *itemHeap) Push(x any)        { it := x.(*item); it.idx = len(*h); *h = append(*h, it) }
-func (h *itemHeap) Pop() any {
+// evictHeap is a binary min-heap of slots by priority. push, pop,
+// remove, fix, up and down are container/heap's, transcribed for the
+// concrete type: every comparison and swap happens in the same order,
+// so entries of equal priority leave in the same order too.
+type evictHeap []slot
+
+func (h evictHeap) less(i, j int) bool { return h[i].pri < h[j].pri }
+
+func (h evictHeap) swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].it.idx = i
+	h[j].it.idx = j
+}
+
+func (h *evictHeap) push(s slot) {
+	s.it.idx = len(*h)
+	*h = append(*h, s)
+	h.up(len(*h) - 1)
+}
+
+func (h *evictHeap) pop() slot {
+	n := len(*h) - 1
+	h.swap(0, n)
+	h.down(0, n)
+	return h.dropLast()
+}
+
+func (h *evictHeap) remove(i int) slot {
+	n := len(*h) - 1
+	if n != i {
+		h.swap(i, n)
+		if !h.down(i, n) {
+			h.up(i)
+		}
+	}
+	return h.dropLast()
+}
+
+// dropLast shrinks the heap by its last slot and returns it.
+func (h *evictHeap) dropLast() slot {
 	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return it
+	n := len(old) - 1
+	s := old[n]
+	old[n] = slot{} // let the item be collected
+	*h = old[:n]
+	return s
+}
+
+func (h evictHeap) fix(i int) {
+	if !h.down(i, len(h)) {
+		h.up(i)
+	}
+}
+
+func (h evictHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+func (h evictHeap) down(i0, n int) bool {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	return i > i0
 }
 
 // Cache is one node's file cache. Not safe for concurrent use; the
@@ -107,7 +183,7 @@ type Cache struct {
 	tick    float64
 	inflate float64 // GD-S aging value L
 	items   map[id.File]*item
-	h       itemHeap
+	h       evictHeap
 
 	hits, misses int64
 	evictions    int64
@@ -199,9 +275,10 @@ func (ca *Cache) Insert(f id.File, size int64, content []byte) bool {
 		return false
 	}
 	ca.evictTo(ca.limit - size)
-	it := &item{file: f, size: size, content: content, pri: ca.priority(size, false)}
+	pri := ca.priority(size, false)
+	it := &item{file: f, size: size, content: content}
 	ca.items[f] = it
-	heap.Push(&ca.h, it)
+	ca.h.push(slot{pri: pri, it: it})
 	ca.used += size
 	return true
 }
@@ -258,8 +335,8 @@ func (ca *Cache) touch(it *item) {
 	if p < 0 {
 		return // FIFO: no reorder on hit
 	}
-	it.pri = p
-	heap.Fix(&ca.h, it.idx)
+	ca.h[it.idx].pri = p
+	ca.h.fix(it.idx)
 }
 
 // Remove drops f from the cache if present.
@@ -268,7 +345,7 @@ func (ca *Cache) Remove(f id.File) bool {
 	if !ok {
 		return false
 	}
-	heap.Remove(&ca.h, it.idx)
+	ca.h.remove(it.idx)
 	delete(ca.items, f)
 	ca.used -= it.size
 	return true
@@ -280,7 +357,8 @@ func (ca *Cache) evictTo(target int64) {
 		target = 0
 	}
 	for ca.used > target && len(ca.h) > 0 {
-		it := heap.Pop(&ca.h).(*item)
+		s := ca.h.pop()
+		it := s.it
 		delete(ca.items, it.file)
 		ca.used -= it.size
 		ca.evictions++
@@ -288,7 +366,7 @@ func (ca *Cache) evictTo(target int64) {
 			// GreedyDual-Size aging: the evicted weight becomes the new
 			// inflation value, so long-resident files decay relative to
 			// fresh ones without a full-heap subtraction.
-			ca.inflate = it.pri
+			ca.inflate = s.pri
 		}
 		if ca.OnEvict != nil {
 			ca.OnEvict(it.file, it.size, it.content)

@@ -16,7 +16,8 @@ func checkHeapConsistency(t *testing.T, ca *Cache) {
 		t.Fatalf("heap has %d items, map has %d", len(ca.h), len(ca.items))
 	}
 	var used int64
-	for i, it := range ca.h {
+	for i, s := range ca.h {
+		it := s.it
 		if it.idx != i {
 			t.Fatalf("item %s records index %d but sits at %d", it.file.Short(), it.idx, i)
 		}
@@ -24,9 +25,9 @@ func checkHeapConsistency(t *testing.T, ca *Cache) {
 			t.Fatalf("heap item %s missing from (or stale in) the map", it.file.Short())
 		}
 		for _, child := range []int{2*i + 1, 2*i + 2} {
-			if child < len(ca.h) && ca.h[child].pri < it.pri {
+			if child < len(ca.h) && ca.h[child].pri < s.pri {
 				t.Fatalf("heap property violated: parent %d pri %g > child %d pri %g",
-					i, it.pri, child, ca.h[child].pri)
+					i, s.pri, child, ca.h[child].pri)
 			}
 		}
 		used += it.size
@@ -42,7 +43,7 @@ func checkHeapConsistency(t *testing.T, ca *Cache) {
 // TestGDSHeapConsistentUnderInsertPressure drives a near-full GD-S
 // cache with a hot Zipf stream — the regime admission control creates
 // at an access node, where nearly every insert forces one or more
-// evictions and hits keep re-floating hot entries via heap.Fix. The
+// evictions and hits keep re-floating hot entries via the heap's fix. The
 // heap, the map, and the byte accounting must stay mutually consistent
 // throughout, and the GD-S inflation value must never decrease.
 func TestGDSHeapConsistentUnderInsertPressure(t *testing.T) {
@@ -70,7 +71,7 @@ func TestGDSHeapConsistentUnderInsertPressure(t *testing.T) {
 	for op := 0; op < ops; op++ {
 		i := z.Rank(r)
 		switch op % 3 {
-		case 0: // hot lookup: heap.Fix path
+		case 0: // hot lookup: heap fix path
 			hit(ca, fid(uint64(i)))
 		case 1: // hot insert: eviction + push path
 			ca.Insert(fid(uint64(i)), sizeOf(i), nil)
@@ -128,7 +129,7 @@ func BenchmarkEvict(b *testing.B) {
 	}
 }
 
-// BenchmarkHit measures the hot-hit path (map lookup + heap.Fix for
+// BenchmarkHit measures the hot-hit path (map lookup + heap fix for
 // GD-S and LRU; FIFO skips the reorder).
 func BenchmarkHit(b *testing.B) {
 	for _, pol := range []Policy{GDS, LRU, FIFO} {

@@ -114,7 +114,7 @@ func ceilPow2(n int) int {
 type Engine struct {
 	cfg   Config
 	mask  uint32
-	shard []*shard
+	shard []shard
 	neg   *negCache
 	flash *flashTier
 
@@ -148,18 +148,20 @@ func New(cfg Config) (*Engine, error) {
 		}
 		e.flash = ft
 	}
-	e.shard = make([]*shard, cfg.Shards)
+	// Shards are held by value: a call reaches its policy's map through
+	// one slice index.
+	e.shard = make([]shard, cfg.Shards)
 	for i := range e.shard {
+		s := &e.shard[i]
 		// The insertion fraction is the paper's c = 1, applied by each
 		// shard to its own capacity.
-		s := &shard{c: cache.New(cfg.Policy, 1)}
+		s.c = *cache.New(cfg.Policy, 1)
 		if cfg.Doorkeeper {
 			s.dk = newDoorkeeper(cfg.DoorkeeperBits)
 		}
 		if e.flash != nil {
 			s.c.OnEvict = e.flash.spill
 		}
-		e.shard[i] = s
 	}
 	return e, nil
 }
@@ -170,7 +172,7 @@ func (e *Engine) Config() Config { return e.cfg }
 // shardOf selects the shard by fileId bits. FileIds are hashes, so the
 // low word is uniform.
 func (e *Engine) shardOf(f id.File) *shard {
-	return e.shard[binary.LittleEndian.Uint32(f[0:4])&e.mask]
+	return &e.shard[binary.LittleEndian.Uint32(f[0:4])&e.mask]
 }
 
 // Get looks up f, falling through RAM → flash → miss. A flash hit
@@ -244,12 +246,12 @@ func (e *Engine) SetLimit(n int64) {
 	}
 	nsh := int64(len(e.shard))
 	base, rem := n/nsh, n%nsh
-	for i, sh := range e.shard {
+	for i := range e.shard {
 		share := base
 		if int64(i) < rem {
 			share++
 		}
-		sh.setLimit(share)
+		e.shard[i].setLimit(share)
 	}
 }
 
@@ -261,8 +263,8 @@ func (e *Engine) Limit() int64 { return e.limit.Load() }
 // Used returns bytes resident in the RAM tier.
 func (e *Engine) Used() int64 {
 	var n int64
-	for _, sh := range e.shard {
-		n += sh.used()
+	for i := range e.shard {
+		n += e.shard[i].used()
 	}
 	return n
 }
@@ -270,8 +272,8 @@ func (e *Engine) Used() int64 {
 // Len returns the number of RAM-resident files.
 func (e *Engine) Len() int {
 	var n int
-	for _, sh := range e.shard {
-		n += sh.len()
+	for i := range e.shard {
+		n += e.shard[i].len()
 	}
 	return n
 }
@@ -342,8 +344,8 @@ func (e *Engine) Stats() Stats {
 		AdmitRejects: e.admitRejects.Load(),
 		NegHits:      e.negHits.Load(),
 	}
-	for _, sh := range e.shard {
-		st.Evictions += sh.evictions()
+	for i := range e.shard {
+		st.Evictions += e.shard[i].evictions()
 	}
 	if e.flash != nil {
 		st.FlashSpills = e.flash.spills.Load()

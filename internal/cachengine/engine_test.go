@@ -292,8 +292,8 @@ func TestRAMBytesClampsGrant(t *testing.T) {
 		t.Fatalf("Limit() reports the owner grant, got %d", e.Limit())
 	}
 	var share int64
-	for _, sh := range e.shard {
-		share += sh.c.Limit()
+	for i := range e.shard {
+		share += e.shard[i].c.Limit()
 	}
 	if share != 1000 {
 		t.Fatalf("shard limits sum to %d, want RAMBytes clamp 1000", share)
@@ -302,8 +302,8 @@ func TestRAMBytesClampsGrant(t *testing.T) {
 	e2 := mustNew(t, Config{Policy: cache.GDS, Shards: 4})
 	e2.SetLimit(10)
 	var total int64
-	for _, sh := range e2.shard {
-		l := sh.c.Limit()
+	for i := range e2.shard {
+		l := e2.shard[i].c.Limit()
 		if l != 2 && l != 3 {
 			t.Fatalf("uneven share %d", l)
 		}
@@ -329,9 +329,9 @@ func TestCachelessEngineSkipsShards(t *testing.T) {
 	if e.Limit() != 0 {
 		t.Fatalf("Limit() = %d; a cacheless engine takes no grant", e.Limit())
 	}
-	for i, sh := range e.shard {
-		if sh.c.Limit() != 0 {
-			t.Fatalf("shard %d limit %d; SetLimit did shard work", i, sh.c.Limit())
+	for i := range e.shard {
+		if l := e.shard[i].c.Limit(); l != 0 {
+			t.Fatalf("shard %d limit %d; SetLimit did shard work", i, l)
 		}
 	}
 	if st := e.Stats(); st.Misses != 1 || st.Hits() != 0 {

@@ -14,7 +14,7 @@ import (
 // per-shard doorkeeper state see every operation on their keys.
 type shard struct {
 	mu sync.Mutex
-	c  *cache.Cache
+	c  cache.Cache
 	dk *doorkeeper // nil when admission filtering is off
 }
 

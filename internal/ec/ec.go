@@ -27,6 +27,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"past/internal/id"
 )
@@ -146,8 +147,9 @@ func IsMap(raw []byte) bool {
 var MaxMapSize = int64(mapFixedSize + 255*mapHolderSize)
 
 // DecodeMap parses an encoded fragment map. Every count is checked
-// against the input's length before anything is allocated, and bytes
-// after the last holder are an error.
+// against the input's length before anything is allocated, bytes after
+// the last holder are an error, and the shard size must be the one
+// rs.Split cuts the object into: ceil(Size/Data).
 func DecodeMap(raw []byte) (*Map, error) {
 	if !IsMap(raw) {
 		return nil, fmt.Errorf("ec: not a fragment map")
@@ -170,6 +172,9 @@ func DecodeMap(raw []byte) (*Map, error) {
 	}
 	if holders != m.Params().Total() || m.ShardSize <= 0 || m.Size <= 0 {
 		return nil, fmt.Errorf("ec: malformed map")
+	}
+	if want := (m.Size-1)/int64(m.Data) + 1; int64(m.ShardSize) != want {
+		return nil, fmt.Errorf("ec: map of %d bytes in %d shards claims %d-byte shards, not %d", m.Size, m.Data, m.ShardSize, want)
 	}
 	if len(b) != holders*mapHolderSize {
 		return nil, fmt.Errorf("ec: map is %d bytes, rs(%d,%d) needs %d", len(raw), m.Data, m.Parity, mapFixedSize+holders*mapHolderSize)
@@ -198,7 +203,7 @@ type FragStore struct {
 	mu          sync.Mutex
 	files       map[id.File][]Fragment
 	count       int
-	bytes       int64
+	bytes       atomic.Int64 // written under mu, read without it
 	reads       int64
 	crcFailures int64
 }
@@ -218,7 +223,7 @@ func (s *FragStore) find(file id.File, idx int) ([]Fragment, int, bool) {
 
 // removeAt drops fs[i], one of file's fragments. Caller holds mu.
 func (s *FragStore) removeAt(file id.File, fs []Fragment, i int) {
-	s.bytes -= int64(len(fs[i].Data))
+	s.bytes.Add(-int64(len(fs[i].Data)))
 	s.count--
 	if fs = slices.Delete(fs, i, i+1); len(fs) == 0 {
 		delete(s.files, file)
@@ -237,13 +242,13 @@ func (s *FragStore) Put(f Fragment) {
 	defer s.mu.Unlock()
 	fs, i, ok := s.find(f.File, f.Index)
 	if ok {
-		s.bytes -= int64(len(fs[i].Data))
+		s.bytes.Add(-int64(len(fs[i].Data)))
 		fs[i] = f
 	} else {
 		s.files[f.File] = slices.Insert(fs, i, f)
 		s.count++
 	}
-	s.bytes += int64(len(f.Data))
+	s.bytes.Add(int64(len(f.Data)))
 }
 
 // verify reports whether fs[i], one of file's fragments, passes its CRC;
@@ -337,12 +342,9 @@ func (s *FragStore) Len() int {
 	return s.count
 }
 
-// Bytes returns the fragment payload bytes held.
-func (s *FragStore) Bytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytes
-}
+// Bytes returns the fragment payload bytes held. It takes no lock, so
+// a node may read it on every replica add.
+func (s *FragStore) Bytes() int64 { return s.bytes.Load() }
 
 // Reads returns the number of CRC-verified fragment reads served.
 func (s *FragStore) Reads() int64 {

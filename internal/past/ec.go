@@ -118,7 +118,7 @@ func ecEncoder(p ec.Params) (*rs.Encoder, error) {
 // the node's free space is the store's minus bytes already pledged to
 // fragments. Caller holds n.mu.
 func (n *Node) fragAcceptLocked(size int64) bool {
-	free := n.store.Free() - n.frags.Bytes()
+	free := n.cacheSpaceLocked()
 	if size == 0 {
 		return free >= 0
 	}
@@ -126,12 +126,6 @@ func (n *Node) fragAcceptLocked(size int64) bool {
 		return false
 	}
 	return float64(size)/float64(free) <= n.cfg.TDiv
-}
-
-// syncFragSpaceLocked re-points the cache limit at the space left after
-// replicas and fragments. Caller holds n.mu.
-func (n *Node) syncFragSpaceLocked() {
-	n.cache.SetLimit(n.store.Free() - n.frags.Bytes())
 }
 
 // handleStoreFrag stores one fragment at this node. The fragment table
@@ -147,7 +141,7 @@ func (n *Node) handleStoreFrag(m *storeFragMsg) *storeFragReply {
 		return &storeFragReply{} // corrupted in transit; decline
 	}
 	n.frags.Put(ec.Fragment{File: m.File, Index: m.Index, Version: m.Version, Data: m.Data, CRC: m.CRC})
-	n.syncFragSpaceLocked()
+	n.cache.SetLimit(n.cacheSpaceLocked())
 	return &storeFragReply{OK: true}
 }
 
@@ -171,7 +165,7 @@ func (n *Node) handleDropFrag(m *dropFragMsg) any {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.frags.Delete(m.File, m.Index)
-	n.syncFragSpaceLocked()
+	n.cache.SetLimit(n.cacheSpaceLocked())
 	return &ackMsg{}
 }
 

@@ -14,6 +14,7 @@ import (
 	"past/internal/ec"
 	"past/internal/id"
 	"past/internal/obs"
+	"past/internal/store"
 )
 
 func newECCluster(t *testing.T, n int, p ec.Params, budget int64, mods ...func(*Config)) *Cluster {
@@ -208,6 +209,75 @@ func TestECRepairCorruptFragment(t *testing.T) {
 // so any peer can replace a fragment map with a newer version claiming a
 // gigabyte shard. With a data fragment missing, a lookup (and the repair
 // maintenance schedules) must then fail on the fetched fragments' size —
+// TestECCacheGrantExcludesFragments: the cache lives in the space that
+// neither replicas nor fragments occupy, so every site that re-grants
+// it — a replica stored, refused or dropped as much as a fragment
+// stored or dropped — leaves the fragment bytes out.
+func TestECCacheGrantExcludesFragments(t *testing.T) {
+	c := newECCluster(t, 10, ec.Params{Data: 3, Parity: 2}, 0)
+	rng := rand.New(rand.NewSource(35))
+	for i := 0; i < 20; i++ {
+		content := make([]byte, 2000+rng.Intn(6000))
+		rng.Read(content)
+		if res, err := c.RandomAliveNode().Insert(InsertSpec{Name: fmt.Sprintf("grant-%d", i), Content: content}); err != nil || !res.OK {
+			t.Fatalf("insert %d: %+v, %v", i, res, err)
+		}
+	}
+	// grant reports the cache's limit and the space it should be.
+	grant := func(n *Node) (got, want int64) {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return n.cache.Limit(), n.store.Free() - n.FragBytes()
+	}
+	var pinned *Node
+	for _, n := range c.Nodes {
+		if got, want := grant(n); got != want {
+			t.Errorf("node %s: cache granted %d bytes, want store free %d less fragments %d",
+				n.ID().Short(), got, want+n.FragBytes(), n.FragBytes())
+		}
+		if pinned == nil && n.FragBytes() > 0 {
+			pinned = n
+		}
+	}
+	if pinned == nil {
+		t.Fatal("no node holds a fragment")
+	}
+
+	// Fill the pinned node's GD-S cache to the brim, then store, refuse
+	// and drop a replica under it.
+	ca := pinned.Cache()
+	for i := uint64(0); ca.Used() <= ca.Limit()-(64<<10); i++ {
+		ca.Insert(id.NewFile("cached", nil, i), 64<<10, nil)
+	}
+	replica := store.Entry{File: id.NewFile("replica", nil, 1), Size: 100 << 10, Kind: store.Primary}
+	pinned.mu.Lock()
+	err := pinned.addReplicaLocked(replica)
+	pinned.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := grant(pinned); got != want || ca.Used() > got {
+		t.Fatalf("after a replica add: limit %d, used %d; want limit %d", got, ca.Used(), want)
+	}
+	before, _ := grant(pinned)
+	huge := store.Entry{File: id.NewFile("replica", nil, 2), Size: pinned.Capacity(), Kind: store.Primary}
+	pinned.mu.Lock()
+	err = pinned.addReplicaLocked(huge)
+	pinned.mu.Unlock()
+	if err == nil {
+		t.Fatal("the store accepted a replica the size of its capacity")
+	}
+	if got, _ := grant(pinned); got != before {
+		t.Fatalf("a refused replica left the cache granted %d bytes, want the %d before it", got, before)
+	}
+	pinned.mu.Lock()
+	_, ok := pinned.removeReplicaLocked(replica.File)
+	pinned.mu.Unlock()
+	if got, want := grant(pinned); !ok || got != want {
+		t.Fatalf("after a replica drop: limit %d, want %d (dropped %v)", got, want, ok)
+	}
+}
+
 // not allocate the claimed shard first and fail after.
 func TestECForgedShardSizeAllocatesNothing(t *testing.T) {
 	c := newECCluster(t, 12, ec.Params{Data: 4, Parity: 2}, 0, func(cfg *Config) { cfg.CachePolicy = cache.None })
@@ -240,7 +310,10 @@ func TestECForgedShardSizeAllocatesNothing(t *testing.T) {
 		if !ok {
 			continue
 		}
+		// DecodeMap holds ShardSize to ceil(Size/Data), so the forger
+		// claims an object to match.
 		fmap.ShardSize = 1 << 30
+		fmap.Size = int64(fmap.ShardSize) * int64(fmap.Data)
 		fmap.Version++
 		if _, err := forger.net.Invoke(context.Background(), forger.ID(), n.ID(), &mapUpdateMsg{Raw: fmap.Encode()}); err != nil {
 			t.Fatal(err)

@@ -268,7 +268,7 @@ func NewWithStoreEngine(nid id.Node, net netsim.Net, cfg Config, backend store.B
 	// peers.
 	n.loadHints = make(map[id.Node]uint8)
 	n.overlay.OnLoadHint = n.noteLoadHint
-	n.cache.SetLimit(n.store.Free())
+	n.cache.SetLimit(n.cacheSpaceLocked())
 	if cfg.K > n.overlay.Config().L/2+1 {
 		panic(fmt.Sprintf("past: k=%d exceeds l/2+1=%d", cfg.K, n.overlay.Config().L/2+1))
 	}
@@ -331,21 +331,26 @@ func (n *Node) BelowKEvents() int64 {
 	return n.belowK
 }
 
+// cacheSpaceLocked is the cache's grant: the space neither replicas
+// nor fragments occupy. Caller holds n.mu.
+func (n *Node) cacheSpaceLocked() int64 { return n.store.Free() - n.frags.Bytes() }
+
 // addReplicaLocked stores a replica and gives the cache whatever space
 // remains. Caller holds n.mu.
 func (n *Node) addReplicaLocked(e store.Entry) error {
 	// Replicas displace cached copies: shrink the cache first so the
-	// store sees the space as free.
-	n.cache.SetLimit(n.store.Free() - e.Size)
+	// store sees the space as free. The store charges exactly e.Size,
+	// so once the add succeeds this is already the grant.
+	grant := n.cacheSpaceLocked()
+	n.cache.SetLimit(grant - e.Size)
 	if err := n.store.Add(e); err != nil {
-		n.cache.SetLimit(n.store.Free())
+		n.cache.SetLimit(grant)
 		return err
 	}
 	// The replica must not also linger as a cached copy — and a stored
 	// replica is existence evidence, clearing any negative-cache entry.
 	n.cache.Remove(e.File)
 	n.cache.Invalidate(e.File)
-	n.cache.SetLimit(n.store.Free())
 	n.stats.ReplicasStored.Add(1)
 	if e.Kind == store.DivertedIn {
 		n.stats.DivertedIn.Add(1)
@@ -363,7 +368,7 @@ func (n *Node) removeReplicaLocked(f id.File) (store.Entry, bool) {
 	if !ok {
 		return store.Entry{}, false
 	}
-	n.cache.SetLimit(n.store.Free())
+	n.cache.SetLimit(n.cacheSpaceLocked())
 	n.stats.ReplicasDropped.Add(1)
 	if n.cfg.Monitor != nil {
 		n.cfg.Monitor.ReplicaDiscarded(e.File, e.Size, e.Kind == store.DivertedIn)
