@@ -103,9 +103,8 @@ func renderTop(s, prev *fleetobs.Sample, elapsed time.Duration) string {
 		merged.Get(obs.CtrReroutes), merged.Get(obs.CtrOverloadHops), merged.Get(obs.CtrRPCErrors))
 	hits := merged.Get(obs.CtrCacheRAMHits)
 	fhits := merged.Get(obs.CtrCacheFlashHits)
-	neg := merged.Get(obs.CtrCacheNegHits)
-	fmt.Fprintf(&b, "cache: ram-hits %d  flash-hits %d  negative-hits %d  misses %d  store %dB in %d replicas\n",
-		hits, fhits, neg, merged.Get(obs.CtrCacheMisses),
+	fmt.Fprintf(&b, "cache: ram-hits %d  flash-hits %d  misses %d  store %dB in %d replicas\n",
+		hits, fhits, merged.Get(obs.CtrCacheMisses),
 		merged.Get(obs.CtrStoreBytes), merged.Get(obs.CtrStoreReplicas))
 	if n := merged.TotalRPCs(); n > 0 {
 		fmt.Fprintf(&b, "rpc:   %d calls  p50=%v p99=%v (cumulative)\n",

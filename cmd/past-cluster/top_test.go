@@ -50,7 +50,7 @@ func TestRenderTopFrame(t *testing.T) {
 		// Counters come from the restart-proof totals, gauges from the
 		// current snapshots: the Fleet lookup count of 99 is ignored.
 		"fleet: lookups 30 (10.0/s)  inserts 4 (1.0/s)  reroutes 2  sheds 0  rpc-errors 0",
-		"cache: ram-hits 0  flash-hits 0  negative-hits 0  misses 0  store 900B in 0 replicas",
+		"cache: ram-hits 0  flash-hits 0  misses 0  store 900B in 0 replicas",
 		"node     id            lookups   inserts     store    win-p99     flags",
 	} {
 		if lines[i] != want {

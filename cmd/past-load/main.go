@@ -68,7 +68,6 @@ func main() {
 		cacheRAM   = flag.Int64("cache-ram", 32<<10, "cache sweep: per-node RAM-tier cap in bytes (sized below the working set so the flash tier matters)")
 		cacheFlash = flag.Int64("cache-flash", 1<<20, "cache sweep: per-node flash-tier capacity in bytes")
 		cacheShard = flag.Int("cache-shards", 4, "cache sweep: engine RAM-tier shard count")
-		cacheDoor  = flag.Bool("cache-doorkeeper", false, "cache sweep: enable the admission doorkeeper in the engine runs")
 	)
 	flag.Parse()
 
@@ -109,7 +108,6 @@ func main() {
 			RAMBytes:   *cacheRAM,
 			FlashBytes: *cacheFlash,
 			Shards:     *cacheShard,
-			Doorkeeper: *cacheDoor,
 			Seed:       *seed,
 		}, *cacheCheck)
 	case *sweep || *check:

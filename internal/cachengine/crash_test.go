@@ -22,7 +22,7 @@ func TestFlashCrashRecovery(t *testing.T) {
 	cfg := Config{
 		Policy: cache.GDS,
 		Shards: 2,
-		Flash:  &FlashConfig{Dir: dir, Capacity: 4 << 20, SegmentBytes: 8 << 10},
+		Flash:  &FlashConfig{Dir: dir, Capacity: 64 << 10},
 	}
 
 	e1, err := New(cfg)
@@ -119,7 +119,7 @@ func TestFlashCleanReopen(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
 		Policy: cache.GDS,
-		Flash:  &FlashConfig{Dir: dir, Capacity: 4 << 20, SegmentBytes: 8 << 10},
+		Flash:  &FlashConfig{Dir: dir, Capacity: 64 << 10},
 	}
 	e1, err := New(cfg)
 	if err != nil {

@@ -13,20 +13,14 @@
 //     mutex), so concurrent operations on different fileIds never
 //     contend. Per-shard GD-S keeps its own inflation clock, exactly as
 //     each CacheLib pool ages independently.
-//   - Admission: a doorkeeper frequency filter per shard — a fileId
-//     must be seen twice within a reset window before it may enter, so
-//     one-hit-wonders never churn the cache — composed with the
-//     paper's size-fraction insertion rule (applied per shard by the
-//     underlying policy structure).
-//   - Negative cache: a bounded map of fileIds that recently missed,
-//     letting the owning node short-circuit repeated lookups for
-//     absent files without routing. Any insert evidence invalidates.
+//   - Admission: the paper's size-fraction insertion rule, applied
+//     per shard by the underlying policy structure.
 //   - Flash tier: objects evicted from RAM but still warm spill into
 //     dedicated logstore flash segments with an in-RAM index, so the
 //     cached working set can exceed memory. Get falls through
 //     RAM → flash → miss; flash hits promote back to RAM.
 //
-// With Shards=1 and every extra disabled (the zero-value Config plus a
+// With Shards=1 and no flash tier (the zero-value Config plus a
 // policy), the engine is operation-for-operation identical to the
 // wrapped cache.Cache — which is how the emulated experiments keep
 // their fingerprints while the daemon runs the full engine.
@@ -49,14 +43,20 @@ type FlashConfig struct {
 	// Capacity bounds the bytes across flash segments; the oldest
 	// segment is dropped when exceeded. Default 64MB.
 	Capacity int64
-	// SegmentBytes is the per-segment rotation target. Default 4MB.
-	SegmentBytes int64
+}
+
+// segmentBytes is the flash segment rotation target: an eighth of the
+// capacity, clamped to [4 KiB, 4 MiB]. The active segment is never
+// dropped, so a segment much larger than the capacity would let the
+// tier hold far more than Capacity bytes.
+func (c FlashConfig) segmentBytes() int64 {
+	return min(max(c.Capacity/8, 4<<10), 4<<20)
 }
 
 // Config parameterizes an Engine. The zero value of every field picks
 // the legacy-compatible default: GD-S is selected by the owner via
-// Policy, one shard, no doorkeeper, no negative cache, no flash tier —
-// bit-for-bit the behavior of a bare cache.Cache.
+// Policy, one shard, no flash tier — bit-for-bit the behavior of a
+// bare cache.Cache.
 type Config struct {
 	// Policy is the per-shard replacement policy.
 	Policy cache.Policy
@@ -68,14 +68,6 @@ type Config struct {
 	// with a huge disk keep a bounded hot tier (and the experiments
 	// shape working-set-vs-RAM ratios).
 	RAMBytes int64
-	// Doorkeeper enables the admission frequency filter: a fileId is
-	// admitted only on its second appearance within a reset window.
-	Doorkeeper bool
-	// DoorkeeperBits is the per-shard filter size in bits, rounded up
-	// to a power of two. Default 32768.
-	DoorkeeperBits int
-	// NegativeEntries bounds the negative cache (0 disables it).
-	NegativeEntries int
 	// Flash, when non-nil, enables the flash tier.
 	Flash *FlashConfig
 }
@@ -85,16 +77,10 @@ func (c Config) withDefaults() Config {
 		c.Shards = 1
 	}
 	c.Shards = ceilPow2(c.Shards)
-	if c.DoorkeeperBits <= 0 {
-		c.DoorkeeperBits = 1 << 15
-	}
 	if c.Flash != nil {
 		f := *c.Flash
 		if f.Capacity <= 0 {
 			f.Capacity = 64 << 20
-		}
-		if f.SegmentBytes <= 0 {
-			f.SegmentBytes = 4 << 20
 		}
 		c.Flash = &f
 	}
@@ -115,17 +101,14 @@ type Engine struct {
 	cfg   Config
 	mask  uint32
 	shard []shard
-	neg   *negCache
 	flash *flashTier
 
 	// limit is the owner-granted capacity (before the RAMBytes clamp).
 	limit atomic.Int64
 
-	ramHits      atomic.Int64
-	flashHits    atomic.Int64
-	misses       atomic.Int64
-	admitRejects atomic.Int64
-	negHits      atomic.Int64
+	ramHits   atomic.Int64
+	flashHits atomic.Int64
+	misses    atomic.Int64
 }
 
 var _ obs.CounterSource = (*Engine)(nil)
@@ -135,9 +118,6 @@ var _ obs.CounterSource = (*Engine)(nil)
 func New(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	e := &Engine{cfg: cfg, mask: uint32(cfg.Shards - 1)}
-	if cfg.NegativeEntries > 0 {
-		e.neg = newNegCache(cfg.Shards, cfg.NegativeEntries)
-	}
 	if cfg.Flash != nil && cfg.Policy != cache.None {
 		if cfg.Flash.Dir == "" {
 			return nil, fmt.Errorf("cachengine: flash tier needs a directory")
@@ -156,9 +136,6 @@ func New(cfg Config) (*Engine, error) {
 		// The insertion fraction is the paper's c = 1, applied by each
 		// shard to its own capacity.
 		s.c = *cache.New(cfg.Policy, 1)
-		if cfg.Doorkeeper {
-			s.dk = newDoorkeeper(cfg.DoorkeeperBits)
-		}
 		if e.flash != nil {
 			s.c.OnEvict = e.flash.spill
 		}
@@ -191,10 +168,9 @@ func (e *Engine) Get(f id.File) (size int64, content []byte, ok bool) {
 	if e.flash != nil {
 		if content, ok := e.flash.get(f); ok {
 			e.flashHits.Add(1)
-			// Promotion bypasses the doorkeeper: a flash hit is proof of
-			// warmth. The insert may evict colder RAM residents, which
-			// spill right back to flash.
-			sh.insert(f, int64(len(content)), content, true)
+			// The promotion may evict colder RAM residents, which spill
+			// right back to flash.
+			sh.insert(f, int64(len(content)), content)
 			return int64(len(content)), content, true
 		}
 	}
@@ -202,20 +178,10 @@ func (e *Engine) Get(f id.File) (size int64, content []byte, ok bool) {
 	return 0, nil, false
 }
 
-// Insert offers a file to the cache. The doorkeeper (when enabled)
-// rejects fileIds on first sight; the per-shard insertion policy
-// applies after it. Any insert is existence evidence, so a matching
-// negative-cache entry is invalidated even when the object is not
-// admitted.
+// Insert offers a file to the cache; the per-shard insertion policy
+// decides whether it enters.
 func (e *Engine) Insert(f id.File, size int64, content []byte) bool {
-	if e.neg != nil {
-		e.neg.invalidate(f)
-	}
-	cached, rejected := e.shardOf(f).insert(f, size, content, false)
-	if rejected {
-		e.admitRejects.Add(1)
-	}
-	return cached
+	return e.shardOf(f).insert(f, size, content)
 }
 
 // Remove drops f from both tiers — the owner calls it when the file
@@ -278,32 +244,6 @@ func (e *Engine) Len() int {
 	return n
 }
 
-// NegativeHit reports whether f was recently noted absent; a hit is
-// counted. Always false without a negative cache.
-func (e *Engine) NegativeHit(f id.File) bool {
-	if e.neg == nil || !e.neg.hit(f) {
-		return false
-	}
-	e.negHits.Add(1)
-	return true
-}
-
-// NoteMiss records that a full lookup for f came back not-found.
-func (e *Engine) NoteMiss(f id.File) {
-	if e.neg != nil {
-		e.neg.add(f)
-	}
-}
-
-// Invalidate drops any negative-cache entry for f — called on every
-// sighting of the file (replica stored, insert routed through, cached
-// copy offered).
-func (e *Engine) Invalidate(f id.File) {
-	if e.neg != nil {
-		e.neg.invalidate(f)
-	}
-}
-
 // Close releases the flash tier's files. The RAM tier needs no
 // teardown.
 func (e *Engine) Close() error {
@@ -317,7 +257,6 @@ func (e *Engine) Close() error {
 type Stats struct {
 	RAMHits, FlashHits, Misses int64
 	Evictions                  int64
-	AdmitRejects, NegHits      int64
 
 	FlashSpills, FlashPromotes, FlashSegDrops int64
 	FlashBytes, FlashEntries                  int64
@@ -338,11 +277,9 @@ func (s Stats) HitRate() float64 {
 // Stats aggregates the engine's counters.
 func (e *Engine) Stats() Stats {
 	st := Stats{
-		RAMHits:      e.ramHits.Load(),
-		FlashHits:    e.flashHits.Load(),
-		Misses:       e.misses.Load(),
-		AdmitRejects: e.admitRejects.Load(),
-		NegHits:      e.negHits.Load(),
+		RAMHits:   e.ramHits.Load(),
+		FlashHits: e.flashHits.Load(),
+		Misses:    e.misses.Load(),
 	}
 	for i := range e.shard {
 		st.Evictions += e.shard[i].evictions()
@@ -363,14 +300,9 @@ func (e *Engine) Stats() Stats {
 func (e *Engine) ObsCounters() map[string]int64 {
 	st := e.Stats()
 	m := map[string]int64{
-		obs.CtrCacheRAMHits:      st.RAMHits,
-		obs.CtrCacheFlashHits:    st.FlashHits,
-		obs.CtrCacheAdmitRejects: st.AdmitRejects,
-		obs.CtrCacheNegHits:      st.NegHits,
-		obs.CtrCacheShards:       int64(len(e.shard)),
-	}
-	if e.neg != nil {
-		m[obs.CtrCacheNegEntries] = e.neg.entries()
+		obs.CtrCacheRAMHits:   st.RAMHits,
+		obs.CtrCacheFlashHits: st.FlashHits,
+		obs.CtrCacheShards:    int64(len(e.shard)),
 	}
 	if e.flash != nil {
 		m[obs.CtrCacheFlashSpills] = st.FlashSpills

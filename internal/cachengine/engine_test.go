@@ -36,7 +36,7 @@ func epayload(f id.File, size int) []byte {
 	return b
 }
 
-// TestLegacyEquivalence: with one shard and every extra disabled, the
+// TestLegacyEquivalence: with one shard and no flash tier, the
 // engine must be operation-for-operation identical to a bare
 // cache.Cache — that is what keeps the emulated experiments'
 // fingerprints stable.
@@ -85,97 +85,11 @@ func TestLegacyEquivalence(t *testing.T) {
 	}
 }
 
-func TestDoorkeeperAdmitsOnSecondOffer(t *testing.T) {
-	e := mustNew(t, Config{Policy: cache.GDS, Shards: 2, Doorkeeper: true})
-	e.SetLimit(1 << 20)
-
-	f := efid(1)
-	if e.Insert(f, 100, nil) {
-		t.Fatal("first offer should be rejected by the doorkeeper")
-	}
-	if contains(e, f) {
-		t.Fatal("rejected file must not be resident")
-	}
-	if !e.Insert(f, 100, nil) {
-		t.Fatal("second offer should be admitted")
-	}
-	if !contains(e, f) {
-		t.Fatal("admitted file must be resident")
-	}
-	// A resident file's refresh skips the doorkeeper.
-	if !e.Insert(f, 120, nil) {
-		t.Fatal("refresh of a resident file should succeed")
-	}
-	if st := e.Stats(); st.AdmitRejects != 1 {
-		t.Fatalf("AdmitRejects = %d, want 1", st.AdmitRejects)
-	}
-}
-
-func TestDoorkeeperResets(t *testing.T) {
-	d := newDoorkeeper(64) // reset after 8 first-sightings
-	f := efid(999)
-	if d.allow(f) {
-		t.Fatal("first sighting must be rejected")
-	}
-	// 8 distinct other files trigger the reset (some may collide in 64
-	// bits and be "allowed"; feed until adds wraps).
-	for n := uint64(0); d.adds != 0; n++ {
-		d.allow(efid(n))
-	}
-	if d.allow(f) {
-		t.Fatal("after a reset the file must be treated as unseen again")
-	}
-}
-
-func TestNegativeCache(t *testing.T) {
-	e := mustNew(t, Config{Policy: cache.GDS, Shards: 4, NegativeEntries: 8})
-	e.SetLimit(1 << 20)
-
-	f := efid(42)
-	if e.NegativeHit(f) {
-		t.Fatal("unnoted file must not hit")
-	}
-	e.NoteMiss(f)
-	if !e.NegativeHit(f) {
-		t.Fatal("noted miss must hit")
-	}
-	// Insert evidence invalidates.
-	e.Insert(f, 10, nil)
-	if e.NegativeHit(f) {
-		t.Fatal("insert must invalidate the negative entry")
-	}
-	e.NoteMiss(f)
-	e.Invalidate(f)
-	if e.NegativeHit(f) {
-		t.Fatal("Invalidate must drop the entry")
-	}
-
-	// The table is bounded: far more notes than capacity stay capped.
-	for n := uint64(0); n < 1000; n++ {
-		e.NoteMiss(efid(n))
-	}
-	if got := e.neg.entries(); got > 8 {
-		t.Fatalf("negative entries = %d, want <= 8", got)
-	}
-	if st := e.Stats(); st.NegHits != 1 {
-		t.Fatalf("NegHits = %d, want 1", st.NegHits)
-	}
-}
-
-func TestNegativeCacheDisabled(t *testing.T) {
-	e := mustNew(t, Config{Policy: cache.GDS})
-	e.NoteMiss(efid(1))
-	e.Invalidate(efid(1))
-	if e.NegativeHit(efid(1)) {
-		t.Fatal("disabled negative cache must never hit")
-	}
-}
-
 func TestFlashFallThroughAndPromotion(t *testing.T) {
 	e, err := New(Config{
 		Policy: cache.GDS,
 		Shards: 1,
-		Flash:  &FlashConfig{Dir: t.TempDir(), Capacity: 1 << 20, SegmentBytes: 16 << 10},
+		Flash:  &FlashConfig{Dir: t.TempDir(), Capacity: 128 << 10},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -233,34 +147,39 @@ func TestFlashFallThroughAndPromotion(t *testing.T) {
 	}
 }
 
+// TestFlashCapacityDropsOldestSegment: the tier derives its segment
+// size from its capacity, so however many objects spill through it,
+// dropping oldest segments keeps its bytes within Capacity plus an
+// eighth. 8 KiB is below the segment-size floor (4 KiB segments).
 func TestFlashCapacityDropsOldestSegment(t *testing.T) {
-	e, err := New(Config{
-		Policy: cache.GDS,
-		Flash:  &FlashConfig{Dir: t.TempDir(), Capacity: 8 << 10, SegmentBytes: 2 << 10},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	e.SetLimit(512)
+	for _, capacity := range []int64{8 << 10, 64 << 10} {
+		e, err := New(Config{
+			Policy: cache.GDS,
+			Flash:  &FlashConfig{Dir: t.TempDir(), Capacity: capacity},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetLimit(512)
 
-	for n := uint64(0); n < 200; n++ {
-		f := efid(n)
-		e.Insert(f, 256, epayload(f, 256))
-	}
-	st := e.Stats()
-	if st.FlashSegDrops == 0 {
-		t.Fatalf("expected segment drops under capacity pressure, stats %+v", st)
-	}
-	if st.FlashBytes > 8<<10+2<<10 {
-		t.Fatalf("flash bytes %d way over capacity", st.FlashBytes)
+		for n := uint64(0); n < 2000; n++ {
+			f := efid(n)
+			e.Insert(f, 256, epayload(f, 256))
+			if b := e.Stats().FlashBytes; b > capacity+capacity/8 {
+				t.Fatalf("capacity %d: after %d inserts the tier holds %d B", capacity, n+1, b)
+			}
+		}
+		if st := e.Stats(); st.FlashSegDrops == 0 {
+			t.Fatalf("capacity %d: expected segment drops under capacity pressure, stats %+v", capacity, st)
+		}
+		e.Close()
 	}
 }
 
 func TestRemoveDropsBothTiers(t *testing.T) {
 	e, err := New(Config{
 		Policy: cache.GDS,
-		Flash:  &FlashConfig{Dir: t.TempDir(), Capacity: 1 << 20, SegmentBytes: 16 << 10},
+		Flash:  &FlashConfig{Dir: t.TempDir(), Capacity: 128 << 10},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -355,11 +274,9 @@ func TestNewFlashErrors(t *testing.T) {
 
 func TestObsCounters(t *testing.T) {
 	e, err := New(Config{
-		Policy:          cache.GDS,
-		Shards:          2,
-		Doorkeeper:      true,
-		NegativeEntries: 16,
-		Flash:           &FlashConfig{Dir: t.TempDir(), Capacity: 1 << 20, SegmentBytes: 16 << 10},
+		Policy: cache.GDS,
+		Shards: 2,
+		Flash:  &FlashConfig{Dir: t.TempDir(), Capacity: 128 << 10},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -368,17 +285,13 @@ func TestObsCounters(t *testing.T) {
 	e.SetLimit(1024)
 
 	f := efid(5)
-	e.Insert(f, 100, epayload(f, 100)) // doorkeeper reject
 	e.Insert(f, 100, epayload(f, 100))
 	e.Get(f)
 	e.Get(efid(6))
-	e.NoteMiss(efid(6))
-	e.NegativeHit(efid(6))
 
 	m := e.ObsCounters()
 	for _, name := range []string{
-		obs.CtrCacheRAMHits, obs.CtrCacheFlashHits, obs.CtrCacheAdmitRejects,
-		obs.CtrCacheNegHits, obs.CtrCacheNegEntries, obs.CtrCacheShards,
+		obs.CtrCacheRAMHits, obs.CtrCacheFlashHits, obs.CtrCacheShards,
 		obs.CtrCacheFlashSpills, obs.CtrCacheFlashPromotes, obs.CtrCacheFlashDrops,
 		obs.CtrCacheFlashBytes, obs.CtrCacheFlashEntries,
 	} {
@@ -386,8 +299,7 @@ func TestObsCounters(t *testing.T) {
 			t.Fatalf("ObsCounters missing %q", name)
 		}
 	}
-	if m[obs.CtrCacheRAMHits] != 1 || m[obs.CtrCacheAdmitRejects] != 1 ||
-		m[obs.CtrCacheNegHits] != 1 || m[obs.CtrCacheShards] != 2 {
+	if m[obs.CtrCacheRAMHits] != 1 || m[obs.CtrCacheShards] != 2 {
 		t.Fatalf("counter values off: %v", m)
 	}
 	if st := e.Stats(); st.HitRate() <= 0 || st.HitRate() >= 1 {

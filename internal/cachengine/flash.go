@@ -30,7 +30,7 @@ type flashTier struct {
 // openFlashTier opens the directory and rebuilds the index from the
 // recovered records (later duplicates win), then enforces capacity.
 func openFlashTier(cfg FlashConfig) (*flashTier, error) {
-	fl, recs, err := logstore.OpenFlash(cfg.Dir, cfg.SegmentBytes)
+	fl, recs, err := logstore.OpenFlash(cfg.Dir, cfg.segmentBytes())
 	if err != nil {
 		return nil, err
 	}

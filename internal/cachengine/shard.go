@@ -8,14 +8,12 @@ import (
 )
 
 // shard is one independently-locked slice of the RAM tier: a policy
-// structure (GD-S, LRU, or FIFO heap from internal/cache) plus its
-// admission doorkeeper, behind one mutex. Shards never interact; a
-// fileId maps to exactly one shard, so per-shard GD-S inflation and
-// per-shard doorkeeper state see every operation on their keys.
+// structure (GD-S, LRU, or FIFO heap from internal/cache) behind one
+// mutex. Shards never interact; a fileId maps to exactly one shard, so
+// per-shard GD-S inflation sees every operation on its keys.
 type shard struct {
 	mu sync.Mutex
 	c  cache.Cache
-	dk *doorkeeper // nil when admission filtering is off
 }
 
 func (s *shard) get(f id.File) (int64, []byte, bool) {
@@ -25,21 +23,11 @@ func (s *shard) get(f id.File) (int64, []byte, bool) {
 	return size, content, ok
 }
 
-// insert offers a file to the shard. promoted marks flash promotions,
-// which bypass the doorkeeper (the flash hit already proved warmth).
-// rejected reports a doorkeeper rejection, distinct from the policy
-// declining the file (too large, None policy).
-func (s *shard) insert(f id.File, size int64, content []byte, promoted bool) (cached, rejected bool) {
+func (s *shard) insert(f id.File, size int64, content []byte) bool {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Refreshes skip the doorkeeper: the file is already resident, so
-	// the admission question was settled when it entered.
-	if s.dk != nil && !promoted && !s.c.Contains(f) {
-		if !s.dk.allow(f) {
-			return false, true
-		}
-	}
-	return s.c.Insert(f, size, content), false
+	ok := s.c.Insert(f, size, content)
+	s.mu.Unlock()
+	return ok
 }
 
 func (s *shard) contains(f id.File) bool {

@@ -14,13 +14,10 @@ import (
 // that do come back are the right bytes".
 func TestEngineStress(t *testing.T) {
 	e, err := New(Config{
-		Policy:          cache.GDS,
-		Shards:          8,
-		Doorkeeper:      true,
-		DoorkeeperBits:  1 << 10,
-		NegativeEntries: 256,
-		RAMBytes:        64 << 10,
-		Flash:           &FlashConfig{Dir: t.TempDir(), Capacity: 256 << 10, SegmentBytes: 32 << 10},
+		Policy:   cache.GDS,
+		Shards:   8,
+		RAMBytes: 64 << 10,
+		Flash:    &FlashConfig{Dir: t.TempDir(), Capacity: 256 << 10},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -53,17 +50,12 @@ func TestEngineStress(t *testing.T) {
 				case 1:
 					e.SetLimit(int64(32<<10 + next(64<<10)))
 				case 2:
-					e.NoteMiss(f)
-				case 3:
-					e.NegativeHit(f)
-					e.Invalidate(f)
-				case 4:
 					contains(e, f)
 					e.Used()
 					e.Len()
 					e.Stats()
 					e.ObsCounters()
-				case 5, 6, 7, 8:
+				case 3, 4, 5, 6:
 					size := 64 + int(next(1024))
 					e.Insert(f, int64(size), epayload(f, size))
 				default:

@@ -108,8 +108,6 @@ func Run(args []string) int {
 
 		cacheShards = fs.Int("cache-shards", 8, "cache engine: RAM-tier shard count (rounded up to a power of two; 1 = legacy single structure)")
 		cacheRAM    = fs.String("cache-ram", "0", "cache engine: RAM-tier cap (e.g. 16MB); 0 lets the cache use all free store space, as the paper does")
-		cacheDoor   = fs.Bool("cache-doorkeeper", false, "cache engine: admit a file only on its second offer within a window (one-hit-wonder filter)")
-		cacheNeg    = fs.Int("cache-negative", 0, "cache engine: negative-cache entries — repeated lookups for absent files answer locally (0: off)")
 		cacheFlash  = fs.String("cache-flash", "0", "cache engine: flash-tier capacity (e.g. 256MB); spills RAM evictions into segments under <data>/flashcache (0: off; needs -data)")
 
 		ecMode   = fs.String("ec", "", "erasure-coded storage mode: m,n (e.g. 4,2) RS-codes inserts into m data + n parity fragments spread over the leaf set, k-replicating only the fragment map (empty: plain k-way replication)")
@@ -214,10 +212,8 @@ func Run(args []string) int {
 		return 1
 	}
 	cfg.CacheEngine = &cachengine.Config{
-		Shards:          *cacheShards,
-		RAMBytes:        cacheRAMBytes,
-		Doorkeeper:      *cacheDoor,
-		NegativeEntries: *cacheNeg,
+		Shards:   *cacheShards,
+		RAMBytes: cacheRAMBytes,
 	}
 	if cacheFlashBytes > 0 {
 		if *dataDir == "" {

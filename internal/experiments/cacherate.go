@@ -43,12 +43,6 @@ type CacheRateConfig struct {
 	FlashBytes int64
 	// Shards is the engine's RAM-tier shard count. Default 4.
 	Shards int
-	// Doorkeeper enables the admission filter in the engine runs.
-	Doorkeeper bool
-	// NegativeEntries bounds the engine runs' negative cache. Default
-	// 128; the sweep's lookups all target inserted files, so this only
-	// exercises the bookkeeping.
-	NegativeEntries int
 	// FlashDir is the base directory for flash segments; each run gets
 	// a fresh subtree and nodes get per-node subdirectories. Empty uses
 	// a temp directory that is removed afterwards.
@@ -87,9 +81,6 @@ func (c CacheRateConfig) withDefaults() CacheRateConfig {
 	}
 	if c.Shards <= 0 {
 		c.Shards = 4
-	}
-	if c.NegativeEntries <= 0 {
-		c.NegativeEntries = 128
 	}
 	return c
 }
@@ -158,12 +149,7 @@ func RunCacheRate(cfg CacheRateConfig) (*CacheRateResult, error) {
 	}
 
 	engineCfg := func(flash bool, runTag string) *cachengine.Config {
-		ec := &cachengine.Config{
-			Shards:          cfg.Shards,
-			RAMBytes:        cfg.RAMBytes,
-			Doorkeeper:      cfg.Doorkeeper,
-			NegativeEntries: cfg.NegativeEntries,
-		}
+		ec := &cachengine.Config{Shards: cfg.Shards, RAMBytes: cfg.RAMBytes}
 		if flash {
 			ec.Flash = &cachengine.FlashConfig{
 				Dir:      fmt.Sprintf("%s/%s", base, runTag),

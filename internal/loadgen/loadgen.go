@@ -232,7 +232,6 @@ type Result struct {
 type CacheSummary struct {
 	RAMHits, FlashHits, Misses int64
 	Evictions                  int64
-	AdmitRejects, NegHits      int64
 	FlashSpills, FlashSegDrops int64
 	FragHits, FragCRCDrops     int64
 	Reconstructs               int64

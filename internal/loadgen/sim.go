@@ -63,7 +63,7 @@ type SimConfig struct {
 	// Capacity is per-node storage capacity in bytes. Default 1 GiB.
 	Capacity int64
 	// Cache, when non-nil, runs every node's cache engine with this
-	// configuration (sharding, doorkeeper, negative cache, flash tier)
+	// configuration (sharding, RAM cap, flash tier)
 	// instead of the legacy-equivalent default. When the flash tier is
 	// enabled, Flash.Dir is treated as a base directory and each node
 	// gets its own subdirectory under it. The per-request fingerprint
@@ -252,8 +252,6 @@ func RunSim(sc SimConfig) (*Result, error) {
 		res.Cache.FlashHits += st.FlashHits
 		res.Cache.Misses += st.Misses
 		res.Cache.Evictions += st.Evictions
-		res.Cache.AdmitRejects += st.AdmitRejects
-		res.Cache.NegHits += st.NegHits
 		res.Cache.FlashSpills += st.FlashSpills
 		res.Cache.FlashSegDrops += st.FlashSegDrops
 		if sc.EC != nil {

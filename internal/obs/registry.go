@@ -131,15 +131,17 @@ const (
 	// stats RPC see one continuous series.
 	CtrCacheRAMHits       = "cachengine_ram_hits_total"
 	CtrCacheFlashHits     = "cachengine_flash_hits_total"
-	CtrCacheAdmitRejects  = "cachengine_admit_rejects_total"
-	CtrCacheNegHits       = "cachengine_negative_hits_total"
-	CtrCacheNegEntries    = "cachengine_negative_entries"
 	CtrCacheFlashSpills   = "cachengine_flash_spills_total"
 	CtrCacheFlashPromotes = "cachengine_flash_promotes_total"
 	CtrCacheFlashDrops    = "cachengine_flash_seg_drops_total"
 	CtrCacheFlashBytes    = "cachengine_flash_bytes"
 	CtrCacheFlashEntries  = "cachengine_flash_entries"
 	CtrCacheShards        = "cachengine_shards"
+	// CtrCacheAdmitRejects named the engine's admission-filter
+	// rejections. The filter is gone and nothing produces the counter
+	// any more; the name stays only for readers that still look it up,
+	// which read 0.
+	CtrCacheAdmitRejects = "cachengine_admit_rejects_total"
 
 	// Erasure-coding counters (internal/ec). The fragment store and the
 	// lazy repair queue own the values; the node folds them in through

@@ -2,6 +2,7 @@ package past
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"past/internal/cachengine"
@@ -9,64 +10,47 @@ import (
 	"past/internal/obs"
 )
 
-// engineCfg is smallCfg with the full cache engine enabled (sharding,
-// negative cache; no flash — flash has its own test below).
+// engineCfg is smallCfg with a sharded cache engine (no flash — flash
+// has its own test below).
 func engineCfg() Config {
 	cfg := smallCfg()
-	cfg.CacheEngine = &cachengine.Config{
-		Shards:          4,
-		NegativeEntries: 64,
-	}
+	cfg.CacheEngine = &cachengine.Config{Shards: 4}
 	return cfg
 }
 
-func TestNegativeCacheShortCircuitsLookups(t *testing.T) {
+// TestLookupAfterRemoteInsert: a node that looked up a file before it
+// existed must find it once another node's insert is acknowledged —
+// nothing the first miss left behind may mask the new file.
+func TestLookupAfterRemoteInsert(t *testing.T) {
 	c := testCluster(t, 20, engineCfg(), 1<<20, 11)
-	client := c.RandomAliveNode()
-	absent := id.NewFile("never-inserted", nil, 7)
-
-	res, err := client.Lookup(absent)
-	if err != nil {
-		t.Fatal(err)
+	masked := 0
+	for i, reader := range c.Nodes {
+		name := fmt.Sprintf("late-%d", i)
+		content := []byte("inserted after a miss: " + name)
+		f := id.NewFile(name, nil, 1)
+		if res, err := reader.Lookup(f); err != nil || res.Found {
+			t.Fatalf("node %d: lookup before insert: %+v err=%v", i, res, err)
+		}
+		writer := c.Nodes[(i+7)%len(c.Nodes)]
+		ins, err := writer.Insert(InsertSpec{Name: name, Salt: 1, Content: content})
+		if err != nil || !ins.OK || ins.FileID != f {
+			t.Fatalf("node %d: insert: %+v err=%v", i, ins, err)
+		}
+		got, err := reader.Lookup(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Found {
+			masked++
+			continue
+		}
+		if !bytes.Equal(got.Content, content) {
+			t.Fatalf("node %d: wrong content after the insert", i)
+		}
 	}
-	if res.Found || res.Negative {
-		t.Fatalf("first miss should route: %+v", res)
-	}
-	msgsAfterFirst := client.Stats().MsgsOut.Load()
-
-	res, err = client.Lookup(absent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Found || !res.Negative {
-		t.Fatalf("second miss should be negative-cached: %+v", res)
-	}
-	if got := client.Stats().MsgsOut.Load(); got != msgsAfterFirst {
-		t.Fatalf("negative-cached lookup sent %d messages", got-msgsAfterFirst)
-	}
-	if st := client.Cache().Stats(); st.NegHits != 1 {
-		t.Fatalf("NegHits = %d, want 1", st.NegHits)
-	}
-
-	// Inserting the file must invalidate the client's negative entry:
-	// the reply caches the file along the return path through cacheFile,
-	// whose Insert clears the entry.
-	ins, err := client.Insert(InsertSpec{Name: "never-inserted", Salt: 7, Content: []byte("now it exists")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ins.OK || ins.FileID != absent {
-		t.Fatalf("insert: %+v (want fileId %x)", ins, absent[:4])
-	}
-	got, err := client.Lookup(absent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Found || got.Negative {
-		t.Fatalf("post-insert lookup: %+v", got)
-	}
-	if !bytes.Equal(got.Content, []byte("now it exists")) {
-		t.Fatal("wrong content after invalidation")
+	if masked > 0 {
+		t.Fatalf("%d of %d acknowledged inserts were not found by the node that missed first",
+			masked, len(c.Nodes))
 	}
 }
 
@@ -82,14 +66,10 @@ func TestEngineCountersInSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	client.Lookup(id.NewFile("ghost", nil, 1))
-	client.Lookup(id.NewFile("ghost", nil, 1)) // negative hit
 
 	snap := client.StatsSnapshot()
 	if snap.Get(obs.CtrCacheShards) != 4 {
 		t.Fatalf("shards counter = %d, want 4", snap.Get(obs.CtrCacheShards))
-	}
-	if snap.Get(obs.CtrCacheNegHits) != 1 {
-		t.Fatalf("neg hits counter = %d, want 1", snap.Get(obs.CtrCacheNegHits))
 	}
 	// The legacy series must stay coherent with the engine's tiers.
 	eng := client.Cache().Stats()
@@ -108,9 +88,8 @@ func TestFlashTierOnNode(t *testing.T) {
 		Shards:   1,
 		RAMBytes: 2 << 10, // tiny RAM tier forces spills
 		Flash: &cachengine.FlashConfig{
-			Dir:          t.TempDir(),
-			Capacity:     1 << 20,
-			SegmentBytes: 32 << 10,
+			Dir:      t.TempDir(),
+			Capacity: 256 << 10,
 		},
 	}
 	c := testCluster(t, 16, cfg, 1<<20, 13)

@@ -27,11 +27,6 @@ type LookupResult struct {
 	// through a pointer — the one additional RPC the paper charges to
 	// replica diversion (section 3.3).
 	Indirect bool
-	// Negative reports that the not-found answer came from this node's
-	// negative cache — a recent full lookup already missed, so the
-	// request was not routed at all. Only possible when the cache
-	// engine's negative cache is enabled.
-	Negative bool
 	// Trace holds the per-hop route records of the attempt that produced
 	// this result, when the operation was traced: sampled by
 	// Config.Tracer, or run under a sampled obs.TraceContext.
@@ -56,17 +51,10 @@ func (n *Node) Lookup(f id.File) (*LookupResult, error) {
 //
 // A ctx carrying an active obs.TraceContext (how `pastctl trace` arrives
 // through the ClientLookup RPC) hop-records the route regardless of the
-// sampling tracer, propagates the trace id to relays in other processes,
-// and bypasses the negative cache — a trace that never left the access
-// point would show no route.
+// sampling tracer and propagates the trace id to relays in other
+// processes.
 func (n *Node) LookupContext(ctx context.Context, f id.File) (*LookupResult, error) {
 	n.stats.Lookups.Add(1)
-	// A recent full lookup already came back not-found: answer locally
-	// without routing. Any insert evidence for f invalidates the entry,
-	// so a false negative lasts only until the file is next sighted.
-	if tc, _ := obs.TraceFromContext(ctx); !tc.Active() && n.cache.NegativeHit(f) {
-		return &LookupResult{Found: false, Negative: true}, nil
-	}
 	ctx, traced := n.traceIntent(ctx)
 	pol, hasPol := n.policy()
 	attempt := func(actx context.Context) (*LookupResult, error) {
@@ -88,12 +76,6 @@ func (n *Node) LookupContext(ctx context.Context, f id.File) (*LookupResult, err
 	}
 	if res == nil {
 		res = &LookupResult{Found: false}
-	}
-	if !res.Found {
-		// A completed route answered not-found (transient routing
-		// failures surface as errors above, not here): remember it so
-		// repeated lookups for the absent file stop consuming routing.
-		n.cache.NoteMiss(f)
 	}
 	if traced {
 		routeHops := res.Hops

@@ -56,14 +56,13 @@ type Config struct {
 	// CachePolicy selects the cache replacement policy (default GD-S).
 	CachePolicy cache.Policy
 	// CacheEngine, when non-nil, tunes the node's cache engine beyond
-	// the paper's single policy structure: RAM-tier sharding, the
-	// admission doorkeeper, the negative cache, and the flash tier
-	// (see internal/cachengine). Policy is taken from CachePolicy
-	// unless explicitly overridden here. Nil runs
-	// the engine in its legacy-equivalent configuration — one shard,
-	// no extras — which is operation-for-operation identical to the
-	// original cache.Cache, keeping the trace-driven experiments'
-	// fingerprints intact.
+	// the paper's single policy structure: RAM-tier sharding, a RAM
+	// cap, and the flash tier (see internal/cachengine). Its Policy is
+	// ignored: CachePolicy picks the policy. Nil runs the engine in
+	// its legacy-equivalent configuration — one shard, no flash tier —
+	// which is operation-for-operation identical to the original
+	// cache.Cache, keeping the trace-driven experiments' fingerprints
+	// intact.
 	CacheEngine *cachengine.Config
 	// VerifyCerts enables certificate generation and verification on the
 	// insert/lookup/reclaim paths. Requires Issuer, and smartcards on
@@ -218,16 +217,13 @@ func NewWithStore(nid id.Node, net netsim.Net, cfg Config, backend store.Backend
 }
 
 // cacheEngineConfig resolves the node's effective cachengine.Config:
-// the optional CacheEngine tuning with Policy inherited from
-// CachePolicy unless explicitly overridden.
+// the optional CacheEngine tuning with Policy taken from CachePolicy.
 func (c Config) cacheEngineConfig() cachengine.Config {
 	var ec cachengine.Config
 	if c.CacheEngine != nil {
 		ec = *c.CacheEngine
 	}
-	if ec.Policy == cache.None {
-		ec.Policy = c.CachePolicy
-	}
+	ec.Policy = c.CachePolicy
 	return ec
 }
 
@@ -347,10 +343,8 @@ func (n *Node) addReplicaLocked(e store.Entry) error {
 		n.cache.SetLimit(grant)
 		return err
 	}
-	// The replica must not also linger as a cached copy — and a stored
-	// replica is existence evidence, clearing any negative-cache entry.
+	// The replica must not also linger as a cached copy.
 	n.cache.Remove(e.File)
-	n.cache.Invalidate(e.File)
 	n.stats.ReplicasStored.Add(1)
 	if e.Kind == store.DivertedIn {
 		n.stats.DivertedIn.Add(1)
