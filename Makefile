@@ -59,9 +59,10 @@ experiments:
 experiments-full:
 	$(GO) run ./cmd/past-bench -exp all -scale full | tee results_full.txt
 
-# Paired chaos soaks over one schedule: fail-fast baseline vs the
-# resilience layer, plus the -short test that asserts the layer's
-# strict improvement. Finishes in seconds.
+# Paired chaos soaks over one schedule: fail-fast baseline vs per-hop
+# reroute plus partial inserts, plus the tests that assert the layer's
+# strict improvement, its determinism and its hold on acknowledged files
+# behind admission control. Finishes in seconds.
 soak-compare:
 	$(GO) run ./cmd/past-chaos -compare -drop 0.10 -seed 3
 	$(GO) test -short -run 'TestSoakResilience' -v ./internal/experiments/
@@ -165,9 +166,8 @@ fuzz:
 # And of the emulator's insert and lookup paths: the in-memory file
 # table allocates nothing per replica, a routed size-only netsim insert,
 # diverting or not, stays within its allocation count, and an untraced
-# routed lookup, hedged or not, pays nothing for trace intent riding
-# the context. The same tests run in tier-1; this target runs exactly
-# them, uncached.
+# routed lookup pays nothing for trace intent riding the context. The
+# same tests run in tier-1; this target runs exactly them, uncached.
 alloc-guard:
 	$(GO) test -count=1 -run 'TestAllocBudget|TestECEncoderIsShared' ./internal/store/ ./internal/logstore/ ./internal/ec/ ./internal/past/
 

@@ -13,7 +13,7 @@
 //	past-chaos -seed 7 -ticks 30        # longer run, different timeline
 //	past-chaos -nodes 50 -files 100 -drop 0.1
 //	past-chaos -seed 7 -verify          # run twice, assert identical fingerprints
-//	past-chaos -resilience              # soak with the client resilience layer on
+//	past-chaos -resilience              # soak with per-hop reroute and partial inserts on
 //	past-chaos -compare                 # same schedule, layer off vs on, side by side
 //	past-chaos -trace 4 -events-out run.jsonl   # trace every 4th op, stream JSONL events
 //	past-chaos -admit-rate 5 -events-out run.jsonl   # soak behind admission control; sheds stream as "overload" events
@@ -50,14 +50,13 @@ func main() {
 		ticks   = flag.Int("ticks", 0, "fault-phase length in virtual ticks (default 12)")
 		drop    = flag.Float64("drop", 0, "per-message drop probability (default 0.05)")
 		verify  = flag.Bool("verify", false, "run the soak twice and require identical fingerprints")
-		resil   = flag.Bool("resilience", false, "enable the client resilience layer (retries, hedged lookups, partial inserts)")
+		resil   = flag.Bool("resilience", false, "enable the resilience layer: per-hop reroute around dead next hops, and partial inserts (off: fail-fast routing)")
 		compare = flag.Bool("compare", false, "run the schedule with the resilience layer off and on and compare")
 		trace   = flag.Int("trace", 0, "sample every Nth client operation for a per-hop route trace (0: off)")
 		evOut   = flag.String("events-out", "", "write the structured JSONL event stream to this file")
 		evCheck = flag.String("check-events", "", "validate a JSONL event stream and print a summary (no soak runs)")
 
-		admitRate   = flag.Float64("admit-rate", 0, "put every node behind admission control at this rate in req/s (burst 4, queue depth 8); rejections become \"overload\" events (0: off)")
-		admitPolicy = flag.String("admit-policy", "droptail", "admission control: shed policy — droptail, dropfront, or lifo")
+		admitRate = flag.Float64("admit-rate", 0, "put every node behind admission control at this rate in req/s (burst 4, queue depth 8); rejections become \"overload\" events (0: off)")
 
 		ecDur = flag.Bool("ec-durability", false, "run the erasure-coding repair-vs-durability sweep instead of the network soak")
 
@@ -101,14 +100,7 @@ func main() {
 		Resilience: *resil, TraceEvery: *trace,
 	}
 	if *admitRate > 0 {
-		pol, err := admit.ParsePolicy(*admitPolicy)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "past-chaos:", err)
-			os.Exit(2)
-		}
-		cfg.Admit = &admit.Config{
-			Rate: *admitRate, Burst: admitBurst, Depth: admitDepth, Policy: pol,
-		}
+		cfg.Admit = &admit.Config{Rate: *admitRate, Burst: admitBurst, Depth: admitDepth}
 	}
 	var evFile *os.File
 	if *evOut != "" {

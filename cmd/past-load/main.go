@@ -26,7 +26,6 @@ import (
 	"os"
 	"time"
 
-	"past/internal/admit"
 	"past/internal/daemon"
 	"past/internal/ec"
 	"past/internal/experiments"
@@ -55,7 +54,6 @@ func main() {
 		nodeRate = flag.Float64("node-rate", 100, "sim: per-node service rate in req/s (capacity = nodes * node-rate)")
 		burst    = flag.Int("burst", 4, "sim: admission token-bucket burst")
 		depth    = flag.Int("depth", 8, "sim: admission queue depth")
-		policy   = flag.String("policy", "droptail", "sim: shed policy — droptail, dropfront, or lifo")
 		noShed   = flag.Bool("no-shed", false, "sim: disable admission control (unbounded queue)")
 		hopLat   = flag.Duration("hop-latency", time.Millisecond, "sim: virtual per-hop service time")
 
@@ -71,10 +69,6 @@ func main() {
 	)
 	flag.Parse()
 
-	pol, err := admit.ParsePolicy(*policy)
-	if err != nil {
-		log.Fatalf("past-load: %v", err)
-	}
 	w := loadgen.Workload{
 		Files:      *files,
 		Alpha:      *alpha,
@@ -116,7 +110,6 @@ func main() {
 			NodeRate:   *nodeRate,
 			Burst:      *burst,
 			Depth:      *depth,
-			Policy:     pol,
 			Requests:   *requests,
 			Workload:   w,
 			HopLatency: *hopLat,
@@ -133,7 +126,6 @@ func main() {
 			NodeRate:   *nodeRate,
 			Burst:      *burst,
 			Depth:      *depth,
-			Policy:     pol,
 			Shed:       !*noShed,
 			HopLatency: *hopLat,
 			SLO:        *slo,

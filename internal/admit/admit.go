@@ -1,8 +1,8 @@
 // Package admit is per-node admission control: a token bucket bounding
-// the sustained request rate, a bounded queue absorbing bursts, and a
-// shedding policy deciding who loses when the queue is full. Requests
-// the node cannot take are rejected with netsim.ErrOverloaded — a
-// retryable, reroutable signal — instead of being accepted into an
+// the sustained request rate and a bounded FIFO queue absorbing bursts;
+// when the queue is full the arriving request is shed (drop-tail).
+// Requests the node cannot take are rejected with netsim.ErrOverloaded
+// — a retryable, reroutable signal — instead of being accepted into an
 // unbounded backlog where every request's latency grows without limit.
 //
 // The controller runs in three modes, sharing one token-bucket state:
@@ -23,61 +23,11 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strings"
 	"sync"
 	"time"
 
 	"past/internal/netsim"
 )
-
-// Policy selects which request is shed when the queue is full, and in
-// what order waiting requests are served.
-type Policy int
-
-const (
-	// DropTail rejects the arriving request; queued requests keep their
-	// FIFO order. Simple, but under sustained overload every queued
-	// request is old by the time it is served.
-	DropTail Policy = iota
-	// DropFront rejects the *oldest* queued request and accepts the
-	// arrival at the back; service stays FIFO. Under overload this
-	// spends capacity on young requests whose clients are still waiting,
-	// instead of old ones whose clients have likely timed out.
-	DropFront
-	// LIFO serves the newest waiter first and sheds the oldest when
-	// full (adaptive LIFO): freshest-first service keeps p50 excellent
-	// under saturation at the cost of starving the unlucky oldest, who
-	// would have missed their deadline anyway.
-	LIFO
-)
-
-// String returns the flag-friendly policy name.
-func (p Policy) String() string {
-	switch p {
-	case DropTail:
-		return "droptail"
-	case DropFront:
-		return "dropfront"
-	case LIFO:
-		return "lifo"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
-	}
-}
-
-// ParsePolicy parses a policy name as accepted by CLI flags.
-func ParsePolicy(s string) (Policy, error) {
-	switch strings.ToLower(s) {
-	case "droptail", "tail":
-		return DropTail, nil
-	case "dropfront", "front":
-		return DropFront, nil
-	case "lifo":
-		return LIFO, nil
-	default:
-		return 0, fmt.Errorf("admit: unknown policy %q (want droptail, dropfront, or lifo)", s)
-	}
-}
 
 // Config shapes a node's admission controller.
 type Config struct {
@@ -89,8 +39,6 @@ type Config struct {
 	// Depth bounds the request queue (waiters in blocking mode, token
 	// debt in non-blocking mode). Defaults to 1.
 	Depth int
-	// Policy decides shedding and service order. Default DropTail.
-	Policy Policy
 	// Clock supplies the current time in blocking and non-blocking
 	// modes; defaults to time.Now. Virtual-time Offer ignores it — the
 	// driver passes arrival times explicitly.
@@ -204,9 +152,8 @@ func (c *Controller) TryAdmit() error {
 
 // Admit is the blocking entry point used by real TCP servers. It
 // returns nil once a token is granted, an ErrOverloaded-wrapping error
-// if this request (or, under DropFront/LIFO, an older one in its
-// place... in which case this one waits) is shed, or the context's
-// error if the caller gave up first.
+// if the queue is full, or the context's error if the caller gave up
+// first.
 func (c *Controller) Admit(ctx context.Context) error {
 	c.mu.Lock()
 	now := c.cfg.Clock()
@@ -218,20 +165,12 @@ func (c *Controller) Admit(ctx context.Context) error {
 		c.mu.Unlock()
 		return nil
 	}
-	w := waiter{arrived: now, ch: make(chan error, 1)}
 	if len(c.queue) >= c.cfg.Depth {
-		switch c.cfg.Policy {
-		case DropTail:
-			c.shed++
-			c.mu.Unlock()
-			return fmt.Errorf("%w: queue depth %d exceeded", netsim.ErrOverloaded, c.cfg.Depth)
-		default: // DropFront, LIFO: evict the oldest waiter.
-			old := c.queue[0]
-			c.queue = append(c.queue[:0], c.queue[1:]...)
-			c.shed++
-			old.ch <- fmt.Errorf("%w: shed from queue front", netsim.ErrOverloaded)
-		}
+		c.shed++
+		c.mu.Unlock()
+		return fmt.Errorf("%w: queue depth %d exceeded", netsim.ErrOverloaded, c.cfg.Depth)
 	}
+	w := waiter{arrived: now, ch: make(chan error, 1)}
 	c.queue = append(c.queue, w)
 	if !c.dispatching {
 		c.dispatching = true
@@ -275,14 +214,8 @@ func (c *Controller) dispatch() {
 			return
 		}
 		if c.tokens >= 1 {
-			var w waiter
-			if c.cfg.Policy == LIFO {
-				w = c.queue[len(c.queue)-1]
-				c.queue = c.queue[:len(c.queue)-1]
-			} else {
-				w = c.queue[0]
-				c.queue = append(c.queue[:0], c.queue[1:]...)
-			}
+			w := c.queue[0]
+			c.queue = append(c.queue[:0], c.queue[1:]...)
 			c.tokens--
 			c.admitted++
 			c.waitNanos += now.Sub(w.arrived).Nanoseconds()
@@ -315,17 +248,8 @@ func (c *Controller) Offer(t time.Time, fn func(Decision)) {
 		c.admitted++
 		resolved = append(resolved, func() { fn(Decision{Granted: true, At: t}) })
 	} else if len(c.queue) >= c.cfg.Depth {
-		switch c.cfg.Policy {
-		case DropTail:
-			c.shed++
-			resolved = append(resolved, func() { fn(Decision{}) })
-		default: // DropFront, LIFO
-			old := c.queue[0]
-			c.queue = append(c.queue[:0], c.queue[1:]...)
-			c.shed++
-			resolved = append(resolved, func() { old.fn(Decision{}) })
-			c.queue = append(c.queue, waiter{arrived: t, fn: fn})
-		}
+		c.shed++
+		resolved = append(resolved, func() { fn(Decision{}) })
 	} else {
 		c.queue = append(c.queue, waiter{arrived: t, fn: fn})
 	}
@@ -351,14 +275,8 @@ func (c *Controller) advanceLocked(t time.Time, resolved *[]func()) {
 			break
 		}
 		c.refillLocked(g)
-		var w waiter
-		if c.cfg.Policy == LIFO {
-			w = c.queue[len(c.queue)-1]
-			c.queue = c.queue[:len(c.queue)-1]
-		} else {
-			w = c.queue[0]
-			c.queue = append(c.queue[:0], c.queue[1:]...)
-		}
+		w := c.queue[0]
+		c.queue = append(c.queue[:0], c.queue[1:]...)
 		c.tokens--
 		c.admitted++
 		wait := g.Sub(w.arrived)
@@ -382,27 +300,6 @@ func (c *Controller) Drain() {
 	for _, r := range resolved {
 		r()
 	}
-}
-
-// LoadHint reports queue occupancy scaled to 0-255: 0 is idle, 255 is
-// a full queue about to shed. In TryAdmit mode occupancy is the token
-// debt. Replies piggyback this so clients can prefer less-loaded
-// replicas.
-func (c *Controller) LoadHint() uint8 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	occ := float64(len(c.queue))
-	if debt := -c.tokens; debt > occ {
-		occ = debt
-	}
-	h := occ / float64(c.cfg.Depth) * 255
-	if h > 255 {
-		h = 255
-	}
-	if h < 0 {
-		h = 0
-	}
-	return uint8(h)
 }
 
 // Admitted returns the number of requests granted.

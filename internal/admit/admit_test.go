@@ -17,18 +17,6 @@ func vt(ms int) time.Time {
 	return base.Add(time.Duration(ms) * time.Millisecond)
 }
 
-func TestPolicyParseRoundTrip(t *testing.T) {
-	for _, p := range []Policy{DropTail, DropFront, LIFO} {
-		got, err := ParsePolicy(p.String())
-		if err != nil || got != p {
-			t.Fatalf("round trip %v: got %v err %v", p, got, err)
-		}
-	}
-	if _, err := ParsePolicy("bogus"); err == nil {
-		t.Fatal("want error for unknown policy")
-	}
-}
-
 func TestTryAdmitTokenDebt(t *testing.T) {
 	// Rate 1000/s, burst 2, depth 3: from a full bucket, 2 burst tokens
 	// plus 3 debt slots admit 5 back-to-back requests; the 6th sheds.
@@ -59,26 +47,6 @@ func TestTryAdmitTokenDebt(t *testing.T) {
 	}
 	if err := c.TryAdmit(); !errors.Is(err, netsim.ErrOverloaded) {
 		t.Fatalf("debt must be capped again: %v", err)
-	}
-}
-
-func TestLoadHintTracksDebt(t *testing.T) {
-	now := vt(0)
-	c := New(Config{Rate: 1000, Burst: 1, Depth: 4, Clock: func() time.Time { return now }})
-	if h := c.LoadHint(); h != 0 {
-		t.Fatalf("idle hint = %d", h)
-	}
-	var prev uint8
-	for i := 0; i < 5; i++ {
-		c.TryAdmit()
-		h := c.LoadHint()
-		if h < prev {
-			t.Fatalf("hint not monotone under debt: %d after %d", h, prev)
-		}
-		prev = h
-	}
-	if prev != 255 {
-		t.Fatalf("full-queue hint = %d; want 255", prev)
 	}
 }
 
@@ -117,7 +85,7 @@ func TestOfferGrantsAtTokenTimes(t *testing.T) {
 func TestOfferDropTailShedsArrivals(t *testing.T) {
 	// Depth 2, one token burst: arrival 0 is served, 1 and 2 queue,
 	// 3 and 4 shed (tail drop), leaving the queue order FIFO.
-	c := New(Config{Rate: 10, Burst: 1, Depth: 2, Policy: DropTail})
+	c := New(Config{Rate: 10, Burst: 1, Depth: 2})
 	ds := offerAll(c, 5, vt(0), time.Millisecond)
 	wantGrant := []bool{true, true, true, false, false}
 	for i, w := range wantGrant {
@@ -134,38 +102,9 @@ func TestOfferDropTailShedsArrivals(t *testing.T) {
 	}
 }
 
-func TestOfferDropFrontShedsOldest(t *testing.T) {
-	// Same load, drop-from-front: the *oldest queued* arrivals are shed
-	// so the freshest ones are served.
-	c := New(Config{Rate: 10, Burst: 1, Depth: 2, Policy: DropFront})
-	ds := offerAll(c, 5, vt(0), time.Millisecond)
-	wantGrant := []bool{true, false, false, true, true}
-	for i, w := range wantGrant {
-		if ds[i].Granted != w {
-			t.Fatalf("arrival %d granted=%v want %v (%+v)", i, ds[i].Granted, w, ds)
-		}
-	}
-}
-
-func TestOfferLIFOServesNewestFirst(t *testing.T) {
-	// LIFO with room: arrivals 1..3 queue behind arrival 0; service
-	// order is newest-first.
-	c := New(Config{Rate: 10, Burst: 1, Depth: 3, Policy: LIFO})
-	ds := offerAll(c, 4, vt(0), time.Millisecond)
-	for i, d := range ds {
-		if !d.Granted {
-			t.Fatalf("arrival %d shed: %+v", i, ds)
-		}
-	}
-	// Newest (3) granted before oldest queued (1).
-	if !ds[3].At.Before(ds[1].At) {
-		t.Fatalf("LIFO order violated: newest at %v, oldest at %v", ds[3].At, ds[1].At)
-	}
-}
-
 func TestOfferDeterministic(t *testing.T) {
 	run := func() string {
-		c := New(Config{Rate: 250, Burst: 4, Depth: 8, Policy: DropFront})
+		c := New(Config{Rate: 250, Burst: 4, Depth: 8})
 		ds := offerAll(c, 200, vt(0), 700*time.Microsecond)
 		s := ""
 		for _, d := range ds {
@@ -181,8 +120,8 @@ func TestOfferDeterministic(t *testing.T) {
 func TestAdmitBlockingGrantsAndSheds(t *testing.T) {
 	// Real-clock blocking mode: burst 1, rate 50/s (20ms per token),
 	// depth 1. First call immediate; second queues and is granted after
-	// ~20ms; third (while second queued) sheds under DropTail.
-	c := New(Config{Rate: 50, Burst: 1, Depth: 1, Policy: DropTail})
+	// ~20ms; third (while second queued) sheds.
+	c := New(Config{Rate: 50, Burst: 1, Depth: 1})
 	if err := c.Admit(context.Background()); err != nil {
 		t.Fatalf("first admit: %v", err)
 	}
@@ -223,31 +162,10 @@ func TestAdmitContextCancellation(t *testing.T) {
 	}
 }
 
-func TestAdmitDropFrontEvictsOldestWaiter(t *testing.T) {
-	c := New(Config{Rate: 5, Burst: 1, Depth: 1, Policy: DropFront})
-	if err := c.Admit(context.Background()); err != nil {
-		t.Fatalf("first admit: %v", err)
-	}
-	first := make(chan error, 1)
-	go func() { first <- c.Admit(context.Background()) }()
-	for c.QueueLen() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	// This arrival evicts the parked one and takes its place.
-	second := make(chan error, 1)
-	go func() { second <- c.Admit(context.Background()) }()
-	if err := <-first; !errors.Is(err, netsim.ErrOverloaded) {
-		t.Fatalf("evicted waiter: want ErrOverloaded, got %v", err)
-	}
-	if err := <-second; err != nil {
-		t.Fatalf("replacing waiter: %v", err)
-	}
-}
-
 func TestAdmitConcurrentClients(t *testing.T) {
 	// Race-hunting load: many goroutines hammer one controller. Every
 	// call must resolve exactly once, and counters must reconcile.
-	c := New(Config{Rate: 20000, Burst: 16, Depth: 8, Policy: DropFront})
+	c := New(Config{Rate: 20000, Burst: 16, Depth: 8})
 	const clients = 32
 	const perClient = 50
 	var admitted, shed, ctxerr int64

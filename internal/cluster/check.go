@@ -190,7 +190,7 @@ func (c *Cluster) CheckInvariants(files []id.File, epoch int) ([]chaos.Violation
 	if err != nil {
 		return nil, err
 	}
-	ck := chaos.Checker{K: c.cfg.K}
+	ck := chaos.Checker{K: replicas}
 	return ck.CheckConverged(st, files, epoch), nil
 }
 
@@ -201,6 +201,6 @@ func (c *Cluster) CheckDurability(files []id.File, epoch int) ([]chaos.Violation
 	if err != nil {
 		return nil, err
 	}
-	ck := chaos.Checker{K: c.cfg.K}
+	ck := chaos.Checker{K: replicas}
 	return ck.CheckDurability(st, files, epoch), nil
 }

@@ -24,6 +24,7 @@ import (
 // production defaults (5s, off).
 const (
 	nodeCapacity = "64MB"                 // each daemon's -capacity
+	replicas     = 3                      // each daemon's -k
 	keepalive    = 500 * time.Millisecond // each daemon's -keepalive
 	maintain     = time.Second            // each daemon's -maintain
 	readyTimeout = 30 * time.Second       // bound on one node's boot-to-healthy wait
@@ -37,8 +38,6 @@ type Config struct {
 	// Seed fixes node identities (each process gets a derived -seed) and
 	// the scenario schedule. Required nonzero for reproducible runs.
 	Seed int64
-	// K is the replication factor (default 3).
-	K int
 	// Dir is the base directory for per-node data dirs and captured
 	// logs. Empty: a fresh temp directory (see Dir()).
 	Dir string
@@ -60,9 +59,6 @@ type Config struct {
 func (c *Config) withDefaults() error {
 	if c.Nodes <= 0 {
 		return fmt.Errorf("cluster: Nodes must be > 0")
-	}
-	if c.K <= 0 {
-		c.K = 3
 	}
 	if c.Out == nil {
 		c.Out = io.Discard
@@ -161,11 +157,10 @@ func (c *Cluster) daemonArgs(p *Proc, joinAddr string) []string {
 		"-debug-addr", p.DebugAddr,
 		"-data", p.DataDir,
 		"-capacity", nodeCapacity,
-		"-k", strconv.Itoa(c.cfg.K),
+		"-k", strconv.Itoa(replicas),
 		"-seed", strconv.FormatInt(p.Seed, 10),
 		"-keepalive", keepalive.String(),
 		"-maintain", maintain.String(),
-		"-retries", "3",
 		"-x", strconv.FormatFloat(float64(10+20*(p.Index%8)), 'f', -1, 64),
 		"-y", strconv.FormatFloat(float64(10+20*(p.Index/8)), 'f', -1, 64),
 	}

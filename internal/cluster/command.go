@@ -3,10 +3,10 @@
 // signals killing them — and drives the same invariant checks against
 // the live fleet that internal/chaos enforces against the emulator.
 // It is the harness that promotes the robustness stack (crash recovery,
-// retries, admission control, cache persistence) from emulated to
-// end-to-end verified: a fault here is SIGKILL delivered to a process
-// whose logstore then has to recover from disk, not a dropped message
-// in a simulated network.
+// admission control, cache persistence) from emulated to end-to-end
+// verified: a fault here is SIGKILL delivered to a process whose
+// logstore then has to recover from disk, not a dropped message in a
+// simulated network.
 //
 // The daemon processes come from self-execution: the hosting executable
 // (cmd/past-cluster, or a test binary) re-execs itself with the

@@ -237,7 +237,7 @@ func RunScenario(c *Cluster, cfg ScenarioConfig) (*ScenarioResult, error) {
 	res := &ScenarioResult{
 		Scenario: cfg.Scenario,
 		Nodes:    len(c.Procs),
-		K:        c.cfg.K,
+		K:        replicas,
 		Seed:     cfg.Seed,
 		Rounds:   cfg.Rounds,
 		PlanFP:   PlanFingerprint(plan),

@@ -96,15 +96,12 @@ func Run(args []string) int {
 
 		syncPolicy = fs.String("sync", "always", "log store durability: always (group commit), interval, or never")
 
-		retries   = fs.Int("retries", 0, "resilience layer: attempts per client operation, with backoff (0: single attempt, no retry layer)")
-		hedge     = fs.Duration("hedge", 0, "hedged lookups: delay before a second attempt races the first through a different first hop (0: off; needs -retries)")
 		partial   = fs.Bool("partial-insert", false, "accept inserts that stored at least one but fewer than k replicas; maintenance repairs the shortfall")
 		debugAddr = fs.String("debug-addr", "", "serve /metrics, /healthz, /traces, and /debug/pprof/ on this address (empty: off)")
 
 		traceEvery = fs.Int("trace-every", 0, "route tracing: sample every Nth client operation into the trace ring (0: off; explicit pastctl trace requests always record)")
 
-		admitRate   = fs.Float64("admit-rate", 0, "admission control: sustained request rate in req/s; excess load is shed with an overload error (0: off)")
-		admitPolicy = fs.String("admit-policy", "droptail", "admission control: shed policy — droptail, dropfront, or lifo")
+		admitRate = fs.Float64("admit-rate", 0, "admission control: sustained request rate in req/s; excess load is shed with an overload error (0: off)")
 
 		cacheShards = fs.Int("cache-shards", 8, "cache engine: RAM-tier shard count (rounded up to a power of two; 1 = legacy single structure)")
 		cacheRAM    = fs.String("cache-ram", "0", "cache engine: RAM-tier cap (e.g. 16MB); 0 lets the cache use all free store space, as the paper does")
@@ -128,11 +125,7 @@ func Run(args []string) int {
 		return 1
 	}
 	// A flag whose mechanism is off would be ignored without a word.
-	switch {
-	case *hedge > 0 && *retries <= 0:
-		log.Printf("pastd: -hedge requires -retries")
-		return 1
-	case ecBudgetBytes > 0 && *ecMode == "":
+	if ecBudgetBytes > 0 && *ecMode == "" {
 		log.Printf("pastd: -ec-repair-budget requires -ec")
 		return 1
 	}
@@ -178,28 +171,8 @@ func Run(args []string) int {
 		tracer = obs.NewTracer(*traceEvery, traceKeep)
 		cfg.Tracer = tracer
 	}
-	if *retries > 0 {
-		cfg.Retry = &past.RetryPolicy{
-			MaxAttempts: *retries,
-			BaseDelay:   50 * time.Millisecond,
-			Timeout:     5 * time.Second,
-			JitterSeed:  time.Now().UnixNano(),
-			Hedge:       *hedge > 0,
-			HedgeDelay:  *hedge,
-		}
-	}
 	if *admitRate > 0 {
-		pol, err := admit.ParsePolicy(*admitPolicy)
-		if err != nil {
-			log.Printf("pastd: %v", err)
-			return 1
-		}
-		cfg.Admit = &admit.Config{
-			Rate:   *admitRate,
-			Burst:  admitBurst,
-			Depth:  admitDepth,
-			Policy: pol,
-		}
+		cfg.Admit = &admit.Config{Rate: *admitRate, Burst: admitBurst, Depth: admitDepth}
 	}
 	cacheRAMBytes, err := parseSize(*cacheRAM)
 	if err != nil {

@@ -78,7 +78,6 @@ func TestFlagWithoutItsMechanismRefused(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-hedge", "30ms"}, "-hedge requires -retries"},
 		{[]string{"-ec-repair-budget", "256KB"}, "-ec-repair-budget requires -ec"},
 		{[]string{"-ec-repair-budget", "banana"}, `-ec-repair-budget: invalid size "banana"`},
 		{[]string{"-ec", "3,2", "-ec-repair-budget", "banana"}, `-ec-repair-budget: invalid size "banana"`},
@@ -89,8 +88,8 @@ func TestFlagWithoutItsMechanismRefused(t *testing.T) {
 		}
 	}
 	// With its mechanism on, the same flag starts the node.
-	if logged, _ := runPastd(t, "bootstrapped network", "-retries", "3", "-hedge", "30ms"); !strings.Contains(logged, "bootstrapped network") {
-		t.Fatalf("-retries 3 -hedge 30ms did not start:\n%s", logged)
+	if logged, _ := runPastd(t, "bootstrapped network", "-ec", "3,2", "-ec-repair-budget", "256KB"); !strings.Contains(logged, "bootstrapped network") {
+		t.Fatalf("-ec 3,2 -ec-repair-budget 256KB did not start:\n%s", logged)
 	}
 }
 

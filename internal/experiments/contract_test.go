@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"past/internal/admit"
 	"past/internal/ec"
 	"past/internal/loadgen"
 )
@@ -32,7 +31,6 @@ func pastLoadSim(nodes int, nodeRate, rate float64, requests int) loadgen.SimCon
 		NodeRate:   nodeRate,
 		Burst:      4,
 		Depth:      8,
-		Policy:     admit.DropTail,
 		Shed:       true,
 		HopLatency: time.Millisecond,
 		SLO:        500 * time.Millisecond,
@@ -67,9 +65,16 @@ func TestContractFingerprints(t *testing.T) {
 			}
 			return r.Fingerprint, nil
 		}},
+		{"past-chaos -resilience -seed 7", func() (string, error) {
+			r, err := RunSoak(SoakConfig{Seed: 7, Resilience: true})
+			if err != nil {
+				return "", err
+			}
+			return r.Fingerprint, nil
+		}},
 		{"past-load -sim -check -seed 1 -nodes 10 -node-rate 20 -requests 1500", func() (string, error) {
 			r, err := RunOverload(OverloadConfig{
-				Nodes: 10, NodeRate: 20, Burst: 4, Depth: 8, Policy: admit.DropTail,
+				Nodes: 10, NodeRate: 20, Burst: 4, Depth: 8,
 				Requests: 1500, Workload: pastLoadWorkload, HopLatency: time.Millisecond,
 				SLO: 500 * time.Millisecond, Seed: 1,
 			})

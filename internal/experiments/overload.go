@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"past/internal/admit"
 	"past/internal/loadgen"
 )
 
@@ -25,8 +24,6 @@ type OverloadConfig struct {
 	// Burst and Depth shape the admission controller on the
 	// shedding-on runs. Defaults 4 and 8.
 	Burst, Depth int
-	// Policy picks who is shed at a full queue.
-	Policy admit.Policy
 	// Multipliers are the offered rates swept, as fractions of
 	// aggregate capacity. Default {0.5, 1, 1.5, 2}.
 	Multipliers []float64
@@ -132,7 +129,6 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 				NodeRate:   cfg.NodeRate,
 				Burst:      cfg.Burst,
 				Depth:      cfg.Depth,
-				Policy:     cfg.Policy,
 				Shed:       shed,
 				HopLatency: cfg.HopLatency,
 				SLO:        cfg.SLO,

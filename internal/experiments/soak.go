@@ -62,11 +62,12 @@ type SoakConfig struct {
 	// Drop is the per-message loss probability on every link.
 	Drop float64
 
-	// Resilience enables the client-side resilience layer on every
-	// node: a deterministic retry policy (budgeted retries, sequential
-	// failover hedging) plus partial inserts. BuildSoakSchedule never
-	// consults it, so the fault timeline is identical with the layer on
-	// and off — the flag changes only how clients cope.
+	// Resilience enables the resilience layer on every node: Pastry's
+	// per-hop reroute around a dead next hop (section 2.1) plus partial
+	// inserts. Off, routing is fail-fast and an insert needs all k
+	// replica-set members. BuildSoakSchedule never consults it, so the
+	// fault timeline is identical with the layer on and off — the flag
+	// changes only how the cluster copes.
 	Resilience bool
 
 	// FaultOps is the measurement traffic issued every fault-phase
@@ -187,9 +188,6 @@ type PhaseStats struct {
 	Faults int64
 	// Registry deltas.
 	Reroutes       int64
-	Retries        int64
-	Hedges         int64
-	HedgeWins      int64
 	PartialInserts int64
 	LeafRepairs    int64
 	MsgsOut        int64
@@ -203,9 +201,8 @@ type PhaseStats struct {
 // String renders the phase stats as one compact line.
 func (p PhaseStats) String() string {
 	return fmt.Sprintf(
-		"faults=%d reroutes=%d retries=%d hedges=%d (won %d) partial-inserts=%d leaf-repairs=%d msgs=%d lookups=%d/%d mean-hops=%.2f",
-		p.Faults, p.Reroutes, p.Retries, p.Hedges, p.HedgeWins,
-		p.PartialInserts, p.LeafRepairs, p.MsgsOut,
+		"faults=%d reroutes=%d partial-inserts=%d leaf-repairs=%d msgs=%d lookups=%d/%d mean-hops=%.2f",
+		p.Faults, p.Reroutes, p.PartialInserts, p.LeafRepairs, p.MsgsOut,
 		p.LookupsOK, p.Lookups, p.MeanHops)
 }
 
@@ -320,18 +317,9 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		pcfg.Tracer = tracer
 	}
 	if cfg.Resilience {
-		// BaseDelay 0 (no real sleeps — the emulated network resolves
-		// synchronously) and HedgeDelay 0 (sequential failover hedge)
-		// keep the run fully deterministic.
-		pcfg.Retry = &past.RetryPolicy{
-			MaxAttempts: 3,
-			JitterSeed:  cfg.Seed ^ 0x7E57,
-			Hedge:       true,
-		}
 		pcfg.PartialInsert = true
 	} else {
-		// The layer-off baseline is the pre-resilience system: fail-fast
-		// routing (no per-hop reroute), single attempts, no hedging.
+		// The layer-off baseline: fail-fast routing, no per-hop reroute.
 		pcfg.Pastry.FailFast = true
 	}
 	cluster, err := past.NewCluster(past.ClusterSpec{
@@ -546,9 +534,6 @@ func phaseDelta(from, to soakMarkT) PhaseStats {
 	ps := PhaseStats{
 		Faults:         to.faults - from.faults,
 		Reroutes:       d.Get(obs.CtrReroutes),
-		Retries:        d.Get(obs.CtrRetries),
-		Hedges:         d.Get(obs.CtrHedges),
-		HedgeWins:      d.Get(obs.CtrHedgeWins),
 		PartialInserts: d.Get(obs.CtrPartialInserts),
 		LeafRepairs:    d.Get(obs.CtrLeafRepairs),
 		MsgsOut:        d.Get(obs.CtrMsgsOut),
@@ -699,8 +684,7 @@ func RenderSoak(r *SoakResult) string {
 			r.Config.Admit.Rate, r.Config.Admit.Burst, r.Config.Admit.Depth, r.FaultSheds)
 	}
 	if r.Config.Resilience {
-		fmt.Fprintf(&b, "  resilience: retries=%d hedges=%d (won %d) reroutes=%d partial-inserts=%d\n",
-			r.Totals.Retries, r.Totals.Hedges, r.Totals.HedgeWins,
+		fmt.Fprintf(&b, "  resilience: reroutes=%d partial-inserts=%d\n",
 			r.Totals.Reroutes, r.Totals.PartialInserts)
 	}
 	fmt.Fprintf(&b, "  fault phase: %s\n", r.FaultPhase)
@@ -739,8 +723,7 @@ func RenderSoakComparison(c *SoakComparison) string {
 	}
 	row("off", c.Off)
 	row("on", c.On)
-	fmt.Fprintf(&b, "  layer activity (on): retries=%d hedges=%d (won %d) reroutes=%d partial-inserts=%d\n",
-		c.On.Totals.Retries, c.On.Totals.Hedges, c.On.Totals.HedgeWins,
+	fmt.Fprintf(&b, "  layer activity (on): reroutes=%d partial-inserts=%d\n",
 		c.On.Totals.Reroutes, c.On.Totals.PartialInserts)
 	delta := c.On.FaultLookupRate() - c.Off.FaultLookupRate()
 	fmt.Fprintf(&b, "  fault-phase lookup success: %.1f%% -> %.1f%% (%+.1f points)\n",

@@ -51,8 +51,6 @@ type SimConfig struct {
 	Burst int
 	// Depth bounds the per-node queue when Shed is set. Default 8.
 	Depth int
-	// Policy picks who is shed at a full queue.
-	Policy admit.Policy
 	// Shed enables admission control. When false the queue is
 	// unbounded and nothing is ever rejected.
 	Shed bool
@@ -164,9 +162,7 @@ func RunSim(sc SimConfig) (*Result, error) {
 	}
 	ctls := make([]*admit.Controller, sc.Nodes)
 	for i := range ctls {
-		ctls[i] = admit.New(admit.Config{
-			Rate: sc.NodeRate, Burst: sc.Burst, Depth: depth, Policy: sc.Policy,
-		})
+		ctls[i] = admit.New(admit.Config{Rate: sc.NodeRate, Burst: sc.Burst, Depth: depth})
 	}
 
 	var (

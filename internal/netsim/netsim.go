@@ -45,9 +45,8 @@ var (
 	// ErrOverloaded reports a request shed by a node's admission control
 	// (internal/admit): the node is alive but refusing work because its
 	// request queue is saturated. It is retryable — a different replica,
-	// hop, or a later (extra-backed-off) attempt may find capacity — and
-	// it is the signal the routing layer reroutes around and the retry
-	// layer slows down for.
+	// hop, or a later attempt may find capacity — and it is the signal
+	// the routing layer reroutes around.
 	ErrOverloaded = errors.New("netsim: node overloaded")
 )
 
@@ -66,7 +65,7 @@ func Retryable(err error) bool {
 // CtxErr maps a context failure onto the delivery-error taxonomy: a
 // deadline that expired is a timeout (retryable by a caller that still
 // has budget); an explicit cancellation is passed through untouched so
-// hedged losers and aborted requests are never retried.
+// aborted requests are never retried.
 func CtxErr(ctx context.Context) error {
 	switch err := ctx.Err(); {
 	case err == nil:

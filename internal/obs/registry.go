@@ -23,7 +23,7 @@ func LatencyBucketBound(i int) time.Duration {
 
 // NodeStats is one node's live counter registry. Every field is a
 // single atomic — cheap enough to stay on permanently, safe under the
-// concurrent hedged lookups and maintenance goroutines of a live node.
+// concurrent client operations and maintenance goroutines of a live node.
 // Gauges that already live elsewhere on the node (store bytes, cache
 // contents) are folded in at snapshot time by the owner, not duplicated
 // here.
@@ -43,13 +43,8 @@ type NodeStats struct {
 	// Client operations served with this node as access point.
 	Lookups, Inserts, Reclaims atomic.Int64
 
-	// Resilience-layer events on client operations at this access point.
-	Retries, Hedges, HedgeWins, PartialInserts atomic.Int64
-
-	// LoadSteers counts hedged lookups whose primary attempt was
-	// proactively entered through an alternate first hop because the
-	// preferred one advertised saturation via a load hint.
-	LoadSteers atomic.Int64
+	// Inserts acknowledged with fewer than k replicas (Config.PartialInsert).
+	PartialInserts atomic.Int64
 
 	// RPC latency histogram for outgoing invokes (wall clock; reported,
 	// never replayed). Only a network with real latency fills it: on the
@@ -83,11 +78,7 @@ const (
 	CtrLookups         = "lookups_total"
 	CtrInserts         = "inserts_total"
 	CtrReclaims        = "reclaims_total"
-	CtrRetries         = "retries_total"
-	CtrHedges          = "hedges_total"
-	CtrHedgeWins       = "hedge_wins_total"
 	CtrPartialInserts  = "partial_inserts_total"
-	CtrLoadSteers      = "load_steers_total"
 
 	// Names the owning node fills in at snapshot time (gauges and
 	// counters held by other subsystems).
@@ -194,11 +185,7 @@ func (s *NodeStats) Snapshot() Snapshot {
 			CtrLookups:         s.Lookups.Load(),
 			CtrInserts:         s.Inserts.Load(),
 			CtrReclaims:        s.Reclaims.Load(),
-			CtrRetries:         s.Retries.Load(),
-			CtrHedges:          s.Hedges.Load(),
-			CtrHedgeWins:       s.HedgeWins.Load(),
 			CtrPartialInserts:  s.PartialInserts.Load(),
-			CtrLoadSteers:      s.LoadSteers.Load(),
 		},
 		RPCLat: make([]int64, LatencyBucketCount),
 	}

@@ -37,9 +37,8 @@ const (
 	// ChoiceRandom: randomized routing (Config.RandomizeP) picked a
 	// random valid candidate instead of the best one.
 	ChoiceRandom = "random"
-	// ChoiceReroute: the best candidate was already excluded (found dead
-	// on this route, or avoided by a hedge) and this hop is the best
-	// remaining alternate.
+	// ChoiceReroute: the best candidate was already found dead on this
+	// route and this hop is the best remaining alternate.
 	ChoiceReroute = "reroute"
 	// ChoiceLocal: the node consumed the message itself — either the
 	// application claimed it (a lookup served en route) or the node is

@@ -1,16 +1,12 @@
 package past
 
 import (
-	"context"
-	"errors"
 	"math/rand"
 	"testing"
 	"time"
 
 	"past/internal/admit"
 	"past/internal/id"
-	"past/internal/netsim"
-	"past/internal/obs"
 )
 
 // admitCluster builds a cluster where every node runs admission control
@@ -115,120 +111,10 @@ func TestAdmissionCountersInSnapshot(t *testing.T) {
 	}
 }
 
-func TestRetryLoopOverloadExtraBackoff(t *testing.T) {
-	// The same jitter seed produces the same base backoff sequence, so
-	// one retry loop failing with ErrTimeout and one failing with
-	// ErrOverloaded isolate the overload factor exactly.
-	sleeps := func(factor float64, fail error) []time.Duration {
-		var out []time.Duration
-		n := &Node{stats: &obs.NodeStats{}, cfg: Config{Retry: &RetryPolicy{
-			MaxAttempts:    4,
-			BaseDelay:      10 * time.Millisecond,
-			JitterSeed:     99,
-			OverloadFactor: factor,
-			Sleep:          func(d time.Duration) { out = append(out, d) },
-		}}}
-		retryLoop(n, context.Background(), nil, func(context.Context) (*LookupResult, error) {
-			return nil, fail
-		})
-		return out
-	}
-	base := sleeps(2, netsim.ErrTimeout)
-	over := sleeps(2, netsim.ErrOverloaded)
-	if len(base) != 3 || len(over) != 3 {
-		t.Fatalf("want 3 backoffs each, got %d and %d", len(base), len(over))
-	}
-	for i := range base {
-		if over[i] != 2*base[i] {
-			t.Fatalf("backoff %d: overload %v != 2x base %v", i, over[i], base[i])
-		}
-	}
-	// Factor 1 disables the extra backoff.
-	flat := sleeps(1, netsim.ErrOverloaded)
-	for i := range base {
-		if flat[i] != base[i] {
-			t.Fatalf("factor 1 backoff %d: %v != base %v", i, flat[i], base[i])
-		}
-	}
-}
-
-func TestRetryLoopStillRetriesOverload(t *testing.T) {
-	n := &Node{stats: &obs.NodeStats{}, cfg: Config{Retry: &RetryPolicy{MaxAttempts: 2}}}
-	attempts := 0
-	_, err := retryLoop(n, context.Background(), nil, func(context.Context) (*LookupResult, error) {
-		attempts++
-		return nil, netsim.ErrOverloaded
-	})
-	if attempts != 2 {
-		t.Fatalf("overload must be retried: %d attempts", attempts)
-	}
-	if !errors.Is(err, netsim.ErrOverloaded) {
-		t.Fatalf("final error: %v", err)
-	}
-}
-
-func TestLoadSteeredHedgeAvoidsHotFirstHop(t *testing.T) {
-	cfg := smallCfg()
-	cfg.Retry = &RetryPolicy{MaxAttempts: 2, Hedge: true}
-	c := testCluster(t, 30, cfg, 1<<20, 17)
-	client := c.Nodes[0]
-	res, err := client.Insert(InsertSpec{Name: "steered", Content: []byte("steer me")})
-	if err != nil || !res.OK {
-		t.Fatalf("insert: %v", err)
-	}
-	fh := client.Overlay().FirstHop(res.FileID.Key())
-	if fh.IsZero() {
-		t.Skip("client is the consuming node for this key; no first hop to steer around")
-	}
-	// Simulate a saturation hint from the preferred entry point.
-	client.noteLoadHint(fh, 255)
-	got, err := client.Lookup(res.FileID)
-	if err != nil || !got.Found {
-		t.Fatalf("steered lookup: %v %+v", err, got)
-	}
-	if n := client.Stats().LoadSteers.Load(); n != 1 {
-		t.Fatalf("load steer not recorded: %d", n)
-	}
-	// The consumed hint decays, so steering is not permanent.
-	if h := client.loadHintFor(fh); h != 127 {
-		t.Fatalf("hint after steer = %d; want decayed 127", h)
-	}
-	// Below the threshold no steer fires.
-	client.noteLoadHint(fh, 100)
-	if _, err := client.Lookup(res.FileID); err != nil {
-		t.Fatalf("unsteered lookup: %v", err)
-	}
-	if n := client.Stats().LoadSteers.Load(); n != 1 {
-		t.Fatalf("steer fired below threshold: %d", n)
-	}
-}
-
-func TestLoadHintPiggybackReachesSender(t *testing.T) {
-	// Nodes under admission control stamp their load on every route
-	// reply they relay; senders must capture the hints. A low burst
-	// with a frozen clock drives every node into token debt quickly.
-	c, _ := admitCluster(t, 20, admit.Config{Rate: 1, Burst: 3, Depth: 30}, 23)
-	rng := rand.New(rand.NewSource(4))
-	missLookups(c, rng, 200)
-	hinted := 0
-	for _, node := range c.Nodes {
-		node.loadMu.Lock()
-		for _, h := range node.loadHints {
-			if h > 0 {
-				hinted++
-			}
-		}
-		node.loadMu.Unlock()
-	}
-	if hinted == 0 {
-		t.Fatal("no load hints captured from route replies")
-	}
-}
-
 func TestAdmissionFingerprintUnchangedWhenOff(t *testing.T) {
-	// The admission wiring (hint hooks, reply stamping) must not
-	// disturb a run with admission disabled: two identical clusters
-	// serve identical results with identical hop counts.
+	// The admission wiring must not disturb a run with admission
+	// disabled: two identical clusters serve identical results with
+	// identical hop counts.
 	run := func() []int {
 		c := testCluster(t, 15, smallCfg(), 1<<20, 31)
 		res, err := c.Nodes[0].Insert(InsertSpec{Name: "det", Content: []byte("det")})

@@ -86,10 +86,7 @@ func (n *Node) Insert(spec InsertSpec) (*InsertResult, error) {
 	return n.InsertContext(context.Background(), spec)
 }
 
-// InsertContext is Insert bounded by a context. When Config.Retry is
-// set, each routed attempt runs under the policy's per-attempt deadline
-// and transient routing failures are retried with backoff before the
-// attempt counts as failed.
+// InsertContext is Insert bounded by a context.
 func (n *Node) InsertContext(ctx context.Context, spec InsertSpec) (*InsertResult, error) {
 	k := spec.K
 	if k <= 0 {
@@ -155,14 +152,11 @@ func (n *Node) InsertContext(ctx context.Context, spec InsertSpec) (*InsertResul
 		res.FileID = fid
 
 		msg := &InsertMsg{File: fid, Size: size, Content: spec.Content, Cert: fc, K: k}
-		ir, err := retryLoop(n, ctx, nil, func(actx context.Context) (*InsertReply, error) {
-			reply, hops, trace, err := n.overlay.RouteContext(actx, fid.Key(), msg)
-			if err != nil {
-				return nil, err
-			}
+		reply, hops, trace, err := n.overlay.RouteContext(ctx, fid.Key(), msg)
+		if err == nil {
 			res.Hops, res.Trace = hops, trace
-			return netsim.ReplyAs[InsertReply](reply, nil)
-		})
+		}
+		ir, err := netsim.ReplyAs[InsertReply](reply, err)
 		if err != nil {
 			err = fmt.Errorf("past: insert %q: route: %w", spec.Name, err)
 			finishTrace(res, err)

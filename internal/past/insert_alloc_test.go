@@ -60,55 +60,45 @@ func TestAllocBudgetSimInsert(t *testing.T) {
 	}
 }
 
-// TestAllocBudgetSimLookup: an untraced routed lookup on the emulator,
-// with and without the hedging retry policy, allocates its messages and
-// replies. Trace intent rides the context, so an operation nobody traces
-// pays nothing for it: the budgets are the counts measured before the
-// route calls were unified, when untraced lookups took a route call of
-// their own.
+// TestAllocBudgetSimLookup: an untraced routed lookup on the emulator
+// allocates its messages and replies. Trace intent rides the context,
+// so an operation nobody traces pays nothing for it: the budget is the
+// count measured before the route calls were unified, when untraced
+// lookups took a route call of their own.
 func TestAllocBudgetSimLookup(t *testing.T) {
-	for _, c := range []struct {
-		name   string
-		retry  *RetryPolicy
-		budget uint64
-	}{
-		{"plain", nil, 5},
-		{"hedged", &RetryPolicy{MaxAttempts: 2, Hedge: true}, 7},
-	} {
-		cfg := smallCfg()
-		cfg.CachePolicy = cache.None
-		cfg.Retry = c.retry
-		cl, err := NewCluster(ClusterSpec{
-			N: 24, Cfg: cfg, Seed: 9,
-			Capacity: func(int, *rand.Rand) int64 { return 1 << 40 },
-		})
-		if err != nil {
-			t.Fatal(err)
+	const budget = 5
+	cfg := smallCfg()
+	cfg.CachePolicy = cache.None
+	cl, err := NewCluster(ClusterSpec{
+		N: 24, Cfg: cfg, Seed: 9,
+		Capacity: func(int, *rand.Rand) int64 { return 1 << 40 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make([]id.File, 16)
+	for i := range files {
+		res, err := cl.Nodes[0].Insert(InsertSpec{Name: fmt.Sprintf("lookup-%d", i), Size: 4096, Salt: uint64(i) + 1})
+		if err != nil || !res.OK {
+			t.Fatalf("insert %d: %+v, %v", i, res, err)
 		}
-		files := make([]id.File, 16)
-		for i := range files {
-			res, err := cl.Nodes[0].Insert(InsertSpec{Name: fmt.Sprintf("lookup-%d", i), Size: 4096, Salt: uint64(i) + 1})
-			if err != nil || !res.OK {
-				t.Fatalf("insert %d: %+v, %v", i, res, err)
-			}
-			files[i] = res.FileID
+		files[i] = res.FileID
+	}
+	hops := 0
+	// 48 lookups per batch: every batch visits the same (client, file)
+	// pairs, so the per-lookup count is exact.
+	_, perLookup := allocatedPerOp(48, func(i int) {
+		res, err := cl.Nodes[i%len(cl.Nodes)].Lookup(files[i%len(files)])
+		if err != nil || !res.Found {
+			t.Fatalf("lookup %d: %+v, %v", i, res, err)
 		}
-		hops := 0
-		// 48 lookups per batch: every batch visits the same (client, file)
-		// pairs, so the per-lookup count is exact.
-		_, perLookup := allocatedPerOp(48, func(i int) {
-			res, err := cl.Nodes[i%len(cl.Nodes)].Lookup(files[i%len(files)])
-			if err != nil || !res.Found {
-				t.Fatalf("%s lookup %d: %+v, %v", c.name, i, res, err)
-			}
-			hops += res.Hops
-		})
-		if hops == 0 {
-			t.Fatalf("%s: no lookup was routed", c.name)
-		}
-		t.Logf("%s: %d allocations per lookup", c.name, perLookup)
-		if perLookup > c.budget {
-			t.Errorf("%s: an untraced netsim lookup made %d allocations; budget %d", c.name, perLookup, c.budget)
-		}
+		hops += res.Hops
+	})
+	if hops == 0 {
+		t.Fatal("no lookup was routed")
+	}
+	t.Logf("%d allocations per lookup", perLookup)
+	if perLookup > budget {
+		t.Errorf("an untraced netsim lookup made %d allocations; budget %d", perLookup, budget)
 	}
 }

@@ -42,12 +42,7 @@ func (n *Node) Lookup(f id.File) (*LookupResult, error) {
 	return n.LookupContext(context.Background(), f)
 }
 
-// LookupContext is Lookup bounded by a context. When Config.Retry is
-// set, the request runs under the resilience layer: per-attempt
-// deadlines, backoff retries on transient routing failures AND on
-// not-found results (a miss under faults may be spurious — the replicas
-// exist but the route was cut short), and hedged attempts through a
-// different first hop when the policy enables them.
+// LookupContext is Lookup bounded by a context.
 //
 // A ctx carrying an active obs.TraceContext (how `pastctl trace` arrives
 // through the ClientLookup RPC) hop-records the route regardless of the
@@ -56,26 +51,12 @@ func (n *Node) Lookup(f id.File) (*LookupResult, error) {
 func (n *Node) LookupContext(ctx context.Context, f id.File) (*LookupResult, error) {
 	n.stats.Lookups.Add(1)
 	ctx, traced := n.traceIntent(ctx)
-	pol, hasPol := n.policy()
-	attempt := func(actx context.Context) (*LookupResult, error) {
-		if !hasPol {
-			return n.lookupOnce(actx, f)
-		}
-		return hedged(n, actx, pol, f.Key(),
-			func(rctx context.Context, avoid ...id.Node) (*LookupResult, error) {
-				return n.lookupOnce(rctx, f, avoid...)
-			},
-			func(lr *LookupResult) bool { return lr.Found })
-	}
-	res, err := retryLoop(n, ctx, func(lr *LookupResult) bool { return lr == nil || !lr.Found }, attempt)
+	res, err := n.routeLookup(ctx, f)
 	if err != nil {
 		if traced {
 			n.cfg.Tracer.Add(&obs.Trace{Op: "lookup", Key: f.Key(), Err: err.Error()})
 		}
 		return nil, err
-	}
-	if res == nil {
-		res = &LookupResult{Found: false}
 	}
 	if traced {
 		routeHops := res.Hops
@@ -105,11 +86,9 @@ func (n *Node) traceIntent(ctx context.Context) (context.Context, bool) {
 	return obs.ContextWithTrace(ctx, obs.TraceContext{Sampled: true}), true
 }
 
-// lookupOnce performs a single routed lookup attempt. A non-empty avoid
-// is excluded as the first hop (a hedge steering around the primary's
-// entry point).
-func (n *Node) lookupOnce(ctx context.Context, f id.File, avoid ...id.Node) (*LookupResult, error) {
-	reply, hops, trace, err := n.overlay.RouteContext(ctx, f.Key(), &LookupMsg{File: f}, avoid...)
+// routeLookup routes the lookup and turns its reply into a result.
+func (n *Node) routeLookup(ctx context.Context, f id.File) (*LookupResult, error) {
+	reply, hops, trace, err := n.overlay.RouteContext(ctx, f.Key(), &LookupMsg{File: f})
 	if err != nil {
 		return nil, fmt.Errorf("past: lookup %s: %w", f.Short(), err)
 	}

@@ -85,10 +85,6 @@ type Config struct {
 	// diverted-replica target (section 3.3.1, policy 2) with a uniformly
 	// random eligible node. Used only by the ablation benchmarks.
 	RandomDivert bool
-	// Retry, when non-nil, enables the client-side resilience layer:
-	// budgeted backoff retries around Insert/Lookup/Reclaim, per-attempt
-	// deadlines, and hedged lookups. Nil preserves fail-fast behavior.
-	Retry *RetryPolicy
 	// PartialInsert lets an insert coordinator succeed with fewer than k
 	// replicas when some replica-set members are unreachable (at least
 	// one replica must still be stored). The shortfall is a repair debt
@@ -114,11 +110,11 @@ type Config struct {
 	// Admit, when non-nil, enables per-node admission control: routed
 	// client work (lookups, inserts, reclaims arriving over the
 	// network) and client RPCs are gated by a token bucket with a
-	// bounded queue; excess load is shed with netsim.ErrOverloaded and
-	// replies piggyback a load hint. Nil admits everything — exactly
-	// the pre-admission behavior. Maintenance, join, and keep-alive
-	// traffic is never gated: shedding repair work under load would
-	// trade overload for durability loss.
+	// bounded queue; excess load is shed with netsim.ErrOverloaded.
+	// Nil admits everything — exactly the pre-admission behavior.
+	// Maintenance, join, and keep-alive traffic is never gated:
+	// shedding repair work under load would trade overload for
+	// durability loss.
 	Admit *admit.Config
 }
 
@@ -177,7 +173,6 @@ type Node struct {
 	cache *cachengine.Engine
 	card  *cert.Smartcard
 	rng   *rand.Rand
-	retry retryState
 
 	// erasure-coded storage (always initialized; active when
 	// Config.ECMode is set, but any node can hold fragments and serve
@@ -189,10 +184,6 @@ type Node struct {
 
 	// admission control (nil when Config.Admit is nil)
 	admitCtl *admit.Controller
-	// loadHints caches the most recent admission-load hint piggybacked
-	// by each next hop, for load-steered hedging.
-	loadMu    sync.Mutex
-	loadHints map[id.Node]uint8
 
 	// maintenance state
 	maintaining     bool
@@ -257,13 +248,7 @@ func NewWithStoreEngine(nid id.Node, net netsim.Net, cfg Config, backend store.B
 	n.overlay.OnLeafSetChange = n.maintainReplicas
 	if cfg.Admit != nil {
 		n.admitCtl = admit.New(*cfg.Admit)
-		n.overlay.LoadFunc = n.admitCtl.LoadHint
 	}
-	// Load hints are captured whether or not this node itself runs
-	// admission control: a hint-free node still steers around loaded
-	// peers.
-	n.loadHints = make(map[id.Node]uint8)
-	n.overlay.OnLoadHint = n.noteLoadHint
 	n.cache.SetLimit(n.cacheSpaceLocked())
 	if cfg.K > n.overlay.Config().L/2+1 {
 		panic(fmt.Sprintf("past: k=%d exceeds l/2+1=%d", cfg.K, n.overlay.Config().L/2+1))
@@ -430,21 +415,6 @@ func (n *Node) StatsSnapshot() obs.Snapshot {
 // AdmitController returns the node's admission controller, or nil when
 // admission control is disabled.
 func (n *Node) AdmitController() *admit.Controller { return n.admitCtl }
-
-// noteLoadHint records the latest admission-load hint observed for a
-// next hop (piggybacked on route replies, or implied by a shed).
-func (n *Node) noteLoadHint(hop id.Node, load uint8) {
-	n.loadMu.Lock()
-	n.loadHints[hop] = load
-	n.loadMu.Unlock()
-}
-
-// loadHintFor returns the last known load hint for a hop (0 if none).
-func (n *Node) loadHintFor(hop id.Node) uint8 {
-	n.loadMu.Lock()
-	defer n.loadMu.Unlock()
-	return n.loadHints[hop]
-}
 
 // issueStoreReceipt signs a store receipt if a smartcard is installed.
 func (n *Node) issueStoreReceipt(f id.File) *cert.StoreReceipt {

@@ -35,10 +35,7 @@ func (n *Node) Reclaim(f id.File, owner *cert.Smartcard) (*ReclaimResult, error)
 	return n.ReclaimContext(context.Background(), f, owner)
 }
 
-// ReclaimContext is Reclaim bounded by a context. When Config.Retry is
-// set, transient routing failures are retried under the policy (reclaim
-// is idempotent: a replica already discarded by an earlier attempt
-// simply reports not-held on the next).
+// ReclaimContext is Reclaim bounded by a context.
 func (n *Node) ReclaimContext(ctx context.Context, f id.File, owner *cert.Smartcard) (*ReclaimResult, error) {
 	n.stats.Reclaims.Add(1)
 	var rc *cert.ReclaimCertificate
@@ -47,10 +44,8 @@ func (n *Node) ReclaimContext(ctx context.Context, f id.File, owner *cert.Smartc
 	} else if n.cfg.VerifyCerts {
 		return nil, fmt.Errorf("past: reclaim %s: certificate verification requires an owner card", f.Short())
 	}
-	rr, err := retryLoop(n, ctx, nil, func(actx context.Context) (*ReclaimReply, error) {
-		reply, _, _, err := n.overlay.RouteContext(actx, f.Key(), &ReclaimMsg{File: f, Cert: rc})
-		return netsim.ReplyAs[ReclaimReply](reply, err)
-	})
+	reply, _, _, err := n.overlay.RouteContext(ctx, f.Key(), &ReclaimMsg{File: f, Cert: rc})
+	rr, err := netsim.ReplyAs[ReclaimReply](reply, err)
 	if err != nil {
 		return nil, fmt.Errorf("past: reclaim %s: %w", f.Short(), err)
 	}

@@ -1,150 +1,12 @@
 package past
 
 import (
-	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"past/internal/id"
-	"past/internal/netsim"
 	"past/internal/obs"
 )
-
-// hedgeCounts reads the hedge counters off a node's registry.
-func hedgeCounts(n *Node) (hedges, wins int64) {
-	return n.stats.Hedges.Load(), n.stats.HedgeWins.Load()
-}
-
-func lookupFound(lr *LookupResult) bool { return lr.Found }
-
-// TestHedgeConcurrentHedgeWins drives the concurrent hedge with a
-// primary that never answers: the hedge must fire after HedgeDelay,
-// supply the result (exactly one winner), and the losing primary's
-// context must be cancelled.
-func TestHedgeConcurrentHedgeWins(t *testing.T) {
-	n := &Node{stats: &obs.NodeStats{}}
-	pol := RetryPolicy{Hedge: true, HedgeDelay: time.Millisecond}.withDefaults()
-
-	primaryCancelled := make(chan error, 1)
-	route := func(ctx context.Context, avoid ...id.Node) (*LookupResult, error) {
-		if len(avoid) == 0 { // the primary: hang until cancelled
-			<-ctx.Done()
-			primaryCancelled <- ctx.Err()
-			return nil, netsim.CtxErr(ctx)
-		}
-		return &LookupResult{Found: true, Size: 7}, nil
-	}
-	res, err := hedgeConcurrent(n, context.Background(), pol, id.NodeFromUint64(1), route, lookupFound)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Found || res.Size != 7 {
-		t.Fatalf("winner must be the hedge's result, got %+v", res)
-	}
-	select {
-	case cerr := <-primaryCancelled:
-		if cerr != context.Canceled {
-			t.Fatalf("losing primary saw %v; want context.Canceled", cerr)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("losing primary was never cancelled")
-	}
-	if h, w := hedgeCounts(n); h != 1 || w != 1 {
-		t.Fatalf("hedges=%d wins=%d; want exactly one winning hedge", h, w)
-	}
-}
-
-// TestHedgeConcurrentPrimaryWins is the mirror: a slow-but-successful
-// primary outlasts the hedge delay, a hedge launches and hangs, the
-// primary's result wins, and the losing hedge is cancelled.
-func TestHedgeConcurrentPrimaryWins(t *testing.T) {
-	n := &Node{stats: &obs.NodeStats{}}
-	pol := RetryPolicy{Hedge: true, HedgeDelay: time.Millisecond}.withDefaults()
-
-	hedgeLaunched := make(chan struct{})
-	hedgeCancelled := make(chan error, 1)
-	route := func(ctx context.Context, avoid ...id.Node) (*LookupResult, error) {
-		if len(avoid) == 0 { // the primary: answer after the hedge is up
-			<-hedgeLaunched
-			return &LookupResult{Found: true, Size: 3}, nil
-		}
-		close(hedgeLaunched)
-		<-ctx.Done()
-		hedgeCancelled <- ctx.Err()
-		return nil, netsim.CtxErr(ctx)
-	}
-	res, err := hedgeConcurrent(n, context.Background(), pol, id.NodeFromUint64(1), route, lookupFound)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Found || res.Size != 3 {
-		t.Fatalf("winner must be the primary's result, got %+v", res)
-	}
-	select {
-	case cerr := <-hedgeCancelled:
-		if cerr != context.Canceled {
-			t.Fatalf("losing hedge saw %v; want context.Canceled", cerr)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("losing hedge was never cancelled")
-	}
-	if h, w := hedgeCounts(n); h != 1 || w != 0 {
-		t.Fatalf("hedges=%d wins=%d; want exactly one losing hedge", h, w)
-	}
-}
-
-// TestHedgeConcurrentCountsHedgeOnContextExpiry: a hedge that was
-// launched is counted even when the caller's context expires while both
-// attempts are still in flight — "once per hedged attempt launched".
-func TestHedgeConcurrentCountsHedgeOnContextExpiry(t *testing.T) {
-	n := &Node{stats: &obs.NodeStats{}}
-	pol := RetryPolicy{Hedge: true, HedgeDelay: time.Millisecond}.withDefaults()
-
-	// Both attempts block past the caller's cancellation, so the race
-	// loop can only leave through its ctx.Done arm.
-	ctx, cancel := context.WithCancel(context.Background())
-	release := make(chan struct{})
-	defer close(release)
-	route := func(_ context.Context, avoid ...id.Node) (*LookupResult, error) {
-		if len(avoid) > 0 { // the hedge is up: the caller gives up
-			cancel()
-		}
-		<-release
-		return nil, netsim.ErrTimeout
-	}
-	if _, err := hedgeConcurrent(n, ctx, pol, id.NodeFromUint64(1), route, lookupFound); err == nil {
-		t.Fatal("cancelled hedged attempt returned no error")
-	}
-	if h, w := hedgeCounts(n); h != 1 || w != 0 {
-		t.Fatalf("hedges=%d wins=%d; want the launched hedge counted once, no win", h, w)
-	}
-}
-
-// TestHedgedLookupThroughAlternateEntry exercises the sequential
-// failover hedge end to end: the client's first hop toward a file dies,
-// the primary attempt fails over inside routing, and the lookup still
-// succeeds under the policy without the client seeing an error.
-func TestHedgedLookupThroughAlternateEntry(t *testing.T) {
-	cfg := smallCfg()
-	cfg.Retry = &RetryPolicy{MaxAttempts: 3, Hedge: true}
-	c := testCluster(t, 40, cfg, 1<<20, 31)
-	client := c.RandomAliveNode()
-	res, err := client.Insert(InsertSpec{Name: "hedged", Size: 900})
-	if err != nil || !res.OK {
-		t.Fatalf("insert: %v %+v", err, res)
-	}
-	hop := client.Overlay().FirstHop(res.FileID.Key())
-	if hop.IsZero() {
-		t.Skip("client is its own access point for this key")
-	}
-	c.Fail(hop)
-	defer c.Recover(hop)
-	lr, err := client.Lookup(res.FileID)
-	if err != nil || !lr.Found {
-		t.Fatalf("lookup with dead first hop: %v %+v", err, lr)
-	}
-}
 
 // TestFileDiversionsAccounting pins FileDiversions == Attempts-1 on
 // every path: clean success, success after a re-salted retry, and

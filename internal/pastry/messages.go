@@ -47,10 +47,10 @@ type RouteReply struct {
 	Hops    int
 	Trace   []obs.HopRecord
 
-	// Load is the admission-control load hint (0 idle .. 255 saturated)
-	// of the last node the reply passed through: each relay overwrites
-	// it on the way back, so the sender of the RouteRequest reads its
-	// own next hop's load. Zero when the node runs no admission control.
+	// Load is a retired admission-load hint: no code outside the codec
+	// sets or reads it, so senders always write 0. The codec still
+	// carries the byte so the frame layout holds until the next wire
+	// version drops it.
 	Load uint8
 
 	// Join protocol results: the terminal node's identity and leaf set,
@@ -133,17 +133,7 @@ func (n *Node) Deliver(from id.Node, msg any) (any, error) {
 		// A relayed message runs under a fresh context: the originator's
 		// deadline bounds its own Invoke of the first hop, and each relay
 		// bounds its onward RPCs with cfg.HopTimeout.
-		rr, err := n.routeStep(context.Background(), m, nil)
-		if err == nil {
-			// Stamp this node's load on the reply as it passes back, so
-			// the upstream hop learns how loaded we are. Only nodes the
-			// request reached over the network stamp; the origin never
-			// overwrites with its own load.
-			if lf := n.LoadFunc; lf != nil {
-				rr.Load = lf()
-			}
-		}
-		return rr, err
+		return n.routeStep(context.Background(), m)
 	case *Ping:
 		return &Pong{}, nil
 	case *StateRequest:

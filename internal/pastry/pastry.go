@@ -137,20 +137,6 @@ type Node struct {
 	// after any mutation of the leaf set. PAST uses it to re-establish
 	// the k-replica invariant.
 	OnLeafSetChange func()
-
-	// LoadFunc, if set, reports this node's current admission-control
-	// load (0 idle .. 255 saturated). Replies to routed requests this
-	// node relayed or consumed are stamped with it, so upstream nodes
-	// learn how loaded their next hops are. Must be safe for concurrent
-	// use.
-	LoadFunc func() uint8
-
-	// OnLoadHint, if set, observes the load hint piggybacked on each
-	// route reply received from a next hop (and a synthetic 255 when a
-	// hop sheds with ErrOverloaded). PAST uses it to steer hedged
-	// lookups toward less-loaded entry points. Called without the node
-	// lock held; must be safe for concurrent use.
-	OnLoadHint func(hop id.Node, load uint8)
 }
 
 // New creates a node with the given identifier. app may be nil, in which

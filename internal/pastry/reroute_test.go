@@ -1,13 +1,9 @@
 package pastry
 
 import (
-	"context"
-	"errors"
 	"testing"
 
-	"past/internal/id"
 	"past/internal/netsim"
-	"past/internal/obs"
 )
 
 // TestRouteCompletesViaAlternate kills the exact next hop a route is
@@ -79,55 +75,5 @@ func TestFailFastDisablesReroute(t *testing.T) {
 	}
 	if failed < 5 {
 		t.Fatalf("only %d fail-fast routes exercised at this scale", failed)
-	}
-}
-
-// TestRouteAvoidingExhaustionIsNoRoute checks the hedged-request
-// primitive's fail-fast contract: when every admissible first hop is
-// excluded, RouteContext reports ErrNoRoute rather than replaying the
-// primary's path.
-func TestRouteAvoidingExhaustionIsNoRoute(t *testing.T) {
-	c := buildCluster(t, 8, Config{B: 4, L: 16}, 93)
-	src := c.nodes[c.order[0]]
-	key := randKey(c.rng)
-	// Exclude every other node: no admissible first hop can remain.
-	avoid := make([]id.Node, 0, len(c.order)-1)
-	for _, nid := range c.order[1:] {
-		avoid = append(avoid, nid)
-	}
-	_, _, _, err := src.RouteContext(context.Background(), key, nil, avoid...)
-	if !errors.Is(err, ErrNoRoute) {
-		t.Fatalf("want ErrNoRoute with every first hop excluded, got %v", err)
-	}
-}
-
-// TestRouteAvoidingEntersElsewhere pins the hedge's contract on a live
-// overlay: with the preferred first hop avoided, the route enters
-// through another node, labels that hop a reroute, and still ends at
-// the numerically closest live node.
-func TestRouteAvoidingEntersElsewhere(t *testing.T) {
-	c := buildCluster(t, 60, Config{B: 4, L: 16}, 96)
-	hedged := 0
-	for i := 0; i < 200 && hedged < 5; i++ {
-		key := randKey(c.rng)
-		src := c.randomAliveNode()
-		hop := src.FirstHop(key)
-		if hop.IsZero() {
-			continue // src would consume the message itself
-		}
-		_, _, trace, err := src.RouteContext(tracedCtx, key, nil, hop)
-		if err != nil {
-			t.Fatalf("route avoiding %s: %v", hop.Short(), err)
-		}
-		if first := trace[0]; first.From != src.ID() || first.To == hop || first.Choice != obs.ChoiceReroute {
-			t.Fatalf("first hop %+v; want a reroute from %s around %s", first, src.ID().Short(), hop.Short())
-		}
-		if got, want := trace[len(trace)-1].To, c.globalClosest(key); got != want {
-			t.Fatalf("hedged route ended at %s; want %s", got.Short(), want.Short())
-		}
-		hedged++
-	}
-	if hedged < 5 {
-		t.Fatalf("only %d hedged routes exercised at this scale", hedged)
 	}
 }

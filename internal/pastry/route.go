@@ -15,12 +15,6 @@ import (
 // which indicates corrupted routing state rather than a transient fault.
 var ErrHopLimit = errors.New("pastry: hop limit exceeded")
 
-// ErrNoRoute reports that every admissible next hop was excluded or
-// found dead: the route ran out of alternates. It is retryable in the
-// large (routing state repairs between attempts) but fatal for the
-// attempt that observed it.
-var ErrNoRoute = errors.New("pastry: no route")
-
 // Route routes payload toward key and returns the consuming node's reply
 // and the number of overlay hops taken (0 if this node consumed the
 // message itself). It carries no deadline; use RouteContext to bound the
@@ -42,15 +36,7 @@ func (n *Node) Route(key id.Node, payload any) (reply any, hops int, err error) 
 // request, so relays in other processes record under the same trace id.
 // Recording is out-of-band: it draws no randomness and alters no routing
 // decision.
-//
-// A non-empty avoid set makes this the hedged-request primitive: none of
-// the avoid nodes is used as the first hop, so a second attempt enters
-// the overlay somewhere else and a fault on the primary's path is not
-// simply replayed. If no admissible first hop exists the route fails
-// fast with ErrNoRoute (duplicating the primary's exact path would add
-// load without adding diversity), and the origin's Forward upcall is
-// skipped — the primary attempt already ran it locally.
-func (n *Node) RouteContext(ctx context.Context, key id.Node, payload any, avoid ...id.Node) (reply any, hops int, trace []obs.HopRecord, err error) {
+func (n *Node) RouteContext(ctx context.Context, key id.Node, payload any) (reply any, hops int, trace []obs.HopRecord, err error) {
 	req := &RouteRequest{Key: key, Payload: payload}
 	if tc, ok := obs.TraceFromContext(ctx); ok && tc.Sampled {
 		req.Traced = true
@@ -58,7 +44,7 @@ func (n *Node) RouteContext(ctx context.Context, key id.Node, payload any, avoid
 			req.TC = tc
 		}
 	}
-	rr, err := n.routeStep(ctx, req, avoid)
+	rr, err := n.routeStep(ctx, req)
 	if err != nil {
 		return nil, 0, req.Trace, err
 	}
@@ -66,9 +52,7 @@ func (n *Node) RouteContext(ctx context.Context, key id.Node, payload any, avoid
 }
 
 // FirstHop returns the node this node would forward a message for key to
-// right now (the zero id if it would consume the message itself). Hedged
-// requests use it to steer a second attempt around the primary's entry
-// point.
+// right now (the zero id if it would consume the message itself).
 func (n *Node) FirstHop(key id.Node) id.Node { return n.nextHop(key) }
 
 // invokeHop sends one routed message to the next hop, applying the
@@ -97,22 +81,9 @@ func (n *Node) invokeHop(ctx context.Context, next id.Node, req *RouteRequest) (
 func (n *Node) noteHopRejection(next id.Node, err error) {
 	if errors.Is(err, netsim.ErrOverloaded) {
 		n.overloadHops.Add(1)
-		// A shed is the strongest possible load signal.
-		n.noteLoadHint(next, 255)
 		return
 	}
 	n.noteHopFailure(next)
-}
-
-// noteLoadHint reports a hop's piggybacked (or shed-implied) load to
-// the application hook.
-func (n *Node) noteLoadHint(hop id.Node, load uint8) {
-	if load == 0 {
-		return
-	}
-	if cb := n.OnLoadHint; cb != nil {
-		cb(hop, load)
-	}
 }
 
 // noteHopFailure records a next hop found dead mid-route: drop it from
@@ -136,11 +107,7 @@ func (n *Node) noteHopFailure(dead id.Node) {
 // neighbors, per section 2.1's repair semantics); only when every
 // alternate is exhausted does the node consume the message itself as
 // the numerically closest live node it knows of.
-//
-// A non-empty avoid set (only ever at the origin: see RouteContext)
-// seeds the exclusion set, skips the Forward upcall, and turns "no
-// admissible next hop" into ErrNoRoute instead of local delivery.
-func (n *Node) routeStep(ctx context.Context, req *RouteRequest, avoid []id.Node) (*RouteReply, error) {
+func (n *Node) routeStep(ctx context.Context, req *RouteRequest) (*RouteReply, error) {
 	if err := netsim.CtxErr(ctx); err != nil {
 		return nil, err
 	}
@@ -148,20 +115,11 @@ func (n *Node) routeStep(ctx context.Context, req *RouteRequest, avoid []id.Node
 		return nil, fmt.Errorf("%w: key %s at node %s after %d hops",
 			ErrHopLimit, req.Key.Short(), n.self.Short(), req.Hops)
 	}
-	hedge := len(avoid) > 0
 	var tried map[id.Node]bool
 	join, isJoin := req.Payload.(*joinPayload)
-	switch {
-	case isJoin:
+	if isJoin {
 		n.collectJoinRows(req, join.Joiner)
-	case hedge:
-		tried = make(map[id.Node]bool, len(avoid))
-		for _, a := range avoid {
-			if !a.IsZero() {
-				tried[a] = true
-			}
-		}
-	default:
+	} else {
 		handled, reply, err := n.app.Forward(req.Key, req.Payload)
 		if err != nil {
 			return nil, err
@@ -177,10 +135,6 @@ func (n *Node) routeStep(ctx context.Context, req *RouteRequest, avoid []id.Node
 	for {
 		next, choice := n.nextHopChoose(req.Key, tried)
 		if next.IsZero() {
-			if hedge {
-				return nil, fmt.Errorf("%w: key %s: no first hop outside %d avoided at %s",
-					ErrNoRoute, req.Key.Short(), len(tried), n.self.Short())
-			}
 			// This node is the numerically closest live node it knows of:
 			// consume the message.
 			if req.Traced && req.TC.HasRoom(len(req.Trace)) {
@@ -200,9 +154,8 @@ func (n *Node) routeStep(ctx context.Context, req *RouteRequest, avoid []id.Node
 			return &RouteReply{Payload: reply, Hops: req.Hops, Trace: req.Trace}, nil
 		}
 		if len(tried) > 0 {
-			// The best candidate was excluded — by an earlier failure on
-			// this route or by the hedge's avoid set: this hop is the
-			// alternate.
+			// The best candidate was excluded by an earlier failure on
+			// this route: this hop is the alternate.
 			choice = obs.ChoiceReroute
 		}
 
@@ -252,7 +205,6 @@ func (n *Node) routeStep(ctx context.Context, req *RouteRequest, avoid []id.Node
 			// trace as it propagates back toward the origin.
 			rr.Trace[mark].RPCNanos = time.Since(hopStart).Nanoseconds()
 		}
-		n.noteLoadHint(next, rr.Load)
 		if !isJoin {
 			n.app.Backward(req.Key, req.Payload, rr.Payload)
 		}
@@ -315,12 +267,11 @@ func (n *Node) nextHop(key id.Node) id.Node { return n.nextHopAvoiding(key, nil)
 // exclusion set: leaf set if the key is in range, otherwise the routing
 // table entry with a longer prefix match, otherwise any known node that
 // is closer to the key without shortening the prefix match (the "rare
-// case"). Nodes in avoid — hops already found dead on this route, or a
-// hedge's primary entry point — are skipped, which is what turns the
-// procedure into per-hop reroute: excluding the best candidate makes the
-// same rules yield the best alternate. With RandomizeP > 0 the choice is
-// occasionally made among all valid candidates to defeat
-// repeat-interception.
+// case"). Nodes in avoid — hops already found dead on this route — are
+// skipped, which is what turns the procedure into per-hop reroute:
+// excluding the best candidate makes the same rules yield the best
+// alternate. With RandomizeP > 0 the choice is occasionally made among
+// all valid candidates to defeat repeat-interception.
 func (n *Node) nextHopAvoiding(key id.Node, avoid map[id.Node]bool) id.Node {
 	next, _ := n.nextHopChoose(key, avoid)
 	return next

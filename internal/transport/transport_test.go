@@ -566,7 +566,7 @@ func testStaleRetryAlsoFails(t *testing.T, cut int) {
 // admitTCPPair builds a two-node TCP overlay where only the second
 // node runs admission control against a frozen clock, plus a fileId
 // whose route from the first node enters through the gated one.
-func admitTCPPair(t *testing.T, retry *past.RetryPolicy, ac admit.Config) (client *past.Node, gated *past.Node, f id.File) {
+func admitTCPPair(t *testing.T, ac admit.Config) (client *past.Node, gated *past.Node, f id.File) {
 	t.Helper()
 	register()
 	rng := rand.New(rand.NewSource(42))
@@ -576,7 +576,6 @@ func admitTCPPair(t *testing.T, retry *past.RetryPolicy, ac admit.Config) (clien
 	// routes anyway, and these tests assert on the raw wire error.
 	cfg.Pastry = pastry.Config{B: 4, L: 8, FailFast: true}
 	cfg.K = 1
-	cfg.Retry = retry
 
 	a := startNode(t, rng, cfg, 1<<20)
 	a.node.Overlay().Bootstrap()
@@ -584,7 +583,6 @@ func admitTCPPair(t *testing.T, retry *past.RetryPolicy, ac admit.Config) (clien
 	frozen := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	ac.Clock = func() time.Time { return frozen }
 	gcfg := cfg
-	gcfg.Retry = nil
 	gcfg.Admit = &ac
 	b := startNode(t, rng, gcfg, 1<<20)
 	bootID, err := b.t.Bootstrap(a.t.Addr())
@@ -611,8 +609,8 @@ func admitTCPPair(t *testing.T, retry *past.RetryPolicy, ac admit.Config) (clien
 func TestTCPOverloadedRoundTripsWire(t *testing.T) {
 	// A gated node sheds a routed lookup; the shed must cross the real
 	// socket as an error code and come back as netsim.ErrOverloaded at the
-	// sender, where errors.Is classification drives rerouting/retry.
-	client, gated, f := admitTCPPair(t, nil, admit.Config{Rate: 1, Burst: 2, Depth: 1})
+	// sender, where errors.Is classification drives rerouting.
+	client, gated, f := admitTCPPair(t, admit.Config{Rate: 1, Burst: 2, Depth: 1})
 	var overloaded error
 	for i := 0; i < 10 && overloaded == nil; i++ {
 		if _, err := client.Lookup(f); err != nil {
@@ -627,47 +625,6 @@ func TestTCPOverloadedRoundTripsWire(t *testing.T) {
 	}
 	if gated.AdmitController().Shed() == 0 {
 		t.Fatal("gated node recorded no sheds")
-	}
-}
-
-func TestTCPOverloadHonoredByRetryBackoff(t *testing.T) {
-	// Identical runs except for OverloadFactor: same jitter seed, same
-	// shedding server, so the captured backoff sleeps must differ by
-	// exactly the factor — proving the policy classified the remote,
-	// wire-coded error as overload and backed off harder.
-	run := func(factor float64) []time.Duration {
-		var sleeps []time.Duration
-		client, _, f := admitTCPPair(t, &past.RetryPolicy{
-			MaxAttempts:    3,
-			BaseDelay:      10 * time.Millisecond,
-			JitterSeed:     7,
-			OverloadFactor: factor,
-			Sleep:          func(d time.Duration) { sleeps = append(sleeps, d) },
-		}, admit.Config{Rate: 1, Burst: 1, Depth: 1})
-		// Burn the gated node's entire frozen budget so every retry
-		// attempt below fails with a shed.
-		for i := 0; i < 4; i++ {
-			client.Lookup(f)
-		}
-		sleeps = nil
-		_, err := client.Lookup(f)
-		if !errors.Is(err, netsim.ErrOverloaded) {
-			t.Fatalf("factor %g: final error %v; want ErrOverloaded", factor, err)
-		}
-		return sleeps
-	}
-	flat := run(1)
-	doubled := run(2)
-	if len(flat) != 2 || len(doubled) != 2 {
-		t.Fatalf("want 2 backoff sleeps per run, got %d and %d", len(flat), len(doubled))
-	}
-	for i := range flat {
-		if flat[i] <= 0 {
-			t.Fatalf("backoff %d not positive: %v", i, flat[i])
-		}
-		if doubled[i] != 2*flat[i] {
-			t.Fatalf("backoff %d: %v with factor 2 vs %v with factor 1", i, doubled[i], flat[i])
-		}
 	}
 }
 
