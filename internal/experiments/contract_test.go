@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"fmt"
 	"os"
@@ -37,6 +39,18 @@ func pastLoadSim(nodes int, nodeRate, rate float64, requests int) loadgen.SimCon
 	}
 }
 
+// soakReportDigest hashes the whole report past-chaos prints for cfg,
+// not just the fault fingerprint: the checker's verdict, the violation
+// list and the post-heal lookups are in it.
+func soakReportDigest(cfg SoakConfig) (string, error) {
+	r, err := RunSoak(cfg)
+	if err != nil {
+		return "", err
+	}
+	sum := sha256.Sum256([]byte(RenderSoak(r)))
+	return hex.EncodeToString(sum[:]), nil
+}
+
 // TestContractFingerprints pins the seeded fingerprints the binaries
 // print, one row per command line, against testdata/contract.golden.
 // Each row is the one call its binary makes, built as its flags build
@@ -71,6 +85,12 @@ func TestContractFingerprints(t *testing.T) {
 				return "", err
 			}
 			return r.Fingerprint, nil
+		}},
+		{"past-chaos -seed 7 (report)", func() (string, error) {
+			return soakReportDigest(SoakConfig{Seed: 7})
+		}},
+		{"past-chaos -resilience -seed 7 (report)", func() (string, error) {
+			return soakReportDigest(SoakConfig{Seed: 7, Resilience: true})
 		}},
 		{"past-load -sim -check -seed 1 -nodes 10 -node-rate 20 -requests 1500", func() (string, error) {
 			r, err := RunOverload(OverloadConfig{
