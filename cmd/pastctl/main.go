@@ -135,19 +135,20 @@ func runCommand(tr *transport.TCP, node string, k int, args []string) error {
 		return nil
 
 	case "status":
-		sr, err := netsim.ReplyAs[past.ClientStatusReply](tr.InvokeAddr(node, &past.ClientStatus{}))
+		rep, err := netsim.ReplyAs[past.ClientObsReportReply](tr.InvokeAddr(node, &past.ClientObsReport{}))
 		if err != nil {
 			return err
 		}
-		s := sr.Status
-		fmt.Printf("node %s  joined=%v\n", s.ID, s.Joined)
-		fmt.Printf("storage: %d / %d bytes used (%.1f%%), %d replicas (%d diverted-in)\n",
-			s.Used, s.Capacity, 100*float64(s.Used)/float64(max(1, s.Capacity)), s.Replicas, s.DivertedIn)
-		fmt.Printf("pointers: %d diverted-out, %d backup\n", s.PointersOut, s.BackupPtrs)
+		s := rep.Snapshot
+		capacity, used := s.Get(obs.CtrStoreCapacity), s.Get(obs.CtrStoreBytes)
+		fmt.Printf("node %s  joined=%v\n", rep.Node, s.Get(obs.CtrOverlayJoined) == 1)
+		fmt.Printf("storage: %d / %d bytes used (%.1f%%), %d free, %d replicas, %d pointers\n",
+			used, capacity, 100*float64(used)/float64(max(1, capacity)), capacity-used,
+			s.Get(obs.CtrStoreReplicas), s.Get(obs.CtrStorePointers))
 		fmt.Printf("cache: %d entries, %d bytes, %d hits / %d misses\n",
-			s.CacheEntries, s.CacheBytes, s.CacheHits, s.CacheMisses)
+			s.Get(obs.CtrCacheEntries), s.Get(obs.CtrCacheBytes), s.Get(obs.CtrCacheHits), s.Get(obs.CtrCacheMisses))
 		fmt.Printf("overlay: leaf set %d, routing table %d entries, below-k events %d\n",
-			s.LeafSetSize, s.TableEntries, s.BelowKEvents)
+			s.Get(obs.CtrLeafSetSize), s.Get(obs.CtrTableEntries), s.Get(obs.CtrBelowKEvents))
 		return nil
 
 	case "stats":

@@ -54,6 +54,26 @@ func newClientTransport(t *testing.T) *transport.TCP {
 	return ct
 }
 
+// captureStdout runs a command with stdout redirected and returns what
+// it printed.
+func captureStdout(t *testing.T, run func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stdout
+	os.Stdout = w
+	runErr := run()
+	w.Close()
+	os.Stdout = old
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), runErr
+}
+
 func TestRunCommandInsertLookupReclaim(t *testing.T) {
 	server, _ := startTestNode(t)
 	ct := newClientTransport(t)
@@ -71,22 +91,13 @@ func TestRunCommandInsertLookupReclaim(t *testing.T) {
 		w.Close()
 	}()
 
-	// Capture stdout for the fileId.
-	ro, wo, err := os.Pipe()
+	out, err := captureStdout(t, func() error {
+		return runCommand(ct, server.Addr(), 0, []string{"insert", "test.txt"})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldStdout := os.Stdout
-	os.Stdout = wo
-	insertErr := runCommand(ct, server.Addr(), 0, []string{"insert", "test.txt"})
-	wo.Close()
-	os.Stdout = oldStdout
-	if insertErr != nil {
-		t.Fatal(insertErr)
-	}
-	out := make([]byte, 256)
-	n, _ := ro.Read(out)
-	fidHex := strings.TrimSpace(string(out[:n]))
+	fidHex := strings.TrimSpace(out)
 	if _, err := id.ParseFile(fidHex); err != nil {
 		t.Fatalf("insert did not print a fileId: %q", fidHex)
 	}
@@ -124,8 +135,20 @@ func TestRunCommandStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct := newClientTransport(t)
-	if err := runCommand(ct, server.Addr(), 0, []string{"status"}); err != nil {
+	out, err := captureStdout(t, func() error {
+		return runCommand(ct, server.Addr(), 0, []string{"status"})
+	})
+	if err != nil {
 		t.Fatal(err)
+	}
+	// One node with k=1 holds the one 3-byte replica it inserted.
+	for _, want := range []string{
+		"node " + node.ID().String() + "  joined=true\n",
+		"storage: 3 / 1048576 bytes used (0.0%), 1048573 free, 1 replicas, 0 pointers\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("status output missing %q:\n%s", want, out)
+		}
 	}
 }
 
@@ -135,27 +158,15 @@ func TestRunCommandStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct := newClientTransport(t)
-
-	ro, wo, err := os.Pipe()
+	out, err := captureStdout(t, func() error {
+		return runCommand(ct, server.Addr(), 0, []string{"stats"})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldStdout := os.Stdout
-	os.Stdout = wo
-	statsErr := runCommand(ct, server.Addr(), 0, []string{"stats"})
-	wo.Close()
-	os.Stdout = oldStdout
-	if statsErr != nil {
-		t.Fatal(statsErr)
-	}
-	out, err := io.ReadAll(ro)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := string(out)
 	for _, want := range []string{"inserts_total", "store_capacity_bytes", "msgs_in_total"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("stats output missing %q:\n%s", want, s)
+		if !strings.Contains(out, want) {
+			t.Fatalf("stats output missing %q:\n%s", want, out)
 		}
 	}
 }
@@ -180,7 +191,7 @@ func TestRunCommandRejectsBadReplies(t *testing.T) {
 	defer func() { os.Stdin = oldStdin }()
 
 	fid := id.NewFile("stub", nil, 1).String()
-	for _, reply := range []any{&past.ClientStatusReply{}, nil} {
+	for _, reply := range []any{&past.ClientReclaimReply{}, nil} {
 		wire.RegisterWire()
 		past.RegisterWire()
 		srv, err := transport.New(id.NodeFromUint64(3), "127.0.0.1:0", topology.Point{})
@@ -189,9 +200,9 @@ func TestRunCommandRejectsBadReplies(t *testing.T) {
 		}
 		srv.Serve(stubAccessPoint{reply})
 		ct := newClientTransport(t)
-		cmds := [][]string{{"insert", "stub"}, {"lookup", fid}, {"exists", fid}, {"trace", fid}, {"reclaim", fid}, {"stats"}}
+		cmds := [][]string{{"insert", "stub"}, {"lookup", fid}, {"exists", fid}, {"trace", fid}, {"stats"}, {"status"}}
 		if reply == nil {
-			cmds = append(cmds, []string{"status"})
+			cmds = append(cmds, []string{"reclaim", fid})
 		}
 		for _, args := range cmds {
 			if err := runCommand(ct, srv.Addr(), 0, args); !errors.Is(err, netsim.ErrBadReply) {

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"sort"
 
 	"past/internal/id"
 )
@@ -12,26 +13,128 @@ import (
 // global: a file is durable as long as SOME live node holds a replica,
 // whichever side of a partition that node is on.
 
-// ClusterState is the checker's read-only window onto a cluster.
-// past.Cluster implements it; a TCP harness can provide its own.
-type ClusterState interface {
-	// GlobalClosest returns the k live nodes numerically closest to key
-	// (ground truth, by brute force).
-	GlobalClosest(key id.Node, k int) []id.Node
-	// Alive reports whether a node is up.
-	Alive(nid id.Node) bool
-	// NodeHasReplica reports whether a node holds a replica (primary or
-	// diverted) of f.
-	NodeHasReplica(nid id.Node, f id.File) bool
-	// NodePointer returns the target of a node's diverted-replica
-	// pointer for f, if it has one.
-	NodePointer(nid id.Node, f id.File) (id.Node, bool)
-	// ReplicaHolders returns every live node holding a replica of f.
-	ReplicaHolders(f id.File) []id.Node
-	// PrimaryHolders returns every live node holding a PRIMARY replica
-	// of f (diverted-in copies are their referrer's charge and are
-	// excluded from the stray check).
-	PrimaryHolders(f id.File) []id.Node
+// Hold is one file's local state on one node, as the node itself
+// reports it (past.Node.Holds; the ClientReplicaReport reply carries
+// the same values over the wire).
+type Hold struct {
+	Has     bool    // node holds a replica (primary or diverted-in)
+	Primary bool    // the replica is primary (meaningful when Has)
+	HasPtr  bool    // node holds a diverted-replica pointer
+	Ptr     id.Node // the pointer target (meaningful when HasPtr)
+	// Erasure-coding state: when the held replica is a fragment map,
+	// ECTotal > 0 carries the coding shape; Frags lists the fragment
+	// indices this node holds locally (independent of Has — fragment
+	// holders usually don't replicate the map).
+	ECData  int
+	ECTotal int
+	Frags   []int
+}
+
+// NodeHolds is one node's entry in a census.
+type NodeHolds struct {
+	ID    id.Node
+	Alive bool
+	// Holds is parallel to Census.Files, or nil for a node that could
+	// not report (a dead process).
+	Holds []Hold
+}
+
+// Census is the checker's whole view of a cluster: the audited files
+// and, per node in ascending nodeId order, whether it is alive and what
+// it holds. The emulator takes one from every node in the process
+// (past.Cluster.Census), dead ones included; the live fleet assembles
+// one from a ClientReplicaReport per live process. Either way the same
+// checker audits it.
+type Census struct {
+	Files []id.File
+	Nodes []NodeHolds
+}
+
+func (c *Census) hold(ni, fi int) Hold {
+	if hs := c.Nodes[ni].Holds; fi < len(hs) {
+		return hs[fi]
+	}
+	return Hold{}
+}
+
+// find returns nid's index in c.Nodes, or -1.
+func (c *Census) find(nid id.Node) int {
+	i := sort.Search(len(c.Nodes), func(i int) bool { return !c.Nodes[i].ID.Less(nid) })
+	if i < len(c.Nodes) && c.Nodes[i].ID == nid {
+		return i
+	}
+	return -1
+}
+
+// liveHas reports whether nid is alive and holds a replica of file fi.
+func (c *Census) liveHas(nid id.Node, fi int) bool {
+	ni := c.find(nid)
+	return ni >= 0 && c.Nodes[ni].Alive && c.hold(ni, fi).Has
+}
+
+// anyLiveHas reports whether some live node holds a replica of file fi.
+func (c *Census) anyLiveHas(fi int) bool {
+	for ni, n := range c.Nodes {
+		if n.Alive && c.hold(ni, fi).Has {
+			return true
+		}
+	}
+	return false
+}
+
+// live returns the live nodeIds in ascending order.
+func (c *Census) live() []id.Node {
+	var out []id.Node
+	for _, n := range c.Nodes {
+		if n.Alive {
+			out = append(out, n.ID)
+		}
+	}
+	return out
+}
+
+// Shape returns file fi's coding parameters from any hold in the
+// census. Dead nodes' holds count: the parameters are static, and they
+// are needed precisely when every map holder is down.
+func (c *Census) Shape(fi int) (data, total int, ok bool) {
+	for ni := range c.Nodes {
+		if h := c.hold(ni, fi); h.ECTotal > 0 {
+			return h.ECData, h.ECTotal, true
+		}
+	}
+	return 0, 0, false
+}
+
+// Fragments returns the live nodes holding each fragment index of file
+// fi.
+func (c *Census) Fragments(fi int) map[int][]id.Node {
+	out := make(map[int][]id.Node)
+	for ni, n := range c.Nodes {
+		if !n.Alive {
+			continue
+		}
+		for _, idx := range c.hold(ni, fi).Frags {
+			out[idx] = append(out[idx], n.ID)
+		}
+	}
+	return out
+}
+
+// Closest returns the k of nodes numerically closest to key, nearest
+// first, by brute force: the ground truth replica placement is held to.
+func Closest(key id.Node, nodes []id.Node, k int) []id.Node {
+	out := append([]id.Node(nil), nodes...)
+	k = min(k, len(out))
+	for i := 0; i < k; i++ { // selection sort of the k nearest; k is small
+		best := i
+		for j := i + 1; j < len(out); j++ {
+			if key.Closer(out[j], out[best]) {
+				best = j
+			}
+		}
+		out[i], out[best] = out[best], out[i]
+	}
+	return out[:k]
 }
 
 // ViolationKind classifies an invariant violation.
@@ -64,33 +167,6 @@ const (
 	// analogue of ViolationUnderReplicated.
 	ViolationFragmentMissing ViolationKind = "fragment-missing"
 )
-
-// FragmentState is the optional erasure-coding extension of
-// ClusterState: a cluster that supports EC mode exposes coding
-// parameters and live fragment placement, and the checker adds the
-// fragment-loss invariant (object reconstructible iff >= m fragments
-// live) to both the durability and the convergence passes. Clusters
-// without EC simply don't implement it.
-type FragmentState interface {
-	// ECFile reports a file's coding parameters (data shards m, total
-	// shards m+n) if it was stored erasure-coded. Implementations may
-	// consult dead nodes for the (static) parameters.
-	ECFile(f id.File) (data, total int, ok bool)
-	// FragmentHolders returns the LIVE nodes holding each fragment
-	// index of f.
-	FragmentHolders(f id.File) map[int][]id.Node
-}
-
-// ecShape resolves a file's coding parameters if the state supports
-// fragments and the file is erasure-coded.
-func ecShape(s ClusterState, f id.File) (FragmentState, int, int, bool) {
-	fs, ok := s.(FragmentState)
-	if !ok {
-		return nil, 0, 0, false
-	}
-	data, total, ok := fs.ECFile(f)
-	return fs, data, total, ok
-}
 
 // Violation is one structured invariant failure: which file, where, and
 // the expected-vs-actual replica accounting at that epoch.
@@ -130,10 +206,10 @@ func (ck *Checker) emit(out []Violation, v Violation) []Violation {
 // retains at least one reachable replica. It is the only property that
 // must hold while faults are active; replica counts may legitimately
 // sag below k until repair catches up.
-func (ck *Checker) CheckDurability(s ClusterState, files []id.File, epoch int) []Violation {
+func (ck *Checker) CheckDurability(c *Census, epoch int) []Violation {
 	var out []Violation
-	for _, f := range files {
-		if len(s.ReplicaHolders(f)) == 0 {
+	for fi, f := range c.Files {
+		if !c.anyLiveHas(fi) {
 			out = ck.emit(out, Violation{
 				Epoch: epoch, Kind: ViolationLost, File: f, Expected: 1, Actual: 0,
 			})
@@ -141,8 +217,8 @@ func (ck *Checker) CheckDurability(s ClusterState, files []id.File, epoch int) [
 		// Erasure-coded object: losing the map is covered above (map
 		// replicas are replicas); the content itself survives iff at
 		// least m distinct fragment indices are on live nodes.
-		if fs, data, _, isEC := ecShape(s, f); isEC {
-			if live := len(fs.FragmentHolders(f)); live < data {
+		if data, _, isEC := c.Shape(fi); isEC {
+			if live := len(c.Fragments(fi)); live < data {
 				out = ck.emit(out, Violation{
 					Epoch: epoch, Kind: ViolationFragmentsLost, File: f,
 					Expected: data, Actual: live,
@@ -157,29 +233,30 @@ func (ck *Checker) CheckDurability(s ClusterState, files []id.File, epoch int) [
 // nodes closest to a fileId holds a replica or a pointer to a live
 // holder, every pointer resolves, and no unreferenced primary replicas
 // linger outside the replica set.
-func (ck *Checker) CheckConverged(s ClusterState, files []id.File, epoch int) []Violation {
+func (ck *Checker) CheckConverged(c *Census, epoch int) []Violation {
 	var out []Violation
-	for _, f := range files {
-		holders := s.ReplicaHolders(f)
-		if len(holders) == 0 {
+	live := c.live()
+	for fi, f := range c.Files {
+		if !c.anyLiveHas(fi) {
 			out = ck.emit(out, Violation{
 				Epoch: epoch, Kind: ViolationLost, File: f, Expected: 1, Actual: 0,
 			})
 			continue
 		}
-		closest := s.GlobalClosest(f.Key(), ck.K)
+		closest := Closest(f.Key(), live, ck.K)
 		inSet := make(map[id.Node]bool, len(closest))
 		referenced := make(map[id.Node]bool)
 		covered := 0
 		for _, nid := range closest {
 			inSet[nid] = true
-			if s.NodeHasReplica(nid, f) {
+			h := c.hold(c.find(nid), fi)
+			if h.Has {
 				covered++
 				continue
 			}
-			if tgt, ok := s.NodePointer(nid, f); ok {
-				if s.Alive(tgt) && s.NodeHasReplica(tgt, f) {
-					referenced[tgt] = true
+			if h.HasPtr {
+				if c.liveHas(h.Ptr, fi) {
+					referenced[h.Ptr] = true
 					covered++
 					continue
 				}
@@ -195,10 +272,12 @@ func (ck *Checker) CheckConverged(s ClusterState, files []id.File, epoch int) []
 				Expected: len(closest), Actual: covered,
 			})
 		}
-		for _, h := range s.PrimaryHolders(f) {
-			if !inSet[h] && !referenced[h] {
+		// Diverted-in copies are their referrer's charge, so only
+		// primaries can be strays.
+		for ni, n := range c.Nodes {
+			if h := c.hold(ni, fi); n.Alive && h.Has && h.Primary && !inSet[n.ID] && !referenced[n.ID] {
 				out = ck.emit(out, Violation{
-					Epoch: epoch, Kind: ViolationStray, File: f, Node: h,
+					Epoch: epoch, Kind: ViolationStray, File: f, Node: n.ID,
 					Expected: 0, Actual: 1,
 				})
 			}
@@ -206,8 +285,8 @@ func (ck *Checker) CheckConverged(s ClusterState, files []id.File, epoch int) []
 		// Erasure-coded object, post-repair: every fragment index must
 		// be back on some live node (placement spread across distinct
 		// nodes is a preference, not an invariant).
-		if fs, data, total, isEC := ecShape(s, f); isEC {
-			byIdx := fs.FragmentHolders(f)
+		if data, total, isEC := c.Shape(fi); isEC {
+			byIdx := c.Fragments(fi)
 			if len(byIdx) < data {
 				out = ck.emit(out, Violation{
 					Epoch: epoch, Kind: ViolationFragmentsLost, File: f,

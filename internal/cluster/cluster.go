@@ -316,19 +316,6 @@ func (c *Cluster) invokeCtx(ctx context.Context, i int, msg any) (any, error) {
 	return nil, lastErr
 }
 
-// Status fetches node i's operator snapshot.
-func (c *Cluster) Status(i int) (past.Status, error) {
-	reply, err := c.invoke(i, &past.ClientStatus{})
-	if err != nil {
-		return past.Status{}, err
-	}
-	sr, ok := reply.(*past.ClientStatusReply)
-	if !ok {
-		return past.Status{}, fmt.Errorf("cluster: unexpected status reply %T", reply)
-	}
-	return sr.Status, nil
-}
-
 // InsertVia inserts content through node i as the access point.
 func (c *Cluster) InsertVia(i int, name string, content []byte) (id.File, error) {
 	reply, err := c.invoke(i, &past.ClientInsert{Name: name, Content: content})

@@ -108,12 +108,13 @@ func TestFleetBootInsertLookup(t *testing.T) {
 		}
 	}
 
-	st, err := c.Status(0)
+	_, snap, err := c.ObsReport(0)
 	if err != nil {
-		t.Fatalf("status: %v", err)
+		t.Fatalf("obs report: %v", err)
 	}
-	if st.LeafSetSize == 0 {
-		t.Fatalf("node 0 reports empty leaf set after 5-node boot")
+	if snap.Get(obs.CtrOverlayJoined) != 1 || snap.Get(obs.CtrLeafSetSize) == 0 {
+		t.Fatalf("node 0 after 5-node boot: overlay_joined=%d leaf_set_size=%d",
+			snap.Get(obs.CtrOverlayJoined), snap.Get(obs.CtrLeafSetSize))
 	}
 }
 

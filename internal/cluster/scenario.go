@@ -90,8 +90,15 @@ func PlanFingerprint(plan []Fault) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// payloadBytes caps the size of a scenario's deterministic payloads.
-const payloadBytes = 2048
+const (
+	// payloadBytes caps the size of a scenario's deterministic payloads.
+	payloadBytes = 2048
+	// filesPerRound new files are inserted before each round, and once
+	// more before round 0.
+	filesPerRound = 6
+	// convergeTimeout bounds the post-round repair wait.
+	convergeTimeout = 60 * time.Second
+)
 
 // ScenarioConfig shapes a live-chaos run against a started Cluster.
 type ScenarioConfig struct {
@@ -102,14 +109,6 @@ type ScenarioConfig struct {
 	// KillRate is the fraction of the fleet disturbed per round
 	// (default 0.1; at least one victim per round regardless).
 	KillRate float64
-	// FilesPerRound inserts this many new files before each round, and
-	// once more before round 0 (default 6).
-	FilesPerRound int
-	// Seed drives the schedule, victims, payloads, and access-point
-	// choice. Defaults to the cluster's seed.
-	Seed int64
-	// ConvergeTimeout bounds the post-round repair wait (default 45s).
-	ConvergeTimeout time.Duration
 	// Deadline, when nonzero, stops scheduling new rounds past it (the
 	// CLI's -duration). Cutting a run short is recorded in the result
 	// and forfeits summary determinism.
@@ -120,7 +119,7 @@ type ScenarioConfig struct {
 	NoCheck bool
 }
 
-func (s *ScenarioConfig) withDefaults(c *Cluster) {
+func (s *ScenarioConfig) withDefaults() {
 	if s.Scenario == "" {
 		s.Scenario = ScenarioMixed
 	}
@@ -129,15 +128,6 @@ func (s *ScenarioConfig) withDefaults(c *Cluster) {
 	}
 	if s.KillRate <= 0 {
 		s.KillRate = 0.1
-	}
-	if s.FilesPerRound <= 0 {
-		s.FilesPerRound = 6
-	}
-	if s.Seed == 0 {
-		s.Seed = c.cfg.Seed
-	}
-	if s.ConvergeTimeout <= 0 {
-		s.ConvergeTimeout = 45 * time.Second
 	}
 }
 
@@ -223,14 +213,16 @@ func (r *ScenarioResult) String() string {
 }
 
 // RunScenario executes the seeded fault schedule against the live
-// fleet: per round it inserts fresh files through rotating access
-// points, delivers the round's process-level faults (SIGKILL or
-// SIGTERM, fsck of the victim's store while it is down, restart with
-// rejoin), waits for the replica invariants to converge, and verifies
-// every acked write is still retrievable byte for byte.
+// fleet. The cluster's seed drives the schedule, victims, payloads and
+// access-point choice. Per round it inserts fresh files through
+// rotating access points, delivers the round's process-level faults
+// (SIGKILL or SIGTERM, fsck of the victim's store while it is down,
+// restart with rejoin), waits for the replica invariants to converge,
+// and verifies every acked write is still retrievable byte for byte.
 func RunScenario(c *Cluster, cfg ScenarioConfig) (*ScenarioResult, error) {
-	cfg.withDefaults(c)
-	plan, err := PlanFaults(cfg.Scenario, len(c.Procs), cfg.Rounds, cfg.KillRate, cfg.Seed)
+	cfg.withDefaults()
+	seed := c.cfg.Seed
+	plan, err := PlanFaults(cfg.Scenario, len(c.Procs), cfg.Rounds, cfg.KillRate, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -238,7 +230,7 @@ func RunScenario(c *Cluster, cfg ScenarioConfig) (*ScenarioResult, error) {
 		Scenario: cfg.Scenario,
 		Nodes:    len(c.Procs),
 		K:        replicas,
-		Seed:     cfg.Seed,
+		Seed:     seed,
 		Rounds:   cfg.Rounds,
 		PlanFP:   PlanFingerprint(plan),
 		Checked:  !cfg.NoCheck,
@@ -253,12 +245,12 @@ func RunScenario(c *Cluster, cfg ScenarioConfig) (*ScenarioResult, error) {
 	start := time.Now()
 	defer func() { res.Elapsed = time.Since(start) }()
 
-	trafficRng := rand.New(rand.NewSource(cfg.Seed + 0x74726166)) // payloads + access points
+	trafficRng := rand.New(rand.NewSource(seed + 0x74726166)) // payloads + access points
 	var acked []ackedWrite
 
 	insertBatch := func(round int) error {
-		for j := 0; j < cfg.FilesPerRound; j++ {
-			name := fmt.Sprintf("s%d-r%d-f%d", cfg.Seed, round, j)
+		for j := 0; j < filesPerRound; j++ {
+			name := fmt.Sprintf("s%d-r%d-f%d", seed, round, j)
 			size := 64 + trafficRng.Intn(payloadBytes-63)
 			content := make([]byte, size)
 			trafficRng.Read(content)
@@ -331,7 +323,7 @@ func RunScenario(c *Cluster, cfg ScenarioConfig) (*ScenarioResult, error) {
 		for i, w := range acked {
 			files[i] = w.file
 		}
-		deadline := time.Now().Add(cfg.ConvergeTimeout)
+		deadline := time.Now().Add(convergeTimeout)
 		for {
 			violations, err := c.CheckInvariants(files, round)
 			if err != nil {
@@ -402,7 +394,7 @@ func RunScenario(c *Cluster, cfg ScenarioConfig) (*ScenarioResult, error) {
 			fmt.Fprintf(c.cfg.Out, "cluster: duration budget spent after %d round(s)\n", r)
 			break
 		}
-		fmt.Fprintf(c.cfg.Out, "cluster: round %d: inserting %d files\n", r, cfg.FilesPerRound)
+		fmt.Fprintf(c.cfg.Out, "cluster: round %d: inserting %d files\n", r, filesPerRound)
 		if err := insertBatch(r); err != nil {
 			return res, err
 		}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 
 	"past/internal/cluster"
 	"past/internal/obs"
@@ -21,12 +20,9 @@ func TestRunScenarioSmall(t *testing.T) {
 	c := startFleet(t, cluster.Config{Nodes: 5, Seed: 11, Events: log})
 
 	scfg := cluster.ScenarioConfig{
-		Scenario:        cluster.ScenarioMixed,
-		Rounds:          2,
-		KillRate:        0.2,
-		FilesPerRound:   3,
-		Seed:            11,
-		ConvergeTimeout: 60 * time.Second,
+		Scenario: cluster.ScenarioMixed,
+		Rounds:   2,
+		KillRate: 0.2,
 	}
 	res, err := cluster.RunScenario(c, scfg)
 	if err != nil {
@@ -38,7 +34,7 @@ func TestRunScenarioSmall(t *testing.T) {
 
 	// The summary must be derivable from the plan alone — that is the
 	// seed-stability contract: any two passing same-seed runs agree.
-	plan, err := cluster.PlanFaults(scfg.Scenario, 5, scfg.Rounds, scfg.KillRate, scfg.Seed)
+	plan, err := cluster.PlanFaults(scfg.Scenario, 5, scfg.Rounds, scfg.KillRate, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +42,7 @@ func TestRunScenarioSmall(t *testing.T) {
 		Scenario: scfg.Scenario,
 		Nodes:    5,
 		K:        3,
-		Seed:     scfg.Seed,
+		Seed:     11,
 		Rounds:   scfg.Rounds,
 		PlanFP:   cluster.PlanFingerprint(plan),
 		Checked:  true,

@@ -396,7 +396,7 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		// Rejoins can fail under message loss; retry until they land.
 		pendingRejoin = rejoin(cluster, lastLeaf, pendingRejoin)
 		cluster.MaintainAll()
-		checker.CheckDurability(cluster, files, t)
+		checker.CheckDurability(cluster.Census(files), t)
 		soakFaultOps(cluster, core, opRng, files, t, res)
 		if cfg.Admit != nil {
 			// Hop-level rejections this tick: sheds absorbed by per-hop
@@ -468,8 +468,9 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 
 	// Final invariants: durability plus full convergence.
 	finalEpoch := healTick + soakHealRounds
-	checker.CheckDurability(cluster, files, finalEpoch)
-	checker.CheckConverged(cluster, files, finalEpoch)
+	final := cluster.Census(files)
+	checker.CheckDurability(final, finalEpoch)
+	checker.CheckConverged(final, finalEpoch)
 
 	// End-to-end sanity: every file must still be retrievable. The
 	// admission clock advances a virtual second per lookup so the final

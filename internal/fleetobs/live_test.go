@@ -60,6 +60,18 @@ func TestFleetObsLive(t *testing.T) {
 		}
 	}
 
+	// Node status is the counters snapshot: every process reports
+	// itself joined in its ClientObsReport.
+	for i := range c.Procs {
+		_, snap, err := c.ObsReport(i)
+		if err != nil {
+			t.Fatalf("obs report %d: %v", i, err)
+		}
+		if got := snap.Get(obs.CtrOverlayJoined); got != 1 {
+			t.Errorf("node %d: overlay_joined = %d, want 1", i, got)
+		}
+	}
+
 	// The aggregation plane: its own client transport, one target per
 	// process, the combined endpoint over a scrape-on-request scraper.
 	var cid id.Node

@@ -66,7 +66,7 @@ func manifestOf(t *testing.T, s *Store, manifestID id.File) *manifest {
 // other files — so each failure costs stripe exactly one fragment.
 func failHolders(t *testing.T, c *past.Cluster, s *Store, stripe id.File, others []id.File, count int) {
 	t.Helper()
-	holders := c.FragmentHolders(stripe)
+	holders := c.Census([]id.File{stripe}).Fragments(0)
 	for idx := 0; idx < rs84.Total() && count > 0; idx++ {
 	next:
 		for _, nid := range holders[idx] {
@@ -90,7 +90,7 @@ func failHolders(t *testing.T, c *past.Cluster, s *Store, stripe id.File, others
 }
 
 // liveIndices counts the fragment indices of f held on live nodes.
-func liveIndices(c *past.Cluster, f id.File) int { return len(c.FragmentHolders(f)) }
+func liveIndices(c *past.Cluster, f id.File) int { return len(c.Census([]id.File{f}).Fragments(0)) }
 
 func TestReplicatedRoundTrip(t *testing.T) {
 	c := testCluster(t, 40, 1<<22, 1)
@@ -137,7 +137,7 @@ func TestReedSolomonRoundTrip(t *testing.T) {
 		t.Fatalf("stripes = %d; want 3", res.Fragments)
 	}
 	for _, stripe := range manifestOf(t, s, res.ManifestID).FragIDs {
-		if data, total, ok := c.ECFile(stripe); !ok || data != 8 || total != 12 {
+		if data, total, ok := c.Census([]id.File{stripe}).Shape(0); !ok || data != 8 || total != 12 {
 			t.Fatalf("stripe %s coded as (%d, %d, %v); want rs(8,4)", stripe.Short(), data, total, ok)
 		}
 		if got := liveIndices(c, stripe); got != 12 {

@@ -94,6 +94,7 @@ const (
 	CtrReroutes       = "reroutes_total"
 	CtrOverloadHops   = "overload_hops_total"
 	CtrLeafRepairs    = "leaf_repairs_total"
+	CtrOverlayJoined  = "overlay_joined"
 	CtrLeafSetSize    = "leaf_set_size"
 	CtrTableEntries   = "routing_table_entries"
 	CtrBelowKEvents   = "below_k_events_total"

@@ -162,7 +162,7 @@ func (n *Node) deliver(tc obs.TraceContext, from id.Node, msg any) (any, error) 
 			}
 		}
 		return n.handleClientRPC(tc, msg)
-	case *ClientStatus, *ClientReplicaReport, *ClientObsReport:
+	case *ClientReplicaReport, *ClientObsReport:
 		// Introspection stays ungated: an operator must be able to read
 		// load stats from an overloaded node, the live-fleet checker
 		// must be able to audit one mid-fault, and the fleet scraper

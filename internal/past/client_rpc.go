@@ -3,9 +3,9 @@ package past
 import (
 	"context"
 
+	"past/internal/chaos"
 	"past/internal/id"
 	"past/internal/obs"
-	"past/internal/store"
 )
 
 // Client RPCs: a PAST node doubles as the access point for remote
@@ -63,34 +63,18 @@ type ClientObsReportReply struct {
 }
 
 // ClientReplicaReport asks the receiving node what it holds LOCALLY
-// for each listed file — replica (and its kind) and diverted-replica
-// pointer. It never routes. The past-cluster orchestrator snapshots
-// every live node with one of these and feeds the result to the same
-// chaos.Checker invariants the emulator enforces.
+// for each listed file (Node.Holds). It never routes. The past-cluster
+// orchestrator asks every live node and assembles the answers into the
+// chaos.Census the emulator's checker audits.
 type ClientReplicaReport struct {
 	Files []id.File
-}
-
-// ReplicaHold is one file's local state on one node.
-type ReplicaHold struct {
-	Has     bool    // node holds a replica (primary or diverted-in)
-	Primary bool    // the replica is primary (meaningful when Has)
-	HasPtr  bool    // node holds a diverted-replica pointer
-	Ptr     id.Node // the pointer target (meaningful when HasPtr)
-	// Erasure-coding state: when the held replica is a fragment map,
-	// ECTotal > 0 carries the coding shape; Frags lists the fragment
-	// indices this node holds locally (independent of Has — fragment
-	// holders usually don't replicate the map).
-	ECData  int
-	ECTotal int
-	Frags   []int
 }
 
 // ClientReplicaReportReply carries the per-file holds, parallel to the
 // request's Files, plus the responder's identity.
 type ClientReplicaReportReply struct {
 	Node  id.Node
-	Holds []ReplicaHold
+	Holds []chaos.Hold
 }
 
 // ClientReclaim asks the receiving node to reclaim a file's storage.
@@ -138,27 +122,7 @@ func (n *Node) handleClientRPC(tc obs.TraceContext, msg any) (any, error) {
 		}
 		return &ClientReclaimReply{Found: res.Found, Freed: res.Freed}, nil
 	case *ClientReplicaReport:
-		reply := &ClientReplicaReportReply{
-			Node:  n.ID(),
-			Holds: make([]ReplicaHold, len(m.Files)),
-		}
-		for i, f := range m.Files {
-			h := &reply.Holds[i]
-			if kind, ok := n.ReplicaKind(f); ok {
-				h.Has = true
-				h.Primary = kind == store.Primary
-			}
-			if tgt, ok := n.HasPointer(f); ok {
-				h.HasPtr, h.Ptr = true, tgt
-			}
-			if data, total, ok := n.ECInfo(f); ok {
-				h.ECData, h.ECTotal = data, total
-			}
-			h.Frags = n.FragIndices(f)
-		}
-		return reply, nil
-	case *ClientStatus:
-		return &ClientStatusReply{Status: n.Status()}, nil
+		return &ClientReplicaReportReply{Node: n.ID(), Holds: n.Holds(m.Files)}, nil
 	case *ClientObsReport:
 		return &ClientObsReportReply{Node: n.ID(), Snapshot: n.StatsSnapshot()}, nil
 	}

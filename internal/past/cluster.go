@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"past/internal/chaos"
 	"past/internal/id"
 	"past/internal/netsim"
 	"past/internal/store"
@@ -192,106 +193,24 @@ func (c *Cluster) MaintainAll() {
 	}
 }
 
-// The four methods below, with GlobalClosest, make Cluster a
-// chaos.ClusterState — the window the fault-injection invariant checker
-// reads cluster ground truth through.
-
 // Alive reports whether a node is currently up.
 func (c *Cluster) Alive(nid id.Node) bool { return c.Net.Alive(nid) }
 
-// NodeHasReplica reports whether nid holds a replica of f.
-func (c *Cluster) NodeHasReplica(nid id.Node, f id.File) bool {
-	n, ok := c.ByID[nid]
-	return ok && n.HasReplica(f)
-}
-
-// NodePointer returns the target of nid's diverted-replica pointer for
-// f, if it holds one.
-func (c *Cluster) NodePointer(nid id.Node, f id.File) (id.Node, bool) {
-	n, ok := c.ByID[nid]
-	if !ok {
-		return id.Node{}, false
-	}
-	return n.HasPointer(f)
-}
-
-// ReplicaHolders returns the live nodes holding a replica of f, in
-// ascending nodeId order.
-func (c *Cluster) ReplicaHolders(f id.File) []id.Node {
-	var out []id.Node
-	for _, nid := range c.Net.AliveNodes() {
-		if n, ok := c.ByID[nid]; ok && n.HasReplica(f) {
-			out = append(out, nid)
+// Census reports every node's holds of files, in ascending nodeId
+// order: the invariant checker's view of the cluster. Failed nodes are
+// in it, marked not alive, with the holds their disks still keep.
+func (c *Cluster) Census(files []id.File) *chaos.Census {
+	cen := &chaos.Census{Files: files}
+	for _, nid := range c.Net.Nodes() {
+		if n, ok := c.ByID[nid]; ok {
+			cen.Nodes = append(cen.Nodes, chaos.NodeHolds{ID: nid, Alive: c.Net.Alive(nid), Holds: n.Holds(files)})
 		}
 	}
-	return out
-}
-
-// PrimaryHolders returns the live nodes holding a primary replica of f,
-// in ascending nodeId order.
-func (c *Cluster) PrimaryHolders(f id.File) []id.Node {
-	var out []id.Node
-	for _, nid := range c.Net.AliveNodes() {
-		n, ok := c.ByID[nid]
-		if !ok {
-			continue
-		}
-		if kind, has := n.ReplicaKind(f); has && kind == store.Primary {
-			out = append(out, nid)
-		}
-	}
-	return out
-}
-
-// ECFile implements chaos.FragmentState: a file's coding parameters,
-// read from any node replicating its fragment map. Dead nodes are
-// consulted too — the parameters are static, and the checker needs them
-// precisely when every map holder is down.
-func (c *Cluster) ECFile(f id.File) (data, total int, ok bool) {
-	for _, n := range c.Nodes {
-		if data, total, ok = n.ECInfo(f); ok {
-			return data, total, true
-		}
-	}
-	return 0, 0, false
-}
-
-// FragmentHolders implements chaos.FragmentState: the live nodes
-// holding each fragment index of f.
-func (c *Cluster) FragmentHolders(f id.File) map[int][]id.Node {
-	out := make(map[int][]id.Node)
-	for _, nid := range c.Net.AliveNodes() {
-		n, ok := c.ByID[nid]
-		if !ok {
-			continue
-		}
-		for _, idx := range n.FragIndices(f) {
-			out[idx] = append(out[idx], nid)
-		}
-	}
-	return out
+	return cen
 }
 
 // GlobalClosest returns the k live nodes numerically closest to key, by
-// brute force — ground truth for invariant checks.
+// brute force — ground truth for placement checks.
 func (c *Cluster) GlobalClosest(key id.Node, k int) []id.Node {
-	alive := c.Net.AliveNodes()
-	// Selection by repeated scan; k is small.
-	out := make([]id.Node, 0, k)
-	used := make(map[id.Node]bool, k)
-	for len(out) < k && len(out) < len(alive) {
-		var best id.Node
-		first := true
-		for _, nid := range alive {
-			if used[nid] {
-				continue
-			}
-			if first || key.Closer(nid, best) {
-				best, first = nid, false
-			}
-		}
-		used[best] = true
-		out = append(out, best)
-	}
-	return out
+	return chaos.Closest(key, c.Net.AliveNodes(), k)
 }

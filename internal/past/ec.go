@@ -568,22 +568,6 @@ func (n *Node) repairFragment(it ec.RepairItem) (int64, bool) {
 	return moved, false
 }
 
-// ECInfo reports the coding parameters of a file whose map this node
-// replicates (the invariant checkers' hook).
-func (n *Node) ECInfo(f id.File) (data, total int, ok bool) {
-	n.mu.Lock()
-	e, held := n.store.Get(f)
-	n.mu.Unlock()
-	if !held || !ec.IsMap(e.Content) {
-		return 0, 0, false
-	}
-	fmap, err := ec.DecodeMap(e.Content)
-	if err != nil {
-		return 0, 0, false
-	}
-	return fmap.Data, fmap.Params().Total(), true
-}
-
 // FragIndices reports the fragment indices this node holds for a file.
 func (n *Node) FragIndices(f id.File) []int { return n.frags.Indices(f) }
 

@@ -79,19 +79,20 @@ func TestECInsertLookupRoundTrip(t *testing.T) {
 	// The fragment invariant must hold from the start: all m+n indices
 	// on live nodes, every object reconstructible.
 	ck := &chaos.Checker{K: 3}
-	if v := ck.CheckDurability(c, files, 0); len(v) != 0 {
+	if v := ck.CheckDurability(c.Census(files), 0); len(v) != 0 {
 		t.Fatalf("durability violations on a healthy cluster: %v", v)
 	}
-	if v := ck.CheckConverged(c, files, 0); len(v) != 0 {
+	if v := ck.CheckConverged(c.Census(files), 0); len(v) != 0 {
 		t.Fatalf("convergence violations on a healthy cluster: %v", v)
 	}
 
 	// Coding parameters are visible to the checker.
-	data, total, ok := c.ECFile(files[0])
+	cen := c.Census(files[:1])
+	data, total, ok := cen.Shape(0)
 	if !ok || data != 3 || total != 5 {
-		t.Fatalf("ECFile = (%d, %d, %v), want (3, 5, true)", data, total, ok)
+		t.Fatalf("Shape = (%d, %d, %v), want (3, 5, true)", data, total, ok)
 	}
-	if got := len(c.FragmentHolders(files[0])); got != 5 {
+	if got := len(cen.Fragments(0)); got != 5 {
 		t.Fatalf("fragment indices live = %d, want 5", got)
 	}
 }
@@ -152,7 +153,7 @@ func TestECLazyRepairAfterFailure(t *testing.T) {
 	}
 
 	ck := &chaos.Checker{K: 3}
-	if v := ck.CheckConverged(c, []id.File{f}, 1); len(v) != 0 {
+	if v := ck.CheckConverged(c.Census([]id.File{f}), 1); len(v) != 0 {
 		t.Fatalf("violations after repair: %v", v)
 	}
 	lr, err := c.RandomAliveNode().Lookup(f)
@@ -193,7 +194,7 @@ func TestECRepairCorruptFragment(t *testing.T) {
 
 	// The CRC failure was detected and the fragment re-created.
 	ck := &chaos.Checker{K: 3}
-	if v := ck.CheckConverged(c, []id.File{f}, 1); len(v) != 0 {
+	if v := ck.CheckConverged(c.Census([]id.File{f}), 1); len(v) != 0 {
 		t.Fatalf("violations after corrupt-fragment repair: %v", v)
 	}
 	if holder.frags.CRCFailures() == 0 {
@@ -377,7 +378,7 @@ func TestECFragmentLossInvariantFires(t *testing.T) {
 		t.Fatalf("deleted %d fragments, want 3", deleted)
 	}
 	ck := &chaos.Checker{K: 3}
-	v := ck.CheckDurability(c, []id.File{f}, 0)
+	v := ck.CheckDurability(c.Census([]id.File{f}), 0)
 	found := false
 	for _, viol := range v {
 		if viol.Kind == chaos.ViolationFragmentsLost {
@@ -403,7 +404,7 @@ func TestECReclaimDropsFragments(t *testing.T) {
 	if _, err := ap.Reclaim(f, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(c.FragmentHolders(f)); got != 0 {
+	if got := len(c.Census([]id.File{f}).Fragments(0)); got != 0 {
 		t.Fatalf("%d fragment indices survive reclaim", got)
 	}
 }

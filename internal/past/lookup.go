@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 
+	"past/internal/chaos"
+	"past/internal/ec"
 	"past/internal/id"
 	"past/internal/netsim"
 	"past/internal/obs"
@@ -133,11 +135,27 @@ func (n *Node) HasPointer(f id.File) (id.Node, bool) {
 	return p.Target, ok
 }
 
-// ReplicaKind returns the kind (primary vs diverted-in) of this node's
-// replica of f, if it holds one.
-func (n *Node) ReplicaKind(f id.File) (store.Kind, bool) {
+// Holds reports what this node holds locally for each file: the body
+// of its ClientReplicaReport reply and its row of the emulator's census.
+// Whether a replica is a fragment map is read off the map's magic.
+func (n *Node) Holds(files []id.File) []chaos.Hold {
+	out := make([]chaos.Hold, len(files))
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	e, ok := n.store.Stat(f)
-	return e.Kind, ok
+	for i, f := range files {
+		h := &out[i]
+		if e, ok := n.store.Get(f); ok {
+			h.Has, h.Primary = true, e.Kind == store.Primary
+			if ec.IsMap(e.Content) {
+				if fmap, err := ec.DecodeMap(e.Content); err == nil {
+					h.ECData, h.ECTotal = fmap.Data, fmap.Params().Total()
+				}
+			}
+		}
+		if p, ok := n.store.GetPointer(f); ok {
+			h.HasPtr, h.Ptr = true, p.Target
+		}
+		h.Frags = n.frags.Indices(f)
+	}
+	return out
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"past/internal/obs"
 	"past/internal/store"
 )
 
@@ -225,11 +226,6 @@ func TestAccessors(t *testing.T) {
 	if lr, err := n.Lookup(res.FileID); err != nil || !lr.Found {
 		t.Fatalf("lookup: %+v, %v", lr, err)
 	}
-	// CacheStats simply must be callable and consistent.
-	h, m, _ := n.CacheStats()
-	if h < 0 || m < 0 {
-		t.Fatal("cache stats")
-	}
 }
 
 func TestStatusSnapshot(t *testing.T) {
@@ -238,15 +234,17 @@ func TestStatusSnapshot(t *testing.T) {
 	if _, err := n.Insert(InsertSpec{Name: "st", Size: 500}); err != nil {
 		t.Fatal(err)
 	}
-	st := n.Status()
-	if st.ID != n.ID() || !st.Joined {
-		t.Fatalf("status identity: %+v", st)
+	snap := n.StatsSnapshot()
+	if snap.Get(obs.CtrOverlayJoined) != 1 {
+		t.Fatalf("overlay_joined = %d, want 1", snap.Get(obs.CtrOverlayJoined))
 	}
-	if st.Capacity != 1<<20 || st.Used+st.Free != st.Capacity {
-		t.Fatalf("status accounting: %+v", st)
+	entries, _ := n.StoreSnapshot()
+	if snap.Get(obs.CtrStoreCapacity) != 1<<20 || snap.Get(obs.CtrStoreBytes) != n.StoredBytes() ||
+		snap.Get(obs.CtrStoreReplicas) != int64(len(entries)) {
+		t.Fatalf("storage gauges: %v", snap.Counters)
 	}
-	if st.LeafSetSize == 0 || st.TableEntries == 0 {
-		t.Fatalf("status overlay state empty: %+v", st)
+	if snap.Get(obs.CtrLeafSetSize) == 0 || snap.Get(obs.CtrTableEntries) == 0 {
+		t.Fatalf("overlay gauges empty: %v", snap.Counters)
 	}
 	// RegisterWire is idempotent and callable.
 	RegisterWire()

@@ -284,13 +284,6 @@ func (n *Node) Utilization() float64 {
 	return n.store.Utilization()
 }
 
-// CacheStats returns cumulative cache hits (across the RAM and flash
-// tiers), misses, and evictions.
-func (n *Node) CacheStats() (hits, misses, evictions int64) {
-	st := n.cache.Stats()
-	return st.Hits(), st.Misses, st.Evictions
-}
-
 // Cache returns the node's cache engine, for the daemon's shutdown
 // path (flash teardown) and the load driver's tier statistics.
 func (n *Node) Cache() *cachengine.Engine { return n.cache }
@@ -402,6 +395,11 @@ func (n *Node) StatsSnapshot() obs.Snapshot {
 	snap.Set(obs.CtrReroutes, n.overlay.Reroutes())
 	snap.Set(obs.CtrLeafRepairs, n.overlay.LeafRepairs())
 	snap.Set(obs.CtrOverloadHops, n.overlay.OverloadHops())
+	joined := int64(0)
+	if n.overlay.Joined() {
+		joined = 1
+	}
+	snap.Set(obs.CtrOverlayJoined, joined)
 	snap.Set(obs.CtrLeafSetSize, int64(len(n.overlay.LeafSet())))
 	snap.Set(obs.CtrTableEntries, int64(n.overlay.TableSize()))
 	if n.admitCtl != nil {

@@ -2,6 +2,7 @@ package past
 
 import (
 	"past/internal/cert"
+	"past/internal/chaos"
 	"past/internal/pastry"
 	"past/internal/store"
 	"past/internal/wire"
@@ -56,10 +57,9 @@ func RegisterWire() {
 	wire.Register[ClientReclaimReply](73)
 	wire.Register[ClientReplicaReport](74)
 	wire.Register[ClientReplicaReportReply](75)
-	wire.Register[ClientStatus](76)
-	wire.Register[ClientStatusReply](77)
-	// 78 and 79 were the ClientStats request and reply, folded into
-	// ClientObsReport; retired tags must not be reused.
+	// 76 and 77 were the ClientStatus request and reply, 78 and 79 the
+	// ClientStats request and reply, all folded into ClientObsReport;
+	// retired tags must not be reused.
 	wire.Register[ClientObsReport](80)
 	wire.Register[ClientObsReportReply](81)
 }
@@ -476,7 +476,7 @@ func (m *ClientReplicaReportReply) DecodeWire(r *wire.Reader) error {
 	const holdMinSize = 3 + 16 + 3 // three flags, the pointer, two ints and a count
 	m.Node = r.Node()
 	if n := r.Len(holdMinSize); n > 0 {
-		m.Holds = make([]ReplicaHold, n)
+		m.Holds = make([]chaos.Hold, n)
 		for i := range m.Holds {
 			h := &m.Holds[i]
 			h.Has, h.Primary, h.HasPtr = r.Bool(), r.Bool(), r.Bool()
@@ -489,31 +489,6 @@ func (m *ClientReplicaReportReply) DecodeWire(r *wire.Reader) error {
 			}
 		}
 	}
-	return r.Err()
-}
-
-func (*ClientStatus) AppendWire(b []byte) []byte    { return b }
-func (*ClientStatus) DecodeWire(*wire.Reader) error { return nil }
-
-func (m *ClientStatusReply) AppendWire(b []byte) []byte {
-	s := &m.Status
-	b = wire.AppendBool(append(b, s.ID[:]...), s.Joined)
-	for _, v := range []int64{s.Capacity, s.Used, s.Free,
-		int64(s.Replicas), int64(s.DivertedIn), int64(s.PointersOut), int64(s.BackupPtrs),
-		s.CacheBytes, int64(s.CacheEntries), s.CacheHits, s.CacheMisses,
-		int64(s.LeafSetSize), int64(s.TableEntries), s.BelowKEvents} {
-		b = wire.AppendInt(b, v)
-	}
-	return b
-}
-
-func (m *ClientStatusReply) DecodeWire(r *wire.Reader) error {
-	s := &m.Status
-	s.ID, s.Joined = r.Node(), r.Bool()
-	s.Capacity, s.Used, s.Free = r.Int64(), r.Int64(), r.Int64()
-	s.Replicas, s.DivertedIn, s.PointersOut, s.BackupPtrs = r.Int(), r.Int(), r.Int(), r.Int()
-	s.CacheBytes, s.CacheEntries, s.CacheHits, s.CacheMisses = r.Int64(), r.Int(), r.Int64(), r.Int64()
-	s.LeafSetSize, s.TableEntries, s.BelowKEvents = r.Int(), r.Int(), r.Int64()
 	return r.Err()
 }
 

@@ -45,7 +45,8 @@ var goldenTags = map[wire.Tag]string{
 	65: "*past.dropFragMsg", 66: "*past.mapUpdateMsg", 67: "*past.ackMsg", 68: "*past.ClientInsert",
 	69: "*past.ClientInsertReply", 70: "*past.ClientLookup", 71: "*past.ClientLookupReply",
 	72: "*past.ClientReclaim", 73: "*past.ClientReclaimReply", 74: "*past.ClientReplicaReport",
-	75: "*past.ClientReplicaReportReply", 76: "*past.ClientStatus", 77: "*past.ClientStatusReply",
+	75: "*past.ClientReplicaReportReply",
+	// 76, 77: retired (the ClientStatus request and reply).
 	// 78, 79: retired (the ClientStats request and reply).
 	80: "*past.ClientObsReport", 81: "*past.ClientObsReportReply",
 }
