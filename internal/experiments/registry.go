@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"past/internal/cache"
+	"past/internal/loadgen"
 )
 
 // Experiment is one section of past-bench's output: a table, figure or
@@ -93,8 +94,10 @@ func Registry() []Experiment {
 		{ID: "routing", Run: render(RunRouting, RenderRouting)},
 		{ID: "frag", Run: render(RunFragmentation, RenderFragmentation)},
 		{ID: "overhead", Run: render(RunOverhead, RenderOverhead)},
-		{ID: "overload", Run: render(func(_ Scale, seed int64) (*OverloadResult, error) {
-			return RunOverload(OverloadConfig{Seed: seed})
+		{ID: "overload", Run: render(func(_ Scale, seed int64) (*SweepResult, error) {
+			sc := loadgen.DefaultSimConfig()
+			sc.Nodes, sc.NodeRate, sc.Requests, sc.Seed = 10, 20, 1200, seed
+			return RunSweep(sc, OverloadRates, ShedModes)
 		}, RenderOverload)},
 		{ID: "ablation", Run: func(sc Scale, seed int64) (string, error) {
 			std, err := standard(sc, seed)

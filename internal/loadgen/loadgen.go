@@ -12,102 +12,105 @@
 // queueing delay from the percentiles — the coordinated-omission error.
 // Measuring from the schedule keeps the tail honest.
 //
-// The driver runs in two modes sharing one workload generator:
+// One SimConfig describes a run, and two executors run it, sharing the
+// workload generator and the outcome recorder:
 //
-//   - Run: real clock, against anything implementing Client — an
-//     in-process node (NodeClient) or a TCP access point (cmd/past-load
-//     wires transport.InvokeAddr to the same interface).
+//   - Run: real clock, against anything implementing Client — a TCP
+//     access point (AddrClient, which cmd/past-load drives).
 //   - RunSim: virtual time against an emulated cluster. The admission
 //     controllers run in Offer mode, the driver owns the clock, and a
 //     fixed seed yields a bit-identical Result fingerprint.
 package loadgen
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"time"
 
+	"past/internal/netsim"
 	"past/internal/stats"
 	"past/internal/trace"
 )
 
-// Arrivals generates a request schedule: successive calls return the
+// arrivals generates a request schedule: successive calls return the
 // nondecreasing intended send offsets of requests, measured from the
 // start of the run. Implementations keep their cursor internally; all
 // randomness comes from the caller's seeded RNG.
-type Arrivals interface {
+type arrivals interface {
 	Next(r *rand.Rand) time.Duration
 }
 
-// Constant is a fixed-rate arrival process: requests exactly 1/rate
+// newArrivals builds the arrival process kind at rate requests per
+// second. A square wave runs at rate for the first half of every
+// second and at a fifth of it for the rest.
+func newArrivals(kind string, rate float64) (arrivals, error) {
+	if rate <= 0 {
+		return nil, fmt.Errorf("loadgen: rate must be > 0, got %g", rate)
+	}
+	switch kind {
+	case "constant":
+		return newConstant(rate), nil
+	case "poisson":
+		return newPoisson(rate), nil
+	case "square":
+		return newSquareWave(rate/5, rate, time.Second, 0.5), nil
+	}
+	return nil, fmt.Errorf("loadgen: unknown arrival process %q (want constant, poisson, or square)", kind)
+}
+
+// constant is a fixed-rate arrival process: requests exactly 1/rate
 // apart, the first at offset zero. It draws no randomness.
-type Constant struct {
+type constant struct {
 	gap time.Duration
 	at  time.Duration
 }
 
-// NewConstant returns a constant-rate arrival process of rate requests
-// per second.
-func NewConstant(rate float64) *Constant {
-	if rate <= 0 {
-		panic(fmt.Sprintf("loadgen: constant rate must be > 0, got %g", rate))
-	}
-	return &Constant{gap: time.Duration(math.Round(float64(time.Second) / rate))}
+func newConstant(rate float64) *constant {
+	return &constant{gap: time.Duration(math.Round(float64(time.Second) / rate))}
 }
 
-// Next implements Arrivals.
-func (c *Constant) Next(*rand.Rand) time.Duration {
+func (c *constant) Next(*rand.Rand) time.Duration {
 	at := c.at
 	c.at += c.gap
 	return at
 }
 
-// Poisson is a memoryless arrival process: exponential inter-arrival
+// poisson is a memoryless arrival process: exponential inter-arrival
 // gaps with the given mean rate, the standard model for independent
 // clients.
-type Poisson struct {
+type poisson struct {
 	exp stats.Exponential
 	at  time.Duration
 }
 
-// NewPoisson returns a Poisson arrival process of mean rate requests
-// per second.
-func NewPoisson(rate float64) *Poisson {
-	return &Poisson{exp: stats.Exponential{Rate: rate}}
+func newPoisson(rate float64) *poisson {
+	return &poisson{exp: stats.Exponential{Rate: rate}}
 }
 
-// Next implements Arrivals.
-func (p *Poisson) Next(r *rand.Rand) time.Duration {
+func (p *poisson) Next(r *rand.Rand) time.Duration {
 	p.at += time.Duration(math.Round(p.exp.Sample(r) * float64(time.Second)))
 	return p.at
 }
 
-// SquareWave alternates between a low and a high constant rate — Duty
-// of every Period is spent at High — modeling flash-crowd bursts
+// squareWave alternates between a low and a high constant rate — duty
+// of every period is spent at high — modeling flash-crowd bursts
 // against a quiet background. The rate is evaluated at each request's
 // offset, so a gap that straddles a phase edge uses the rate of the
 // phase it started in.
-type SquareWave struct {
+type squareWave struct {
 	low, high float64
 	period    time.Duration
 	duty      float64
 	at        time.Duration
 }
 
-// NewSquareWave returns a square-wave arrival process: high requests
-// per second for the first duty fraction of every period, low for the
-// rest.
-func NewSquareWave(low, high float64, period time.Duration, duty float64) *SquareWave {
-	if low <= 0 || high <= 0 || period <= 0 || duty <= 0 || duty >= 1 {
-		panic(fmt.Sprintf("loadgen: bad square wave (low %g high %g period %v duty %g)",
-			low, high, period, duty))
-	}
-	return &SquareWave{low: low, high: high, period: period, duty: duty}
+func newSquareWave(low, high float64, period time.Duration, duty float64) *squareWave {
+	return &squareWave{low: low, high: high, period: period, duty: duty}
 }
 
-// Next implements Arrivals.
-func (s *SquareWave) Next(*rand.Rand) time.Duration {
+func (s *squareWave) Next(*rand.Rand) time.Duration {
 	at := s.at
 	rate := s.low
 	if float64(s.at%s.period) < s.duty*float64(s.period) {
@@ -118,41 +121,18 @@ func (s *SquareWave) Next(*rand.Rand) time.Duration {
 }
 
 // Workload shapes the request mix: a Zipf-popular population of files
-// with sizes from the trace distributions.
+// with NLANR-like sizes (trace.NLANRSizes).
 type Workload struct {
-	// Files is the unique-file population. Default 128.
+	// Files is the unique-file population.
 	Files int
-	// Alpha is the Zipf popularity skew of lookups. Default 0.8 (the
-	// web-trace range the paper cites).
+	// Alpha is the Zipf popularity skew of lookups.
 	Alpha float64
-	// Sizes draws file sizes. Default trace.NLANRSizes().
-	Sizes stats.SizeDist
 	// LookupFrac is the fraction of requests that are lookups (the
 	// rest insert new files until the population is exhausted).
-	// Default 0.9.
 	LookupFrac float64
 	// MaxPayload clamps sampled file sizes — a load driver measures
-	// request handling, not bulk transfer. Default 4096.
+	// request handling, not bulk transfer.
 	MaxPayload int64
-}
-
-func (w Workload) withDefaults() Workload {
-	if w.Files <= 0 {
-		w.Files = 128
-	}
-	if w.Alpha <= 0 {
-		w.Alpha = 0.8
-	}
-	if w.Sizes == (stats.SizeDist{}) {
-		w.Sizes = trace.NLANRSizes()
-	}
-	if w.LookupFrac <= 0 {
-		w.LookupFrac = 0.9
-	}
-	if w.MaxPayload <= 0 {
-		w.MaxPayload = 4096
-	}
-	return w
 }
 
 // op is one scheduled request.
@@ -168,8 +148,9 @@ type op struct {
 // target a Zipf-ranked file among those already inserted; until the
 // first insert completes (and after the population is exhausted) the
 // mix degenerates gracefully.
-func schedule(a Arrivals, w Workload, n int, r *rand.Rand) []op {
+func schedule(a arrivals, w Workload, n int, r *rand.Rand) []op {
 	z := stats.NewZipf(w.Files, w.Alpha)
+	sizes := trace.NLANRSizes()
 	ops := make([]op, 0, n)
 	inserted := 0
 	for i := 0; i < n; i++ {
@@ -180,7 +161,7 @@ func schedule(a Arrivals, w Workload, n int, r *rand.Rand) []op {
 			ops = append(ops, op{At: at, Op: trace.OpLookup, File: f})
 			continue
 		}
-		sz := w.Sizes.Sample(r)
+		sz := sizes.Sample(r)
 		if sz < 1 {
 			sz = 1
 		}
@@ -221,6 +202,31 @@ type Result struct {
 	// of the fingerprint: the fingerprint covers per-request outcomes,
 	// which already reflect cache behavior through hop counts.
 	Cache CacheSummary
+}
+
+// record classifies one finished request: the outcome switch both
+// executors share. A request answered without reaching the cluster — a
+// lookup whose insert has not been served yet, which the access point
+// answers not-found on the spot — is counted but has no latency to
+// record, so routed is false for it.
+func (r *Result) record(found, routed bool, err error, lat, slo time.Duration) {
+	r.Issued++
+	switch {
+	case err == nil && found:
+		r.OK++
+		if lat <= slo {
+			r.Good++
+		}
+	case err == nil:
+		r.NotFound++
+	case errors.Is(err, netsim.ErrOverloaded):
+		r.Shed++
+	default:
+		r.Errors++
+	}
+	if err == nil && routed {
+		r.Latency.Record(lat.Nanoseconds())
+	}
 }
 
 // CacheSummary sums cache-engine tier counters across a cluster. In

@@ -1,23 +1,18 @@
 package loadgen
 
 import (
-	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
 	"past/internal/id"
-	"past/internal/netsim"
-	"past/internal/past"
 	"past/internal/stats"
 	"past/internal/trace"
 )
 
-// Client is one access point as the driver sees it: an in-process node
-// (NodeClient), or a remote one reached over TCP (cmd/past-load adapts
-// transport.InvokeAddr). Implementations must be safe for concurrent
-// calls.
+// Client is one access point as the driver sees it: a remote node
+// reached over TCP (AddrClient) or a test stub. Implementations must be
+// safe for concurrent calls.
 type Client interface {
 	// Insert stores a file and returns its fileId.
 	Insert(name string, size int64, content []byte) (id.File, error)
@@ -25,43 +20,28 @@ type Client interface {
 	Lookup(f id.File) (bool, error)
 }
 
-// Config shapes a real-clock run.
-type Config struct {
-	// Arrivals is the arrival process. Default NewConstant(200).
-	Arrivals Arrivals
-	// Requests is the total number of requests to issue. Required.
-	Requests int
-	// Seed makes the schedule (not the measured latencies)
-	// reproducible.
-	Seed int64
-	// Workload is the request mix.
-	Workload Workload
-	// Concurrency caps in-flight requests: the open loop keeps firing
-	// on schedule, but at most this many requests are on the wire at
-	// once — excess sends queue, and their queueing time is *included*
-	// in measured latency (the coordinated-omission correction). Zero
-	// means unbounded: one goroutine per request.
-	Concurrency int
-	// SLO classifies a completion as good. Default 500ms.
-	SLO time.Duration
-}
-
-// Run drives cfg.Requests requests against c on the real clock and
-// aggregates the outcome. The schedule is fixed up front from the
-// seed; a request whose intended time has passed is sent immediately
-// and its lateness counts against its latency.
-func Run(cfg Config, c Client) (*Result, error) {
-	if cfg.Requests <= 0 {
+// Run drives sc's offered load and request mix against c on the real
+// clock and aggregates the outcome; the cluster half of sc (nodes,
+// admission, hop latency, cache, EC) belongs to whatever c reaches and
+// is not read. The schedule is fixed up front from the seed; a request
+// whose intended time has passed is sent immediately and its lateness
+// counts against its latency.
+//
+// conc caps in-flight requests, the one setting only a live run has:
+// the open loop keeps firing on schedule, but at most conc requests are
+// on the wire at once — excess sends queue, and their queueing time is
+// *included* in measured latency (the coordinated-omission correction).
+// Zero means unbounded: one goroutine per request.
+func Run(sc SimConfig, conc int, c Client) (*Result, error) {
+	if sc.Requests <= 0 {
 		return nil, fmt.Errorf("loadgen: Requests must be > 0")
 	}
-	if cfg.Arrivals == nil {
-		cfg.Arrivals = NewConstant(200)
+	arr, err := newArrivals(sc.Arrivals, sc.Rate)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.SLO <= 0 {
-		cfg.SLO = 500 * time.Millisecond
-	}
-	w := cfg.Workload.withDefaults()
-	ops := schedule(cfg.Arrivals, w, cfg.Requests, stats.NewRand(cfg.Seed))
+	w := sc.Workload
+	ops := schedule(arr, w, sc.Requests, stats.NewRand(sc.Seed))
 
 	var (
 		mu  sync.Mutex
@@ -73,11 +53,10 @@ func Run(cfg Config, c Client) (*Result, error) {
 		intended := start.Add(o.At)
 		var found bool
 		var err error
-		served := true
+		routed := true
 		if o.Op == trace.OpInsert {
-			content := payload(o.File, o.Size)
 			var fid id.File
-			fid, err = c.Insert(trace.FileName(o.File), o.Size, content)
+			fid, err = c.Insert(trace.FileName(o.File), o.Size, payload(o.File, o.Size))
 			if err == nil {
 				mu.Lock()
 				ids[o.File] = fid
@@ -92,7 +71,7 @@ func Run(cfg Config, c Client) (*Result, error) {
 				// The insert this lookup depends on has not completed
 				// yet (open loop: nothing waits). Count the miss
 				// without a wire round trip.
-				served = false
+				routed = false
 			} else {
 				found, err = c.Lookup(fid)
 			}
@@ -100,30 +79,14 @@ func Run(cfg Config, c Client) (*Result, error) {
 		lat := time.Since(intended)
 
 		mu.Lock()
-		defer mu.Unlock()
-		res.Issued++
-		switch {
-		case err == nil && found:
-			res.OK++
-			if lat <= cfg.SLO {
-				res.Good++
-			}
-		case err == nil:
-			res.NotFound++
-		case errors.Is(err, netsim.ErrOverloaded):
-			res.Shed++
-		default:
-			res.Errors++
-		}
-		if err == nil && served {
-			res.Latency.Record(lat.Nanoseconds())
-		}
+		res.record(found, routed, err, lat, sc.SLO)
+		mu.Unlock()
 	}
 
 	var wg sync.WaitGroup
-	if cfg.Concurrency > 0 {
+	if conc > 0 {
 		ch := make(chan op)
-		for i := 0; i < cfg.Concurrency; i++ {
+		for i := 0; i < conc; i++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -156,41 +119,4 @@ func sleepUntil(t time.Time) {
 	if d := time.Until(t); d > 0 {
 		time.Sleep(d)
 	}
-}
-
-// payload deterministically fills a file's content from its index, so
-// re-runs insert identical bytes.
-func payload(file int32, size int64) []byte {
-	b := make([]byte, size)
-	r := rand.New(rand.NewSource(int64(file) + 1))
-	r.Read(b)
-	return b
-}
-
-// NodeClient adapts an in-process PAST node to the Client interface:
-// the node acts as the driver's access point, exactly as it would for
-// a TCP client.
-type NodeClient struct {
-	Node *past.Node
-}
-
-// Insert implements Client.
-func (nc NodeClient) Insert(name string, size int64, content []byte) (id.File, error) {
-	res, err := nc.Node.Insert(past.InsertSpec{Name: name, Size: size, Content: content})
-	if err != nil {
-		return id.File{}, err
-	}
-	if !res.OK {
-		return id.File{}, fmt.Errorf("loadgen: insert rejected: %s", res.Reason)
-	}
-	return res.FileID, nil
-}
-
-// Lookup implements Client.
-func (nc NodeClient) Lookup(f id.File) (bool, error) {
-	res, err := nc.Node.Lookup(f)
-	if err != nil {
-		return false, err
-	}
-	return res.Found, nil
 }

@@ -77,14 +77,10 @@ func TestRunOverTCP(t *testing.T) {
 	}
 	defer ct.Close()
 
-	res, err := Run(Config{
-		Arrivals:    NewConstant(300),
-		Requests:    120,
-		Seed:        4,
-		Workload:    Workload{Files: 16, LookupFrac: 0.75, MaxPayload: 512},
-		Concurrency: 8,
-		SLO:         2 * time.Second,
-	}, AddrClient{T: ct, Addr: trs[2].Addr()})
+	run := DefaultSimConfig()
+	run.Rate, run.Requests, run.Seed, run.SLO = 300, 120, 4, 2*time.Second
+	run.Workload = Workload{Files: 16, Alpha: 0.8, LookupFrac: 0.75, MaxPayload: 512}
+	res, err := Run(run, 8, AddrClient{T: ct, Addr: trs[2].Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
