@@ -44,10 +44,8 @@ var (
 // Options configures a Store.
 type Options struct {
 	// FragmentSize is the maximum fragment payload (default 64 KiB).
+	// Fragments and the manifest are replicated at the node's k.
 	FragmentSize int
-	// K overrides the replication factor for fragments and the manifest
-	// (0: node default).
-	K int
 }
 
 // Store fragments and reassembles files through a PAST access point.
@@ -135,7 +133,6 @@ func (s *Store) Insert(name string, content []byte) (*Result, error) {
 		ins, err := s.node.Insert(past.InsertSpec{
 			Name:    fmt.Sprintf("%s#frag%d", name, i),
 			Content: f,
-			K:       s.opt.K,
 		})
 		if err != nil {
 			return nil, err
@@ -146,7 +143,7 @@ func (s *Store) Insert(name string, content []byte) (*Result, error) {
 		m.FragIDs = append(m.FragIDs, ins.FileID)
 	}
 
-	man, err := s.node.Insert(past.InsertSpec{Name: name, Content: m.encode(), K: s.opt.K})
+	man, err := s.node.Insert(past.InsertSpec{Name: name, Content: m.encode()})
 	if err != nil {
 		return nil, err
 	}
