@@ -6,6 +6,7 @@ import (
 )
 
 func TestCapDistSampleBounds(t *testing.T) {
+	t.Parallel()
 	r := rand.New(rand.NewSource(1))
 	for _, d := range AllDists {
 		caps := d.Sample(r, 2000, 1)
@@ -28,6 +29,7 @@ func TestCapDistSampleBounds(t *testing.T) {
 }
 
 func TestCapDistScale(t *testing.T) {
+	t.Parallel()
 	r := rand.New(rand.NewSource(2))
 	caps := D1.Sample(r, 100, 10)
 	for _, c := range caps {
@@ -38,6 +40,7 @@ func TestCapDistScale(t *testing.T) {
 }
 
 func TestFilesForRatios(t *testing.T) {
+	t.Parallel()
 	// At the paper's parameters the derived file count must land near
 	// the paper's 1.86M unique NLANR files (we derive ~1.79M from the
 	// same capacity and mean size).
@@ -55,6 +58,7 @@ func TestFilesForRatios(t *testing.T) {
 }
 
 func TestStorageConfigDefaults(t *testing.T) {
+	t.Parallel()
 	cfg := StorageConfig{Nodes: 100}.withDefaults()
 	if cfg.B != 4 || cfg.L != 32 || cfg.K != 5 || cfg.Dist.Name != "d1" ||
 		cfg.CapScale != 1 || cfg.Overshoot != DefaultOvershoot {
@@ -71,6 +75,7 @@ func TestStorageConfigDefaults(t *testing.T) {
 }
 
 func TestCachingConfigDefaults(t *testing.T) {
+	t.Parallel()
 	cfg := CachingConfig{Nodes: 100}.withDefaults()
 	if cfg.UniqueFiles == 0 || cfg.Requests != cfg.UniqueFiles*215/100 {
 		t.Fatalf("caching defaults: %+v", cfg)

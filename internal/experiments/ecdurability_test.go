@@ -8,6 +8,7 @@ import (
 )
 
 func TestECDurabilityFingerprintBitIdentical(t *testing.T) {
+	t.Parallel()
 	cfg := ECDurabilityConfig{Seed: 42}
 	a, err := RunECDurability(cfg)
 	if err != nil {
@@ -33,6 +34,7 @@ func TestECDurabilityFingerprintBitIdentical(t *testing.T) {
 // repair on matches or beats k=3 replication, decays without repair,
 // and no node ever exceeds its per-epoch repair byte cap.
 func TestECDurabilityAcceptance(t *testing.T) {
+	t.Parallel()
 	r, err := RunECDurability(ECDurabilityConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -61,6 +63,7 @@ func TestECDurabilityAcceptance(t *testing.T) {
 }
 
 func TestECDurabilityRender(t *testing.T) {
+	t.Parallel()
 	r, err := RunECDurability(ECDurabilityConfig{
 		Nodes: 20, Objects: 40, Epochs: 12, Seed: 3,
 	})

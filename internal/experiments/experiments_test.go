@@ -10,6 +10,7 @@ import (
 // at paper-like scale.
 
 func TestTable1Render(t *testing.T) {
+	t.Parallel()
 	rows := RunTable1(2250, 1)
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
@@ -28,6 +29,7 @@ func TestTable1Render(t *testing.T) {
 }
 
 func TestBaselineVsDiversionShape(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("full trace-driven run; skipped with -short")
 	}
@@ -75,6 +77,7 @@ func TestBaselineVsDiversionShape(t *testing.T) {
 }
 
 func TestFailuresBiasedTowardLargeFiles(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("full trace-driven run; skipped with -short")
 	}
@@ -106,6 +109,7 @@ func TestFailuresBiasedTowardLargeFiles(t *testing.T) {
 }
 
 func TestTPriSweepDirection(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("full trace-driven run; skipped with -short")
 	}
@@ -133,6 +137,7 @@ func TestTPriSweepDirection(t *testing.T) {
 }
 
 func TestTDivSweepDirection(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("full trace-driven run; skipped with -short")
 	}
@@ -154,6 +159,7 @@ func TestTDivSweepDirection(t *testing.T) {
 }
 
 func TestDiversionNegligibleAtLowUtil(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("full trace-driven run; skipped with -short")
 	}
@@ -182,6 +188,7 @@ func TestDiversionNegligibleAtLowUtil(t *testing.T) {
 }
 
 func TestFilesystemWorkloadRun(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("full trace-driven run; skipped with -short")
 	}
@@ -199,6 +206,7 @@ func TestFilesystemWorkloadRun(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("full trace-driven run; skipped with -short")
 	}
@@ -242,6 +250,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestRoutingProperties(t *testing.T) {
+	t.Parallel()
 	r, err := RunRouting(ScaleTiny, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -261,6 +270,7 @@ func TestRoutingProperties(t *testing.T) {
 }
 
 func TestScaleAndDistLookup(t *testing.T) {
+	t.Parallel()
 	if _, err := ScaleByName("bench"); err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 // is the node-state printout at seed 1 from before the figure moved into
 // past-bench.
 func TestFig1MatchesGolden(t *testing.T) {
+	t.Parallel()
 	want, err := os.ReadFile("testdata/fig1.golden")
 	if err != nil {
 		t.Fatal(err)
@@ -25,6 +26,7 @@ func TestFig1MatchesGolden(t *testing.T) {
 }
 
 func TestDigitString(t *testing.T) {
+	t.Parallel()
 	n := id.Node{0x1B} // base-4 digits 0,1,2,3
 	if s := digitString(n, 2, 4); s != "0123" {
 		t.Fatalf("digitString = %q; want 0123", s)
@@ -32,6 +34,7 @@ func TestDigitString(t *testing.T) {
 }
 
 func TestFormatEntry(t *testing.T) {
+	t.Parallel()
 	n := id.Node{0x1B}
 	if s := formatEntry(n, 2, 1, 4); s != "0|1|23" {
 		t.Fatalf("formatEntry = %q", s)
@@ -42,6 +45,7 @@ func TestFormatEntry(t *testing.T) {
 }
 
 func TestRenderList(t *testing.T) {
+	t.Parallel()
 	r := func(x id.Node) string { return x.Short() }
 	if s := renderList(nil, r); s != "(empty)" {
 		t.Fatalf("empty list = %q", s)

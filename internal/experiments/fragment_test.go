@@ -3,6 +3,7 @@ package experiments
 import "testing"
 
 func TestFragmentationExperiment(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("full trace-driven run; skipped with -short")
 	}

@@ -52,6 +52,7 @@ func stableLiveChaos(r *LiveChaosResult) string {
 }
 
 func TestLiveChaosStableRender(t *testing.T) {
+	t.Parallel()
 	a := synthLiveChaos(t, 10, 6, 0.1, 1)
 	b := synthLiveChaos(t, 10, 6, 0.1, 1)
 	if sa, sb := stableLiveChaos(a), stableLiveChaos(b); sa != sb {

@@ -33,6 +33,7 @@ func fabricateResult(tpri, tdiv float64) *StorageResult {
 }
 
 func TestRenderTablesFromFabricatedResults(t *testing.T) {
+	t.Parallel()
 	rows := []*StorageResult{fabricateResult(0.5, 0.05), fabricateResult(0.1, 0.05)}
 	for _, out := range []string{
 		RenderTable2(rows),
@@ -48,6 +49,7 @@ func TestRenderTablesFromFabricatedResults(t *testing.T) {
 }
 
 func TestRenderFiguresFromFabricatedResult(t *testing.T) {
+	t.Parallel()
 	r := fabricateResult(0.1, 0.05)
 	fig4 := RenderFig4(r)
 	if !strings.Contains(fig4, "1 redirect") {
@@ -64,6 +66,7 @@ func TestRenderFiguresFromFabricatedResult(t *testing.T) {
 }
 
 func TestRenderOverheadAndFragmentation(t *testing.T) {
+	t.Parallel()
 	or := &OverheadResult{
 		Buckets: []OverheadBucket{
 			{UtilLo: 0, Inserts: 10, MsgsPerInsert: 5, Lookups: 4, HopsPerLookup: 1.5},
@@ -82,6 +85,7 @@ func TestRenderOverheadAndFragmentation(t *testing.T) {
 }
 
 func TestRenderRoutingText(t *testing.T) {
+	t.Parallel()
 	rr := &RoutingResult{Nodes: 300, Lookups: 100, LogBound: 3, MeanHops: 1.6,
 		MaxHops: 3, HopHistogram: []int{2, 30, 60, 8}, NearestPct: 40, Nearest2Pct: 57}
 	out := RenderRouting(rr)
@@ -91,12 +95,14 @@ func TestRenderRoutingText(t *testing.T) {
 }
 
 func TestWorkloadKindString(t *testing.T) {
+	t.Parallel()
 	if WebWorkload.String() != "web" || FSWorkload.String() != "filesystem" {
 		t.Fatal("workload names")
 	}
 }
 
 func TestFmtAt(t *testing.T) {
+	t.Parallel()
 	pts := []metrics.Point{{Util: 0.1, Value: 0.5}, {Util: 0.5, Value: 0.7}}
 	if fmtAt(pts, 0.05) != "-" {
 		t.Fatal("before first point must be -")
@@ -110,6 +116,7 @@ func TestFmtAt(t *testing.T) {
 }
 
 func TestRenderStorageMulti(t *testing.T) {
+	t.Parallel()
 	runs := [][]*StorageResult{
 		{fabricateResult(0.1, 0.05), fabricateResult(0.5, 0.05)},
 		{fabricateResult(0.1, 0.05), fabricateResult(0.5, 0.05)},
@@ -128,6 +135,7 @@ func TestRenderStorageMulti(t *testing.T) {
 }
 
 func TestSummaryCell(t *testing.T) {
+	t.Parallel()
 	c := summarize([]float64{1, 2, 3})
 	if c.Mean != 2 || c.SD < 0.99 || c.SD > 1.01 {
 		t.Fatalf("summarize: %+v", c)

@@ -10,6 +10,7 @@ import (
 )
 
 func TestSoakZeroViolations(t *testing.T) {
+	t.Parallel()
 	r, err := RunSoak(SoakConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -65,6 +66,7 @@ func checkTotalsFromRegistry(t *testing.T, r *SoakResult) {
 }
 
 func TestSoakReproducible(t *testing.T) {
+	t.Parallel()
 	cfg := SoakConfig{Seed: 7, Nodes: 25, Files: 30, Ticks: 9}
 	a, err := RunSoak(cfg)
 	if err != nil {
@@ -94,6 +96,7 @@ func TestSoakReproducible(t *testing.T) {
 // success with the resilience layer on must strictly exceed the
 // fail-fast baseline, with zero invariant violations either way.
 func TestSoakResilienceImproves(t *testing.T) {
+	t.Parallel()
 	c, err := CompareSoak(SoakConfig{Seed: 3, Drop: 0.10})
 	if err != nil {
 		t.Fatal(err)
@@ -130,6 +133,7 @@ func TestSoakResilienceImproves(t *testing.T) {
 // identical config must reproduce the fault fingerprint and every
 // traffic counter.
 func TestSoakResilienceReproducible(t *testing.T) {
+	t.Parallel()
 	cfg := SoakConfig{Seed: 5, Nodes: 25, Files: 30, Ticks: 9, Drop: 0.10, Resilience: true}
 	a, err := RunSoak(cfg)
 	if err != nil {
@@ -155,6 +159,7 @@ func TestSoakResilienceReproducible(t *testing.T) {
 // admission controller, the resilience layer must still end each run
 // with no violation and every acknowledged file found after healing.
 func TestSoakResilienceUnderAdmission(t *testing.T) {
+	t.Parallel()
 	for _, seed := range []int64{6, 12, 14} {
 		r, err := RunSoak(SoakConfig{
 			Seed: seed, Nodes: 20, Files: 25, Ticks: 8, FaultOps: 20, Drop: 0.10,
@@ -170,6 +175,7 @@ func TestSoakResilienceUnderAdmission(t *testing.T) {
 }
 
 func TestBuildSoakScheduleShape(t *testing.T) {
+	t.Parallel()
 	cfg := SoakConfig{Seed: 3}
 	s := BuildSoakSchedule(cfg)
 	if len(s.Links) != 1 || s.Links[0].Drop == 0 {
@@ -208,6 +214,7 @@ func TestBuildSoakScheduleShape(t *testing.T) {
 // stream all active must reproduce the bare run's fingerprint
 // bit-for-bit — observation draws no RNG and alters no message flow.
 func TestSoakObservabilityPreservesFingerprint(t *testing.T) {
+	t.Parallel()
 	base := SoakConfig{Seed: 6, Nodes: 25, Files: 25, Ticks: 8}
 	plain, err := RunSoak(base)
 	if err != nil {
@@ -256,6 +263,7 @@ func TestSoakObservabilityPreservesFingerprint(t *testing.T) {
 // TestSoakPhaseStats sanity-checks the per-phase registry deltas the
 // comparison report prints.
 func TestSoakPhaseStats(t *testing.T) {
+	t.Parallel()
 	r, err := RunSoak(SoakConfig{Seed: 4, Nodes: 25, Files: 25, Ticks: 8, Drop: 0.10, Resilience: true})
 	if err != nil {
 		t.Fatal(err)
@@ -289,6 +297,7 @@ func TestSoakPhaseStats(t *testing.T) {
 // (the controllers are pinned to virtual time), record hop-level
 // rejections, and emit the distinct "overload" event kind.
 func TestSoakWithAdmissionShedsDeterministically(t *testing.T) {
+	t.Parallel()
 	cfg := SoakConfig{
 		Seed: 5, Nodes: 20, Files: 25, Ticks: 8, FaultOps: 20,
 		Admit: &admit.Config{Rate: 2, Burst: 2, Depth: 2},
