@@ -25,7 +25,9 @@ test-times:
 # The size figures ROADMAP aim 2 tracks, regenerated from the tree
 # (informational: no thresholds, the re-anchor reads the trend): lines,
 # packages, binaries, the flags of every binary (read off its -h) and
-# their total, and past.Config fields.
+# their total, past.Config fields, and the knob count: exported field
+# names, each name counted, of the *Config, *Options and *Spec structs
+# under internal/.
 loc:
 	@printf '%6d  non-test Go lines outside bench/\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.*' -print0 | xargs -0 cat | wc -l)"
 	@printf '%6d  internal/ packages\n' "$$($(GO) list ./internal/... | wc -l)"
@@ -36,6 +38,11 @@ loc:
 		printf '%6d  %s flags\n' "$$n" "$$b"; \
 	done; printf '%6d  flags in all\n' "$$total"; rm -rf $$bin
 	@printf '%6d  past.Config fields\n' "$$(awk '/^type Config struct \{/ { f = 1; next } f && /^\}/ { exit } f && /^\t[A-Z][A-Za-z0-9]*[ ,]/ { n++ } END { print n }' internal/past/node.go)"
+	@printf '%6d  exported *Config/*Options/*Spec fields under internal/\n' "$$(find internal -name '*.go' ! -name '*_test.go' -print0 | xargs -0 awk '\
+		/^type [A-Za-z0-9_]*(Config|Options|Spec) struct \{$$/ { f = 1; next } f && /^\}/ { f = 0; next } \
+		f && match($$0, /^\t[A-Za-z_][A-Za-z0-9_]*(, *[A-Za-z_][A-Za-z0-9_]*)*[ \t]/) { \
+			k = split(substr($$0, 2, RLENGTH - 2), name, /, */); for (i = 1; i <= k; i++) if (name[i] ~ /^[A-Z]/) n++ } \
+		END { print n + 0 }')"
 
 # Full race-detector sweep. -short skips the trace-driven experiment
 # runs (minutes each under the race detector); every protocol and
