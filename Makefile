@@ -54,9 +54,18 @@ race:
 	$(GO) test -race ./internal/transport/ ./internal/netsim/ ./internal/pastry/ ./internal/past/
 
 # The ablations of DESIGN.md section 5 (leaf-set size, diverted-replica
-# target, cache policy) at tiny scale. About ten seconds.
+# target, cache policy) and Table 2 at tiny scale, each diffed against
+# its golden render with past-bench's wall time stripped from the
+# header: the only runs that reach d2-d4, l = 8, 16 and 64, random
+# diversion and the LRU and FIFO caches. About fifteen seconds.
 bench:
-	$(GO) run ./cmd/past-bench -exp ablation -scale tiny
+	@bin=$$(mktemp -d) && $(GO) build -o $$bin/ ./cmd/past-bench && \
+	for e in table2 ablation; do \
+		$$bin/past-bench -exp $$e -scale tiny > $$bin/$$e.txt || exit 1; \
+		sed -E '1s/, [0-9.]+s\) ====$$/) ====/' $$bin/$$e.txt | \
+			diff -u internal/experiments/testdata/$$e-tiny.golden - || exit 1; \
+		echo "$$e: matches internal/experiments/testdata/$$e-tiny.golden"; \
+	done; rm -rf $$bin
 
 # Regenerate every table, figure and ablation at the default 300-node scale.
 experiments:

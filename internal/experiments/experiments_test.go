@@ -68,11 +68,16 @@ func TestBaselineVsDiversionShape(t *testing.T) {
 	if std.ReplicaDiversionPct <= 0 {
 		t.Fatal("no replica diversions in the standard run")
 	}
-	for _, s := range []string{RenderBaseline(base), RenderFig4(std), RenderFig5(std),
-		RenderFig6(std, "Figure 6")} {
-		if len(s) == 0 {
+	for _, r := range []struct{ row, render string }{
+		{"baseline", RenderBaseline(base)},
+		{"fig4", RenderFig4(std)},
+		{"fig5", RenderFig5(std)},
+		{"fig6", RenderFig6(std, "Figure 6")},
+	} {
+		if len(r.render) == 0 {
 			t.Fatal("empty render")
 		}
+		pinRender(t, r.row+" tiny seed 42", r.render)
 	}
 }
 
@@ -131,9 +136,11 @@ func TestTPriSweepDirection(t *testing.T) {
 	if hi.FailPct < lo.FailPct {
 		t.Fatalf("failures not increasing in tpri: %.2f%% < %.2f%%", hi.FailPct, lo.FailPct)
 	}
-	if s := RenderTable3(rows) + RenderFig2(rows); len(s) == 0 {
+	s := RenderTable3(rows) + RenderFig2(rows)
+	if len(s) == 0 {
 		t.Fatal("empty render")
 	}
+	pinRender(t, "table3+fig2 tiny seed 11", s)
 }
 
 func TestTDivSweepDirection(t *testing.T) {
@@ -153,9 +160,11 @@ func TestTDivSweepDirection(t *testing.T) {
 	if hi.FinalUtil < lo.FinalUtil {
 		t.Fatalf("utilization not increasing in tdiv: %.3f < %.3f", hi.FinalUtil, lo.FinalUtil)
 	}
-	if s := RenderTable4(rows) + RenderFig3(rows); len(s) == 0 {
+	s := RenderTable4(rows) + RenderFig3(rows)
+	if len(s) == 0 {
 		t.Fatal("empty render")
 	}
+	pinRender(t, "table4+fig3 tiny seed 12", s)
 }
 
 func TestDiversionNegligibleAtLowUtil(t *testing.T) {
@@ -200,9 +209,11 @@ func TestFilesystemWorkloadRun(t *testing.T) {
 	if std.FinalUtil < 0.7 {
 		t.Fatalf("filesystem workload utilization %.1f%% too low", 100*std.FinalUtil)
 	}
-	if s := RenderFig6(std, "Figure 7"); !strings.Contains(s, "Figure 7") {
+	s := RenderFig6(std, "Figure 7")
+	if !strings.Contains(s, "Figure 7") {
 		t.Fatal("render")
 	}
+	pinRender(t, "fig7 tiny seed 14", s)
 }
 
 func TestFig8Shape(t *testing.T) {
@@ -244,9 +255,11 @@ func TestFig8Shape(t *testing.T) {
 	if gds.HitRate < 0.1 {
 		t.Fatalf("GD-S hit rate %.3f implausibly low", gds.HitRate)
 	}
-	if s := RenderFig8(rows); !strings.Contains(s, "gd-s") {
+	s := RenderFig8(rows)
+	if !strings.Contains(s, "gd-s") {
 		t.Fatal("render")
 	}
+	pinRender(t, "fig8 tiny seed 15", s)
 }
 
 func TestRoutingProperties(t *testing.T) {
@@ -256,6 +269,7 @@ func TestRoutingProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log("\n" + RenderRouting(r))
+	pinRender(t, "routing tiny seed 16", RenderRouting(r))
 	if r.Lookups == 0 {
 		t.Fatal("no lookups measured")
 	}

@@ -12,6 +12,7 @@ func TestFragmentationExperiment(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log("\n" + RenderFragmentation(r))
+	pinRender(t, "frag tiny seed 71", RenderFragmentation(r))
 	if r.Utilization < 0.7 {
 		t.Fatalf("fill reached only %.1f%% utilization", 100*r.Utilization)
 	}

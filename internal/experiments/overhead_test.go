@@ -12,6 +12,7 @@ func TestOverheadExperiment(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log("\n" + RenderOverhead(r))
+	pinRender(t, "overhead tiny seed 81", RenderOverhead(r))
 	if len(r.Buckets) < 5 {
 		t.Fatalf("only %d buckets", len(r.Buckets))
 	}
