@@ -16,6 +16,8 @@ import (
 	"os"
 	"strings"
 
+	"past/internal/experiments"
+	"past/internal/metrics"
 	"past/internal/past"
 	"past/internal/pastry"
 	"past/internal/stats"
@@ -49,7 +51,9 @@ func main() {
 }
 
 // replay turns the records into a workload and drives a 20-node cluster
-// with it, writing the workload's shape and the replay's results to out.
+// with it through the section 5.2 replay (each site's clients issue
+// from nodes near one another), writing the workload's shape and the
+// replay's results to out.
 func replay(out io.Writer, records []trace.SquidRecord) error {
 	w, err := trace.FromSquid(records, 8, 0)
 	if err != nil {
@@ -63,63 +67,25 @@ func replay(out io.Writer, records []trace.SquidRecord) error {
 	cfg.K = 3
 	// Size the network so the workload lands around 90% utilization.
 	perNode := w.TotalBytes * int64(cfg.K) * 10 / 9 / 20
+	col := metrics.NewCollector(20*perNode, 1)
+	cfg.Monitor = col
 	cluster, err := past.NewCluster(past.ClusterSpec{
-		N:                 20,
-		Cfg:               cfg,
-		Capacity:          func(int, *rand.Rand) int64 { return perNode },
-		Seed:              99,
-		ProximityClusters: w.Sites,
+		N:        20,
+		Cfg:      cfg,
+		Capacity: func(int, *rand.Rand) int64 { return perNode },
+		Seed:     99,
 	})
 	if err != nil {
 		return err
 	}
-
-	// Map trace clients onto nodes round-robin by site.
-	clientNode := make([]*past.Node, w.Clients)
-	for c := 0; c < w.Clients; c++ {
-		clientNode[c] = cluster.Nodes[(int(w.SiteOf[c])*5+c)%len(cluster.Nodes)]
-	}
-
-	fileIDs := make(map[int32][20]byte)
-	var lookups, hits, hops, failed int
-	for _, ev := range w.Events {
-		node := clientNode[ev.Client]
-		switch ev.Op {
-		case trace.OpInsert:
-			res, err := node.Insert(past.InsertSpec{
-				Name: trace.FileName(ev.File), Size: ev.Size, Salt: uint64(ev.File) + 1,
-			})
-			if err != nil {
-				return err
-			}
-			if res.OK {
-				fileIDs[ev.File] = res.FileID
-			} else {
-				failed++
-			}
-		case trace.OpLookup:
-			fid, ok := fileIDs[ev.File]
-			if !ok {
-				continue
-			}
-			res, err := node.Lookup(fid)
-			if err != nil {
-				return err
-			}
-			if res.Found {
-				lookups++
-				hops += res.Hops
-				if res.FromCache {
-					hits++
-				}
-			}
-		}
+	if err := experiments.ReplayWeb(cluster, w, col, 99); err != nil {
+		return err
 	}
 	fmt.Fprintf(out, "replay done: utilization %.1f%%, %d failed inserts\n",
-		100*cluster.Utilization(), failed)
-	if lookups > 0 {
+		100*cluster.Utilization(), col.Totals().Failed)
+	if hops, hitRate, lookups := col.GlobalLookupStats(); lookups > 0 {
 		fmt.Fprintf(out, "lookups: %d, cache hit rate %.1f%%, mean fetch distance %.2f hops\n",
-			lookups, 100*float64(hits)/float64(lookups), float64(hops)/float64(lookups))
+			lookups, 100*hitRate, hops)
 	}
 	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 
 	"past/internal/cache"
+	"past/internal/metrics"
 	"past/internal/past"
 	"past/internal/pastry"
 	"past/internal/stats"
@@ -101,19 +102,16 @@ type Scale struct {
 	Nodes int
 	// CacheNodes sizes the caching experiment's network.
 	CacheNodes int
-	// Clients and Sites for the caching experiment (paper: 775 and 8).
-	Clients, Sites int
+	// Clients for the caching experiment (paper: 775, at 8 sites).
+	Clients int
 }
 
 // Predefined scales. Tiny keeps unit tests tolerable; Bench is
 // past-bench's default; Full is the paper's.
 var (
-	ScaleTiny = Scale{Name: "tiny", Nodes: 60,
-		CacheNodes: 60, Clients: 96, Sites: 8}
-	ScaleBench = Scale{Name: "bench", Nodes: 300,
-		CacheNodes: 250, Clients: 775, Sites: 8}
-	ScaleFull = Scale{Name: "full", Nodes: 2250,
-		CacheNodes: 2250, Clients: 775, Sites: 8}
+	ScaleTiny  = Scale{Name: "tiny", Nodes: 60, CacheNodes: 60, Clients: 96}
+	ScaleBench = Scale{Name: "bench", Nodes: 300, CacheNodes: 250, Clients: 775}
+	ScaleFull  = Scale{Name: "full", Nodes: 2250, CacheNodes: 2250, Clients: 775}
 )
 
 // ScaleByName resolves a scale preset.
@@ -157,7 +155,7 @@ func (k WorkloadKind) sizes() stats.SizeDist {
 }
 
 // pastConfig assembles a past.Config from experiment knobs.
-func pastConfig(b, l, k int, tpri, tdiv float64, retries int, policy cache.Policy, mon past.Monitor) past.Config {
+func pastConfig(b, l, k int, tpri, tdiv float64, retries int, policy cache.Policy) past.Config {
 	cfg := past.DefaultConfig()
 	cfg.Pastry = pastry.Config{B: b, L: l}
 	cfg.K = k
@@ -165,6 +163,60 @@ func pastConfig(b, l, k int, tpri, tdiv float64, retries int, policy cache.Polic
 	cfg.TDiv = tdiv
 	cfg.MaxRetries = retries
 	cfg.CachePolicy = policy
-	cfg.Monitor = mon
 	return cfg
+}
+
+// standardConfig is the section 5 setup every run shares unless it
+// sweeps a knob: b=4, l=32, k=5, tpri=0.1, tdiv=0.05, three re-salts.
+func standardConfig(policy cache.Policy) past.Config {
+	return pastConfig(4, 32, 5, 0.1, 0.05, 3, policy)
+}
+
+// table1Cluster builds a section 5 cluster of n nodes sharing cfg: node
+// capacities are drawn from d, scaled by capScale, at seed^0xCAFE, and
+// the cluster is joined at seed. A collector sampling every
+// sampleEvery-th insert watches its storage.
+func table1Cluster(cfg past.Config, n int, d CapDist, capScale float64, seed int64, sampleEvery int) (*past.Cluster, *metrics.Collector, error) {
+	caps := d.Sample(rand.New(rand.NewSource(seed^0xCAFE)), n, capScale)
+	var total int64
+	for _, c := range caps {
+		total += c
+	}
+	col := metrics.NewCollector(total, sampleEvery)
+	cfg.Monitor = col
+	cluster, err := past.NewCluster(past.ClusterSpec{
+		N:        n,
+		Cfg:      cfg,
+		Capacity: func(i int, _ *rand.Rand) int64 { return caps[i] },
+		Seed:     seed,
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("experiments: cluster: %w", err)
+	}
+	return cluster, col, nil
+}
+
+// insertSpec is how every run inserts trace file ev.File: named after
+// it and salted File+1, so a file diversion's re-salt (an increment)
+// stays deterministic.
+func insertSpec(ev trace.Event) past.InsertSpec {
+	return past.InsertSpec{Name: trace.FileName(ev.File), Size: ev.Size, Salt: uint64(ev.File) + 1}
+}
+
+// insertTrace issues the inserts of w in order, each from a client node
+// drawn with rng, and hands each result to done (if set) before the
+// next client is drawn.
+func insertTrace(c *past.Cluster, w *trace.Workload, rng *rand.Rand, done func(trace.Event, *past.InsertResult) error) error {
+	for _, ev := range w.Events {
+		res, err := c.Nodes[rng.Intn(len(c.Nodes))].Insert(insertSpec(ev))
+		if err != nil {
+			return fmt.Errorf("experiments: insert %d: %w", ev.File, err)
+		}
+		if done != nil {
+			if err := done(ev, res); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

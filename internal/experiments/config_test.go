@@ -60,12 +60,11 @@ func TestFilesForRatios(t *testing.T) {
 func TestStorageConfigDefaults(t *testing.T) {
 	t.Parallel()
 	cfg := StorageConfig{Nodes: 100}.withDefaults()
-	if cfg.B != 4 || cfg.L != 32 || cfg.K != 5 || cfg.Dist.Name != "d1" ||
-		cfg.CapScale != 1 || cfg.Overshoot != DefaultOvershoot {
+	if cfg.L != 32 || cfg.Dist.Name != "d1" || cfg.CapScale != 1 {
 		t.Fatalf("defaults: %+v", cfg)
 	}
-	if cfg.Files == 0 || cfg.SampleEvery == 0 {
-		t.Fatal("derived values missing")
+	if cfg.files() != filesFor(D1, 100, 5, 1, webMeanSize, DefaultOvershoot) {
+		t.Fatalf("derived file count %d", cfg.files())
 	}
 	// Baseline semantics preserved: explicit zeroes are kept.
 	base := StorageConfig{Nodes: 10, TPri: 1, TDiv: 0, MaxRetries: 0}.withDefaults()
@@ -76,11 +75,14 @@ func TestStorageConfigDefaults(t *testing.T) {
 
 func TestCachingConfigDefaults(t *testing.T) {
 	t.Parallel()
-	cfg := CachingConfig{Nodes: 100}.withDefaults()
-	if cfg.UniqueFiles == 0 || cfg.Requests != cfg.UniqueFiles*215/100 {
-		t.Fatalf("caching defaults: %+v", cfg)
+	spec := CachingConfig{Nodes: 100}.webSpec()
+	if spec.UniqueFiles == 0 || spec.Requests != spec.UniqueFiles*215/100 {
+		t.Fatalf("caching defaults: %+v", spec)
 	}
-	if cfg.Clients != 775 || cfg.Sites != 8 {
-		t.Fatalf("caching client defaults: %+v", cfg)
+	if spec.Clients != 775 || spec.Sites != 8 {
+		t.Fatalf("caching client defaults: %+v", spec)
+	}
+	if spec := (CachingConfig{Nodes: 100, Clients: 96}).webSpec(); spec.Clients != 96 {
+		t.Fatalf("clients not honoured: %+v", spec)
 	}
 }

@@ -110,29 +110,15 @@ func RunFragmentation(sc Scale, seed int64) (*FragmentationResult, error) {
 // coded with ecp when it is non-nil — and fills it to ~85% utilization
 // with the standard workload.
 func fragmentationCluster(sc Scale, seed int64, ecp *ec.Params) (*past.Cluster, error) {
-	cfg := pastConfig(4, 32, 5, 0.1, 0.05, 3, cache.None, nil)
+	cfg := standardConfig(cache.None)
 	cfg.ECMode = ecp
-	caps := D1.Sample(rand.New(rand.NewSource(seed^0xCAFE)), sc.Nodes, 1)
-	cluster, err := past.NewCluster(past.ClusterSpec{
-		N:        sc.Nodes,
-		Cfg:      cfg,
-		Capacity: func(i int, _ *rand.Rand) int64 { return caps[i] },
-		Seed:     seed,
-	})
+	cluster, _, err := table1Cluster(cfg, sc.Nodes, D1, 1, seed, 1)
 	if err != nil {
 		return nil, err
 	}
-	fill := trace.InsertOnly(
-		filesFor(D1, sc.Nodes, 5, 1, webMeanSize, 0.85),
-		trace.NLANRSizes(), seed)
-	rng := rand.New(rand.NewSource(seed ^ 0xF11))
-	for _, ev := range fill.Events {
-		client := cluster.Nodes[rng.Intn(len(cluster.Nodes))]
-		if _, err := client.Insert(past.InsertSpec{
-			Name: trace.FileName(ev.File), Size: ev.Size, Salt: uint64(ev.File) + 1,
-		}); err != nil {
-			return nil, err
-		}
+	fill := trace.InsertOnly(filesFor(D1, sc.Nodes, 5, 1, webMeanSize, 0.85), trace.NLANRSizes(), seed)
+	if err := insertTrace(cluster, fill, rand.New(rand.NewSource(seed^0xF11)), nil); err != nil {
+		return nil, err
 	}
 	return cluster, nil
 }

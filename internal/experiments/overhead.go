@@ -47,25 +47,12 @@ type OverheadResult struct {
 // inserted files (caching disabled so fetch distance reflects replica
 // placement, not cache luck).
 func RunOverhead(sc Scale, seed int64) (*OverheadResult, error) {
-	cfg := pastConfig(4, 32, 5, 0.1, 0.05, 3, cache.None, nil)
-	caps := D1.Sample(rand.New(rand.NewSource(seed^0xCAFE)), sc.Nodes, 1)
-	var totalCap int64
-	for _, c := range caps {
-		totalCap += c
-	}
-	cluster, err := past.NewCluster(past.ClusterSpec{
-		N:        sc.Nodes,
-		Cfg:      cfg,
-		Capacity: func(i int, _ *rand.Rand) int64 { return caps[i] },
-		Seed:     seed,
-	})
+	cluster, _, err := table1Cluster(standardConfig(cache.None), sc.Nodes, D1, 1, seed, 1)
 	if err != nil {
 		return nil, err
 	}
-
 	w := trace.InsertOnly(filesFor(D1, sc.Nodes, 5, 1, webMeanSize, DefaultOvershoot),
 		trace.NLANRSizes(), seed)
-	rng := rand.New(rand.NewSource(seed ^ 0x0ead))
 
 	const buckets = 10
 	type agg struct {
@@ -74,38 +61,28 @@ func RunOverhead(sc Scale, seed int64) (*OverheadResult, error) {
 	}
 	aggs := make([]agg, buckets)
 	bucketOf := func() int {
-		u := float64(cluster.StoredBytes()) / float64(totalCap)
-		b := int(u * buckets)
-		if b >= buckets {
-			b = buckets - 1
-		}
-		return b
+		return min(int(cluster.Utilization()*buckets), buckets-1)
 	}
 
+	// b and before are read when the next insert is issued.
+	b, before := bucketOf(), cluster.Net.Messages()
 	var inserted []id.File
-	for i, ev := range w.Events {
-		b := bucketOf()
-		client := cluster.Nodes[rng.Intn(len(cluster.Nodes))]
-		before := cluster.Net.Messages()
-		res, err := client.Insert(past.InsertSpec{
-			Name: trace.FileName(ev.File), Size: ev.Size, Salt: uint64(ev.File) + 1,
-		})
-		if err != nil {
-			return nil, err
-		}
+	rng := rand.New(rand.NewSource(seed ^ 0x0ead))
+	err = insertTrace(cluster, w, rng, func(ev trace.Event, res *past.InsertResult) error {
 		aggs[b].inserts++
 		aggs[b].msgs += float64(cluster.Net.Messages() - before)
 		if res.OK {
 			inserted = append(inserted, res.FileID)
 		}
 
-		// Probe lookups every 50 inserts.
-		if i%50 == 0 && len(inserted) > 0 {
+		// Probe lookups every 50 inserts (an insert-only trace's file
+		// index is its position).
+		if ev.File%50 == 0 && len(inserted) > 0 {
 			for p := 0; p < 5; p++ {
 				f := inserted[rng.Intn(len(inserted))]
 				lr, err := cluster.Nodes[rng.Intn(len(cluster.Nodes))].Lookup(f)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if !lr.Found {
 					continue
@@ -118,6 +95,11 @@ func RunOverhead(sc Scale, seed int64) (*OverheadResult, error) {
 				}
 			}
 		}
+		b, before = bucketOf(), cluster.Net.Messages()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	out := &OverheadResult{FinalUtil: cluster.Utilization(), ByType: map[string]float64{}}

@@ -20,9 +20,6 @@ type Cluster struct {
 	Net   *netsim.Network
 	Nodes []*Node
 	ByID  map[id.Node]*Node
-	// ClusterOf maps node index to its proximity-cluster index (when the
-	// cluster was built with proximity clusters; nil otherwise).
-	ClusterOf []int
 
 	rng *rand.Rand
 }
@@ -38,10 +35,6 @@ type ClusterSpec struct {
 	Capacity func(i int, r *rand.Rand) int64
 	// Seed makes the cluster deterministic.
 	Seed int64
-	// ProximityClusters > 0 places the nodes into that many tight
-	// proximity clusters (for the caching experiment); 0 places them
-	// uniformly.
-	ProximityClusters int
 	// WrapNet, if set, wraps the network each node communicates
 	// through — the fault-injection hook (internal/chaos). Nodes are
 	// still registered on the raw Network; only their outgoing view is
@@ -67,13 +60,7 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 		ByID: make(map[id.Node]*Node, spec.N),
 		rng:  rand.New(rand.NewSource(spec.Seed)),
 	}
-	plane := topology.DefaultPlane
-	var positions []topology.Point
-	if spec.ProximityClusters > 0 {
-		positions, c.ClusterOf = plane.Clusters(c.rng, spec.N, spec.ProximityClusters, plane.Side/40)
-	} else {
-		positions = plane.Uniform(c.rng, spec.N)
-	}
+	positions := topology.DefaultPlane.Uniform(c.rng, spec.N)
 
 	for i := 0; i < spec.N; i++ {
 		var nid id.Node

@@ -2,9 +2,7 @@
 // as any scalar metric (IP hops, bandwidth, geographic distance); for the
 // emulated network we place every node at a point on a bounded 2-D plane
 // and use Euclidean distance, the same simplification used by the Pastry
-// evaluation. The caching experiment (section 5.2 of the paper) maps the
-// clients of each of the eight trace sites onto nodes that are close to
-// each other; the Clusters generator produces exactly that layout.
+// evaluation.
 package topology
 
 import (
@@ -46,37 +44,4 @@ func (p Plane) Uniform(r *rand.Rand, n int) []Point {
 		pts[i] = p.RandomPoint(r)
 	}
 	return pts
-}
-
-// Clusters places n points into k clusters whose centers are uniform on
-// the plane; each point is normally scattered around its cluster center
-// with standard deviation spread (clamped to the plane). Points are
-// assigned to clusters round-robin so cluster sizes differ by at most
-// one. It returns the points and, for each point, its cluster index.
-func (p Plane) Clusters(r *rand.Rand, n, k int, spread float64) ([]Point, []int) {
-	if k <= 0 {
-		panic("topology: Clusters needs k > 0")
-	}
-	centers := p.Uniform(r, k)
-	pts := make([]Point, n)
-	member := make([]int, n)
-	for i := 0; i < n; i++ {
-		c := i % k
-		member[i] = c
-		pts[i] = Point{
-			X: clamp(centers[c].X+r.NormFloat64()*spread, 0, p.Side),
-			Y: clamp(centers[c].Y+r.NormFloat64()*spread, 0, p.Side),
-		}
-	}
-	return pts, member
-}
-
-func clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

@@ -49,61 +49,3 @@ func TestUniformInBounds(t *testing.T) {
 		}
 	}
 }
-
-func TestClustersLocality(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	pts, member := DefaultPlane.Clusters(r, 400, 8, 20)
-	if len(pts) != 400 || len(member) != 400 {
-		t.Fatal("bad lengths")
-	}
-	// Mean intra-cluster distance must be well below mean inter-cluster
-	// distance: that is the property the caching experiment relies on.
-	var intra, inter float64
-	var nIntra, nInter int
-	for i := 0; i < len(pts); i += 7 {
-		for j := i + 1; j < len(pts); j += 7 {
-			d := Distance(pts[i], pts[j])
-			if member[i] == member[j] {
-				intra += d
-				nIntra++
-			} else {
-				inter += d
-				nInter++
-			}
-		}
-	}
-	if nIntra == 0 || nInter == 0 {
-		t.Fatal("sampling produced no pairs")
-	}
-	if intra/float64(nIntra) >= inter/float64(nInter)/2 {
-		t.Fatalf("clusters not tight: intra=%g inter=%g",
-			intra/float64(nIntra), inter/float64(nInter))
-	}
-}
-
-func TestClustersRoundRobinBalance(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	_, member := DefaultPlane.Clusters(r, 10, 3, 5)
-	counts := map[int]int{}
-	for _, m := range member {
-		counts[m]++
-	}
-	if counts[0] != 4 || counts[1] != 3 || counts[2] != 3 {
-		t.Fatalf("cluster sizes %v; want 4,3,3", counts)
-	}
-}
-
-func TestClustersPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic for k=0")
-		}
-	}()
-	DefaultPlane.Clusters(rand.New(rand.NewSource(1)), 10, 0, 5)
-}
-
-func TestClamp(t *testing.T) {
-	if clamp(-5, 0, 10) != 0 || clamp(15, 0, 10) != 10 || clamp(5, 0, 10) != 5 {
-		t.Fatal("clamp wrong")
-	}
-}
