@@ -37,7 +37,6 @@ import (
 
 	"past/internal/cluster"
 	"past/internal/daemon"
-	"past/internal/experiments"
 	"past/internal/obs"
 )
 
@@ -106,13 +105,13 @@ func run() int {
 		}()
 	}
 
-	res, err := experiments.RunLiveChaos(cfg, scfg, *keep)
+	res, err := cluster.Run(cfg, scfg, *keep)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "past-cluster: %v\n", err)
 		return 1
 	}
-	io.WriteString(os.Stdout, experiments.RenderLiveChaos(res))
-	if !res.Scenario.Passed() {
+	io.WriteString(os.Stdout, res.String())
+	if !res.Passed() {
 		return 1
 	}
 	return 0

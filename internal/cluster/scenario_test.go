@@ -132,3 +132,77 @@ func TestRunScenarioSmall(t *testing.T) {
 		t.Fatalf("want %d restarts, got %d", len(plan), restarts)
 	}
 }
+
+// synthResult builds the result a PASSING run with this configuration
+// must produce — every field of the stable render is a function of the
+// plan.
+func synthResult(t *testing.T, nodes, rounds int, killRate float64, seed int64) *cluster.ScenarioResult {
+	t.Helper()
+	plan, err := cluster.PlanFaults(cluster.ScenarioMixed, nodes, rounds, killRate, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &cluster.ScenarioResult{
+		Scenario: cluster.ScenarioMixed,
+		Nodes:    nodes,
+		K:        3,
+		Seed:     seed,
+		Rounds:   rounds,
+		PlanFP:   cluster.PlanFingerprint(plan),
+		Checked:  true,
+	}
+	r.NodeLives = make([]int, nodes)
+	r.NodeRestarts = make([]int, nodes)
+	for i := range r.NodeLives {
+		r.NodeLives[i] = 1
+	}
+	for _, f := range plan {
+		if f.Kind == cluster.FaultKill {
+			r.PlannedKills++
+		} else {
+			r.PlannedTerms++
+		}
+		r.NodeLives[f.Node]++
+		r.NodeRestarts[f.Node]++
+	}
+	r.RoundsRun, r.Kills, r.Terms = rounds, r.PlannedKills, r.PlannedTerms
+	return r
+}
+
+// stableRender returns the seed-stable portion of the render: what sits
+// above the "---" rule.
+func stableRender(r *cluster.ScenarioResult) string {
+	stable, _, _ := strings.Cut(r.String(), "---\n")
+	return stable
+}
+
+func TestLiveChaosStableRender(t *testing.T) {
+	t.Parallel()
+	a := synthResult(t, 10, 6, 0.1, 1)
+	b := synthResult(t, 10, 6, 0.1, 1)
+	if sa, sb := stableRender(a), stableRender(b); sa != sb {
+		t.Fatalf("same seed renders differently:\n%s\nvs\n%s", sa, sb)
+	}
+	c := synthResult(t, 10, 6, 0.1, 2)
+	if stableRender(a) == stableRender(c) {
+		t.Fatal("different seeds render identically")
+	}
+	if !a.Passed() {
+		t.Fatal("synthetic passing run does not pass")
+	}
+	stable := stableRender(a)
+	if !strings.Contains(stable, "verdict=PASS") {
+		t.Fatalf("stable render missing verdict:\n%s", stable)
+	}
+	if !strings.Contains(stable, "plan="+a.PlanFP) {
+		t.Fatalf("stable render missing plan fingerprint:\n%s", stable)
+	}
+	// The run-variable portion stays below the rule.
+	if strings.Contains(stable, "elapsed") {
+		t.Fatalf("stable render leaks wall-clock detail:\n%s", stable)
+	}
+	full := a.String()
+	if !strings.Contains(full, "elapsed") || !strings.Contains(full, "---") {
+		t.Fatalf("full render missing variable section:\n%s", full)
+	}
+}
