@@ -11,19 +11,19 @@ import (
 // kill-mid-commit / truncate-tail / reopen cycles against a logstore,
 // each recovery checked against the durability oracle, with a final
 // fsck pass. Exit code 0 means every invariant held.
-func runCrashSoak(w *os.File, seed int64, lives, ops int, dir string, keep bool) (int, error) {
-	if dir == "" {
+func runCrashSoak(w *os.File, cfg chaos.CrashConfig, keep bool) (int, error) {
+	if cfg.Dir == "" {
 		tmp, err := os.MkdirTemp("", "past-crash-*")
 		if err != nil {
 			return 0, err
 		}
-		dir = tmp
+		cfg.Dir = tmp
 		if !keep {
 			defer os.RemoveAll(tmp)
 		}
 	}
-	fmt.Fprintf(w, "crash soak: seed=%d lives=%d ops/life=%d dir=%s\n", seed, lives, ops, dir)
-	rep, err := chaos.RunCrash(chaos.CrashConfig{Dir: dir, Seed: seed, Lives: lives, OpsPer: ops})
+	fmt.Fprintf(w, "crash soak: seed=%d lives=%d ops/life=%d dir=%s\n", cfg.Seed, cfg.Lives, cfg.OpsPer, cfg.Dir)
+	rep, err := chaos.RunCrash(cfg)
 	if err != nil {
 		fmt.Fprintf(w, "CRASH SOAK: FAIL — %v\n", err)
 		return 1, nil
@@ -36,7 +36,7 @@ func runCrashSoak(w *os.File, seed int64, lives, ops int, dir string, keep bool)
 	fmt.Fprintf(w, "  final fsck           ok\n")
 	fmt.Fprintf(w, "  fingerprint          %s\n", rep.Fingerprint)
 	if keep {
-		fmt.Fprintf(w, "store kept at %s (inspect with: pastctl fsck %s)\n", dir, dir)
+		fmt.Fprintf(w, "store kept at %s (inspect with: pastctl fsck %s)\n", cfg.Dir, cfg.Dir)
 	}
 	fmt.Fprintln(w, "CRASH SOAK: ok — every recovery matched the durable prefix")
 	return 0, nil

@@ -46,22 +46,46 @@ func pastLoad(line string) (string, error) {
 	return r.Fingerprint, nil
 }
 
-// soakReportDigest hashes the whole report past-chaos prints for cfg,
-// not just the fault fingerprint: the checker's verdict, the violation
-// list and the post-heal lookups are in it.
-func soakReportDigest(cfg SoakConfig) (string, error) {
-	r, err := RunSoak(cfg)
+// pastChaos runs one past-chaos command line the way past-chaos runs
+// it, its flags bound by ParseChaosCommand, and returns the fingerprint
+// it prints. A line ending in "(report)" returns the sha256 of the
+// whole soak report instead: the checker's verdict, the violation list
+// and the post-heal lookups are in it.
+func pastChaos(line string) (string, error) {
+	args := strings.Fields(line)[1:]
+	report := args[len(args)-1] == "(report)"
+	if report {
+		args = args[:len(args)-1]
+	}
+	c, err := ParseChaosCommand(args, io.Discard)
 	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256([]byte(RenderSoak(r)))
-	return hex.EncodeToString(sum[:]), nil
+	switch c.Mode {
+	case "soak":
+		r, err := RunSoak(c.Soak)
+		if err != nil {
+			return "", err
+		}
+		if report {
+			sum := sha256.Sum256([]byte(RenderSoak(r)))
+			return hex.EncodeToString(sum[:]), nil
+		}
+		return r.Fingerprint, nil
+	case "ec-durability":
+		r, err := RunECDurability(c.EC)
+		if err != nil {
+			return "", err
+		}
+		return r.Fingerprint, nil
+	}
+	return "", fmt.Errorf("%s mode prints no fingerprint", c.Mode)
 }
 
 // TestContractFingerprints pins the seeded fingerprints the binaries
 // print, one row per command line, against testdata/contract.golden.
-// Each row is the one call its binary makes, built as its flags build
-// it. A change that moves one must say so: rerun with -update and
+// Each row is the one call its binary makes, built from its command
+// line by the parse its binary's main uses. A change that moves one must say so: rerun with -update and
 // commit the new golden file with the reason.
 func TestContractFingerprints(t *testing.T) {
 	t.Parallel()
@@ -70,35 +94,13 @@ func TestContractFingerprints(t *testing.T) {
 		run  func(line string) (string, error)
 	}{
 		{"past-load -sim -cache-check -seed 1 -requests 1500 -files 192 -cache-ram 32768", pastLoad},
-		{"past-chaos -seed 7", func(string) (string, error) {
-			r, err := RunSoak(SoakConfig{Seed: 7})
-			if err != nil {
-				return "", err
-			}
-			return r.Fingerprint, nil
-		}},
-		{"past-chaos -resilience -seed 7", func(string) (string, error) {
-			r, err := RunSoak(SoakConfig{Seed: 7, Resilience: true})
-			if err != nil {
-				return "", err
-			}
-			return r.Fingerprint, nil
-		}},
-		{"past-chaos -seed 7 (report)", func(string) (string, error) {
-			return soakReportDigest(SoakConfig{Seed: 7})
-		}},
-		{"past-chaos -resilience -seed 7 (report)", func(string) (string, error) {
-			return soakReportDigest(SoakConfig{Seed: 7, Resilience: true})
-		}},
+		{"past-chaos -seed 7", pastChaos},
+		{"past-chaos -resilience -seed 7", pastChaos},
+		{"past-chaos -seed 7 (report)", pastChaos},
+		{"past-chaos -resilience -seed 7 (report)", pastChaos},
 		{"past-load -sim -check -seed 1 -nodes 10 -node-rate 20 -requests 1500", pastLoad},
 		{"past-load -sim -seed 1 -nodes 10 -node-rate 20 -rate 400 -requests 1500", pastLoad},
-		{"past-chaos -ec-durability", func(string) (string, error) {
-			r, err := RunECDurability(ECDurabilityConfig{Seed: 1})
-			if err != nil {
-				return "", err
-			}
-			return r.Fingerprint, nil
-		}},
+		{"past-chaos -ec-durability", pastChaos},
 		{"past-load -sim -ec 4,2 -requests 500", pastLoad},
 	}
 

@@ -9,9 +9,17 @@ import (
 	"past/internal/obs"
 )
 
+// smallSoak is DefaultSoakConfig at seed, resized to a test's cluster,
+// file population and fault phase.
+func smallSoak(seed int64, nodes, files, ticks int) SoakConfig {
+	cfg := DefaultSoakConfig()
+	cfg.Seed, cfg.Nodes, cfg.Files, cfg.Ticks = seed, nodes, files, ticks
+	return cfg
+}
+
 func TestSoakZeroViolations(t *testing.T) {
 	t.Parallel()
-	r, err := RunSoak(SoakConfig{Seed: 1})
+	r, err := RunSoak(DefaultSoakConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +75,7 @@ func checkTotalsFromRegistry(t *testing.T, r *SoakResult) {
 
 func TestSoakReproducible(t *testing.T) {
 	t.Parallel()
-	cfg := SoakConfig{Seed: 7, Nodes: 25, Files: 30, Ticks: 9}
+	cfg := smallSoak(7, 25, 30, 9)
 	a, err := RunSoak(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +90,7 @@ func TestSoakReproducible(t *testing.T) {
 	if a.EventCount != b.EventCount || a.LookupsOK != b.LookupsOK || a.Inserted != b.Inserted {
 		t.Fatalf("same config produced different outcomes: %+v vs %+v", a, b)
 	}
-	c, err := RunSoak(SoakConfig{Seed: 8, Nodes: 25, Files: 30, Ticks: 9})
+	c, err := RunSoak(smallSoak(8, 25, 30, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +105,9 @@ func TestSoakReproducible(t *testing.T) {
 // fail-fast baseline, with zero invariant violations either way.
 func TestSoakResilienceImproves(t *testing.T) {
 	t.Parallel()
-	c, err := CompareSoak(SoakConfig{Seed: 3, Drop: 0.10})
+	cfg := DefaultSoakConfig()
+	cfg.Seed, cfg.Drop = 3, 0.10
+	c, err := CompareSoak(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +144,8 @@ func TestSoakResilienceImproves(t *testing.T) {
 // traffic counter.
 func TestSoakResilienceReproducible(t *testing.T) {
 	t.Parallel()
-	cfg := SoakConfig{Seed: 5, Nodes: 25, Files: 30, Ticks: 9, Drop: 0.10, Resilience: true}
+	cfg := smallSoak(5, 25, 30, 9)
+	cfg.Drop, cfg.Resilience = 0.10, true
 	a, err := RunSoak(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -161,10 +172,10 @@ func TestSoakResilienceReproducible(t *testing.T) {
 func TestSoakResilienceUnderAdmission(t *testing.T) {
 	t.Parallel()
 	for _, seed := range []int64{6, 12, 14} {
-		r, err := RunSoak(SoakConfig{
-			Seed: seed, Nodes: 20, Files: 25, Ticks: 8, FaultOps: 20, Drop: 0.10,
-			Resilience: true, Admit: &admit.Config{Rate: 2, Burst: 2, Depth: 2},
-		})
+		cfg := smallSoak(seed, 20, 25, 8)
+		cfg.FaultOps, cfg.Drop, cfg.Resilience = 20, 0.10, true
+		cfg.Admit = &admit.Config{Rate: 2, Burst: 2, Depth: 2}
+		r, err := RunSoak(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +187,8 @@ func TestSoakResilienceUnderAdmission(t *testing.T) {
 
 func TestBuildSoakScheduleShape(t *testing.T) {
 	t.Parallel()
-	cfg := SoakConfig{Seed: 3}
+	cfg := DefaultSoakConfig()
+	cfg.Seed = 3
 	s := BuildSoakSchedule(cfg)
 	if len(s.Links) != 1 || s.Links[0].Drop == 0 {
 		t.Fatalf("links = %+v", s.Links)
@@ -188,7 +200,7 @@ func TestBuildSoakScheduleShape(t *testing.T) {
 		t.Fatal("no churn events")
 	}
 	// Every churn victim must be outside the partitioned minority.
-	m := cfg.withDefaults().minoritySize()
+	m := cfg.minoritySize()
 	for _, ev := range s.Churn {
 		for _, i := range ev.Fail {
 			if i < m {
@@ -215,7 +227,7 @@ func TestBuildSoakScheduleShape(t *testing.T) {
 // bit-for-bit — observation draws no RNG and alters no message flow.
 func TestSoakObservabilityPreservesFingerprint(t *testing.T) {
 	t.Parallel()
-	base := SoakConfig{Seed: 6, Nodes: 25, Files: 25, Ticks: 8}
+	base := smallSoak(6, 25, 25, 8)
 	plain, err := RunSoak(base)
 	if err != nil {
 		t.Fatal(err)
@@ -249,8 +261,8 @@ func TestSoakObservabilityPreservesFingerprint(t *testing.T) {
 	if byKind["phase"] < 3 {
 		t.Fatalf("want >=3 phase events (seed, fault, heal), got %d", byKind["phase"])
 	}
-	if byKind["tick"] != base.withDefaults().Ticks {
-		t.Fatalf("want %d tick events, got %d", base.withDefaults().Ticks, byKind["tick"])
+	if byKind["tick"] != base.Ticks {
+		t.Fatalf("want %d tick events, got %d", base.Ticks, byKind["tick"])
 	}
 	if byKind["fault"] == 0 || byKind["trace"] == 0 {
 		t.Fatalf("want fault and trace events, got %v", byKind)
@@ -264,7 +276,9 @@ func TestSoakObservabilityPreservesFingerprint(t *testing.T) {
 // comparison report prints.
 func TestSoakPhaseStats(t *testing.T) {
 	t.Parallel()
-	r, err := RunSoak(SoakConfig{Seed: 4, Nodes: 25, Files: 25, Ticks: 8, Drop: 0.10, Resilience: true})
+	cfg := smallSoak(4, 25, 25, 8)
+	cfg.Drop, cfg.Resilience = 0.10, true
+	r, err := RunSoak(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,10 +312,9 @@ func TestSoakPhaseStats(t *testing.T) {
 // rejections, and emit the distinct "overload" event kind.
 func TestSoakWithAdmissionShedsDeterministically(t *testing.T) {
 	t.Parallel()
-	cfg := SoakConfig{
-		Seed: 5, Nodes: 20, Files: 25, Ticks: 8, FaultOps: 20,
-		Admit: &admit.Config{Rate: 2, Burst: 2, Depth: 2},
-	}
+	cfg := smallSoak(5, 20, 25, 8)
+	cfg.FaultOps = 20
+	cfg.Admit = &admit.Config{Rate: 2, Burst: 2, Depth: 2}
 	var buf bytes.Buffer
 	acfg := cfg
 	acfg.Events = obs.NewEventLog(&buf)
