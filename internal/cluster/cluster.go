@@ -39,7 +39,8 @@ type Config struct {
 	// the scenario schedule. Required nonzero for reproducible runs.
 	Seed int64
 	// Dir is the base directory for per-node data dirs and captured
-	// logs. Empty: a fresh temp directory (see Dir()).
+	// logs. Empty: a fresh temp directory, which Run removes after a
+	// passing run.
 	Dir string
 	// Command launches the daemon (default SelfCommand()).
 	Command Command
@@ -175,14 +176,6 @@ func (c *Cluster) daemonArgs(p *Proc, joinAddr string) []string {
 	}
 	return args
 }
-
-// Dir returns the fleet's base directory (data dirs under node##/,
-// captured process logs under logs/).
-func (c *Cluster) Dir() string { return c.dir }
-
-// TempDir reports whether the base directory was created by Start (and
-// so is the caller's to remove).
-func (c *Cluster) TempDir() bool { return c.tmpDir }
 
 // Alive reports whether node i's process is currently running.
 func (c *Cluster) Alive(i int) bool { return c.Procs[i].alive() }

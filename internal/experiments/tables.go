@@ -48,12 +48,9 @@ func RenderTable1(rows []Table1Row) string {
 // tdiv=0, no re-salting. The paper measures 51.1% failed insertions and
 // 60.8% final utilization — the motivation for storage management.
 func Baseline(sc Scale, seed int64) (*StorageResult, error) {
-	return RunStorage(StorageConfig{
-		Nodes: sc.Nodes,
-		Dist:  D1, L: 32,
-		TPri: 1, TDiv: 0, MaxRetries: 0, // declare failure on the first negative ack
-		Workload: WebWorkload, Seed: seed,
-	})
+	cfg := standardStorage(sc, seed)
+	cfg.TPri, cfg.TDiv, cfg.MaxRetries = 1, 0, 0 // declare failure on the first negative ack
+	return RunStorage(cfg)
 }
 
 // RenderBaseline formats the baseline result against the paper's claim.
@@ -70,18 +67,11 @@ func RenderBaseline(r *StorageResult) string {
 func RunTable2(sc Scale, seed int64) ([]*StorageResult, error) {
 	var out []*StorageResult
 	for _, l := range []int{16, 32} {
-		for _, d := range AllDists {
-			r, err := RunStorage(StorageConfig{
-				Nodes: sc.Nodes,
-				Dist:  d, L: l,
-				TPri: 0.1, TDiv: 0.05, MaxRetries: 3,
-				Workload: WebWorkload, Seed: seed,
-			})
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, r)
+		rows, err := vary(sc, seed, AllDists, func(c *StorageConfig, d CapDist) { c.L, c.Dist = l, d })
+		if err != nil {
+			return nil, err
 		}
+		out = append(out, rows...)
 	}
 	return out, nil
 }
@@ -112,35 +102,14 @@ var TPriSweep = []float64{0.5, 0.2, 0.1, 0.05}
 
 // RunTable3 sweeps tpri with tdiv=0.05 on d1 (Table 3 / Figure 2).
 func RunTable3(sc Scale, seed int64) ([]*StorageResult, error) {
-	var out []*StorageResult
-	for _, tpri := range TPriSweep {
-		r, err := RunStorage(StorageConfig{
-			Nodes: sc.Nodes,
-			Dist:  D1, L: 32,
-			TPri: tpri, TDiv: 0.05, MaxRetries: 3,
-			Workload: WebWorkload, Seed: seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
+	return vary(sc, seed, TPriSweep, func(c *StorageConfig, tpri float64) { c.TPri = tpri })
 }
 
 // RenderTable3 formats Table 3.
 func RenderTable3(rows []*StorageResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table 3: tpri sweep (tdiv=0.05, d1, l=32)\n")
-	fmt.Fprintf(&b, "%-6s %9s %7s %10s %12s %7s\n",
-		"tpri", "Succeed", "Fail", "File div.", "Replica div.", "Util.")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-6.2f %8.2f%% %6.2f%% %9.2f%% %11.2f%% %6.1f%%\n",
-			r.Config.TPri, r.SuccessPct, r.FailPct,
-			r.FileDiversionPct, r.ReplicaDiversionPct, 100*r.FinalUtil)
-	}
-	b.WriteString("paper: tpri=0.5: 88.0%/12.0%/4.4%/18.8%/99.7% ... tpri=0.05: 99.7%/0.3%/2.2%/12.9%/97.4%\n")
-	return b.String()
+	return renderSweepTable("Table 3: tpri sweep (tdiv=0.05, d1, l=32)", "tpri", "%-6.2f", rows,
+		func(r *StorageResult) float64 { return r.Config.TPri },
+		"paper: tpri=0.5: 88.0%/12.0%/4.4%/18.8%/99.7% ... tpri=0.05: 99.7%/0.3%/2.2%/12.9%/97.4%\n")
 }
 
 // TDivSweep is Table 4's parameter set, in the paper's row order.
@@ -148,33 +117,28 @@ var TDivSweep = []float64{0.1, 0.05, 0.01, 0.005}
 
 // RunTable4 sweeps tdiv with tpri=0.1 on d1 (Table 4 / Figure 3).
 func RunTable4(sc Scale, seed int64) ([]*StorageResult, error) {
-	var out []*StorageResult
-	for _, tdiv := range TDivSweep {
-		r, err := RunStorage(StorageConfig{
-			Nodes: sc.Nodes,
-			Dist:  D1, L: 32,
-			TPri: 0.1, TDiv: tdiv, MaxRetries: 3,
-			Workload: WebWorkload, Seed: seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
+	return vary(sc, seed, TDivSweep, func(c *StorageConfig, tdiv float64) { c.TDiv = tdiv })
 }
 
 // RenderTable4 formats Table 4.
 func RenderTable4(rows []*StorageResult) string {
+	return renderSweepTable("Table 4: tdiv sweep (tpri=0.1, d1, l=32)", "tdiv", "%-6.3f", rows,
+		func(r *StorageResult) float64 { return r.Config.TDiv },
+		"paper: tdiv=0.1: 93.7%/6.3%/5.1%/13.8%/99.8% ... tdiv=0.005: 99.6%/0.4%/0.5%/14.7%/90.5%\n")
+}
+
+// renderSweepTable formats one row per run of a threshold sweep: the
+// swept value (val, printed with format), then Table 2's columns.
+func renderSweepTable(title, param, format string, rows []*StorageResult, val func(*StorageResult) float64, paper string) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Table 4: tdiv sweep (tpri=0.1, d1, l=32)\n")
+	fmt.Fprintf(&b, "%s\n", title)
 	fmt.Fprintf(&b, "%-6s %9s %7s %10s %12s %7s\n",
-		"tdiv", "Succeed", "Fail", "File div.", "Replica div.", "Util.")
+		param, "Succeed", "Fail", "File div.", "Replica div.", "Util.")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-6.3f %8.2f%% %6.2f%% %9.2f%% %11.2f%% %6.1f%%\n",
-			r.Config.TDiv, r.SuccessPct, r.FailPct,
+		fmt.Fprintf(&b, format+" %8.2f%% %6.2f%% %9.2f%% %11.2f%% %6.1f%%\n",
+			val(r), r.SuccessPct, r.FailPct,
 			r.FileDiversionPct, r.ReplicaDiversionPct, 100*r.FinalUtil)
 	}
-	b.WriteString("paper: tdiv=0.1: 93.7%/6.3%/5.1%/13.8%/99.8% ... tdiv=0.005: 99.6%/0.4%/0.5%/14.7%/90.5%\n")
+	b.WriteString(paper)
 	return b.String()
 }
