@@ -121,9 +121,13 @@ func (n *Node) deliver(tc obs.TraceContext, from id.Node, msg any) (any, error) 
 		return n.handleDivertStore(m), nil
 	case *freeSpaceMsg:
 		n.mu.Lock()
-		free := n.store.Free()
+		free, r := n.store.Free(), n.freeReply
+		if r == nil || r.Free != free {
+			r = &freeSpaceReply{Free: free}
+			n.freeReply = r
+		}
 		n.mu.Unlock()
-		return &freeSpaceReply{Free: free}, nil
+		return r, nil
 	case *installPointerMsg:
 		n.mu.Lock()
 		n.store.SetPointer(store.Pointer{File: m.File, Target: m.Target, Size: m.Size, Role: m.Role})

@@ -5,10 +5,16 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"past/internal/id"
+	"past/internal/logstore"
 	"past/internal/netsim"
+	"past/internal/store"
+	"past/internal/topology"
+	"past/internal/transport"
+	"past/internal/wire"
 )
 
 // BenchmarkEmulatedPoll times one replica-diversion free-space poll
@@ -16,7 +22,8 @@ import (
 // diverting insert sends most of — against the handler's own work, the
 // locked store.Free() it answers with. The difference is what the
 // emulator charges per message: the instrumented net, netsim's delivery
-// and Node.deliver's dispatch.
+// and Node.deliver's dispatch. A poll allocates nothing: the message is
+// empty and an unchanged node answers with its shared reply.
 func BenchmarkEmulatedPoll(b *testing.B) {
 	cl, err := NewCluster(ClusterSpec{
 		N: 100, Cfg: smallCfg(), Seed: 3,
@@ -53,6 +60,148 @@ func BenchmarkEmulatedPoll(b *testing.B) {
 			b.Fatal("negative free space")
 		}
 	})
+}
+
+// TestFreeSpaceReplyShared: a node answers free-space polls with one
+// shared reply while its free space stands still, so a poll allocates
+// nothing, and with a new one once a replica changes it; a reply
+// already handed out keeps the value it was returned with.
+func TestFreeSpaceReplyShared(t *testing.T) {
+	cl := testCluster(t, 8, smallCfg(), 1<<20, 5)
+	src, dst := cl.Nodes[0], cl.Nodes[1]
+	poll := func() *freeSpaceReply {
+		fr, err := netsim.ReplyAs[freeSpaceReply](src.net.Invoke(context.Background(), src.ID(), dst.ID(), &freeSpaceMsg{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fr
+	}
+	first := poll()
+	if again := poll(); again != first {
+		t.Fatalf("an unchanged node answered two polls with different replies (%d, %d)", first.Free, again.Free)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { poll() }); allocs != 0 {
+		t.Errorf("a poll of an unchanged node made %v allocations; want 0", allocs)
+	}
+	was := first.Free
+	dst.mu.Lock()
+	err := dst.store.Add(store.Entry{File: id.NewFile("shared-reply", nil, 1), Size: 4096})
+	dst.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := poll()
+	if next == first || next.Free != was-4096 {
+		t.Fatalf("after storing 4096 bytes the poll read %d (same reply: %v); want a new reply with %d", next.Free, next == first, was-4096)
+	}
+	if first.Free != was {
+		t.Fatalf("the earlier reply changed from %d to %d", was, first.Free)
+	}
+}
+
+// TestFreeSpacePollsOverTCP polls one logstore-backed node over
+// loopback TCP and in process from several goroutines while another
+// adds and removes its replicas. Each reply must still hold, at the
+// end, the free space it was returned with, and that value must be one
+// the store passed through. Run it under -race: the node's shared reply
+// is read by every TCP encoder that sends it.
+func TestFreeSpacePollsOverTCP(t *testing.T) {
+	wire.RegisterWire()
+	RegisterWire()
+	const capacity, size, held = 1 << 20, 512, 4
+	ls, err := logstore.Open(t.TempDir(), logstoreTestOpts(capacity))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ls.Close() })
+	nid := id.NodeFromUint64(1)
+	ntr, err := transport.New(nid, "127.0.0.1:0", topology.Point{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ntr.Close() })
+	n := NewWithStore(nid, ntr, smallCfg(), ls, 1)
+	ntr.Serve(n)
+	cid := id.NodeFromUint64(2)
+	ctr, err := transport.New(cid, "127.0.0.1:0", topology.Point{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ctr.Close() })
+	if _, err := ctr.Bootstrap(ntr.Addr()); err != nil {
+		t.Fatal(err)
+	}
+
+	type answer struct {
+		r    *freeSpaceReply
+		free int64
+	}
+	const pollers, polls = 4, 100
+	answers := make([][]answer, pollers)
+	errs := make(chan error, pollers+1)
+	stop := make(chan struct{})
+	var churn, wg sync.WaitGroup
+	churn.Add(1)
+	go func() {
+		defer churn.Done()
+		content := make([]byte, size)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			f := id.NewFile(fmt.Sprintf("churn-%d", i%held), nil, 1)
+			var err error
+			n.mu.Lock()
+			if _, ok := n.store.Remove(f); !ok {
+				err = n.store.Add(store.Entry{File: f, Size: size, Content: content})
+			}
+			n.mu.Unlock()
+			if err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	for p := 0; p < pollers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < polls; i++ {
+				var res any
+				var err error
+				if i%2 == 0 {
+					res, err = ctr.Invoke(context.Background(), cid, nid, &freeSpaceMsg{})
+				} else {
+					res, err = n.Deliver(cid, &freeSpaceMsg{})
+				}
+				fr, err := netsim.ReplyAs[freeSpaceReply](res, err)
+				if err != nil {
+					errs <- err
+					return
+				}
+				answers[p] = append(answers[p], answer{fr, fr.Free})
+			}
+		}(p)
+	}
+	wg.Wait()
+	close(stop)
+	churn.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for p := range answers {
+		for _, a := range answers[p] {
+			if a.r.Free != a.free {
+				t.Fatalf("a reply returned with %d free bytes reads %d at the end", a.free, a.r.Free)
+			}
+			if used := capacity - a.free; used < 0 || used > held*size || used%size != 0 {
+				t.Fatalf("a poll read %d free bytes, which the store never had", a.free)
+			}
+		}
+	}
 }
 
 // TestMessageAccountingPinned replays a seeded 50-node run — joins,

@@ -143,7 +143,9 @@ func divertStatusReply(s divertStoreStatus, r *cert.StoreReceipt) *divertStoreRe
 }
 
 // freeSpaceMsg queries a node's remaining free space (piggybacked on
-// keep-alives in a deployment; an explicit message here).
+// keep-alives in a deployment; an explicit message here). The answer is
+// the node's shared freeSpaceReply, replaced only when its free space
+// changes, so a poll of an unchanged node allocates nothing.
 type freeSpaceMsg struct{}
 
 type freeSpaceReply struct {

@@ -174,6 +174,10 @@ type Node struct {
 	card  *cert.Smartcard
 	rng   *rand.Rand
 
+	// freeReply is the last free-space poll's answer, shared by every
+	// poll until the free space changes (replies are immutable).
+	freeReply *freeSpaceReply
+
 	// erasure-coded storage (always initialized; active when
 	// Config.ECMode is set, but any node can hold fragments and serve
 	// repair for objects inserted by EC-mode coordinators)

@@ -736,3 +736,66 @@ func TestErrorClassificationMatchesInProcess(t *testing.T) {
 		}
 	}
 }
+
+// stuckDeadlineConn is a connection whose deadline can be set but never
+// cleared: SetDeadline with the zero time fails.
+type stuckDeadlineConn struct{ net.Conn }
+
+func (c stuckDeadlineConn) SetDeadline(dl time.Time) error {
+	if dl.IsZero() {
+		return errors.New("deadline stuck")
+	}
+	return c.Conn.SetDeadline(dl)
+}
+
+// TestUnclearableDeadlineConnNotPooled: an exchange under a deadline
+// that completes but leaves the deadline uncleared returns its reply
+// and drops the connection; pooling it would hand the next call a
+// socket that times out or is already closed.
+func TestUnclearableDeadlineConnNotPooled(t *testing.T) {
+	register()
+	ct, err := New(id.NodeFromUint64(1), "127.0.0.1:0", topology.Point{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ct.Close()
+	client, server := net.Pipe()
+	defer server.Close()
+	go func() {
+		codec := wire.NewCodec(server)
+		if req, err := codec.ReadRequest(); err == nil {
+			codec.WriteResponse(&wire.Response{Msg: req.Msg})
+		}
+	}()
+	const addr = "pipe"
+	ct.mu.Lock()
+	ct.idle[addr] = []*conn{{c: stuckDeadlineConn{client}, codec: wire.NewCodec(client)}}
+	ct.mu.Unlock()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := ct.call(ctx, addr, &wire.Request{Src: ct.self, Msg: &pastry.Ping{}}); err != nil {
+		t.Fatalf("call: %v", err)
+	}
+	ct.mu.Lock()
+	idle := len(ct.idle[addr])
+	ct.mu.Unlock()
+	if idle != 0 {
+		t.Fatalf("%d idle connections after the deadline could not be cleared; want 0", idle)
+	}
+}
+
+// TestNoPoolingAfterClose: a call that completes on a closed transport
+// closes its connection rather than pooling it, since Close has already
+// emptied the pool and nothing would close a connection added later.
+func TestNoPoolingAfterClose(t *testing.T) {
+	s := newFaultyServer(t, 0, nil)
+	ct, sid := dialFaulty(t, s)
+	ct.Close()
+	if _, err := ct.Invoke(context.Background(), ct.self, sid, &pastry.Ping{}); err != nil {
+		t.Fatalf("invoke: %v", err)
+	}
+	if pooled := pooledTo(ct, sid); pooled != 0 {
+		t.Fatalf("closed transport pooled %d connections; want 0", pooled)
+	}
+}
