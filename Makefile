@@ -13,14 +13,31 @@ build:
 test:
 	$(GO) test ./...
 
-# Tier-1 uncached, then each package's wall time, slowest first, so the
-# suite reports where its own time goes. Failing packages are listed
-# after the table and fail the target.
+# Tier-1 uncached, read from `go test -json`: each package's wall
+# time, slowest first; the ten slowest top-level tests; and the whole
+# run's wall time and CPU time (user + system of go test, the compiler
+# and every test binary), so the suite reports where its own time goes.
+# The output of failing packages follows and fails the target.
 test-times:
-	@$(GO) test -count=1 ./... > /tmp/past-test-times.txt; status=$$?; \
-	awk '$$1 == "ok" && $$3 ~ /^[0-9.]+s$$/ { print $$3 + 0, $$2 }' /tmp/past-test-times.txt | sort -rn | \
-		awk '{ printf "%8.2fs  %s\n", $$1, $$2; total += $$1 } END { printf "%8.2fs  total\n", total }'; \
-	grep -Ev '^(ok|\?) ' /tmp/past-test-times.txt; exit $$status
+	@bash -c 'TIMEFORMAT="%R %U %S"; { time $(GO) test -count=1 -json ./... > /tmp/past-test-times.json 2>&1; } 2> /tmp/past-test-times.rusage'; status=$$?; \
+	awk 'function str(name) { if (!match($$0, "\"" name "\":\"[^\"]*\"")) return ""; return substr($$0, RSTART + length(name) + 4, RLENGTH - length(name) - 5) } \
+		!/^\{/ { other = other $$0 "\n"; next } \
+		{ action = str("Action"); pkg = str("Package"); test = str("Test"); el = "" } \
+		match($$0, /"Elapsed":[0-9.e+-]+/) { el = substr($$0, RSTART + 10, RLENGTH - 10) + 0 } \
+		action == "output" { o = substr($$0, index($$0, "\"Output\":\"") + 10); sub(/"}$$/, "", o); \
+			gsub(/\\\\/, "\001", o); gsub(/\\n/, "\n", o); gsub(/\\t/, "\t", o); gsub(/\\"/, "\"", o); \
+			gsub(/\001/, "\\", o); out[pkg] = out[pkg] o } \
+		action == "fail" && test == "" { failed[pkg] = 1 } \
+		(action == "pass" || action == "fail") && el != "" { \
+			if (test == "") { printf "%8.2fs  %s\n", el, pkg | "sort -rn"; total += el } \
+			else if (test !~ /\//) printf "%8.2fs  %s %s\n", el, pkg, test | "sort -rn | head -10 > /tmp/past-test-times.slow" } \
+		END { close("sort -rn"); close("sort -rn | head -10 > /tmp/past-test-times.slow"); \
+			printf "%8.2fs  total of the packages\n\nslowest tests:\n", total; \
+			while ((getline line < "/tmp/past-test-times.slow") > 0) print line; \
+			getline line < "/tmp/past-test-times.rusage"; split(line, t, " "); \
+			printf "\nsuite: %.1fs wall, %.1fs CPU (%.1fs user, %.1fs system)\n", t[1], t[2] + t[3], t[2], t[3]; \
+			for (p in failed) printf "\nFAIL %s:\n%s", p, out[p]; printf "%s", other }' /tmp/past-test-times.json; \
+	exit $$status
 
 # The size figures ROADMAP aim 2 tracks, regenerated from the tree
 # (informational: no thresholds, the re-anchor reads the trend): lines,
@@ -182,10 +199,13 @@ fuzz:
 # And of the emulator's insert and lookup paths: the in-memory file
 # table allocates nothing per replica, a routed size-only netsim insert,
 # diverting or not, stays within its allocation count, and an untraced
-# routed lookup pays nothing for trace intent riding the context. The
-# same tests run in tier-1; this target runs exactly them, uncached.
+# routed lookup pays nothing for trace intent riding the context. And
+# of the RPC path: decoding a frame that fits the read buffer allocates
+# only its message and byte strings, and a Ping over loopback TCP
+# allocates nothing. The same tests run in tier-1; this target runs
+# exactly them, uncached.
 alloc-guard:
-	$(GO) test -count=1 -run 'TestAllocBudget|TestECEncoderIsShared' ./internal/store/ ./internal/logstore/ ./internal/ec/ ./internal/past/
+	$(GO) test -count=1 -run 'TestAllocBudget|TestECEncoderIsShared' ./internal/wire/ ./internal/transport/ ./internal/store/ ./internal/logstore/ ./internal/ec/ ./internal/past/
 
 # encoding/gob left the binary with the gob wire and the gob
 # checkpoint; every byte that crosses a socket or a disk goes through

@@ -234,9 +234,9 @@ func (s *FragStore) removeAt(file id.File, fs []Fragment, i int) {
 
 // Put stores (or replaces) a fragment and takes ownership of f.Data: the
 // slice is kept, not copied, the way the replica store keeps
-// Entry.Content. It may be a received frame, or part of the inserting
-// client's own buffer, so neither the caller nor the store may write to
-// it afterwards — inserted content is immutable.
+// Entry.Content. It may be part of a received frame, or of the
+// inserting client's own buffer, so neither the caller nor the store
+// may write to it afterwards — inserted content is immutable.
 func (s *FragStore) Put(f Fragment) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -129,8 +129,9 @@ func (n *Node) fragAcceptLocked(size int64) bool {
 }
 
 // handleStoreFrag stores one fragment at this node. The fragment table
-// keeps m.Data itself — the received frame over TCP, a slice of the
-// client's buffer on netsim — so no copy is made here.
+// keeps m.Data itself — over TCP a view of a large received frame or a
+// copy out of a small one, on netsim a slice of the client's buffer —
+// so no copy is made here.
 func (n *Node) handleStoreFrag(m *storeFragMsg) *storeFragReply {
 	n.mu.Lock()
 	defer n.mu.Unlock()

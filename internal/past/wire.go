@@ -65,8 +65,9 @@ func RegisterWire() {
 }
 
 // Field order in every pair below is the struct's declaration order.
-// Content, Data and Raw decode with Reader.Bytes and so alias the
-// received frame; everything else is copied out of it.
+// Content, Data and Raw decode with Reader.Bytes: views of a large
+// received frame, exact-size copies out of a small one. Everything else
+// is copied out of the frame.
 
 // Routed payloads.
 

@@ -148,7 +148,7 @@ type stream struct {
 	io.Writer
 }
 
-func decodeRequest(frame []byte) (*wire.Request, error) {
+func decodeRequest(frame []byte) (wire.Request, error) {
 	return wire.NewCodec(stream{bytes.NewReader(frame), io.Discard}).ReadRequest()
 }
 
@@ -178,7 +178,7 @@ func TestWireFieldCoverage(t *testing.T) {
 			t.Errorf("%T: %v", m, err)
 			continue
 		}
-		if !reflect.DeepEqual(got, &req) {
+		if !reflect.DeepEqual(got, req) {
 			t.Errorf("%T did not survive the wire:\n sent %+v\n  got %+v", m, req.Msg, got.Msg)
 		}
 	}
@@ -273,9 +273,9 @@ func FuzzDecodeMessage(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again := requestFrame(t, req)
+		again := requestFrame(t, &req)
 		back, err := decodeRequest(again)
-		if err != nil || !bytes.Equal(requestFrame(t, back), again) {
+		if err != nil || !bytes.Equal(requestFrame(t, &back), again) {
 			t.Fatalf("%+v re-encoded to %+v (%v)", req, back, err)
 		}
 	})

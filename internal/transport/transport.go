@@ -38,7 +38,7 @@ type TracedEndpoint interface {
 
 // deliver hands one request to the endpoint, routing through the traced
 // entry point when the envelope carries an active trace context.
-func deliver(ep netsim.Endpoint, req *wire.Request) (any, error) {
+func deliver(ep netsim.Endpoint, req wire.Request) (any, error) {
 	if req.TC.Active() {
 		if te, ok := ep.(TracedEndpoint); ok {
 			return te.DeliverTraced(req.TC, req.Src, req.Msg)
@@ -144,9 +144,20 @@ func (t *TCP) acceptLoop() {
 	}
 }
 
+// serveConn answers c's requests until it fails. A conn that arrives
+// once Close has begun is closed unserved: Close sweeps t.serving under
+// t.mu after closing t.done, so registering under the same lock only
+// while t.done is open leaves no conn that the sweep misses.
 func (t *TCP) serveConn(c net.Conn) {
 	defer t.wg.Done()
 	t.mu.Lock()
+	select {
+	case <-t.done:
+		t.mu.Unlock()
+		c.Close()
+		return
+	default:
+	}
 	t.serving[c] = struct{}{}
 	t.mu.Unlock()
 	defer func() {
@@ -162,7 +173,7 @@ func (t *TCP) serveConn(c net.Conn) {
 			return
 		}
 		resp := t.dispatch(req)
-		if err := codec.WriteResponse(resp); err != nil {
+		if err := codec.WriteResponse(&resp); err != nil {
 			return
 		}
 	}
@@ -170,25 +181,25 @@ func (t *TCP) serveConn(c net.Conn) {
 
 // dispatch handles directory gossip locally and hands everything else
 // to the node endpoint.
-func (t *TCP) dispatch(req *wire.Request) *wire.Response {
+func (t *TCP) dispatch(req wire.Request) wire.Response {
 	switch m := req.Msg.(type) {
 	case *wire.DirEntry:
 		t.AddEntry(*m)
-		return &wire.Response{Msg: &wire.DirReply{Entries: t.Entries()}}
+		return wire.Response{Msg: &wire.DirReply{Entries: t.Entries()}}
 	case *wire.DirQuery:
-		return &wire.Response{Msg: &wire.DirReply{Entries: t.Entries()}}
+		return wire.Response{Msg: &wire.DirReply{Entries: t.Entries()}}
 	}
 	t.mu.Lock()
 	ep := t.ep
 	t.mu.Unlock()
 	if ep == nil {
-		return &wire.Response{Code: wire.CodeApp, Err: "transport: no endpoint installed"}
+		return wire.Response{Code: wire.CodeApp, Err: "transport: no endpoint installed"}
 	}
 	reply, err := deliver(ep, req)
 	if err != nil {
-		return &wire.Response{Code: errCode(err), Err: err.Error()}
+		return wire.Response{Code: errCode(err), Err: err.Error()}
 	}
-	return &wire.Response{Msg: reply}
+	return wire.Response{Msg: reply}
 }
 
 // sentinels pairs each netsim sentinel with the code it crosses the
@@ -220,7 +231,7 @@ func errCode(err error) wire.ErrCode {
 // handler's error with its sentinel restored from the code byte, so
 // errors.Is classification (and therefore retry decisions) work
 // identically over sockets and in-process.
-func replyOf(resp *wire.Response) (any, error) {
+func replyOf(resp wire.Response) (any, error) {
 	if resp.Code == wire.CodeNone {
 		return resp.Msg, nil
 	}
@@ -277,7 +288,7 @@ func (t *TCP) Invoke(ctx context.Context, src, dst id.Node, msg any) (any, error
 	if !ok {
 		return nil, netsim.ErrUnknownNode
 	}
-	req := &wire.Request{Src: src, Msg: msg}
+	req := wire.Request{Src: src, Msg: msg}
 	if tc, ok := obs.TraceFromContext(ctx); ok {
 		req.TC = tc
 	}
@@ -331,7 +342,7 @@ func (t *TCP) InvokeAddr(addr string, msg any) (any, error) {
 // obs.ContextWithTrace is stamped onto the wire envelope — which is how
 // `pastctl trace` asks a live access point for a hop-recorded lookup.
 func (t *TCP) InvokeAddrContext(ctx context.Context, addr string, msg any) (any, error) {
-	req := &wire.Request{Src: t.self, Msg: msg}
+	req := wire.Request{Src: t.self, Msg: msg}
 	if tc, ok := obs.TraceFromContext(ctx); ok {
 		req.TC = tc
 	}
@@ -350,23 +361,23 @@ func (t *TCP) InvokeAddrContext(ctx context.Context, addr string, msg any) (any,
 // while idle (peer restart, half-closed socket), so the request is
 // retried once on a fresh dial before the destination is declared
 // dead — a fresh-dial failure is authoritative.
-func (t *TCP) call(ctx context.Context, addr string, req *wire.Request) (*wire.Response, error) {
+func (t *TCP) call(ctx context.Context, addr string, req wire.Request) (wire.Response, error) {
 	c, pooled, err := t.getConn(ctx, addr)
 	if err != nil {
-		return nil, err
+		return wire.Response{}, err
 	}
 	resp, err := roundTrip(ctx, c, req)
 	if err != nil {
 		c.c.Close()
 		if !pooled || netsim.CtxErr(ctx) != nil {
-			return nil, err
+			return wire.Response{}, err
 		}
 		if c, err = t.dial(ctx, addr); err != nil {
-			return nil, err
+			return wire.Response{}, err
 		}
 		if resp, err = roundTrip(ctx, c, req); err != nil {
 			c.c.Close()
-			return nil, err
+			return wire.Response{}, err
 		}
 	}
 	t.putConn(ctx, addr, c)
@@ -375,14 +386,14 @@ func (t *TCP) call(ctx context.Context, addr string, req *wire.Request) (*wire.R
 
 // roundTrip writes one request and reads its response, bounded by the
 // context deadline via SetDeadline on the socket.
-func roundTrip(ctx context.Context, c *conn, req *wire.Request) (*wire.Response, error) {
+func roundTrip(ctx context.Context, c *conn, req wire.Request) (wire.Response, error) {
 	if dl, ok := ctx.Deadline(); ok {
 		if err := c.c.SetDeadline(dl); err != nil {
-			return nil, err
+			return wire.Response{}, err
 		}
 	}
-	if err := c.codec.WriteRequest(req); err != nil {
-		return nil, err
+	if err := c.codec.WriteRequest(&req); err != nil {
+		return wire.Response{}, err
 	}
 	return c.codec.ReadResponse()
 }

@@ -774,7 +774,7 @@ func TestUnclearableDeadlineConnNotPooled(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if _, err := ct.call(ctx, addr, &wire.Request{Src: ct.self, Msg: &pastry.Ping{}}); err != nil {
+	if _, err := ct.call(ctx, addr, wire.Request{Src: ct.self, Msg: &pastry.Ping{}}); err != nil {
 		t.Fatalf("call: %v", err)
 	}
 	ct.mu.Lock()
@@ -797,5 +797,152 @@ func TestNoPoolingAfterClose(t *testing.T) {
 	}
 	if pooled := pooledTo(ct, sid); pooled != 0 {
 		t.Fatalf("closed transport pooled %d connections; want 0", pooled)
+	}
+}
+
+// TestConnAcceptedDuringCloseIsNotServed: a connection that reaches
+// serveConn once Close has begun (accepted just before the listener
+// closed) is closed at once; served, it would escape Close's sweep,
+// keep delivering to the endpoint and hold Close's wait open until the
+// peer hung up.
+func TestConnAcceptedDuringCloseIsNotServed(t *testing.T) {
+	register()
+	tr, err := New(id.NodeFromUint64(1), "127.0.0.1:0", topology.Point{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Serve(echoEP())
+	tr.Close()
+	client, server := net.Pipe()
+	defer client.Close()
+	tr.wg.Add(1)
+	done := make(chan struct{})
+	go func() {
+		tr.serveConn(server)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("a connection that arrived after Close is still being served")
+	}
+	if _, err := client.Write([]byte{0}); err == nil {
+		t.Fatal("the unserved connection is still open")
+	}
+}
+
+// rpcPair serves ep on one transport and returns another that has the
+// server in its directory and a pooled connection to it.
+func rpcPair(t *testing.T, ep netsim.Endpoint) (cli *TCP, cliID, srvID id.Node) {
+	t.Helper()
+	register()
+	srvID, cliID = id.NodeFromUint64(1), id.NodeFromUint64(2)
+	srv, err := New(srvID, "127.0.0.1:0", topology.Point{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	srv.Serve(ep)
+	if cli, err = New(cliID, "127.0.0.1:0", topology.Point{}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cli.Close() })
+	cli.AddEntry(srv.SelfEntry())
+	if _, err := cli.Invoke(context.Background(), cliID, srvID, &pastry.Ping{}); err != nil {
+		t.Fatal(err) // dial outside the measured calls
+	}
+	return cli, cliID, srvID
+}
+
+// TestAllocBudgetRPC pins what an RPC over loopback TCP allocates,
+// client and server counted together: the messages it delivers and
+// their byte strings, and no envelope or frame buffer. The endpoint answers with a
+// shared reply, as an application's status replies are.
+func TestAllocBudgetRPC(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	ctx := context.Background()
+	t.Run("ping", func(t *testing.T) {
+		pong := &pastry.Pong{}
+		cli, cliID, srvID := rpcPair(t, epFunc(func(id.Node, any) (any, error) { return pong, nil }))
+		ping := &pastry.Ping{}
+		got := testing.AllocsPerRun(200, func() {
+			if _, err := cli.Invoke(ctx, cliID, srvID, ping); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 0 {
+			t.Fatalf("a Ping round trip made %v allocations; want 0", got)
+		}
+	})
+	t.Run("4KiB-lookup", func(t *testing.T) {
+		reply := &past.ClientLookupReply{Found: true, Size: 4 << 10, Content: bytes.Repeat([]byte{7}, 4<<10)}
+		cli, cliID, srvID := rpcPair(t, epFunc(func(id.Node, any) (any, error) { return reply, nil }))
+		f := id.NewFile("x", nil, 1)
+		var res any
+		got := testing.AllocsPerRun(200, func() {
+			var err error
+			if res, err = cli.Invoke(ctx, cliID, srvID, &past.ClientLookup{File: f}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if r, ok := res.(*past.ClientLookupReply); !ok || !bytes.Equal(r.Content, reply.Content) {
+			t.Fatalf("reply %+v", res)
+		}
+		// The request, its decoded copy, the decoded reply and its
+		// content.
+		if got > 4 {
+			t.Fatalf("a 4 KiB lookup round trip made %v allocations; want at most 4", got)
+		}
+	})
+}
+
+// TestKeptPayloadsSurviveLaterFrames: an endpoint may keep a request's
+// payload (a store keeps inserted content) while its connection goes on
+// reading frames into the same buffer; every kept payload must still
+// hold what was sent. Several callers share the pooled connections.
+func TestKeptPayloadsSurviveLaterFrames(t *testing.T) {
+	var mu sync.Mutex
+	kept := map[int][]byte{}
+	cli, cliID, srvID := rpcPair(t, epFunc(func(_ id.Node, msg any) (any, error) {
+		if m, ok := msg.(*past.ClientInsert); ok {
+			mu.Lock()
+			kept[m.K] = m.Content
+			mu.Unlock()
+		}
+		return &pastry.Pong{}, nil
+	}))
+	content := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 1<<10+i*13) }
+	const callers, perCaller = 4, 50
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for g := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range perCaller {
+				i := g*perCaller + j
+				if _, err := cli.Invoke(context.Background(), cliID, srvID, &past.ClientInsert{Content: content(i), K: i}); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(kept) != callers*perCaller {
+		t.Fatalf("endpoint kept %d payloads; want %d", len(kept), callers*perCaller)
+	}
+	for i, got := range kept {
+		if !bytes.Equal(got, content(i)) {
+			t.Fatalf("payload %d changed after later frames arrived", i)
+		}
 	}
 }

@@ -16,8 +16,9 @@ import (
 
 // Message is implemented by every type that crosses the wire. AppendWire
 // appends the message body to b; DecodeWire reads the same fields, in
-// the same order, from r. []byte fields a decoder takes with
-// Reader.Bytes alias the received frame, which the decoded message owns.
+// the same order, from r. A []byte field a decoder takes with
+// Reader.Bytes is the message's own: a view of a large received frame,
+// which the decoded message owns, or a copy out of a small one.
 type Message interface {
 	AppendWire(b []byte) []byte
 	DecodeWire(r *Reader) error
@@ -215,6 +216,10 @@ type Reader struct {
 	buf   []byte
 	err   error
 	depth int
+	// copyOut is set while buf is a connection's reused read buffer:
+	// Bytes then copies, since the buffer is overwritten by the next
+	// frame.
+	copyOut bool
 }
 
 // NewReader returns a Reader over body, for decoding bytes that did not
@@ -327,11 +332,9 @@ func (r *Reader) Len(elemSize int) int {
 	return int(n)
 }
 
-// Bytes reads a length-prefixed byte string WITHOUT copying: the result
-// aliases the frame buffer and keeps all of it reachable. Use it for
-// payloads (file content, fragments); small fields that outlive their
-// message take CopyBytes. A zero length yields nil.
-func (r *Reader) Bytes() []byte {
+// view reads a length-prefixed byte string as a view of buf; a zero
+// length yields nil.
+func (r *Reader) view() []byte {
 	n := r.Len(1)
 	if n == 0 {
 		return nil
@@ -339,11 +342,27 @@ func (r *Reader) Bytes() []byte {
 	return r.take(n)
 }
 
+// Bytes reads a length-prefixed byte string for a payload (file
+// content, fragments). Over a buffer the message owns — a frame too
+// large for the connection's read buffer, or NewReader's body — the
+// result is a view that keeps all of the buffer reachable; over a
+// connection's read buffer it is an exact-size copy. Small fields that
+// outlive their message take CopyBytes. A zero length yields nil.
+func (r *Reader) Bytes() []byte {
+	p := r.view()
+	if !r.copyOut || p == nil {
+		return p
+	}
+	out := make([]byte, len(p))
+	copy(out, p)
+	return out
+}
+
 // CopyBytes reads a length-prefixed byte string into its own allocation.
-func (r *Reader) CopyBytes() []byte { return append([]byte(nil), r.Bytes()...) }
+func (r *Reader) CopyBytes() []byte { return append([]byte(nil), r.view()...) }
 
 // String reads a length-prefixed string.
-func (r *Reader) String() string { return string(r.Bytes()) }
+func (r *Reader) String() string { return string(r.view()) }
 
 // Node reads a raw 16-byte node id.
 func (r *Reader) Node() (n id.Node) {

@@ -132,7 +132,8 @@ const (
 	kindResponse = 2
 
 	// readBufSize lets a frame of a few KiB (a routed lookup and its
-	// 4 KiB reply) arrive in one read system call.
+	// 4 KiB reply) arrive in one read system call and be decoded where
+	// it lies.
 	readBufSize = 8 << 10
 
 	// bodyChunk is how much body is allocated ahead of the bytes that
@@ -142,7 +143,8 @@ const (
 )
 
 // encBufs recycles encode buffers. Receive buffers are never pooled:
-// decoded messages alias them, and stores and caches retain those.
+// a frame too large to decode in place is read into a buffer its
+// decoded message owns, and stores and caches retain those.
 var encBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Codec frames requests and responses on a stream. A Codec is not safe
@@ -151,6 +153,9 @@ type Codec struct {
 	w  io.Writer
 	br *bufio.Reader
 	rd Reader // reused per frame so decoding allocates no Reader
+	// held is how many bytes of br the frame being decoded occupies
+	// (0: the frame is in its own buffer); finish discards them.
+	held int
 }
 
 // NewCodec wraps a connection.
@@ -158,11 +163,13 @@ func NewCodec(rw io.ReadWriter) *Codec {
 	return &Codec{w: rw, br: bufio.NewReaderSize(rw, readBufSize)}
 }
 
-// WriteRequest sends a request as one frame in one Write.
-func (c *Codec) WriteRequest(r *Request) error { return c.writeFrame(kindRequest, r) }
+// WriteRequest sends a request as one frame in one Write. The codec
+// does not retain r.
+func (c *Codec) WriteRequest(r *Request) error { return c.writeFrame(kindRequest, r, nil) }
 
-// WriteResponse sends a response as one frame in one Write.
-func (c *Codec) WriteResponse(r *Response) error { return c.writeFrame(kindResponse, r) }
+// WriteResponse sends a response as one frame in one Write. The codec
+// does not retain r.
+func (c *Codec) WriteResponse(r *Response) error { return c.writeFrame(kindResponse, nil, r) }
 
 func (r *Request) appendBody(b []byte) []byte {
 	b = AppendTraceContext(append(b, r.Src[:]...), r.TC)
@@ -180,10 +187,12 @@ func (r *Response) appendBody(b []byte) []byte {
 	return AppendString(b, r.Err)
 }
 
-// writeFrame encodes one envelope into a pooled buffer and writes it.
-// An unencodable message is reported before any byte is written, so the
+// writeFrame encodes one envelope, req or resp, into a pooled buffer
+// and writes it. The envelopes are concrete pointers, not an interface,
+// so that neither escapes and callers keep theirs on the stack. An
+// unencodable message is reported before any byte is written, so the
 // stream stays usable.
-func (c *Codec) writeFrame(kind byte, env interface{ appendBody([]byte) []byte }) (err error) {
+func (c *Codec) writeFrame(kind byte, req *Request, resp *Response) (err error) {
 	bp := encBufs.Get().(*[]byte)
 	defer func() {
 		if cap(*bp) <= bodyChunk { // do not let one huge file pin memory in the pool
@@ -197,7 +206,12 @@ func (c *Codec) writeFrame(kind byte, env interface{ appendBody([]byte) []byte }
 			err = ee.err
 		}
 	}()
-	b := env.appendBody(append((*bp)[:0], 0, 0, 0, 0, Version, kind))
+	b := append((*bp)[:0], 0, 0, 0, 0, Version, kind)
+	if req != nil {
+		b = req.appendBody(b)
+	} else {
+		b = resp.appendBody(b)
+	}
 	*bp = b[:0]
 	if len(b)-4 > MaxFrame {
 		return fmt.Errorf("wire: frame of %d bytes exceeds the %d-byte limit", len(b)-4, MaxFrame)
@@ -211,26 +225,26 @@ func (c *Codec) writeFrame(kind byte, env interface{ appendBody([]byte) []byte }
 
 // ReadRequest receives a request. It returns io.EOF bare when the
 // stream ends cleanly between frames.
-func (c *Codec) ReadRequest() (*Request, error) {
+func (c *Codec) ReadRequest() (Request, error) {
 	r, err := c.readFrame(kindRequest)
 	if err != nil {
-		return nil, err
+		return Request{}, err
 	}
-	req := &Request{Src: r.Node(), TC: r.TraceContext()}
+	req := Request{Src: r.Node(), TC: r.TraceContext()}
 	req.Msg = r.Message()
 	if err := c.finish(); err != nil {
-		return nil, fmt.Errorf("wire: decode request: %w", err)
+		return Request{}, fmt.Errorf("wire: decode request: %w", err)
 	}
 	return req, nil
 }
 
 // ReadResponse receives a response.
-func (c *Codec) ReadResponse() (*Response, error) {
+func (c *Codec) ReadResponse() (Response, error) {
 	r, err := c.readFrame(kindResponse)
 	if err != nil {
-		return nil, fmt.Errorf("wire: read response: %w", err)
+		return Response{}, fmt.Errorf("wire: read response: %w", err)
 	}
-	resp := &Response{Code: ErrCode(r.Byte())}
+	resp := Response{Code: ErrCode(r.Byte())}
 	switch {
 	case resp.Code == CodeNone:
 		resp.Msg = r.Message()
@@ -240,13 +254,16 @@ func (c *Codec) ReadResponse() (*Response, error) {
 		r.fail(fmt.Errorf("wire: unknown error code %d", resp.Code))
 	}
 	if err := c.finish(); err != nil {
-		return nil, fmt.Errorf("wire: decode response: %w", err)
+		return Response{}, fmt.Errorf("wire: decode response: %w", err)
 	}
 	return resp, nil
 }
 
 // readFrame reads one frame of the wanted kind and points the codec's
-// Reader at its body, a fresh buffer the decoded message will own.
+// Reader at its body. A frame that fits the read buffer is decoded
+// where it lies, and the Reader copies out every byte string a message
+// keeps; a larger one is read into a fresh buffer that the decoded
+// message owns and its byte strings are views of.
 func (c *Codec) readFrame(kind byte) (*Reader, error) {
 	hdr, err := c.br.Peek(headerLen)
 	if err != nil {
@@ -264,6 +281,17 @@ func (c *Codec) readFrame(kind byte) (*Reader, error) {
 	case n < 2 || n > MaxFrame:
 		return nil, fmt.Errorf("wire: frame length %d out of range", n)
 	}
+	if size := 4 + int(n); size <= c.br.Size() {
+		frame, err := c.br.Peek(size)
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		c.rd, c.held = Reader{buf: frame[headerLen:], copyOut: true}, size
+		return &c.rd, nil
+	}
 	c.br.Discard(headerLen) // cannot fail: Peek buffered these bytes
 	body, err := readBody(c.br, int(n)-2)
 	if err != nil {
@@ -278,6 +306,10 @@ func (c *Codec) readFrame(kind byte) (*Reader, error) {
 func (c *Codec) finish() error {
 	err, left := c.rd.err, len(c.rd.buf)
 	c.rd = Reader{}
+	if c.held > 0 {
+		c.br.Discard(c.held) // cannot fail: readFrame peeked these bytes
+		c.held = 0
+	}
 	if err == nil && left > 0 {
 		err = fmt.Errorf("wire: %d trailing bytes in frame", left)
 	}

@@ -211,29 +211,103 @@ func TestShortReads(t *testing.T) {
 	}
 }
 
-// TestPayloadAliasesFrame pins the zero-copy rule: a decoded payload is
-// a view of the receive buffer, not a second copy of it.
-func TestPayloadAliasesFrame(t *testing.T) {
+// repeatReader serves the same bytes over and over, so a codec can
+// decode one frame any number of times without the source allocating.
+type repeatReader struct {
+	frame []byte
+	off   int
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	n := copy(p, r.frame[r.off:])
+	r.off = (r.off + n) % len(r.frame)
+	return n, nil
+}
+
+// TestPayloadOwnership pins who owns a decoded payload. A frame that
+// fits the connection's read buffer is decoded where it lies, so its
+// payload is copied out into an allocation of its own, which the next
+// frame cannot overwrite; a larger frame is read into a buffer its
+// message owns, and the payload is a view of that buffer.
+func TestPayloadOwnership(t *testing.T) {
 	register()
-	content := bytes.Repeat([]byte{0xAB}, 4<<10)
-	frame := requestFrame(t, &wire.Request{Msg: &past.ClientInsert{Content: content}})
-	var c *wire.Codec
-	construct := testing.AllocsPerRun(20, func() { c = decoder(frame) })
-	var req *wire.Request
-	total := testing.AllocsPerRun(20, func() {
-		c = decoder(frame)
-		var err error
-		if req, err = c.ReadRequest(); err != nil {
-			t.Fatal(err)
+	t.Run("4KiB-copied-out", func(t *testing.T) {
+		var frames []byte
+		for _, fill := range []byte{0xAB, 0xCD, 0xEF} {
+			content := bytes.Repeat([]byte{fill}, 4<<10)
+			frames = append(frames, requestFrame(t, &wire.Request{Msg: &past.ClientInsert{Content: content}})...)
+		}
+		c := decoder(frames)
+		var kept [][]byte
+		for range 3 {
+			req, err := c.ReadRequest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			content := req.Msg.(*past.ClientInsert).Content
+			if len(content) != 4<<10 || cap(content) != len(content) {
+				t.Fatalf("payload len %d cap %d; want an exact-size 4 KiB", len(content), cap(content))
+			}
+			kept = append(kept, content)
+		}
+		for i, fill := range []byte{0xAB, 0xCD, 0xEF} {
+			if !bytes.Equal(kept[i], bytes.Repeat([]byte{fill}, 4<<10)) {
+				t.Fatalf("payload %d changed when later frames were decoded on its codec", i)
+			}
 		}
 	})
-	if !bytes.Equal(req.Msg.(*past.ClientInsert).Content, content) {
-		t.Fatal("content corrupted")
-	}
-	// The frame body, the Request and the message: a copied payload
-	// would be a fourth allocation.
-	if got := total - construct; got > 3 {
-		t.Fatalf("decoding a 4 KiB payload made %v allocations; want 3", got)
+	t.Run("64KiB-view", func(t *testing.T) {
+		content := bytes.Repeat([]byte{0xAB}, 64<<10)
+		frame := requestFrame(t, &wire.Request{Msg: &past.ClientInsert{Content: content}})
+		c := wire.NewCodec(stream{&repeatReader{frame: frame}, io.Discard})
+		var req wire.Request
+		allocs := testing.AllocsPerRun(20, func() {
+			var err error
+			if req, err = c.ReadRequest(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if !bytes.Equal(req.Msg.(*past.ClientInsert).Content, content) {
+			t.Fatal("content corrupted")
+		}
+		// The frame body and the message: a copied payload would be a
+		// third allocation.
+		if allocs != 2 {
+			t.Fatalf("decoding a 64 KiB payload made %v allocations; want 2", allocs)
+		}
+	})
+}
+
+// TestAllocBudgetDecode: decoding a frame that fits the read buffer
+// allocates its message and its byte strings and nothing else — no
+// envelope and no frame buffer.
+func TestAllocBudgetDecode(t *testing.T) {
+	register()
+	f := id.NewFile("x", nil, 1)
+	for _, tc := range []struct {
+		name string
+		msg  any
+		want float64
+	}{
+		{"ping", &pastry.Ping{}, 0}, // a zero-size message allocates nothing
+		{"routed-lookup", &pastry.RouteRequest{Key: f.Key(), Payload: &past.LookupMsg{File: f}, Hops: 1}, 2},
+		{"4KiB-insert", &past.ClientInsert{Name: "notes.txt", Content: make([]byte, 4<<10)}, 3},
+	} {
+		frame := requestFrame(t, &wire.Request{Src: id.NodeFromUint64(1), Msg: tc.msg})
+		c := wire.NewCodec(stream{&repeatReader{frame: frame}, io.Discard})
+		var req wire.Request
+		got := testing.AllocsPerRun(100, func() {
+			var err error
+			if req, err = c.ReadRequest(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if !reflect.DeepEqual(req.Msg, tc.msg) {
+			t.Fatalf("%s decoded as %+v", tc.name, req.Msg)
+		}
+		if got != tc.want {
+			t.Errorf("%s: decoding made %v allocations; want %v", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -359,16 +433,16 @@ func FuzzDecodeFrame(f *testing.F) {
 	// itself.
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if req, err := decoder(data).ReadRequest(); err == nil {
-			again := requestFrame(t, req)
+			again := requestFrame(t, &req)
 			back, err := decoder(again).ReadRequest()
-			if err != nil || !bytes.Equal(requestFrame(t, back), again) {
+			if err != nil || !bytes.Equal(requestFrame(t, &back), again) {
 				t.Fatalf("request %+v re-encoded to %+v (%v)", req, back, err)
 			}
 		}
 		if resp, err := decoder(data).ReadResponse(); err == nil {
-			again := responseFrame(t, resp)
+			again := responseFrame(t, &resp)
 			back, err := decoder(again).ReadResponse()
-			if err != nil || !bytes.Equal(responseFrame(t, back), again) {
+			if err != nil || !bytes.Equal(responseFrame(t, &back), again) {
 				t.Fatalf("response %+v re-encoded to %+v (%v)", resp, back, err)
 			}
 		}
