@@ -182,14 +182,17 @@ cache-bench:
 
 # Decoder fuzz smoke: ten seconds of coverage-guided input on each
 # fuzz target — the wire frames, the logstore record that both the
-# WAL and the checkpoint are made of, and the EC fragment map —
-# starting from the checked-in corpus of one frame per message type,
-# one record per record type and one map per parameter set.
-# Any panic, hang or input that does not re-encode to itself fails.
+# WAL and the checkpoint are made of, the EC fragment map and a flash
+# segment's bytes after its magic — starting from the checked-in
+# corpus of one frame per message type, one record per record type and
+# one map per parameter set. Any panic, hang or input that does not
+# re-encode to itself fails; a flash segment must open, within its
+# file's size.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeMessage -fuzztime 10s ./internal/past/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWALRecord -fuzztime 10s ./internal/logstore/
+	$(GO) test -run '^$$' -fuzz FuzzFlashSegment -fuzztime 10s ./internal/logstore/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeMap -fuzztime 10s ./internal/ec/
 
 # Allocation budgets of the one-copy payload path: a durable insert

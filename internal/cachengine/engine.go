@@ -15,10 +15,10 @@
 //     each CacheLib pool ages independently.
 //   - Admission: the paper's size-fraction insertion rule, applied
 //     per shard by the underlying policy structure.
-//   - Flash tier: objects evicted from RAM but still warm spill into
-//     dedicated logstore flash segments with an in-RAM index, so the
-//     cached working set can exceed memory. Get falls through
-//     RAM → flash → miss; flash hits promote back to RAM.
+//   - Flash tier: objects evicted from RAM but still warm spill into a
+//     logstore.Flash, which owns the segments, their in-RAM index and
+//     their reclaim, so the cached working set can exceed memory. Get
+//     falls through RAM → flash → miss; flash hits promote back to RAM.
 //
 // With Shards=1 and no flash tier (the zero-value Config plus a
 // policy), the engine is operation-for-operation identical to the
@@ -33,6 +33,7 @@ import (
 
 	"past/internal/cache"
 	"past/internal/id"
+	"past/internal/logstore"
 	"past/internal/obs"
 )
 
@@ -43,14 +44,6 @@ type FlashConfig struct {
 	// Capacity bounds the bytes across flash segments; the oldest
 	// segment is dropped when exceeded. Default 64MB.
 	Capacity int64
-}
-
-// segmentBytes is the flash segment rotation target: an eighth of the
-// capacity, clamped to [4 KiB, 4 MiB]. The active segment is never
-// dropped, so a segment much larger than the capacity would let the
-// tier hold far more than Capacity bytes.
-func (c FlashConfig) segmentBytes() int64 {
-	return min(max(c.Capacity/8, 4<<10), 4<<20)
 }
 
 // Config parameterizes an Engine. The zero value of every field picks
@@ -101,7 +94,7 @@ type Engine struct {
 	cfg   Config
 	mask  uint32
 	shard []shard
-	flash *flashTier
+	flash *logstore.Flash
 
 	// limit is the owner-granted capacity (before the RAMBytes clamp).
 	limit atomic.Int64
@@ -122,11 +115,11 @@ func New(cfg Config) (*Engine, error) {
 		if cfg.Flash.Dir == "" {
 			return nil, fmt.Errorf("cachengine: flash tier needs a directory")
 		}
-		ft, err := openFlashTier(*cfg.Flash)
+		fl, err := logstore.OpenFlash(cfg.Flash.Dir, cfg.Flash.Capacity)
 		if err != nil {
 			return nil, err
 		}
-		e.flash = ft
+		e.flash = fl
 	}
 	// Shards are held by value: a call reaches its policy's map through
 	// one slice index.
@@ -137,11 +130,17 @@ func New(cfg Config) (*Engine, error) {
 		// shard to its own capacity.
 		s.c = *cache.New(cfg.Policy, 1)
 		if e.flash != nil {
-			s.c.OnEvict = e.flash.spill
+			s.c.OnEvict = e.spill
 		}
 	}
 	return e, nil
 }
+
+// spill is the shards' cache.Cache OnEvict callback: an evicted RAM
+// object goes to flash. It runs under the shard's mutex, so the lock
+// order is shard → flash index → segment fd table, and the flash tier
+// never calls back into a shard.
+func (e *Engine) spill(f id.File, _ int64, content []byte) { e.flash.Put(f, content) }
 
 // Config returns the engine's effective (defaulted) configuration.
 func (e *Engine) Config() Config { return e.cfg }
@@ -166,7 +165,7 @@ func (e *Engine) Get(f id.File) (size int64, content []byte, ok bool) {
 		return size, content, true
 	}
 	if e.flash != nil {
-		if content, ok := e.flash.get(f); ok {
+		if content, ok := e.flash.Get(f); ok {
 			e.flashHits.Add(1)
 			// The promotion may evict colder RAM residents, which spill
 			// right back to flash.
@@ -191,7 +190,7 @@ func (e *Engine) Remove(f id.File) bool {
 		return false
 	}
 	removed := e.shardOf(f).remove(f)
-	if e.flash != nil && e.flash.remove(f) {
+	if e.flash != nil && e.flash.Remove(f) {
 		removed = true
 	}
 	return removed
@@ -248,7 +247,7 @@ func (e *Engine) Len() int {
 // teardown.
 func (e *Engine) Close() error {
 	if e.flash != nil {
-		return e.flash.close()
+		return e.flash.Close()
 	}
 	return nil
 }
@@ -258,8 +257,8 @@ type Stats struct {
 	RAMHits, FlashHits, Misses int64
 	Evictions                  int64
 
-	FlashSpills, FlashPromotes, FlashSegDrops int64
-	FlashBytes, FlashEntries                  int64
+	FlashSpills, FlashSegDrops int64
+	FlashBytes, FlashEntries   int64
 }
 
 // Hits returns total hits across tiers.
@@ -285,10 +284,9 @@ func (e *Engine) Stats() Stats {
 		st.Evictions += e.shard[i].evictions()
 	}
 	if e.flash != nil {
-		st.FlashSpills = e.flash.spills.Load()
-		st.FlashPromotes = e.flashHits.Load()
-		st.FlashSegDrops = e.flash.segDrops.Load()
-		st.FlashBytes, st.FlashEntries = e.flash.usage()
+		st.FlashSpills = e.flash.Spills()
+		st.FlashSegDrops = e.flash.Drops()
+		st.FlashBytes, st.FlashEntries = e.flash.Usage()
 	}
 	return st
 }
@@ -306,7 +304,6 @@ func (e *Engine) ObsCounters() map[string]int64 {
 	}
 	if e.flash != nil {
 		m[obs.CtrCacheFlashSpills] = st.FlashSpills
-		m[obs.CtrCacheFlashPromotes] = st.FlashPromotes
 		m[obs.CtrCacheFlashDrops] = st.FlashSegDrops
 		m[obs.CtrCacheFlashBytes] = st.FlashBytes
 		m[obs.CtrCacheFlashEntries] = st.FlashEntries

@@ -25,7 +25,14 @@ func mustNew(tb testing.TB, cfg Config) *Engine {
 // contains reports whether f is resident in RAM or flash, without
 // touching recency or counters.
 func contains(e *Engine, f id.File) bool {
-	return e.shardOf(f).contains(f) || e.flash != nil && e.flash.contains(f)
+	if e.shardOf(f).contains(f) {
+		return true
+	}
+	if e.flash == nil {
+		return false
+	}
+	_, ok := e.flash.Get(f)
+	return ok
 }
 
 func epayload(f id.File, size int) []byte {
@@ -125,9 +132,6 @@ func TestFlashFallThroughAndPromotion(t *testing.T) {
 	st = e.Stats()
 	if st.FlashHits == 0 {
 		t.Fatalf("expected at least one flash hit, stats %+v", st)
-	}
-	if st.FlashPromotes != st.FlashHits {
-		t.Fatalf("every flash hit promotes: promotes=%d hits=%d", st.FlashPromotes, st.FlashHits)
 	}
 
 	// A promoted file is now a RAM hit.
@@ -292,7 +296,7 @@ func TestObsCounters(t *testing.T) {
 	m := e.ObsCounters()
 	for _, name := range []string{
 		obs.CtrCacheRAMHits, obs.CtrCacheFlashHits, obs.CtrCacheShards,
-		obs.CtrCacheFlashSpills, obs.CtrCacheFlashPromotes, obs.CtrCacheFlashDrops,
+		obs.CtrCacheFlashSpills, obs.CtrCacheFlashDrops,
 		obs.CtrCacheFlashBytes, obs.CtrCacheFlashEntries,
 	} {
 		if _, ok := m[name]; !ok {

@@ -79,9 +79,6 @@ type Smartcard struct {
 // PublicKey returns the card's public key.
 func (c *Smartcard) PublicKey() ed25519.PublicKey { return c.pub }
 
-// IssuerSig returns the issuer's signature over the card's public key.
-func (c *Smartcard) IssuerSig() []byte { return c.issuerSig }
-
 // NodeID derives the card holder's nodeId as the SHA-1 hash of the
 // card's public key (section 2 of the paper).
 func (c *Smartcard) NodeID() id.Node { return id.NodeFromPublicKey(c.pub) }

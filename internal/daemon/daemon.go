@@ -65,8 +65,9 @@ import (
 
 // Fixed daemon settings. Each was a flag that no deployment set to
 // anything but this value. The log store's sync period, segment size,
-// checkpoint interval and compaction ratio, and the flash tier's segment
-// size, are the defaults of logstore.Options and cachengine.FlashConfig.
+// checkpoint interval and compaction ratio are the defaults of
+// logstore.Options; logstore.OpenFlash derives the flash tier's segment
+// size from its capacity.
 const (
 	joinRetries  = 20                     // join attempts after the first while the -join node is not up yet
 	joinBackoff  = 100 * time.Millisecond // first wait between join attempts; doubles, capped at 2s

@@ -42,22 +42,14 @@ func TestSegScratchIsReleasedAboveLimit(t *testing.T) {
 
 	s := mustOpen(t, t.TempDir(), testOpts())
 	defer s.Close()
-	fl, _, err := OpenFlash(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fl := mustOpenFlash(t, t.TempDir(), 64<<20)
 	defer fl.Close()
 
-	var locs []Loc
 	for i, content := range [][]byte{small, huge, small} {
 		if err := s.Add(store.Entry{File: fid(uint64(i)), Size: int64(len(content)), Content: content}); err != nil {
 			t.Fatal(err)
 		}
-		loc, err := fl.Append(fid(uint64(i)), content)
-		if err != nil {
-			t.Fatal(err)
-		}
-		locs = append(locs, loc)
+		fl.Put(fid(uint64(i)), content)
 		wantKept := len(content) <= maxSegScratch
 		if kept := s.log.segBuf != nil; kept != wantKept {
 			t.Fatalf("store scratch kept=%v after a %d-byte record", kept, len(content))
@@ -70,7 +62,7 @@ func TestSegScratchIsReleasedAboveLimit(t *testing.T) {
 		if e, ok := s.Get(fid(uint64(i))); !ok || !bytes.Equal(e.Content, content) {
 			t.Fatalf("store record %d did not read back", i)
 		}
-		if got, ok := fl.Read(fid(uint64(i)), locs[i]); !ok || !bytes.Equal(got, content) {
+		if got, ok := fl.Get(fid(uint64(i))); !ok || !bytes.Equal(got, content) {
 			t.Fatalf("flash record %d did not read back", i)
 		}
 	}

@@ -121,14 +121,13 @@ const (
 	// storage backend. The legacy cache_hits/misses/evictions names
 	// above stay populated (hits = RAM + flash) so dashboards and the
 	// stats RPC see one continuous series.
-	CtrCacheRAMHits       = "cachengine_ram_hits_total"
-	CtrCacheFlashHits     = "cachengine_flash_hits_total"
-	CtrCacheFlashSpills   = "cachengine_flash_spills_total"
-	CtrCacheFlashPromotes = "cachengine_flash_promotes_total"
-	CtrCacheFlashDrops    = "cachengine_flash_seg_drops_total"
-	CtrCacheFlashBytes    = "cachengine_flash_bytes"
-	CtrCacheFlashEntries  = "cachengine_flash_entries"
-	CtrCacheShards        = "cachengine_shards"
+	CtrCacheRAMHits      = "cachengine_ram_hits_total"
+	CtrCacheFlashHits    = "cachengine_flash_hits_total"
+	CtrCacheFlashSpills  = "cachengine_flash_spills_total"
+	CtrCacheFlashDrops   = "cachengine_flash_seg_drops_total"
+	CtrCacheFlashBytes   = "cachengine_flash_bytes"
+	CtrCacheFlashEntries = "cachengine_flash_entries"
+	CtrCacheShards       = "cachengine_shards"
 	// CtrCacheAdmitRejects named the engine's admission-filter
 	// rejections. The filter is gone and nothing produces the counter
 	// any more; the name stays only for readers that still look it up,

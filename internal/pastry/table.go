@@ -76,13 +76,6 @@ func (n *Node) TableRow(r int) []id.Node {
 	return append([]id.Node(nil), n.rows[r]...)
 }
 
-// TableEntries returns all non-empty routing table entries.
-func (n *Node) TableEntries() []id.Node {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.tableEntriesLocked()
-}
-
 func (n *Node) tableEntriesLocked() []id.Node {
 	var out []id.Node
 	for _, row := range n.rows {
