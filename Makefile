@@ -167,7 +167,7 @@ fleet-obs-demo:
 	$(GO) test -run TestFleetObsLive -count=1 -v ./internal/fleetobs/
 
 # Cache-engine demo: a deterministic virtual-time sweep of the three
-# cache configurations (legacy single structure, sharded engine with a
+# cache configurations (legacy single structure, engine with a
 # capped RAM tier, same RAM plus a flash tier) printing the per-tier
 # hit-rate table, and asserting the flash tier beats capped RAM alone.
 # Finishes in seconds.
@@ -175,8 +175,7 @@ cache-demo:
 	$(GO) run ./cmd/past-load -sim -cache-check -seed 1 -requests 1500 -files 192 -cache-ram 32768
 
 # Cache-engine microbenchmarks: parallel Get/Insert throughput of the
-# sharded engine against the single-mutex cache it replaces. The gap
-# grows with core count; a single-core machine shows parity.
+# engine's one-lock RAM tier with 8 goroutines contending.
 cache-bench:
 	$(GO) test -run '^$$' -bench 'GetParallel|InsertParallel' -cpu 8 ./internal/cachengine/
 

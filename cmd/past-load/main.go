@@ -14,7 +14,7 @@
 //	past-load -sim -sweep                 # offered-rate sweep, shedding off vs on
 //	past-load -sim -check                 # exit 0 only if shedding wins at 2x capacity
 //	past-load -sim -verify                # run twice, require identical fingerprints (sweeps too)
-//	past-load -sim -cache-sweep           # cache-tier sweep: legacy vs sharded engine vs engine+flash
+//	past-load -sim -cache-sweep           # cache-tier sweep: legacy vs RAM-capped engine vs engine+flash
 //	past-load -sim -cache-check           # exit 0 only if the flash tier beats capped RAM alone
 //	past-load -sim -ec 4,2                # erasure-coded mode: coded inserts, m-of-n reconstructing lookups
 //

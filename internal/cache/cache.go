@@ -167,7 +167,7 @@ func (h evictHeap) down(i0, n int) bool {
 
 // Cache is one node's file cache. Not safe for concurrent use; the
 // owning node serializes access. (internal/cachengine wraps one Cache
-// per shard behind a mutex to build the concurrent engine.)
+// behind a mutex to build its RAM tier.)
 type Cache struct {
 	// OnEvict, when set, observes every capacity eviction with the
 	// evicted file's size and content (nil under size-only accounting).

@@ -21,7 +21,6 @@ func TestFlashCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
 		Policy: cache.GDS,
-		Shards: 2,
 		Flash:  &FlashConfig{Dir: dir, Capacity: 64 << 10},
 	}
 
@@ -106,7 +105,7 @@ func TestFlashCrashRecovery(t *testing.T) {
 		f := efid(100000 + n)
 		e2.Insert(f, 256, epayload(f, 256))
 	}
-	if e2.shardOf(extra).contains(extra) {
+	if inRAM(e2, extra) {
 		t.Fatal("extra file should have been evicted from RAM")
 	}
 	if _, got, ok := e2.Get(extra); !ok || !bytes.Equal(got, want) {

@@ -1,34 +1,31 @@
-// Package cachengine is the node's concurrent cache engine: the
-// general, CacheLib-style rebuild of internal/cache for the hot path.
+// Package cachengine is the node's tiered cache engine: the paper's
+// cache (internal/cache) made safe for concurrent use and given a
+// second tier.
 //
 // internal/cache implements the paper's replacement policies
-// (GreedyDual-Size, LRU, FIFO) as single-goroutine structures — right
-// for the trace-driven Figure-8 experiments, a dead end for a node
-// serving concurrent routed traffic, where every Get/Insert would
-// serialize on one mutex around a heap. The engine composes those same
-// policy structures into a concurrent, tiered cache:
+// (GreedyDual-Size, LRU, FIFO) as single-goroutine structures. The
+// engine composes one of them into a tiered cache:
 //
-//   - RAM tier: N power-of-two shards keyed by fileId bits, each an
-//     independently-locked policy instance (one cache.Cache behind one
-//     mutex), so concurrent operations on different fileIds never
-//     contend. Per-shard GD-S keeps its own inflation clock, exactly as
-//     each CacheLib pool ages independently.
-//   - Admission: the paper's size-fraction insertion rule, applied
-//     per shard by the underlying policy structure.
+//   - RAM tier: one policy structure (one cache.Cache) behind one
+//     mutex, so the paper's insertion rule and GD-S inflation see the
+//     node's whole grant. A PAST node makes every cache call under its
+//     own lock, so splitting the structure would buy no concurrency.
+//   - Admission: the paper's size-fraction insertion rule, applied by
+//     the policy structure to the RAM tier's capacity.
 //   - Flash tier: objects evicted from RAM but still warm spill into a
 //     logstore.Flash, which owns the segments, their in-RAM index and
 //     their reclaim, so the cached working set can exceed memory. Get
 //     falls through RAM → flash → miss; flash hits promote back to RAM.
 //
-// With Shards=1 and no flash tier (the zero-value Config plus a
+// With no flash tier and no RAM cap (the zero-value Config plus a
 // policy), the engine is operation-for-operation identical to the
 // wrapped cache.Cache — which is how the emulated experiments keep
 // their fingerprints while the daemon runs the full engine.
 package cachengine
 
 import (
-	"encoding/binary"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"past/internal/cache"
@@ -48,14 +45,11 @@ type FlashConfig struct {
 
 // Config parameterizes an Engine. The zero value of every field picks
 // the legacy-compatible default: GD-S is selected by the owner via
-// Policy, one shard, no flash tier — bit-for-bit the behavior of a
+// Policy, no RAM cap, no flash tier — bit-for-bit the behavior of a
 // bare cache.Cache.
 type Config struct {
-	// Policy is the per-shard replacement policy.
+	// Policy is the RAM tier's replacement policy.
 	Policy cache.Policy
-	// Shards is the RAM-tier shard count, rounded up to a power of two.
-	// Default 1.
-	Shards int
 	// RAMBytes, when positive, caps the RAM tier regardless of the
 	// limit the owner grants via SetLimit — the knob that lets a node
 	// with a huge disk keep a bounded hot tier (and the experiments
@@ -66,10 +60,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
-	c.Shards = ceilPow2(c.Shards)
 	if c.Flash != nil {
 		f := *c.Flash
 		if f.Capacity <= 0 {
@@ -80,26 +70,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-func ceilPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
 // Engine is the concurrent cache engine. All methods are safe for
 // concurrent use.
 type Engine struct {
 	cfg   Config
-	mask  uint32
-	shard []shard
 	flash *logstore.Flash
+
+	// mu guards ram. Lock order: mu → Flash.mu → the flash fd table.
+	mu  sync.Mutex
+	ram cache.Cache
 
 	// limit is the owner-granted capacity (before the RAMBytes clamp).
 	limit atomic.Int64
 
-	ramHits   atomic.Int64
 	flashHits atomic.Int64
 	misses    atomic.Int64
 }
@@ -110,7 +93,7 @@ var _ obs.CounterSource = (*Engine)(nil)
 // and its directory cannot be opened.
 func New(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
-	e := &Engine{cfg: cfg, mask: uint32(cfg.Shards - 1)}
+	e := &Engine{cfg: cfg}
 	if cfg.Flash != nil && cfg.Policy != cache.None {
 		if cfg.Flash.Dir == "" {
 			return nil, fmt.Errorf("cachengine: flash tier needs a directory")
@@ -121,35 +104,22 @@ func New(cfg Config) (*Engine, error) {
 		}
 		e.flash = fl
 	}
-	// Shards are held by value: a call reaches its policy's map through
-	// one slice index.
-	e.shard = make([]shard, cfg.Shards)
-	for i := range e.shard {
-		s := &e.shard[i]
-		// The insertion fraction is the paper's c = 1, applied by each
-		// shard to its own capacity.
-		s.c = *cache.New(cfg.Policy, 1)
-		if e.flash != nil {
-			s.c.OnEvict = e.spill
-		}
+	// The insertion fraction is the paper's c = 1, applied to the RAM
+	// tier's whole capacity.
+	e.ram = *cache.New(cfg.Policy, 1)
+	if e.flash != nil {
+		e.ram.OnEvict = e.spill
 	}
 	return e, nil
 }
 
-// spill is the shards' cache.Cache OnEvict callback: an evicted RAM
-// object goes to flash. It runs under the shard's mutex, so the lock
-// order is shard → flash index → segment fd table, and the flash tier
-// never calls back into a shard.
+// spill is the RAM tier's cache.Cache OnEvict callback: an evicted RAM
+// object goes to flash. It runs under Engine.mu, and the flash tier
+// never calls back into the engine.
 func (e *Engine) spill(f id.File, _ int64, content []byte) { e.flash.Put(f, content) }
 
 // Config returns the engine's effective (defaulted) configuration.
 func (e *Engine) Config() Config { return e.cfg }
-
-// shardOf selects the shard by fileId bits. FileIds are hashes, so the
-// low word is uniform.
-func (e *Engine) shardOf(f id.File) *shard {
-	return &e.shard[binary.LittleEndian.Uint32(f[0:4])&e.mask]
-}
 
 // Get looks up f, falling through RAM → flash → miss. A flash hit
 // promotes the object back into the RAM tier. Recency state and the
@@ -159,9 +129,10 @@ func (e *Engine) Get(f id.File) (size int64, content []byte, ok bool) {
 		e.misses.Add(1)
 		return 0, nil, false
 	}
-	sh := e.shardOf(f)
-	if size, content, ok := sh.get(f); ok {
-		e.ramHits.Add(1)
+	e.mu.Lock()
+	size, content, ok = e.ram.Get(f)
+	e.mu.Unlock()
+	if ok {
 		return size, content, true
 	}
 	if e.flash != nil {
@@ -169,7 +140,7 @@ func (e *Engine) Get(f id.File) (size int64, content []byte, ok bool) {
 			e.flashHits.Add(1)
 			// The promotion may evict colder RAM residents, which spill
 			// right back to flash.
-			sh.insert(f, int64(len(content)), content)
+			e.Insert(f, int64(len(content)), content)
 			return int64(len(content)), content, true
 		}
 	}
@@ -177,10 +148,12 @@ func (e *Engine) Get(f id.File) (size int64, content []byte, ok bool) {
 	return 0, nil, false
 }
 
-// Insert offers a file to the cache; the per-shard insertion policy
+// Insert offers a file to the cache; the RAM tier's insertion policy
 // decides whether it enters.
 func (e *Engine) Insert(f id.File, size int64, content []byte) bool {
-	return e.shardOf(f).insert(f, size, content)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.ram.Insert(f, size, content)
 }
 
 // Remove drops f from both tiers — the owner calls it when the file
@@ -189,7 +162,9 @@ func (e *Engine) Remove(f id.File) bool {
 	if e.cfg.Policy == cache.None {
 		return false
 	}
-	removed := e.shardOf(f).remove(f)
+	e.mu.Lock()
+	removed := e.ram.Remove(f)
+	e.mu.Unlock()
 	if e.flash != nil && e.flash.Remove(f) {
 		removed = true
 	}
@@ -197,9 +172,9 @@ func (e *Engine) Remove(f id.File) bool {
 }
 
 // SetLimit grants the RAM tier n bytes (clamped to RAMBytes when
-// configured), distributed evenly across shards; shards evict as
-// needed. The owning node calls this as replica storage grows and
-// shrinks, exactly as it did with the single cache.
+// configured); the tier evicts as needed. The owning node calls this
+// as replica storage grows and shrinks, exactly as it did with the
+// single cache.
 func (e *Engine) SetLimit(n int64) {
 	if e.cfg.Policy == cache.None {
 		return // a cacheless engine takes no grant
@@ -209,15 +184,9 @@ func (e *Engine) SetLimit(n int64) {
 	if e.cfg.RAMBytes > 0 && n > e.cfg.RAMBytes {
 		n = e.cfg.RAMBytes
 	}
-	nsh := int64(len(e.shard))
-	base, rem := n/nsh, n%nsh
-	for i := range e.shard {
-		share := base
-		if int64(i) < rem {
-			share++
-		}
-		e.shard[i].setLimit(share)
-	}
+	e.mu.Lock()
+	e.ram.SetLimit(n)
+	e.mu.Unlock()
 }
 
 // Limit returns the owner-granted RAM limit (before the RAMBytes
@@ -227,20 +196,16 @@ func (e *Engine) Limit() int64 { return e.limit.Load() }
 
 // Used returns bytes resident in the RAM tier.
 func (e *Engine) Used() int64 {
-	var n int64
-	for i := range e.shard {
-		n += e.shard[i].used()
-	}
-	return n
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.ram.Used()
 }
 
 // Len returns the number of RAM-resident files.
 func (e *Engine) Len() int {
-	var n int
-	for i := range e.shard {
-		n += e.shard[i].len()
-	}
-	return n
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.ram.Len()
 }
 
 // Close releases the flash tier's files. The RAM tier needs no
@@ -276,13 +241,14 @@ func (s Stats) HitRate() float64 {
 // Stats aggregates the engine's counters.
 func (e *Engine) Stats() Stats {
 	st := Stats{
-		RAMHits:   e.ramHits.Load(),
 		FlashHits: e.flashHits.Load(),
 		Misses:    e.misses.Load(),
 	}
-	for i := range e.shard {
-		st.Evictions += e.shard[i].evictions()
-	}
+	e.mu.Lock()
+	// The RAM tier's own hit count is the engine's: a promotion inserts
+	// and does not get.
+	st.RAMHits, _, st.Evictions = e.ram.Stats()
+	e.mu.Unlock()
 	if e.flash != nil {
 		st.FlashSpills = e.flash.Spills()
 		st.FlashSegDrops = e.flash.Drops()
@@ -300,7 +266,6 @@ func (e *Engine) ObsCounters() map[string]int64 {
 	m := map[string]int64{
 		obs.CtrCacheRAMHits:   st.RAMHits,
 		obs.CtrCacheFlashHits: st.FlashHits,
-		obs.CtrCacheShards:    int64(len(e.shard)),
 	}
 	if e.flash != nil {
 		m[obs.CtrCacheFlashSpills] = st.FlashSpills

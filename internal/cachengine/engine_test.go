@@ -22,10 +22,25 @@ func mustNew(tb testing.TB, cfg Config) *Engine {
 	return e
 }
 
+// inRAM reports whether f is resident in the RAM tier, without
+// touching recency or counters.
+func inRAM(e *Engine, f id.File) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.ram.Contains(f)
+}
+
+// ramLimit returns the RAM tier's capacity after the RAMBytes clamp.
+func ramLimit(e *Engine) int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.ram.Limit()
+}
+
 // contains reports whether f is resident in RAM or flash, without
 // touching recency or counters.
 func contains(e *Engine, f id.File) bool {
-	if e.shardOf(f).contains(f) {
+	if inRAM(e, f) {
 		return true
 	}
 	if e.flash == nil {
@@ -43,7 +58,7 @@ func epayload(f id.File, size int) []byte {
 	return b
 }
 
-// TestLegacyEquivalence: with one shard and no flash tier, the
+// TestLegacyEquivalence: with no RAM cap and no flash tier, the
 // engine must be operation-for-operation identical to a bare
 // cache.Cache — that is what keeps the emulated experiments'
 // fingerprints stable.
@@ -95,7 +110,6 @@ func TestLegacyEquivalence(t *testing.T) {
 func TestFlashFallThroughAndPromotion(t *testing.T) {
 	e, err := New(Config{
 		Policy: cache.GDS,
-		Shards: 1,
 		Flash:  &FlashConfig{Dir: t.TempDir(), Capacity: 128 << 10},
 	})
 	if err != nil {
@@ -137,7 +151,7 @@ func TestFlashFallThroughAndPromotion(t *testing.T) {
 	// A promoted file is now a RAM hit.
 	var promoted id.File
 	for f := range contents {
-		if e.shardOf(f).contains(f) {
+		if inRAM(e, f) {
 			promoted = f
 			break
 		}
@@ -208,39 +222,32 @@ func TestRemoveDropsBothTiers(t *testing.T) {
 	}
 }
 
+// TestRAMBytesClampsGrant: the RAMBytes cap bounds the RAM tier while
+// Limit() reports the owner's grant, and the paper's insertion rule
+// (size below c × capacity, c = 1) is applied against the whole capped
+// tier: a file of just under RAMBytes is cached.
 func TestRAMBytesClampsGrant(t *testing.T) {
-	e := mustNew(t, Config{Policy: cache.GDS, Shards: 4, RAMBytes: 1000})
+	e := mustNew(t, Config{Policy: cache.GDS, RAMBytes: 1000})
 	e.SetLimit(100000)
 	if e.Limit() != 100000 {
 		t.Fatalf("Limit() reports the owner grant, got %d", e.Limit())
 	}
-	var share int64
-	for i := range e.shard {
-		share += e.shard[i].c.Limit()
+	if l := ramLimit(e); l != 1000 {
+		t.Fatalf("RAM tier limit %d, want RAMBytes clamp 1000", l)
 	}
-	if share != 1000 {
-		t.Fatalf("shard limits sum to %d, want RAMBytes clamp 1000", share)
+	f := efid(1)
+	if !e.Insert(f, 999, nil) || !inRAM(e, f) {
+		t.Fatal("a 999-byte file was refused by a 1000-byte RAM tier")
 	}
-	// Remainder distribution: an uneven grant is spread base+1/base.
-	e2 := mustNew(t, Config{Policy: cache.GDS, Shards: 4})
-	e2.SetLimit(10)
-	var total int64
-	for i := range e2.shard {
-		l := e2.shard[i].c.Limit()
-		if l != 2 && l != 3 {
-			t.Fatalf("uneven share %d", l)
-		}
-		total += l
-	}
-	if total != 10 {
-		t.Fatalf("shares sum to %d, want 10", total)
+	if g := efid(2); e.Insert(g, 1000, nil) {
+		t.Fatal("a file the size of the RAM tier was cached")
 	}
 }
 
-// TestCachelessEngineSkipsShards: with Policy None, Get, Remove and
-// SetLimit leave the shards untouched and Get still counts its miss.
-func TestCachelessEngineSkipsShards(t *testing.T) {
-	e := mustNew(t, Config{Policy: cache.None, Shards: 4})
+// TestCachelessEngineSkipsRAMTier: with Policy None, Get, Remove and
+// SetLimit leave the RAM tier untouched and Get still counts its miss.
+func TestCachelessEngineSkipsRAMTier(t *testing.T) {
+	e := mustNew(t, Config{Policy: cache.None})
 	e.SetLimit(4096)
 	f := efid(1)
 	if e.Insert(f, 10, nil) || e.Remove(f) {
@@ -252,10 +259,8 @@ func TestCachelessEngineSkipsShards(t *testing.T) {
 	if e.Limit() != 0 {
 		t.Fatalf("Limit() = %d; a cacheless engine takes no grant", e.Limit())
 	}
-	for i := range e.shard {
-		if l := e.shard[i].c.Limit(); l != 0 {
-			t.Fatalf("shard %d limit %d; SetLimit did shard work", i, l)
-		}
+	if l := ramLimit(e); l != 0 {
+		t.Fatalf("RAM tier limit %d; SetLimit did RAM-tier work", l)
 	}
 	if st := e.Stats(); st.Misses != 1 || st.Hits() != 0 {
 		t.Fatalf("stats hits %d misses %d; want 0 and 1", st.Hits(), st.Misses)
@@ -279,7 +284,6 @@ func TestNewFlashErrors(t *testing.T) {
 func TestObsCounters(t *testing.T) {
 	e, err := New(Config{
 		Policy: cache.GDS,
-		Shards: 2,
 		Flash:  &FlashConfig{Dir: t.TempDir(), Capacity: 128 << 10},
 	})
 	if err != nil {
@@ -295,7 +299,7 @@ func TestObsCounters(t *testing.T) {
 
 	m := e.ObsCounters()
 	for _, name := range []string{
-		obs.CtrCacheRAMHits, obs.CtrCacheFlashHits, obs.CtrCacheShards,
+		obs.CtrCacheRAMHits, obs.CtrCacheFlashHits,
 		obs.CtrCacheFlashSpills, obs.CtrCacheFlashDrops,
 		obs.CtrCacheFlashBytes, obs.CtrCacheFlashEntries,
 	} {
@@ -303,7 +307,7 @@ func TestObsCounters(t *testing.T) {
 			t.Fatalf("ObsCounters missing %q", name)
 		}
 	}
-	if m[obs.CtrCacheRAMHits] != 1 || m[obs.CtrCacheShards] != 2 {
+	if m[obs.CtrCacheRAMHits] != 1 {
 		t.Fatalf("counter values off: %v", m)
 	}
 	if st := e.Stats(); st.HitRate() <= 0 || st.HitRate() >= 1 {

@@ -15,7 +15,6 @@ import (
 func TestEngineStress(t *testing.T) {
 	e, err := New(Config{
 		Policy:   cache.GDS,
-		Shards:   8,
 		RAMBytes: 64 << 10,
 		Flash:    &FlashConfig{Dir: t.TempDir(), Capacity: 256 << 10},
 	})

@@ -104,9 +104,8 @@ func Run(args []string) int {
 
 		admitRate = fs.Float64("admit-rate", 0, "admission control: sustained request rate in req/s; excess load is shed with an overload error (0: off)")
 
-		cacheShards = fs.Int("cache-shards", 8, "cache engine: RAM-tier shard count (rounded up to a power of two; 1 = legacy single structure)")
-		cacheRAM    = fs.String("cache-ram", "0", "cache engine: RAM-tier cap (e.g. 16MB); 0 lets the cache use all free store space, as the paper does")
-		cacheFlash  = fs.String("cache-flash", "0", "cache engine: flash-tier capacity (e.g. 256MB); spills RAM evictions into segments under <data>/flashcache (0: off; needs -data)")
+		cacheRAM   = fs.String("cache-ram", "0", "cache engine: RAM-tier cap (e.g. 16MB); 0 lets the cache use all free store space, as the paper does")
+		cacheFlash = fs.String("cache-flash", "0", "cache engine: flash-tier capacity (e.g. 256MB); spills RAM evictions into segments under <data>/flashcache (0: off; needs -data)")
 
 		ecMode   = fs.String("ec", "", "erasure-coded storage mode: m,n (e.g. 4,2) RS-codes inserts into m data + n parity fragments spread over the leaf set, k-replicating only the fragment map (empty: plain k-way replication)")
 		ecBudget = fs.String("ec-repair-budget", "0", "erasure coding: per-maintenance-pass byte cap on lazy fragment repair (e.g. 256KB); 0: uncapped; needs -ec")
@@ -185,10 +184,7 @@ func Run(args []string) int {
 		log.Printf("pastd: -cache-flash: %v", err)
 		return 1
 	}
-	cfg.CacheEngine = &cachengine.Config{
-		Shards:   *cacheShards,
-		RAMBytes: cacheRAMBytes,
-	}
+	cfg.CacheEngine = &cachengine.Config{RAMBytes: cacheRAMBytes}
 	if cacheFlashBytes > 0 {
 		if *dataDir == "" {
 			log.Printf("pastd: -cache-flash requires -data")
@@ -232,11 +228,8 @@ func Run(args []string) int {
 		log.Printf("pastd: %v", err)
 		return 1
 	}
-	ec := node.Cache().Config()
-	if ec.Flash != nil {
-		log.Printf("pastd: cache engine: %d shards, flash tier %d bytes at %s", ec.Shards, ec.Flash.Capacity, ec.Flash.Dir)
-	} else {
-		log.Printf("pastd: cache engine: %d shards", ec.Shards)
+	if fc := node.Cache().Config().Flash; fc != nil {
+		log.Printf("pastd: cache engine: flash tier %d bytes at %s", fc.Capacity, fc.Dir)
 	}
 	tr.Serve(node)
 

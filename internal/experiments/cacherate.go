@@ -10,7 +10,7 @@ import (
 )
 
 // The cache-rate sweep runs every offered rate three times — with the
-// legacy single-structure cache (unbounded RAM grant), with the sharded
+// legacy single-structure cache (unbounded RAM grant), with the
 // engine's RAM tier capped, and with the same capped RAM tier plus a
 // flash tier — so the curves show what each tier buys when the cached
 // working set no longer fits in memory. Its base run's Cache is the
@@ -18,7 +18,7 @@ import (
 // sweep measures the tiers, not admission control.
 const (
 	ModeLegacy = "legacy"    // single structure, RAM grant unbounded
-	ModeRAM    = "engine"    // sharded engine, RAM tier capped
+	ModeRAM    = "engine"    // engine, RAM tier capped
 	ModeFlash  = "eng+flash" // capped RAM tier + flash tier
 )
 

@@ -12,7 +12,7 @@ func smallCacheRate() (*SweepResult, error) {
 	sc := loadgen.DefaultSimConfig()
 	sc.Nodes, sc.NodeRate, sc.Requests, sc.Seed = 10, 50, 900, 7
 	sc.Workload.Files, sc.Workload.Alpha = 192, 0.9
-	sc.Cache = &cachengine.Config{Shards: 4, RAMBytes: 32 << 10, Flash: &cachengine.FlashConfig{Capacity: 1 << 20}}
+	sc.Cache = &cachengine.Config{RAMBytes: 32 << 10, Flash: &cachengine.FlashConfig{Capacity: 1 << 20}}
 	return RunSweep(sc, []float64{0.5}, CacheModes)
 }
 

@@ -35,12 +35,12 @@ type Command struct {
 // shedding mode itself, a live node brings its own cluster, and only
 // the cache sweep configures the cache engine.
 var notRead = map[string]string{
-	"sim":         "node conc cache-ram cache-flash cache-shards",
-	"sweep":       "node conc rate no-shed cache-ram cache-flash cache-shards",
-	"check":       "node conc rate no-shed cache-ram cache-flash cache-shards",
+	"sim":         "node conc cache-ram cache-flash",
+	"sweep":       "node conc rate no-shed cache-ram cache-flash",
+	"check":       "node conc rate no-shed cache-ram cache-flash",
 	"cache-sweep": "node conc rate no-shed depth sweep check",
 	"cache-check": "node conc rate no-shed depth sweep check",
-	"live":        "ec nodes node-rate burst depth no-shed hop-latency verify cache-ram cache-flash cache-shards",
+	"live":        "ec nodes node-rate burst depth no-shed hop-latency verify cache-ram cache-flash",
 }
 
 // ParseCommand binds past-load's flags (args without the program name)
@@ -49,7 +49,7 @@ var notRead = map[string]string{
 func ParseCommand(args []string, out io.Writer) (Command, error) {
 	c := Command{Sim: DefaultSimConfig(), Conc: 16}
 	sc, w := &c.Sim, &c.Sim.Workload
-	cache := cachengine.Config{Shards: 4, RAMBytes: 32 << 10, Flash: &cachengine.FlashConfig{Capacity: 1 << 20}}
+	cache := cachengine.Config{RAMBytes: 32 << 10, Flash: &cachengine.FlashConfig{Capacity: 1 << 20}}
 
 	fs := flag.NewFlagSet("past-load", flag.ContinueOnError)
 	fs.SetOutput(out)
@@ -80,11 +80,10 @@ func ParseCommand(args []string, out io.Writer) (Command, error) {
 	check := fs.Bool("check", false, "sim: run the sweep and exit non-zero unless shedding strictly improves goodput and p99 at 2x capacity")
 	fs.BoolVar(&c.Verify, "verify", false, "sim: run twice and require bit-identical fingerprints")
 
-	cacheSweep := fs.Bool("cache-sweep", false, "sim: sweep offered rate across cache configurations (legacy / sharded engine / engine+flash) and print per-tier hit rates")
+	cacheSweep := fs.Bool("cache-sweep", false, "sim: sweep offered rate across cache configurations (legacy / RAM-capped engine / engine+flash) and print per-tier hit rates")
 	cacheCheck := fs.Bool("cache-check", false, "sim: run the cache sweep and exit non-zero unless the flash tier beats the RAM-capped engine's hit rate")
 	fs.Int64Var(&cache.RAMBytes, "cache-ram", cache.RAMBytes, "cache sweep: per-node RAM-tier cap in bytes (sized below the working set so the flash tier matters)")
 	fs.Int64Var(&cache.Flash.Capacity, "cache-flash", cache.Flash.Capacity, "cache sweep: per-node flash-tier capacity in bytes")
-	fs.IntVar(&cache.Shards, "cache-shards", cache.Shards, "cache sweep: engine RAM-tier shard count")
 
 	if err := fs.Parse(args); err != nil {
 		return c, err

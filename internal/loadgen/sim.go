@@ -66,7 +66,7 @@ type SimConfig struct {
 	// SLO classifies a completion as good.
 	SLO time.Duration
 	// Cache, when non-nil, runs every node's cache engine with this
-	// configuration (sharding, RAM cap, flash tier), and inserts carry
+	// configuration (RAM cap, flash tier), and inserts carry
 	// real content, since the flash tier spills only objects whose
 	// bytes it holds. A flash tier lives in a temporary directory,
 	// one subdirectory per node, removed when the run ends; Flash.Dir

@@ -127,7 +127,6 @@ const (
 	CtrCacheFlashDrops   = "cachengine_flash_seg_drops_total"
 	CtrCacheFlashBytes   = "cachengine_flash_bytes"
 	CtrCacheFlashEntries = "cachengine_flash_entries"
-	CtrCacheShards       = "cachengine_shards"
 	// CtrCacheAdmitRejects named the engine's admission-filter
 	// rejections. The filter is gone and nothing produces the counter
 	// any more; the name stays only for readers that still look it up,

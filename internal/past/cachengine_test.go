@@ -10,11 +10,11 @@ import (
 	"past/internal/obs"
 )
 
-// engineCfg is smallCfg with a sharded cache engine (no flash — flash
-// has its own test below).
+// engineCfg is smallCfg with an explicitly configured cache engine (no
+// flash — flash has its own test below).
 func engineCfg() Config {
 	cfg := smallCfg()
-	cfg.CacheEngine = &cachengine.Config{Shards: 4}
+	cfg.CacheEngine = &cachengine.Config{}
 	return cfg
 }
 
@@ -68,11 +68,12 @@ func TestEngineCountersInSnapshot(t *testing.T) {
 	client.Lookup(id.NewFile("ghost", nil, 1))
 
 	snap := client.StatsSnapshot()
-	if snap.Get(obs.CtrCacheShards) != 4 {
-		t.Fatalf("shards counter = %d, want 4", snap.Get(obs.CtrCacheShards))
-	}
-	// The legacy series must stay coherent with the engine's tiers.
+	// The engine's own series and the legacy series must stay coherent
+	// with the engine's tiers.
 	eng := client.Cache().Stats()
+	if snap.Get(obs.CtrCacheRAMHits) != eng.RAMHits {
+		t.Fatalf("RAM-hit counter = %d, engine %d", snap.Get(obs.CtrCacheRAMHits), eng.RAMHits)
+	}
 	if snap.Get(obs.CtrCacheHits) != eng.Hits() || snap.Get(obs.CtrCacheMisses) != eng.Misses {
 		t.Fatalf("legacy series diverged: snap=(%d,%d) engine=(%d,%d)",
 			snap.Get(obs.CtrCacheHits), snap.Get(obs.CtrCacheMisses), eng.Hits(), eng.Misses)
@@ -85,7 +86,6 @@ func TestEngineCountersInSnapshot(t *testing.T) {
 func TestFlashTierOnNode(t *testing.T) {
 	cfg := smallCfg()
 	cfg.CacheEngine = &cachengine.Config{
-		Shards:   1,
 		RAMBytes: 2 << 10, // tiny RAM tier forces spills
 		Flash: &cachengine.FlashConfig{
 			Dir:      t.TempDir(),

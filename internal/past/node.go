@@ -56,10 +56,10 @@ type Config struct {
 	// CachePolicy selects the cache replacement policy (default GD-S).
 	CachePolicy cache.Policy
 	// CacheEngine, when non-nil, tunes the node's cache engine beyond
-	// the paper's single policy structure: RAM-tier sharding, a RAM
-	// cap, and the flash tier (see internal/cachengine). Its Policy is
-	// ignored: CachePolicy picks the policy. Nil runs the engine in
-	// its legacy-equivalent configuration — one shard, no flash tier —
+	// the paper's single policy structure: a RAM cap and the flash
+	// tier (see internal/cachengine). Its Policy is ignored:
+	// CachePolicy picks the policy. Nil runs the engine in its
+	// legacy-equivalent configuration — no RAM cap, no flash tier —
 	// which is operation-for-operation identical to the original
 	// cache.Cache, keeping the trace-driven experiments' fingerprints
 	// intact.
