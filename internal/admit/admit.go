@@ -1,22 +1,30 @@
 // Package admit is per-node admission control: a token bucket bounding
-// the sustained request rate and a bounded FIFO queue absorbing bursts;
-// when the queue is full the arriving request is shed (drop-tail).
-// Requests the node cannot take are rejected with netsim.ErrOverloaded
-// — a retryable, reroutable signal — instead of being accepted into an
-// unbounded backlog where every request's latency grows without limit.
+// the sustained request rate whose debt is a bounded FIFO queue
+// absorbing bursts; when the queue is full the arriving request is shed
+// (drop-tail). Requests the node cannot take are rejected with
+// netsim.ErrOverloaded — a retryable, reroutable signal — instead of
+// being accepted into an unbounded backlog where every request's
+// latency grows without limit.
 //
-// The controller runs in three modes, sharing one token-bucket state:
+// There is one admission rule, a reservation: each arrival refills the
+// bucket, is shed if taking a token would leave it below -Depth, and
+// otherwise takes the token. A bucket in debt has promised its next
+// tokens to the requests ahead, so an arrival that leaves it at -d
+// waits d/Rate: the debt is a FIFO queue of Depth places served at
+// Rate. Every entry point is one call to that rule:
 //
+//   - Reserve: virtual time, for the deterministic load generator. The
+//     caller passes arrival times in nondecreasing order and gets each
+//     decision at once, so a fixed schedule gives a bit-identical
+//     decision schedule.
 //   - TryAdmit: non-blocking, for the routed overlay path. The emulated
 //     network delivers messages by direct call, so there is nothing to
-//     make a request wait on; the queue is modeled as token debt (the
-//     bucket may go negative down to -Depth).
-//   - Admit: blocking, for real TCP servers. Callers park in an explicit
-//     waiter queue; a dispatcher goroutine grants them as tokens refill.
-//   - Offer/Drain: virtual time, for the deterministic load generator.
-//     The driver owns the clock; arrivals are submitted in time order
-//     and grants/sheds resolve synchronously at exact token times, so a
-//     fixed seed gives a bit-identical schedule.
+//     make a request wait on; it is admitted or shed.
+//   - Admit: blocking, for real TCP servers. The caller sleeps out its
+//     wait; one that gives up first returns its token.
+//
+// All three share one bucket, so on a node they share one queue of
+// Depth places.
 package admit
 
 import (
@@ -36,33 +44,21 @@ type Config struct {
 	// Burst is the token-bucket capacity: how many requests may be
 	// admitted back to back after an idle period. Defaults to 1.
 	Burst int
-	// Depth bounds the request queue (waiters in blocking mode, token
-	// debt in non-blocking mode). Defaults to 1.
+	// Depth bounds the request queue, the bucket's token debt.
+	// Defaults to 1.
 	Depth int
-	// Clock supplies the current time in blocking and non-blocking
-	// modes; defaults to time.Now. Virtual-time Offer ignores it — the
-	// driver passes arrival times explicitly.
+	// Clock supplies the current time to TryAdmit and Admit; defaults
+	// to time.Now. Reserve ignores it — the caller passes arrival times
+	// explicitly.
 	Clock func() time.Time
 }
 
-// waiter is one parked Admit call or one virtual-time Offer.
-type waiter struct {
-	arrived time.Time
-	// ch resolves a blocking Admit (nil error = admitted). Nil for
-	// virtual offers.
-	ch chan error
-	// fn resolves a virtual Offer. Nil for blocking waiters.
-	fn func(Decision)
-}
-
-// Decision is the outcome of a virtual-time Offer.
+// Decision is the outcome of one reservation.
 type Decision struct {
 	// Granted reports whether the request was admitted.
 	Granted bool
-	// At is the virtual time the request was granted service (equals
-	// the arrival time when a token was free). Zero if shed.
-	At time.Time
-	// Wait is At minus the arrival time.
+	// Wait is how long the request queues before its token exists:
+	// zero when a token was free, and zero if shed.
 	Wait time.Duration
 }
 
@@ -71,13 +67,8 @@ type Controller struct {
 	cfg Config
 
 	mu     sync.Mutex
-	tokens float64 // may go negative (token debt) in TryAdmit mode
+	tokens float64 // negative while requests queue (token debt)
 	last   time.Time
-	inited bool
-	queue  []waiter
-	// dispatching reports whether the blocking-mode dispatcher
-	// goroutine is running.
-	dispatching bool
 
 	admitted  int64
 	shed      int64
@@ -102,237 +93,116 @@ func New(cfg Config) *Controller {
 	return &Controller{cfg: cfg, tokens: float64(cfg.Burst)}
 }
 
-// Config returns the controller's (defaulted) configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
-// tokenWait returns how long until the bucket holds one token,
-// rounded to the nearest nanosecond so virtual grant times don't
-// accumulate float-truncation drift.
-func tokenWait(tokens, rate float64) time.Duration {
-	if tokens >= 1 {
-		return 0
-	}
-	return time.Duration(math.Round((1 - tokens) / rate * float64(time.Second)))
-}
-
-// refillLocked advances the bucket to time now.
-func (c *Controller) refillLocked(now time.Time) {
-	if !c.inited {
-		c.inited = true
-		c.last = now
-		return
-	}
+// refilled returns the bucket's tokens at time now, capped at Burst.
+// The bucket starts full, so the first refill, from the zero time, is
+// a no-op.
+func (c *Controller) refilled(now time.Time) float64 {
 	if d := now.Sub(c.last); d > 0 {
-		c.tokens += d.Seconds() * c.cfg.Rate
-		if c.tokens > float64(c.cfg.Burst) {
-			c.tokens = float64(c.cfg.Burst)
-		}
-		c.last = now
+		return min(c.tokens+d.Seconds()*c.cfg.Rate, float64(c.cfg.Burst))
 	}
+	return c.tokens
 }
 
-// TryAdmit is the non-blocking entry point used on the routed overlay
-// path. The bounded queue is modeled as token debt: a request is
-// admitted as long as the bucket stays above -Depth, so at most
-// Burst+Depth requests are absorbed beyond the sustained rate before
-// rejection starts. Returns nil or an error wrapping
-// netsim.ErrOverloaded.
-func (c *Controller) TryAdmit() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.refillLocked(c.cfg.Clock())
-	if c.tokens-1 >= -float64(c.cfg.Depth) {
-		c.tokens--
-		c.admitted++
-		return nil
+// reserveLocked is the admission rule. It refills the bucket to now,
+// sheds the request if its token would take the debt past Depth, and
+// otherwise takes the token; the request then waits until the debt
+// ahead of it has refilled. Admitted requests are counted by the
+// caller, which knows when one is served.
+func (c *Controller) reserveLocked(now time.Time) Decision {
+	c.tokens = c.refilled(now)
+	if now.After(c.last) {
+		c.last = now
 	}
-	c.shed++
+	if c.tokens-1 < -float64(c.cfg.Depth) {
+		c.shed++
+		return Decision{}
+	}
+	c.tokens--
+	d := Decision{Granted: true}
+	if c.tokens < 0 {
+		d.Wait = time.Duration(math.Round(-c.tokens / c.cfg.Rate * float64(time.Second)))
+	}
+	return d
+}
+
+func (c *Controller) overloaded() error {
 	return fmt.Errorf("%w: queue depth %d exceeded", netsim.ErrOverloaded, c.cfg.Depth)
 }
 
+// Reserve admits or sheds a request arriving at virtual time t;
+// arrivals must come in nondecreasing t order. A granted request is
+// served at t plus the decision's Wait.
+func (c *Controller) Reserve(t time.Time) Decision {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	d := c.reserveLocked(t)
+	if d.Granted {
+		c.admitted++
+	}
+	return d
+}
+
+// TryAdmit is the non-blocking entry point used on the routed overlay
+// path: a request is admitted as long as the bucket stays above
+// -Depth, so at most Burst+Depth requests are absorbed beyond the
+// sustained rate before rejection starts. Returns nil or an error
+// wrapping netsim.ErrOverloaded.
+func (c *Controller) TryAdmit() error {
+	if !c.Reserve(c.cfg.Clock()).Granted {
+		return c.overloaded()
+	}
+	return nil
+}
+
 // Admit is the blocking entry point used by real TCP servers. It
-// returns nil once a token is granted, an ErrOverloaded-wrapping error
-// if the queue is full, or the context's error if the caller gave up
-// first.
+// returns nil once the caller's token exists, an ErrOverloaded-wrapping
+// error if the queue is full, or the context's error if the caller gave
+// up first — in which case its token goes back to the bucket.
 func (c *Controller) Admit(ctx context.Context) error {
 	c.mu.Lock()
-	now := c.cfg.Clock()
-	c.refillLocked(now)
-	// Fast path: a token is free and nobody is ahead of us.
-	if len(c.queue) == 0 && c.tokens >= 1 {
-		c.tokens--
+	d := c.reserveLocked(c.cfg.Clock())
+	if d.Granted && d.Wait == 0 {
 		c.admitted++
-		c.mu.Unlock()
-		return nil
-	}
-	if len(c.queue) >= c.cfg.Depth {
-		c.shed++
-		c.mu.Unlock()
-		return fmt.Errorf("%w: queue depth %d exceeded", netsim.ErrOverloaded, c.cfg.Depth)
-	}
-	w := waiter{arrived: now, ch: make(chan error, 1)}
-	c.queue = append(c.queue, w)
-	if !c.dispatching {
-		c.dispatching = true
-		go c.dispatch()
 	}
 	c.mu.Unlock()
-
+	if !d.Granted {
+		return c.overloaded()
+	}
+	if d.Wait == 0 {
+		return nil
+	}
+	timer := time.NewTimer(d.Wait)
+	defer timer.Stop()
 	select {
-	case err := <-w.ch:
-		return err
+	case <-timer.C:
+		c.mu.Lock()
+		c.admitted++
+		c.waitNanos += d.Wait.Nanoseconds()
+		c.mu.Unlock()
+		return nil
 	case <-ctx.Done():
-		c.abandon(w.ch)
+		c.mu.Lock()
+		c.tokens = min(c.tokens+1, float64(c.cfg.Burst))
+		c.mu.Unlock()
 		return netsim.CtxErr(ctx)
 	}
 }
 
-// abandon removes a waiter whose caller gave up. If the dispatcher
-// already resolved it, the buffered channel just gets garbage
-// collected.
-func (c *Controller) abandon(ch chan error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range c.queue {
-		if c.queue[i].ch == ch {
-			c.queue = append(c.queue[:i], c.queue[i+1:]...)
-			return
-		}
-	}
-}
-
-// dispatch grants queued waiters as tokens refill. It exits when the
-// queue empties.
-func (c *Controller) dispatch() {
-	for {
-		c.mu.Lock()
-		now := c.cfg.Clock()
-		c.refillLocked(now)
-		if len(c.queue) == 0 {
-			c.dispatching = false
-			c.mu.Unlock()
-			return
-		}
-		if c.tokens >= 1 {
-			w := c.queue[0]
-			c.queue = append(c.queue[:0], c.queue[1:]...)
-			c.tokens--
-			c.admitted++
-			c.waitNanos += now.Sub(w.arrived).Nanoseconds()
-			w.ch <- nil
-			c.mu.Unlock()
-			continue
-		}
-		// Sleep until the next token arrives.
-		d := tokenWait(c.tokens, c.cfg.Rate)
-		c.mu.Unlock()
-		if d < time.Microsecond {
-			d = time.Microsecond
-		}
-		time.Sleep(d)
-	}
-}
-
-// Offer submits a request arriving at virtual time t; arrivals must be
-// submitted in nondecreasing t order. fn is called exactly once —
-// possibly during this call, possibly during a later Offer or Drain —
-// with the grant or shed decision. All resolution happens synchronously
-// on the caller's goroutine, so a fixed arrival schedule yields a
-// bit-identical decision schedule.
-func (c *Controller) Offer(t time.Time, fn func(Decision)) {
-	c.mu.Lock()
-	var resolved []func()
-	c.advanceLocked(t, &resolved)
-	if len(c.queue) == 0 && c.tokens >= 1 {
-		c.tokens--
-		c.admitted++
-		resolved = append(resolved, func() { fn(Decision{Granted: true, At: t}) })
-	} else if len(c.queue) >= c.cfg.Depth {
-		c.shed++
-		resolved = append(resolved, func() { fn(Decision{}) })
-	} else {
-		c.queue = append(c.queue, waiter{arrived: t, fn: fn})
-	}
-	c.mu.Unlock()
-	for _, r := range resolved {
-		r()
-	}
-}
-
-// advanceLocked grants queued virtual waiters whose token-arrival times
-// fall at or before t. Grant callbacks are appended to resolved and run
-// by the caller outside the lock.
-func (c *Controller) advanceLocked(t time.Time, resolved *[]func()) {
-	if !c.inited {
-		c.inited = true
-		c.last = t
-		return
-	}
-	for len(c.queue) > 0 {
-		// Virtual time at which the next token exists.
-		g := c.last.Add(tokenWait(c.tokens, c.cfg.Rate))
-		if g.After(t) {
-			break
-		}
-		c.refillLocked(g)
-		w := c.queue[0]
-		c.queue = append(c.queue[:0], c.queue[1:]...)
-		c.tokens--
-		c.admitted++
-		wait := g.Sub(w.arrived)
-		c.waitNanos += wait.Nanoseconds()
-		fn, at := w.fn, g
-		*resolved = append(*resolved, func() { fn(Decision{Granted: true, At: at, Wait: wait}) })
-	}
-	c.refillLocked(t)
-}
-
-// Drain resolves all still-queued virtual offers at their natural
-// token-arrival times. Call once after the last Offer.
-func (c *Controller) Drain() {
-	c.mu.Lock()
-	var resolved []func()
-	for len(c.queue) > 0 {
-		g := c.last.Add(tokenWait(c.tokens, c.cfg.Rate))
-		c.advanceLocked(g, &resolved)
-	}
-	c.mu.Unlock()
-	for _, r := range resolved {
-		r()
-	}
-}
-
-// Admitted returns the number of requests granted.
-func (c *Controller) Admitted() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.admitted
-}
-
-// Shed returns the number of requests rejected with ErrOverloaded.
-func (c *Controller) Shed() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.shed
-}
-
-// QueueLen returns the current number of queued requests.
-func (c *Controller) QueueLen() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.queue)
-}
-
 // ObsCounters implements obs.CounterSource, exporting admission
-// counters into node snapshots and Prometheus exposition.
+// counters into node snapshots and Prometheus exposition. The queue
+// length is the debt at read time; reading changes no state.
 func (c *Controller) ObsCounters() map[string]int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	queued := int64(0)
+	if t := c.refilled(c.cfg.Clock()); t < 0 {
+		queued = int64(math.Ceil(-t))
+	}
 	return map[string]int64{
 		CtrAdmitted:  c.admitted,
 		CtrShed:      c.shed,
 		CtrWaitNanos: c.waitNanos,
-		CtrQueueLen:  int64(len(c.queue)),
+		CtrQueueLen:  queued,
 	}
 }
 

@@ -383,7 +383,7 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		if cfg.Admit != nil {
 			// Hop-level rejections this tick: sheds absorbed by per-hop
 			// reroute never reach a client, so they are read off the
-			// admission controllers instead.
+			// nodes' admission counters instead.
 			if total := soakShedTotal(cluster); total > shedSeen {
 				elog.Emit(obs.Event{Kind: "overload", Tick: t, Op: "hop-shed", N: total - shedSeen})
 				shedSeen = total
@@ -584,9 +584,7 @@ func soakNoteOverload(res *SoakResult, tick int, op string, err error) {
 func soakShedTotal(cluster *past.Cluster) int64 {
 	var total int64
 	for _, n := range cluster.Nodes {
-		if ctl := n.AdmitController(); ctl != nil {
-			total += ctl.Shed()
-		}
+		total += n.StatsSnapshot().Get(admit.CtrShed)
 	}
 	return total
 }

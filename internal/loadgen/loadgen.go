@@ -17,9 +17,11 @@
 //
 //   - Run: real clock, against anything implementing Client — a TCP
 //     access point (AddrClient, which cmd/past-load drives).
-//   - RunSim: virtual time against an emulated cluster. The admission
-//     controllers run in Offer mode, the driver owns the clock, and a
-//     fixed seed yields a bit-identical Result fingerprint.
+//   - RunSim: virtual time against an emulated cluster. The driver
+//     owns the clock: each admission controller reserves every arrival
+//     its place in the node's queue, requests run in the resulting
+//     service order, and a fixed seed yields a bit-identical Result
+//     fingerprint.
 package loadgen
 
 import (

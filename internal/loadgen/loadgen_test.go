@@ -253,7 +253,7 @@ func TestRunSimSheddingBeatsUnboundedQueueAtOverload(t *testing.T) {
 // TestRunSimRecordsOnlyRoutedLatency: a lookup scheduled before its
 // insert was served is answered not-found without a route, and like Run
 // RunSim keeps it out of the latency histogram. past-load's -rate 400
-// contract run has 173 of them; everything it inserts is found.
+// contract run has 171 of them; everything it inserts is found.
 func TestRunSimRecordsOnlyRoutedLatency(t *testing.T) {
 	c, err := ParseCommand([]string{"-sim", "-seed", "1", "-nodes", "10", "-node-rate", "20",
 		"-rate", "400", "-requests", "1500"}, io.Discard)
@@ -264,11 +264,64 @@ func TestRunSimRecordsOnlyRoutedLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.NotFound != 173 || res.Errors != 0 {
-		t.Fatalf("run: %s; want 173 not-found lookups, no errors", res)
+	if res.NotFound != 171 || res.Errors != 0 {
+		t.Fatalf("run: %s; want 171 not-found lookups, no errors", res)
 	}
 	if got := res.Latency.Count(); got != res.OK {
 		t.Fatalf("latency histogram holds %d requests; want the %d routed ones (OK), not the %d unrouted not-founds",
 			got, res.OK, res.NotFound)
+	}
+}
+
+// TestRunSimServesInServiceOrder: like a live cluster, RunSim answers a
+// lookup not-found only if it is served before its insert. The test
+// replays the no-shed 2x run's schedule and access-node draws through a
+// token bucket per node (Burst tokens, unbounded FIFO queue) and counts
+// the lookups whose service time falls before their insert's.
+func TestRunSimServesInServiceOrder(t *testing.T) {
+	c, err := ParseCommand([]string{"-sim", "-no-shed", "-seed", "1", "-nodes", "10", "-node-rate", "20",
+		"-rate", "400", "-requests", "1500"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := c.Sim
+	res, err := RunSim(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	arr, err := newArrivals(sc.Arrivals, sc.Rate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRand(sc.Seed)
+	ops := schedule(arr, sc.Workload, sc.Requests, rng)
+	tokens := make([]float64, sc.Nodes)
+	last := make([]time.Duration, sc.Nodes)
+	for i := range tokens {
+		tokens[i] = float64(sc.Burst)
+	}
+	served := make([]time.Duration, len(ops))
+	for i, o := range ops {
+		n := rng.Intn(sc.Nodes)
+		tokens[n] = math.Min(tokens[n]+(o.At-last[n]).Seconds()*sc.NodeRate, float64(sc.Burst))
+		last[n] = o.At
+		tokens[n]--
+		served[i] = o.At
+		if tokens[n] < 0 {
+			served[i] += time.Duration(math.Round(-tokens[n] / sc.NodeRate * float64(time.Second)))
+		}
+	}
+	insertServed := make(map[int32]time.Duration)
+	var early int64
+	for i, o := range ops {
+		if o.Op == trace.OpInsert {
+			insertServed[o.File] = served[i]
+		} else if served[i] < insertServed[o.File] {
+			early++
+		}
+	}
+	if res.NotFound != early || res.Errors != 0 {
+		t.Fatalf("run: %s; want %d not-found lookups (served before their insert), no errors", res, early)
 	}
 }

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -9,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"past/internal/admit"
@@ -29,8 +31,9 @@ import (
 // load and request mix on the real clock against a live access point.
 //
 // The queueing model: every request enters through a deterministically
-// chosen access node whose admission controller (in Offer mode) grants
-// it service at an exact virtual token time or sheds it. Service
+// chosen access node whose admission controller reserves it a place in
+// the node's FIFO queue — served at an exact virtual token time — or
+// sheds it. Requests are served in the order of those times. Service
 // itself is the real overlay operation — routing, replicas, caching —
 // executed synchronously, with hop count converted to virtual service
 // latency at HopLatency per hop. With Shed false the queue is
@@ -113,9 +116,9 @@ const nodeCapacity = 1 << 30
 // unboundedDepth stands in for "no queue bound" when shedding is off.
 const unboundedDepth = 1 << 30
 
-// RunSim executes a virtual-time run. All randomness is seeded and all
-// request resolution happens synchronously on this goroutine in Offer
-// order, so two runs with equal configs produce bit-identical Results,
+// RunSim executes a virtual-time run. All randomness is seeded and
+// every request runs synchronously on this goroutine in service order,
+// so two runs with equal configs produce bit-identical Results,
 // fingerprint included.
 func RunSim(sc SimConfig) (*Result, error) {
 	if sc.Requests <= 0 || sc.Nodes <= 0 {
@@ -170,17 +173,34 @@ func RunSim(sc SimConfig) (*Result, error) {
 		ctls[i] = admit.New(admit.Config{Rate: sc.NodeRate, Burst: sc.Burst, Depth: depth})
 	}
 
-	var (
-		epoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-		ids   = make([]id.File, w.Files)
-		res   = &Result{}
-		fp    = sha256.New()
-	)
-	exec := func(i int, o op, access *past.Node, d admit.Decision) {
-		if !d.Granted {
+	// Admission depends only on arrival times, so every decision is
+	// made first; the requests then run in service order — arrival plus
+	// queueing wait, ties in arrival order — which is the order a live
+	// cluster serves them in.
+	type request struct {
+		i      int
+		access *past.Node
+		d      admit.Decision
+	}
+	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	reqs := make([]request, len(ops))
+	for i, o := range ops {
+		ai := rng.Intn(sc.Nodes)
+		reqs[i] = request{i, cluster.Nodes[ai], ctls[ai].Reserve(epoch.Add(o.At))}
+	}
+	slices.SortStableFunc(reqs, func(a, b request) int {
+		return cmp.Compare(ops[a.i].At+a.d.Wait, ops[b.i].At+b.d.Wait)
+	})
+
+	ids := make([]id.File, w.Files)
+	res := &Result{}
+	fp := sha256.New()
+	for _, r := range reqs {
+		i, o := r.i, ops[r.i]
+		if !r.d.Granted {
 			res.record(false, false, netsim.ErrOverloaded, 0, sc.SLO)
 			fpRecord(fp, i, o, false, false, 0, 0)
-			return
+			continue
 		}
 		var found bool
 		var err error
@@ -193,7 +213,7 @@ func RunSim(sc SimConfig) (*Result, error) {
 				spec.Content = payload(o.File, o.Size)
 			}
 			var ir *past.InsertResult
-			ir, err = access.Insert(spec)
+			ir, err = r.access.Insert(spec)
 			if err == nil && ir.OK {
 				ids[o.File] = ir.FileID
 				found = true
@@ -202,31 +222,20 @@ func RunSim(sc SimConfig) (*Result, error) {
 				err = fmt.Errorf("loadgen: insert rejected: %s", ir.Reason)
 			}
 		case ids[o.File].IsZero():
-			// Lookup scheduled before its insert was served (open
-			// loop). The access node answers not-found locally.
+			// Lookup served before its insert (open loop). The access
+			// node answers not-found locally.
 			routed = false
 		default:
 			var lr *past.LookupResult
-			lr, err = access.Lookup(ids[o.File])
+			lr, err = r.access.Lookup(ids[o.File])
 			if err == nil {
 				found = lr.Found
 				hops = lr.Hops
 			}
 		}
-		lat := d.Wait + sc.HopLatency*time.Duration(hops+1)
+		lat := r.d.Wait + sc.HopLatency*time.Duration(hops+1)
 		res.record(found, routed, err, lat, sc.SLO)
 		fpRecord(fp, i, o, true, found, hops, lat)
-	}
-	for i, o := range ops {
-		i, o := i, o
-		ai := rng.Intn(sc.Nodes)
-		access := cluster.Nodes[ai]
-		ctls[ai].Offer(epoch.Add(o.At), func(d admit.Decision) {
-			exec(i, o, access, d)
-		})
-	}
-	for _, c := range ctls {
-		c.Drain()
 	}
 
 	res.Elapsed = ops[len(ops)-1].At

@@ -55,8 +55,9 @@ func TestAdmissionShedsAndReroutesWithoutEviction(t *testing.T) {
 
 	var shed, admitted, overloadHops int64
 	for _, node := range c.Nodes {
-		shed += node.AdmitController().Shed()
-		admitted += node.AdmitController().Admitted()
+		snap := node.StatsSnapshot()
+		shed += snap.Get(admit.CtrShed)
+		admitted += snap.Get(admit.CtrAdmitted)
 		overloadHops += node.Overlay().OverloadHops()
 	}
 	if admitted == 0 {
@@ -86,12 +87,9 @@ func TestAdmissionShedsAndReroutesWithoutEviction(t *testing.T) {
 
 func TestAdmissionDisabledIsUnchanged(t *testing.T) {
 	// Config.Admit == nil must leave every path untouched: no
-	// controller, no admission counters in the snapshot.
+	// admission counters in the snapshot.
 	c := testCluster(t, 10, smallCfg(), 1<<20, 3)
 	n := c.RandomAliveNode()
-	if n.AdmitController() != nil {
-		t.Fatal("controller exists without Config.Admit")
-	}
 	snap := n.StatsSnapshot()
 	if _, ok := snap.Counters[admit.CtrAdmitted]; ok {
 		t.Fatal("admission counters leaked into a snapshot without admission control")

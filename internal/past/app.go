@@ -159,7 +159,7 @@ func (n *Node) deliver(tc obs.TraceContext, from id.Node, msg any) (any, error) 
 		return n.handleMapUpdate(m), nil
 	case *ClientInsert, *ClientLookup, *ClientReclaim:
 		// Mutating/serving client RPCs queue at the admission gate
-		// (blocking mode: the TCP server has a real caller to park).
+		// (blocking: the TCP server has a real caller to make wait).
 		if n.admitCtl != nil {
 			if err := n.admitCtl.Admit(context.Background()); err != nil {
 				return nil, err

@@ -414,10 +414,6 @@ func (n *Node) StatsSnapshot() obs.Snapshot {
 	return snap
 }
 
-// AdmitController returns the node's admission controller, or nil when
-// admission control is disabled.
-func (n *Node) AdmitController() *admit.Controller { return n.admitCtl }
-
 // issueStoreReceipt signs a store receipt if a smartcard is installed.
 func (n *Node) issueStoreReceipt(f id.File) *cert.StoreReceipt {
 	if n.card == nil {

@@ -623,7 +623,7 @@ func TestTCPOverloadedRoundTripsWire(t *testing.T) {
 	if !errors.Is(overloaded, netsim.ErrOverloaded) {
 		t.Fatalf("remote shed did not come back as ErrOverloaded: %v", overloaded)
 	}
-	if gated.AdmitController().Shed() == 0 {
+	if gated.StatsSnapshot().Get(admit.CtrShed) == 0 {
 		t.Fatal("gated node recorded no sheds")
 	}
 }
@@ -686,9 +686,9 @@ func TestTCPConcurrentClientsAdmission(t *testing.T) {
 	if shed.Load() == 0 {
 		t.Fatal("burst of concurrent clients never shed (capacity 6 vs 32 arrivals)")
 	}
-	ctl := nd.node.AdmitController()
-	if ctl.Admitted()+ctl.Shed() != total {
-		t.Fatalf("controller admitted %d + shed %d != %d", ctl.Admitted(), ctl.Shed(), total)
+	snap := nd.node.StatsSnapshot()
+	if admitted, shed := snap.Get(admit.CtrAdmitted), snap.Get(admit.CtrShed); admitted+shed != total {
+		t.Fatalf("controller admitted %d + shed %d != %d", admitted, shed, total)
 	}
 }
 
