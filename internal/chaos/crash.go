@@ -24,15 +24,18 @@ import (
 
 // CrashConfig parameterizes a crash soak.
 type CrashConfig struct {
-	Dir      string // logstore directory (created if missing)
-	Seed     int64
-	Lives    int // kill/recover cycles
-	OpsPer   int // mutations per life
-	Capacity int64
-	// MaxTruncate bounds how many bytes a simulated power cut may shave
-	// off the WAL tail (default 256).
-	MaxTruncate int
+	Dir    string // logstore directory (created if missing)
+	Seed   int64
+	Lives  int // kill/recover cycles
+	OpsPer int // mutations per life
 }
+
+const (
+	// crashMaxTruncate bounds how many bytes a simulated power cut may
+	// shave off the WAL tail.
+	crashMaxTruncate = 256
+	crashCapacity    = 1 << 30
+)
 
 func (c CrashConfig) withDefaults() CrashConfig {
 	if c.Lives == 0 {
@@ -40,12 +43,6 @@ func (c CrashConfig) withDefaults() CrashConfig {
 	}
 	if c.OpsPer == 0 {
 		c.OpsPer = 200
-	}
-	if c.Capacity == 0 {
-		c.Capacity = 1 << 30
-	}
-	if c.MaxTruncate == 0 {
-		c.MaxTruncate = 256
 	}
 	return c
 }
@@ -102,7 +99,7 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 		return c
 	}
 
-	opts := logstore.Options{Capacity: cfg.Capacity, Sync: logstore.SyncNever, CheckpointBytes: -1, CompactRatio: -1}
+	opts := logstore.Options{Capacity: crashCapacity, Sync: logstore.SyncNever, CheckpointBytes: -1, CompactRatio: -1}
 	for life := 0; life < cfg.Lives; life++ {
 		s, err := logstore.Open(cfg.Dir, opts)
 		if err != nil {
@@ -117,7 +114,7 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 		note("life %d recovered entries=%d pointers=%d", life, len(durable.entries), len(durable.pointers))
 
 		cur := cloneSnap(durable)
-		cur.walOff = s.WALOffset()
+		_, cur.walOff = s.WALFile()
 		snaps := []snap{cloneSnap(cur)}
 		var live []id.File
 		for f := range cur.entries {
@@ -189,7 +186,7 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 			}
 			if mutated {
 				rep.Ops++
-				cur.walOff = s.WALOffset()
+				_, cur.walOff = s.WALFile()
 				snaps = append(snaps, cloneSnap(cur))
 			}
 		}
@@ -197,7 +194,7 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 		// Power cut: kill without sync, then shave a random tail.
 		walPath, walLen := s.WALFile()
 		s.Kill()
-		cut := int64(r.Intn(cfg.MaxTruncate + 1))
+		cut := int64(r.Intn(crashMaxTruncate + 1))
 		newLen := walLen - cut
 		if min := snaps[0].walOff; newLen < min {
 			newLen = min // never cut into a previous life's durable state

@@ -33,28 +33,30 @@ import (
 // storage cost, because each repair moves 1/m of the object and the
 // code tolerates 2x the dead fragments while the queue catches up.
 
+// The sweep's fixed parameters.
+const (
+	ecdObjectSize = 48 << 10 // each object's size in bytes
+	ecdChurnRate  = 0.08     // each node's per-epoch crash-restart probability
+)
+
+var (
+	// ecdRepairBudgets are the per-node per-epoch repair byte caps swept
+	// (0 = repair off), the largest last.
+	ecdRepairBudgets = []int64{0, 96 << 10, 512 << 10}
+	// ecdReplication is k=3 replication, modeled as RS(1,2); ecdCoded is
+	// the coded mode, RS(4,8), at the same 3.0x overhead.
+	ecdReplication = ec.Params{Data: 1, Parity: 2}
+	ecdCoded       = ec.Params{Data: 4, Parity: 8}
+)
+
 // ECDurabilityConfig parameterizes the sweep.
 type ECDurabilityConfig struct {
 	// Nodes is the fleet size. Default 30.
 	Nodes int
 	// Objects is the object population. Default 120.
 	Objects int
-	// ObjectSize is each object's size in bytes. Default 48 KiB.
-	ObjectSize int
 	// Epochs is the churn length. Default 24.
 	Epochs int
-	// ChurnRate is each node's per-epoch crash-restart probability.
-	// Default 0.08.
-	ChurnRate float64
-	// RepairBudgets are the per-node per-epoch repair byte caps swept
-	// (0 = repair off). Default {0, 96 KiB, 512 KiB}.
-	RepairBudgets []int64
-	// Replication is the baseline copy count, modeled as RS(1, k-1).
-	// Default 3.
-	Replication int
-	// EC is the coded mode. Defaults to RS(4, 8) — the same 3.0x
-	// overhead as the k=3 baseline.
-	EC ec.Params
 
 	Seed int64
 }
@@ -66,23 +68,8 @@ func (c ECDurabilityConfig) withDefaults() ECDurabilityConfig {
 	if c.Objects <= 0 {
 		c.Objects = 120
 	}
-	if c.ObjectSize <= 0 {
-		c.ObjectSize = 48 << 10
-	}
 	if c.Epochs <= 0 {
 		c.Epochs = 24
-	}
-	if c.ChurnRate <= 0 {
-		c.ChurnRate = 0.08
-	}
-	if len(c.RepairBudgets) == 0 {
-		c.RepairBudgets = []int64{0, 96 << 10, 512 << 10}
-	}
-	if c.Replication <= 0 {
-		c.Replication = 3
-	}
-	if c.EC.Data == 0 {
-		c.EC = ec.Params{Data: 4, Parity: 8}
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -159,20 +146,14 @@ func (o *ecdObject) liveFragments() int {
 // Deterministic for a given configuration.
 func RunECDurability(cfg ECDurabilityConfig) (*ECDurabilityResult, error) {
 	cfg = cfg.withDefaults()
-	rep := ec.Params{Data: 1, Parity: cfg.Replication - 1}
-	for _, p := range []ec.Params{rep, cfg.EC} {
-		if err := p.Validate(); err != nil {
-			return nil, fmt.Errorf("experiments: ecdurability: %w", err)
-		}
-		if p.Total() > cfg.Nodes {
-			return nil, fmt.Errorf("experiments: ecdurability: %s needs %d nodes, have %d", p, p.Total(), cfg.Nodes)
-		}
+	if ecdCoded.Total() > cfg.Nodes {
+		return nil, fmt.Errorf("experiments: ecdurability: %s needs %d nodes, have %d", ecdCoded, ecdCoded.Total(), cfg.Nodes)
 	}
 
 	res := &ECDurabilityResult{Config: cfg}
 	fp := sha256.New()
-	for _, budget := range cfg.RepairBudgets {
-		for _, p := range []ec.Params{rep, cfg.EC} {
+	for _, budget := range ecdRepairBudgets {
+		for _, p := range []ec.Params{ecdReplication, ecdCoded} {
 			pt := runECDurabilityCell(cfg, p, budget)
 			res.Points = append(res.Points, pt)
 			fmt.Fprintf(fp, "%s/%d:", pt.Scheme, pt.Budget)
@@ -201,7 +182,7 @@ func cellSeed(base int64, p ec.Params, budget int64) int64 {
 func runECDurabilityCell(cfg ECDurabilityConfig, p ec.Params, budget int64) ECDurabilityPoint {
 	rng := rand.New(rand.NewSource(cellSeed(cfg.Seed, p, budget)))
 	total := p.Total()
-	shardSize := (cfg.ObjectSize + p.Data - 1) / p.Data
+	shardSize := (ecdObjectSize + p.Data - 1) / p.Data
 	// One repair moves m survivor fragments in and one rebuilt fragment
 	// out — the same cost model the node-level queue uses.
 	repairCost := int64(shardSize) * int64(p.Data+1)
@@ -230,10 +211,10 @@ func runECDurabilityCell(cfg ECDurabilityConfig, p ec.Params, budget int64) ECDu
 	pt.Alive = append(pt.Alive, cfg.Objects)
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		// Churn: each node crash-restarts with probability ChurnRate,
+		// Churn: each node crash-restarts with probability ecdChurnRate,
 		// losing its fragments and its (soft-state) repair queue.
 		for n := 0; n < cfg.Nodes; n++ {
-			if rng.Float64() >= cfg.ChurnRate {
+			if rng.Float64() >= ecdChurnRate {
 				continue
 			}
 			for _, o := range objs {
@@ -340,7 +321,7 @@ func RenderECDurability(r *ECDurabilityResult) string {
 	var b strings.Builder
 	c := r.Config
 	fmt.Fprintf(&b, "EC durability sweep: %d nodes, %d objects x %dKB, churn %.0f%%/epoch x %d epochs, overhead %.1fx both schemes\n",
-		c.Nodes, c.Objects, c.ObjectSize>>10, 100*c.ChurnRate, c.Epochs, c.EC.Overhead())
+		c.Nodes, c.Objects, ecdObjectSize>>10, 100*ecdChurnRate, c.Epochs, ecdCoded.Overhead())
 	fmt.Fprintf(&b, "%10s %9s %9s %9s %9s %10s %12s %14s\n",
 		"budget/ep", "scheme", "alive@1/3", "alive@2/3", "survive%", "repairs", "deferred", "max-node-ep")
 	for _, p := range r.Points {
@@ -363,18 +344,14 @@ func RenderECDurability(r *ECDurabilityResult) string {
 // replication at the same storage overhead; and with repair off both
 // schemes decay below their repaired survival.
 func CheckECDurability(r *ECDurabilityResult) error {
-	rep := ec.Params{Data: 1, Parity: r.Config.Replication - 1}.String()
-	ecs := r.Config.EC.String()
+	rep, ecs := ecdReplication.String(), ecdCoded.String()
 	for _, p := range r.Points {
 		if p.Budget > 0 && p.MaxNodeEpochBytes > p.Budget {
 			return fmt.Errorf("ecdurability: %s at %dB budget: a node spent %dB in one epoch",
 				p.Scheme, p.Budget, p.MaxNodeEpochBytes)
 		}
 	}
-	top := r.Config.RepairBudgets[len(r.Config.RepairBudgets)-1]
-	if top == 0 {
-		return fmt.Errorf("ecdurability: sweep has no repair-on budget")
-	}
+	top := ecdRepairBudgets[len(ecdRepairBudgets)-1]
 	repTop, ecTop := r.At(rep, top), r.At(ecs, top)
 	if repTop == nil || ecTop == nil {
 		return fmt.Errorf("ecdurability: sweep missing top-budget cells")

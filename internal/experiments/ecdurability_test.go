@@ -3,8 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"past/internal/ec"
 )
 
 func TestECDurabilityFingerprintBitIdentical(t *testing.T) {
@@ -55,10 +53,9 @@ func TestECDurabilityAcceptance(t *testing.T) {
 
 	// Overhead parity between the two schemes is what makes the
 	// comparison fair; guard it against config drift.
-	rep := ec.Params{Data: 1, Parity: r.Config.Replication - 1}
-	if rep.Overhead() != r.Config.EC.Overhead() {
+	if ecdReplication.Overhead() != ecdCoded.Overhead() {
 		t.Fatalf("schemes not at equal overhead: rep %.2fx vs ec %.2fx",
-			rep.Overhead(), r.Config.EC.Overhead())
+			ecdReplication.Overhead(), ecdCoded.Overhead())
 	}
 }
 

@@ -59,19 +59,15 @@ func (s *Store) checkpoint() error {
 	// a header naming the first WAL file recovery must still replay
 	// (everything in lower-numbered files is folded in here), then one
 	// add or set-pointer record per live entry.
-	hdr := ckptHeader{capacity: s.opts.Capacity, walSeq: s.log.walSeq + 1, entries: uint64(s.count.Load())}
-	for i := range s.shards {
-		hdr.pointers += uint64(len(s.shards[i].pointers))
-	}
+	// Writers hold s.log, so the index is read here without its lock.
+	hdr := ckptHeader{capacity: s.opts.Capacity, walSeq: s.log.walSeq + 1,
+		entries: uint64(len(s.idx.entries)), pointers: uint64(len(s.idx.pointers))}
 	snap := appendWALRecord([]byte(ckptMagic), walRecord{typ: recCheckpoint, ckpt: hdr})
-	for i := range s.shards {
-		sh := &s.shards[i]
-		for f, r := range sh.entries {
-			snap = appendWALRecord(snap, walRecord{typ: recAdd, file: f, entry: r.meta, hasContent: r.hasContent, loc: r.loc})
-		}
-		for f, p := range sh.pointers {
-			snap = appendWALRecord(snap, walRecord{typ: recSetPointer, file: f, ptr: p})
-		}
+	for f, r := range s.idx.entries {
+		snap = appendWALRecord(snap, walRecord{typ: recAdd, file: f, entry: r.meta, hasContent: r.hasContent, loc: r.loc})
+	}
+	for f, p := range s.idx.pointers {
+		snap = appendWALRecord(snap, walRecord{typ: recSetPointer, file: f, ptr: p})
 	}
 
 	newWAL, err := createLogFile(walPath(s.dir, hdr.walSeq), walMagic)

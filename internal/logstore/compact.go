@@ -45,11 +45,10 @@ func (s *Store) CompactOnce() (bool, error) {
 		if off+recSize > end {
 			break
 		}
-		sh := s.shardOf(f)
-		sh.mu.RLock()
-		r, live := sh.entries[f]
+		s.idx.RLock()
+		r, live := s.idx.entries[f]
 		liveHere := live && r.hasContent && r.loc.Seg == cand && r.loc.Off == off
-		sh.mu.RUnlock()
+		s.idx.RUnlock()
 		if liveHere {
 			if err := s.relocate(f, cand, off); err != nil {
 				return false, err
@@ -78,12 +77,7 @@ func (s *Store) CompactOnce() (bool, error) {
 	delete(s.log.segTotal, cand)
 	s.log.Unlock()
 
-	s.segFDs.Lock()
-	if f := s.segFDs.m[cand]; f != nil {
-		f.Close()
-		delete(s.segFDs.m, cand)
-	}
-	s.segFDs.Unlock()
+	s.segFDs.drop(cand)
 	if err := os.Remove(segPath(s.dir, cand)); err != nil {
 		return false, fmt.Errorf("logstore: remove compacted segment: %w", err)
 	}
@@ -124,18 +118,12 @@ func (s *Store) relocate(f id.File, seg uint32, off int64) error {
 	if s.log.failed != nil {
 		return s.log.failed
 	}
-	sh := s.shardOf(f)
-	sh.mu.RLock()
-	r, ok := sh.entries[f]
-	stillHere := ok && r.hasContent && r.loc.Seg == seg && r.loc.Off == off
-	var oldLoc Loc
-	if stillHere {
-		oldLoc = r.loc
-	}
-	sh.mu.RUnlock()
-	if !stillHere {
+	// Holding s.log, the index can be read without its lock.
+	r, ok := s.idx.entries[f]
+	if !ok || !r.hasContent || r.loc.Seg != seg || r.loc.Off != off {
 		return nil // removed or already moved; nothing to do
 	}
+	oldLoc := r.loc
 	content, okRead := s.readContent(f, oldLoc)
 	if !okRead {
 		// The only copy is unreadable; the entry keeps its (dead)
@@ -149,9 +137,9 @@ func (s *Store) relocate(f id.File, seg uint32, off int64) error {
 	if _, err := s.appendWALLocked(walRecord{typ: recRelocate, file: f, loc: newLoc}); err != nil {
 		return err
 	}
-	sh.mu.Lock()
+	s.idx.Lock()
 	r.loc = newLoc
-	sh.mu.Unlock()
+	s.idx.Unlock()
 	s.log.segLive[seg] -= oldLoc.RecordSize()
 	s.log.segLive[newLoc.Seg] += newLoc.RecordSize()
 	return nil

@@ -48,10 +48,7 @@ type Flash struct {
 	segID uint32 // active (highest) segment id
 	bytes int64  // record bytes across all segments
 
-	fds struct {
-		sync.RWMutex
-		m map[uint32]*os.File
-	}
+	fds segFiles
 
 	spills atomic.Int64
 	drops  atomic.Int64
@@ -116,18 +113,16 @@ func (fl *Flash) recoverSegment(sid uint32) {
 	if err != nil {
 		return
 	}
-	seg := &flashSeg{off: fileHeaderSize}
-	for seg.off < int64(len(buf)) {
-		clen, crc, file, content, err := parseSegRecord(buf[seg.off:])
-		if err != nil || int64(clen) > maxRecordLen || crc32Checksum(content) != crc {
-			break // torn or corrupt tail: keep what parsed so far
+	seg := &flashSeg{}
+	seg.off = walkSegment(sid, buf, func(file id.File, loc Loc, crcOK bool) bool {
+		if !crcOK {
+			return false // corrupt record: keep what came before it
 		}
-		loc := Loc{Seg: sid, Off: seg.off, Len: clen, CRC: crc}
 		fl.idx[file] = loc
 		seg.keys = append(seg.keys, file)
-		seg.off += loc.RecordSize()
 		seg.bytes += loc.RecordSize()
-	}
+		return true
+	})
 	if int64(len(buf)) > seg.off {
 		_ = f.Truncate(seg.off)
 	}
@@ -186,9 +181,7 @@ func (fl *Flash) rotateLocked() error {
 	}
 	fl.segID = nid
 	fl.segs[nid] = &flashSeg{off: fileHeaderSize}
-	fl.fds.Lock()
-	fl.fds.m[nid] = f
-	fl.fds.Unlock()
+	fl.fds.put(nid, f)
 	return nil
 }
 
@@ -208,12 +201,7 @@ func (fl *Flash) reclaimLocked() {
 				delete(fl.idx, k)
 			}
 		}
-		fl.fds.Lock()
-		if fd := fl.fds.m[oldest]; fd != nil {
-			fd.Close()
-			delete(fl.fds.m, oldest)
-		}
-		fl.fds.Unlock()
+		fl.fds.drop(oldest)
 		os.Remove(flashSegPath(fl.dir, oldest))
 		delete(fl.segs, oldest)
 		fl.bytes -= seg.bytes
@@ -231,7 +219,7 @@ func (fl *Flash) Get(f id.File) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	if content, ok := fl.read(f, loc); ok {
+	if content, _, ok := fl.fds.read(f, loc); ok {
 		return content, true
 	}
 	fl.mu.Lock()
@@ -240,28 +228,6 @@ func (fl *Flash) Get(f id.File) ([]byte, bool) {
 	}
 	fl.mu.Unlock()
 	return nil, false
-}
-
-// read preads and verifies the record at loc under the fd table's
-// read lock.
-func (fl *Flash) read(f id.File, loc Loc) ([]byte, bool) {
-	fl.fds.RLock()
-	fd := fl.fds.m[loc.Seg]
-	if fd == nil {
-		fl.fds.RUnlock()
-		return nil, false
-	}
-	buf := make([]byte, loc.RecordSize())
-	_, err := fd.ReadAt(buf, loc.Off)
-	fl.fds.RUnlock()
-	if err != nil {
-		return nil, false
-	}
-	clen, crc, rf, content, perr := parseSegRecord(buf)
-	if perr != nil || rf != f || clen != loc.Len || crc != loc.CRC || crc32Checksum(content) != crc {
-		return nil, false
-	}
-	return content, true
 }
 
 // Remove forgets f, reporting whether it was indexed; the record stays
@@ -292,11 +258,6 @@ func (fl *Flash) Drops() int64 { return fl.drops.Load() }
 // are expendable by design, and OpenFlash re-scans whatever the OS
 // persisted.
 func (fl *Flash) Close() error {
-	fl.fds.Lock()
-	for _, f := range fl.fds.m {
-		f.Close()
-	}
-	fl.fds.m = make(map[uint32]*os.File)
-	fl.fds.Unlock()
+	fl.fds.closeAll()
 	return nil
 }

@@ -18,11 +18,11 @@
 package logstore
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"os"
+	"sync"
 
 	"past/internal/cert"
 	"past/internal/id"
@@ -276,17 +276,80 @@ func parseSegRecord(buf []byte) (clen, crc uint32, f id.File, content []byte, er
 
 func crc32Checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
-// sortEntries orders entries by fileId, matching the in-memory store's
-// deterministic scan order.
-func sortEntries(out []store.Entry) {
-	sort.Slice(out, func(i, j int) bool {
-		return bytes.Compare(out[i].File[:], out[j].File[:]) < 0
-	})
+// walkSegment walks the content records of segment sid, whose whole
+// file is data, handing each to yield with whether its content matches
+// its CRC, until yield returns false. It returns the offset it stopped
+// at: the declined record's, else the first byte that does not frame a
+// record (len(data) when every byte frames).
+func walkSegment(sid uint32, data []byte, yield func(f id.File, loc Loc, crcOK bool) bool) int64 {
+	off := int64(fileHeaderSize)
+	for off < int64(len(data)) {
+		clen, crc, f, content, err := parseSegRecord(data[off:])
+		if err != nil || int64(clen) > maxRecordLen {
+			break
+		}
+		loc := Loc{Seg: sid, Off: off, Len: clen, CRC: crc}
+		if !yield(f, loc, crc32Checksum(content) == crc) {
+			break
+		}
+		off += loc.RecordSize()
+	}
+	return off
 }
 
-// sortPointers orders pointers by fileId.
-func sortPointers(out []store.Pointer) {
-	sort.Slice(out, func(i, j int) bool {
-		return bytes.Compare(out[i].File[:], out[j].File[:]) < 0
-	})
+// segFiles is a table of open segment files, the store's or the flash
+// tier's. A read holds the read lock across its pread, so no file is
+// closed under it.
+type segFiles struct {
+	sync.RWMutex
+	m map[uint32]*os.File
+}
+
+func (t *segFiles) put(sid uint32, f *os.File) {
+	t.Lock()
+	t.m[sid] = f
+	t.Unlock()
+}
+
+// drop closes and forgets segment sid.
+func (t *segFiles) drop(sid uint32) {
+	t.Lock()
+	if f := t.m[sid]; f != nil {
+		f.Close()
+		delete(t.m, sid)
+	}
+	t.Unlock()
+}
+
+// closeAll closes every file and empties the table.
+func (t *segFiles) closeAll() {
+	t.Lock()
+	for _, f := range t.m {
+		f.Close()
+	}
+	t.m = make(map[uint32]*os.File)
+	t.Unlock()
+}
+
+// read preads the content record at loc and checks its frame, its
+// fileId against f, and its length and CRC against loc and the content.
+// open reports whether loc's segment is in the table at all.
+func (t *segFiles) read(f id.File, loc Loc) (content []byte, open, ok bool) {
+	t.RLock()
+	fd := t.m[loc.Seg]
+	if fd == nil {
+		t.RUnlock()
+		return nil, false, false
+	}
+	buf := make([]byte, loc.RecordSize())
+	_, err := fd.ReadAt(buf, loc.Off)
+	t.RUnlock()
+	if err != nil {
+		return nil, true, false
+	}
+	clen, crc, rf, content, err := parseSegRecord(buf)
+	if err != nil || rf != f || clen != loc.Len || crc != loc.CRC || crc32Checksum(content) != crc {
+		return nil, true, false
+	}
+	return content, true, true
 }

@@ -1,10 +1,11 @@
 package logstore
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"strings"
+
+	"past/internal/id"
 )
 
 // FsckReport is the result of an offline verification pass over a
@@ -83,11 +84,11 @@ func Fsck(dir string) (*FsckReport, error) {
 
 	// Rebuild the index exactly as recovery would, through the same
 	// readers and the same apply switch, into a store that opens no file.
-	idx := newStore(dir, Options{})
+	s := newStore(dir, Options{})
 	if err := refuseOldFormat(dir); err != nil {
 		r.errf("%v", err)
 	}
-	firstSeq, present, err := loadCheckpoint(dir, idx.applyRecord)
+	firstSeq, present, err := loadCheckpoint(dir, s.applyRecord)
 	if err != nil {
 		r.errf("%v", err)
 		firstSeq = 1
@@ -108,7 +109,7 @@ func Fsck(dir string) (*FsckReport, error) {
 		isLast := i == len(seqs)-1
 		r.WALFiles++
 		path := walPath(dir, seq)
-		w, err := readWALFile(path, idx.applyRecord)
+		w, err := readWALFile(path, s.applyRecord)
 		r.WALRecords += w.records
 		switch {
 		case err != nil:
@@ -121,10 +122,8 @@ func Fsck(dir string) (*FsckReport, error) {
 			r.warnf("%s: torn tail, %d bytes after offset %d", path, w.size-w.validLen, w.validLen)
 		}
 	}
-	r.Entries = idx.Len()
-	for i := range idx.shards {
-		r.Pointers += len(idx.shards[i].pointers)
-	}
+	r.Entries = s.Len()
+	r.Pointers = len(s.idx.pointers)
 
 	// Scan segments: structure and checksums of every record, and which
 	// records the index references.
@@ -157,28 +156,16 @@ func Fsck(dir string) (*FsckReport, error) {
 			}
 			continue
 		}
-		off := int64(fileHeaderSize)
-		for off < int64(len(data)) {
-			rest := data[off:]
-			if len(rest) < segRecHeaderSize {
-				r.TornSegBytes += int64(len(rest))
-				if sid != active {
-					r.warnf("%s: %d trailing bytes (dead tail of sealed segment)", path, len(rest))
-				}
-				break
-			}
-			clen := binary.LittleEndian.Uint32(rest[0:])
-			if clen > maxRecordLen || int64(len(rest)-segRecHeaderSize) < int64(clen) {
-				r.TornSegBytes += int64(len(rest))
-				if sid != active {
-					r.warnf("%s: unparseable tail at offset %d in sealed segment", path, off)
-				}
-				break
-			}
-			_, crc, _, content, _ := parseSegRecord(rest[:segRecHeaderSize+int(clen)])
-			recs[off] = crc32Checksum(content) == crc
+		end := walkSegment(sid, data, func(_ id.File, loc Loc, crcOK bool) bool {
+			recs[loc.Off] = crcOK
 			r.SegmentRecords++
-			off += segRecHeaderSize + int64(clen)
+			return true
+		})
+		if tail := int64(len(data)) - end; tail > 0 {
+			r.TornSegBytes += tail
+			if sid != active {
+				r.warnf("%s: %d unparseable bytes at offset %d (dead tail of sealed segment)", path, tail, end)
+			}
 		}
 	}
 
@@ -187,27 +174,25 @@ func Fsck(dir string) (*FsckReport, error) {
 	// crash artifact (the engine serves metadata only); a present record
 	// whose checksum fails is corruption.
 	refs := make(map[uint32]int) // seg -> records an entry references
-	for i := range idx.shards {
-		for f, e := range idx.shards[i].entries {
-			if !e.hasContent {
-				continue
-			}
-			recs, haveSeg := segRecords[e.loc.Seg]
-			if !haveSeg {
-				r.MissingContent++
-				r.warnf("entry %s: segment %d missing (content lost to crash)", f.Short(), e.loc.Seg)
-				continue
-			}
-			okCRC, haveRec := recs[e.loc.Off]
-			if !haveRec {
-				r.MissingContent++
-				r.warnf("entry %s: no record at seg %d offset %d (content lost to crash)", f.Short(), e.loc.Seg, e.loc.Off)
-				continue
-			}
-			refs[e.loc.Seg]++
-			if !okCRC {
-				r.errf("entry %s: checksum mismatch at seg %d offset %d", f.Short(), e.loc.Seg, e.loc.Off)
-			}
+	for f, e := range s.idx.entries {
+		if !e.hasContent {
+			continue
+		}
+		recs, haveSeg := segRecords[e.loc.Seg]
+		if !haveSeg {
+			r.MissingContent++
+			r.warnf("entry %s: segment %d missing (content lost to crash)", f.Short(), e.loc.Seg)
+			continue
+		}
+		okCRC, haveRec := recs[e.loc.Off]
+		if !haveRec {
+			r.MissingContent++
+			r.warnf("entry %s: no record at seg %d offset %d (content lost to crash)", f.Short(), e.loc.Seg, e.loc.Off)
+			continue
+		}
+		refs[e.loc.Seg]++
+		if !okCRC {
+			r.errf("entry %s: checksum mismatch at seg %d offset %d", f.Short(), e.loc.Seg, e.loc.Off)
 		}
 	}
 

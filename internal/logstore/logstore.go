@@ -1,9 +1,11 @@
 package logstore
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,8 +22,8 @@ const (
 	// SyncAlways makes every mutation durable before it returns, with
 	// group commit: concurrent committers share one fsync batch.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs on a timer (Options.SyncEvery); a crash loses
-	// at most the last interval.
+	// SyncInterval fsyncs every syncEvery; a crash loses at most the
+	// last interval.
 	SyncInterval
 	// SyncNever leaves flushing to the OS (still fsynced at checkpoint
 	// and clean Close).
@@ -63,8 +65,6 @@ type Options struct {
 	Capacity int64
 	// Sync is the durability policy (default SyncAlways).
 	Sync SyncPolicy
-	// SyncEvery is the SyncInterval flush period (default 100ms).
-	SyncEvery time.Duration
 	// SegmentTarget seals the active segment once it exceeds this many
 	// bytes (default 64MB).
 	SegmentTarget int64
@@ -80,10 +80,10 @@ type Options struct {
 	CompactEvery time.Duration
 }
 
+// syncEvery is the SyncInterval flush period.
+const syncEvery = 100 * time.Millisecond
+
 func (o Options) withDefaults() Options {
-	if o.SyncEvery == 0 {
-		o.SyncEvery = 100 * time.Millisecond
-	}
 	if o.SegmentTarget == 0 {
 		o.SegmentTarget = 64 << 20
 	}
@@ -96,10 +96,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// nShards is the index shard count; reads lock one shard, so lookups
-// proceed while a commit holds the log mutex.
-const nShards = 16
-
 // entryRec is one live replica in the index: its metadata plus, when
 // content was stored, the segment location.
 type entryRec struct {
@@ -108,15 +104,9 @@ type entryRec struct {
 	loc        Loc
 }
 
-type shard struct {
-	mu       sync.RWMutex
-	entries  map[id.File]*entryRec
-	pointers map[id.File]store.Pointer
-}
-
 // Store is the log-structured storage engine. It implements
 // store.Backend and, unlike the in-memory Store, is safe for
-// concurrent use: reads take only a shard read-lock and a segment
+// concurrent use: reads take only the index read-lock and a segment
 // pread; mutations serialize on the log mutex but fsync outside it, so
 // a slow group commit never blocks readers.
 type Store struct {
@@ -127,7 +117,13 @@ type Store struct {
 	used  atomic.Int64
 	count atomic.Int64
 
-	shards [nShards]shard
+	// idx is the index. Writers hold s.log as well as idx's write lock,
+	// so code that holds s.log may read the maps without idx's lock.
+	idx struct {
+		sync.RWMutex
+		entries  map[id.File]*entryRec
+		pointers map[id.File]store.Pointer
+	}
 
 	// log guards all mutations: WAL/segment appends, index writes, and
 	// the accounting checks that must be atomic with them.
@@ -151,12 +147,9 @@ type Store struct {
 	// against the synced watermark.
 	lsn atomic.Uint64
 
-	// segFDs maps segment id -> open file. Readers hold the read lock
-	// across their pread, so compaction cannot close a file mid-read.
-	segFDs struct {
-		sync.RWMutex
-		m map[uint32]*os.File
-	}
+	// segFDs holds the open segment files; compaction closes one only
+	// under its write lock.
+	segFDs segFiles
 
 	// commit is the group-commit state: the first committer past the
 	// synced watermark becomes the leader and fsyncs for everyone queued
@@ -197,8 +190,6 @@ var (
 
 // errClosed is returned by mutations on a closed store.
 var errClosed = fmt.Errorf("logstore: store is closed")
-
-func (s *Store) shardOf(f id.File) *shard { return &s.shards[f[0]%nShards] }
 
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
@@ -253,8 +244,7 @@ func (s *Store) Add(e store.Entry) error {
 		s.log.Unlock()
 		return err
 	}
-	sh := s.shardOf(e.File)
-	if _, dup := sh.entries[e.File]; dup {
+	if _, dup := s.idx.entries[e.File]; dup {
 		s.log.Unlock()
 		return fmt.Errorf("logstore: %s already held", e.File.Short())
 	}
@@ -283,10 +273,9 @@ func (s *Store) Add(e store.Entry) error {
 		return err
 	}
 
-	r := &entryRec{meta: e, hasContent: rec.hasContent, loc: rec.loc}
-	sh.mu.Lock()
-	sh.entries[e.File] = r
-	sh.mu.Unlock()
+	s.idx.Lock()
+	s.idx.entries[e.File] = &entryRec{meta: e, hasContent: rec.hasContent, loc: rec.loc}
+	s.idx.Unlock()
 	s.used.Add(e.Size)
 	s.count.Add(1)
 	if rec.hasContent {
@@ -305,78 +294,62 @@ func (s *Store) Add(e store.Entry) error {
 // segment. Content that fails verification is withheld (the entry is
 // still returned), so a torn write can never surface corrupt bytes.
 func (s *Store) Get(f id.File) (store.Entry, bool) {
-	sh := s.shardOf(f)
-	sh.mu.RLock()
-	r, ok := sh.entries[f]
+	s.idx.RLock()
+	r, ok := s.idx.entries[f]
 	if !ok {
-		sh.mu.RUnlock()
+		s.idx.RUnlock()
 		return store.Entry{}, false
 	}
 	e := r.meta
 	hasContent, loc := r.hasContent, r.loc
-	sh.mu.RUnlock()
+	s.idx.RUnlock()
 
 	if !hasContent {
 		return e, true
 	}
-	// Retry once if the read raced a compaction that moved the record:
-	// the re-fetched location then points into the new segment.
-	for attempt := 0; attempt < 2; attempt++ {
+	// A read that raced a compaction finds the record's segment gone;
+	// the re-fetched location then points where the record moved. Once
+	// the location stays put, the content is lost or corrupt.
+	for {
 		if content, ok := s.readContent(f, loc); ok {
 			e.Content = content
 			return e, true
 		}
-		sh.mu.RLock()
-		r, stillThere := sh.entries[f]
+		s.idx.RLock()
+		r, stillThere := s.idx.entries[f]
 		if !stillThere {
-			sh.mu.RUnlock()
+			s.idx.RUnlock()
 			return store.Entry{}, false
 		}
 		moved := r.loc != loc
 		loc = r.loc
-		sh.mu.RUnlock()
+		s.idx.RUnlock()
 		if !moved {
-			break
+			return e, true // metadata survives
 		}
 	}
-	return e, true // content lost or corrupt; metadata survives
 }
 
 // Stat returns the replica entry for f without its content: an index
 // lookup, no segment read.
 func (s *Store) Stat(f id.File) (store.Entry, bool) {
-	sh := s.shardOf(f)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if r, ok := sh.entries[f]; ok {
+	s.idx.RLock()
+	defer s.idx.RUnlock()
+	if r, ok := s.idx.entries[f]; ok {
 		return r.meta, true
 	}
 	return store.Entry{}, false
 }
 
-// readContent preads one content record and verifies frame and CRC.
-// The segFDs read lock is held across the pread so compaction cannot
-// delete the file underneath it.
+// readContent reads one content record; a record that is there but
+// fails its read or its checks is a checksum failure, a segment that is
+// gone (compacted away) is not.
 func (s *Store) readContent(f id.File, loc Loc) ([]byte, bool) {
-	s.segFDs.RLock()
-	fd := s.segFDs.m[loc.Seg]
-	if fd == nil {
-		s.segFDs.RUnlock()
-		return nil, false
-	}
-	buf := make([]byte, loc.RecordSize())
-	_, err := fd.ReadAt(buf, loc.Off)
-	s.segFDs.RUnlock()
-	if err != nil {
+	content, open, ok := s.segFDs.read(f, loc)
+	if open && !ok {
 		s.stats.ChecksumFailures.Add(1)
-		return nil, false
 	}
-	clen, crc, rf, content, perr := parseSegRecord(buf)
-	if perr != nil || rf != f || clen != loc.Len || crc != loc.CRC || crc32Checksum(content) != crc {
-		s.stats.ChecksumFailures.Add(1)
-		return nil, false
-	}
-	return content, true
+	return content, ok
 }
 
 // Remove discards the replica of f. The content record stays in its
@@ -390,8 +363,7 @@ func (s *Store) Remove(f id.File) (store.Entry, bool) {
 		s.log.Unlock()
 		return store.Entry{}, false
 	}
-	sh := s.shardOf(f)
-	r, ok := sh.entries[f]
+	r, ok := s.idx.entries[f]
 	if !ok {
 		s.log.Unlock()
 		return store.Entry{}, false
@@ -401,9 +373,9 @@ func (s *Store) Remove(f id.File) (store.Entry, bool) {
 		s.log.Unlock()
 		return store.Entry{}, false
 	}
-	sh.mu.Lock()
-	delete(sh.entries, f)
-	sh.mu.Unlock()
+	s.idx.Lock()
+	delete(s.idx.entries, f)
+	s.idx.Unlock()
 	s.used.Add(-r.meta.Size)
 	s.count.Add(-1)
 	if r.hasContent {
@@ -429,20 +401,18 @@ func (s *Store) SetPointer(p store.Pointer) {
 		s.log.Unlock()
 		return
 	}
-	sh := s.shardOf(p.File)
-	sh.mu.Lock()
-	sh.pointers[p.File] = p
-	sh.mu.Unlock()
+	s.idx.Lock()
+	s.idx.pointers[p.File] = p
+	s.idx.Unlock()
 	s.log.Unlock()
 	_ = s.waitDurable(lsn)
 }
 
 // GetPointer returns the pointer entry for f.
 func (s *Store) GetPointer(f id.File) (store.Pointer, bool) {
-	sh := s.shardOf(f)
-	sh.mu.RLock()
-	p, ok := sh.pointers[f]
-	sh.mu.RUnlock()
+	s.idx.RLock()
+	p, ok := s.idx.pointers[f]
+	s.idx.RUnlock()
 	return p, ok
 }
 
@@ -456,8 +426,7 @@ func (s *Store) RemovePointer(f id.File) (store.Pointer, bool) {
 		s.log.Unlock()
 		return store.Pointer{}, false
 	}
-	sh := s.shardOf(f)
-	p, ok := sh.pointers[f]
+	p, ok := s.idx.pointers[f]
 	if !ok {
 		s.log.Unlock()
 		return store.Pointer{}, false
@@ -467,9 +436,9 @@ func (s *Store) RemovePointer(f id.File) (store.Pointer, bool) {
 		s.log.Unlock()
 		return store.Pointer{}, false
 	}
-	sh.mu.Lock()
-	delete(sh.pointers, f)
-	sh.mu.Unlock()
+	s.idx.Lock()
+	delete(s.idx.pointers, f)
+	s.idx.Unlock()
 	s.log.Unlock()
 	_ = s.waitDurable(lsn)
 	return p, true
@@ -478,31 +447,25 @@ func (s *Store) RemovePointer(f id.File) (store.Pointer, bool) {
 // Entries returns all replica entries ordered by fileId (metadata only;
 // use Get for content).
 func (s *Store) Entries() []store.Entry {
-	var out []store.Entry
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, r := range sh.entries {
-			out = append(out, r.meta)
-		}
-		sh.mu.RUnlock()
+	s.idx.RLock()
+	out := make([]store.Entry, 0, len(s.idx.entries))
+	for _, r := range s.idx.entries {
+		out = append(out, r.meta)
 	}
-	sortEntries(out)
+	s.idx.RUnlock()
+	slices.SortFunc(out, func(a, b store.Entry) int { return bytes.Compare(a.File[:], b.File[:]) })
 	return out
 }
 
 // Pointers returns all pointer entries ordered by fileId.
 func (s *Store) Pointers() []store.Pointer {
-	var out []store.Pointer
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, p := range sh.pointers {
-			out = append(out, p)
-		}
-		sh.mu.RUnlock()
+	s.idx.RLock()
+	out := make([]store.Pointer, 0, len(s.idx.pointers))
+	for _, p := range s.idx.pointers {
+		out = append(out, p)
 	}
-	sortPointers(out)
+	s.idx.RUnlock()
+	slices.SortFunc(out, func(a, b store.Pointer) int { return bytes.Compare(a.File[:], b.File[:]) })
 	return out
 }
 
@@ -554,9 +517,7 @@ func (s *Store) rotateSegmentLocked() error {
 	s.log.seg = f
 	s.log.segID = nid
 	s.log.segOff = fileHeaderSize
-	s.segFDs.Lock()
-	s.segFDs.m[nid] = f
-	s.segFDs.Unlock()
+	s.segFDs.put(nid, f)
 	s.stats.SegRotations.Add(1)
 	return nil
 }
@@ -701,16 +662,9 @@ func (s *Store) Close() error {
 	return err
 }
 
-// WALOffset returns the append offset in the active WAL file: the
-// durability horizon of the last mutation. Crash-test instrumentation.
-func (s *Store) WALOffset() int64 {
-	s.log.Lock()
-	defer s.log.Unlock()
-	return s.log.walOff
-}
-
-// WALFile returns the active WAL file's path and valid length, so a
-// crash harness can truncate it after Kill. Crash-test instrumentation.
+// WALFile returns the active WAL file's path and valid length (the
+// durability horizon of the last mutation), so a crash harness can
+// truncate it after Kill. Crash-test instrumentation.
 func (s *Store) WALFile() (string, int64) {
 	s.log.Lock()
 	defer s.log.Unlock()
@@ -737,12 +691,7 @@ func (s *Store) closeFiles() {
 		s.log.wal.Close()
 	}
 	s.log.Unlock()
-	s.segFDs.Lock()
-	for _, f := range s.segFDs.m {
-		f.Close()
-	}
-	s.segFDs.m = make(map[uint32]*os.File)
-	s.segFDs.Unlock()
+	s.segFDs.closeAll()
 }
 
 // background runs the interval-sync and periodic-compaction loops.
@@ -750,7 +699,7 @@ func (s *Store) background() {
 	defer s.bg.Done()
 	var syncC, compactC <-chan time.Time
 	if s.opts.Sync == SyncInterval {
-		t := time.NewTicker(s.opts.SyncEvery)
+		t := time.NewTicker(syncEvery)
 		defer t.Stop()
 		syncC = t.C
 	}

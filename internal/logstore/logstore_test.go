@@ -2,10 +2,12 @@ package logstore
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"past/internal/id"
@@ -248,6 +250,149 @@ func TestCompaction(t *testing.T) {
 	if !r.OK() {
 		t.Fatalf("fsck after compaction:\n%s", r)
 	}
+}
+
+// TestReadsRaceCompaction runs Get, Stat, Entries and GetPointer from
+// several goroutines while writers Add and Remove and CompactOnce
+// relocates every sealed segment, over and over. The readers read two
+// hot files that every round moves, so a Get that looked up a location
+// just before a relocation reads again at the new one, and again if a
+// second relocation overtook it: every read returns the exact bytes.
+func TestReadsRaceCompaction(t *testing.T) {
+	opts := testOpts()
+	opts.SegmentTarget = 4096
+	opts.CompactRatio = 0.5
+	s := mustOpen(t, t.TempDir(), opts)
+	defer s.Close()
+
+	const size = 600
+	hot := []uint64{1, 2}
+	for _, i := range hot {
+		if err := s.Add(store.Entry{File: fid(i), Size: size, Content: contentFor(i, size)}); err != nil {
+			t.Fatal(err)
+		}
+		s.SetPointer(store.Pointer{File: fid(1000 + i), Target: id.NodeFromUint64(i), Size: size})
+	}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	errs := make(chan error, 5) // each of the 5 goroutines fails at most once
+	fail := func(format string, args ...any) {
+		select {
+		case errs <- fmt.Errorf(format, args...):
+		default:
+		}
+	}
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := w; !stopped(); k++ {
+				i := hot[k%len(hot)]
+				if e, ok := s.Get(fid(i)); !ok || !bytes.Equal(e.Content, contentFor(i, size)) {
+					fail("Get %d: ok=%v, %d content bytes", i, ok, len(e.Content))
+					return
+				}
+				if e, ok := s.Stat(fid(i)); !ok || e.Size != size {
+					fail("Stat %d: ok=%v %+v", i, ok, e)
+					return
+				}
+				if p, ok := s.GetPointer(fid(1000 + i)); !ok || p.Target != id.NodeFromUint64(i) {
+					fail("GetPointer %d: ok=%v %+v", i, ok, p)
+					return
+				}
+				if k%8 == 0 && len(s.Entries()) < len(hot) {
+					fail("Entries lost a hot file")
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for k := uint64(0); !stopped(); k++ {
+			f := fid(1<<20 + k)
+			if err := s.Add(store.Entry{File: f, Size: 64, Content: contentFor(k, 64)}); err != nil {
+				fail("Add: %v", err)
+				return
+			}
+			if _, ok := s.Remove(f); !ok {
+				fail("Remove %s failed", f.Short())
+				return
+			}
+		}
+	}()
+
+	// Each round seals the hot files' segment behind dead fillers, so
+	// it falls below the live ratio, and compacts until nothing is left
+	// to compact: the hot files move once a round.
+	before := s.Stats().Compactions.Load()
+	for round := uint64(0); round < 100; round++ {
+		for j := uint64(0); j < 6; j++ {
+			f := fid(1<<30 + round<<8 + j)
+			if err := s.Add(store.Entry{File: f, Size: size, Content: contentFor(j, size)}); err != nil {
+				t.Fatal(err)
+			}
+			s.Remove(f)
+		}
+		for {
+			did, err := s.CompactOnce()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !did {
+				break
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if moved := s.Stats().Compactions.Load() - before; moved < 100 {
+		t.Fatalf("only %d compactions in 100 rounds", moved)
+	}
+	if n := s.Stats().ChecksumFailures.Load(); n != 0 {
+		t.Fatalf("%d checksum failures", n)
+	}
+}
+
+// BenchmarkGetParallel reads 4 KiB replicas from every goroutine at
+// once: one index read lock and one segment pread per Get.
+func BenchmarkGetParallel(b *testing.B) {
+	s, err := Open(b.TempDir(), testOpts())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	keys := make([]id.File, 1024)
+	for i := range keys {
+		keys[i] = fid(uint64(i))
+		if err := s.Add(store.Entry{File: keys[i], Size: 4096, Content: contentFor(uint64(i), 4096)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var next atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := int(next.Add(97)); pb.Next(); i++ {
+			if e, ok := s.Get(keys[i%len(keys)]); !ok || len(e.Content) != 4096 {
+				b.Error("missing content")
+				return
+			}
+		}
+	})
 }
 
 func TestObsCounters(t *testing.T) {

@@ -19,10 +19,8 @@ import (
 // newStore allocates a Store with an empty index and no files open.
 func newStore(dir string, opts Options) *Store {
 	s := &Store{dir: dir, opts: opts, stop: make(chan struct{})}
-	for i := range s.shards {
-		s.shards[i].entries = make(map[id.File]*entryRec)
-		s.shards[i].pointers = make(map[id.File]store.Pointer)
-	}
+	s.idx.entries = make(map[id.File]*entryRec)
+	s.idx.pointers = make(map[id.File]store.Pointer)
 	s.segFDs.m = make(map[uint32]*os.File)
 	s.log.segLive = make(map[uint32]int64)
 	s.log.segTotal = make(map[uint32]int64)
@@ -125,29 +123,28 @@ func (s *Store) recover() error {
 // applyRecord folds one checkpoint or WAL record into the index, and
 // the accounting with it.
 func (s *Store) applyRecord(r walRecord) {
-	sh := s.shardOf(r.file)
 	switch r.typ {
 	case recAdd:
 		// Replaces any previous version, so replay is idempotent.
-		if old, ok := sh.entries[r.file]; ok {
+		if old, ok := s.idx.entries[r.file]; ok {
 			s.used.Add(-old.meta.Size)
 			s.count.Add(-1)
 		}
-		sh.entries[r.file] = &entryRec{meta: r.entry, hasContent: r.hasContent, loc: r.loc}
+		s.idx.entries[r.file] = &entryRec{meta: r.entry, hasContent: r.hasContent, loc: r.loc}
 		s.used.Add(r.entry.Size)
 		s.count.Add(1)
 	case recRemove:
-		if old, ok := sh.entries[r.file]; ok {
-			delete(sh.entries, r.file)
+		if old, ok := s.idx.entries[r.file]; ok {
+			delete(s.idx.entries, r.file)
 			s.used.Add(-old.meta.Size)
 			s.count.Add(-1)
 		}
 	case recSetPointer:
-		sh.pointers[r.file] = r.ptr
+		s.idx.pointers[r.file] = r.ptr
 	case recRemovePointer:
-		delete(sh.pointers, r.file)
+		delete(s.idx.pointers, r.file)
 	case recRelocate:
-		if e, ok := sh.entries[r.file]; ok && e.hasContent {
+		if e, ok := s.idx.entries[r.file]; ok && e.hasContent {
 			e.loc = r.loc
 		}
 	}
@@ -303,15 +300,13 @@ func (s *Store) recoverSegments() error {
 
 	// Live bytes and high-water marks from the index.
 	maxEnd := make(map[uint32]int64)
-	for i := range s.shards {
-		for _, r := range s.shards[i].entries {
-			if !r.hasContent {
-				continue
-			}
-			s.log.segLive[r.loc.Seg] += r.loc.RecordSize()
-			if end := r.loc.Off + r.loc.RecordSize(); end > maxEnd[r.loc.Seg] {
-				maxEnd[r.loc.Seg] = end
-			}
+	for _, r := range s.idx.entries {
+		if !r.hasContent {
+			continue
+		}
+		s.log.segLive[r.loc.Seg] += r.loc.RecordSize()
+		if end := r.loc.Off + r.loc.RecordSize(); end > maxEnd[r.loc.Seg] {
+			maxEnd[r.loc.Seg] = end
 		}
 	}
 

@@ -40,18 +40,14 @@ import (
 type Config struct {
 	// B is the number of bits per digit (the paper's b, typically 4).
 	B int
-	// L is the leaf set size (the paper's l, typically 32). Must be even.
+	// L is the leaf set size (the paper's l, typically 32). Must be
+	// even. The neighborhood set has l members too.
 	L int
-	// M is the neighborhood set size (typically l).
-	M int
 	// RandomizeP is the probability that a routing step forwards to a
 	// random valid candidate instead of the best one. Randomized routing
 	// defeats malicious nodes that repeatedly swallow messages on a
 	// deterministic path (section 2.3 of the PAST paper). Zero disables.
 	RandomizeP float64
-	// HopLimit bounds route length as a defense against state-corruption
-	// bugs; 0 selects a generous default.
-	HopLimit int
 	// HopTimeout, when positive, bounds each forwarding RPC (on top of
 	// any request-level deadline), so one silent next hop costs a bounded
 	// wait before the route tries an alternate. Zero leaves per-hop RPCs
@@ -77,12 +73,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.L%2 != 0 {
 		panic(fmt.Sprintf("pastry: leaf set size %d must be even", c.L))
-	}
-	if c.M == 0 {
-		c.M = c.L
-	}
-	if c.HopLimit == 0 {
-		c.HopLimit = 4*id.NumDigits(c.B) + 2*c.L
 	}
 	return c
 }
@@ -118,6 +108,9 @@ type Node struct {
 	self id.Node
 	net  netsim.Net
 	app  Application
+	// hopLimit bounds route length as a defense against state-corruption
+	// bugs: 4 hops per digit plus 2 per leaf-set member.
+	hopLimit int
 
 	mu     sync.Mutex
 	rows   [][]id.Node // routing table: rows[digit][value], zero = empty
@@ -157,6 +150,7 @@ func New(self id.Node, net netsim.Net, cfg Config, app Application, seed int64) 
 	for i := range n.rows {
 		n.rows[i] = make([]id.Node, 1<<cfg.B)
 	}
+	n.hopLimit = 4*len(n.rows) + 2*cfg.L
 	return n
 }
 

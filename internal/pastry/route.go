@@ -11,7 +11,7 @@ import (
 	"past/internal/obs"
 )
 
-// ErrHopLimit reports a route that exceeded the configured hop bound,
+// ErrHopLimit reports a route that exceeded the node's hop bound,
 // which indicates corrupted routing state rather than a transient fault.
 var ErrHopLimit = errors.New("pastry: hop limit exceeded")
 
@@ -111,7 +111,7 @@ func (n *Node) routeStep(ctx context.Context, req *RouteRequest) (*RouteReply, e
 	if err := netsim.CtxErr(ctx); err != nil {
 		return nil, err
 	}
-	if req.Hops > n.cfg.HopLimit {
+	if req.Hops > n.hopLimit {
 		return nil, fmt.Errorf("%w: key %s at node %s after %d hops",
 			ErrHopLimit, req.Key.Short(), n.self.Short(), req.Hops)
 	}

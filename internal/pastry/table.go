@@ -118,7 +118,7 @@ func (n *Node) nbrConsiderLocked(x id.Node) bool {
 	if !ok {
 		return false
 	}
-	if len(n.nbrs) < n.cfg.M {
+	if len(n.nbrs) < n.cfg.L {
 		n.nbrs = append(n.nbrs, x)
 		n.sortNbrsLocked()
 		return true
