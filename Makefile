@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-times loc test-race race bench experiments experiments-full soak-compare trace-demo fsck-demo overload-demo cache-demo cluster-demo fleet-obs-demo ec-demo cache-bench fuzz alloc-guard no-gob one-coder bench-smoke vet fmt clean
+.PHONY: all build test test-times loc test-race race bench experiments experiments-full soak-compare trace-demo fsck-demo overload-demo cache-demo cluster-demo fleet-obs-demo ec-demo cache-bench fuzz alloc-guard no-gob one-coder dead-exports bench-smoke vet fmt clean
 
 all: build test
 
@@ -42,9 +42,9 @@ test-times:
 # The size figures ROADMAP aim 2 tracks, regenerated from the tree
 # (informational: no thresholds, the re-anchor reads the trend): lines,
 # packages, binaries, the flags of every binary (read off its -h) and
-# their total, past.Config fields, and the knob count: exported field
+# their total, past.Config fields, the knob count: exported field
 # names, each name counted, of the *Config, *Options and *Spec structs
-# under internal/.
+# under internal/, and the dead-exports allowlist's length.
 loc:
 	@printf '%6d  non-test Go lines outside bench/\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.*' -print0 | xargs -0 cat | wc -l)"
 	@printf '%6d  internal/ packages\n' "$$($(GO) list ./internal/... | wc -l)"
@@ -60,6 +60,7 @@ loc:
 		f && match($$0, /^\t[A-Za-z_][A-Za-z0-9_]*(, *[A-Za-z_][A-Za-z0-9_]*)*[ \t]/) { \
 			k = split(substr($$0, 2, RLENGTH - 2), name, /, */); for (i = 1; i <= k; i++) if (name[i] ~ /^[A-Z]/) n++ } \
 		END { print n + 0 }')"
+	@printf '%6d  dead-exports allowlist entries (exports_test.go)\n' "$$(awk '/^var deadExportAllow = / { f = 1; next } f && /^\}/ { exit } f && /^\t"/ { n++ } END { print n + 0 }' exports_test.go)"
 
 # Full race-detector sweep. -short skips the trace-driven experiment
 # runs (minutes each under the race detector); every protocol and
@@ -181,18 +182,20 @@ cache-bench:
 
 # Decoder fuzz smoke: ten seconds of coverage-guided input on each
 # fuzz target — the wire frames, the logstore record that both the
-# WAL and the checkpoint are made of, the EC fragment map and a flash
-# segment's bytes after its magic — starting from the checked-in
-# corpus of one frame per message type, one record per record type and
-# one map per parameter set. Any panic, hang or input that does not
-# re-encode to itself fails; a flash segment must open, within its
-# file's size.
+# WAL and the checkpoint are made of, the EC fragment map, a flash
+# segment's bytes after its magic and the four certificate bodies —
+# starting from the checked-in corpus of one frame per message type,
+# one record per record type and one map per parameter set, and from
+# one signed body of each certificate kind. Any panic, hang or input
+# that does not re-encode to itself fails; a flash segment must open,
+# within its file's size.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeMessage -fuzztime 10s ./internal/past/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWALRecord -fuzztime 10s ./internal/logstore/
 	$(GO) test -run '^$$' -fuzz FuzzFlashSegment -fuzztime 10s ./internal/logstore/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeMap -fuzztime 10s ./internal/ec/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeCert -fuzztime 10s ./internal/cert/
 
 # Allocation budgets of the one-copy payload path: a durable insert
 # makes one allocation, a fragment map encodes in one, and on netsim a
@@ -223,6 +226,14 @@ no-gob:
 one-coder:
 	@bad=$$($(GO) list -f '{{range .Imports}}{{if eq . "past/internal/rs"}}{{$$.ImportPath}}{{"\n"}}{{end}}{{end}}' ./... | grep -vx past/internal/past); \
 	if [ -n "$$bad" ]; then echo "past/internal/rs imported outside past/internal/past by:" $$bad; exit 1; fi
+
+# No export without a caller: list every exported func, method, type,
+# var and const under internal/ that no non-test file outside bench/
+# uses, and fail on any that exports_test.go's allowlist does not name
+# with a reason, or on an allowlist entry that is gone or has gained a
+# caller. The same test runs in tier-1; this target prints the hits.
+dead-exports:
+	$(GO) test -count=1 -run '^TestNoDeadExports$$' -v .
 
 # The benchmark is its own module, so `go build ./...` never compiles
 # it: vet and test it, then run every workload once on tiny fleets, so

@@ -50,21 +50,6 @@ func (p Policy) String() string {
 	}
 }
 
-// ParsePolicy converts a policy name to a Policy.
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "none":
-		return None, nil
-	case "lru":
-		return LRU, nil
-	case "gd-s", "gds":
-		return GDS, nil
-	case "fifo":
-		return FIFO, nil
-	}
-	return None, fmt.Errorf("cache: unknown policy %q", s)
-}
-
 type item struct {
 	file    id.File
 	size    int64
@@ -199,14 +184,8 @@ func New(policy Policy, c float64) *Cache {
 	return &Cache{policy: policy, c: c, items: make(map[id.File]*item)}
 }
 
-// Policy returns the replacement policy.
-func (ca *Cache) Policy() Policy { return ca.policy }
-
 // Used returns bytes currently cached.
 func (ca *Cache) Used() int64 { return ca.used }
-
-// Limit returns the current capacity.
-func (ca *Cache) Limit() int64 { return ca.limit }
 
 // Len returns the number of cached files.
 func (ca *Cache) Len() int { return len(ca.items) }
@@ -322,12 +301,6 @@ func (ca *Cache) Get(f id.File) (size int64, content []byte, ok bool) {
 	ca.hits++
 	ca.touch(it)
 	return it.size, it.content, true
-}
-
-// Contains reports whether f is cached, without touching any state.
-func (ca *Cache) Contains(f id.File) bool {
-	_, ok := ca.items[f]
-	return ok
 }
 
 func (ca *Cache) touch(it *item) {

@@ -235,9 +235,9 @@ func TestEvictionOrderMatchesContainerHeap(t *testing.T) {
 				if g != w {
 					t.Fatalf("op %d %s: got %v, reference %v", op, desc, g, w)
 				}
-				if got.Used() != want.used || got.Len() != len(want.items) || got.Limit() != want.limit {
+				if got.Used() != want.used || got.Len() != len(want.items) || got.limit != want.limit {
 					t.Fatalf("op %d %s: used/len/limit %d/%d/%d, reference %d/%d/%d", op, desc,
-						got.Used(), got.Len(), got.Limit(), want.used, len(want.items), want.limit)
+						got.Used(), got.Len(), got.limit, want.used, len(want.items), want.limit)
 				}
 				if got.inflate != want.inflate {
 					t.Fatalf("op %d %s: inflation %v, reference %v", op, desc, got.inflate, want.inflate)

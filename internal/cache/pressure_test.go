@@ -63,7 +63,7 @@ func TestGDSHeapConsistentUnderInsertPressure(t *testing.T) {
 	for i := 0; i < files; i++ {
 		ca.Insert(fid(uint64(i)), sizeOf(i), nil)
 	}
-	if free := ca.Limit() - ca.Used(); free > 600 {
+	if free := ca.limit - ca.Used(); free > 600 {
 		t.Fatalf("pre-fill left %d bytes free; want a near-full cache", free)
 	}
 

@@ -66,7 +66,7 @@ func TestInsertRefreshGrowEvicts(t *testing.T) {
 	if !ca.Insert(fid(2), 900, nil) {
 		t.Fatalf("grow refresh failed")
 	}
-	if ca.Contains(fid(1)) {
+	if cached(ca, fid(1)) {
 		t.Errorf("grow refresh did not evict the colder file")
 	}
 	if ca.Used() != 900 || ca.Len() != 1 {
@@ -76,7 +76,7 @@ func TestInsertRefreshGrowEvicts(t *testing.T) {
 	if ca.Insert(fid(2), 1000, nil) {
 		t.Errorf("refresh beyond insertion policy reported cached")
 	}
-	if ca.Contains(fid(2)) || ca.Used() != 0 {
+	if cached(ca, fid(2)) || ca.Used() != 0 {
 		t.Errorf("inadmissible refresh left the file cached (used=%d)", ca.Used())
 	}
 }

@@ -105,10 +105,8 @@ func TestFlashCrashRecovery(t *testing.T) {
 		f := efid(100000 + n)
 		e2.Insert(f, 256, epayload(f, 256))
 	}
-	if inRAM(e2, extra) {
-		t.Fatal("extra file should have been evicted from RAM")
-	}
-	if _, got, ok := e2.Get(extra); !ok || !bytes.Equal(got, want) {
+	flashHits := e2.Stats().FlashHits
+	if _, got, ok := e2.Get(extra); !ok || !bytes.Equal(got, want) || e2.Stats().FlashHits != flashHits+1 {
 		t.Fatal("post-recovery spill not served from flash")
 	}
 }

@@ -80,9 +80,6 @@ type Engine struct {
 	mu  sync.Mutex
 	ram cache.Cache
 
-	// limit is the owner-granted capacity (before the RAMBytes clamp).
-	limit atomic.Int64
-
 	flashHits atomic.Int64
 	misses    atomic.Int64
 }
@@ -179,8 +176,6 @@ func (e *Engine) SetLimit(n int64) {
 	if e.cfg.Policy == cache.None {
 		return // a cacheless engine takes no grant
 	}
-	n = max(n, 0)
-	e.limit.Store(n)
 	if e.cfg.RAMBytes > 0 && n > e.cfg.RAMBytes {
 		n = e.cfg.RAMBytes
 	}
@@ -188,11 +183,6 @@ func (e *Engine) SetLimit(n int64) {
 	e.ram.SetLimit(n)
 	e.mu.Unlock()
 }
-
-// Limit returns the owner-granted RAM limit (before the RAMBytes
-// clamp), matching the legacy cache's accounting that the node's
-// status surfaces.
-func (e *Engine) Limit() int64 { return e.limit.Load() }
 
 // Used returns bytes resident in the RAM tier.
 func (e *Engine) Used() int64 {
@@ -228,15 +218,6 @@ type Stats struct {
 
 // Hits returns total hits across tiers.
 func (s Stats) Hits() int64 { return s.RAMHits + s.FlashHits }
-
-// HitRate returns hits / (hits + misses), or 0 before any traffic.
-func (s Stats) HitRate() float64 {
-	total := s.Hits() + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits()) / float64(total)
-}
 
 // Stats aggregates the engine's counters.
 func (e *Engine) Stats() Stats {

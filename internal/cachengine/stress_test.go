@@ -49,7 +49,7 @@ func TestEngineStress(t *testing.T) {
 				case 1:
 					e.SetLimit(int64(32<<10 + next(64<<10)))
 				case 2:
-					contains(e, f)
+					inFlash(e, f)
 					e.Used()
 					e.Len()
 					e.Stats()

@@ -139,9 +139,10 @@ func (c *Smartcard) IssueFileCert(name string, content []byte, k int, salt uint6
 }
 
 // Verify checks the certificate chain (issuer signed the owner key, the
-// owner signed the certificate) and, if content is non-nil, that the
-// content matches the certified hash. Storage nodes run this before
-// accepting responsibility for a replica.
+// owner signed the certificate) and that content matches the certified
+// hash; nil content is checked like any other, so it passes only a
+// certificate issued for empty content. Storage nodes run this before
+// accepting responsibility for a replica, and clients on a lookup.
 func (fc *FileCertificate) Verify(issuerPub ed25519.PublicKey, content []byte) error {
 	if fc.K < 1 {
 		return ErrBadReplication
@@ -152,7 +153,7 @@ func (fc *FileCertificate) Verify(issuerPub ed25519.PublicKey, content []byte) e
 	if !ed25519.Verify(fc.Owner, fc.signingBytes(), fc.Sig) {
 		return ErrBadSignature
 	}
-	if content != nil && ContentHash(content) != fc.ContentHash {
+	if ContentHash(content) != fc.ContentHash {
 		return ErrContentHash
 	}
 	return nil
@@ -303,6 +304,3 @@ func (q *Quota) Credit(n int64) {
 
 // Used returns the bytes currently debited.
 func (q *Quota) Used() int64 { return q.used }
-
-// Limit returns the quota limit.
-func (q *Quota) Limit() int64 { return q.limit }

@@ -13,7 +13,7 @@ type detRand struct{ r *rand.Rand }
 
 func (d detRand) Read(p []byte) (int, error) { return d.r.Read(p) }
 
-func newTestIssuer(t *testing.T, seed int64) (*Issuer, detRand) {
+func newTestIssuer(t testing.TB, seed int64) (*Issuer, detRand) {
 	t.Helper()
 	rng := detRand{rand.New(rand.NewSource(seed))}
 	iss, err := NewIssuer(rng)
@@ -40,9 +40,10 @@ func TestFileCertRoundTrip(t *testing.T) {
 	if err := fc.Verify(iss.PublicKey(), content); err != nil {
 		t.Fatal(err)
 	}
-	// Verification without content re-check also passes.
-	if err := fc.Verify(iss.PublicKey(), nil); err != nil {
-		t.Fatal(err)
+	// Missing content is checked like any other: it fails a certificate
+	// for non-empty content.
+	if err := fc.Verify(iss.PublicKey(), nil); !errors.Is(err, ErrContentHash) {
+		t.Fatalf("nil content: err = %v; want ErrContentHash", err)
 	}
 }
 
@@ -109,7 +110,7 @@ func TestQuotaNegativeDebit(t *testing.T) {
 	if q.Used() != 0 {
 		t.Fatal("over-credit must clamp at zero")
 	}
-	if q.Limit() != 10 {
+	if q.limit != 10 {
 		t.Fatal("limit accessor wrong")
 	}
 }

@@ -63,7 +63,6 @@ type Core struct {
 	tick     int
 	active   bool
 	counters map[string]int64
-	delayMS  int64
 	nevents  int64
 	digest   hash.Hash
 }
@@ -112,9 +111,6 @@ func (c *Core) Len() int {
 	return len(c.roster)
 }
 
-// Schedule returns the schedule this core executes.
-func (c *Core) Schedule() Schedule { return c.sched }
-
 // SetActive enables or disables fault injection. Disabled, every view
 // is a transparent pass-through.
 func (c *Core) SetActive(v bool) {
@@ -156,13 +152,6 @@ func (c *Core) Counters() map[string]int64 {
 		out[k] = v
 	}
 	return out
-}
-
-// VirtualDelayMS returns the total virtual latency injected so far.
-func (c *Core) VirtualDelayMS() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.delayMS
 }
 
 // EventCount returns the total number of faults injected.
@@ -293,12 +282,11 @@ func (c *Core) record(kind string, src, dst id.Node, msg any) {
 	c.notify(kind)
 }
 
-// addDelay accounts virtual latency without logging per-message events
+// addDelay counts a delayed message without logging per-message events
 // (delays are too frequent to log individually).
-func (c *Core) addDelay(ms int) {
+func (c *Core) addDelay() {
 	c.mu.Lock()
 	c.counters[FaultDelay]++
-	c.delayMS += int64(ms)
 	c.mu.Unlock()
 	c.notify(FaultDelay)
 }
@@ -334,7 +322,7 @@ func (n *Net) Invoke(ctx context.Context, src, dst id.Node, msg any) (any, error
 		return nil, fmt.Errorf("chaos: %s -> %s partitioned: %w", src.Short(), dst.Short(), netsim.ErrNodeDown)
 	}
 	if d.delayMS > 0 {
-		n.core.addDelay(d.delayMS)
+		n.core.addDelay()
 	}
 	if d.dropReq {
 		n.core.record(FaultDropRequest, src, dst, msg)

@@ -52,7 +52,8 @@ type LinkRule struct {
 	Drop float64
 	// Dup is the probability a message is delivered twice.
 	Dup float64
-	// DelayMS is virtual latency charged to every matching message.
+	// DelayMS, when positive, delays every matching message: the
+	// emulator still delivers at once and counts a FaultDelay.
 	DelayMS int
 }
 

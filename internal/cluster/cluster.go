@@ -177,9 +177,6 @@ func (c *Cluster) daemonArgs(p *Proc, joinAddr string) []string {
 	return args
 }
 
-// Alive reports whether node i's process is currently running.
-func (c *Cluster) Alive(i int) bool { return c.Procs[i].alive() }
-
 // LiveIndexes returns the indexes of running nodes, ascending.
 func (c *Cluster) LiveIndexes() []int {
 	var out []int
@@ -336,23 +333,6 @@ func (c *Cluster) LookupVia(i int, f id.File) (found bool, content []byte, err e
 		return false, nil, fmt.Errorf("cluster: unexpected lookup reply %T", reply)
 	}
 	return lr.Found, lr.Content, nil
-}
-
-// TraceVia retrieves f through node i under a fresh trace context: the
-// reply carries the stitched cross-process route (per-hop records with
-// RPC latencies spanning every pastd the route crossed).
-func (c *Cluster) TraceVia(i int, f id.File) (*past.ClientLookupReply, error) {
-	tc := obs.TraceContext{ID: obs.NewTraceID(), Sampled: true, Budget: obs.DefaultTraceBudget}
-	ctx := obs.ContextWithTrace(context.Background(), tc)
-	reply, err := c.invokeCtx(ctx, i, &past.ClientLookup{File: f})
-	if err != nil {
-		return nil, err
-	}
-	lr, ok := reply.(*past.ClientLookupReply)
-	if !ok {
-		return nil, fmt.Errorf("cluster: unexpected lookup reply %T", reply)
-	}
-	return lr, nil
 }
 
 // ObsReport fetches node i's identity and full observability snapshot

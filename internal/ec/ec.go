@@ -316,25 +316,6 @@ func (s *FragStore) Indices(file id.File) []int {
 	return out
 }
 
-// CorruptForTest flips bit `bit` (bit%8 of byte bit/8) of a stored
-// fragment's payload without touching its CRC — the fault injection
-// hook for corruption tests. The payload is shared (see Put), so the
-// fragment gets a corrupted copy and every other holder of the bytes
-// keeps the original. It reports false if there is no such fragment or
-// bit.
-func (s *FragStore) CorruptForTest(file id.File, idx, bit int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fs, i, ok := s.find(file, idx)
-	if !ok || bit < 0 || bit >= 8*len(fs[i].Data) {
-		return false
-	}
-	f := &fs[i]
-	f.Data = append([]byte(nil), f.Data...)
-	f.Data[bit/8] ^= 1 << (bit % 8)
-	return true
-}
-
 // Len returns the number of fragments held.
 func (s *FragStore) Len() int {
 	s.mu.Lock()

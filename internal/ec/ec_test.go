@@ -77,13 +77,9 @@ func TestFragStoreCRC(t *testing.T) {
 	if !ok || !bytes.Equal(got.Data, data) {
 		t.Fatal("Get lost the fragment")
 	}
-	// Corrupt in place: the next read must detect, drop, and count it.
-	if s.CorruptForTest(f, 2, 8*len(data)) || s.CorruptForTest(f, 3, 0) {
-		t.Fatal("CorruptForTest flipped a bit that does not exist")
-	}
-	if !s.CorruptForTest(f, 2, 8*len(data)-1) {
-		t.Fatal("CorruptForTest missed")
-	}
+	// A payload that no longer matches its CRC: the next read must
+	// detect, drop, and count it.
+	s.Put(Fragment{File: f, Index: 2, Version: 1, Data: []byte("fragment payloaD"), CRC: Checksum(data)})
 	if _, ok := s.Get(f, 2); ok {
 		t.Fatal("corrupt fragment served")
 	}
@@ -115,9 +111,7 @@ func TestFragStoreIndices(t *testing.T) {
 	d := []byte("replacement")
 	s.Put(Fragment{File: f, Index: 3, Data: d, CRC: Checksum(d)})
 	s.Delete(f, 1)
-	if !s.CorruptForTest(f, 5, 0) {
-		t.Fatal("CorruptForTest missed")
-	}
+	s.Put(Fragment{File: f, Index: 5, Data: []byte{0}, CRC: Checksum([]byte{5})})
 	if _, ok := s.Has(f, 5); ok {
 		t.Fatal("corrupt fragment reported held")
 	}
@@ -168,11 +162,11 @@ func TestRepairQueueDedup(t *testing.T) {
 	if q.Enqueue(it) {
 		t.Fatal("duplicate enqueue accepted")
 	}
-	if q.Len() != 1 {
-		t.Fatalf("Len = %d", q.Len())
+	if len(q.items) != 1 {
+		t.Fatalf("Len = %d", len(q.items))
 	}
 	q.Drop(it.File, it.Index)
-	if q.Len() != 0 {
+	if len(q.items) != 0 {
 		t.Fatal("Drop left the item")
 	}
 }
@@ -194,7 +188,7 @@ func TestRepairQueueBandwidthCap(t *testing.T) {
 	const budget = 1000
 	var done int
 	passes := 0
-	for q.Len() > 0 {
+	for len(q.items) > 0 {
 		passes++
 		if passes > 100 {
 			t.Fatal("queue did not drain")
@@ -254,7 +248,7 @@ func TestRepairQueueFailedCounted(t *testing.T) {
 	if ctrs[obs.CtrECRepairFailed] != 1 || ctrs[obs.CtrECRepairDone] != 0 {
 		t.Fatalf("counters: %+v", ctrs)
 	}
-	if q.Len() != 0 {
+	if len(q.items) != 0 {
 		t.Fatal("failed item should leave the queue (anti-entropy re-finds it)")
 	}
 }

@@ -62,13 +62,6 @@ func (q *RepairQueue) Enqueue(it RepairItem) bool {
 	return true
 }
 
-// Len returns the current queue depth.
-func (q *RepairQueue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items)
-}
-
 // Drop removes a pending repair (e.g. the file was reclaimed or the
 // fragment reappeared).
 func (q *RepairQueue) Drop(file id.File, idx int) {

@@ -1,6 +1,7 @@
 package fleetobs_test
 
 import (
+	"context"
 	"crypto/rand"
 	"fmt"
 	"io"
@@ -14,6 +15,7 @@ import (
 	"past/internal/daemon"
 	"past/internal/fleetobs"
 	"past/internal/id"
+	"past/internal/netsim"
 	"past/internal/obs"
 	"past/internal/past"
 	"past/internal/topology"
@@ -128,12 +130,22 @@ func TestFleetObsLive(t *testing.T) {
 	// route must name at least two distinct processes and carry a wall-
 	// clock latency on every forwarding hop. With 8 keys and 5 access
 	// points, at least one (key, access point) pair routes remotely.
+	client, err := daemon.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	traceVia := func(i int, f id.File) (*past.ClientLookupReply, error) {
+		tc := obs.TraceContext{ID: obs.NewTraceID(), Sampled: true, Budget: obs.DefaultTraceBudget}
+		ctx := obs.ContextWithTrace(context.Background(), tc)
+		return netsim.ReplyAs[past.ClientLookupReply](client.InvokeAddrContext(ctx, c.Procs[i].Addr, &past.ClientLookup{File: f}))
+	}
 	var lr *past.ClientLookupReply
 	bestProcs := 0
 search:
 	for _, f := range ids {
 		for i := 0; i < 5; i++ {
-			reply, err := c.TraceVia(i, f)
+			reply, err := traceVia(i, f)
 			if err != nil {
 				t.Fatalf("trace via %d: %v", i, err)
 			}

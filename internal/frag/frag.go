@@ -180,21 +180,6 @@ func (s *Store) Fetch(manifestID id.File) ([]byte, error) {
 	return out, nil
 }
 
-// Reclaim releases the manifest and all fragments.
-func (s *Store) Reclaim(manifestID id.File) error {
-	m, err := s.manifest(manifestID)
-	if err != nil {
-		return err
-	}
-	for _, fid := range m.FragIDs {
-		if _, err := s.node.Reclaim(fid, nil); err != nil {
-			return err
-		}
-	}
-	_, err = s.node.Reclaim(manifestID, nil)
-	return err
-}
-
 // manifest looks up and decodes the manifest behind manifestID.
 func (s *Store) manifest(manifestID id.File) (*manifest, error) {
 	lk, err := s.node.Lookup(manifestID)

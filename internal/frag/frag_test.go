@@ -74,8 +74,8 @@ func failHolders(t *testing.T, c *past.Cluster, s *Store, stripe id.File, others
 			if n == s.node || n.StoredBytes() > 0 {
 				continue
 			}
-			for _, o := range others {
-				if o != stripe && len(n.FragIndices(o)) > 0 {
+			for i, h := range n.Holds(others) {
+				if others[i] != stripe && len(h.Frags) > 0 {
 					continue next
 				}
 			}
@@ -333,8 +333,15 @@ func TestReclaimFreesEverything(t *testing.T) {
 	if before == 0 {
 		t.Fatal("nothing stored")
 	}
-	if err := s.Reclaim(res.ManifestID); err != nil {
+	// Reclaim every fragment the manifest names, then the manifest.
+	m, err := s.manifest(res.ManifestID)
+	if err != nil {
 		t.Fatal(err)
+	}
+	for _, f := range append(m.FragIDs, res.ManifestID) {
+		if _, err := c.Nodes[0].Reclaim(f, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if c.StoredBytes() != 0 {
 		t.Fatalf("%d bytes left after reclaim", c.StoredBytes())

@@ -79,8 +79,8 @@ func TestArithmeticMatchesBigReference(t *testing.T) {
 			if got, want := n.Less(a), toBig(n).Cmp(toBig(a)) < 0; got != want {
 				t.Fatalf("Less(%v, %v) = %v; want %v", n, a, got, want)
 			}
-			if got, want := n.CWDist(a), fromBig(refCWDist(n, a)); got != want {
-				t.Fatalf("CWDist(%v, %v) = %v; want %v", n, a, got, want)
+			if d, want := n.DistCW(a), fromBig(refCWDist(n, a)); NodeFromHalves(d.Hi, d.Lo) != want {
+				t.Fatalf("DistCW(%v, %v) = %v; want %v", n, a, d, want)
 			}
 			if got, want := n.RingDist(a), fromBig(refRingDist(n, a)); got != want {
 				t.Fatalf("RingDist(%v, %v) = %v; want %v", n, a, got, want)

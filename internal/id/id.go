@@ -131,12 +131,6 @@ func (n Node) DistRing(o Node) Dist {
 	return d
 }
 
-// CWDist is DistCW with the result packed into a Node.
-func (n Node) CWDist(o Node) Node {
-	d := n.DistCW(o)
-	return NodeFromHalves(d.Hi, d.Lo)
-}
-
 // RingDist is DistRing with the result packed into a Node.
 func (n Node) RingDist(o Node) Node {
 	d := n.DistRing(o)
@@ -188,22 +182,6 @@ func (n Node) SharedPrefix(o Node, b int) int {
 		}
 	}
 	return total
-}
-
-// WithDigit returns a copy of n whose i-th base-2^b digit is set to v.
-func (n Node) WithDigit(i, b, v int) Node {
-	checkBase(b)
-	if v < 0 || v >= 1<<b {
-		panic(fmt.Sprintf("id: digit value %d out of range for base 2^%d", v, b))
-	}
-	perByte := 8 / b
-	byteIdx := i / perByte
-	within := i % perByte
-	shift := uint(8 - b*(within+1))
-	mask := byte(1<<b-1) << shift
-	out := n
-	out[byteIdx] = out[byteIdx]&^mask | byte(v)<<shift
-	return out
 }
 
 func checkBase(b int) {

@@ -622,10 +622,6 @@ func (s *Store) fsyncFiles() error {
 	return nil
 }
 
-// Sync forces an fsync of the active segment and WAL regardless of
-// policy.
-func (s *Store) Sync() error { return s.fsyncFiles() }
-
 // kickCheckpoint starts an asynchronous checkpoint unless one is
 // already running. bgMu keeps the closed-check and bg.Add atomic: any
 // kick that wins the lock before Close marks the store closed is

@@ -115,9 +115,6 @@ func TestReopenWithoutCloseReplaysWAL(t *testing.T) {
 	populate(t, s, 25)
 	s.Remove(fid(3))
 	s.RemovePointer(fid(1005))
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
 	s.Kill() // no checkpoint: recovery must replay the WAL
 
 	s2 := mustOpen(t, dir, testOpts())
@@ -148,9 +145,6 @@ func TestCheckpointShortensRecovery(t *testing.T) {
 	}
 	// Post-checkpoint mutations land in the fresh WAL.
 	if err := s.Add(store.Entry{File: fid(99), Size: 7}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	s.Kill()

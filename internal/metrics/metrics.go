@@ -79,9 +79,6 @@ func (c *Collector) Utilization() float64 {
 	return float64(c.storedBytes) / float64(c.totalCapacity)
 }
 
-// StoredBytes returns the bytes currently held in replicas system-wide.
-func (c *Collector) StoredBytes() int64 { return c.storedBytes }
-
 // ReplicaStored implements past.Monitor.
 func (c *Collector) ReplicaStored(_ id.File, size int64, diverted bool) {
 	c.storedBytes += size

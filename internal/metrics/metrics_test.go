@@ -16,8 +16,8 @@ func TestUtilizationTracking(t *testing.T) {
 	}
 	c.ReplicaStored(fid(1), 200, false)
 	c.ReplicaStored(fid(2), 300, true)
-	if c.Utilization() != 0.5 || c.StoredBytes() != 500 {
-		t.Fatalf("util=%g stored=%d", c.Utilization(), c.StoredBytes())
+	if c.Utilization() != 0.5 || c.storedBytes != 500 {
+		t.Fatalf("util=%g stored=%d", c.Utilization(), c.storedBytes)
 	}
 	c.ReplicaDiscarded(fid(1), 200, false)
 	if c.Utilization() != 0.3 {

@@ -305,9 +305,6 @@ func (n *Network) AliveNodes() []id.Node {
 	return out
 }
 
-// Len returns the number of registered nodes.
-func (n *Network) Len() int { return len(n.table()) }
-
 // Messages returns the total number of messages delivered: the sum of
 // the per-type counts.
 func (n *Network) Messages() int64 {

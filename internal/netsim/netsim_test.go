@@ -72,7 +72,7 @@ func TestRemove(t *testing.T) {
 	a := id.NodeFromUint64(1)
 	n.Register(a, topology.Point{}, &echo{})
 	n.Remove(a)
-	if n.Alive(a) || n.Len() != 0 {
+	if n.Alive(a) || len(n.table()) != 0 {
 		t.Fatal("removed node still present")
 	}
 }
@@ -198,7 +198,7 @@ func TestRecoverAfterRemoveIsNoOp(t *testing.T) {
 	if _, err := n.Invoke(context.Background(), a, b, "x"); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("invoke after remove+recover: %v; want ErrUnknownNode", err)
 	}
-	if got := n.Len(); got != 1 {
+	if got := len(n.table()); got != 1 {
 		t.Fatalf("Len() = %d; want 1", got)
 	}
 	// Recover of a never-registered id is equally inert.
@@ -237,7 +237,7 @@ func TestDoubleFailAndRecoverIdempotent(t *testing.T) {
 	// Fail after remove must not re-create the entry.
 	n.Remove(b)
 	n.Fail(b)
-	if got := n.Len(); got != 1 {
+	if got := len(n.table()); got != 1 {
 		t.Fatalf("Len() = %d after fail-of-removed; want 1", got)
 	}
 }

@@ -70,21 +70,11 @@ func TestTracerRingAndCallback(t *testing.T) {
 	}
 }
 
-func TestTraceHopCountAndReroutes(t *testing.T) {
-	a, b, c := testNode(1), testNode(2), testNode(3)
-	tr := &Trace{Op: "lookup", Hops: []HopRecord{
-		{From: a, To: b, Choice: ChoiceTable, Failed: true},
-		{From: a, To: c, Choice: ChoiceReroute},
-		{From: c, To: c, Choice: ChoiceLocal},
-	}}
-	if got := tr.HopCount(); got != 1 {
-		t.Fatalf("HopCount = %d, want 1 (failed and local records excluded)", got)
-	}
-	if got := tr.Reroutes(); got != 1 {
-		t.Fatalf("Reroutes = %d, want 1", got)
-	}
-	if s := tr.String(); !strings.Contains(s, "lookup") {
-		t.Fatalf("String() = %q, want op name included", s)
+func TestTraceString(t *testing.T) {
+	a, b := testNode(1), testNode(2)
+	tr := &Trace{Op: "lookup", RouteHops: 1, OK: true, Hops: []HopRecord{{From: a, To: b, Choice: ChoiceTable}}}
+	if s := tr.String(); !strings.Contains(s, "lookup") || !strings.Contains(s, "hops=1") {
+		t.Fatalf("String() = %q, want op name and hop count included", s)
 	}
 }
 

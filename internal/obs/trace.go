@@ -100,30 +100,6 @@ type Trace struct {
 	Err string
 }
 
-// HopCount returns the number of successful forwarding hops in the
-// trace: records that completed (not Failed) and actually moved the
-// message (not ChoiceLocal). It equals RouteHops on a complete trace.
-func (t *Trace) HopCount() int {
-	n := 0
-	for _, h := range t.Hops {
-		if !h.Failed && h.Choice != ChoiceLocal {
-			n++
-		}
-	}
-	return n
-}
-
-// Reroutes returns the number of failed hop attempts recorded.
-func (t *Trace) Reroutes() int {
-	n := 0
-	for _, h := range t.Hops {
-		if h.Failed {
-			n++
-		}
-	}
-	return n
-}
-
 // String renders the trace compactly for logs and pretty-printers.
 func (t *Trace) String() string {
 	var b strings.Builder

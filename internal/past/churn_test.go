@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"past/internal/id"
+	"past/internal/obs"
 	"past/internal/store"
 	"past/internal/topology"
 )
@@ -184,7 +185,7 @@ func TestDivertedReplicaSurvivesReferrerFailure(t *testing.T) {
 		if res.Diverted > 0 {
 			f = res.FileID
 			for _, nid := range c.GlobalClosest(f.Key(), cfg.K) {
-				if _, ok := c.ByID[nid].HasPointer(f); ok {
+				if _, ok := pointerOf(c.ByID[nid], f); ok {
 					diverter = nid
 					break
 				}
@@ -231,7 +232,7 @@ func TestBelowKAccounting(t *testing.T) {
 	// belowK may or may not have incremented depending on placement.
 	var total int64
 	for _, n := range c.Nodes {
-		total += n.BelowKEvents()
+		total += n.StatsSnapshot().Get(obs.CtrBelowKEvents)
 	}
 	t.Logf("below-k events: %d", total)
 }

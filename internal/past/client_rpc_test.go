@@ -60,7 +60,7 @@ func TestClientReplicaReport(t *testing.T) {
 				t.Fatalf("node %s file %s: reported Has=%v, ground truth %v",
 					n.ID().Short(), f.Short(), h.Has, n.HasReplica(f))
 			}
-			tgt, hasPtr := n.HasPointer(f)
+			tgt, hasPtr := pointerOf(n, f)
 			if h.HasPtr != hasPtr || (hasPtr && h.Ptr != tgt) {
 				t.Fatalf("node %s file %s: pointer mismatch", n.ID().Short(), f.Short())
 			}

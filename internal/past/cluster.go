@@ -150,9 +150,6 @@ func (c *Cluster) RandomAliveNode() *Node {
 	return c.ByID[alive[c.rng.Intn(len(alive))]]
 }
 
-// Rand returns the cluster's deterministic random source.
-func (c *Cluster) Rand() *rand.Rand { return c.rng }
-
 // Fail marks a node failed (it keeps its disk contents for recovery).
 func (c *Cluster) Fail(nid id.Node) { c.Net.Fail(nid) }
 

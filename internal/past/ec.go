@@ -569,11 +569,5 @@ func (n *Node) repairFragment(it ec.RepairItem) (int64, bool) {
 	return moved, false
 }
 
-// FragIndices reports the fragment indices this node holds for a file.
-func (n *Node) FragIndices(f id.File) []int { return n.frags.Indices(f) }
-
-// RepairQueue returns the node's lazy-repair queue (tests and drivers).
-func (n *Node) RepairQueue() *ec.RepairQueue { return n.repairq }
-
 // FragBytes returns the bytes pledged to fragments on this node.
 func (n *Node) FragBytes() int64 { return n.frags.Bytes() }

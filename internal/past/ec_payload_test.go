@@ -11,6 +11,7 @@ import (
 	"past/internal/cache"
 	"past/internal/ec"
 	"past/internal/id"
+	"past/internal/obs"
 )
 
 // The payload ownership rule (DESIGN.md, "Payload ownership"): a coded
@@ -57,7 +58,7 @@ func TestECCorruptionDoesNotBleedThroughSharedBuffers(t *testing.T) {
 	var others []held
 	var holder *Node
 	for _, n := range c.Nodes {
-		for _, idx := range n.FragIndices(f) {
+		for _, idx := range fragsOf(n, f) {
 			if idx == victim {
 				holder = n
 				continue
@@ -72,7 +73,7 @@ func TestECCorruptionDoesNotBleedThroughSharedBuffers(t *testing.T) {
 	if holder == nil || len(others) != 5 {
 		t.Fatalf("found holder=%v and %d other fragments, want 1 and 5", holder != nil, len(others))
 	}
-	if !holder.frags.CorruptForTest(f, victim, 0) {
+	if !corruptFragment(holder.frags, f, victim, 0) {
 		t.Fatal("corruption injection failed")
 	}
 
@@ -99,7 +100,7 @@ func TestECCorruptionDoesNotBleedThroughSharedBuffers(t *testing.T) {
 	if crcFailures != 1 {
 		t.Fatalf("ec crc failures = %d, want exactly 1", crcFailures)
 	}
-	if got := leader.RepairQueue().Len(); got != 1 {
+	if got := leader.StatsSnapshot().Get(obs.CtrECRepairDepth); got != 1 {
 		t.Fatalf("leader's repair queue holds %d items, want the corrupt fragment", got)
 	}
 }

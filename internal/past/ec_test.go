@@ -41,7 +41,7 @@ func newECCluster(t *testing.T, n int, p ec.Params, budget int64, mods ...func(*
 // fragHolderNode returns a live node holding a fragment of f.
 func fragHolderNode(c *Cluster, f id.File) *Node {
 	for _, nid := range c.Net.AliveNodes() {
-		if n := c.ByID[nid]; len(n.FragIndices(f)) > 0 {
+		if n := c.ByID[nid]; len(fragsOf(n, f)) > 0 {
 			return n
 		}
 	}
@@ -116,7 +116,7 @@ func TestECLookupDegradesGracefully(t *testing.T) {
 		if dropped >= 2 {
 			break
 		}
-		for _, idx := range n.FragIndices(f) {
+		for _, idx := range fragsOf(n, f) {
 			n.frags.Delete(f, idx)
 			dropped++
 		}
@@ -184,8 +184,8 @@ func TestECRepairCorruptFragment(t *testing.T) {
 	f := res.FileID
 
 	holder := fragHolderNode(c, f)
-	idx := holder.FragIndices(f)[0]
-	if !holder.frags.CorruptForTest(f, idx, 0) {
+	idx := fragsOf(holder, f)[0]
+	if !corruptFragment(holder.frags, f, idx, 0) {
 		t.Fatal("corruption injection failed")
 	}
 	for i := 0; i < 3; i++ {
@@ -206,10 +206,22 @@ func TestECRepairCorruptFragment(t *testing.T) {
 	}
 }
 
-// TestECForgedShardSizeAllocatesNothing: map updates are unauthenticated,
-// so any peer can replace a fragment map with a newer version claiming a
-// gigabyte shard. With a data fragment missing, a lookup (and the repair
-// maintenance schedules) must then fail on the fetched fragments' size —
+// corruptFragment flips bit `bit` (bit%8 of byte bit/8) of a stored
+// fragment's payload and keeps its CRC, as a fault on the holder's disk
+// would. The payload is shared (see ec.FragStore.Put), so the holder
+// gets a corrupted copy and every other holder of the bytes keeps the
+// original. It reports false if there is no such fragment or bit.
+func corruptFragment(s *ec.FragStore, f id.File, idx, bit int) bool {
+	fr, ok := s.Get(f, idx)
+	if !ok || bit < 0 || bit >= 8*len(fr.Data) {
+		return false
+	}
+	fr.Data = bytes.Clone(fr.Data)
+	fr.Data[bit/8] ^= 1 << (bit % 8)
+	s.Put(fr)
+	return true
+}
+
 // TestECCacheGrantExcludesFragments: the cache lives in the space that
 // neither replicas nor fragments occupy, so every site that re-grants
 // it — a replica stored, refused or dropped as much as a fragment
@@ -224,17 +236,28 @@ func TestECCacheGrantExcludesFragments(t *testing.T) {
 			t.Fatalf("insert %d: %+v, %v", i, res, err)
 		}
 	}
-	// grant reports the cache's limit and the space it should be.
-	grant := func(n *Node) (got, want int64) {
+	// space is what the cache should be granted: the store's free space
+	// less the fragments. granted probes the limit the cache holds: with
+	// c = 1 it takes a file one byte under its limit and refuses one of
+	// exactly its limit. The probe evicts, so it runs after every check
+	// of what the cache holds, and leaves the cache empty.
+	space := func(n *Node) int64 {
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		return n.cache.Limit(), n.store.Free() - n.FragBytes()
+		return n.store.Free() - n.FragBytes()
+	}
+	granted := func(n *Node, limit int64) bool {
+		probe := id.NewFile("grant-probe", nil, 0)
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		defer n.cache.Remove(probe)
+		return !n.cache.Insert(probe, limit, nil) && n.cache.Insert(probe, limit-1, nil)
 	}
 	var pinned *Node
 	for _, n := range c.Nodes {
-		if got, want := grant(n); got != want {
-			t.Errorf("node %s: cache granted %d bytes, want store free %d less fragments %d",
-				n.ID().Short(), got, want+n.FragBytes(), n.FragBytes())
+		if want := space(n); !granted(n, want) {
+			t.Errorf("node %s: cache not granted store free %d less fragments %d",
+				n.ID().Short(), want+n.FragBytes(), n.FragBytes())
 		}
 		if pinned == nil && n.FragBytes() > 0 {
 			pinned = n
@@ -247,7 +270,7 @@ func TestECCacheGrantExcludesFragments(t *testing.T) {
 	// Fill the pinned node's GD-S cache to the brim, then store, refuse
 	// and drop a replica under it.
 	ca := pinned.Cache()
-	for i := uint64(0); ca.Used() <= ca.Limit()-(64<<10); i++ {
+	for i := uint64(0); ca.Used() <= space(pinned)-(64<<10); i++ {
 		ca.Insert(id.NewFile("cached", nil, i), 64<<10, nil)
 	}
 	replica := store.Entry{File: id.NewFile("replica", nil, 1), Size: 100 << 10, Kind: store.Primary}
@@ -257,10 +280,10 @@ func TestECCacheGrantExcludesFragments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := grant(pinned); got != want || ca.Used() > got {
-		t.Fatalf("after a replica add: limit %d, used %d; want limit %d", got, ca.Used(), want)
+	if want := space(pinned); ca.Used() > want || !granted(pinned, want) {
+		t.Fatalf("after a replica add: used %d; want limit %d", ca.Used(), want)
 	}
-	before, _ := grant(pinned)
+	before := space(pinned)
 	huge := store.Entry{File: id.NewFile("replica", nil, 2), Size: pinned.Capacity(), Kind: store.Primary}
 	pinned.mu.Lock()
 	err = pinned.addReplicaLocked(huge)
@@ -268,17 +291,21 @@ func TestECCacheGrantExcludesFragments(t *testing.T) {
 	if err == nil {
 		t.Fatal("the store accepted a replica the size of its capacity")
 	}
-	if got, _ := grant(pinned); got != before {
-		t.Fatalf("a refused replica left the cache granted %d bytes, want the %d before it", got, before)
+	if !granted(pinned, before) {
+		t.Fatalf("a refused replica changed the cache's grant from the %d before it", before)
 	}
 	pinned.mu.Lock()
 	_, ok := pinned.removeReplicaLocked(replica.File)
 	pinned.mu.Unlock()
-	if got, want := grant(pinned); !ok || got != want {
-		t.Fatalf("after a replica drop: limit %d, want %d (dropped %v)", got, want, ok)
+	if want := space(pinned); !ok || !granted(pinned, want) {
+		t.Fatalf("after a replica drop: limit not %d (dropped %v)", want, ok)
 	}
 }
 
+// TestECForgedShardSizeAllocatesNothing: map updates are unauthenticated,
+// so any peer can replace a fragment map with a newer version claiming a
+// gigabyte shard. With a data fragment missing, a lookup (and the repair
+// maintenance schedules) must then fail on the fetched fragments' size —
 // not allocate the claimed shard first and fail after.
 func TestECForgedShardSizeAllocatesNothing(t *testing.T) {
 	c := newECCluster(t, 12, ec.Params{Data: 4, Parity: 2}, 0, func(cfg *Config) { cfg.CachePolicy = cache.None })
@@ -329,7 +356,7 @@ func TestECForgedShardSizeAllocatesNothing(t *testing.T) {
 	}
 	dropped := false
 	for _, n := range c.Nodes {
-		if slices.Contains(n.FragIndices(f), 0) {
+		if slices.Contains(fragsOf(n, f), 0) {
 			n.frags.Delete(f, 0)
 			dropped = true
 		}
@@ -367,7 +394,7 @@ func TestECFragmentLossInvariantFires(t *testing.T) {
 	// checker must call the object lost even while map replicas survive.
 	deleted := 0
 	for _, n := range c.Nodes {
-		for _, idx := range n.FragIndices(f) {
+		for _, idx := range fragsOf(n, f) {
 			if deleted < 3 {
 				n.frags.Delete(f, idx)
 				deleted++
@@ -435,7 +462,7 @@ func TestECPropertyOnTheNode(t *testing.T) {
 	holder := make([]*Node, p.Total())
 	saved := make([]ec.Fragment, p.Total())
 	for _, n := range c.Nodes {
-		for _, idx := range n.FragIndices(f) {
+		for _, idx := range fragsOf(n, f) {
 			holder[idx] = n
 			saved[idx], _ = n.frags.Get(f, idx)
 		}
@@ -480,14 +507,14 @@ func TestECPropertyOnTheNode(t *testing.T) {
 	}
 	for idx, h := range holder {
 		before := crcFailures()
-		if !h.frags.CorruptForTest(f, idx, rng.Intn(8*len(saved[idx].Data))) {
+		if !corruptFragment(h.frags, f, idx, rng.Intn(8*len(saved[idx].Data))) {
 			t.Fatalf("fragment %d: corruption injection failed", idx)
 		}
 		lookup(h, fmt.Sprintf("fragment %d bit-flipped", idx))
 		if got := crcFailures() - before; got != 1 {
 			t.Fatalf("fragment %d bit-flipped: %d CRC failures counted, want 1", idx, got)
 		}
-		if slices.Contains(h.FragIndices(f), idx) {
+		if slices.Contains(fragsOf(h, f), idx) {
 			t.Fatalf("fragment %d bit-flipped: the corrupt copy was not dropped", idx)
 		}
 		restore()

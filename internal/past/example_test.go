@@ -104,7 +104,8 @@ func Example_archival() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	card, err := issuer.IssueCard(rng, 64<<20)
+	const quota = 64 << 20
+	card, err := issuer.IssueCard(rng, quota)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func Example_archival() {
 		fids[i] = res.FileID
 	}
 	fmt.Printf("archived %d files; quota used %d of %d bytes\n",
-		len(fids), card.Quota().Used(), card.Quota().Limit())
+		len(fids), card.Quota().Used(), quota)
 
 	// Five storage nodes fail; keep-alive rounds detect the failures and
 	// maintenance re-creates the lost replicas.

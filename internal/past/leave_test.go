@@ -79,7 +79,7 @@ func TestLeaveRehomesDivertedReplicas(t *testing.T) {
 		t.Fatalf("no diverted-replica owners notified: %+v", lr)
 	}
 
-	if target, ok := a.HasPointer(f.id); ok && target == b.ID() {
+	if target, ok := pointerOf(a, f.id); ok && target == b.ID() {
 		t.Fatal("diverting node still points at the departed holder")
 	}
 	got, err := c.Nodes[1].Lookup(f.id)

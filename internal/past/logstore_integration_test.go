@@ -1,7 +1,10 @@
 package past
 
 import (
+	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -23,10 +26,13 @@ func logstoreTestOpts(capacity int64) logstore.Options {
 
 // buildLogstoreCluster is testCluster with node i < len(dirs) running
 // on a log-structured backend rooted at dirs[i], seen through wrap when
-// it is set.
-func buildLogstoreCluster(t *testing.T, n int, dirs []string, seed int64, wrap func(store.Backend) store.Backend) (*Cluster, []*logstore.Store) {
+// it is set, and smallCfg changed by each of mods.
+func buildLogstoreCluster(t *testing.T, n int, dirs []string, seed int64, wrap func(store.Backend) store.Backend, mods ...func(*Config)) (*Cluster, []*logstore.Store) {
 	t.Helper()
 	cfg := smallCfg()
+	for _, mod := range mods {
+		mod(&cfg)
+	}
 	rng := rand.New(rand.NewSource(seed))
 	c := &Cluster{Net: netsim.New(), ByID: make(map[id.Node]*Node, n), rng: rng}
 	plane := topology.DefaultPlane
@@ -142,9 +148,6 @@ func TestNodeOnLogstoreRestartRoundTrip(t *testing.T) {
 
 	// Crash the node's store and reopen the directory, as a pastd
 	// restart would.
-	if err := ls.Sync(); err != nil {
-		t.Fatal(err)
-	}
 	ls.Kill()
 	ls2, err := logstore.Open(dir, logstoreTestOpts(1<<20))
 	if err != nil {
@@ -173,5 +176,66 @@ func TestNodeOnLogstoreRestartRoundTrip(t *testing.T) {
 		if !ok || got.Content == nil {
 			t.Fatalf("replica %s content lost across restart", e.File.Short())
 		}
+	}
+}
+
+// TestCertifiedLookupRejectsLostContent: a holder whose logstore record
+// fails its CRC keeps the replica's metadata and certificate but serves
+// no bytes. A certified lookup must check the content against the
+// certificate's hash whatever it holds, so it fails rather than return
+// an empty file for a non-empty one (paper section 2.3).
+func TestCertifiedLookupRejectsLostContent(t *testing.T) {
+	const nodes = 12
+	dirs := make([]string, nodes)
+	for i := range dirs {
+		dirs[i] = t.TempDir()
+	}
+	iss, card := newCard(t, 1<<30)
+	c, _ := buildLogstoreCluster(t, nodes, dirs, 11, nil, func(cfg *Config) {
+		cfg.VerifyCerts = true
+		cfg.Issuer = iss.PublicKey()
+	})
+	content := make([]byte, 4096)
+	c.rng.Read(content)
+	res, err := c.Nodes[0].Insert(InsertSpec{Name: "certified", Content: content, Owner: card})
+	if err != nil || !res.OK {
+		t.Fatalf("insert: %v %+v", err, res)
+	}
+	holder := -1
+	for i, n := range c.Nodes {
+		if n.HasReplica(res.FileID) {
+			holder = i
+			break
+		}
+	}
+	if holder < 0 {
+		t.Fatal("no node holds the file")
+	}
+	if lr, err := c.Nodes[holder].Lookup(res.FileID); err != nil || !bytes.Equal(lr.Content, content) {
+		t.Fatalf("lookup before the damage: %v", err)
+	}
+
+	// Flip one byte of the replica's content in the holder's segment.
+	flipped := false
+	segs, _ := filepath.Glob(filepath.Join(dirs[holder], "seg-*.seg"))
+	for _, seg := range segs {
+		b, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if at := bytes.Index(b, content); at >= 0 {
+			b[at+len(content)/2] ^= 0xff
+			if err := os.WriteFile(seg, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			flipped = true
+		}
+	}
+	if !flipped {
+		t.Fatal("the replica's bytes are in no segment of its holder")
+	}
+	if lr, err := c.Nodes[holder].Lookup(res.FileID); err == nil {
+		t.Fatalf("certified lookup of a replica whose content is gone succeeded: found=%v size=%d, %d bytes",
+			lr.Found, lr.Size, len(lr.Content))
 	}
 }

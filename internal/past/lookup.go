@@ -126,15 +126,6 @@ func (n *Node) HasReplica(f id.File) bool {
 	return ok
 }
 
-// HasPointer reports whether this node holds a diverted-replica pointer
-// for f, and the pointer target.
-func (n *Node) HasPointer(f id.File) (id.Node, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	p, ok := n.store.GetPointer(f)
-	return p.Target, ok
-}
-
 // Holds reports what this node holds locally for each file: the body
 // of its ClientReplicaReport reply and its row of the emulator's census.
 // Whether a replica is a fragment map is read off the map's magic.

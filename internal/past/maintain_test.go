@@ -45,7 +45,7 @@ func divertedCluster(t *testing.T, seed int64) (c *Cluster, f fileRef, a, b *Nod
 		}
 		for _, nid := range c.GlobalClosest(res.FileID.Key(), cfg.K) {
 			n := c.ByID[nid]
-			if target, ok := n.HasPointer(res.FileID); ok {
+			if target, ok := pointerOf(n, res.FileID); ok {
 				return c, fileRef{id: res.FileID, size: 2000}, n, c.ByID[target]
 			}
 		}
@@ -78,7 +78,7 @@ func TestMigratePointerHome(t *testing.T) {
 	// A maintenance pass at A migrates the diverted replica home.
 	a.maintainReplicas()
 
-	if _, still := a.HasPointer(f.id); still {
+	if _, still := pointerOf(a, f.id); still {
 		t.Fatal("pointer survived migration")
 	}
 	if !a.HasReplica(f.id) {
@@ -101,20 +101,20 @@ func TestReacquireAfterDivertTargetFailure(t *testing.T) {
 	c.Fail(b.ID())
 	a.maintainReplicas()
 
-	if target, ok := a.HasPointer(f.id); ok && target == b.ID() {
+	if target, ok := pointerOf(a, f.id); ok && target == b.ID() {
 		t.Fatal("dangling pointer to dead diversion target survived")
 	}
 	// A re-created its replica: either locally, or re-diverted with a
 	// fresh pointer, or recorded a below-k event if space was exhausted.
 	hasLocal := a.HasReplica(f.id)
-	newTarget, hasPtr := a.HasPointer(f.id)
+	newTarget, hasPtr := pointerOf(a, f.id)
 	switch {
 	case hasLocal:
 	case hasPtr:
 		if !c.Net.Alive(newTarget) || !c.ByID[newTarget].HasReplica(f.id) {
 			t.Fatal("re-diverted pointer does not reference a live replica")
 		}
-	case a.BelowKEvents() > 0:
+	case a.StatsSnapshot().Get(obs.CtrBelowKEvents) > 0:
 	default:
 		t.Fatal("neither re-acquired nor counted below-k")
 	}
@@ -204,17 +204,14 @@ func TestClientRPCsLocal(t *testing.T) {
 func TestAccessors(t *testing.T) {
 	c := testCluster(t, 15, smallCfg(), 10_000, 65)
 	n := c.Nodes[0]
-	if n.Utilization() != 0 {
-		t.Fatal("fresh node utilization")
+	if n.StoredBytes() != 0 {
+		t.Fatal("fresh node stores bytes")
 	}
 	if c.TotalCapacity() != 15*10_000 {
 		t.Fatalf("total capacity = %d", c.TotalCapacity())
 	}
 	if c.Utilization() != 0 {
 		t.Fatal("cluster utilization")
-	}
-	if c.Rand() == nil {
-		t.Fatal("nil rand")
 	}
 	res, err := n.Insert(InsertSpec{Name: "acc", Size: 300})
 	if err != nil || !res.OK {

@@ -267,10 +267,6 @@ func (n *Node) Overlay() *pastry.Node { return n.overlay }
 // ID returns the node's identifier.
 func (n *Node) ID() id.Node { return n.self }
 
-// SetSmartcard installs the node's smartcard, used to issue store and
-// reclaim receipts when certificate verification is enabled.
-func (n *Node) SetSmartcard(c *cert.Smartcard) { n.card = c }
-
 // Capacity returns the advertised storage capacity in bytes.
 func (n *Node) Capacity() int64 { return n.store.Capacity() }
 
@@ -279,13 +275,6 @@ func (n *Node) StoredBytes() int64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.store.Used()
-}
-
-// Utilization returns this node's replica storage utilization in [0,1].
-func (n *Node) Utilization() float64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.store.Utilization()
 }
 
 // Cache returns the node's cache engine, for the daemon's shutdown
@@ -298,15 +287,6 @@ func (n *Node) StoreSnapshot() ([]store.Entry, []store.Pointer) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.store.Entries(), n.store.Pointers()
-}
-
-// BelowKEvents returns how many times maintenance failed to re-create a
-// replica anywhere (the paper's "number of replicas may temporarily
-// drop below k" case).
-func (n *Node) BelowKEvents() int64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.belowK
 }
 
 // cacheSpaceLocked is the cache's grant: the space neither replicas
@@ -351,10 +331,6 @@ func (n *Node) removeReplicaLocked(f id.File) (store.Entry, bool) {
 	}
 	return e, true
 }
-
-// Stats returns the node's live counter registry. It is always present;
-// counting cannot be disabled (single atomic adds on the hot paths).
-func (n *Node) Stats() *obs.NodeStats { return n.stats }
 
 // StatsSnapshot returns the full observability snapshot for this node:
 // the registry's counters plus the gauges owned by the store, cache, and

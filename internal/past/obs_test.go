@@ -19,6 +19,19 @@ import (
 // records reconstruct must equal the hop count the metrics.Collector is
 // fed for the same operation (LookupResult.Hops, net of the pointer
 // chase the trace does not cover).
+// forwardHops counts the records of a trace that moved the message: a
+// complete route's hop count, failed attempts and the final local
+// delivery excluded.
+func forwardHops(trace []obs.HopRecord) int {
+	n := 0
+	for _, h := range trace {
+		if !h.Failed && h.Choice != obs.ChoiceLocal {
+			n++
+		}
+	}
+	return n
+}
+
 func TestTracedLookupMatchesCollectorHops(t *testing.T) {
 	cfg := smallCfg()
 	tracer := obs.NewTracer(1, 256)
@@ -64,10 +77,9 @@ func TestTracedLookupMatchesCollectorHops(t *testing.T) {
 		if lr.Indirect {
 			want-- // the pointer chase is one RPC, not a routing hop
 		}
-		tr := obs.Trace{Hops: lr.Trace}
-		if tr.HopCount() != want {
+		if got := forwardHops(lr.Trace); got != want {
 			t.Fatalf("trace reconstructs %d hops, lookup reported %d (indirect=%v)",
-				tr.HopCount(), want, lr.Indirect)
+				got, want, lr.Indirect)
 		}
 	}
 
@@ -87,7 +99,7 @@ func TestTracedLookupMatchesCollectorHops(t *testing.T) {
 			continue
 		}
 		lookups++
-		if got := (&obs.Trace{Hops: tr.Hops}).HopCount(); got != tr.RouteHops {
+		if got := forwardHops(tr.Hops); got != tr.RouteHops {
 			t.Fatalf("retained trace: records give %d hops, RouteHops says %d", got, tr.RouteHops)
 		}
 	}
@@ -109,7 +121,7 @@ func TestStatsRegistryAndSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st := client.Stats()
+	st := client.stats
 	if st.Inserts.Load() != 1 || st.Lookups.Load() != 1 {
 		t.Fatalf("registry inserts=%d lookups=%d, want 1/1", st.Inserts.Load(), st.Lookups.Load())
 	}
@@ -136,7 +148,7 @@ func TestStatsRegistryAndSnapshot(t *testing.T) {
 	// Replicas must be accounted somewhere in the cluster.
 	var stored int64
 	for _, n := range c.Nodes {
-		stored += n.Stats().ReplicasStored.Load()
+		stored += n.stats.ReplicasStored.Load()
 	}
 	if stored < int64(smallCfg().K) {
 		t.Fatalf("cluster-wide replicas_stored = %d, want >= k=%d", stored, smallCfg().K)

@@ -45,6 +45,15 @@ func newCard(t *testing.T, quota int64) (*cert.Issuer, *cert.Smartcard) {
 	return iss, card
 }
 
+// pointerOf reports the diverted-replica pointer n holds for f, if any.
+func pointerOf(n *Node, f id.File) (id.Node, bool) {
+	h := n.Holds([]id.File{f})[0]
+	return h.Ptr, h.HasPtr
+}
+
+// fragsOf reports the fragment indices n holds for f.
+func fragsOf(n *Node, f id.File) []int { return n.Holds([]id.File{f})[0].Frags }
+
 func smallCfg() Config {
 	cfg := DefaultConfig()
 	cfg.Pastry = pastry.Config{B: 4, L: 16}
@@ -100,7 +109,7 @@ func assertReplicaInvariant(t *testing.T, c *Cluster, f id.File, k int) {
 		if n.HasReplica(f) {
 			continue
 		}
-		if target, ok := n.HasPointer(f); ok {
+		if target, ok := pointerOf(n, f); ok {
 			if !c.Net.Alive(target) {
 				t.Fatalf("node %s points to dead node %s for %s", nid.Short(), target.Short(), f.Short())
 			}

@@ -50,7 +50,7 @@ func secureCluster(t *testing.T, n int, seed int64) (*Cluster, *cert.Issuer, key
 		if err != nil {
 			t.Fatal(err)
 		}
-		node.SetSmartcard(card)
+		node.card = card
 		// Receipts identify nodes by the card-derived id (the paper's
 		// nodeId IS the hash of the card key); the emulation assigns
 		// overlay ids independently, so the registry indexes the

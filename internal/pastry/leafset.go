@@ -295,14 +295,6 @@ func (n *Node) closestLeafAvoidingLocked(key id.Node, excluded func(id.Node) boo
 	}
 }
 
-// InLeafRange reports whether key lies within the span of this node's
-// leaf set.
-func (n *Node) InLeafRange(key id.Node) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.inLeafRangeLocked(key)
-}
-
 // IsAmongKClosest reports whether this node is, to its knowledge, among
 // the k live nodes with nodeIds numerically closest to key. The test is
 // sound when k <= l/2+1: if the key is inside the leaf-set span and

@@ -48,7 +48,7 @@ func refLeafInsert(self id.Node, lo, hi *[]id.Node, x id.Node, half int) bool {
 	}
 	changed := false
 	if refInsertSide(hi, x, half, func(a, b id.Node) bool {
-		da, db := self.CWDist(a), self.CWDist(b)
+		da, db := cwDist(self, a), cwDist(self, b)
 		if c := da.Cmp(db); c != 0 {
 			return c < 0
 		}
@@ -57,7 +57,7 @@ func refLeafInsert(self id.Node, lo, hi *[]id.Node, x id.Node, half int) bool {
 		changed = true
 	}
 	if refInsertSide(lo, x, half, func(a, b id.Node) bool {
-		da, db := a.CWDist(self), b.CWDist(self)
+		da, db := cwDist(a, self), cwDist(b, self)
 		if c := da.Cmp(db); c != 0 {
 			return c < 0
 		}
@@ -126,9 +126,15 @@ func refClosestLeafAvoiding(n *Node, key id.Node, excluded func(id.Node) bool) i
 	return best
 }
 
+// cwDist is a.DistCW(b) packed into a Node: (b - a) mod 2^128.
+func cwDist(a, b id.Node) id.Node {
+	d := a.DistCW(b)
+	return id.NodeFromHalves(d.Hi, d.Lo)
+}
+
 // ringAdd returns a + d and ringSub a - d, mod 2^128.
-func ringAdd(a, d id.Node) id.Node { return a.CWDist(id.Node{}).CWDist(d) }
-func ringSub(a, d id.Node) id.Node { return d.CWDist(a) }
+func ringAdd(a, d id.Node) id.Node { return cwDist(cwDist(a, id.Node{}), d) }
+func ringSub(a, d id.Node) id.Node { return cwDist(d, a) }
 
 var halfRing = id.NodeFromHalves(1<<63, 0)
 
@@ -354,7 +360,6 @@ func TestLeafQueriesUnderChurn(t *testing.T) {
 				cands, _ := n.DivertCandidates(key, 5, nil)
 				closestFirst(n.self, cands)
 				n.IsAmongKClosest(key, 5)
-				n.InLeafRange(key)
 			}
 		}(int64(g))
 	}

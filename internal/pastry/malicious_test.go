@@ -39,7 +39,7 @@ func buildServedCluster(t *testing.T, n int, cfg Config, seed int64) *cluster {
 	t.Helper()
 	c := buildCluster(t, n, cfg, seed)
 	for _, node := range c.nodes {
-		node.SetApplication(servedApp{self: node.ID()})
+		node.app = servedApp{self: node.ID()} // before any traffic
 	}
 	return c
 }

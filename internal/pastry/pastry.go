@@ -160,10 +160,6 @@ func (n *Node) ID() id.Node { return n.self }
 // Config returns the node's protocol parameters.
 func (n *Node) Config() Config { return n.cfg }
 
-// SetApplication replaces the application layer. It must be called
-// before the node joins or receives traffic.
-func (n *Node) SetApplication(app Application) { n.app = app }
-
 // Joined reports whether the node has completed Bootstrap or Join.
 func (n *Node) Joined() bool { return n.joined.Load() }
 

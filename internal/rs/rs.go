@@ -129,20 +129,8 @@ func New(dataShards, parityShards int) (*Encoder, error) {
 	return &Encoder{dataShards: dataShards, parityShards: parityShards, m: m}, nil
 }
 
-// DataShards returns the number of data shards.
-func (e *Encoder) DataShards() int { return e.dataShards }
-
-// ParityShards returns the number of parity shards.
-func (e *Encoder) ParityShards() int { return e.parityShards }
-
 // TotalShards returns dataShards+parityShards.
 func (e *Encoder) TotalShards() int { return e.dataShards + e.parityShards }
-
-// StorageOverhead returns the storage multiplier (n+m)/n the paper
-// quotes for tolerating m losses.
-func (e *Encoder) StorageOverhead() float64 {
-	return float64(e.TotalShards()) / float64(e.dataShards)
-}
 
 // mulRow sets out[i] = coefs[0]*srcs[0][i] ^ coefs[1]*srcs[1][i] ^ ...
 // over GF(2^8): one row of a coding or decoding matrix applied to its

@@ -48,11 +48,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.DataShards() != 8 || e.ParityShards() != 4 || e.TotalShards() != 12 {
+	if e.dataShards != 8 || e.parityShards != 4 || e.TotalShards() != 12 {
 		t.Fatal("accessors")
-	}
-	if e.StorageOverhead() != 1.5 {
-		t.Fatalf("overhead = %g; want 1.5", e.StorageOverhead())
 	}
 }
 
@@ -60,14 +57,14 @@ func TestNewValidation(t *testing.T) {
 // whether it equals the parity in shards.
 func parityMatches(t *testing.T, e *Encoder, shards [][]byte) bool {
 	t.Helper()
-	fresh := append([][]byte(nil), shards[:e.DataShards()]...)
-	for range e.ParityShards() {
+	fresh := append([][]byte(nil), shards[:e.dataShards]...)
+	for range e.parityShards {
 		fresh = append(fresh, make([]byte, len(shards[0])))
 	}
 	if err := e.Encode(fresh); err != nil {
 		t.Fatal(err)
 	}
-	for p := e.DataShards(); p < e.TotalShards(); p++ {
+	for p := e.dataShards; p < e.TotalShards(); p++ {
 		if !bytes.Equal(fresh[p], shards[p]) {
 			return false
 		}

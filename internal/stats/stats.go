@@ -53,8 +53,7 @@ func (t TruncNormal) Sample(r *rand.Rand) float64 {
 // 0.64-0.83); it uses an explicit inverse-CDF table, so construction is
 // O(N) and sampling is O(log N).
 type Zipf struct {
-	cdf   []float64
-	alpha float64
+	cdf []float64
 }
 
 // NewZipf builds a finite Zipf distribution over n ranks with exponent
@@ -75,14 +74,8 @@ func NewZipf(n int, alpha float64) *Zipf {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	return &Zipf{cdf: cdf, alpha: alpha}
+	return &Zipf{cdf: cdf}
 }
-
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
-
-// Alpha returns the exponent.
-func (z *Zipf) Alpha() float64 { return z.alpha }
 
 // Rank draws a popularity rank in [0, N), rank 0 being the most popular.
 func (z *Zipf) Rank(r *rand.Rand) int {
@@ -155,25 +148,6 @@ func (s SizeDist) Sample(r *rand.Rand) int64 {
 	return v
 }
 
-// Percentile returns the p-th percentile (0-100) of an ascending-sorted
-// sample using nearest-rank.
-func Percentile(sorted []int64, p float64) int64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	idx := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return sorted[idx]
-}
-
 // logHistSub is the number of sub-buckets per power-of-two octave in a
 // LogHist. 32 sub-buckets bound the relative quantization error of any
 // recorded value by 1/32 ≈ 3%, at 5 significant bits of precision —
@@ -193,7 +167,6 @@ const logHistBuckets = 58*logHistSub + logHistSub
 type LogHist struct {
 	counts [logHistBuckets]int64
 	n      int64
-	sum    int64
 	min    int64
 	max    int64
 }
@@ -246,28 +219,10 @@ func (h *LogHist) Record(v int64) {
 		h.max = v
 	}
 	h.n++
-	h.sum += v
 }
 
 // Count returns the number of observations.
 func (h *LogHist) Count() int64 { return h.n }
-
-// Sum returns the sum of observations.
-func (h *LogHist) Sum() int64 { return h.sum }
-
-// Min returns the smallest observation (0 if empty).
-func (h *LogHist) Min() int64 { return h.min }
-
-// Max returns the largest observation (0 if empty).
-func (h *LogHist) Max() int64 { return h.max }
-
-// Mean returns the mean observation (0 if empty).
-func (h *LogHist) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.n)
-}
 
 // Quantile returns the p-th percentile (0-100), interpolating linearly
 // between the edges of the bucket the target rank lands in rather than

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 	"testing"
-	"testing/quick"
 )
 
 func TestTruncNormalBounds(t *testing.T) {
@@ -76,8 +75,11 @@ func TestZipfMonotonePopularity(t *testing.T) {
 func TestZipfLowAlphaSupported(t *testing.T) {
 	// math/rand's Zipf cannot do alpha <= 1; ours must.
 	z := NewZipf(1000, 0.64)
-	if z.Alpha() != 0.64 || z.N() != 1000 {
-		t.Fatal("accessor mismatch")
+	r := NewRand(3)
+	for i := 0; i < 1000; i++ {
+		if k := z.Rank(r); k < 0 || k >= 1000 {
+			t.Fatalf("rank %d outside [0, 1000)", k)
+		}
 	}
 }
 
@@ -148,37 +150,6 @@ func TestSizeDistClampsAndZeroes(t *testing.T) {
 	}
 	if zeroes == 0 {
 		t.Fatal("expected some zero-byte files")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	sorted := []int64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
-	cases := []struct {
-		p    float64
-		want int64
-	}{{0, 10}, {10, 10}, {50, 50}, {90, 90}, {100, 100}}
-	for _, c := range cases {
-		if g := Percentile(sorted, c.p); g != c.want {
-			t.Fatalf("P%g = %d; want %d", c.p, g, c.want)
-		}
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Fatal("empty percentile must be 0")
-	}
-}
-
-func TestPercentileWithinRange(t *testing.T) {
-	f := func(raw []int64, p float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		sort.Slice(raw, func(i, j int) bool { return raw[i] < raw[j] })
-		pp := math.Mod(math.Abs(p), 120) // include out-of-range percentiles
-		v := Percentile(raw, pp)
-		return v >= raw[0] && v <= raw[len(raw)-1]
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -279,11 +250,11 @@ func TestLogHistQuantileInterpolates(t *testing.T) {
 	}
 	lo := float64(int64(1) << 20)
 	q25, q75 := h.Quantile(25), h.Quantile(75)
-	if !(q25 > lo && q75 > q25 && q75 < float64(h.Max())) {
+	if !(q25 > lo && q75 > q25 && q75 < float64(h.max)) {
 		t.Fatalf("quantiles not interpolating within bucket: q25=%g q75=%g", q25, q75)
 	}
 	// Interpolation must never escape the observed range.
-	if h.Quantile(99.99) > float64(h.Max()) || h.Quantile(0.01) < float64(h.Min()) {
+	if h.Quantile(99.99) > float64(h.max) || h.Quantile(0.01) < float64(h.min) {
 		t.Fatal("quantile escaped [min,max]")
 	}
 }
@@ -301,7 +272,7 @@ func TestLogHistQuantileAccuracy(t *testing.T) {
 	}
 	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
 	for _, p := range []float64{1, 25, 50, 90, 99, 99.9} {
-		exact := float64(Percentile(xs, p))
+		exact := float64(xs[int(math.Ceil(p/100*float64(len(xs))))-1]) // nearest rank
 		got := h.Quantile(p)
 		if math.Abs(got-exact)/exact > 2.0/logHistSub {
 			t.Fatalf("P%g = %g; exact %g (rel err %g)", p, got, exact, math.Abs(got-exact)/exact)
@@ -314,17 +285,11 @@ func TestLogHistMoments(t *testing.T) {
 	for i := int64(1); i <= 200; i++ {
 		a.Record(i)
 	}
-	if a.Count() != 200 || a.Min() != 1 || a.Max() != 200 {
-		t.Fatalf("moments: n=%d min=%d max=%d", a.Count(), a.Min(), a.Max())
-	}
-	if a.Sum() != 200*201/2 {
-		t.Fatalf("sum = %d", a.Sum())
-	}
-	if m := a.Mean(); math.Abs(m-100.5) > 1e-9 {
-		t.Fatalf("mean = %g", m)
+	if a.Count() != 200 || a.Quantile(0) != 1 || a.Quantile(100) != 200 {
+		t.Fatalf("moments: n=%d min=%g max=%g", a.Count(), a.Quantile(0), a.Quantile(100))
 	}
 	var empty LogHist
-	if empty.Quantile(50) != 0 || empty.Mean() != 0 {
+	if empty.Quantile(50) != 0 {
 		t.Fatal("empty histogram must report zeros")
 	}
 }
@@ -332,7 +297,7 @@ func TestLogHistMoments(t *testing.T) {
 func TestLogHistNegativeClamps(t *testing.T) {
 	var h LogHist
 	h.Record(-5)
-	if h.Count() != 1 || h.Min() != 0 || h.Max() != 0 {
+	if h.Count() != 1 || h.min != 0 || h.max != 0 {
 		t.Fatalf("negative record not clamped: %+v", h)
 	}
 }

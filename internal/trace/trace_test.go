@@ -4,8 +4,6 @@ import (
 	"math"
 	"slices"
 	"testing"
-
-	"past/internal/stats"
 )
 
 // sizeSummary returns the mean, median and maximum of a size sample.
@@ -15,7 +13,7 @@ func sizeSummary(xs []int64) (mean float64, median, largest int64) {
 	for _, x := range sorted {
 		sum += x
 	}
-	return float64(sum) / float64(len(sorted)), stats.Percentile(sorted, 50), sorted[len(sorted)-1]
+	return float64(sum) / float64(len(sorted)), sorted[(len(sorted)+1)/2-1], sorted[len(sorted)-1]
 }
 
 func TestInsertOnlyShape(t *testing.T) {
