@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-times loc test-race race bench experiments experiments-full soak-compare trace-demo fsck-demo overload-demo cache-demo cluster-demo fleet-obs-demo ec-demo cache-bench fuzz alloc-guard no-gob one-coder dead-exports bench-smoke vet fmt clean
+.PHONY: all build test test-times loc test-race race bench experiments experiments-full soak-compare trace-demo fsck-demo overload-demo cache-demo cluster-demo fleet-obs-demo ec-demo cache-bench fuzz alloc-guard no-gob one-coder one-path dead-exports bench-smoke vet fmt clean
 
 all: build test
 
@@ -226,6 +226,14 @@ no-gob:
 one-coder:
 	@bad=$$($(GO) list -f '{{range .Imports}}{{if eq . "past/internal/rs"}}{{$$.ImportPath}}{{"\n"}}{{end}}{{end}}' ./... | grep -vx past/internal/past); \
 	if [ -n "$$bad" ]; then echo "past/internal/rs imported outside past/internal/past by:" $$bad; exit 1; fi
+
+# One call path: a node reaches itself the way it reaches a peer,
+# through Node.call, so the dispatch switch in internal/past/app.go is
+# the only caller of the message handlers. Fail if any other non-test
+# file of internal/past calls a handle* method.
+one-path:
+	@bad=$$(grep -n '\.handle[A-Z][A-Za-z]*(' $$(ls internal/past/*.go | grep -v '_test\.go$$' | grep -vx internal/past/app.go)); \
+	if [ -n "$$bad" ]; then echo "handle* called outside internal/past/app.go's dispatch:"; echo "$$bad"; exit 1; fi
 
 # No export without a caller: list every exported func, method, type,
 # var and const under internal/ that no non-test file outside bench/

@@ -68,12 +68,17 @@ func (a *app) Deliver(key id.Node, msg any) (any, error) {
 
 // Backward fires on each path node as the reply returns toward the
 // client: files are cached on all the nodes a successful insert or
-// lookup was routed through (section 4).
+// lookup was routed through (section 4). Under VerifyCerts a lookup's
+// answer is cached only if its certificate vouches for its content: a
+// cached copy carries no certificate, so its reader cannot check it.
 func (a *app) Backward(key id.Node, msg, reply any) {
 	n := a.node()
 	switch m := msg.(type) {
 	case *LookupMsg:
 		if r, ok := reply.(*LookupReply); ok && r.Found {
+			if n.cfg.VerifyCerts && (r.Cert == nil || r.Cert.Verify(n.cfg.Issuer, r.Content) != nil) {
+				return
+			}
 			n.cacheFile(m.File, r.Size, r.Content)
 		}
 	case *InsertMsg:
@@ -98,6 +103,7 @@ func (n *Node) cacheFile(f id.File, size int64, content []byte) {
 // messages are handled here; everything else (routing, join, pings) is
 // delegated to the Pastry layer.
 func (n *Node) Deliver(from id.Node, msg any) (any, error) {
+	n.stats.MsgsIn.Add(1)
 	return n.deliver(obs.TraceContext{}, from, msg)
 }
 
@@ -106,14 +112,26 @@ func (n *Node) Deliver(from id.Node, msg any) (any, error) {
 // how a `pastctl trace` request starts hop collection at its access
 // point.
 func (n *Node) DeliverTraced(tc obs.TraceContext, from id.Node, msg any) (any, error) {
+	n.stats.MsgsIn.Add(1)
 	return n.deliver(tc, from, msg)
 }
 
-// deliver dispatches one incoming message. Every emulated message passes
-// through here, so the switch holds no defer: a case that locks unlocks
-// explicitly before it replies.
+// call sends msg to node to and returns its reply. A message to this
+// node itself runs through deliver's switch directly: it crosses no
+// network, so nothing counts it (netsim, MsgsOut, MsgsIn) and no fault
+// applies. Every PAST message a node sends, to itself or to a peer,
+// goes through here.
+func (n *Node) call(to id.Node, msg any) (any, error) {
+	if to == n.self {
+		return n.deliver(obs.TraceContext{}, to, msg)
+	}
+	return n.net.Invoke(context.Background(), n.self, to, msg)
+}
+
+// deliver dispatches one message, incoming or sent to itself. Every
+// emulated message passes through here, so the switch holds no defer: a
+// case that locks unlocks explicitly before it replies.
 func (n *Node) deliver(tc obs.TraceContext, from id.Node, msg any) (any, error) {
-	n.stats.MsgsIn.Add(1)
 	switch m := msg.(type) {
 	case *storeReplicaMsg:
 		return n.handleStoreReplica(m), nil
@@ -218,7 +236,7 @@ func (n *Node) localLookup(f id.File) *LookupReply {
 	p, hasPtr := n.store.GetPointer(f)
 	n.mu.Unlock()
 	if hasPtr {
-		fr, err := netsim.ReplyAs[fetchReply](n.net.Invoke(context.Background(), n.ID(), p.Target, &fetchMsg{File: f}))
+		fr, err := netsim.ReplyAs[fetchReply](n.call(p.Target, &fetchMsg{File: f}))
 		if err == nil {
 			if fr.Found {
 				if ec.IsMap(fr.Content) {

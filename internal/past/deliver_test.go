@@ -235,15 +235,15 @@ func TestMessageAccountingPinned(t *testing.T) {
 		}
 	}
 	want := map[string]int64{
-		"*pastry.Announce": 948, "*pastry.StateRequest": 49, "*pastry.RouteRequest": 805,
-		"*past.storeReplicaMsg": 828, "*past.freeSpaceMsg": 1778, "*past.divertStoreMsg": 145,
-		"*past.installPointerMsg": 71, "*past.discardMsg": 14, "*past.fetchMsg": 6,
+		"*pastry.Announce": 948, "*pastry.StateRequest": 49, "*pastry.RouteRequest": 803,
+		"*past.storeReplicaMsg": 826, "*past.freeSpaceMsg": 1778, "*past.divertStoreMsg": 146,
+		"*past.installPointerMsg": 73, "*past.discardMsg": 20, "*past.fetchMsg": 6,
 	}
 	if got := cl.Net.MessagesByType(); !reflect.DeepEqual(got, want) {
 		t.Errorf("MessagesByType() = %v\nwant %v", got, want)
 	}
-	if got := cl.Net.Messages(); got != 4644 {
-		t.Errorf("Messages() = %d, want 4644", got)
+	if got := cl.Net.Messages(); got != 4649 {
+		t.Errorf("Messages() = %d, want 4649", got)
 	}
 	if len(files) != 392 {
 		t.Errorf("%d files stored, want 392: the run itself changed", len(files))

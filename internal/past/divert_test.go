@@ -96,3 +96,46 @@ func short(ns []id.Node) []string {
 	}
 	return out
 }
+
+// TestAbortedInsertLeavesNoReplica aborts an insert whose coordinator
+// diverted its own replica: the last replica-set member has failed, so
+// the coordinator discards what the attempt stored. The diverted
+// replica must go with the pointer to it; an orphan would outlive the
+// client's re-salted retry and count as utilisation for good.
+func TestAbortedInsertLeavesNoReplica(t *testing.T) {
+	const size = 4000
+	c, err := NewCluster(ClusterSpec{
+		N: 30, Cfg: smallCfg(), Seed: 3,
+		Capacity: func(i int, _ *rand.Rand) int64 {
+			if i == 0 {
+				return size // tpri refuses the file here, so node 0 diverts it
+			}
+			return 1 << 20
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := c.Nodes[0]
+	var f id.File
+	for salt := uint64(1); ; salt++ {
+		if f = id.NewFile("abort", nil, salt); c.GlobalClosest(f.Key(), 1)[0] == coord.ID() {
+			break
+		}
+	}
+	members := coord.overlay.ReplicaSet(f.Key(), coord.cfg.K)
+	if members[0] != coord.ID() {
+		t.Fatalf("replica set %v does not start at the coordinator", short(members))
+	}
+	c.Fail(members[len(members)-1])
+
+	rep := coord.replicateInsert(f.Key(), &InsertMsg{File: f, Size: size, K: coord.cfg.K})
+	if rep.OK {
+		t.Fatal("insert succeeded although a replica-set member is down")
+	}
+	for _, n := range c.Nodes {
+		if h := n.Holds([]id.File{f})[0]; h.Has || h.HasPtr {
+			t.Errorf("node %s still holds the aborted file: replica=%v pointer=%v", n.ID().Short(), h.Has, h.HasPtr)
+		}
+	}
+}

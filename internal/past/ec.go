@@ -2,7 +2,6 @@ package past
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"sync"
 
@@ -113,19 +112,13 @@ func ecEncoder(p ec.Params) (*rs.Encoder, error) {
 	return enc, err
 }
 
-// fragAccept applies the tdiv acceptance policy to a fragment: the
+// fragAcceptLocked applies the tdiv acceptance policy to a fragment: the
 // fragment competes for the space replicas and cached copies use, so
 // the node's free space is the store's minus bytes already pledged to
 // fragments. Caller holds n.mu.
 func (n *Node) fragAcceptLocked(size int64) bool {
 	free := n.cacheSpaceLocked()
-	if size == 0 {
-		return free >= 0
-	}
-	if free <= 0 {
-		return false
-	}
-	return float64(size)/float64(free) <= n.cfg.TDiv
+	return free >= 0 && store.Accepts(size, free, n.cfg.TDiv)
 }
 
 // handleStoreFrag stores one fragment at this node. The fragment table
@@ -228,7 +221,7 @@ func (n *Node) coordinateECInsert(key id.Node, m *InsertMsg) *InsertReply {
 	next := 0
 	dropPlaced := func() {
 		for _, idx := range placed {
-			n.ecDropFragAt(holders[idx], m.File, idx)
+			_, _ = n.call(holders[idx], &dropFragMsg{File: m.File, Index: idx})
 		}
 	}
 	for idx := 0; idx < p.Total(); idx++ {
@@ -243,9 +236,10 @@ func (n *Node) coordinateECInsert(key id.Node, m *InsertMsg) *InsertReply {
 				// whole insert message (over TCP, its frame) for 1/m of it.
 				data = bytes.Clone(data)
 			}
-			if n.ecStoreFragAt(target, &storeFragMsg{
+			sr, err := netsim.ReplyAs[storeFragReply](n.call(target, &storeFragMsg{
 				File: m.File, Index: idx, Version: 1, Data: data, CRC: crcs[idx],
-			}) {
+			}))
+			if err == nil && sr.OK {
 				holders[idx] = target
 				placed = append(placed, idx)
 				ok = true
@@ -276,40 +270,13 @@ func (n *Node) coordinateECInsert(key id.Node, m *InsertMsg) *InsertReply {
 	return rep
 }
 
-// ecStoreFragAt places one fragment at target (this node included).
-func (n *Node) ecStoreFragAt(target id.Node, m *storeFragMsg) bool {
-	if target == n.ID() {
-		return n.handleStoreFrag(m).OK
-	}
-	sr, err := netsim.ReplyAs[storeFragReply](n.net.Invoke(context.Background(), n.ID(), target, m))
-	return err == nil && sr.OK
-}
-
-func (n *Node) ecDropFragAt(target id.Node, f id.File, idx int) {
-	if target == n.ID() {
-		n.handleDropFrag(&dropFragMsg{File: f, Index: idx})
-		return
-	}
-	_, _ = n.net.Invoke(context.Background(), n.ID(), target, &dropFragMsg{File: f, Index: idx})
-}
-
 // ecFetchFragAt fetches fragment idx of the file fmap describes,
 // verifying it against the map's shard size and CRC (fragment content
 // never changes across repairs, so the map is authoritative). Returns the
 // shard and the bytes moved.
 func (n *Node) ecFetchFragAt(fmap *ec.Map, f id.File, idx int) ([]byte, int64) {
-	target := fmap.Holders[idx]
-	var fr *fetchFragReply
-	if target == n.ID() {
-		fr = n.handleFetchFrag(&fetchFragMsg{File: f, Index: idx})
-	} else {
-		var err error
-		fr, err = netsim.ReplyAs[fetchFragReply](n.net.Invoke(context.Background(), n.ID(), target, &fetchFragMsg{File: f, Index: idx}))
-		if err != nil {
-			return nil, 0
-		}
-	}
-	if !fr.Found || len(fr.Data) != fmap.ShardSize || ec.Checksum(fr.Data) != fmap.CRCs[idx] {
+	fr, err := netsim.ReplyAs[fetchFragReply](n.call(fmap.Holders[idx], &fetchFragMsg{File: f, Index: idx}))
+	if err != nil || !fr.Found || len(fr.Data) != fmap.ShardSize || ec.Checksum(fr.Data) != fmap.CRCs[idx] {
 		return nil, 0
 	}
 	return fr.Data, int64(len(fr.Data))
@@ -463,10 +430,8 @@ func (n *Node) ecMaintain() {
 		}
 		for idx, holder := range fmap.Holders {
 			have := false
-			if holder == n.ID() {
-				_, have = n.frags.Has(e.File, idx)
-			} else if n.net.Alive(holder) {
-				cr, err := netsim.ReplyAs[checkFragReply](n.net.Invoke(context.Background(), n.ID(), holder, &checkFragMsg{File: e.File, Index: idx}))
+			if holder == n.ID() || n.net.Alive(holder) {
+				cr, err := netsim.ReplyAs[checkFragReply](n.call(holder, &checkFragMsg{File: e.File, Index: idx}))
 				have = err == nil && cr.Have
 			}
 			if have {
@@ -550,19 +515,18 @@ func (n *Node) repairFragment(it ec.RepairItem) (int64, bool) {
 		if c != n.ID() && !n.net.Alive(c) {
 			continue
 		}
-		if !n.ecStoreFragAt(c, sf) {
+		if sr, err := netsim.ReplyAs[storeFragReply](n.call(c, sf)); err != nil || !sr.OK {
 			continue
 		}
 		moved += int64(len(dst))
 		fmap.Holders[it.Index] = c
 		fmap.Version++
-		raw := fmap.Encode()
-		n.handleMapUpdate(&mapUpdateMsg{Raw: raw})
+		upd := &mapUpdateMsg{Raw: fmap.Encode()}
+		_, _ = n.call(n.ID(), upd)
 		for _, r := range n.overlay.ReplicaSet(it.File.Key(), n.cfg.K) {
-			if r == n.ID() {
-				continue
+			if r != n.ID() {
+				_, _ = n.call(r, upd)
 			}
-			_, _ = n.net.Invoke(context.Background(), n.ID(), r, &mapUpdateMsg{Raw: raw})
 		}
 		return moved, true
 	}

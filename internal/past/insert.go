@@ -263,14 +263,7 @@ func (n *Node) replicateInsert(key id.Node, m *InsertMsg) *InsertReply {
 	stored := make([]id.Node, 0, len(members))
 	abort := func(reason string) *InsertReply {
 		for _, s := range stored {
-			if s == n.ID() {
-				n.mu.Lock()
-				n.removeReplicaLocked(m.File)
-				n.store.RemovePointer(m.File)
-				n.mu.Unlock()
-			} else {
-				_, _ = n.net.Invoke(context.Background(), n.ID(), s, &discardMsg{File: m.File, Abort: true})
-			}
+			_, _ = n.call(s, &discardMsg{File: m.File, Abort: true})
 		}
 		return &InsertReply{Reason: reason}
 	}
@@ -278,25 +271,19 @@ func (n *Node) replicateInsert(key id.Node, m *InsertMsg) *InsertReply {
 	sm := &storeReplicaMsg{File: m.File, Key: key, Size: m.Size, Content: m.Content, Cert: m.Cert, K: m.K}
 	skipped := 0
 	for _, member := range members {
-		var sr *storeReplicaReply
-		if member == n.ID() {
-			sr = n.handleStoreReplica(sm)
-		} else {
-			var err error
-			sr, err = netsim.ReplyAs[storeReplicaReply](n.net.Invoke(context.Background(), n.ID(), member, sm))
-			if err != nil {
-				if n.cfg.PartialInsert && netsim.Retryable(err) {
-					// Degraded mode: skip the unreachable member and
-					// keep going. The missing replica is a repair debt
-					// that maintenance settles once the leaf set heals.
-					skipped++
-					continue
-				}
-				// A replica-set member died mid-insert (or sent a reply
-				// of the wrong type); the client will re-salt (and
-				// maintenance will have repaired the leaf set by then).
-				return abort(fmt.Sprintf("replica node %s unreachable", member.Short()))
+		sr, err := netsim.ReplyAs[storeReplicaReply](n.call(member, sm))
+		if err != nil {
+			if n.cfg.PartialInsert && netsim.Retryable(err) {
+				// Degraded mode: skip the unreachable member and keep
+				// going. The missing replica is a repair debt that
+				// maintenance settles once the leaf set heals.
+				skipped++
+				continue
 			}
+			// A replica-set member died mid-insert (or sent a reply of
+			// the wrong type); the client will re-salt (and maintenance
+			// will have repaired the leaf set by then).
+			return abort(fmt.Sprintf("replica node %s unreachable", member.Short()))
 		}
 		switch sr.Status {
 		case storeOK:
@@ -367,7 +354,7 @@ func (n *Node) divertReplica(m *storeReplicaMsg) *storeReplicaReply {
 	eligible, backup := n.overlay.DivertCandidates(m.Key, m.K, make([]id.Node, 0, 32))
 	cands := make([]divertCandidate, 0, 32)
 	for _, b := range eligible {
-		fr, err := netsim.ReplyAs[freeSpaceReply](n.net.Invoke(context.Background(), n.ID(), b, &freeSpaceMsg{}))
+		fr, err := netsim.ReplyAs[freeSpaceReply](n.call(b, &freeSpaceMsg{}))
 		if err != nil {
 			continue
 		}
@@ -382,7 +369,7 @@ func (n *Node) divertReplica(m *storeReplicaMsg) *storeReplicaReply {
 
 	dm := &divertStoreMsg{File: m.File, Size: m.Size, Content: m.Content, Cert: m.Cert, Owner: n.ID()}
 	target, ok := chooseDivertTarget(cands, !n.cfg.RandomDivert, func(b id.Node) (*divertStoreReply, error) {
-		return netsim.ReplyAs[divertStoreReply](n.net.Invoke(context.Background(), n.ID(), b, dm))
+		return netsim.ReplyAs[divertStoreReply](n.call(b, dm))
 	})
 	if !ok {
 		return storeStatusReply(storeFailed, nil)
@@ -391,7 +378,7 @@ func (n *Node) divertReplica(m *storeReplicaMsg) *storeReplicaReply {
 	n.store.SetPointer(store.Pointer{File: m.File, Target: target, Size: m.Size, Role: store.DivertedOut})
 	n.mu.Unlock()
 	if !backup.IsZero() && backup != n.ID() && backup != target {
-		_, _ = n.net.Invoke(context.Background(), n.ID(), backup, &installPointerMsg{File: m.File, Target: target, Size: m.Size, Role: store.Backup})
+		_, _ = n.call(backup, &installPointerMsg{File: m.File, Target: target, Size: m.Size, Role: store.Backup})
 	}
 	return storeStatusReply(storeOKDiverted, n.issueStoreReceipt(m.File))
 }

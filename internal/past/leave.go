@@ -1,8 +1,6 @@
 package past
 
 import (
-	"context"
-
 	"past/internal/id"
 	"past/internal/netsim"
 	"past/internal/store"
@@ -69,7 +67,7 @@ func (n *Node) Leave() *LeaveResult {
 				if r == n.ID() {
 					continue
 				}
-				ar, err := netsim.ReplyAs[acquireReply](n.net.Invoke(context.Background(), n.ID(), r, &acquireMsg{
+				ar, err := netsim.ReplyAs[acquireReply](n.call(r, &acquireMsg{
 					File: e.File, Key: key, Size: e.Size, K: k,
 					Holder: n.ID(), HolderLeaving: false, // force a real copy
 				}))
@@ -93,7 +91,7 @@ func (n *Node) Leave() *LeaveResult {
 			// Tell the referring node to re-home its replica while our
 			// copy is still fetchable.
 			if !e.Owner.IsZero() {
-				if _, err := n.net.Invoke(context.Background(), n.ID(), e.Owner, &divertedHolderLeaving{File: e.File}); err == nil {
+				if _, err := n.call(e.Owner, &divertedHolderLeaving{File: e.File}); err == nil {
 					res.OwnersNotified++
 				}
 			}

@@ -183,7 +183,10 @@ func TestNodeOnLogstoreRestartRoundTrip(t *testing.T) {
 // fails its CRC keeps the replica's metadata and certificate but serves
 // no bytes. A certified lookup must check the content against the
 // certificate's hash whatever it holds, so it fails rather than return
-// an empty file for a non-empty one (paper section 2.3).
+// an empty file for a non-empty one (paper section 2.3). The nodes on a
+// failed lookup's route see its reply before the client checks it, and
+// a cached copy carries no certificate: once every replica's content is
+// gone, no lookup, however many run, may answer with other content.
 func TestCertifiedLookupRejectsLostContent(t *testing.T) {
 	const nodes = 12
 	dirs := make([]string, nodes)
@@ -201,41 +204,59 @@ func TestCertifiedLookupRejectsLostContent(t *testing.T) {
 	if err != nil || !res.OK {
 		t.Fatalf("insert: %v %+v", err, res)
 	}
-	holder := -1
+	var holders []int
 	for i, n := range c.Nodes {
 		if n.HasReplica(res.FileID) {
-			holder = i
-			break
+			holders = append(holders, i)
 		}
 	}
-	if holder < 0 {
+	if len(holders) == 0 {
 		t.Fatal("no node holds the file")
 	}
+	holder := holders[0]
 	if lr, err := c.Nodes[holder].Lookup(res.FileID); err != nil || !bytes.Equal(lr.Content, content) {
 		t.Fatalf("lookup before the damage: %v", err)
 	}
 
-	// Flip one byte of the replica's content in the holder's segment.
-	flipped := false
-	segs, _ := filepath.Glob(filepath.Join(dirs[holder], "seg-*.seg"))
-	for _, seg := range segs {
-		b, err := os.ReadFile(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if at := bytes.Index(b, content); at >= 0 {
-			b[at+len(content)/2] ^= 0xff
-			if err := os.WriteFile(seg, b, 0o644); err != nil {
+	// Flip one byte of the replica's content in every holder's segment.
+	for _, h := range holders {
+		flipped := false
+		segs, _ := filepath.Glob(filepath.Join(dirs[h], "seg-*.seg"))
+		for _, seg := range segs {
+			b, err := os.ReadFile(seg)
+			if err != nil {
 				t.Fatal(err)
 			}
-			flipped = true
+			if at := bytes.Index(b, content); at >= 0 {
+				b[at+len(content)/2] ^= 0xff
+				if err := os.WriteFile(seg, b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				flipped = true
+			}
 		}
-	}
-	if !flipped {
-		t.Fatal("the replica's bytes are in no segment of its holder")
+		if !flipped {
+			t.Fatalf("the replica's bytes are in no segment of holder %d", h)
+		}
 	}
 	if lr, err := c.Nodes[holder].Lookup(res.FileID); err == nil {
 		t.Fatalf("certified lookup of a replica whose content is gone succeeded: found=%v size=%d, %d bytes",
 			lr.Found, lr.Size, len(lr.Content))
 	}
+	wrong, failed := 0, 0
+	for round := 0; round < 3; round++ {
+		for _, n := range c.Nodes {
+			lr, err := n.Lookup(res.FileID)
+			switch {
+			case err != nil:
+				failed++
+			case !lr.Found || !bytes.Equal(lr.Content, content):
+				wrong++
+			}
+		}
+	}
+	if wrong > 0 {
+		t.Errorf("%d of %d lookups answered with content other than the file's (%d failed)", wrong, 3*nodes, failed)
+	}
+	t.Logf("%d of %d lookups failed, %d answered right", failed, 3*nodes, 3*nodes-failed-wrong)
 }

@@ -1,8 +1,6 @@
 package past
 
 import (
-	"context"
-
 	"past/internal/cert"
 	"past/internal/id"
 	"past/internal/netsim"
@@ -76,7 +74,7 @@ func (n *Node) maintainOnce() {
 			// migrate or discard it. A dead or unreachable owner is never
 			// treated as a denial: it may recover with its pointer intact.
 			if e.Kind == store.DivertedIn && n.net.Alive(e.Owner) {
-				pc, err := netsim.ReplyAs[pointerCheckReply](n.net.Invoke(context.Background(), n.ID(), e.Owner, &pointerCheckMsg{File: e.File, Holder: n.ID()}))
+				pc, err := netsim.ReplyAs[pointerCheckReply](n.call(e.Owner, &pointerCheckMsg{File: e.File, Holder: n.ID()}))
 				if err == nil && !pc.Valid {
 					n.mu.Lock()
 					if cur, ok := n.store.Get(e.File); ok && cur.Kind == store.DivertedIn {
@@ -111,7 +109,7 @@ func (n *Node) maintainOnce() {
 			if r == n.ID() {
 				continue
 			}
-			ar, err := netsim.ReplyAs[acquireReply](n.net.Invoke(context.Background(), n.ID(), r, &acquireMsg{
+			ar, err := netsim.ReplyAs[acquireReply](n.call(r, &acquireMsg{
 				File: e.File, Key: key, Size: e.Size, K: k,
 				Holder: n.ID(), HolderLeaving: !selfIn,
 			}))
@@ -205,22 +203,13 @@ func (n *Node) migratePointerHome(p store.Pointer) {
 	}
 	n.mu.Unlock()
 	if err == nil {
-		_, _ = n.net.Invoke(context.Background(), n.ID(), p.Target, &discardMsg{File: p.File, Abort: true})
+		_, _ = n.call(p.Target, &discardMsg{File: p.File, Abort: true})
 	}
 }
 
 // fetchFrom retrieves replica content (and certificate) from a holder.
 func (n *Node) fetchFrom(holder id.Node, f id.File) (content []byte, fc *cert.FileCertificate, size int64, ok bool) {
-	if holder == n.ID() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		e, has := n.store.Get(f)
-		if !has {
-			return nil, nil, 0, false
-		}
-		return e.Content, e.Cert, e.Size, true
-	}
-	fr, err := netsim.ReplyAs[fetchReply](n.net.Invoke(context.Background(), n.ID(), holder, &fetchMsg{File: f}))
+	fr, err := netsim.ReplyAs[fetchReply](n.call(holder, &fetchMsg{File: f}))
 	if err != nil || !fr.Found {
 		return nil, nil, 0, false
 	}
@@ -268,7 +257,7 @@ func (n *Node) handleAcquire(m *acquireMsg) *acquireReply {
 		n.mu.Lock()
 		n.store.SetPointer(store.Pointer{File: m.File, Target: m.Holder, Size: m.Size, Role: store.DivertedOut})
 		n.mu.Unlock()
-		if _, err := n.net.Invoke(context.Background(), n.ID(), m.Holder, &convertToDivertedMsg{File: m.File, Owner: n.ID()}); err != nil {
+		if _, err := n.call(m.Holder, &convertToDivertedMsg{File: m.File, Owner: n.ID()}); err != nil {
 			n.mu.Lock()
 			n.store.RemovePointer(m.File)
 			n.mu.Unlock()
@@ -299,11 +288,11 @@ func (n *Node) handleAcquire(m *acquireMsg) *acquireReply {
 		distant = append(distant, hi[len(hi)-1])
 	}
 	for _, far := range distant {
-		ls, err := netsim.ReplyAs[locateSpaceReply](n.net.Invoke(context.Background(), n.ID(), far, &locateSpaceMsg{File: m.File, Size: size}))
+		ls, err := netsim.ReplyAs[locateSpaceReply](n.call(far, &locateSpaceMsg{File: m.File, Size: size}))
 		if err != nil || !ls.OK {
 			continue
 		}
-		dr, err := netsim.ReplyAs[divertStoreReply](n.net.Invoke(context.Background(), n.ID(), ls.Candidate,
+		dr, err := netsim.ReplyAs[divertStoreReply](n.call(ls.Candidate,
 			&divertStoreMsg{File: m.File, Size: size, Content: content, Cert: fc, Owner: n.ID()}))
 		if err != nil {
 			continue
@@ -346,15 +335,11 @@ func (n *Node) handleLocateSpace(m *locateSpaceMsg) *locateSpaceReply {
 	n.mu.Unlock()
 
 	for _, member := range n.overlay.LeafSet() {
-		fr, err := netsim.ReplyAs[freeSpaceReply](n.net.Invoke(context.Background(), n.ID(), member, &freeSpaceMsg{}))
+		fr, err := netsim.ReplyAs[freeSpaceReply](n.call(member, &freeSpaceMsg{}))
 		if err != nil {
 			continue
 		}
-		free := fr.Free
-		if free <= bestFree || free <= 0 {
-			continue
-		}
-		if float64(m.Size)/float64(free) <= n.cfg.TDiv || m.Size == 0 {
+		if free := fr.Free; free > 0 && free > bestFree && store.Accepts(m.Size, free, n.cfg.TDiv) {
 			best, bestFree = member, free
 		}
 	}
@@ -372,9 +357,6 @@ func (n *Node) handleConvertToDiverted(m *convertToDivertedMsg) any {
 	e, ok := n.store.Get(m.File)
 	if !ok {
 		return &ackMsg{}
-	}
-	if e.Kind == store.DivertedIn {
-		e.Owner = m.Owner
 	}
 	// Re-add with the new role; accounting events reflect the change.
 	n.removeReplicaLocked(m.File)
@@ -403,7 +385,7 @@ func (n *Node) reacquireSelf(f id.File) {
 		return
 	}
 	sm := &storeReplicaMsg{File: f, Key: f.Key(), Size: lr.Size, Content: lr.Content, Cert: lr.Cert, K: n.cfg.K}
-	if r := n.handleStoreReplica(sm); r.Status == storeFailed {
+	if r, err := netsim.ReplyAs[storeReplicaReply](n.call(n.ID(), sm)); err != nil || r.Status == storeFailed {
 		n.mu.Lock()
 		n.belowK++
 		n.mu.Unlock()

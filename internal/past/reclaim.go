@@ -87,20 +87,14 @@ func (n *Node) coordinateReclaim(key id.Node, m *ReclaimMsg) *ReclaimReply {
 	if held && ec.IsMap(e.Content) {
 		if fmap, err := ec.DecodeMap(e.Content); err == nil {
 			for idx, h := range fmap.Holders {
-				n.ecDropFragAt(h, m.File, idx)
+				_, _ = n.call(h, &dropFragMsg{File: m.File, Index: idx})
 				rep.Freed += int64(fmap.ShardSize)
 			}
 		}
 	}
 	// k+1 to reach the backup-pointer node C as well.
 	for _, member := range n.overlay.ReplicaSet(key, n.cfg.K+1) {
-		var dr *discardReply
-		var err error
-		if member == n.ID() {
-			dr, err = netsim.ReplyAs[discardReply](n.handleDiscard(&discardMsg{File: m.File, Cert: m.Cert}))
-		} else {
-			dr, err = netsim.ReplyAs[discardReply](n.net.Invoke(context.Background(), n.ID(), member, &discardMsg{File: m.File, Cert: m.Cert}))
-		}
+		dr, err := netsim.ReplyAs[discardReply](n.call(member, &discardMsg{File: m.File, Cert: m.Cert}))
 		if err != nil {
 			continue
 		}
@@ -147,7 +141,7 @@ func (n *Node) handleDiscard(m *discardMsg) (any, error) {
 
 	if hadPtr && ptr.Role == store.DivertedOut {
 		// Chase the pointer so the diverted replica is discarded too.
-		dr, err := netsim.ReplyAs[discardReply](n.net.Invoke(context.Background(), n.ID(), ptr.Target, &discardMsg{File: m.File, Cert: m.Cert, Abort: m.Abort}))
+		dr, err := netsim.ReplyAs[discardReply](n.call(ptr.Target, &discardMsg{File: m.File, Cert: m.Cert, Abort: m.Abort}))
 		if err == nil && dr.Had {
 			rep.Had = true
 			rep.Size += dr.Size

@@ -117,18 +117,21 @@ type WebSpec struct {
 	// Clients and Sites partition requesters (the paper: 775 clients at
 	// 8 sites).
 	Clients, Sites int
-	// ZipfAlpha is the popularity exponent (~0.8 for web traces).
-	ZipfAlpha float64
-	// AffinityP is the probability that a request for a file comes from
-	// the file's home site rather than a uniformly random site; it
-	// models the geographic interest locality that makes per-site
-	// caching effective.
-	AffinityP float64
 	// Sizes is the file-size distribution.
 	Sizes stats.SizeDist
 	// Seed makes generation deterministic.
 	Seed int64
 }
+
+const (
+	// webZipfAlpha is the popularity exponent (~0.8 for web traces).
+	webZipfAlpha = 0.8
+	// webAffinityP is the probability that a request for a file comes
+	// from the file's home site rather than a uniformly random site; it
+	// models the geographic interest locality that makes per-site
+	// caching effective.
+	webAffinityP = 0.5
+)
 
 // DefaultWebSpec returns a paper-shaped specification at the given scale
 // (unique file count); requests scale at the paper's 2.15x ratio.
@@ -138,8 +141,6 @@ func DefaultWebSpec(uniqueFiles int, seed int64) WebSpec {
 		Requests:    uniqueFiles * 215 / 100,
 		Clients:     775,
 		Sites:       8,
-		ZipfAlpha:   0.8,
-		AffinityP:   0.5,
 		Sizes:       NLANRSizes(),
 		Seed:        seed,
 	}
@@ -156,7 +157,7 @@ func WebTrace(spec WebSpec) *Workload {
 		panic("trace: WebTrace needs positive counts")
 	}
 	r := rand.New(rand.NewSource(spec.Seed))
-	z := stats.NewZipf(spec.UniqueFiles, spec.ZipfAlpha)
+	z := stats.NewZipf(spec.UniqueFiles, webZipfAlpha)
 
 	// Popularity rank -> file index permutation, so popularity is
 	// independent of file index and hence of size.
@@ -191,7 +192,7 @@ func WebTrace(spec WebSpec) *Workload {
 	for i := 0; i < spec.Requests; i++ {
 		f := int32(perm[z.Rank(r)])
 		var site int32
-		if r.Float64() < spec.AffinityP {
+		if r.Float64() < webAffinityP {
 			site = home[f]
 		} else {
 			site = int32(r.Intn(spec.Sites))
