@@ -199,16 +199,18 @@ fuzz:
 
 # Allocation budgets of the one-copy payload path: a durable insert
 # makes one allocation, a fragment map encodes in one, and on netsim a
-# coded insert allocates its parity plus the coordinator's own fragment
-# and a lookup its payload — nothing copies a payload a second time.
-# And of the emulator's insert and lookup paths: the in-memory file
-# table allocates nothing per replica, a routed size-only netsim insert,
+# coded insert allocates its parity and the stores' copies of its map
+# and a lookup its payload — no data fragment is copied. And of the
+# emulator's insert and lookup paths: the in-memory file table
+# allocates nothing per size-only replica and one copy per payload, a
+# routed size-only netsim insert,
 # diverting or not, stays within its allocation count, and an untraced
 # routed lookup pays nothing for trace intent riding the context. And
-# of the RPC path: decoding a frame that fits the read buffer allocates
-# only its message and byte strings, and a Ping over loopback TCP
-# allocates nothing. The same tests run in tier-1; this target runs
-# exactly them, uncached.
+# of the RPC path: decoding a request that fits the read buffer
+# allocates only its message and strings, a Ping over loopback TCP
+# allocates nothing, and a 64 KiB insert RPC, whose request is borrowed,
+# at most 1 KiB. The same tests run in tier-1; this target runs exactly
+# them, uncached.
 alloc-guard:
 	$(GO) test -count=1 -run 'TestAllocBudget|TestECEncoderIsShared' ./internal/wire/ ./internal/transport/ ./internal/store/ ./internal/logstore/ ./internal/ec/ ./internal/past/
 

@@ -233,10 +233,11 @@ func (s *FragStore) removeAt(file id.File, fs []Fragment, i int) {
 }
 
 // Put stores (or replaces) a fragment and takes ownership of f.Data: the
-// slice is kept, not copied, the way the replica store keeps
-// Entry.Content. It may be part of a received frame, or of the
-// inserting client's own buffer, so neither the caller nor the store
-// may write to it afterwards — inserted content is immutable.
+// slice is kept, not copied. It may be part of the inserting client's
+// own buffer, so neither the caller nor the store may write to it
+// afterwards — inserted content is immutable — and it must never be a
+// view of a buffer that is reused: the caller copies a borrowed
+// received fragment first.
 func (s *FragStore) Put(f Fragment) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

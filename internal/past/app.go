@@ -1,9 +1,11 @@
 package past
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 
+	"past/internal/cache"
 	"past/internal/ec"
 	"past/internal/id"
 	"past/internal/netsim"
@@ -79,22 +81,27 @@ func (a *app) Backward(key id.Node, msg, reply any) {
 			if n.cfg.VerifyCerts && (r.Cert == nil || r.Cert.Verify(n.cfg.Issuer, r.Content) != nil) {
 				return
 			}
-			n.cacheFile(m.File, r.Size, r.Content)
+			n.cacheFile(m.File, r.Size, r.Content, false)
 		}
 	case *InsertMsg:
 		if r, ok := reply.(*InsertReply); ok && r.OK {
-			n.cacheFile(m.File, m.Size, m.Content)
+			n.cacheFile(m.File, m.Size, m.Content, m.borrowed)
 		}
 	}
 }
 
 // cacheFile offers a file to the local cache, unless this node holds a
-// replica of it (a replica already serves lookups).
-func (n *Node) cacheFile(f id.File, size int64, content []byte) {
+// replica of it (a replica already serves lookups). A cache keeps what
+// it is given, so borrowed content (a view of a received request frame)
+// is copied first; a reply's content is its own and is kept as it is.
+func (n *Node) cacheFile(f id.File, size int64, content []byte, borrowed bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if _, held := n.store.Stat(f); held {
 		return
+	}
+	if borrowed && n.cache.Config().Policy != cache.None {
+		content = bytes.Clone(content)
 	}
 	n.cache.Insert(f, size, content)
 }
@@ -139,13 +146,9 @@ func (n *Node) deliver(tc obs.TraceContext, from id.Node, msg any) (any, error) 
 		return n.handleDivertStore(m), nil
 	case *freeSpaceMsg:
 		n.mu.Lock()
-		free, r := n.store.Free(), n.freeReply
-		if r == nil || r.Free != free {
-			r = &freeSpaceReply{Free: free}
-			n.freeReply = r
-		}
+		n.freeReply.Free.Store(n.store.Free())
 		n.mu.Unlock()
-		return r, nil
+		return &n.freeReply, nil
 	case *installPointerMsg:
 		n.mu.Lock()
 		n.store.SetPointer(store.Pointer{File: m.File, Target: m.Target, Size: m.Size, Role: m.Role})

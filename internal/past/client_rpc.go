@@ -21,6 +21,9 @@ type ClientInsert struct {
 	Name    string
 	Content []byte
 	K       int
+	// borrowed marks Content as a view of the request frame
+	// (wire.Reader.Borrowed); the insert passes it on.
+	borrowed bool
 }
 
 // ClientInsertReply reports the outcome.
@@ -95,7 +98,7 @@ type ClientReclaimReply struct {
 func (n *Node) handleClientRPC(tc obs.TraceContext, msg any) (any, error) {
 	switch m := msg.(type) {
 	case *ClientInsert:
-		res, err := n.Insert(InsertSpec{Name: m.Name, Content: m.Content, K: m.K})
+		res, err := n.Insert(InsertSpec{Name: m.Name, Content: m.Content, K: m.K, borrowed: m.borrowed})
 		if err != nil {
 			return nil, err
 		}

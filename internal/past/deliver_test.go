@@ -23,7 +23,7 @@ import (
 // locked store.Free() it answers with. The difference is what the
 // emulator charges per message: the instrumented net, netsim's delivery
 // and Node.deliver's dispatch. A poll allocates nothing: the message is
-// empty and an unchanged node answers with its shared reply.
+// empty and a node answers with its one reply.
 func BenchmarkEmulatedPoll(b *testing.B) {
 	cl, err := NewCluster(ClusterSpec{
 		N: 100, Cfg: smallCfg(), Seed: 3,
@@ -62,10 +62,9 @@ func BenchmarkEmulatedPoll(b *testing.B) {
 	})
 }
 
-// TestFreeSpaceReplyShared: a node answers free-space polls with one
-// shared reply while its free space stands still, so a poll allocates
-// nothing, and with a new one once a replica changes it; a reply
-// already handed out keeps the value it was returned with.
+// TestFreeSpaceReplyShared: a node answers every free-space poll with
+// its one reply, so a poll allocates nothing, before or after its free
+// space changes; the reply reads the free space of the latest poll.
 func TestFreeSpaceReplyShared(t *testing.T) {
 	cl := testCluster(t, 8, smallCfg(), 1<<20, 5)
 	src, dst := cl.Nodes[0], cl.Nodes[1]
@@ -78,33 +77,33 @@ func TestFreeSpaceReplyShared(t *testing.T) {
 	}
 	first := poll()
 	if again := poll(); again != first {
-		t.Fatalf("an unchanged node answered two polls with different replies (%d, %d)", first.Free, again.Free)
+		t.Fatalf("an unchanged node answered two polls with different replies (%d, %d)", first.Free.Load(), again.Free.Load())
 	}
 	if allocs := testing.AllocsPerRun(100, func() { poll() }); allocs != 0 {
 		t.Errorf("a poll of an unchanged node made %v allocations; want 0", allocs)
 	}
-	was := first.Free
+	was := first.Free.Load()
 	dst.mu.Lock()
 	err := dst.store.Add(store.Entry{File: id.NewFile("shared-reply", nil, 1), Size: 4096})
 	dst.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := poll()
-	if next == first || next.Free != was-4096 {
-		t.Fatalf("after storing 4096 bytes the poll read %d (same reply: %v); want a new reply with %d", next.Free, next == first, was-4096)
+	if allocs := testing.AllocsPerRun(100, func() { poll() }); allocs != 0 {
+		t.Errorf("a poll after the free space changed made %v allocations; want 0", allocs)
 	}
-	if first.Free != was {
-		t.Fatalf("the earlier reply changed from %d to %d", was, first.Free)
+	if next := poll(); next != first || next.Free.Load() != was-4096 {
+		t.Fatalf("after storing 4096 bytes the poll read %d (same reply: %v); want the same reply with %d", next.Free.Load(), next == first, was-4096)
 	}
 }
 
 // TestFreeSpacePollsOverTCP polls one logstore-backed node over
 // loopback TCP and in process from several goroutines while another
-// adds and removes its replicas. Each reply must still hold, at the
-// end, the free space it was returned with, and that value must be one
-// the store passed through. Run it under -race: the node's shared reply
-// is read by every TCP encoder that sends it.
+// adds and removes its replicas. Every value a poll reads must be one
+// the store passed through; a reply decoded off the wire is the
+// poller's own and still holds it at the end. Run it under -race: the
+// node's one reply is written by every poll and read by every poller
+// and every TCP encoder that sends it.
 func TestFreeSpacePollsOverTCP(t *testing.T) {
 	wire.RegisterWire()
 	RegisterWire()
@@ -135,6 +134,7 @@ func TestFreeSpacePollsOverTCP(t *testing.T) {
 	type answer struct {
 		r    *freeSpaceReply
 		free int64
+		tcp  bool
 	}
 	const pollers, polls = 4, 100
 	answers := make([][]answer, pollers)
@@ -181,7 +181,7 @@ func TestFreeSpacePollsOverTCP(t *testing.T) {
 					errs <- err
 					return
 				}
-				answers[p] = append(answers[p], answer{fr, fr.Free})
+				answers[p] = append(answers[p], answer{fr, fr.Free.Load(), i%2 == 0})
 			}
 		}(p)
 	}
@@ -194,8 +194,11 @@ func TestFreeSpacePollsOverTCP(t *testing.T) {
 	}
 	for p := range answers {
 		for _, a := range answers[p] {
-			if a.r.Free != a.free {
-				t.Fatalf("a reply returned with %d free bytes reads %d at the end", a.free, a.r.Free)
+			if a.tcp && a.r.Free.Load() != a.free {
+				t.Fatalf("a decoded reply returned with %d free bytes reads %d at the end", a.free, a.r.Free.Load())
+			}
+			if !a.tcp && a.r != &n.freeReply {
+				t.Fatal("an in-process poll was not answered with the node's one reply")
 			}
 			if used := capacity - a.free; used < 0 || used > held*size || used%size != 0 {
 				t.Fatalf("a poll read %d free bytes, which the store never had", a.free)

@@ -40,6 +40,9 @@ type storeFragMsg struct {
 	Version uint32
 	Data    []byte
 	CRC     uint32
+	// borrowed marks Data as a view of a received request frame
+	// (wire.Reader.Borrowed), which the holder copies before keeping.
+	borrowed bool
 }
 
 type storeFragReply struct {
@@ -122,9 +125,9 @@ func (n *Node) fragAcceptLocked(size int64) bool {
 }
 
 // handleStoreFrag stores one fragment at this node. The fragment table
-// keeps m.Data itself — over TCP a view of a large received frame or a
-// copy out of a small one, on netsim a slice of the client's buffer —
-// so no copy is made here.
+// keeps a copy of borrowed data (a view of a received frame, or the
+// coordinator's own data shard of one) and m.Data itself otherwise: on
+// netsim a slice of the client's buffer, in a repair the rebuilt shard.
 func (n *Node) handleStoreFrag(m *storeFragMsg) *storeFragReply {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -134,7 +137,11 @@ func (n *Node) handleStoreFrag(m *storeFragMsg) *storeFragReply {
 	if ec.Checksum(m.Data) != m.CRC {
 		return &storeFragReply{} // corrupted in transit; decline
 	}
-	n.frags.Put(ec.Fragment{File: m.File, Index: m.Index, Version: m.Version, Data: m.Data, CRC: m.CRC})
+	data := m.Data
+	if m.borrowed {
+		data = bytes.Clone(data)
+	}
+	n.frags.Put(ec.Fragment{File: m.File, Index: m.Index, Version: m.Version, Data: data, CRC: m.CRC})
 	n.cache.SetLimit(n.cacheSpaceLocked())
 	return &storeFragReply{OK: true}
 }
@@ -193,8 +200,9 @@ func (n *Node) handleMapUpdate(m *mapUpdateMsg) any {
 // through the ordinary replication path. Any placement shortfall aborts
 // the attempt (dropping placed fragments), and the client's file
 // diversion re-salts into a different leaf set. The data fragments are
-// slices of m.Content (rs.Split aliases it), so the parity and this
-// node's own fragment are the only payload a coded insert allocates.
+// slices of m.Content (rs.Split aliases it), so the parity is the only
+// payload a coded insert allocates, beside the copy this node keeps of
+// its own fragment when m.Content is borrowed.
 func (n *Node) coordinateECInsert(key id.Node, m *InsertMsg) *InsertReply {
 	p := *n.cfg.ECMode
 	enc, err := ecEncoder(p)
@@ -230,14 +238,11 @@ func (n *Node) coordinateECInsert(key id.Node, m *InsertMsg) *InsertReply {
 		for !ok && next < len(cands) {
 			target := cands[next]
 			next++
-			data := shards[idx]
-			if target == n.ID() {
-				// Kept as a slice, this node's own fragment would pin the
-				// whole insert message (over TCP, its frame) for 1/m of it.
-				data = bytes.Clone(data)
-			}
+			// A data shard aliases m.Content, so it is borrowed when the
+			// content is; a parity shard is this node's own allocation.
 			sr, err := netsim.ReplyAs[storeFragReply](n.call(target, &storeFragMsg{
-				File: m.File, Index: idx, Version: 1, Data: data, CRC: crcs[idx],
+				File: m.File, Index: idx, Version: 1, Data: shards[idx], CRC: crcs[idx],
+				borrowed: m.borrowed && idx < p.Data,
 			}))
 			if err == nil && sr.OK {
 				holders[idx] = target
@@ -270,12 +275,24 @@ func (n *Node) coordinateECInsert(key id.Node, m *InsertMsg) *InsertReply {
 	return rep
 }
 
-// ecFetchFragAt fetches fragment idx of the file fmap describes,
+// fetchFragMsgs returns the requests for every fragment of f, indexed
+// by fragment: one allocation for all the fetches of a lookup or a
+// repair, where a request each would escape to the heap one by one.
+func fetchFragMsgs(f id.File, total int) []fetchFragMsg {
+	reqs := make([]fetchFragMsg, total)
+	for idx := range reqs {
+		reqs[idx] = fetchFragMsg{File: f, Index: idx}
+	}
+	return reqs
+}
+
+// ecFetchFragAt fetches the fragment req names from its holder in fmap,
 // verifying it against the map's shard size and CRC (fragment content
 // never changes across repairs, so the map is authoritative). Returns the
 // shard and the bytes moved.
-func (n *Node) ecFetchFragAt(fmap *ec.Map, f id.File, idx int) ([]byte, int64) {
-	fr, err := netsim.ReplyAs[fetchFragReply](n.call(fmap.Holders[idx], &fetchFragMsg{File: f, Index: idx}))
+func (n *Node) ecFetchFragAt(fmap *ec.Map, req *fetchFragMsg) ([]byte, int64) {
+	idx := req.Index
+	fr, err := netsim.ReplyAs[fetchFragReply](n.call(fmap.Holders[idx], req))
 	if err != nil || !fr.Found || len(fr.Data) != fmap.ShardSize || ec.Checksum(fr.Data) != fmap.CRCs[idx] {
 		return nil, 0
 	}
@@ -315,6 +332,7 @@ func (n *Node) ecReconstruct(e store.Entry) *LookupReply {
 		data []byte
 	}
 	ch := make(chan fres, total)
+	reqs := fetchFragMsgs(e.File, total)
 	next, inflight := 0, 0
 	launch := func() {
 		for next < len(order) {
@@ -322,7 +340,7 @@ func (n *Node) ecReconstruct(e store.Entry) *LookupReply {
 			next++
 			inflight++
 			go func(idx int) {
-				data, _ := n.ecFetchFragAt(fmap, e.File, idx)
+				data, _ := n.ecFetchFragAt(fmap, &reqs[idx])
 				ch <- fres{idx, data}
 			}(idx)
 			return
@@ -472,12 +490,13 @@ func (n *Node) repairFragment(it ec.RepairItem) (int64, bool) {
 
 	var moved int64
 	shards := make([][]byte, total)
+	reqs := fetchFragMsgs(it.File, total)
 	have := 0
 	for idx := 0; idx < total && have < fmap.Data; idx++ {
 		if idx == it.Index {
 			continue
 		}
-		data, b := n.ecFetchFragAt(fmap, it.File, idx)
+		data, b := n.ecFetchFragAt(fmap, &reqs[idx])
 		moved += b
 		if data != nil {
 			shards[idx] = data

@@ -124,13 +124,14 @@ func allocatedPerOp(n int, op func(i int)) (bytes, count uint64) {
 }
 
 // TestAllocBudgetECInsertLookup: with no socket in the way, a coded
-// insert allocates its parity, the coordinator's copy of its own
-// fragment (10 KiB of the slack) and bookkeeping, and a lookup the
-// joined payload and bookkeeping — no other copy of a data fragment on
-// the way in or out; a second one would break the budget.
+// insert allocates its parity, the k stores' copies of the fragment map
+// and bookkeeping, and a lookup the joined payload and bookkeeping — no
+// copy of a data fragment on the way in or out: one (10 KiB) would break
+// the budget. The coordinator's own fragment is not borrowed here, so
+// it too is kept uncopied.
 func TestAllocBudgetECInsertLookup(t *testing.T) {
 	c, payload := ecPayloadCluster(t)
-	const ops, slack = 8, 16 << 10
+	const ops, slack = 8, 8 << 10
 	contents := make([][]byte, 3*ops)
 	for i := range contents {
 		contents[i] = payload()

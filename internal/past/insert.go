@@ -27,9 +27,10 @@ type InsertSpec struct {
 	// ignored and len(Content) is used.
 	Size int64
 	// Content is the file payload; nil runs size-only accounting (the
-	// trace experiments). Nodes reached without a network copy (netsim,
-	// the inserting node itself) store this slice, or fragments cut from
-	// it, by reference: it must not be modified once Insert is called.
+	// trace experiments). Stores copy it, but caches and fragment tables
+	// reached without a network copy (netsim, the inserting node itself)
+	// keep this slice, or fragments cut from it, by reference: it must
+	// not be modified once Insert is called.
 	Content []byte
 	// K overrides the configured replication factor when positive.
 	K int
@@ -41,6 +42,9 @@ type InsertSpec struct {
 	Salt uint64
 	// Created is the owner-asserted creation time for the certificate.
 	Created int64
+	// borrowed marks Content as a view of a received request frame
+	// (ClientInsert over TCP): every node that keeps it copies it.
+	borrowed bool
 }
 
 // InsertResult reports the outcome of an Insert.
@@ -151,7 +155,7 @@ func (n *Node) InsertContext(ctx context.Context, spec InsertSpec) (*InsertResul
 		}
 		res.FileID = fid
 
-		msg := &InsertMsg{File: fid, Size: size, Content: spec.Content, Cert: fc, K: k}
+		msg := &InsertMsg{File: fid, Size: size, Content: spec.Content, Cert: fc, K: k, borrowed: spec.borrowed}
 		reply, hops, trace, err := n.overlay.RouteContext(ctx, fid.Key(), msg)
 		if err == nil {
 			res.Hops, res.Trace = hops, trace
@@ -358,7 +362,7 @@ func (n *Node) divertReplica(m *storeReplicaMsg) *storeReplicaReply {
 		if err != nil {
 			continue
 		}
-		cands = append(cands, divertCandidate{node: b, free: fr.Free})
+		cands = append(cands, divertCandidate{node: b, free: fr.Free.Load()})
 	}
 	if n.cfg.RandomDivert {
 		// Ablation mode: ignore free space when picking the target.

@@ -339,7 +339,7 @@ func (n *Node) handleLocateSpace(m *locateSpaceMsg) *locateSpaceReply {
 		if err != nil {
 			continue
 		}
-		if free := fr.Free; free > 0 && free > bestFree && store.Accepts(m.Size, free, n.cfg.TDiv) {
+		if free := fr.Free.Load(); free > 0 && free > bestFree && store.Accepts(m.Size, free, n.cfg.TDiv) {
 			best, bestFree = member, free
 		}
 	}

@@ -1,6 +1,8 @@
 package past
 
 import (
+	"sync/atomic"
+
 	"past/internal/cert"
 	"past/internal/id"
 	"past/internal/store"
@@ -16,6 +18,9 @@ type InsertMsg struct {
 	Content []byte
 	Cert    *cert.FileCertificate
 	K       int
+	// borrowed marks Content as a view of a received request frame
+	// (wire.Reader.Borrowed): a node that keeps it copies it.
+	borrowed bool
 }
 
 // InsertReply reports the outcome of one insert attempt.
@@ -144,12 +149,15 @@ func divertStatusReply(s divertStoreStatus, r *cert.StoreReceipt) *divertStoreRe
 
 // freeSpaceMsg queries a node's remaining free space (piggybacked on
 // keep-alives in a deployment; an explicit message here). The answer is
-// the node's shared freeSpaceReply, replaced only when its free space
-// changes, so a poll of an unchanged node allocates nothing.
+// the node's one freeSpaceReply, so a poll allocates nothing.
 type freeSpaceMsg struct{}
 
+// freeSpaceReply is the one reply that is not immutable (DESIGN.md §15):
+// each poll stores the node's free space into it under n.mu, and the
+// poller and the TCP encoder load it, so a reply read later may show a
+// later value.
 type freeSpaceReply struct {
-	Free int64
+	Free atomic.Int64
 }
 
 // installPointerMsg asks a node to record a diverted-replica pointer

@@ -174,9 +174,9 @@ type Node struct {
 	card  *cert.Smartcard
 	rng   *rand.Rand
 
-	// freeReply is the last free-space poll's answer, shared by every
-	// poll until the free space changes (replies are immutable).
-	freeReply *freeSpaceReply
+	// freeReply is the answer to every free-space poll, its Free
+	// updated in place under mu.
+	freeReply freeSpaceReply
 
 	// erasure-coded storage (always initialized; active when
 	// Config.ECMode is set, but any node can hold fragments and serve

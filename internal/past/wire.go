@@ -65,9 +65,11 @@ func RegisterWire() {
 }
 
 // Field order in every pair below is the struct's declaration order.
-// Content, Data and Raw decode with Reader.Bytes: views of a large
-// received frame, exact-size copies out of a small one. Everything else
-// is copied out of the frame.
+// Content, Data and Raw decode with Reader.Bytes: borrowed views of a
+// request frame, the message's own in a response. Everything else is
+// copied out of the frame. A request whose payload a node may keep in
+// its cache or fragment table records Reader.Borrowed, so that keeper
+// copies it; stores copy every payload they keep.
 
 // Routed payloads.
 
@@ -79,7 +81,7 @@ func (m *InsertMsg) AppendWire(b []byte) []byte {
 
 func (m *InsertMsg) DecodeWire(r *wire.Reader) error {
 	m.File, m.Size, m.Content = r.File(), r.Int64(), r.Bytes()
-	m.Cert, m.K = wire.ReadPtr[cert.FileCertificate](r), r.Int()
+	m.Cert, m.K, m.borrowed = wire.ReadPtr[cert.FileCertificate](r), r.Int(), r.Borrowed()
 	return r.Err()
 }
 
@@ -197,9 +199,9 @@ func (m *divertStoreReply) DecodeWire(r *wire.Reader) error {
 func (*freeSpaceMsg) AppendWire(b []byte) []byte    { return b }
 func (*freeSpaceMsg) DecodeWire(*wire.Reader) error { return nil }
 
-func (m *freeSpaceReply) AppendWire(b []byte) []byte { return wire.AppendInt(b, m.Free) }
+func (m *freeSpaceReply) AppendWire(b []byte) []byte { return wire.AppendInt(b, m.Free.Load()) }
 func (m *freeSpaceReply) DecodeWire(r *wire.Reader) error {
-	m.Free = r.Int64()
+	m.Free.Store(r.Int64())
 	return r.Err()
 }
 
@@ -335,6 +337,7 @@ func (m *storeFragMsg) AppendWire(b []byte) []byte {
 
 func (m *storeFragMsg) DecodeWire(r *wire.Reader) error {
 	m.File, m.Index, m.Version, m.Data, m.CRC = r.File(), r.Int(), r.Uint32(), r.Bytes(), r.Uint32()
+	m.borrowed = r.Borrowed()
 	return r.Err()
 }
 
@@ -406,7 +409,7 @@ func (m *ClientInsert) AppendWire(b []byte) []byte {
 }
 
 func (m *ClientInsert) DecodeWire(r *wire.Reader) error {
-	m.Name, m.Content, m.K = r.String(), r.Bytes(), r.Int()
+	m.Name, m.Content, m.K, m.borrowed = r.String(), r.Bytes(), r.Int(), r.Borrowed()
 	return r.Err()
 }
 

@@ -21,7 +21,8 @@ type Backend interface {
 	Utilization() float64
 	// CanAccept applies the SD/FN acceptance policy.
 	CanAccept(size int64, t float64) bool
-	// Add stores a replica.
+	// Add stores a replica. The backend keeps e.Content's bytes, never
+	// the slice: a caller may pass a view of a buffer it reuses.
 	Add(e Entry) error
 	// Get returns the replica entry for f, with content if stored.
 	Get(f id.File) (Entry, bool)

@@ -170,7 +170,9 @@ func (s *Store) CanAccept(size int64, t float64) bool { return Accepts(size, s.F
 
 // Add stores a replica. It fails if the file is already held or space is
 // insufficient; policy checks (CanAccept) are the caller's duty, since
-// primary and diverted stores use different thresholds.
+// primary and diverted stores use different thresholds. The store keeps
+// a copy of e.Content, as a disk would (the content may be a view of a
+// received frame), and e.Cert itself.
 func (s *Store) Add(e Entry) error {
 	if _, dup := s.entries[e.File]; dup {
 		return fmt.Errorf("store: %s already held", e.File.Short())
@@ -183,7 +185,7 @@ func (s *Store) Add(e Entry) error {
 	}
 	s.entries[e.File] = meta{size: e.Size, owner: e.Owner, kind: e.Kind}
 	if e.Content != nil || e.Cert != nil {
-		s.payloads[e.File] = payload{content: e.Content, cert: e.Cert}
+		s.payloads[e.File] = payload{content: bytes.Clone(e.Content), cert: e.Cert}
 	}
 	s.used += e.Size
 	return nil

@@ -17,8 +17,8 @@ import (
 // Message is implemented by every type that crosses the wire. AppendWire
 // appends the message body to b; DecodeWire reads the same fields, in
 // the same order, from r. A []byte field a decoder takes with
-// Reader.Bytes is the message's own: a view of a large received frame,
-// which the decoded message owns, or a copy out of a small one.
+// Reader.Bytes is a response's own, but only borrowed in a request
+// (Reader.Borrowed).
 type Message interface {
 	AppendWire(b []byte) []byte
 	DecodeWire(r *Reader) error
@@ -216,10 +216,12 @@ type Reader struct {
 	buf   []byte
 	err   error
 	depth int
-	// copyOut is set while buf is a connection's reused read buffer:
-	// Bytes then copies, since the buffer is overwritten by the next
+	// copyOut is set while buf is a response in a connection's reused
+	// read buffer: Bytes then copies, since a reply outlives the next
 	// frame.
 	copyOut bool
+	// borrowed is set while buf is a request's body (see Borrowed).
+	borrowed bool
 }
 
 // NewReader returns a Reader over body, for decoding bytes that did not
@@ -342,12 +344,21 @@ func (r *Reader) view() []byte {
 	return r.take(n)
 }
 
+// Borrowed reports whether the frame is a request, whose byte strings
+// (Bytes) are borrowed: views valid only until the request's handler
+// has returned, since the connection may reuse their memory for its
+// next frame. A decoder records it in the message when a node may keep
+// the payload, so that the keeper copies what it keeps and nothing else
+// is copied.
+func (r *Reader) Borrowed() bool { return r.borrowed }
+
 // Bytes reads a length-prefixed byte string for a payload (file
-// content, fragments). Over a buffer the message owns — a frame too
-// large for the connection's read buffer, or NewReader's body — the
-// result is a view that keeps all of the buffer reachable; over a
-// connection's read buffer it is an exact-size copy. Small fields that
-// outlive their message take CopyBytes. A zero length yields nil.
+// content, fragments). In a request it is a borrowed view of the frame
+// (Borrowed); in a response that fits the connection's read buffer, an
+// exact-size copy; over a buffer the message owns — a larger response,
+// or NewReader's body — a view that keeps all of the buffer reachable.
+// Small fields that outlive their message take CopyBytes. A zero length
+// yields nil.
 func (r *Reader) Bytes() []byte {
 	p := r.view()
 	if !r.copyOut || p == nil {

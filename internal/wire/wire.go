@@ -142,9 +142,8 @@ const (
 	bodyChunk = 1 << 20
 )
 
-// encBufs recycles encode buffers. Receive buffers are never pooled:
-// a frame too large to decode in place is read into a buffer its
-// decoded message owns, and stores and caches retain those.
+// encBufs recycles encode buffers. Receive buffers are not pooled but
+// belong to a Codec: its read buffer and its request body buffer.
 var encBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Codec frames requests and responses on a stream. A Codec is not safe
@@ -156,6 +155,9 @@ type Codec struct {
 	// held is how many bytes of br the frame being decoded occupies
 	// (0: the frame is in its own buffer); finish discards them.
 	held int
+	// body holds a request frame too large for br, up to bodyChunk
+	// bytes, and is reused by the next such frame.
+	body []byte
 }
 
 // NewCodec wraps a connection.
@@ -223,8 +225,10 @@ func (c *Codec) writeFrame(kind byte, req *Request, resp *Response) (err error) 
 	return nil
 }
 
-// ReadRequest receives a request. It returns io.EOF bare when the
-// stream ends cleanly between frames.
+// ReadRequest receives a request. The request is borrowed: its byte
+// strings (Reader.Bytes) are views of buffers the next ReadRequest
+// overwrites, so whoever keeps one beyond that copies it. It returns
+// io.EOF bare when the stream ends cleanly between frames.
 func (c *Codec) ReadRequest() (Request, error) {
 	r, err := c.readFrame(kindRequest)
 	if err != nil {
@@ -261,9 +265,11 @@ func (c *Codec) ReadResponse() (Response, error) {
 
 // readFrame reads one frame of the wanted kind and points the codec's
 // Reader at its body. A frame that fits the read buffer is decoded
-// where it lies, and the Reader copies out every byte string a message
-// keeps; a larger one is read into a fresh buffer that the decoded
-// message owns and its byte strings are views of.
+// where it lies. A larger request of up to bodyChunk bytes is read into
+// the codec's body buffer, any other frame into a fresh one. A
+// request's byte strings are borrowed views wherever its body lies; a
+// response's are copied out of the read buffer, or views of the fresh
+// buffer its message owns.
 func (c *Codec) readFrame(kind byte) (*Reader, error) {
 	hdr, err := c.br.Peek(headerLen)
 	if err != nil {
@@ -289,15 +295,27 @@ func (c *Codec) readFrame(kind byte) (*Reader, error) {
 			}
 			return nil, err
 		}
-		c.rd, c.held = Reader{buf: frame[headerLen:], copyOut: true}, size
+		c.rd, c.held = Reader{buf: frame[headerLen:], copyOut: kind == kindResponse, borrowed: kind == kindRequest}, size
 		return &c.rd, nil
 	}
 	c.br.Discard(headerLen) // cannot fail: Peek buffered these bytes
-	body, err := readBody(c.br, int(n)-2)
+	var body []byte
+	if size := int(n) - 2; kind == kindRequest && size <= bodyChunk {
+		if cap(c.body) < size {
+			c.body = make([]byte, size)
+		}
+		body = c.body[:size]
+		_, err = io.ReadFull(c.br, body)
+	} else {
+		body, err = readBody(c.br, size)
+	}
 	if err != nil {
+		if errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
-	c.rd = Reader{buf: body}
+	c.rd = Reader{buf: body, borrowed: kind == kindRequest}
 	return &c.rd, nil
 }
 
@@ -322,9 +340,6 @@ func readBody(r io.Reader, n int) ([]byte, error) {
 	buf := make([]byte, min(n, bodyChunk))
 	for got := 0; ; {
 		if _, err := io.ReadFull(r, buf[got:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				err = io.ErrUnexpectedEOF
-			}
 			return nil, err
 		}
 		if got = len(buf); got == n {

@@ -202,7 +202,7 @@ func TestShortReads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got.Msg, want) {
+		if again := requestFrame(t, &got); !bytes.Equal(again, frame) {
 			t.Fatalf("frame %d decoded as %+v", i, got.Msg)
 		}
 	}
@@ -224,63 +224,110 @@ func (r *repeatReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// TestPayloadOwnership pins who owns a decoded payload. A frame that
-// fits the connection's read buffer is decoded where it lies, so its
-// payload is copied out into an allocation of its own, which the next
-// frame cannot overwrite; a larger frame is read into a buffer its
-// message owns, and the payload is a view of that buffer.
+// TestPayloadOwnership pins who owns a decoded payload, in three
+// regimes. A request is borrowed: its payload is a view of the
+// connection's read buffer (a frame that fits it) or of the
+// connection's reused body buffer (a larger one), valid until the next
+// ReadRequest, so decoding it copies nothing and a keeper copies what
+// it keeps. A response is owned: a reply outlives its pooled
+// connection, so its payload is copied out of the read buffer, or is a
+// view of a fresh buffer its message owns.
 func TestPayloadOwnership(t *testing.T) {
 	register()
-	t.Run("4KiB-copied-out", func(t *testing.T) {
+	fills := []byte{0xAB, 0xCD, 0xEF}
+	t.Run("4KiB-request-borrowed", func(t *testing.T) {
 		var frames []byte
-		for _, fill := range []byte{0xAB, 0xCD, 0xEF} {
+		for _, fill := range fills {
 			content := bytes.Repeat([]byte{fill}, 4<<10)
 			frames = append(frames, requestFrame(t, &wire.Request{Msg: &past.ClientInsert{Content: content}})...)
 		}
 		c := decoder(frames)
 		var kept [][]byte
-		for range 3 {
+		for _, fill := range fills {
 			req, err := c.ReadRequest()
 			if err != nil {
 				t.Fatal(err)
 			}
 			content := req.Msg.(*past.ClientInsert).Content
-			if len(content) != 4<<10 || cap(content) != len(content) {
-				t.Fatalf("payload len %d cap %d; want an exact-size 4 KiB", len(content), cap(content))
+			if !bytes.Equal(content, bytes.Repeat([]byte{fill}, 4<<10)) {
+				t.Fatalf("payload %#x decoded wrong", fill)
 			}
-			kept = append(kept, content)
+			kept = append(kept, bytes.Clone(content)) // the keeper's copy
 		}
-		for i, fill := range []byte{0xAB, 0xCD, 0xEF} {
+		for i, fill := range fills {
 			if !bytes.Equal(kept[i], bytes.Repeat([]byte{fill}, 4<<10)) {
-				t.Fatalf("payload %d changed when later frames were decoded on its codec", i)
+				t.Fatalf("the copy of payload %d changed when later frames were decoded", i)
 			}
+		}
+		frame := requestFrame(t, &wire.Request{Msg: &past.ClientInsert{Content: make([]byte, 4<<10)}})
+		c = wire.NewCodec(stream{&repeatReader{frame: frame}, io.Discard})
+		// The message: a copied payload would be a second allocation.
+		if allocs := testing.AllocsPerRun(20, func() {
+			if _, err := c.ReadRequest(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 1 {
+			t.Fatalf("decoding a 4 KiB request made %v allocations; want 1", allocs)
 		}
 	})
-	t.Run("64KiB-view", func(t *testing.T) {
+	t.Run("64KiB-request-borrowed", func(t *testing.T) {
 		content := bytes.Repeat([]byte{0xAB}, 64<<10)
 		frame := requestFrame(t, &wire.Request{Msg: &past.ClientInsert{Content: content}})
 		c := wire.NewCodec(stream{&repeatReader{frame: frame}, io.Discard})
-		var req wire.Request
+		var first []byte
 		allocs := testing.AllocsPerRun(20, func() {
-			var err error
-			if req, err = c.ReadRequest(); err != nil {
+			req, err := c.ReadRequest()
+			if err != nil {
 				t.Fatal(err)
 			}
+			got := req.Msg.(*past.ClientInsert).Content
+			if !bytes.Equal(got, content) {
+				t.Fatal("content corrupted")
+			}
+			if first == nil {
+				first = got
+			} else if &got[0] != &first[0] {
+				t.Fatal("a large request was not read into the connection's reused body buffer")
+			}
 		})
-		if !bytes.Equal(req.Msg.(*past.ClientInsert).Content, content) {
-			t.Fatal("content corrupted")
+		// The message: a body buffer per frame would be a second
+		// allocation, a copied payload another.
+		if allocs != 1 {
+			t.Fatalf("decoding a 64 KiB request made %v allocations; want 1", allocs)
 		}
-		// The frame body and the message: a copied payload would be a
-		// third allocation.
-		if allocs != 2 {
-			t.Fatalf("decoding a 64 KiB payload made %v allocations; want 2", allocs)
+	})
+	t.Run("responses-owned", func(t *testing.T) {
+		for _, size := range []int{4 << 10, 64 << 10} {
+			var frames []byte
+			for _, fill := range fills {
+				var buf bytes.Buffer
+				reply := &past.ClientLookupReply{Found: true, Content: bytes.Repeat([]byte{fill}, size)}
+				if err := wire.NewCodec(&buf).WriteResponse(&wire.Response{Msg: reply}); err != nil {
+					t.Fatal(err)
+				}
+				frames = append(frames, buf.Bytes()...)
+			}
+			c := decoder(frames)
+			var kept [][]byte
+			for range fills {
+				resp, err := c.ReadResponse()
+				if err != nil {
+					t.Fatal(err)
+				}
+				kept = append(kept, resp.Msg.(*past.ClientLookupReply).Content)
+			}
+			for i, fill := range fills {
+				if !bytes.Equal(kept[i], bytes.Repeat([]byte{fill}, size)) {
+					t.Fatalf("%d-byte reply %d changed when later frames were decoded on its codec", size, i)
+				}
+			}
 		}
 	})
 }
 
-// TestAllocBudgetDecode: decoding a frame that fits the read buffer
-// allocates its message and its byte strings and nothing else — no
-// envelope and no frame buffer.
+// TestAllocBudgetDecode: decoding a request that fits the read buffer
+// allocates its message and its strings and nothing else — no
+// envelope, no frame buffer and no payload, which is borrowed.
 func TestAllocBudgetDecode(t *testing.T) {
 	register()
 	f := id.NewFile("x", nil, 1)
@@ -291,7 +338,7 @@ func TestAllocBudgetDecode(t *testing.T) {
 	}{
 		{"ping", &pastry.Ping{}, 0}, // a zero-size message allocates nothing
 		{"routed-lookup", &pastry.RouteRequest{Key: f.Key(), Payload: &past.LookupMsg{File: f}, Hops: 1}, 2},
-		{"4KiB-insert", &past.ClientInsert{Name: "notes.txt", Content: make([]byte, 4<<10)}, 3},
+		{"4KiB-insert", &past.ClientInsert{Name: "notes.txt", Content: make([]byte, 4<<10)}, 2},
 	} {
 		frame := requestFrame(t, &wire.Request{Src: id.NodeFromUint64(1), Msg: tc.msg})
 		c := wire.NewCodec(stream{&repeatReader{frame: frame}, io.Discard})
@@ -302,7 +349,7 @@ func TestAllocBudgetDecode(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if !reflect.DeepEqual(req.Msg, tc.msg) {
+		if again := requestFrame(t, &req); !bytes.Equal(again, frame) {
 			t.Fatalf("%s decoded as %+v", tc.name, req.Msg)
 		}
 		if got != tc.want {
